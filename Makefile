@@ -4,7 +4,7 @@ BENCH_BASE ?= BENCH_pr8.json
 CHAOS_SEEDS ?= 6
 CILKVET ?= bin/cilkvet
 
-.PHONY: build vet vet-unsafe lint lint-deprecated cilkvet check-binaries inline-check test race chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
+.PHONY: build vet vet-unsafe lint lint-deprecated cilkvet check-binaries inline-check test race bench-check chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -59,10 +59,22 @@ test:
 	$(GO) test ./...
 
 # race exercises the Chase–Lev deque's memory-ordering assumptions (the
-# concurrent stress tests in internal/sched) and the reducer engines under
-# the race detector.  Run it on every scheduler change.
+# concurrent stress tests in internal/sched), the reducer engines, the typed
+# reducers, and PBFS over its bag reducer (dist is filled with plain stores
+# before the first Run and claimed by CAS after it) under the race detector.
+# Run it on every scheduler change.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/...
+	$(GO) test -race ./internal/sched/... ./internal/core/... \
+		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
+
+# bench-check covers the benchmark/ module, which `go build ./...` and
+# `go test ./...` at the root do not descend into although it pins part of
+# this module's surface (benchmark/README.md): vet, the harness's own short
+# tests, and a smoke run of every workload through the driver's entry point.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
+	bash benchmark/run.sh -smoke
 
 # chaos runs the fault-injection sweep under the race detector: every
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
@@ -182,4 +194,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build fmt-check vet lint check-binaries inline-check docs-check test race
+ci: build fmt-check vet lint check-binaries inline-check docs-check test race bench-check

@@ -27,7 +27,6 @@ func main() {
 		size    = flag.Int("n", 1<<16, "vertex count for the generic generators (path, star, grid3d, torus, rmat, random)")
 		workers = flag.Int("workers", 8, "worker count for the parallel runs")
 		source  = flag.Int("source", 0, "BFS source vertex")
-		grain   = flag.Int("grain", 128, "pennant grain size")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		list    = flag.Bool("list", false, "list the paper's input graphs and exit")
 	)
@@ -59,7 +58,7 @@ func main() {
 	for _, mech := range cilkm.Mechanisms() {
 		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(*workers), cilkm.WithCountLookups())
 		start = time.Now()
-		res, err := pbfs.Parallel(s, g, pbfs.Config{Source: int32(*source), Grain: *grain})
+		res, err := pbfs.Parallel(s, g, pbfs.Config{Source: int32(*source)})
 		elapsed := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pbfs: %v: %v\n", mech, err)

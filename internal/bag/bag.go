@@ -4,140 +4,115 @@
 // frontier in bags declared as reducers so that logically parallel branches
 // can insert discovered vertices without races.
 //
-// A bag is a list of "pennants" indexed by rank, where a pennant of rank k
-// holds exactly 2^k elements: its root holds one element and points at a
-// complete binary tree of 2^k−1 further elements.  Insertion works like
-// incrementing a binary counter, union like binary addition, and split like
-// a right shift, all in O(log n) pennant operations.
+// A bag is a list of "pennants" indexed by rank plus one partially filled
+// block, the hopper.  Every pennant node holds a full block of BlockSize
+// elements; a pennant of rank k holds exactly 2^k blocks: its root holds
+// one and points at a complete binary tree of 2^k−1 more.  Insertion
+// appends to the hopper and pushes a full hopper as a rank-0 pennant, which
+// works like incrementing a binary counter; union is binary addition of the
+// pennants plus a merge of the two hoppers.
 package bag
 
-// node is one pennant node holding a single element.
+import "math/bits"
+
+// BlockSize is the number of elements in a pennant node, the PBFS paper's
+// grain: one block is the unit of allocation on insert and the unit of
+// serial work on traversal.
+const BlockSize = 128
+
+// node is one pennant node holding a full block.  The child pointers come
+// first so that, for pointer-free T, the part of the node the garbage
+// collector scans is its first 16 bytes.
 type node[T any] struct {
-	elem        T
 	left, right *node[T]
+	elems       [BlockSize]T
 }
 
-// Pennant is a tree of exactly 2^rank elements.
+// Pennant is a tree of exactly 2^rank blocks.
 type Pennant[T any] struct {
 	root *node[T]
 	rank int
 }
 
-// Rank returns the pennant's rank; the pennant holds 2^rank elements.
-func (p *Pennant[T]) Rank() int { return p.rank }
+// Rank returns the pennant's rank; the pennant holds 2^rank blocks.
+func (p Pennant[T]) Rank() int { return p.rank }
 
 // Len returns the number of elements in the pennant.
-func (p *Pennant[T]) Len() int { return 1 << p.rank }
+func (p Pennant[T]) Len() int { return BlockSize << p.rank }
 
-// singleton creates a rank-0 pennant holding one element.
-func singleton[T any](v T) *Pennant[T] {
-	return &Pennant[T]{root: &node[T]{elem: v}, rank: 0}
-}
+// Subtree returns the pennant as a tree fragment for traversal: the root's
+// block, a complete binary tree on the left and nothing on the right.
+func (p Pennant[T]) Subtree() Subtree[T] { return Subtree[T]{n: p.root} }
 
-// union combines two pennants of equal rank into one of rank+1 in O(1).
-func union[T any](x, y *Pennant[T]) *Pennant[T] {
-	if x.rank != y.rank {
-		panic("bag: union of pennants with different ranks")
-	}
-	y.root.right = x.root.left
-	x.root.left = y.root
-	x.rank++
+// union combines two pennants of equal rank into one of the next rank in
+// O(1): y becomes the root of x's child tree.
+func union[T any](x, y *node[T]) *node[T] {
+	y.right = x.left
+	x.left = y
 	return x
 }
 
-// split undoes union: it reduces x to rank−1 and returns the split-off
-// pennant of the same rank.
-func split[T any](x *Pennant[T]) *Pennant[T] {
-	if x.rank == 0 {
-		panic("bag: split of a rank-0 pennant")
-	}
-	y := &Pennant[T]{root: x.root.left, rank: x.rank - 1}
-	x.root.left = y.root.right
-	y.root.right = nil
-	x.rank--
-	return y
-}
-
-// Walk calls fn for every element in the pennant, in an unspecified order.
-func (p *Pennant[T]) Walk(fn func(T)) {
-	if p == nil || p.root == nil {
-		return
-	}
-	fn(p.root.elem)
-	walkTree(p.root.left, fn)
-}
-
-// walkTree walks the complete binary tree hanging off a pennant root.
-func walkTree[T any](n *node[T], fn func(T)) {
-	if n == nil {
-		return
-	}
-	fn(n.elem)
-	walkTree(n.left, fn)
-	walkTree(n.right, fn)
-}
-
-// Spine exposes the pennant's root element and subtrees so that callers
-// (PBFS) can descend the tree in parallel: it returns the root element and
-// the two subtrees of the root's child tree along with the child tree's
-// root element.  For a rank-0 pennant ok is false and only elem is valid.
-func (p *Pennant[T]) Spine() (elem T, childElem T, left, right *Subtree[T], ok bool) {
-	elem = p.root.elem
-	if p.root.left == nil {
-		return elem, childElem, nil, nil, false
-	}
-	c := p.root.left
-	return elem, c.elem, &Subtree[T]{n: c.left}, &Subtree[T]{n: c.right}, true
-}
-
-// Subtree is a complete binary tree fragment of a pennant, used for
-// parallel traversal.
+// Subtree is a fragment of a pennant, passed by value, that callers (PBFS)
+// descend in parallel.
 type Subtree[T any] struct {
 	n *node[T]
 }
 
-// Empty reports whether the subtree holds no nodes.
-func (s *Subtree[T]) Empty() bool { return s == nil || s.n == nil }
+// Empty reports whether the subtree holds no blocks.
+func (s Subtree[T]) Empty() bool { return s.n == nil }
 
-// Element returns the root element of the subtree; it must not be empty.
-func (s *Subtree[T]) Element() T { return s.n.elem }
+// Block returns the block at the subtree's root; the subtree must not be
+// empty and the caller must not modify the block.
+func (s Subtree[T]) Block() []T { return s.n.elems[:] }
 
-// Children returns the left and right subtrees.
-func (s *Subtree[T]) Children() (left, right *Subtree[T]) {
-	return &Subtree[T]{n: s.n.left}, &Subtree[T]{n: s.n.right}
+// Children returns the left and right subtrees.  Below a pennant's root
+// the tree is complete, so there the left one is empty exactly at a leaf.
+func (s Subtree[T]) Children() (left, right Subtree[T]) {
+	return Subtree[T]{n: s.n.left}, Subtree[T]{n: s.n.right}
 }
 
-// Walk calls fn for every element in the subtree.
-func (s *Subtree[T]) Walk(fn func(T)) {
-	if s == nil {
-		return
-	}
-	walkTree(s.n, fn)
-}
-
-// MaxRank bounds the number of pennant slots in a bag; 2^64 elements can
+// MaxRank bounds the number of pennant slots in a bag; 2^64 blocks can
 // never be exceeded.
 const MaxRank = 64
 
 // Bag is an unordered multiset supporting O(1) amortised insertion,
-// O(log n) union and split, and linear traversal.
+// O(log n) union and linear traversal.
 type Bag[T any] struct {
-	pennants [MaxRank]*Pennant[T]
-	size     int
+	// pennants[k] is non-nil exactly when bit k of blocks is set.
+	pennants [MaxRank]*node[T]
+	blocks   int
+	// hopper holds the fill < BlockSize elements that are not yet a full
+	// block; it is nil exactly when fill is 0.
+	hopper *node[T]
+	fill   int
 }
 
 // New returns an empty bag.
 func New[T any]() *Bag[T] { return &Bag[T]{} }
 
 // Len returns the number of elements in the bag.
-func (b *Bag[T]) Len() int { return b.size }
+func (b *Bag[T]) Len() int { return b.blocks*BlockSize + b.fill }
 
 // IsEmpty reports whether the bag holds no elements.
-func (b *Bag[T]) IsEmpty() bool { return b.size == 0 }
+func (b *Bag[T]) IsEmpty() bool { return b.blocks == 0 && b.fill == 0 }
 
-// Insert adds one element, like incrementing a binary counter.
+// Insert adds one element to the hopper, allocating one node per BlockSize
+// insertions.
 func (b *Bag[T]) Insert(v T) {
-	p := singleton(v)
+	if b.fill == 0 {
+		b.hopper = new(node[T])
+	}
+	b.hopper.elems[b.fill] = v
+	b.fill++
+	if b.fill == BlockSize {
+		b.push(b.hopper)
+		b.hopper, b.fill = nil, 0
+	}
+}
+
+// push adds one full block as a rank-0 pennant, like incrementing a binary
+// counter.
+func (b *Bag[T]) push(p *node[T]) {
 	k := 0
 	for b.pennants[k] != nil {
 		p = union(b.pennants[k], p)
@@ -145,123 +120,113 @@ func (b *Bag[T]) Insert(v T) {
 		k++
 	}
 	b.pennants[k] = p
-	b.size++
+	b.blocks++
 }
 
-// Union merges other into b, emptying other, like binary addition with
-// carries.
+// Union merges other into b, emptying other: the two hoppers merge into at
+// most one full block, which is the carry into a binary addition of the
+// pennants.
 func (b *Bag[T]) Union(other *Bag[T]) {
-	if other == nil || other.size == 0 {
+	if other == nil || other.IsEmpty() {
 		return
 	}
-	var carry *Pennant[T]
-	for k := 0; k < MaxRank; k++ {
-		x, y := b.pennants[k], other.pennants[k]
-		other.pennants[k] = nil
-		b.pennants[k], carry = fullAdd(x, y, carry)
+	carry := b.mergeHopper(other)
+	blocks := b.blocks + other.blocks
+	if carry != nil {
+		blocks++
 	}
-	b.size += other.size
-	other.size = 0
+	// b's ranks above other's highest change only while a carry ripples.
+	for k := 0; other.blocks>>k != 0 || carry != nil; k++ {
+		b.pennants[k], carry = fullAdd(b.pennants[k], other.pennants[k], carry)
+		other.pennants[k] = nil
+	}
+	b.blocks, other.blocks = blocks, 0
+}
+
+// mergeHopper moves other's hopper into b's by copying the smaller into
+// the larger.  When that fills a block it returns the block, leaving the
+// remainder as b's hopper.
+func (b *Bag[T]) mergeHopper(other *Bag[T]) (full *node[T]) {
+	if b.fill < other.fill {
+		b.hopper, other.hopper = other.hopper, b.hopper
+		b.fill, other.fill = other.fill, b.fill
+	}
+	if other.fill == 0 {
+		return nil
+	}
+	moved := copy(b.hopper.elems[b.fill:], other.hopper.elems[:other.fill])
+	b.fill += moved
+	if b.fill == BlockSize {
+		full = b.hopper
+		b.fill = copy(other.hopper.elems[:], other.hopper.elems[moved:other.fill])
+		b.hopper = nil
+		if b.fill > 0 {
+			b.hopper = other.hopper
+		}
+	}
+	other.hopper, other.fill = nil, 0
+	return full
 }
 
 // fullAdd combines up to three pennants of rank k into a result of rank k
 // and a carry of rank k+1, exactly like a binary full adder.
-func fullAdd[T any](x, y, carry *Pennant[T]) (sum, carryOut *Pennant[T]) {
-	present := 0
-	if x != nil {
-		present++
-	}
-	if y != nil {
-		present++
-	}
-	if carry != nil {
-		present++
-	}
-	switch present {
-	case 0:
-		return nil, nil
-	case 1:
-		if x != nil {
-			return x, nil
-		}
-		if y != nil {
-			return y, nil
-		}
+func fullAdd[T any](x, y, carry *node[T]) (sum, carryOut *node[T]) {
+	switch {
+	case x == nil && y == nil:
 		return carry, nil
-	case 2:
-		if x == nil {
-			return nil, union(y, carry)
-		}
-		if y == nil {
-			return nil, union(x, carry)
-		}
-		return nil, union(x, y)
+	case x == nil && carry == nil:
+		return y, nil
+	case y == nil && carry == nil:
+		return x, nil
+	case x == nil:
+		return nil, union(y, carry)
+	case y == nil:
+		return nil, union(x, carry)
 	default:
 		return carry, union(x, y)
 	}
 }
 
-// SplitHalf removes roughly half of the bag's elements and returns them as
-// a new bag (the larger pennant stays behind when sizes are uneven).
-func (b *Bag[T]) SplitHalf() *Bag[T] {
-	out := New[T]()
-	if b.size <= 1 {
-		return out
-	}
-	var spare *Pennant[T]
-	if b.pennants[0] != nil {
-		spare = b.pennants[0]
-		b.pennants[0] = nil
-	}
-	moved := 0
-	for k := 1; k < MaxRank; k++ {
-		if b.pennants[k] == nil {
-			continue
-		}
-		out.pennants[k-1] = split(b.pennants[k])
-		moved += out.pennants[k-1].Len()
-		// Shift the remaining half down one rank as well.
-		p := b.pennants[k]
-		b.pennants[k] = nil
-		if b.pennants[k-1] == nil {
-			b.pennants[k-1] = p
-		} else {
-			b.pennants[k] = union(b.pennants[k-1], p)
-			b.pennants[k-1] = nil
+// Pennants returns the non-empty pennants currently in the bag, smallest
+// rank first.  Together with Hopper they hold every element; PBFS walks
+// them in parallel.
+func (b *Bag[T]) Pennants() []Pennant[T] {
+	out := make([]Pennant[T], 0, bits.OnesCount(uint(b.blocks)))
+	for k := 0; b.blocks>>k != 0; k++ {
+		if p := b.pennants[k]; p != nil {
+			out = append(out, Pennant[T]{root: p, rank: k})
 		}
 	}
-	if spare != nil {
-		b.Insert(spare.root.elem)
-		b.size-- // Insert bumped size for an element already counted.
-	}
-	b.size -= moved
-	out.size = moved
 	return out
 }
 
-// Pennants returns the non-empty pennants currently in the bag, smallest
-// rank first.  PBFS walks these in parallel.
-func (b *Bag[T]) Pennants() []*Pennant[T] {
-	out := make([]*Pennant[T], 0, 8)
-	for _, p := range b.pennants {
-		if p != nil {
-			out = append(out, p)
-		}
+// Hopper returns the elements not yet in a pennant, fewer than BlockSize of
+// them; the caller must not modify the slice.
+func (b *Bag[T]) Hopper() []T {
+	if b.fill == 0 {
+		return nil
 	}
-	return out
+	return b.hopper.elems[:b.fill]
 }
 
 // Walk calls fn for every element in the bag, in an unspecified order.
 func (b *Bag[T]) Walk(fn func(T)) {
-	for _, p := range b.pennants {
-		p.Walk(fn)
+	for k := 0; b.blocks>>k != 0; k++ {
+		walkTree(b.pennants[k], fn)
+	}
+	for _, v := range b.Hopper() {
+		fn(v)
 	}
 }
 
-// Clear removes every element.
-func (b *Bag[T]) Clear() {
-	for i := range b.pennants {
-		b.pennants[i] = nil
+// walkTree walks every block of the tree rooted at n.
+func walkTree[T any](n *node[T], fn func(T)) {
+	if n == nil {
+		return
 	}
-	b.size = 0
+	for _, v := range n.elems {
+		fn(v)
+	}
+	walkTree(n.left, fn)
+	walkTree(n.right, fn)
 }

@@ -1,16 +1,73 @@
 package bag
 
 import (
-	"sort"
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
-func collect(b *Bag[int]) []int {
-	var out []int
-	b.Walk(func(v int) { out = append(out, v) })
-	sort.Ints(out)
+func collect[T cmp.Ordered](b *Bag[T]) []T {
+	var out []T
+	b.Walk(func(v T) { out = append(out, v) })
+	slices.Sort(out)
 	return out
+}
+
+// fill returns a bag holding lo, lo+1, …, lo+n−1.
+func fill(lo, n int) *Bag[int] {
+	b := New[int]()
+	for i := lo; i < lo+n; i++ {
+		b.Insert(i)
+	}
+	return b
+}
+
+// isIota reports whether got is exactly 0, 1, …, n−1.
+func isIota(got []int, n int) bool {
+	for i, v := range got {
+		if v != i {
+			return false
+		}
+	}
+	return len(got) == n
+}
+
+// countBlocks returns the number of nodes in the tree rooted at n.
+func countBlocks[T any](n *node[T]) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + countBlocks(n.left) + countBlocks(n.right)
+}
+
+// checkShape verifies the representation invariants: a pennant at rank k
+// exactly where bit k of the block count is set, 2^k blocks in it, nothing
+// hanging off a root's right, and a hopper exactly when it has elements.
+func checkShape[T any](t *testing.T, b *Bag[T]) {
+	t.Helper()
+	for k, p := range b.pennants {
+		if want := b.blocks>>k&1 == 1; (p != nil) != want {
+			t.Fatalf("rank %d: pennant present = %v with %d blocks", k, p != nil, b.blocks)
+		}
+		if p == nil {
+			continue
+		}
+		if p.right != nil {
+			t.Fatalf("rank %d: pennant root has a right child", k)
+		}
+		if got := countBlocks(p); got != 1<<k {
+			t.Fatalf("rank %d: pennant holds %d blocks", k, got)
+		}
+	}
+	if (b.hopper == nil) != (b.fill == 0) || b.fill < 0 || b.fill >= BlockSize {
+		t.Fatalf("hopper nil = %v with fill %d", b.hopper == nil, b.fill)
+	}
+	if len(b.Hopper()) != b.fill || b.Len() != b.blocks*BlockSize+b.fill {
+		t.Fatalf("Len %d, Hopper %d: want %d blocks + %d", b.Len(), len(b.Hopper()), b.blocks, b.fill)
+	}
 }
 
 func TestEmptyBag(t *testing.T) {
@@ -21,8 +78,8 @@ func TestEmptyBag(t *testing.T) {
 	if got := collect(b); len(got) != 0 {
 		t.Fatalf("empty bag walked %d elements", len(got))
 	}
-	if len(b.Pennants()) != 0 {
-		t.Fatal("empty bag should have no pennants")
+	if len(b.Pennants()) != 0 || len(b.Hopper()) != 0 {
+		t.Fatal("empty bag should have no pennants and no hopper")
 	}
 	b.Union(nil)
 	b.Union(New[int]())
@@ -32,97 +89,84 @@ func TestEmptyBag(t *testing.T) {
 }
 
 func TestInsertAndWalk(t *testing.T) {
-	b := New[int]()
 	const n = 1000
-	for i := 0; i < n; i++ {
-		b.Insert(i)
-	}
+	b := fill(0, n)
 	if b.Len() != n {
 		t.Fatalf("Len = %d, want %d", b.Len(), n)
 	}
-	got := collect(b)
-	if len(got) != n {
-		t.Fatalf("walked %d elements, want %d", len(got), n)
+	if got := collect(b); !isIota(got, n) {
+		t.Fatalf("walked %d elements, want each of 0 … %d once", len(got), n-1)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("element %d missing or duplicated (got %d)", i, v)
-		}
-	}
+	checkShape(t, b)
 }
 
 func TestPennantStructure(t *testing.T) {
-	b := New[int]()
-	for i := 0; i < 13; i++ { // 13 = 0b1101: pennants of rank 0, 2, 3
-		b.Insert(i)
-	}
+	// 13 = 0b1101 blocks: pennants of rank 0, 2, 3, and 5 in the hopper.
+	const n = 13*BlockSize + 5
+	b := fill(0, n)
 	ps := b.Pennants()
 	if len(ps) != 3 {
-		t.Fatalf("expected 3 pennants for 13 elements, got %d", len(ps))
+		t.Fatalf("expected 3 pennants for 13 blocks, got %d", len(ps))
 	}
 	wantRanks := []int{0, 2, 3}
-	total := 0
+	total := len(b.Hopper())
 	for i, p := range ps {
 		if p.Rank() != wantRanks[i] {
 			t.Fatalf("pennant %d has rank %d, want %d", i, p.Rank(), wantRanks[i])
 		}
 		total += p.Len()
 	}
-	if total != 13 {
-		t.Fatalf("pennants hold %d elements, want 13", total)
+	if total != n {
+		t.Fatalf("pennants and hopper hold %d elements, want %d", total, n)
 	}
+	checkShape(t, b)
 }
 
-func TestPennantSpineAndSubtrees(t *testing.T) {
-	b := New[int]()
-	for i := 0; i < 8; i++ {
-		b.Insert(i)
-	}
+// TestPennantSubtrees descends a pennant the way PBFS does — own block,
+// then both children — and checks that reaches every element once.
+func TestPennantSubtrees(t *testing.T) {
+	b := fill(0, 8*BlockSize)
 	ps := b.Pennants()
-	if len(ps) != 1 || ps[0].Rank() != 3 {
-		t.Fatalf("expected one rank-3 pennant, got %v", ps)
+	if len(ps) != 1 || ps[0].Rank() != 3 || len(b.Hopper()) != 0 {
+		t.Fatalf("expected one rank-3 pennant and no hopper, got %v", ps)
 	}
-	seen := make(map[int]bool)
-	rootElem, childElem, left, right, ok := ps[0].Spine()
-	if !ok {
-		t.Fatal("rank-3 pennant should expose a spine")
+	seen := make(map[int]int)
+	var descend func(st Subtree[int]) int
+	descend = func(st Subtree[int]) int {
+		if st.Empty() {
+			return 0
+		}
+		for _, v := range st.Block() {
+			seen[v]++
+		}
+		l, r := st.Children()
+		return 1 + descend(l) + descend(r)
 	}
-	seen[rootElem] = true
-	seen[childElem] = true
-	for _, st := range []*Subtree[int]{left, right} {
-		st.Walk(func(v int) { seen[v] = true })
+	root := ps[0].Subtree()
+	if _, r := root.Children(); !r.Empty() {
+		t.Fatal("a pennant's root has no right subtree")
 	}
-	if len(seen) != 8 {
-		t.Fatalf("spine traversal saw %d distinct elements, want 8", len(seen))
+	if blocks := descend(root); blocks != 8 {
+		t.Fatalf("descended %d blocks, want 8", blocks)
 	}
-	// Descend explicitly through Children.
-	if !left.Empty() {
-		l, r := left.Children()
-		_ = left.Element()
-		count := 1
-		l.Walk(func(int) { count++ })
-		r.Walk(func(int) { count++ })
-		if count != 3 {
-			t.Fatalf("left subtree of rank-3 pennant should hold 3 elements, got %d", count)
+	if len(seen) != 8*BlockSize {
+		t.Fatalf("subtree traversal saw %d distinct elements, want %d", len(seen), 8*BlockSize)
+	}
+	for v, c := range seen {
+		if c != 1 {
+			t.Fatalf("element %d visited %d times", v, c)
 		}
 	}
-	// A singleton pennant has no spine.
-	single := New[int]()
-	single.Insert(42)
-	if _, _, _, _, ok := single.Pennants()[0].Spine(); ok {
-		t.Fatal("rank-0 pennant should not expose a spine")
+	// A single block is a rank-0 pennant: a root with no children.
+	l, r := fill(0, BlockSize).Pennants()[0].Subtree().Children()
+	if !l.Empty() || !r.Empty() {
+		t.Fatal("rank-0 pennant should have no subtrees")
 	}
 }
 
 func TestUnionPreservesAllElements(t *testing.T) {
-	a := New[int]()
-	b := New[int]()
-	for i := 0; i < 100; i++ {
-		a.Insert(i)
-	}
-	for i := 100; i < 237; i++ {
-		b.Insert(i)
-	}
+	a := fill(0, 100)
+	b := fill(100, 137)
 	a.Union(b)
 	if a.Len() != 237 {
 		t.Fatalf("union Len = %d, want 237", a.Len())
@@ -130,53 +174,36 @@ func TestUnionPreservesAllElements(t *testing.T) {
 	if !b.IsEmpty() {
 		t.Fatal("union should empty the argument bag")
 	}
-	got := collect(a)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("element %d missing after union", i)
-		}
+	if got := collect(a); !isIota(got, 237) {
+		t.Fatalf("walked %d elements after union, want each of 0 … 236 once", len(got))
 	}
 }
 
-func TestSplitHalf(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 64, 100, 1023} {
-		b := New[int]()
-		for i := 0; i < n; i++ {
-			b.Insert(i)
-		}
-		other := b.SplitHalf()
-		if b.Len()+other.Len() != n {
-			t.Fatalf("n=%d: sizes %d + %d != %d", n, b.Len(), other.Len(), n)
-		}
-		if n > 1 && (other.Len() == 0 || b.Len() == 0) {
-			t.Fatalf("n=%d: split produced an empty half (%d/%d)", n, b.Len(), other.Len())
-		}
-		seen := make(map[int]int)
-		b.Walk(func(v int) { seen[v]++ })
-		other.Walk(func(v int) { seen[v]++ })
-		if len(seen) != n {
-			t.Fatalf("n=%d: %d distinct elements after split, want %d", n, len(seen), n)
-		}
-		for v, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: element %d appears %d times", n, v, c)
+// TestUnionHopperEdges unions bags of every size pairing around the block
+// boundary: hopper sums below, at and above BlockSize, either or both
+// hoppers absent, an empty receiver, and lengths that are exact multiples
+// of BlockSize (so a filled hopper's carry ripples through the pennants).
+func TestUnionHopperEdges(t *testing.T) {
+	const B = BlockSize
+	sizes := []int{0, 1, B/2 - 1, B / 2, B/2 + 1, B - 1, B, B + 1, 2*B - 1, 2 * B, 3*B + B/2, 7*B + B - 1, 8 * B}
+	for _, na := range sizes {
+		for _, nb := range sizes {
+			a, b := fill(0, na), fill(na, nb)
+			a.Union(b)
+			checkShape(t, a)
+			checkShape(t, b)
+			if !b.IsEmpty() || b.Len() != 0 || len(collect(b)) != 0 {
+				t.Fatalf("%d ∪ %d: argument not emptied", na, nb)
+			}
+			if got := collect(a); a.Len() != na+nb || !isIota(got, na+nb) {
+				t.Fatalf("%d ∪ %d: Len %d, walked %d, want each of 0 … %d once", na, nb, a.Len(), len(got), na+nb-1)
+			}
+			// The emptied argument is a usable bag again.
+			b.Insert(-1)
+			if b.Len() != 1 {
+				t.Fatalf("%d ∪ %d: argument unusable after union", na, nb)
 			}
 		}
-	}
-}
-
-func TestClear(t *testing.T) {
-	b := New[int]()
-	for i := 0; i < 50; i++ {
-		b.Insert(i)
-	}
-	b.Clear()
-	if !b.IsEmpty() || len(b.Pennants()) != 0 {
-		t.Fatal("Clear did not empty the bag")
-	}
-	b.Insert(1)
-	if b.Len() != 1 {
-		t.Fatal("bag unusable after Clear")
 	}
 }
 
@@ -214,32 +241,174 @@ func TestPropertyUnionAndInsertPreserveMultiset(t *testing.T) {
 	}
 }
 
-func TestPropertySplitPreservesMultiset(t *testing.T) {
-	f := func(xs []uint16) bool {
-		b := New[uint16]()
-		want := make(map[uint16]int)
-		for _, x := range xs {
-			b.Insert(x)
-			want[x]++
+// runOps interprets prog as Insert/Union operations on four bags, each
+// mirrored by a multiset oracle kept as a slice, and checks every bag
+// against its oracle after every operation.  An operation is one byte —
+// bits 0–1 the target bag, bits 2–3 the kind — and kinds 1 and 2 read one
+// more:
+//
+//	0  insert one element
+//	1  insert next-byte elements
+//	2  union bag (next byte & 3) into the target
+//	3  insert up to the next exact multiple of BlockSize
+func runOps(t *testing.T, prog []byte) {
+	t.Helper()
+	const bags = 4
+	var (
+		bs     [bags]*Bag[int32]
+		oracle [bags][]int32
+		next   int32
+	)
+	for i := range bs {
+		bs[i] = New[int32]()
+	}
+	insert := func(i, n int) {
+		for ; n > 0; n-- {
+			bs[i].Insert(next)
+			oracle[i] = append(oracle[i], next)
+			next = next*31 + 7 // repeats and disorder, deterministically
 		}
-		half := b.SplitHalf()
-		if b.Len()+half.Len() != len(xs) {
-			return false
+	}
+	arg := func(pc *int) int {
+		*pc++
+		if *pc < len(prog) {
+			return int(prog[*pc])
 		}
-		got := make(map[uint16]int)
-		b.Walk(func(v uint16) { got[v]++ })
-		half.Walk(func(v uint16) { got[v]++ })
-		if len(got) != len(want) {
-			return false
+		return 0
+	}
+	for pc := 0; pc < len(prog); pc++ {
+		i := int(prog[pc] & 3)
+		switch prog[pc] >> 2 & 3 {
+		case 0:
+			insert(i, 1)
+		case 1:
+			insert(i, arg(&pc))
+		case 2:
+			j := arg(&pc) & 3
+			if j == i {
+				continue
+			}
+			bs[i].Union(bs[j])
+			oracle[i] = append(oracle[i], oracle[j]...)
+			oracle[j] = nil
+		case 3:
+			insert(i, BlockSize-bs[i].Len()%BlockSize)
 		}
-		for k, c := range want {
-			if got[k] != c {
-				return false
+		for k, b := range bs {
+			checkShape(t, b)
+			if b.Len() != len(oracle[k]) || b.IsEmpty() != (len(oracle[k]) == 0) {
+				t.Fatalf("op %d: bag %d Len %d IsEmpty %v, oracle holds %d", pc, k, b.Len(), b.IsEmpty(), len(oracle[k]))
+			}
+			slices.Sort(oracle[k])
+			if got := collect(b); !slices.Equal(got, oracle[k]) {
+				t.Fatalf("op %d: bag %d walked %d elements that differ from the oracle's %d", pc, k, len(got), len(oracle[k]))
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// opsSeeds are programs for runOps that reach the hopper edges; they seed
+// both the property test and the fuzz corpus.
+var opsSeeds = [][]byte{
+	{},
+	{0x00, 0x09, 0x00},                // one element unioned into an empty bag
+	{0x04, 100, 0x05, 27, 0x08, 0x01}, // hoppers summing to BlockSize−1
+	{0x04, 100, 0x05, 28, 0x08, 0x01}, // … to exactly BlockSize
+	{0x04, 100, 0x05, 29, 0x08, 0x01, 0x09, 0x00},            // … to BlockSize+1, then back again
+	{0x0c, 0x0d, 0x08, 0x01, 0x0c, 0x08, 0x02},               // full blocks only: both hoppers nil
+	{0x0c, 0x05, 5, 0x08, 0x01, 0x09, 0x00},                  // one hopper nil, either side
+	{0x0c, 0x0c, 0x0c, 0x0d, 0x05, 127, 0x04, 1, 0x08, 0x01}, // carry from the hoppers through ranks 0 and 1
+	{0x04, 255, 0x04, 255, 0x05, 255, 0x06, 255, 0x08, 0x01, 0x0a, 0x00, 0x08, 0x02, 0x0c},
+}
+
+func TestPropertyOpsMatchOracle(t *testing.T) {
+	for _, prog := range opsSeeds {
+		runOps(t, prog)
 	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 150; i++ {
+		prog := make([]byte, rng.Intn(40))
+		rng.Read(prog)
+		runOps(t, prog)
+	}
+}
+
+func FuzzBagOps(f *testing.F) {
+	for _, prog := range opsSeeds {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 64 {
+			prog = prog[:64] // each op re-walks every bag; keep executions fast
+		}
+		runOps(t, prog)
+	})
+}
+
+func TestInsertAllocatesOncePerBlock(t *testing.T) {
+	b := fill(0, 3*BlockSize+17)
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < BlockSize; i++ {
+			b.Insert(i)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocations per %d inserts, want at most 1", allocs, BlockSize)
+	}
+}
+
+func BenchmarkInsert(b *testing.B) {
+	const n = 1 << 14
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += n {
+		bg := New[int32]()
+		for v := int32(0); v < n; v++ {
+			bg.Insert(v)
+		}
+	}
+}
+
+// BenchmarkUnion4096 reports the union alone as ns/union.  Building the two
+// operands costs some hundred times the union and Union consumes them, so
+// ns/op covers both; StopTimer around each build would run the default
+// -benchtime for minutes.
+func BenchmarkUnion4096(b *testing.B) {
+	const size, pairs = 4096, 64
+	var (
+		bs     [2 * pairs]*Bag[int32]
+		unions int
+		timed  time.Duration
+	)
+	for unions < b.N {
+		for i := range bs {
+			bs[i] = New[int32]()
+			for v := int32(0); v < size+int32(i); v++ { // hopper fills 0 … 127
+				bs[i].Insert(v)
+			}
+		}
+		t0 := time.Now()
+		for i := 0; i < pairs; i++ {
+			bs[2*i].Union(bs[2*i+1])
+		}
+		timed += time.Since(t0)
+		unions += pairs
+	}
+	b.ReportMetric(float64(timed.Nanoseconds())/float64(unions), "ns/union")
+}
+
+var walkSink int32
+
+func BenchmarkWalk(b *testing.B) {
+	const n = 1<<16 + 77
+	bg := New[int32]()
+	for v := int32(0); v < n; v++ {
+		bg.Insert(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum int32
+		bg.Walk(func(v int32) { sum += v })
+		walkSink = sum
+	}
+	b.SetBytes(4 * n)
 }

@@ -18,11 +18,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Config tunes the parallel traversal.
+// Config selects the traversal's input.  There is no grain to tune: a bag
+// block (bag.BlockSize vertices) is the unit of serial work.
 type Config struct {
-	// Grain is the pennant size below which a subtree is processed
-	// serially.  Zero selects a default of 128.
-	Grain int
 	// Source is the BFS source vertex.
 	Source int32
 }
@@ -77,23 +75,18 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.Source < 0 || int(cfg.Source) >= n {
 		return nil, fmt.Errorf("pbfs: source %d outside [0,%d)", cfg.Source, n)
 	}
-	grain := cfg.Grain
-	if grain <= 0 {
-		grain = 128
-	}
-	r := &runner{
-		g:     g,
-		dist:  make([]int32, n),
-		grain: grain,
-	}
+	r := &runner{g: g, dist: make([]int32, n)}
 	// dist is claimed concurrently with CompareAndSwapInt32 during layer
-	// processing; keep every access atomic — including this init, which is
-	// only safe plainly while no worker has started — so the access
-	// discipline is uniform (and cilkvet's atomicfield check stays clean).
+	// processing, so every access after the first Session.Run is atomic.
+	// Until then no worker can reach the slice and the Run is the
+	// happens-before edge, so the fill is plain stores: an atomic store is
+	// an XCHG on amd64, one per vertex.
 	for i := range r.dist {
-		atomic.StoreInt32(&r.dist[i], -1)
+		//cilkvet:allow atomicfield -- r.dist is not reachable by any worker until the first Session.Run below, which orders these stores before every atomic access
+		r.dist[i] = -1
 	}
-	atomic.StoreInt32(&r.dist[cfg.Source], 0)
+	//cilkvet:allow atomicfield -- same pre-publication fill as the loop above
+	r.dist[cfg.Source] = 0
 
 	// The next-layer frontier is a typed bag reducer handle; the current
 	// layer is a plain bag owned by the coordinating goroutine.
@@ -129,85 +122,66 @@ type runner struct {
 	g     *graph.Graph
 	next  reducers.Handle[bag.Bag[int32]]
 	dist  []int32
-	grain int
 	depth int32
 }
 
 // processLayer returns the root task that explores every vertex in the
-// current frontier in parallel.
+// current frontier in parallel: one branch per pennant, largest last so a
+// thief takes the most work, and one for the hopper.
 func (r *runner) processLayer(current *bag.Bag[int32]) func(*sched.Context) {
 	pennants := current.Pennants()
+	hopper := current.Hopper()
 	return func(c *sched.Context) {
-		// Process the pennants of the current bag in parallel.
-		branches := make([]func(*sched.Context), len(pennants))
-		for i, p := range pennants {
-			p := p
-			branches[i] = func(c *sched.Context) { r.processPennant(c, p) }
+		branches := make([]func(*sched.Context), 0, len(pennants)+1)
+		if len(hopper) > 0 {
+			branches = append(branches, func(c *sched.Context) { r.processBlock(c, hopper) })
+		}
+		for _, p := range pennants {
+			branches = append(branches, func(c *sched.Context) { r.processSubtree(c, p.Subtree()) })
 		}
 		c.ForkN(branches...)
 	}
 }
 
-// processPennant explores one pennant of the frontier.
-func (r *runner) processPennant(c *sched.Context, p *bag.Pennant[int32]) {
-	if p.Len() <= r.grain {
-		view := r.localView(c)
-		p.Walk(func(v int32) { r.processVertex(view, v) })
-		return
-	}
-	rootElem, childElem, left, right, ok := p.Spine()
-	view := r.localView(c)
-	r.processVertex(view, rootElem)
-	if !ok {
-		return
-	}
-	r.processVertex(view, childElem)
-	c.Fork(
-		func(c *sched.Context) { r.processSubtree(c, left, p.Rank()-2) },
-		func(c *sched.Context) { r.processSubtree(c, right, p.Rank()-2) },
-	)
-}
-
-// processSubtree explores a pennant subtree, forking until the remaining
-// size drops below the grain.
-func (r *runner) processSubtree(c *sched.Context, st *bag.Subtree[int32], rank int) {
+// processSubtree explores a pennant subtree: a leaf is one block, an inner
+// node forks its left child against its right child and its own block.  A
+// pennant's root has no right child, so there the second branch is just the
+// root's block.
+func (r *runner) processSubtree(c *sched.Context, st bag.Subtree[int32]) {
 	if st.Empty() {
 		return
 	}
-	if rank <= 0 || (1<<uint(rank)) <= r.grain {
-		view := r.localView(c)
-		st.Walk(func(v int32) { r.processVertex(view, v) })
+	left, right := st.Children()
+	if left.Empty() {
+		r.processBlock(c, st.Block())
 		return
 	}
-	view := r.localView(c)
-	r.processVertex(view, st.Element())
-	l, rr := st.Children()
 	c.Fork(
-		func(c *sched.Context) { r.processSubtree(c, l, rank-1) },
-		func(c *sched.Context) { r.processSubtree(c, rr, rank-1) },
+		func(c *sched.Context) { r.processSubtree(c, left) },
+		func(c *sched.Context) {
+			r.processSubtree(c, right)
+			r.processBlock(c, st.Block())
+		},
 	)
 }
 
-// localView looks up the calling context's local view of the next-frontier
-// bag reducer through the typed handle — no interface assertion, and a
-// cached typed pointer on repeat accesses.  The lookup is still hoisted to
-// once per serial chunk, mirroring how the PBFS code in the paper accesses
-// its bag reducer.
-func (r *runner) localView(c *sched.Context) *bag.Bag[int32] {
-	return r.next.View(c)
-}
-
-// processVertex relaxes every edge of v, claiming undiscovered neighbours
-// with an atomic compare-and-swap and inserting them into the local view of
-// the next-frontier bag.
-func (r *runner) processVertex(view *bag.Bag[int32], v int32) {
-	depth := r.depth
-	for _, w := range r.g.Neighbors(v) {
-		if atomic.LoadInt32(&r.dist[w]) >= 0 {
-			continue
-		}
-		if atomic.CompareAndSwapInt32(&r.dist[w], -1, depth) {
-			view.Insert(w)
+// processBlock is the leaf task: it relaxes every edge of every vertex in
+// one block, claiming undiscovered neighbours with an atomic
+// compare-and-swap and inserting them into the calling context's local view
+// of the next-frontier bag.  The view is looked up through the typed handle
+// once per block, mirroring how the PBFS code in the paper hoists its bag
+// reducer access out of the serial chunk.
+func (r *runner) processBlock(c *sched.Context, block []int32) {
+	view := r.next.View(c)
+	depth, dist := r.depth, r.dist
+	for _, v := range block {
+		for _, w := range r.g.Neighbors(v) {
+			if atomic.LoadInt32(&dist[w]) >= 0 {
+				continue
+			}
+			if atomic.CompareAndSwapInt32(&dist[w], -1, depth) {
+				view.Insert(w)
+			}
 		}
 	}
 }

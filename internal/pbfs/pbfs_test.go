@@ -51,7 +51,7 @@ func TestParallelMatchesSerialAllMechanisms(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				s := newSession(t, m, workers)
 				for _, g := range testGraphs() {
-					res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0, Grain: 16})
+					res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
 					if err != nil {
 						t.Fatalf("%s (P=%d): %v", g.Name(), workers, err)
 					}
@@ -61,6 +61,38 @@ func TestParallelMatchesSerialAllMechanisms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelForksOverBlocks runs graphs whose frontiers span many bag
+// blocks — Grid3D(48,48,48)'s widest layer holds over 1 700 vertices, so
+// pennants of rank 3 and a hopper — which the small graphs above never do:
+// their layers fit one block and are explored without a single fork.
+func TestParallelForksOverBlocks(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.Grid3D(48, 48, 48),
+		graph.Random(20000, 80000, 5),
+	}
+	for _, m := range reducers.Mechanisms() {
+		for _, workers := range []int{1, 2, 4} {
+			s := newSession(t, m, workers)
+			for _, g := range graphs {
+				before := s.Runtime().Stats().Forks
+				res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
+				if err != nil {
+					t.Fatalf("%v %s (P=%d): %v", m, g.Name(), workers, err)
+				}
+				if err := pbfs.Validate(g, 0, res); err != nil {
+					t.Fatalf("%v %s (P=%d): %v", m, g.Name(), workers, err)
+				}
+				if forks := s.Runtime().Stats().Forks - before; forks == 0 {
+					t.Fatalf("%v %s (P=%d): traversal never forked", m, g.Name(), workers)
+				}
+				if err := s.Quiescent(); err != nil {
+					t.Fatalf("%v %s (P=%d): %v", m, g.Name(), workers, err)
+				}
+			}
+		}
 	}
 }
 
@@ -117,7 +149,7 @@ func TestLookupCountingDuringPBFS(t *testing.T) {
 	eng := s.Engine()
 	eng.ResetOverheads()
 	g := graph.Grid3D(10, 10, 10)
-	res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0, Grain: 64})
+	res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
 	if err != nil {
 		t.Fatalf("Parallel: %v", err)
 	}
@@ -188,7 +220,7 @@ func TestPBFSWithExplicitScheduler(t *testing.T) {
 	s := core.NewSessionWithConfig(sched.Config{Workers: 3, Seed: 99}, eng)
 	defer s.Close()
 	g := graph.RMAT(9, 6, 0.45, 0.25, 0.15, 21)
-	res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0, Grain: 8})
+	res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
 	if err != nil {
 		t.Fatalf("Parallel: %v", err)
 	}

@@ -3,6 +3,7 @@ package reducers
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,8 +192,8 @@ func TestTypedHandleCountedRouting(t *testing.T) {
 func TestTypedMapCombinerCached(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
 		s := testSession(t, m, 4)
-		calls := 0
-		hist := NewMapOf[int, int](s.Engine(), func(a, b int) int { calls++; return a + b })
+		var calls atomic.Int64 // the combiner runs on every worker
+		hist := NewMapOf[int, int](s.Engine(), func(a, b int) int { calls.Add(1); return a + b })
 		const n = 4000
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelFor(0, n, func(c *sched.Context, i int) {
@@ -208,7 +209,7 @@ func TestTypedMapCombinerCached(t *testing.T) {
 		if total != n {
 			t.Fatalf("histogram total = %d, want %d", total, n)
 		}
-		if calls == 0 {
+		if calls.Load() == 0 {
 			t.Fatal("combiner was never invoked")
 		}
 	})
