@@ -4,7 +4,7 @@ BENCH_BASE ?= BENCH_pr8.json
 CHAOS_SEEDS ?= 6
 CILKVET ?= bin/cilkvet
 
-.PHONY: build vet vet-unsafe lint lint-deprecated cilkvet check-binaries inline-check test race bench-check chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
+.PHONY: build vet vet-unsafe lint cilkvet check-binaries inline-check test race bench-check chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -34,11 +34,6 @@ cilkvet:
 lint: cilkvet vet-unsafe
 	$(CILKVET) -C . ./...
 
-# lint-deprecated is kept as an alias for the retired grep target; the
-# deprecatedapi analyzer inside cilkvet replaced it (it reads Deprecated:
-# doc paragraphs instead of a hard-coded shim list).
-lint-deprecated: lint
-
 # check-binaries fails when a compiled test binary is tracked by git (a
 # 4.6 MB core.test once slipped into the tree).
 check-binaries:
@@ -59,12 +54,12 @@ test:
 	$(GO) test ./...
 
 # race exercises the Chase–Lev deque's memory-ordering assumptions (the
-# concurrent stress tests in internal/sched), the reducer engines, the typed
+# concurrent stress tests in internal/sched), both reducer engines, the typed
 # reducers, and PBFS over its bag reducer (dist is filled with plain stores
 # before the first Run and claimed by CAS after it) under the race detector.
 # Run it on every scheduler change.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... \
+	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/hypermap/... \
 		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
 
 # bench-check covers the benchmark/ module, which `go build ./...` and
@@ -104,18 +99,17 @@ bench:
 	$(GO) test -run NONE -bench 'ForkNoSteal|StealThroughput|ParallelFor|Fib' -benchmem ./internal/sched/
 
 # bench-directory runs the sharded reducer-directory microbenchmarks at 8
-# procs: concurrent register churn and growth against the seed single-mutex
-# baseline, and the lookup fast path at small vs 1e5-live populations.
+# procs: concurrent register churn and growth, and the lookup fast path at
+# small vs 1e5-live populations.
 bench-directory:
 	$(GO) test -run NONE -bench 'RegisterChurn|RegisterGrowth|MMLookup4Live|MMLookup100kLive' \
 		-benchmem -benchtime=0.5s -cpu 8 ./internal/core/
 
-# bench-typed runs the typed-vs-boxed reducer update microbenchmarks: the
-# generics-first Handle path (expect 0 allocs/op and fewer ns/op than the
-# Boxed* seed-replica baselines on both engines), including the rotating
-# case where the handle-side cache beats the engine-side cache outright.
+# bench-typed runs the typed reducer update microbenchmarks: the
+# generics-first Handle path (expect 0 allocs/op on both engines), including
+# the four-reducer rotation.
 bench-typed:
-	$(GO) test -run NONE -bench 'TypedAdd|BoxedAdd|TypedList|BoxedList' \
+	$(GO) test -run NONE -bench 'TypedAdd|TypedList' \
 		-benchmem -benchtime=0.5s ./internal/reducers/
 
 # bench-spa runs the word-packed SPA storage benchmarks: the post-steal
@@ -146,14 +140,14 @@ bench-lookup:
 	@rm -f $(BENCH_LOOKUP_OUT).txt
 
 # bench-json runs the sched, core and typed-reducer microbenchmarks
-# (fork/steal, lookup, merge pipeline, directory registration, typed vs
-# boxed update paths) plus the open-loop service-latency experiment and
-# records them as a machine-readable perf-trajectory artifact.  Numbers are advisory — the target fails only
-# on build or run errors, never on regressions.  The go test output goes
-# through a file rather than a pipe so its exit status is checked (a plain
-# pipe would let a broken benchmark build slip through with the converter's
-# status).  The directory benchmarks run at -cpu 8 so the artifact records
-# the concurrent-registration scaling.
+# (fork/steal, lookup, merge pipeline, directory registration, typed update
+# paths) plus the open-loop service-latency experiment and records them as a
+# machine-readable perf-trajectory artifact.  Numbers are advisory — the
+# target fails only on build or run errors, never on regressions.  The go
+# test output goes through a file rather than a pipe so its exit status is
+# checked (a plain pipe would let a broken benchmark build slip through with
+# the converter's status).  The directory benchmarks run at -cpu 8 so the
+# artifact records the concurrent-registration scaling.
 bench-json:
 	@$(GO) test -run NONE -bench 'ForkNoSteal|StealThroughput|Lookup|Merge' \
 		-benchmem -benchtime=0.5s -count=3 \
@@ -163,7 +157,7 @@ bench-json:
 		-benchmem -benchtime=0.5s -count=3 -cpu 8 \
 		./internal/core/ >> $(BENCH_OUT).txt 2>&1 \
 		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }
-	@$(GO) test -run NONE -bench 'TypedAdd|BoxedAdd|TypedList|BoxedList|TypedLookupSteadyState|RawSliceIndexBaseline' \
+	@$(GO) test -run NONE -bench 'TypedAdd|TypedList|TypedLookupSteadyState|RawSliceIndexBaseline' \
 		-benchmem -benchtime=0.5s -count=3 \
 		./internal/reducers/ >> $(BENCH_OUT).txt 2>&1 \
 		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }

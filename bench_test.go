@@ -130,22 +130,22 @@ func baseLoop(b *testing.B, s *cilkm.Session, n int) {
 func BenchmarkFig1LookupOverhead(b *testing.B) {
 	const nLocations = 4
 	b.Run("L1-memory", func(b *testing.B) {
-		s := cilkm.NewSession(cilkm.MemoryMapped, 1)
+		s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(1))
 		defer s.Close()
 		baseLoop(b, s, nLocations)
 	})
 	b.Run("memory-mapped", func(b *testing.B) {
-		s := cilkm.NewSession(cilkm.MemoryMapped, 1)
+		s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(1))
 		defer s.Close()
 		addLoop(b, s, nLocations)
 	})
 	b.Run("hypermap", func(b *testing.B) {
-		s := cilkm.NewSession(cilkm.Hypermap, 1)
+		s := cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(1))
 		defer s.Close()
 		addLoop(b, s, nLocations)
 	})
 	b.Run("locking", func(b *testing.B) {
-		s := cilkm.NewSession(cilkm.MemoryMapped, 1)
+		s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(1))
 		defer s.Close()
 		arr := locking.NewArray(nLocations)
 		b.ResetTimer()
@@ -191,7 +191,7 @@ func benchmarkFig5(b *testing.B, workers int) {
 			for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
 				name := fmt.Sprintf("%s-%d/%s", kind.name, n, mech)
 				b.Run(name, func(b *testing.B) {
-					s := cilkm.NewSession(mech, workers)
+					s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(workers))
 					defer s.Close()
 					kind.run(b, s, n)
 				})
@@ -207,13 +207,13 @@ func benchmarkFig5(b *testing.B, workers int) {
 func BenchmarkFig6LookupOverhead(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("add-base-%d", n), func(b *testing.B) {
-			s := cilkm.NewSession(cilkm.MemoryMapped, 1)
+			s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(1))
 			defer s.Close()
 			baseLoop(b, s, n)
 		})
 		for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
 			b.Run(fmt.Sprintf("add-%d/%s", n, mech), func(b *testing.B) {
-				s := cilkm.NewSession(mech, 1)
+				s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
 				defer s.Close()
 				addLoop(b, s, n)
 			})
@@ -229,7 +229,7 @@ func BenchmarkFig7ReduceOverhead(b *testing.B) {
 	for _, n := range []int{4, 64, 1024} {
 		for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
 			b.Run(fmt.Sprintf("add-%d/%s", n, mech), func(b *testing.B) {
-				s := cilkm.NewSessionWithOptions(mech, benchWorkers, cilkm.EngineOptions{Timing: true})
+				s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(benchWorkers), cilkm.WithTiming())
 				defer s.Close()
 				s.Engine().ResetOverheads()
 				s.Runtime().ResetStats()
@@ -251,7 +251,7 @@ func BenchmarkFig7ReduceOverhead(b *testing.B) {
 func BenchmarkFig8OverheadBreakdown(b *testing.B) {
 	for _, n := range []int{4, 64, 1024} {
 		b.Run(fmt.Sprintf("add-%d", n), func(b *testing.B) {
-			s := cilkm.NewSessionWithOptions(cilkm.MemoryMapped, benchWorkers, cilkm.EngineOptions{Timing: true})
+			s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(benchWorkers), cilkm.WithTiming())
 			defer s.Close()
 			s.Engine().ResetOverheads()
 			addLoop(b, s, n)
@@ -270,7 +270,7 @@ func BenchmarkFig8OverheadBreakdown(b *testing.B) {
 func BenchmarkFig9Speedup(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("add-1024/P=%d", p), func(b *testing.B) {
-			s := cilkm.NewSession(cilkm.MemoryMapped, p)
+			s := cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(p))
 			defer s.Close()
 			addLoop(b, s, 1024)
 		})
@@ -290,7 +290,7 @@ func BenchmarkFig10PBFS(b *testing.B) {
 		for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
 			for _, p := range []int{1, benchWorkers} {
 				b.Run(fmt.Sprintf("%s/%s/P=%d", name, mech, p), func(b *testing.B) {
-					s := cilkm.NewSession(mech, p)
+					s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(p))
 					defer s.Close()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -120,7 +120,7 @@ type MetricSource = metrics.Source
 func NewExporter() *Exporter { return metrics.NewExporter() }
 
 // Option configures New (and NewEngineWith): mechanism, worker count, and
-// the engine knobs that used to live in the EngineOptions struct.
+// the engine knobs.
 type Option func(*options)
 
 type options struct {
@@ -149,9 +149,10 @@ func WithTiming() Option {
 	return func(o *options) { o.eng.Timing = true }
 }
 
-// WithCountLookups enables lookup counting.  Counting routes typed handle
-// accesses through the engine's counted lookup path, so enable it before
-// creating reducers.
+// WithCountLookups makes every reducer lookup reach the engine, so that
+// LookupCount reports the program's lookups exactly (the PBFS experiment's
+// figure).  Typed handles on such an engine keep no view cache
+// and pay one interface dispatch per access; leave it off otherwise.
 func WithCountLookups() Option {
 	return func(o *options) { o.eng.CountLookups = true }
 }
@@ -247,32 +248,11 @@ func NewEngineWith(opts ...Option) Engine {
 	return reducers.NewEngine(o.mech, o.workers, o.eng)
 }
 
-// EngineOptions tunes engine construction (instrumentation, address-space
-// modelling).
-//
-// Deprecated: use the functional options accepted by New and NewEngineWith.
-type EngineOptions = reducers.EngineOptions
-
-// NewSession creates a session with the given mechanism and worker count.
-//
-// Deprecated: use New with WithMechanism and WithWorkers.
-func NewSession(m Mechanism, workers int) *Session {
-	return New(WithMechanism(m), WithWorkers(workers))
-}
-
-// NewSessionWithOptions creates a session with explicit engine options.
-//
-// Deprecated: use New with functional options.
-func NewSessionWithOptions(m Mechanism, workers int, opts EngineOptions) *Session {
-	return reducers.NewSession(m, workers, opts)
-}
-
-// NewEngine creates a stand-alone reducer engine.
-//
-// Deprecated: use NewEngineWith with functional options.
-func NewEngine(m Mechanism, workers int, opts EngineOptions) Engine {
-	return reducers.NewEngine(m, workers, opts)
-}
+// LookupCount reports how many reducer lookups reached the engine since its
+// counters were last reset.  Typed handles answer repeated lookups from
+// their own caches, so this is the program's lookup count only for a session
+// built WithCountLookups.  Read it after Run has returned.
+func LookupCount(eng Engine) int64 { return core.LookupCount(eng) }
 
 // NewAdd registers a sum reducer.
 func NewAdd[T reducers.Number](eng Engine) *reducers.Add[T] { return reducers.NewAdd[T](eng) }
@@ -310,9 +290,3 @@ func NewCustomOf[V any](eng Engine, m TypedMonoid[V]) *reducers.CustomOf[V] {
 func NewHandle[V any](eng Engine, m TypedMonoid[V]) Handle[V] {
 	return reducers.NewHandle[V](eng, m)
 }
-
-// NewCustom registers a reducer over an arbitrary untyped monoid.
-//
-// Deprecated: use NewCustomOf with a TypedMonoid, which keeps the view
-// typed end to end.
-func NewCustom(eng Engine, m Monoid) *reducers.Custom { return reducers.NewCustom(eng, m) }

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	cilkm "repro"
+	"repro/internal/core"
 )
 
 // TestFacadeQuickstart exercises the whole typed reducer library through
-// the deprecated NewSession shim, keeping the old constructor covered.
+// the facade on both mechanisms.
 func TestFacadeQuickstart(t *testing.T) {
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 2)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 		sum := cilkm.NewAdd[int](s.Engine())
 		list := cilkm.NewList[string](s.Engine())
 		mn := cilkm.NewMin[int](s.Engine())
@@ -58,44 +59,40 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestFacadeCustomAndEngineOptions drives the engine options and a one-off
+// custom reducer built from a pair of functions, on a lookup-counting
+// session: every View is one counted lookup.
 func TestFacadeCustomAndEngineOptions(t *testing.T) {
-	eng := cilkm.NewEngine(cilkm.MemoryMapped, 2, cilkm.EngineOptions{Timing: true, ModelAddressSpace: true})
-	s := cilkm.NewSessionWithOptions(cilkm.Hypermap, 2, cilkm.EngineOptions{CountLookups: true})
+	eng := cilkm.NewEngineWith(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(2),
+		cilkm.WithTiming(), cilkm.WithModelAddressSpace())
+	s := cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2), cilkm.WithCountLookups())
 	defer s.Close()
 	if eng.Name() == s.Engine().Name() {
 		t.Fatal("expected two different mechanisms")
 	}
-	cu := cilkm.NewCustom(s.Engine(), facadeMonoid{})
+	cu := cilkm.NewCustomOf[pair](s.Engine(), cilkm.TypedFuncMonoid[pair]{
+		IdentityFn: func() *pair { return &pair{} },
+		ReduceFn:   typedPairMonoid{}.Reduce,
+	})
 	if err := s.Run(func(c *cilkm.Context) {
 		c.ParallelFor(0, 100, func(c *cilkm.Context, i int) {
-			p := cu.View(c).(*pair)
+			p := cu.View(c)
 			p.a++
 			p.b += i
 		})
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got := cu.Value().(*pair)
+	got := cu.Value()
 	if got.a != 100 || got.b != 99*100/2 {
 		t.Fatalf("custom reducer = %+v", got)
 	}
-	if s.Engine().Lookups() == 0 {
-		t.Fatal("lookup counting should be enabled")
+	if n := cilkm.LookupCount(s.Engine()); n != 100 {
+		t.Fatalf("LookupCount = %d, want 100: lookup counting should be enabled", n)
 	}
 }
 
 type pair struct{ a, b int }
-
-type facadeMonoid struct{}
-
-func (facadeMonoid) Identity() any { return &pair{} }
-func (facadeMonoid) Reduce(l, r any) any {
-	lv := l.(*pair)
-	rv := r.(*pair)
-	lv.a += rv.a
-	lv.b += rv.b
-	return lv
-}
 
 type typedPairMonoid struct{}
 
@@ -151,14 +148,19 @@ func TestNewDefaultsAndEngineWith(t *testing.T) {
 	if hm.Name() == s.Engine().Name() {
 		t.Fatal("WithMechanism(Hypermap) ignored")
 	}
-	if !hm.CountingLookups() {
-		t.Fatal("WithCountLookups ignored")
+	// A counting engine's handles keep no cache: ten updates, ten lookups.
+	hs := core.NewSession(2, hm)
+	defer hs.Close()
+	sum := cilkm.NewAdd[int](hm)
+	if err := hs.Run(func(c *cilkm.Context) {
+		for i := 0; i < 10; i++ {
+			sum.Add(c, 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// The deprecated stand-alone engine shim must agree with the
-	// options-based constructor.
-	old := cilkm.NewEngine(cilkm.Hypermap, 2, cilkm.EngineOptions{CountLookups: true})
-	if old.Name() != hm.Name() || old.CountingLookups() != hm.CountingLookups() {
-		t.Fatal("deprecated NewEngine shim disagrees with NewEngineWith")
+	if n := cilkm.LookupCount(hm); sum.Value() != 10 || n != 10 {
+		t.Fatalf("WithCountLookups ignored: sum = %d, LookupCount = %d, want 10 and 10", sum.Value(), n)
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 var headlineBenchmarks = map[string][]string{
 	"fork":         {"BenchmarkForkNoSteal", "BenchmarkForkNoStealDepth8"},
 	"steal":        {"BenchmarkStealThroughput"},
-	"lookup":       {"BenchmarkMMLookupRaw", "BenchmarkMMLookupRepeated"},
+	"lookup":       {"BenchmarkMMLookupRaw", "BenchmarkMMLookupViaInterface"},
 	"merge":        {"BenchmarkMergeSerial256", "BenchmarkMergeParallel1k", "BenchmarkMMMergeWritten100"},
 	"first-lookup": {"BenchmarkMMFirstLookupArena", "BenchmarkMMFirstLookupHeap"},
 }

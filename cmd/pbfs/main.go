@@ -70,7 +70,7 @@ func main() {
 		}
 		fmt.Printf("PBFS (%-13s P=%d): %v  lookups=%d  steals=%d\n",
 			mech.String()+",", *workers, elapsed.Round(time.Microsecond),
-			s.Engine().Lookups(), s.Runtime().Stats().Steals)
+			cilkm.LookupCount(s.Engine()), s.Runtime().Stats().Steals)
 		s.Close()
 	}
 }

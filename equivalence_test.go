@@ -76,8 +76,8 @@ func parallelTrace(c *cilkm.Context, list interface {
 // parallel execution equals the serial preorder under both mechanisms.
 func TestPropertyMechanismsMatchSerialOnRandomTrees(t *testing.T) {
 	sessions := map[cilkm.Mechanism]*cilkm.Session{
-		cilkm.MemoryMapped: cilkm.NewSession(cilkm.MemoryMapped, 3),
-		cilkm.Hypermap:     cilkm.NewSession(cilkm.Hypermap, 3),
+		cilkm.MemoryMapped: cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(3)),
+		cilkm.Hypermap:     cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(3)),
 	}
 	defer func() {
 		for _, s := range sessions {
@@ -129,7 +129,7 @@ func TestMechanismsAgreeOnAggregates(t *testing.T) {
 	answers := make(map[cilkm.Mechanism]answer)
 	const n = 50_000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 4)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(4))
 		sum := cilkm.NewAdd[int64](s.Engine())
 		mn := cilkm.NewMin[uint64](s.Engine())
 		mx := cilkm.NewMax[uint64](s.Engine())
@@ -168,7 +168,7 @@ func TestMechanismsAgreeOnAggregates(t *testing.T) {
 func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 	const n = 4000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 4)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(4))
 		written := cilkm.NewAdd[int64](s.Engine())
 		watched := cilkm.NewAdd[int64](s.Engine())
 		peeks := cilkm.NewAdd[int64](s.Engine())

@@ -54,7 +54,7 @@ func main() {
 		}
 		fmt.Printf("PBFS (%-13s P=%d): %10v  (%d reducer lookups, %d steals)\n",
 			mech.String()+",", *workers, elapsed.Round(time.Microsecond),
-			session.Engine().Lookups(), session.Runtime().Stats().Steals)
+			cilkm.LookupCount(session.Engine()), session.Runtime().Stats().Steals)
 		session.Close()
 	}
 	fmt.Println("parallel distances match the serial BFS ✓")

@@ -1,13 +1,13 @@
 // Package epochbump checks that every view-retirement path publishes a
 // lookup-cache invalidation.
 //
-// The devirtualized lookup fast path caches (reducer, view) resolutions
-// against a per-worker epoch counter.  Any operation that retires or moves
-// a view — unregistering a reducer, growing a TLMM reducer page, reusing
-// an SPA slot, stealing across a trace boundary, merging child views —
-// must bump that epoch (PublishViewInvalidation for cross-worker
-// retirement, InvalidateLookupCache owner-side) before the old view word
-// can be recycled.  Forgetting the bump does not crash: the stale cache
+// The typed reducer handles cache (reducer, view) resolutions against a
+// per-worker epoch counter.  Any operation that retires or moves a view —
+// unregistering a reducer, growing a TLMM reducer page, reusing an SPA
+// slot, stealing across a trace boundary, merging child views — must bump
+// that epoch (Worker.BumpViewEpoch, directly or through the engines'
+// every-worker sweep publishViewInvalidation) before the old view word can
+// be recycled.  Forgetting the bump does not crash: the stale cache
 // entry keeps resolving to the retired view and updates are silently lost
 // into freed memory.  That failure mode survives tests unless a schedule
 // happens to re-read through the stale entry, which is exactly the kind of
@@ -38,7 +38,7 @@ import (
 const DefaultFuncs = `^(MM|HM)\.(Unregister|BeginTrace|EndTrace|Merge)$|^MM\.growReducerPage$`
 
 // DefaultBumps are the blessed invalidation publishers.
-const DefaultBumps = "PublishViewInvalidation,InvalidateLookupCache,publishViewInvalidation"
+const DefaultBumps = "BumpViewEpoch,publishViewInvalidation"
 
 // Analyzer is the epochbump analyzer.
 var Analyzer = &framework.Analyzer{

@@ -2,12 +2,12 @@ package a
 
 type MM struct{ epoch uint64 }
 
-func (m *MM) InvalidateLookupCache() { m.epoch++ }
+func (m *MM) BumpViewEpoch() { m.epoch++ }
 
 func (m *MM) publishViewInvalidation() { m.epoch += 2 }
 
 func (m *MM) Unregister(id int) { // direct bump: ok
-	m.InvalidateLookupCache()
+	m.BumpViewEpoch()
 }
 
 func (m *MM) BeginTrace() { // transitive bump through retire: ok
@@ -33,7 +33,7 @@ func recycle(m *MM) { m.growReducerPage() }
 type HM struct{ mm MM }
 
 func (h *HM) Unregister() { // bump through a field's method: ok
-	h.mm.InvalidateLookupCache()
+	h.mm.BumpViewEpoch()
 }
 
 func (h *HM) helperOnly() {} // not matched by -funcs: ok

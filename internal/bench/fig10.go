@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/pbfs"
@@ -98,7 +99,7 @@ func RunFig10(cfg Config, inputs []string) (*Fig10Result, error) {
 				return time.Since(start), nil
 			})
 			if mech == reducers.MemoryMapped {
-				row.Lookups = s1.Engine().Lookups() / int64(max(cfg.Repetitions, 1))
+				row.Lookups = core.LookupCount(s1.Engine()) / int64(max(cfg.Repetitions, 1))
 			}
 			s1.Close()
 			if err != nil {

@@ -94,7 +94,7 @@ func runMergePipelineCase(cfg Config, workers, n, writtenPct, reps int) (MergePi
 			tr := eng.BeginTrace(w)
 			for i, r := range rs {
 				if i < written {
-					eng.Lookup(c, r).(*addView).v++
+					core.Lookup(eng, c, r).(*addView).v++
 				} else {
 					word, _ := eng.LookupWord(c, r, 0, false)
 					_ = word

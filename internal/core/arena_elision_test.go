@@ -68,7 +68,7 @@ func TestArenaViewsRecycleThroughMergeCycle(t *testing.T) {
 		for rep := 0; rep < reps; rep++ {
 			tr := eng.BeginTrace(w)
 			for _, r := range rs {
-				*eng.Lookup(c, r).(*int64)++
+				*core.Lookup(eng, c, r).(*int64)++
 			}
 			d := eng.EndTrace(w, tr)
 			eng.Merge(w, w.CurrentTrace(), d)
@@ -119,7 +119,7 @@ func TestHeapMonoidBypassesArena(t *testing.T) {
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		tr := eng.BeginTrace(w)
-		eng.Lookup(c, r).(*sumView).v++
+		core.Lookup(eng, c, r).(*sumView).v++
 		d := eng.EndTrace(w, tr)
 		eng.Merge(w, w.CurrentTrace(), d)
 	}); err != nil {
@@ -205,7 +205,7 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 			tr := eng.BeginTrace(w)
 			for i, r := range rs {
 				if i%2 == 0 {
-					*eng.Lookup(c, r).(*int64)++ // written
+					*core.Lookup(eng, c, r).(*int64)++ // written
 				} else {
 					word, _ := eng.LookupWord(c, r, 0, false) // read-only
 					_ = *(*int64)(word)
@@ -251,7 +251,7 @@ func TestWriteAfterReadOnlyLookupIsMerged(t *testing.T) {
 		tr := eng.BeginTrace(w)
 		word, _ := eng.LookupWord(c, r, 0, false) // read-only first touch
 		_ = *(*int64)(word)
-		*eng.Lookup(c, r).(*int64) += 7 // then a write
+		*core.Lookup(eng, c, r).(*int64) += 7 // then a write
 		d := eng.EndTrace(w, tr)
 		if d == nil {
 			t.Error("written view elided")
@@ -281,7 +281,7 @@ func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 	written, _ := eng.Register(arenaSumMonoid{})
 	readOnly, _ := eng.Register(arenaSumMonoid{})
 	if err := s.Run(func(c *sched.Context) {
-		*eng.Lookup(c, written).(*int64) += 3
+		*core.Lookup(eng, c, written).(*int64) += 3
 		word, _ := eng.LookupWord(c, readOnly, 0, false)
 		_ = *(*int64)(word)
 	}); err != nil {
@@ -330,7 +330,7 @@ func TestLogOverflowHypermergeBothEngines(t *testing.T) {
 				for rep := 0; rep < reps; rep++ {
 					tr := eng.BeginTrace(w)
 					for i, r := range rs {
-						eng.Lookup(c, r).(*catView).s += string(rune('a' + (rep+i)%26))
+						core.Lookup(eng, c, r).(*catView).s += string(rune('a' + (rep+i)%26))
 					}
 					d := eng.EndTrace(w, tr)
 					eng.Merge(w, w.CurrentTrace(), d)
@@ -392,7 +392,7 @@ func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 	// page and every recycled low address still resolves.
 	if err := s.Run(func(c *sched.Context) {
 		for i := len(rs) - 1; i >= 0; i-- {
-			*eng.Lookup(c, rs[i]).(*int64)++
+			*core.Lookup(eng, c, rs[i]).(*int64)++
 		}
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -432,7 +432,7 @@ func TestMergeIntoReadOnlySlotSurvivesElision(t *testing.T) {
 		}
 		// A stolen-child-shaped nested trace that writes the reducer.
 		inner := eng.BeginTrace(w)
-		*eng.Lookup(c, r).(*int64) += 5
+		*core.Lookup(eng, c, r).(*int64) += 5
 		d := eng.EndTrace(w, inner)
 		eng.Merge(w, w.CurrentTrace(), d) // folds into the outer trace's slot
 		d2 := eng.EndTrace(w, outer)

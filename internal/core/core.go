@@ -51,8 +51,10 @@ type ArenaMonoid interface {
 }
 
 // Engine is the interface both reducer mechanisms implement.  It extends
-// the scheduler's ReducerRuntime hooks with registration, lookup and the
-// instrumentation needed to reproduce the paper's overhead measurements.
+// the scheduler's ReducerRuntime hooks with the OpenCilk-shaped surface —
+// register, unregister, one lookup — and the instrumentation needed to
+// reproduce the paper's overhead measurements.  Timing and lookup counting
+// are chosen at construction (MMConfig.Timing, CountLookups), not toggled.
 type Engine interface {
 	sched.ReducerRuntime
 
@@ -74,33 +76,24 @@ type Engine interface {
 	// Registered reports the number of live reducers.  Both engines answer
 	// from the directory's atomic live counter, without taking a lock.
 	Registered() int
-	// Lookup returns the local view of r for the execution context c.
-	// With a nil context (serial code outside the scheduler) it returns
-	// the leftmost view.
-	Lookup(c *sched.Context, r *Reducer) any
-	// LookupCached is the entry point behind the typed reducer handles'
-	// per-context view caches (reducers.Handle).  It resolves the local
-	// view exactly like Lookup and additionally returns the worker view
-	// epoch the resolution is valid for, sampled before the lookup so a
-	// concurrent invalidation can only make the caller conservatively
-	// re-resolve.  prevEpoch is the epoch of the caller's invalidated
-	// cache entry (zero on first touch); engines accept it for
-	// diagnostics and future slot-generation checks.  A newEpoch of zero
-	// tells the caller not to cache the returned view — engines return it
-	// for nil contexts and for retired handles, whose frozen leftmost
-	// value must be re-read on every access, composing the cache with the
-	// directory's slot recycling and stale-view drops.
-	LookupCached(c *sched.Context, r *Reducer, prevEpoch uint64) (view any, newEpoch uint64)
-	// LookupWord is the word-level twin of LookupCached: it resolves the
-	// local view's packed single-word representation (the slot word;
-	// reassemble the interface value with Reducer.BoxView, or convert
-	// directly to the typed pointer).  The typed reducer handles use it so
-	// a steady-state typed update never constructs an interface value.
+	// LookupWord is the engine's one lookup: it resolves the local view of
+	// r for the execution context c as its packed single-word
+	// representation (the slot word; convert it to the typed view pointer,
+	// or reassemble the interface value with Lookup or Reducer.BoxView).
 	// mutable distinguishes accesses that may mutate the view (Handle.View)
 	// from read-only peeks (Handle.ReadView): a mutable resolution sets the
 	// slot's written bit, which exempts the view from the merge pipeline's
-	// identity-view elision.  The epoch result follows the LookupCached
-	// contract (zero means "do not cache").
+	// identity-view elision.
+	//
+	// newEpoch is the worker view epoch the resolution is valid for,
+	// sampled before the probe on hit and miss alike, so a concurrent
+	// invalidation can only make a caching caller conservatively
+	// re-resolve.  Zero tells the caller not to cache the word — engines
+	// return it for nil contexts (serial code outside the scheduler, which
+	// sees the leftmost view) and for retired handles, whose frozen
+	// leftmost value must be re-read on every access.  prevEpoch is the
+	// epoch of the caller's invalidated cache entry (zero on first touch);
+	// neither built-in engine reads it.
 	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, newEpoch uint64)
 	// MergeRootDeposit folds the deposit returned by Runtime.Run into the
 	// registered reducers' leftmost views.
@@ -122,26 +115,8 @@ type Engine interface {
 
 	// Overheads returns the accumulated reduce-overhead breakdown.
 	Overheads() metrics.Breakdown
-	// ResetOverheads zeroes the overhead counters.
+	// ResetOverheads zeroes the overhead and lookup outcome counters.
 	ResetOverheads()
-	// SetTiming enables or disables duration measurement inside the
-	// overhead instrumentation (event counts are always kept).
-	SetTiming(on bool)
-	// SetCountLookups enables or disables lookup counting, which is used
-	// by the PBFS experiment to report the number of reducer lookups.
-	// Typed reducer handles snapshot the flag at construction (see
-	// CountingLookups), so enabling counting after handles exist leaves
-	// those handles on their uncounted cached path — enable counting
-	// before creating the reducers whose lookups should be counted.
-	SetCountLookups(on bool)
-	// CountingLookups reports whether lookup counting is enabled.  Typed
-	// reducer handles snapshot it at construction: a handle built on a
-	// counting engine routes every access through the engine's counted
-	// Lookup instead of its own cache, so instrumented runs keep exact
-	// lookup counts.  Enable counting before creating handles.
-	CountingLookups() bool
-	// Lookups reports the number of lookups counted since the last reset.
-	Lookups() int64
 	// Name identifies the mechanism in experiment output.
 	Name() string
 }
@@ -156,7 +131,7 @@ type Reducer struct {
 	// addr.Slot()), precomputed at registration.  SlotsPerMap is not a power
 	// of two, so the decomposition costs an integer division and a modulo;
 	// hoisting it here means the lookup fast path probes the worker's
-	// private maps with two plain array indexes (see MM.LookupWordFast).
+	// private maps with two plain array indexes (see MM.LookupWord).
 	page, slot int32
 	// slotEpoch is the incarnation of the directory slot this reducer was
 	// registered under.  The slot's epoch is bumped on every unregister, so

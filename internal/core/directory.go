@@ -322,8 +322,7 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 	faultinject.Perturb(faultinject.DirectoryRegister)
 	r := &Reducer{
 		// id = seq*Shards + shard + 1: unique across the directory (the
-		// shard part distinguishes concurrent sequences) and nonzero (the
-		// per-context lookup cache requires nonzero keys).
+		// shard part distinguishes concurrent sequences) and nonzero.
 		id:         (s.idSeq.Add(1)-1)<<d.shift + si + 1,
 		addr:       addr,
 		page:       int32(addr.Page()),

@@ -8,14 +8,9 @@ import (
 	"repro/internal/sched"
 )
 
-// The seed single-mutex baseline these benchmarks are compared against
-// lives in seedbaseline_bench_test.go (package core, so it constructs the
-// same Reducer values): BenchmarkRegisterChurnSeedBaseline and
-// BenchmarkRegisterGrowthSeedBaseline.
-
-// BenchmarkRegisterChurnDirectory is the same churn through the sharded
-// directory on the memory-mapped engine: lock-free slot pop/push per
-// shard.  The acceptance target is >= 4x the mutex baseline at -cpu 8.
+// BenchmarkRegisterChurnDirectory is concurrent register/unregister churn
+// through the sharded directory on the memory-mapped engine: lock-free slot
+// pop/push per shard.
 func BenchmarkRegisterChurnDirectory(b *testing.B) {
 	eng := core.NewMM(core.MMConfig{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {
@@ -71,14 +66,14 @@ func lookupAtScale(b *testing.B, live int) {
 	for i := range rs {
 		rs[i], _ = eng.Register(benchMonoid{})
 	}
-	// Rotate over four reducers spread across the registry so the
-	// per-context cache misses on every access, as in the Raw benchmarks.
+	// Rotate over four reducers spread across the registry, as in the Raw
+	// benchmarks.
 	probes := []*core.Reducer{rs[0], rs[live/3], rs[2*live/3], rs[live-1]}
 	b.ResetTimer()
 	_ = s.Run(func(c *sched.Context) {
 		idx := 0
 		for i := 0; i < b.N; i++ {
-			eng.Lookup(c, probes[idx]).(*benchView).v++
+			core.Lookup(eng, c, probes[idx]).(*benchView).v++
 			idx++
 			if idx == len(probes) {
 				idx = 0

@@ -31,12 +31,12 @@ func TestMergeLocalitySortCounterAndCorrectness(t *testing.T) {
 		// deposit meets a non-empty current slot: n matched reduce pairs,
 		// zero adopts.
 		for _, r := range rs {
-			eng.Lookup(c, r).(*sumView).v += 1
+			core.Lookup(eng, c, r).(*sumView).v += 1
 		}
 		g := c.NewGroup()
 		g.Spawn(func(c *sched.Context) {
 			for _, r := range rs {
-				eng.Lookup(c, r).(*sumView).v += 2
+				core.Lookup(eng, c, r).(*sumView).v += 2
 			}
 		})
 		g.Wait()

@@ -28,7 +28,7 @@ func benchMergeCycle(b *testing.B, nred, workers, batch, threshold int) {
 		for i := 0; i < b.N; i++ {
 			tr := eng.BeginTrace(w)
 			for _, r := range rs {
-				eng.Lookup(c, r).(*benchView).v++
+				core.Lookup(eng, c, r).(*benchView).v++
 			}
 			d := eng.EndTrace(w, tr)
 			eng.Merge(w, w.CurrentTrace(), d)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -38,7 +39,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 			}
 			if err := s.Run(func(c *sched.Context) {
 				c.ParallelForGrain(0, 100, 1, func(c *sched.Context, i int) {
-					eng.Lookup(c, r1).(*sumView).v++
+					core.Lookup(eng, c, r1).(*sumView).v++
 				})
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -52,7 +53,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 			if got := r1.Value().(*sumView).v; got != 100 {
 				t.Fatalf("final value after Unregister = %d, want 100", got)
 			}
-			if got := eng.Lookup(nil, r1).(*sumView).v; got != 100 {
+			if got := core.Lookup(eng, nil, r1).(*sumView).v; got != 100 {
 				t.Fatalf("nil-context Lookup after Unregister = %d, want 100", got)
 			}
 			// A new registration must reuse the recycled slot without
@@ -68,7 +69,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 				t.Fatalf("recycled slot leaked a value: %d", got)
 			}
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r2).(*sumView).v += 7
+				core.Lookup(eng, c, r2).(*sumView).v += 7
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -88,23 +89,23 @@ func TestLookupNilContextBothEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 0 {
+			if got := core.Lookup(eng, nil, r).(*sumView).v; got != 0 {
 				t.Fatalf("nil-context identity lookup = %d, want 0", got)
 			}
 			r.SetValue(&sumView{v: 9})
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 9 {
+			if got := core.Lookup(eng, nil, r).(*sumView).v; got != 9 {
 				t.Fatalf("nil-context lookup = %d, want 9", got)
 			}
 			// Repeated nil-context lookups must not be confused by any
 			// cached state from a previous parallel region.
 			s := core.NewSession(1, eng)
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(eng, c, r).(*sumView).v++
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			s.Close()
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 10 {
+			if got := core.Lookup(eng, nil, r).(*sumView).v; got != 10 {
 				t.Fatalf("nil-context lookup after run = %d, want 10", got)
 			}
 		})
@@ -140,7 +141,7 @@ func TestParallelMergePreservesSerialOrder(t *testing.T) {
 			time.Sleep(20 * time.Microsecond) // widen the steal window
 			lane := i % lanes
 			step := i / lanes
-			eng.Lookup(c, rs[lane]).(*catView).s += string(rune('a' + step))
+			core.Lookup(eng, c, rs[lane]).(*catView).s += string(rune('a' + step))
 		})
 	})
 	if err != nil {
@@ -180,7 +181,7 @@ func TestMergePipelineCounters(t *testing.T) {
 		for rep := 0; rep < reps; rep++ {
 			tr := eng.BeginTrace(w)
 			for _, r := range rs {
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(eng, c, r).(*sumView).v++
 			}
 			d := eng.EndTrace(w, tr)
 			eng.Merge(w, w.CurrentTrace(), d)
@@ -223,23 +224,24 @@ func TestMergePipelineCounters(t *testing.T) {
 	}
 }
 
-// TestLookupCacheCountsHits checks that with lookup counting enabled, the
-// per-context cache records hits for repeated same-reducer lookups on both
-// engines, and that cached and uncached lookups agree.
+// TestLookupCacheCountsHits checks the lookup outcome counters on both
+// engines, bare and behind the counting wrapper: every boxed lookup is one
+// engine visit, everything after the first lookup of the trace is answered
+// by the precomputed index, and ResetOverheads zeroes the counters.
 func TestLookupCacheCountsHits(t *testing.T) {
-	type hitCounter interface {
-		CacheHits() int64
+	type fastPath interface {
+		FastPathStats() metrics.LookupFastPathStats
 	}
 	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
-			eng.SetCountLookups(true)
-			s := core.NewSession(1, eng)
+			counted := core.CountLookups(eng)
+			s := core.NewSession(1, counted)
 			defer s.Close()
-			r, _ := eng.Register(sumMonoid{})
+			r, _ := counted.Register(sumMonoid{})
 			const iters = 1000
 			if err := s.Run(func(c *sched.Context) {
 				for i := 0; i < iters; i++ {
-					eng.Lookup(c, r).(*sumView).v++
+					core.Lookup(counted, c, r).(*sumView).v++
 				}
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -247,16 +249,19 @@ func TestLookupCacheCountsHits(t *testing.T) {
 			if got := r.Value().(*sumView).v; got != iters {
 				t.Fatalf("sum = %d, want %d", got, iters)
 			}
-			if got := eng.Lookups(); got != iters {
-				t.Fatalf("Lookups = %d, want %d", got, iters)
+			if got := core.LookupCount(counted); got != iters {
+				t.Fatalf("LookupCount(counted) = %d, want %d", got, iters)
 			}
-			hc, ok := eng.(hitCounter)
-			if !ok {
-				t.Fatalf("%T does not expose CacheHits", eng)
+			if got := core.LookupCount(eng); got != iters {
+				t.Fatalf("LookupCount(bare) = %d, want %d", got, iters)
 			}
-			// Everything after the first lookup of the trace must hit.
-			if got := hc.CacheHits(); got < iters-1 {
-				t.Fatalf("CacheHits = %d, want >= %d", got, iters-1)
+			fp := eng.(fastPath).FastPathStats()
+			if fp.Hits != iters-1 || fp.Misses != 1 || fp.ColdMisses != 1 {
+				t.Fatalf("outcomes = %+v, want %d hits and one cold miss", fp, iters-1)
+			}
+			counted.ResetOverheads()
+			if got := core.LookupCount(counted); got != 0 {
+				t.Fatalf("LookupCount after ResetOverheads = %d, want 0", got)
 			}
 		})
 	}
@@ -283,7 +288,7 @@ func TestMergeBatchSizesEquivalent(t *testing.T) {
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelForGrain(0, lanes*steps, 1, func(c *sched.Context, i int) {
 				time.Sleep(5 * time.Microsecond)
-				eng.Lookup(c, rs[i%lanes]).(*catView).s += fmt.Sprint(i / lanes % 10)
+				core.Lookup(eng, c, rs[i%lanes]).(*catView).s += fmt.Sprint(i / lanes % 10)
 			})
 		}); err != nil {
 			t.Fatalf("Run(batch=%d,thresh=%d): %v", batch, threshold, err)

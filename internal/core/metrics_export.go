@@ -15,8 +15,7 @@ func (e *MM) SampleMetrics(emit func(metrics.MetricSample)) {
 	ms := e.MergeStats()
 	metrics.EmitMergePipeline(emit, engineLabel, ms)
 	metrics.EmitElisions(emit, engineLabel, ms.IdentityElisions, ms.SlotsMerged)
-	metrics.EmitLookups(emit, engineLabel, e.Lookups(), ms.CacheHits)
-	metrics.EmitLookupFastPath(emit, engineLabel, e.FastPathStats())
+	metrics.EmitLookups(emit, engineLabel, e.FastPathStats())
 	metrics.EmitArena(emit, engineLabel, e.ArenaStats())
 	metrics.EmitDirectory(emit, engineLabel, e.DirectoryStats())
 

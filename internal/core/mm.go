@@ -22,8 +22,6 @@ type MMConfig struct {
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
-	// CountLookups enables lookup counting (used by the PBFS experiment).
-	CountLookups bool
 	// ModelAddressSpace, when true, backs every SPA page with a page of
 	// the simulated TLMM address space: reducer slot addresses are
 	// reserved in the TLMM region layout and each worker maps a physical
@@ -87,24 +85,12 @@ type MM struct {
 	dir *Directory
 
 	// initMu guards attach-time bookkeeping only (the worker list and the
-	// per-worker counter resize in WorkerInit); no steady-state path takes
-	// it.
+	// recorder resize in WorkerInit); no steady-state path takes it.
 	initMu sync.Mutex
 	// workers is the RCU-published list of attached per-worker states, so
 	// Unregister and region growth can publish view invalidations without
 	// a lock.
 	workers atomic.Pointer[[]*mmWorker]
-
-	countLookups bool
-	// lookups holds one cache-line-padded counter per worker, indexed
-	// directly by worker ID.  It is sized from the engine config at
-	// construction and re-sized in WorkerInit when a runtime with more
-	// workers attaches, so counts are never aliased across workers.
-	lookups []metrics.PaddedCounter
-	// cacheHits counts per-context lookup-cache hits per worker; like
-	// lookups it is only maintained while lookup counting is enabled, so
-	// the cached fast path stays free of atomic writes otherwise.
-	cacheHits []metrics.PaddedCounter
 
 	// mergeBatch and parallelThreshold are the live batching knobs.  They
 	// are atomics because the adaptive merge tuner (when enabled) retunes
@@ -115,19 +101,19 @@ type MM struct {
 	// tuner adapts the batching knobs from live pipeline signals; nil
 	// unless cfg.AdaptiveMerge.
 	tuner *mergeTuner
-	// nworkers mirrors len(lookups) for lock-free readers (the tuner and
-	// the metrics sampler); updated under initMu in WorkerInit.
+	// nworkers is the number of per-worker structures maintained: the
+	// construction size, grown under initMu in WorkerInit when a larger
+	// runtime attaches.  Workers, the tuner and the metrics sampler read it
+	// lock-free.
 	nworkers atomic.Int64
 	// mergePipe aggregates the hypermerge pipeline counters.
 	mergePipe metrics.MergePipeline
 
-	// fastHits, fastMisses and fastCold count the devirtualized typed-lookup
-	// fast path's outcomes (see lookupfast.go).  They tick only on
-	// handle-cache misses, never on the single-deref hit path, so one shared
-	// padded counter per outcome is contention-free enough.
-	fastHits   metrics.PaddedCounter
-	fastMisses metrics.PaddedCounter
-	fastCold   metrics.PaddedCounter
+	// lookups holds the lookup outcome counters FastPathStats reports.
+	// LookupWord ticks owner-only plain fields on the mmWorker; EndTrace
+	// flushes them here, so a lookup costs no atomic and the totals are
+	// exact once a Run has returned.
+	lookups metrics.LookupCounters
 
 	// mergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
 	// currently executing; part of the engine's quiescence invariant.
@@ -164,6 +150,9 @@ type mmWorker struct {
 	// buffers in flight at once.  Owner-goroutine only — every merge this
 	// worker owns partitions and recycles on its own goroutine.
 	opsFree [][]mergeOp
+	// lookups counts this worker's LookupWord outcomes since its last
+	// EndTrace.  Owner-goroutine only; see MM.lookups.
+	lookups metrics.LookupFastPathStats
 }
 
 // getOpsBuf hands out a recycled reduce-partition buffer, or a fresh one
@@ -274,10 +263,8 @@ func NewMM(cfg MMConfig) *MM {
 		cfg.ParallelMergeThreshold = defaultParallelMergeThreshold
 	}
 	e := &MM{
-		cfg:       cfg,
-		rec:       metrics.NewRecorder(cfg.Workers),
-		lookups:   make([]metrics.PaddedCounter, cfg.Workers),
-		cacheHits: make([]metrics.PaddedCounter, cfg.Workers),
+		cfg: cfg,
+		rec: metrics.NewRecorder(cfg.Workers),
 	}
 	e.mergeBatch.Store(int64(cfg.MergeBatchSize))
 	e.parallelThreshold.Store(int64(cfg.ParallelMergeThreshold))
@@ -286,7 +273,6 @@ func NewMM(cfg MMConfig) *MM {
 		e.tuner = &mergeTuner{batchFixed: batchFixed, thresholdFixed: thresholdFixed}
 	}
 	e.rec.SetTiming(cfg.Timing)
-	e.countLookups = cfg.CountLookups
 	e.pool = pagepool.New[*spa.Map](cfg.Workers,
 		func() *spa.Map { return spa.New() },
 		pagepool.WithEmptyCheck[*spa.Map](func(m *spa.Map) bool { return m.IsEmpty() }),
@@ -325,14 +311,14 @@ func (e *MM) growReducerPage(page int) error {
 }
 
 // publishViewInvalidation bumps every attached worker's view epoch, forcing
-// each context's single-entry lookup cache to re-resolve on its next
-// lookup.  It is the cross-worker publication step for events that change
-// shared view metadata beneath running contexts: a reducer unregistered
-// mid-run and the view regions growing.
+// every handle's cached view to re-resolve on its next access.  It is the
+// cross-worker publication step for events that change shared view
+// metadata beneath running contexts: a reducer unregistered mid-run and the
+// view regions growing.
 func (e *MM) publishViewInvalidation() {
 	if ws := e.workers.Load(); ws != nil {
 		for _, s := range *ws {
-			s.w.PublishViewInvalidation()
+			s.w.BumpViewEpoch()
 		}
 	}
 }
@@ -406,147 +392,88 @@ func (e *MM) Directory() *Directory { return e.dir }
 // contention counters.
 func (e *MM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
-// Lookup implements Engine.  The fast path is the paper's two memory
-// accesses and a predictable branch: read the reducer's tlmm_addr, index
-// the worker's private view slots, and test the resulting words.  Ahead
-// of it sits the per-context single-entry cache: when a loop body looks up
-// the same reducer repeatedly, two compares (reducer identity and the
-// worker's view epoch) replace even the SPA indexing, and a steal, view
-// transferal or hypermerge invalidates the cache by bumping the epoch.
+// LookupWord implements Engine.  The hit is the paper's two memory accesses
+// and a predictable branch:
 //
-// Lookup hands out an interface value the caller may mutate through, so it
-// counts as a mutable access: the slot's written bit is set on the first
-// probe, exempting the view from identity elision.
-func (e *MM) Lookup(c *sched.Context, r *Reducer) any {
-	if c == nil {
-		return r.Value()
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return r.Value()
-	}
-	if e.countLookups {
-		e.lookups[w.ID()].Add(1)
-	}
-	if v, ok := c.CachedView(r.id); ok {
-		if e.countLookups {
-			e.cacheHits[w.ID()].Add(1)
-		}
-		return v
-	}
-	if s := ws.private.SlotAt(r.addr); s.View() != nil {
-		// The slot's second word stamps the view with its owning reducer;
-		// matching it against r guarantees a recycled address never serves
-		// a stale view.  This keeps the fast path independent of the
-		// number of live reducers: one array index and one compare.
-		if s.Owner() == ownerWord(r) {
-			if !s.Written() {
-				ws.private.MarkWritten(r.addr)
+//	worker   := c.Worker()                    // one field load
+//	private  := worker.Local().(*mmWorker)    // one load + type check
+//	epoch    := worker.ViewEpoch()            // atomic load
+//	slot     := private.Probe(r.page, r.slot) // bounds check + 2 indexed loads
+//	hit      := slot.FastHit(r, mutable)      // 2 masked compares
+//
+// The reducer's (page, slot) pair is precomputed at registration
+// (SlotsPerMap is not a power of two, so Addr.Page/Addr.Slot each cost an
+// integer division) and every helper on the path is small enough for the
+// compiler to inline — `make inline-check` pins that.  The owner stamp in
+// the slot's second word guarantees a recycled address never serves a stale
+// view, so the hit is independent of the number of live reducers.
+// Everything else — written-bit stamping, first touches, recycled slots,
+// retired handles — is outlined into lookupMiss so the hot shape stays
+// branch-predictable.  The typed handles call this method on the concrete
+// *MM (no interface dispatch); everyone else reaches it through Engine.
+func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
+	if c != nil {
+		w := c.Worker()
+		if ws, ok := w.Local().(*mmWorker); ok {
+			epoch := w.ViewEpoch()
+			if s := ws.private.Probe(int(r.page), int(r.slot)); s.FastHit(ownerWord(r), mutable) {
+				ws.lookups.Hits++
+				return s.View(), epoch
 			}
-			v := r.BoxView(s.View())
-			c.CacheView(r.id, v)
-			return v
+			return e.lookupMiss(w, ws, r, epoch, mutable)
 		}
 	}
-	return e.lookupSlow(c, w, ws, r, true)
+	return r.UnboxView(r.Value()), 0
 }
 
-// LookupCached implements Engine: the boxed resolution step behind the
-// typed handles' per-context view caches (retained for callers that want
-// the interface value; the handles themselves use LookupWord).  The epoch
-// is sampled before the lookup, so an invalidation racing the resolution
-// (an unregister or view-region growth on another goroutine) leaves the
-// caller holding an already-stale epoch and forces a harmless re-resolution
-// on its next access.  Retired handles and nil contexts return epoch zero —
-// "do not cache" — because their result is the reducer's frozen leftmost
-// value, which must be re-read every time (SetValue may replace it between
-// accesses).
-func (e *MM) LookupCached(c *sched.Context, r *Reducer, prevEpoch uint64) (any, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.Value(), 0
-	}
-	epoch := c.Worker().ViewEpoch()
-	v := e.Lookup(c, r)
-	if !e.dir.Valid(r) {
-		return v, 0
-	}
-	return v, epoch
-}
-
-// LookupWord implements Engine: the word-level lookup behind the typed
-// handles.  It resolves the slot word directly — no interface value is
-// constructed anywhere on the hit path — and only a mutable access sets
-// the slot's written bit, so read-only ReadView accesses leave identity
-// views elidable by the merge pipeline.
-func (e *MM) LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	if e.countLookups {
-		// Counted handles route reads here (bypassing their caches), so
-		// instrumented runs keep exact lookup counts on this path too.
-		e.lookups[w.ID()].Add(1)
-	}
-	epoch := w.ViewEpoch()
-	if s := ws.private.SlotAt(r.addr); s.View() != nil && s.Owner() == ownerWord(r) {
-		if mutable && !s.Written() {
-			ws.private.MarkWritten(r.addr)
-		}
+// lookupMiss is the outlined slow half of LookupWord.  An owned slot gets
+// here only when a mutable access found its written bit clear, and is
+// stamped rather than re-created; it keeps serving its private view until
+// the trace ends even if the reducer has been retired meanwhile (the check
+// is the owner stamp, not directory validity).  A retired handle without a
+// private view is served the frozen leftmost value and epoch zero, so the
+// caller never caches it.  Anything else installs an identity view.
+func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+	ws.lookups.Misses++
+	s := ws.private.Probe(int(r.page), int(r.slot))
+	if s.View() != nil && s.Owner() == ownerWord(r) {
+		ws.private.MarkWritten(r.addr)
 		return s.View(), epoch
 	}
-	v := e.lookupSlow(c, w, ws, r, mutable)
+	ws.lookups.ColdMisses++
 	if !e.dir.Valid(r) {
-		return r.UnboxView(v), 0
+		return r.UnboxView(r.Value()), 0
 	}
-	return r.UnboxView(v), epoch
-}
-
-// Workers implements Engine: the number of per-worker structures currently
-// maintained (construction size, grown when a larger runtime attaches).
-func (e *MM) Workers() int {
-	e.initMu.Lock()
-	defer e.initMu.Unlock()
-	return len(e.lookups)
-}
-
-// lookupSlow creates and installs an identity view: it runs at most once
-// per reducer per steal, plus once per slot recycle (when it also clears
-// the retired occupant's stale view).  Arena-eligible monoids get their
-// view carved out of the worker's view arena — a free-list pop or a bump
-// allocation, no heap allocator — and the slot's arena flag records that
-// the block is recyclable when the view dies.  mutable stamps the written
-// bit (and populates the context's boxed cache); a read-only first lookup
-// leaves the bit clear so the identity view can be elided if it is never
-// subsequently written.
-func (e *MM) lookupSlow(c *sched.Context, w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) any {
-	if !e.dir.Valid(r) {
-		// A retired handle: no new view is created for it.  Serve the
-		// frozen leftmost value, matching a serial lookup after
-		// unregistration.
-		return r.Value()
-	}
-	if s := ws.private.SlotAt(r.addr); s.View() != nil {
-		// Occupied, but the fast path rejected the owner stamp: the
-		// occupant registered an earlier incarnation of this recycled
-		// address.  The directory holds at most one live registration per
-		// address — r — so the occupant is retired and its in-flight view
-		// is dropped (and its arena block recycled).
+	if s.View() != nil {
+		// Occupied by another owner: the occupant registered an earlier
+		// incarnation of this recycled address.  The directory holds at
+		// most one live registration per address — r — so the occupant is
+		// retired and its in-flight view is dropped (and its arena block
+		// recycled).
 		if old, err := ws.private.Remove(r.addr); err == nil {
 			ws.freeSlotView(old)
 			e.mergePipe.StaleViewDrops.Add(1)
 		}
 	}
+	return e.lookupSlow(w, ws, r, mutable), epoch
+}
+
+// Workers implements Engine: the number of per-worker structures currently
+// maintained (construction size, grown when a larger runtime attaches).
+func (e *MM) Workers() int { return int(e.nworkers.Load()) }
+
+// lookupSlow creates and installs an identity view in r's (empty) private
+// slot: it runs at most once per reducer per steal, plus once per slot
+// recycle.  Arena-eligible monoids get their view carved out of the
+// worker's view arena — a free-list pop or a bump allocation, no heap
+// allocator — and the slot's arena flag records that the block is
+// recyclable when the view dies.  mutable stamps the written bit; a
+// read-only first lookup leaves it clear so the identity view can be elided
+// if it is never subsequently written.
+func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 	// Ensure the worker's TLMM region backs the SPA page holding this slot.
 	if ws.vm != nil {
-		ws.ensureMapped(r.addr.Page())
+		ws.ensureMapped(int(r.page))
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before any
 	// slot state is written, so a contained identity panic leaves the
@@ -570,21 +497,14 @@ func (e *MM) lookupSlow(c *sched.Context, w *sched.Worker, ws *mmWorker, r *Redu
 
 	start = e.rec.Start()
 	// The slot's second word is the owner stamp (the reducer handle, which
-	// carries the monoid), not the bare monoid: see Lookup.
+	// carries the monoid), not the bare monoid: see LookupWord.
 	if err := ws.private.Insert(r.addr, word, ownerWord(r), flags); err != nil {
-		// The slot was cleared of any stale occupant above, so an occupied
-		// slot here is a programming error.
+		// lookupMiss cleared any stale occupant, so an occupied slot here
+		// is a programming error.
 		panic(fmt.Sprintf("core: SPA slot %d unexpectedly occupied: %v", r.addr, err))
 	}
 	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
-	v := r.BoxView(word)
-	if mutable {
-		// Only mutable resolutions may populate the context's boxed cache:
-		// a cached hit never revisits the slot, so it must not be able to
-		// bypass the written-bit stamping of a later mutable access.
-		c.CacheView(r.id, v)
-	}
-	return v
+	return word
 }
 
 // ensureMapped backs SPA page index pi with a physical page in this
@@ -623,14 +543,12 @@ func (ws *mmWorker) ensureMapped(pi int) {
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
 // while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the per-worker lookup counters
-// from the runtime's actual worker count.  Lookup can then index by
-// worker ID directly, and counts are never aliased when the engine config
-// and the runtime disagree about the number of workers.  An engine must
-// not be attached to a new runtime while a previously attached one is
-// executing: the resize would race with that runtime's lock-free Lookup
-// reads.  (Sessions couple one engine to one runtime, so no current
-// caller does this.)
+// runtime's tasks execute — so it sizes the overhead recorder from the
+// runtime's actual worker count and the recorder can index by worker ID
+// directly.  An engine must not be attached to a new runtime while a
+// previously attached one is executing: the resize would race with that
+// runtime's lock-free recorder writes.  (Sessions couple one engine to one
+// runtime, so no current caller does this.)
 func (e *MM) WorkerInit(w *sched.Worker) {
 	ws := &mmWorker{
 		eng:     e,
@@ -642,9 +560,7 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 	}
 	w.SetLocal(ws)
 	e.initMu.Lock()
-	if n := w.Runtime().Workers(); n > len(e.lookups) {
-		e.lookups = append(e.lookups, make([]metrics.PaddedCounter, n-len(e.lookups))...)
-		e.cacheHits = append(e.cacheHits, make([]metrics.PaddedCounter, n-len(e.cacheHits))...)
+	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
 		e.rec.EnsureWorkers(n)
 		e.nworkers.Store(int64(n))
 	}
@@ -675,7 +591,7 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 	} else {
 		ws.private = spa.NewMapSet()
 	}
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	return tr
 }
 
@@ -701,6 +617,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		}
 		mt.ended = true
 	}
+	e.lookups.Flush(&ws.lookups)
 	var dep *MMDeposit
 	elided := int64(0)
 	ws.private.Range(func(addr spa.Addr, s spa.Slot) bool {
@@ -735,7 +652,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			// the panic is contained at the job boundary by the scheduler.
 			ws.dropPrivateViews()
 			ws.restoreOuterTrace(mt)
-			w.InvalidateLookupCache()
+			w.BumpViewEpoch()
 			panic(fmt.Errorf("core: view transferal: %w", err))
 		}
 		public := spa.NewMapSet()
@@ -753,7 +670,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		ws.spare = ws.private
 		ws.private = mt.saved
 	}
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	if dep == nil {
 		return nil
 	}
@@ -977,7 +894,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		}
 		dep.views = nil
 		dep.count = 0
-		w.InvalidateLookupCache()
+		w.BumpViewEpoch()
 		panic(p)
 	}()
 	adopts := int64(0)
@@ -1109,7 +1026,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		}
 	}
 	ws.putOpsBuf(ops)
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	e.rec.Stop(w.ID(), metrics.Hypermerge, start)
 	if reduces > 1 {
 		e.rec.RecordCount(w.ID(), metrics.Hypermerge, reduces-1)
@@ -1274,54 +1191,18 @@ func (e *MM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
 // ResetOverheads implements Engine.
 func (e *MM) ResetOverheads() {
 	e.rec.Reset()
-	for i := range e.lookups {
-		e.lookups[i].Store(0)
-	}
-	for i := range e.cacheHits {
-		e.cacheHits[i].Store(0)
-	}
-	e.fastHits.Store(0)
-	e.fastMisses.Store(0)
-	e.fastCold.Store(0)
+	e.lookups.Reset()
 	e.mergePipe.Reset()
 }
 
-// MergeStats returns a snapshot of the hypermerge pipeline counters, with
-// CacheHits filled in from the per-worker hit counters.
-func (e *MM) MergeStats() metrics.MergePipelineStats {
-	s := e.mergePipe.Snapshot()
-	s.CacheHits = e.CacheHits()
-	return s
-}
+// MergeStats returns a snapshot of the hypermerge pipeline counters.
+func (e *MM) MergeStats() metrics.MergePipelineStats { return e.mergePipe.Snapshot() }
 
-// CacheHits reports the number of lookups served by the per-context cache
-// since the last reset.  Like Lookups it only counts while lookup counting
-// is enabled.
-func (e *MM) CacheHits() int64 {
-	var n int64
-	for i := range e.cacheHits {
-		n += e.cacheHits[i].Load()
-	}
-	return n
-}
-
-// SetTiming implements Engine.
-func (e *MM) SetTiming(on bool) { e.rec.SetTiming(on) }
-
-// SetCountLookups implements Engine.
-func (e *MM) SetCountLookups(on bool) { e.countLookups = on }
-
-// CountingLookups implements Engine.
-func (e *MM) CountingLookups() bool { return e.countLookups }
-
-// Lookups implements Engine.
-func (e *MM) Lookups() int64 {
-	var n int64
-	for i := range e.lookups {
-		n += e.lookups[i].Load()
-	}
-	return n
-}
+// FastPathStats returns a snapshot of the lookup outcome counters: every
+// LookupWord that reached a worker's private maps is one hit or one miss.
+// Workers flush their counts at EndTrace, so the snapshot is exact once a
+// Run has returned and lags by at most one trace while one is running.
+func (e *MM) FastPathStats() metrics.LookupFastPathStats { return e.lookups.Snapshot() }
 
 // WorkerPrivateViews reports the number of views currently held in worker
 // i's private SPA maps (diagnostic; it should be zero between runs).

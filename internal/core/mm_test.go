@@ -91,7 +91,7 @@ func TestMMLeftmostViewSemantics(t *testing.T) {
 		t.Fatalf("identity leftmost = %d, want 0", got)
 	}
 	r.SetValue(&sumView{v: 42})
-	if got := e.Lookup(nil, r).(*sumView).v; got != 42 {
+	if got := core.Lookup(e, nil, r).(*sumView).v; got != 42 {
 		t.Fatalf("serial lookup = %d, want 42", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestMMModelAddressSpaceBacksSPAPages(t *testing.T) {
 	}
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelFor(0, n, func(c *sched.Context, i int) {
-			eng.Lookup(c, reds[i]).(*sumView).v++
+			core.Lookup(eng, c, reds[i]).(*sumView).v++
 		})
 	})
 	if err != nil {
@@ -151,8 +151,8 @@ func TestMMRootDepositsAbsorbInSerialOrder(t *testing.T) {
 		part := part
 		if err := s.Run(func(c *sched.Context) {
 			c.Fork(
-				func(c *sched.Context) { eng.Lookup(c, r).(*catView).s += part },
-				func(c *sched.Context) { eng.Lookup(c, r).(*catView).s += strings.ToLower(part) },
+				func(c *sched.Context) { core.Lookup(eng, c, r).(*catView).s += part },
+				func(c *sched.Context) { core.Lookup(eng, c, r).(*catView).s += strings.ToLower(part) },
 			)
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -172,7 +172,7 @@ func TestMMDepositCountAndPool(t *testing.T) {
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, 200, 1, func(c *sched.Context, i int) {
 			time.Sleep(30 * time.Microsecond)
-			eng.Lookup(c, r).(*sumView).v++
+			core.Lookup(eng, c, r).(*sumView).v++
 		})
 	})
 	if err != nil {

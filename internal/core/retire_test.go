@@ -50,7 +50,7 @@ func TestDoubleUnregisterAfterReuseBothEngines(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r2).(*sumView).v += 5
+				core.Lookup(eng, c, r2).(*sumView).v += 5
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -76,7 +76,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 			if err := s.Run(func(c *sched.Context) {
 				// Install and warm r1's view (and the per-context cache).
 				for i := 0; i < 50; i++ {
-					eng.Lookup(c, r1).(*sumView).v++
+					core.Lookup(eng, c, r1).(*sumView).v++
 				}
 				eng.Unregister(r1)
 				var err error
@@ -91,7 +91,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 				}
 				// The recycled slot must not serve r1's cached or private
 				// view: r2 starts from a fresh identity view.
-				v2 := eng.Lookup(c, r2).(*sumView)
+				v2 := core.Lookup(eng, c, r2).(*sumView)
 				if v2.v != 0 {
 					t.Errorf("recycled slot leaked a view with value %d", v2.v)
 					return
@@ -111,7 +111,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 			// A lookup through a retired handle serves the frozen value
 			// rather than creating views.
 			if err := s.Run(func(c *sched.Context) {
-				if got := eng.Lookup(c, r1).(*sumView).v; got != 0 {
+				if got := core.Lookup(eng, c, r1).(*sumView).v; got != 0 {
 					t.Errorf("retired-handle lookup = %d, want 0", got)
 				}
 			}); err != nil {
@@ -137,13 +137,13 @@ func TestRetiredHandleLookupDoesNotClobberLiveView(t *testing.T) {
 				t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 			}
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r2).(*sumView).v = 41
+				core.Lookup(eng, c, r2).(*sumView).v = 41
 				// The stale handle shares r2's address but must not reach
 				// r2's view.
-				if got := eng.Lookup(c, r1).(*sumView).v; got != 0 {
+				if got := core.Lookup(eng, c, r1).(*sumView).v; got != 0 {
 					t.Errorf("stale-handle lookup = %d, want 0", got)
 				}
-				eng.Lookup(c, r2).(*sumView).v++
+				core.Lookup(eng, c, r2).(*sumView).v++
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}

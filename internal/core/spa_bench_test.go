@@ -42,7 +42,7 @@ func benchFirstLookup(b *testing.B, m core.Monoid, bump func(v any)) {
 		tr := eng.BeginTrace(w)
 		k := 0
 		for i := 0; i < b.N; i++ {
-			bump(eng.Lookup(c, rs[k]))
+			bump(core.Lookup(eng, c, rs[k]))
 			k++
 			if k == K {
 				d := eng.EndTrace(w, tr)
@@ -99,7 +99,7 @@ func benchMergeWritten(b *testing.B, writtenPct int) {
 			tr := eng.BeginTrace(w)
 			for k, r := range rs {
 				if k < written {
-					*eng.Lookup(c, r).(*int64)++
+					*core.Lookup(eng, c, r).(*int64)++
 				} else {
 					word, _ := eng.LookupWord(c, r, 0, false)
 					_ = word

@@ -52,7 +52,7 @@ func TestConcurrentRegisterLookupUnregisterStress(t *testing.T) {
 					lane := i % lanes
 					step := i / lanes
 					// The ordered update: lane strings grow in serial order.
-					eng.Lookup(c, cats[lane]).(*catView).s += string(rune('a' + step%26))
+					core.Lookup(eng, c, cats[lane]).(*catView).s += string(rune('a' + step%26))
 
 					// Scratch churn: a register → lookup → verify →
 					// unregister cycle whose slot immediately becomes
@@ -64,9 +64,9 @@ func TestConcurrentRegisterLookupUnregisterStress(t *testing.T) {
 					}
 					const bumps = 8
 					for k := 0; k < bumps; k++ {
-						eng.Lookup(c, scratch).(*sumView).v++
+						core.Lookup(eng, c, scratch).(*sumView).v++
 					}
-					if got := eng.Lookup(c, scratch).(*sumView).v; got != bumps {
+					if got := core.Lookup(eng, c, scratch).(*sumView).v; got != bumps {
 						scratchFailures.Add(1)
 					}
 					eng.Unregister(scratch)
@@ -118,13 +118,13 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 				survivors := make([]*core.Reducer, perRound)
 				err := s.Run(func(c *sched.Context) {
 					c.ParallelForGrain(0, perRound, 1, func(c *sched.Context, i int) {
-						eng.Lookup(c, keeper).(*sumView).v++
+						core.Lookup(eng, c, keeper).(*sumView).v++
 						scratch, err := eng.Register(sumMonoid{})
 						if err != nil {
 							t.Errorf("Register: %v", err)
 							return
 						}
-						eng.Lookup(c, scratch).(*sumView).v += 1000
+						core.Lookup(eng, c, scratch).(*sumView).v += 1000
 						if i%2 == 0 {
 							// Half retire inside the trace: their in-flight
 							// updates are dropped and their slots recycle

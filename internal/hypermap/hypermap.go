@@ -20,8 +20,6 @@ type Config struct {
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
-	// CountLookups enables lookup counting.
-	CountLookups bool
 	// InitialBuckets is the initial size hint for newly created hypermaps.
 	// The Cilk Plus runtime starts its hash tables small and grows them;
 	// a value of 0 keeps Go's default behaviour.
@@ -34,7 +32,7 @@ type Config struct {
 
 // HM is the hypermap reducer engine (the Cilk Plus baseline mechanism).
 // The concrete name matters to the typed reducer handles: they capture *HM
-// at construction and call its LookupWordFast directly, mirroring the
+// at construction and call its LookupWord directly, mirroring the
 // memory-mapped engine's *core.MM, so neither mechanism pays an interface
 // dispatch on a handle-cache miss.
 type HM struct {
@@ -48,35 +46,24 @@ type HM struct {
 	dir *core.Directory
 
 	// initMu guards attach-time bookkeeping only (the worker list and the
-	// per-worker counter resize in WorkerInit).
+	// recorder resize in WorkerInit).
 	initMu sync.Mutex
 	// workers is the RCU-published list of attached per-worker states, so
 	// Unregister can publish view invalidations without a lock.
 	workers atomic.Pointer[[]*hmWorker]
-
-	countLookups bool
-	// lookups holds one cache-line-padded counter per worker, indexed
-	// directly by worker ID.  It is sized from the engine config at
-	// construction and re-sized in WorkerInit when a runtime with more
-	// workers attaches, so counts are never aliased across workers.
-	lookups []metrics.PaddedCounter
-	// cacheHits counts per-context lookup-cache hits per worker, so that
-	// the Figure comparisons stay apples-to-apples with the memory-mapped
-	// engine: both mechanisms run the same single-entry cache ahead of
-	// their respective lookup structures.  Maintained only while lookup
-	// counting is enabled.
-	cacheHits []metrics.PaddedCounter
+	// nworkers is the number of per-worker structures maintained: the
+	// construction size, grown under initMu in WorkerInit when a larger
+	// runtime attaches.  Workers reads it lock-free.
+	nworkers atomic.Int64
 
 	// elisions counts never-written views the hypermerge skipped, the
 	// hypermap counterpart of metrics.MergePipeline.IdentityElisions.
 	elisions metrics.PaddedCounter
 
-	// fastHits, fastMisses and fastCold count the devirtualized typed-lookup
-	// fast path's outcomes (see lookupfast.go); they tick only on
-	// handle-cache misses, mirroring the memory-mapped engine's counters.
-	fastHits   metrics.PaddedCounter
-	fastMisses metrics.PaddedCounter
-	fastCold   metrics.PaddedCounter
+	// lookups holds the lookup outcome counters FastPathStats reports,
+	// mirroring the memory-mapped engine's: LookupWord ticks owner-only
+	// plain fields on the hmWorker and EndTrace flushes them here.
+	lookups metrics.LookupCounters
 
 	// mergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
 	// currently executing; part of the engine's quiescence invariant.
@@ -90,6 +77,9 @@ type hmWorker struct {
 	w   *sched.Worker
 	// user is the user hypermap: reducer address → local view.
 	user *hashTable
+	// lookups counts this worker's LookupWord outcomes since its last
+	// EndTrace.  Owner-goroutine only; see HM.lookups.
+	lookups metrics.LookupFastPathStats
 }
 
 // entry pairs a local view with the reducer that owns it.  The view is
@@ -123,10 +113,6 @@ type hmTrace struct {
 	ended bool
 }
 
-// Engine is the name this engine was originally exported under; HM is the
-// canonical name.  The alias keeps existing callers compiling.
-type Engine = HM
-
 // Deposit is a deposited hypermap: view transferal in the hypermap scheme
 // simply hands over the map.
 type Deposit struct {
@@ -147,26 +133,24 @@ func New(cfg Config) *HM {
 		cfg.Workers = 1
 	}
 	e := &HM{
-		cfg:       cfg,
-		rec:       metrics.NewRecorder(cfg.Workers),
-		lookups:   make([]metrics.PaddedCounter, cfg.Workers),
-		cacheHits: make([]metrics.PaddedCounter, cfg.Workers),
+		cfg: cfg,
+		rec: metrics.NewRecorder(cfg.Workers),
 	}
+	e.nworkers.Store(int64(cfg.Workers))
 	e.dir = core.NewDirectory(core.DirectoryConfig{
 		Shards:  cfg.DirectoryShards,
 		Workers: cfg.Workers,
 	})
 	e.rec.SetTiming(cfg.Timing)
-	e.countLookups = cfg.CountLookups
 	return e
 }
 
 // publishViewInvalidation bumps every attached worker's view epoch so no
-// context keeps serving a cached view after its reducer is unregistered.
+// handle keeps serving a cached view after its reducer is unregistered.
 func (e *HM) publishViewInvalidation() {
 	if ws := e.workers.Load(); ws != nil {
 		for _, s := range *ws {
-			s.w.PublishViewInvalidation()
+			s.w.BumpViewEpoch()
 		}
 	}
 }
@@ -220,111 +204,52 @@ func (e *HM) Directory() *core.Directory { return e.dir }
 // contention counters.
 func (e *HM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
-// Lookup implements core.Engine: a hash-table lookup keyed by the reducer's
-// address, creating and inserting an identity view on a miss.  The same
-// per-context single-entry cache the memory-mapped engine runs sits ahead
-// of the hash table, so repeated lookups of one reducer in a loop body skip
-// the hashing entirely and the Figure comparisons stay apples-to-apples.
-// Like the memory-mapped engine, Lookup hands out a mutable view, so it
-// stamps the entry's written bit.
-func (e *HM) Lookup(c *sched.Context, r *core.Reducer) any {
-	if c == nil {
-		return r.Value()
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return r.Value()
-	}
-	if e.countLookups {
-		e.lookups[w.ID()].Add(1)
-	}
-	if v, ok := c.CachedView(r.ID()); ok {
-		if e.countLookups {
-			e.cacheHits[w.ID()].Add(1)
+// LookupWord implements core.Engine: a hash-table lookup keyed by the
+// reducer's address.  The hit shape is one hash (the baseline's
+// characteristic modulo by the bucket count), one bucket-head load and two
+// compares: the loop-free probeHead answers when r's entry heads its chain
+// (the common case at steady state) and inlines here, so the comparison
+// between mechanisms measures the lookup structures (SPA indexing vs
+// chained hash) and nothing else.  Every other situation — a below-head
+// entry, written-bit stamping, first touches, recycled addresses, retired
+// handles — takes the outlined lookupMiss.  The owner stamp guarantees an
+// entry at a recycled address never serves a stale view, mirroring the
+// memory-mapped engine's SPA slot stamp.
+func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
+	if c != nil {
+		w := c.Worker()
+		if ws, ok := w.Local().(*hmWorker); ok {
+			epoch := w.ViewEpoch()
+			if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
+				ws.lookups.Hits++
+				return ent.view, epoch
+			}
+			return e.lookupMiss(w, ws, r, epoch, mutable)
 		}
-		return v
 	}
-	if ent := ws.user.lookup(r.Addr()); ent != nil && ent.owner == r {
-		// The owner stamp guarantees an entry at a recycled address never
-		// serves a stale view (mirroring the memory-mapped engine's SPA
-		// slot stamp).
-		ent.written = true
-		v := r.BoxView(ent.view)
-		c.CacheView(r.ID(), v)
-		return v
-	}
-	return e.lookupSlow(c, w, ws, r, true)
+	return r.UnboxView(r.Value()), 0
 }
 
-// LookupCached implements core.Engine: the resolution step behind the typed
-// handles' per-context view caches, mirroring the memory-mapped engine so
-// the typed API is mechanism-agnostic.  The epoch is sampled before the
-// lookup (a racing invalidation only forces a harmless re-resolution); a
-// zero epoch tells the caller not to cache — returned for nil contexts and
-// retired handles, whose frozen leftmost value must be re-read every time.
-func (e *HM) LookupCached(c *sched.Context, r *core.Reducer, prevEpoch uint64) (any, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.Value(), 0
-	}
-	epoch := c.Worker().ViewEpoch()
-	v := e.Lookup(c, r)
-	if !e.dir.Valid(r) {
-		return v, 0
-	}
-	return v, epoch
-}
-
-// LookupWord implements core.Engine: the word-level lookup behind the typed
-// handles, mirroring the memory-mapped engine so the typed API is
-// mechanism-agnostic.  Only mutable accesses stamp the entry's written bit;
-// read-only accesses leave identity views elidable by the hypermerge.
-func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, prevEpoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	if e.countLookups {
-		// Counted handles route reads here (bypassing their caches), so
-		// instrumented runs keep exact lookup counts on this path too.
-		e.lookups[w.ID()].Add(1)
-	}
-	epoch := w.ViewEpoch()
-	if ent := ws.user.lookup(r.Addr()); ent != nil && ent.owner == r {
+// lookupMiss is the outlined slow half of LookupWord.  The full chain walk
+// re-probes — the head probe rejects below-head entries and owned entries
+// whose written bit needs stamping on a mutable access.  A retired handle
+// without an entry of its own is served the frozen leftmost value and epoch
+// zero, so the caller never caches it, matching a serial lookup after
+// unregistration.  Anything else installs an identity view.
+func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+	ws.lookups.Misses++
+	ent := ws.user.lookup(r.Addr())
+	if ent != nil && ent.owner == r {
 		if mutable {
 			ent.written = true
 		}
 		return ent.view, epoch
 	}
-	v := e.lookupSlow(c, w, ws, r, mutable)
+	ws.lookups.ColdMisses++
 	if !e.dir.Valid(r) {
-		return r.UnboxView(v), 0
+		return r.UnboxView(r.Value()), 0
 	}
-	return r.UnboxView(v), epoch
-}
-
-// Workers implements core.Engine: the number of per-worker structures
-// currently maintained (construction size, grown when a larger runtime
-// attaches).
-func (e *HM) Workers() int {
-	e.initMu.Lock()
-	defer e.initMu.Unlock()
-	return len(e.lookups)
-}
-
-func (e *HM) lookupSlow(c *sched.Context, w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) any {
-	if !e.dir.Valid(r) {
-		// A retired handle: serve the frozen leftmost value, matching a
-		// serial lookup after unregistration.
-		return r.Value()
-	}
-	if ent := ws.user.lookup(r.Addr()); ent != nil {
+	if ent != nil {
 		// A stale entry from a retired occupant of this recycled address;
 		// drop its in-flight view before installing r's identity view.
 		ws.user.remove(r.Addr())
@@ -334,42 +259,37 @@ func (e *HM) lookupSlow(c *sched.Context, w *sched.Worker, ws *hmWorker, r *core
 	// hypermap exactly as it was.
 	faultinject.Check(faultinject.MonoidIdentity)
 	start := e.rec.Start()
-	view := r.Monoid().Identity()
-	word := r.UnboxView(view)
+	word := r.UnboxView(r.Monoid().Identity())
 	e.rec.Stop(w.ID(), metrics.ViewCreation, start)
 
 	start = e.rec.Start()
 	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
 	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
-	if mutable {
-		// Only mutable resolutions populate the context's boxed cache: a
-		// cached hit never revisits the entry, so it must not bypass the
-		// written-bit stamping of a later mutable access.
-		c.CacheView(r.ID(), view)
-	}
-	return view
+	return word, epoch
 }
+
+// Workers implements core.Engine: the number of per-worker structures
+// currently maintained (construction size, grown when a larger runtime
+// attaches).
+func (e *HM) Workers() int { return int(e.nworkers.Load()) }
 
 // --- sched.ReducerRuntime hooks ---
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
 // while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the per-worker lookup counters
-// from the runtime's actual worker count.  Lookup can then index by
-// worker ID directly, and counts are never aliased when the engine config
-// and the runtime disagree about the number of workers.  An engine must
-// not be attached to a new runtime while a previously attached one is
-// executing: the resize would race with that runtime's lock-free Lookup
-// reads.  (Sessions couple one engine to one runtime, so no current
-// caller does this.)
+// runtime's tasks execute — so it sizes the overhead recorder from the
+// runtime's actual worker count and the recorder can index by worker ID
+// directly.  An engine must not be attached to a new runtime while a
+// previously attached one is executing: the resize would race with that
+// runtime's lock-free recorder writes.  (Sessions couple one engine to one
+// runtime, so no current caller does this.)
 func (e *HM) WorkerInit(w *sched.Worker) {
 	ws := &hmWorker{eng: e, w: w, user: e.newHypermap()}
 	w.SetLocal(ws)
 	e.initMu.Lock()
-	if n := w.Runtime().Workers(); n > len(e.lookups) {
-		e.lookups = append(e.lookups, make([]metrics.PaddedCounter, n-len(e.lookups))...)
-		e.cacheHits = append(e.cacheHits, make([]metrics.PaddedCounter, n-len(e.cacheHits))...)
+	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
 		e.rec.EnsureWorkers(n)
+		e.nworkers.Store(int64(n))
 	}
 	// Republish the worker list copy-on-write: publication sweeps iterate
 	// it lock-free.
@@ -392,7 +312,7 @@ func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 	}
 	tr := &hmTrace{ws: ws, saved: ws.user}
 	ws.user = e.newHypermap()
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	return tr
 }
 
@@ -411,6 +331,7 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		}
 		ht.ended = true
 	}
+	e.lookups.Flush(&ws.lookups)
 	var dep *Deposit
 	if ws.user.len() != 0 {
 		start := e.rec.Start()
@@ -423,7 +344,7 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	} else if ws.user == nil {
 		ws.user = e.newHypermap()
 	}
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	if dep == nil {
 		return nil
 	}
@@ -484,7 +405,7 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		inserts++
 	})
 	dep.views = nil
-	w.InvalidateLookupCache()
+	w.BumpViewEpoch()
 	e.rec.Stop(w.ID(), metrics.Hypermerge, start)
 	if reduces > 1 {
 		e.rec.RecordCount(w.ID(), metrics.Hypermerge, reduces-1)
@@ -565,46 +486,15 @@ func (e *HM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
 // ResetOverheads implements core.Engine.
 func (e *HM) ResetOverheads() {
 	e.rec.Reset()
-	for i := range e.lookups {
-		e.lookups[i].Store(0)
-	}
-	for i := range e.cacheHits {
-		e.cacheHits[i].Store(0)
-	}
 	e.elisions.Store(0)
-	e.fastHits.Store(0)
-	e.fastMisses.Store(0)
-	e.fastCold.Store(0)
+	e.lookups.Reset()
 }
 
-// CacheHits reports the number of lookups served by the per-context cache
-// since the last reset.  Like Lookups it only counts while lookup counting
-// is enabled.
-func (e *HM) CacheHits() int64 {
-	var n int64
-	for i := range e.cacheHits {
-		n += e.cacheHits[i].Load()
-	}
-	return n
-}
-
-// SetTiming implements core.Engine.
-func (e *HM) SetTiming(on bool) { e.rec.SetTiming(on) }
-
-// SetCountLookups implements core.Engine.
-func (e *HM) SetCountLookups(on bool) { e.countLookups = on }
-
-// CountingLookups implements core.Engine.
-func (e *HM) CountingLookups() bool { return e.countLookups }
-
-// Lookups implements core.Engine.
-func (e *HM) Lookups() int64 {
-	var n int64
-	for i := range e.lookups {
-		n += e.lookups[i].Load()
-	}
-	return n
-}
+// FastPathStats returns a snapshot of the lookup outcome counters: every
+// LookupWord that reached a worker's hypermap is one hit or one miss.
+// Workers flush their counts at EndTrace, so the snapshot is exact once a
+// Run has returned and lags by at most one trace while one is running.
+func (e *HM) FastPathStats() metrics.LookupFastPathStats { return e.lookups.Snapshot() }
 
 // WorkerViewCount reports the number of views in worker i's user hypermap
 // (diagnostic; it should be zero between runs).

@@ -73,7 +73,7 @@ func TestHypermapSerialAndParallelSum(t *testing.T) {
 				if workers > 1 {
 					time.Sleep(20 * time.Microsecond)
 				}
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(eng, c, r).(*sumView).v++
 			})
 		})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestHypermapNonCommutativeOrder(t *testing.T) {
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
 			time.Sleep(40 * time.Microsecond)
-			view := eng.Lookup(c, r).(*catView)
+			view := core.Lookup(eng, c, r).(*catView)
 			view.s += string(byte('a' + i%26))
 		})
 	})
@@ -120,7 +120,7 @@ func TestHypermapNonCommutativeOrder(t *testing.T) {
 }
 
 func TestHypermapOverheadsAndLookupCounting(t *testing.T) {
-	eng := hypermap.New(hypermap.Config{Workers: 2, Timing: true, CountLookups: true})
+	eng := hypermap.New(hypermap.Config{Workers: 2, Timing: true})
 	s := core.NewSession(2, eng)
 	defer s.Close()
 	r, _ := eng.Register(sumMonoid{})
@@ -128,24 +128,22 @@ func TestHypermapOverheadsAndLookupCounting(t *testing.T) {
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
 			time.Sleep(20 * time.Microsecond)
-			eng.Lookup(c, r).(*sumView).v++
+			core.Lookup(eng, c, r).(*sumView).v++
 		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := eng.Lookups(); got != n {
-		t.Fatalf("Lookups = %d, want %d", got, n)
+	if got := core.LookupCount(eng); got != n {
+		t.Fatalf("LookupCount = %d, want %d", got, n)
 	}
 	if eng.Overheads().Total() == 0 {
 		t.Fatal("expected timed overheads")
 	}
 	eng.ResetOverheads()
-	if eng.Overheads().Total() != 0 || eng.Lookups() != 0 {
+	if eng.Overheads().Total() != 0 || core.LookupCount(eng) != 0 {
 		t.Fatal("ResetOverheads did not clear counters")
 	}
-	eng.SetTiming(false)
-	eng.SetCountLookups(false)
 	if !strings.Contains(eng.Name(), "hypermap") {
 		t.Fatalf("Name = %q", eng.Name())
 	}
@@ -164,7 +162,7 @@ func TestHypermapMergeRootDepositNil(t *testing.T) {
 func TestHypermapSerialContext(t *testing.T) {
 	eng := hypermap.New(hypermap.Config{Workers: 1})
 	r, _ := eng.Register(sumMonoid{})
-	eng.Lookup(nil, r).(*sumView).v = 9
+	core.Lookup(eng, nil, r).(*sumView).v = 9
 	if got := r.Value().(*sumView).v; got != 9 {
 		t.Fatalf("serial-context value = %d, want 9", got)
 	}
@@ -190,7 +188,7 @@ func TestHypermapIdentityElision(t *testing.T) {
 			tr := e.BeginTrace(w)
 			for i, r := range rs {
 				if i%2 == 0 {
-					e.Lookup(c, r).(*sumView).v++ // written
+					core.Lookup(e, c, r).(*sumView).v++ // written
 				} else {
 					word, _ := e.LookupWord(c, r, 0, false) // read-only
 					if got := (*sumView)(word).v; got != 0 {
@@ -234,7 +232,7 @@ func TestHypermapWriteAfterReadOnlyLookup(t *testing.T) {
 		tr := e.BeginTrace(w)
 		word, _ := e.LookupWord(c, r, 0, false)
 		_ = (*sumView)(word).v
-		e.Lookup(c, r).(*sumView).v += 5
+		core.Lookup(e, c, r).(*sumView).v += 5
 		d := e.EndTrace(w, tr)
 		e.Merge(w, w.CurrentTrace(), d)
 	}); err != nil {

@@ -18,7 +18,6 @@ func (e *HM) SampleMetrics(emit func(metrics.MetricSample)) {
 		LabelKey: "engine", LabelValue: engineLabel,
 		Value: float64(e.IdentityElisions()),
 	})
-	metrics.EmitLookups(emit, engineLabel, e.Lookups(), e.CacheHits())
-	metrics.EmitLookupFastPath(emit, engineLabel, e.FastPathStats())
+	metrics.EmitLookups(emit, engineLabel, e.FastPathStats())
 	metrics.EmitDirectory(emit, engineLabel, e.DirectoryStats())
 }

@@ -54,26 +54,20 @@ func EmitElisions(emit func(MetricSample), engine string, elisions, slotsMerged 
 	gauge(emit, engine, "cilkm_identity_elision_rate", "Elided views as a fraction of views reaching the merge.", ratio(elisions, elisions+slotsMerged))
 }
 
-// EmitLookups emits the lookup counters shared by both engines.  Only
-// meaningful while lookup counting is enabled; the counters read zero
-// otherwise.
-func EmitLookups(emit func(MetricSample), engine string, lookups, cacheHits int64) {
-	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups (counted only while lookup counting is enabled).", lookups)
-	counter(emit, engine, "cilkm_lookup_cache_hits_total", "Lookups served by the per-context cache.", cacheHits)
-	gauge(emit, engine, "cilkm_lookup_cache_hit_rate", "Cache hits as a fraction of lookups.", ratio(cacheHits, lookups))
-}
-
-// EmitLookupFastPath emits the devirtualized typed-lookup fast-path
-// counters shared by both engines, plus the derived hit rate (fast probes
-// answered in place as a fraction of all fast probes).  These are always
-// maintained — unlike the cilkm_lookups_total family they do not depend on
-// lookup counting being enabled — because they only tick on handle-cache
-// misses, off the single-deref hit path.
-func EmitLookupFastPath(emit func(MetricSample), engine string, s LookupFastPathStats) {
-	counter(emit, engine, "cilkm_fastpath_hits_total", "Typed-lookup fast probes answered by the precomputed slot index.", s.Hits)
-	counter(emit, engine, "cilkm_fastpath_misses_total", "Typed-lookup fast probes that took the outlined miss path.", s.Misses)
-	counter(emit, engine, "cilkm_fastpath_cold_misses_total", "Fast-path misses that created or re-resolved a view in lookupSlow.", s.ColdMisses)
-	gauge(emit, engine, "cilkm_fastpath_hit_rate", "Fast probes answered in place, as a fraction of all fast probes.", ratio(s.Hits, s.Hits+s.Misses))
+// EmitLookups emits the engines' lookup outcome counters: the total
+// (cilkm_lookups_total, engine visits = hits + misses), its three parts and
+// the derived hit rate (visits answered by the precomputed index as a
+// fraction of all visits).  They are always maintained.  A visit is a
+// lookup that reached the engine, which a typed handle's cache hit does
+// not; on an engine built with lookup counting the handles do not cache, so
+// there cilkm_lookups_total equals the program's lookups.  Workers flush
+// their counts at trace end, so a mid-run sample lags by at most one trace.
+func EmitLookups(emit func(MetricSample), engine string, s LookupFastPathStats) {
+	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups that reached the engine (every program lookup under lookup counting).", s.Hits+s.Misses)
+	counter(emit, engine, "cilkm_fastpath_hits_total", "Engine lookups answered by the precomputed slot index.", s.Hits)
+	counter(emit, engine, "cilkm_fastpath_misses_total", "Engine lookups that took the outlined miss path.", s.Misses)
+	counter(emit, engine, "cilkm_fastpath_cold_misses_total", "Misses that created a view, dropped a stale one or served a retired handle.", s.ColdMisses)
+	gauge(emit, engine, "cilkm_fastpath_hit_rate", "Engine lookups answered in place, as a fraction of all engine lookups.", ratio(s.Hits, s.Hits+s.Misses))
 }
 
 // EmitArena emits the per-worker view-arena aggregate, including the arena

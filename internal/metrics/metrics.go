@@ -89,8 +89,8 @@ func (b Breakdown) String() string {
 type cacheLinePad [64]byte
 
 // PaddedCounter is an atomic int64 counter padded out to a cache line, so
-// that slices of per-worker counters (scheduler statistics, the reducer
-// engines' lookup counters) do not false-share.  The zero value is ready
+// that adjacent counters (scheduler statistics, the reducer engines'
+// pipeline counters) do not false-share.  The zero value is ready
 // to use.
 //
 //cilkvet:nocopy
@@ -147,9 +147,6 @@ type MergePipeline struct {
 }
 
 // MergePipelineStats is a point-in-time snapshot of MergePipeline.
-// CacheHits is not tracked by the pipeline itself — the engines keep
-// per-worker hit counters next to their lookup counters and fill the field
-// in when snapshotting (see MM.MergeStats).
 type MergePipelineStats struct {
 	Merges           int64
 	SlotsMerged      int64
@@ -162,7 +159,6 @@ type MergePipelineStats struct {
 	StaleViewDrops   int64
 	IdentityElisions int64
 	LocalitySorts    int64
-	CacheHits        int64
 }
 
 // Snapshot reads every counter.
@@ -197,26 +193,58 @@ func (m *MergePipeline) Reset() {
 	m.LocalitySorts.Store(0)
 }
 
-// LookupFastPathStats is a point-in-time snapshot of the devirtualized
-// typed-lookup fast path's outcome counters.  The single-deref hit inside
-// reducers.Handle is deliberately counter-free (a counter there would cost
-// as much as the lookup it measures); these counters start one layer down,
-// at the engines' concrete LookupWordFast entry points, which run only when
-// a handle's per-worker cache slot misses — a per-trace event, not a
-// per-update one, so an atomic increment is affordable there.
+// LookupFastPathStats is a point-in-time snapshot of an engine's lookup
+// outcome counters.  The single-deref hit inside reducers.Handle is
+// deliberately counter-free (a counter there would cost as much as the
+// lookup it measures); these counters start one layer down, in the engines'
+// LookupWord, where each worker ticks a plain owner-only field and flushes
+// it at trace end.  Hits + Misses is the number of lookups that reached the
+// engine.
 type LookupFastPathStats struct {
-	// Hits counts fast probes answered by the precomputed (page, slot)
-	// index — or, on the hypermap engine, the bucket-head probe — with no
+	// Hits counts lookups answered by the precomputed (page, slot) index —
+	// or, on the hypermap engine, the bucket-head probe — with no
 	// slow-path work.
 	Hits int64
-	// Misses counts fast probes that fell through to the outlined miss
-	// path (written-bit stamping, non-worker contexts, first touches,
-	// recycled slots, retired handles).
+	// Misses counts lookups that fell through to the outlined miss path
+	// (written-bit stamping, first touches, recycled slots, retired
+	// handles and, on the hypermap engine, below-head chain entries).
 	Misses int64
-	// ColdMisses counts the subset of Misses that reached the engines'
-	// lookupSlow — view creation, stale-slot recovery, or a retired
-	// handle's frozen leftmost read.
+	// ColdMisses counts the subset of Misses that found no view of their
+	// own — view creation, stale-slot recovery, or a retired handle's
+	// frozen leftmost read.
 	ColdMisses int64
+}
+
+// LookupCounters is the shared, sampled side of the lookup outcome
+// counters: workers count into a private LookupFastPathStats and Flush it
+// here at trace end, so a lookup never performs an atomic write.
+type LookupCounters struct {
+	hits, misses, cold PaddedCounter
+}
+
+// Flush folds a worker's private counts into the shared counters and zeroes
+// them.  Owner-goroutine only with respect to local.
+func (c *LookupCounters) Flush(local *LookupFastPathStats) {
+	if local.Hits != 0 {
+		c.hits.Add(local.Hits)
+	}
+	if local.Misses != 0 {
+		c.misses.Add(local.Misses)
+		c.cold.Add(local.ColdMisses)
+	}
+	*local = LookupFastPathStats{}
+}
+
+// Snapshot reads every counter.
+func (c *LookupCounters) Snapshot() LookupFastPathStats {
+	return LookupFastPathStats{Hits: c.hits.Load(), Misses: c.misses.Load(), ColdMisses: c.cold.Load()}
+}
+
+// Reset zeroes every counter.
+func (c *LookupCounters) Reset() {
+	c.hits.Store(0)
+	c.misses.Store(0)
+	c.cold.Store(0)
 }
 
 // ArenaStats is a point-in-time aggregate of the per-worker view arenas:
@@ -302,10 +330,9 @@ func NewRecorder(n int) *Recorder {
 }
 
 // EnsureWorkers grows the recorder to at least n per-worker slots,
-// preserving accumulated counts.  Like the engines' lookup counters it may
-// only be called while nothing else touches the recorder — at attach time,
-// before the runtime executes tasks — so that Record/Stop can keep
-// indexing without a lock.
+// preserving accumulated counts.  It may only be called while nothing else
+// touches the recorder — at attach time, before the runtime executes tasks
+// — so that Record/Stop can keep indexing without a lock.
 func (r *Recorder) EnsureWorkers(n int) {
 	if n <= len(r.workers) {
 		return

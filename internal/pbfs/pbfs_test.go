@@ -156,7 +156,7 @@ func TestLookupCountingDuringPBFS(t *testing.T) {
 	if err := pbfs.Validate(g, 0, res); err != nil {
 		t.Fatal(err)
 	}
-	lookups := eng.Lookups()
+	lookups := core.LookupCount(eng)
 	if lookups == 0 {
 		t.Fatal("expected reducer lookups during PBFS")
 	}

@@ -170,7 +170,8 @@ func TestTypedUpdatesRecycleArenaViews(t *testing.T) {
 // read-only path (counted, but never stamping the written bit), so
 // identity elision keeps working under instrumentation.
 func TestCountedReadViewStaysReadOnly(t *testing.T) {
-	eng := core.NewMM(core.MMConfig{Workers: 1, CountLookups: true})
+	mm := core.NewMM(core.MMConfig{Workers: 1})
+	eng := core.CountLookups(mm)
 	s := core.NewSession(1, eng)
 	defer s.Close()
 	sum := NewAdd[int](eng)
@@ -191,10 +192,10 @@ func TestCountedReadViewStaysReadOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := eng.Lookups(); got != reads {
-		t.Fatalf("Lookups = %d, want %d (counted ReadView must count every access)", got, reads)
+	if got := core.LookupCount(eng); got != reads {
+		t.Fatalf("LookupCount = %d, want %d (counted ReadView must count every access)", got, reads)
 	}
-	if ms := eng.MergeStats(); ms.IdentityElisions != 1 {
+	if ms := mm.MergeStats(); ms.IdentityElisions != 1 {
 		t.Fatalf("IdentityElisions = %d, want 1", ms.IdentityElisions)
 	}
 	if got := sum.Value(); got != 0 {

@@ -146,31 +146,27 @@ type viewSlot[V any] struct {
 // already serialises the engines' view machinery: trace boundaries and
 // hypermerges bump it owner-side, unregisters and view-region growth bump
 // it cross-worker, so a cached *V can never outlive the untyped view it
-// shadows.  On a miss the handle resolves through Engine.LookupCached,
-// performing the single untyped lookup and one conversion, and re-stamps
-// the slot with the epoch sampled before that lookup.
+// shadows.  On a miss the handle resolves through the engine's LookupWord,
+// converts the word once, and re-stamps the slot with the epoch the engine
+// sampled before its probe.
 //
-// A handle built on an engine with lookup counting enabled routes every
-// access through the engine's counted Lookup instead (the instrumented
-// runs of the paper's figures need exact lookup counts); enable counting
-// before creating handles.
+// An engine that answers with epoch zero is never cached.  That is how a
+// lookup-counting engine (core.CountLookups) sees every access: the handle
+// needs no flag for it.
 type Handle[V any] struct {
 	eng core.Engine
 	r   *core.Reducer
-	// counted records, at construction, that the engine counts lookups;
-	// see the type comment.
-	counted bool
 	// mm and hm are the devirtualized miss paths, captured by a type switch
 	// at construction: at most one is non-nil, and a cache miss on it calls
-	// the engine's concrete LookupWordFast directly instead of dispatching
-	// through the Engine interface.  A third-party engine leaves both nil
-	// and misses resolve through the interface LookupWord, the retained
-	// slow/fallback path.
+	// the engine's concrete LookupWord directly instead of dispatching
+	// through the Engine interface.  Any other engine — third-party, or the
+	// counting wrapper — leaves both nil and misses resolve through the
+	// interface.
 	mm *core.MM
 	hm *hypermap.HM
 	// slots is the typed view cache, indexed by worker ID.  A worker of a
-	// larger runtime attached after construction falls back to the
-	// uncached typed lookup.
+	// larger runtime attached after construction has no slot and resolves
+	// uncached.
 	slots []viewSlot[V]
 }
 
@@ -193,10 +189,9 @@ func TryNewHandle[V any](eng core.Engine, m TypedMonoid[V]) (Handle[V], error) {
 		return Handle[V]{}, err
 	}
 	h := Handle[V]{
-		eng:     eng,
-		r:       r,
-		counted: eng.CountingLookups(),
-		slots:   make([]viewSlot[V], eng.Workers()),
+		eng:   eng,
+		r:     r,
+		slots: make([]viewSlot[V], eng.Workers()),
 	}
 	// Peel registration facades (core.JobSession and anything else exposing
 	// Underlying) before the type switch, so a handle registered through a
@@ -231,22 +226,16 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 // View returns the local view of the reducer for context c as a typed
 // pointer, for reading or mutation.  With a nil context (serial code
 // outside the scheduler) it returns the leftmost view, so typed reducers
-// degrade to ordinary variables exactly like the untyped Lookup path.
+// degrade to ordinary variables.
 //
 // The steady-state hit is an epoch load, two compares and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
-// counted handles, cache misses, written-bit stamping) lives in the
-// outlined viewMiss, keeping View itself under the compiler's inlining
-// budget so the hit path inlines into the caller's loop body; `make
-// inline-check` pins that.  A counted handle can never take the hit path
-// because it never populates its slots, so the hit check needs no counted
-// test.
+// cache misses, written-bit stamping) lives in the outlined viewMiss,
+// keeping View itself under the compiler's inlining budget so the hit path
+// inlines into the caller's loop body; `make inline-check` pins that.
 //
-// The miss path resolves the packed slot word through the engine's
-// concrete LookupWordFast (captured at construction, no interface
-// dispatch; see Handle.mm) and, being a mutable access, stamps the slot's
-// written bit, which exempts the view from the merge pipeline's
-// identity-view elision.
+// Being a mutable access, a miss stamps the slot's written bit, which
+// exempts the view from the merge pipeline's identity-view elision.
 func (h *Handle[V]) View(c *sched.Context) *V {
 	if c != nil {
 		// The id comes off the context, not the worker, so the slot fetch
@@ -257,47 +246,7 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 			}
 		}
 	}
-	return h.viewMiss(c)
-}
-
-// viewMiss is the outlined slow half of View: a cache miss, or a hit that
-// was resolved read-only and must revisit the engine once so the slot's
-// written bit gets stamped.
-func (h *Handle[V]) viewMiss(c *sched.Context) *V {
-	if c == nil {
-		return h.r.Value().(*V)
-	}
-	if h.counted {
-		return h.eng.Lookup(c, h.r).(*V)
-	}
-	w := c.Worker()
-	id := w.ID()
-	if id >= len(h.slots) {
-		// A worker of a larger runtime attached after construction: no
-		// cache slot, fall back to the uncached typed lookup.
-		return h.eng.Lookup(c, h.r).(*V)
-	}
-	s := &h.slots[id]
-	var word unsafe.Pointer
-	var epoch uint64
-	switch {
-	case h.mm != nil:
-		word, epoch = h.mm.LookupWordFast(c, h.r, true)
-	case h.hm != nil:
-		word, epoch = h.hm.LookupWordFast(c, h.r, true)
-	default:
-		word, epoch = h.eng.LookupWord(c, h.r, s.wepoch, true)
-	}
-	tv := (*V)(word)
-	if epoch != 0 {
-		// Engines return epoch zero for "do not cache" (retired
-		// handles); a worker running a context has passed BeginTrace,
-		// so its real epoch is never zero and the sentinel can never
-		// collide with a valid stamp.  A mutable resolution is readable
-		// too, so both stamps take the epoch.
-		s.ctx, s.wepoch, s.repoch, s.view = c, epoch, epoch, tv
-	}
-	return tv
+	return h.viewMiss(c, true)
 }
 
 // ReadView returns the local view for reading only.  It resolves exactly
@@ -316,48 +265,42 @@ func (h *Handle[V]) ReadView(c *sched.Context) *V {
 			}
 		}
 	}
-	return h.readViewMiss(c)
+	return h.viewMiss(c, false)
 }
 
-// readViewMiss is the outlined slow half of ReadView, mirroring viewMiss
-// with a read-only resolution: the written bit stays clear and the cache
-// slot records the view as unwritten, so a later View still revisits the
-// engine once to stamp it.
-func (h *Handle[V]) readViewMiss(c *sched.Context) *V {
+// viewMiss is the outlined slow half of View (mutable) and ReadView: a
+// cache miss, or a View of an entry that was resolved read-only and must
+// revisit the engine once so the slot's written bit gets stamped.
+func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 	if c == nil {
 		return h.r.Value().(*V)
 	}
-	if h.counted {
-		// Counted handles bypass their caches so instrumented runs keep
-		// exact lookup counts — but a read must still resolve through the
-		// read-only path (LookupWord counts it too), or counting would
-		// stamp the written bit and silently disable identity elision.
-		word, _ := h.eng.LookupWord(c, h.r, 0, false)
-		return (*V)(word)
-	}
-	w := c.Worker()
-	id := w.ID()
-	if id >= len(h.slots) {
-		return h.eng.Lookup(c, h.r).(*V)
-	}
-	s := &h.slots[id]
 	var word unsafe.Pointer
 	var epoch uint64
 	switch {
 	case h.mm != nil:
-		word, epoch = h.mm.LookupWordFast(c, h.r, false)
+		word, epoch = h.mm.LookupWord(c, h.r, 0, mutable)
 	case h.hm != nil:
-		word, epoch = h.hm.LookupWordFast(c, h.r, false)
+		word, epoch = h.hm.LookupWord(c, h.r, 0, mutable)
 	default:
-		word, epoch = h.eng.LookupWord(c, h.r, s.repoch, false)
+		word, epoch = h.eng.LookupWord(c, h.r, 0, mutable)
 	}
 	tv := (*V)(word)
-	if epoch != 0 {
-		// The resolution did not stamp the written bit, so it must not
-		// satisfy a later View hit: clear the write stamp (a still-valid
-		// wepoch would imply ctx == c and repoch == epoch, which would
-		// have hit above — so nothing valid is ever discarded here).
-		s.ctx, s.wepoch, s.repoch, s.view = c, 0, epoch, tv
+	// Epoch zero is the engine's "do not cache" (a retired handle, a
+	// counting engine); a worker running a context has passed BeginTrace,
+	// so its real epoch is never zero and the sentinel cannot collide with
+	// a valid stamp.
+	if id := c.WorkerID(); epoch != 0 && id < len(h.slots) {
+		// A mutable resolution is readable too, so it takes both stamps.  A
+		// read-only one did not stamp the written bit and must not satisfy
+		// a later View hit: it clears the write stamp (a still-valid wepoch
+		// would have hit in ReadView, so nothing valid is discarded).
+		wepoch := uint64(0)
+		if mutable {
+			wepoch = epoch
+		}
+		s := &h.slots[id]
+		s.ctx, s.wepoch, s.repoch, s.view = c, wepoch, epoch, tv
 	}
 	return tv
 }

@@ -53,7 +53,9 @@ func Mechanisms() []Mechanism { return []Mechanism{MemoryMapped, Hypermap} }
 type EngineOptions struct {
 	// Timing enables duration measurement of the reduce overheads.
 	Timing bool
-	// CountLookups enables lookup counting.
+	// CountLookups makes every program lookup reach the engine, so that
+	// core.LookupCount reports the program's lookups exactly: the engine is
+	// wrapped by core.CountLookups and typed handles on it keep no cache.
 	CountLookups bool
 	// ModelAddressSpace backs the memory-mapped engine's SPA pages with
 	// the simulated TLMM address space (ignored by the hypermap engine).
@@ -82,19 +84,18 @@ type EngineOptions struct {
 // NewEngine creates a reducer engine of the requested mechanism sized for
 // the given number of workers.
 func NewEngine(m Mechanism, workers int, opts EngineOptions) core.Engine {
+	var eng core.Engine
 	switch m {
 	case Hypermap:
-		return hypermap.New(hypermap.Config{
+		eng = hypermap.New(hypermap.Config{
 			Workers:         workers,
 			Timing:          opts.Timing,
-			CountLookups:    opts.CountLookups,
 			DirectoryShards: opts.DirectoryShards,
 		})
 	default:
-		return core.NewMM(core.MMConfig{
+		eng = core.NewMM(core.MMConfig{
 			Workers:                workers,
 			Timing:                 opts.Timing,
-			CountLookups:           opts.CountLookups,
 			ModelAddressSpace:      opts.ModelAddressSpace,
 			MergeBatchSize:         opts.MergeBatchSize,
 			ParallelMergeThreshold: opts.ParallelMergeThreshold,
@@ -102,6 +103,10 @@ func NewEngine(m Mechanism, workers int, opts EngineOptions) core.Engine {
 			AdaptiveMerge:          opts.AdaptiveMerge,
 		})
 	}
+	if opts.CountLookups {
+		eng = core.CountLookups(eng)
+	}
+	return eng
 }
 
 // NewSession creates a scheduler session backed by an engine of the
@@ -115,16 +120,6 @@ type Number interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 |
 		~float32 | ~float64
-}
-
-// mustRegister registers a monoid and panics on failure (nil monoid or
-// exhausted engine), which only happens on programmer error.
-func mustRegister(eng core.Engine, m core.Monoid) *core.Reducer {
-	r, err := eng.Register(m)
-	if err != nil {
-		panic(fmt.Sprintf("reducers: register: %v", err))
-	}
-	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -427,9 +422,8 @@ func (m *MapOf[K, V]) Value() map[K]V { return *m.Peek() }
 // Custom monoids
 // ---------------------------------------------------------------------------
 
-// CustomOf is a typed reducer over a user-supplied TypedMonoid: the typed
-// successor of Custom.  Callers mutate the *V returned by View according to
-// their own update semantics.
+// CustomOf is a typed reducer over a user-supplied TypedMonoid.  Callers
+// mutate the *V returned by View according to their own update semantics.
 type CustomOf[V any] struct {
 	Handle[V]
 }
@@ -442,51 +436,6 @@ func NewCustomOf[V any](eng core.Engine, m TypedMonoid[V]) *CustomOf[V] {
 // Value returns the reducer's current (leftmost) view.
 func (cu *CustomOf[V]) Value() *V { return cu.Peek() }
 
-// FuncMonoid adapts a pair of functions into a core.Monoid, for callers who
-// want a one-off custom reducer without defining a type.
-//
-// Deprecated: use TypedFuncMonoid with NewCustomOf, which keeps the view
-// typed end to end.
-type FuncMonoid struct {
-	IdentityFn func() any
-	ReduceFn   func(left, right any) any
-}
-
-// Identity implements core.Monoid.
-func (f FuncMonoid) Identity() any { return f.IdentityFn() }
-
-// Reduce implements core.Monoid.
-func (f FuncMonoid) Reduce(left, right any) any { return f.ReduceFn(left, right) }
-
-// Custom is a reducer over a user-supplied untyped monoid.
-//
-// Deprecated: use CustomOf, whose View returns a typed pointer instead of
-// an any that must be asserted on every access.
-type Custom struct {
-	eng core.Engine
-	r   *core.Reducer
-}
-
-// NewCustom registers a reducer for an arbitrary untyped monoid.
-//
-// Deprecated: use NewCustomOf with a TypedMonoid.
-func NewCustom(eng core.Engine, m core.Monoid) *Custom {
-	return &Custom{eng: eng, r: mustRegister(eng, m)}
-}
-
-// View returns the local view for the calling context; the caller mutates
-// it according to its own update semantics.
-func (cu *Custom) View(c *sched.Context) any { return cu.eng.Lookup(c, cu.r) }
-
-// Value returns the reducer's current (leftmost) view.
-func (cu *Custom) Value() any { return cu.r.Value() }
-
-// Reducer exposes the underlying reducer handle.
-func (cu *Custom) Reducer() *core.Reducer { return cu.r }
-
-// Close unregisters the reducer; Value remains readable.
-func (cu *Custom) Close() { cu.eng.Unregister(cu.r) }
-
 var (
 	_ TypedMonoid[int]            = addMonoid[int]{}
 	_ TypedMonoid[Extreme[int]]   = minMonoid[int]{}
@@ -497,6 +446,5 @@ var (
 	_ TypedMonoid[[]byte]         = stringMonoid{}
 	_ TypedMonoid[map[string]int] = mapMonoid[string, int]{}
 	_ TypedMonoid[int]            = TypedFuncMonoid[int]{}
-	_ core.Monoid                 = FuncMonoid{}
 	_ core.Monoid                 = typedMonoidAdapter[int]{}
 )

@@ -332,10 +332,9 @@ func TestCustomReducer(t *testing.T) {
 		count int
 		sum   float64
 	}
-	mon := FuncMonoid{
-		IdentityFn: func() any { return &stats{} },
-		ReduceFn: func(l, r any) any {
-			lv, rv := l.(*stats), r.(*stats)
+	mon := TypedFuncMonoid[stats]{
+		IdentityFn: func() *stats { return &stats{} },
+		ReduceFn: func(lv, rv *stats) *stats {
 			lv.count += rv.count
 			lv.sum += rv.sum
 			return lv
@@ -343,17 +342,17 @@ func TestCustomReducer(t *testing.T) {
 	}
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
 		s := testSession(t, m, 2)
-		cu := NewCustom(s.Engine(), mon)
+		cu := NewCustomOf[stats](s.Engine(), mon)
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelFor(0, 1000, func(c *sched.Context, i int) {
-				v := cu.View(c).(*stats)
+				v := cu.View(c)
 				v.count++
 				v.sum += float64(i)
 			})
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		got := cu.Value().(*stats)
+		got := cu.Value()
 		if got.count != 1000 || got.sum != 999*1000/2 {
 			t.Fatalf("stats = %+v", got)
 		}
@@ -429,9 +428,9 @@ func TestCloseAndSlotReuse(t *testing.T) {
 
 func TestOverheadInstrumentation(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
-		s := testSession(t, m, 4)
+		s := NewSession(m, 4, EngineOptions{Timing: true, CountLookups: true})
+		t.Cleanup(s.Close)
 		eng := s.Engine()
-		eng.SetCountLookups(true)
 		sum := NewAdd[int](eng)
 		const n = 256
 		if err := s.Run(func(c *sched.Context) {
@@ -442,7 +441,7 @@ func TestOverheadInstrumentation(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if got := eng.Lookups(); got != n {
+		if got := core.LookupCount(eng); got != n {
 			t.Fatalf("lookup count = %d, want %d", got, n)
 		}
 		ovh := eng.Overheads()
@@ -450,11 +449,9 @@ func TestOverheadInstrumentation(t *testing.T) {
 			t.Fatalf("expected non-zero timed overheads, got %s", ovh)
 		}
 		eng.ResetOverheads()
-		if eng.Overheads().Total() != 0 || eng.Lookups() != 0 {
+		if eng.Overheads().Total() != 0 || core.LookupCount(eng) != 0 {
 			t.Fatal("ResetOverheads did not clear counters")
 		}
-		eng.SetCountLookups(false)
-		eng.SetTiming(false)
 	})
 }
 

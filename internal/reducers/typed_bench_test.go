@@ -7,60 +7,6 @@ import (
 	"repro/internal/sched"
 )
 
-// The boxed* types replicate the seed's pre-generics reducer wrappers —
-// an interface Lookup plus a runtime type assertion on every update — so
-// the typed-vs-boxed benchmarks measure exactly the overhead the
-// generics-first API removes.
-
-type boxedAddView[T Number] struct{ v T }
-
-type boxedAddMonoid[T Number] struct{}
-
-func (boxedAddMonoid[T]) Identity() any { return &boxedAddView[T]{} }
-func (boxedAddMonoid[T]) Reduce(left, right any) any {
-	l := left.(*boxedAddView[T])
-	l.v += right.(*boxedAddView[T]).v
-	return l
-}
-
-type boxedAdd[T Number] struct {
-	eng core.Engine
-	r   *core.Reducer
-}
-
-func newBoxedAdd[T Number](eng core.Engine) *boxedAdd[T] {
-	return &boxedAdd[T]{eng: eng, r: mustRegister(eng, boxedAddMonoid[T]{})}
-}
-
-func (a *boxedAdd[T]) add(c *sched.Context, v T) {
-	a.eng.Lookup(c, a.r).(*boxedAddView[T]).v += v
-}
-
-type boxedListView[T any] struct{ items []T }
-
-type boxedListMonoid[T any] struct{}
-
-func (boxedListMonoid[T]) Identity() any { return &boxedListView[T]{} }
-func (boxedListMonoid[T]) Reduce(left, right any) any {
-	l := left.(*boxedListView[T])
-	l.items = append(l.items, right.(*boxedListView[T]).items...)
-	return l
-}
-
-type boxedList[T any] struct {
-	eng core.Engine
-	r   *core.Reducer
-}
-
-func newBoxedList[T any](eng core.Engine) *boxedList[T] {
-	return &boxedList[T]{eng: eng, r: mustRegister(eng, boxedListMonoid[T]{})}
-}
-
-func (l *boxedList[T]) pushBack(c *sched.Context, v T) {
-	view := l.eng.Lookup(c, l.r).(*boxedListView[T])
-	view.items = append(view.items, v)
-}
-
 // benchEachMechanism runs the benchmark body once per mechanism, on a
 // single worker so the numbers isolate the lookup path (no steals, no
 // merges — the steady state the paper's Figure 1 measures).
@@ -75,8 +21,8 @@ func benchEachMechanism(b *testing.B, fn func(b *testing.B, s *core.Session)) {
 }
 
 // BenchmarkTypedAdd is the typed steady-state update path: Add.Add through
-// Handle's per-context typed view cache.  Expect 0 allocs/op and fewer
-// ns/op than BenchmarkBoxedAdd on both engines.
+// Handle's per-context typed view cache.  Expect 0 allocs/op on both
+// engines.
 func BenchmarkTypedAdd(b *testing.B) {
 	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
 		sum := NewAdd[int64](s.Engine())
@@ -91,22 +37,6 @@ func BenchmarkTypedAdd(b *testing.B) {
 		if got := sum.Value(); got != int64(b.N) {
 			b.Fatalf("sum = %d, want %d", got, b.N)
 		}
-	})
-}
-
-// BenchmarkBoxedAdd is the seed's boxed update path — interface Lookup +
-// type assertion per update — kept as the baseline the typed API is
-// measured against.
-func BenchmarkBoxedAdd(b *testing.B) {
-	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
-		sum := newBoxedAdd[int64](s.Engine())
-		b.ReportAllocs()
-		b.ResetTimer()
-		_ = s.Run(func(c *sched.Context) {
-			for i := 0; i < b.N; i++ {
-				sum.add(c, 1)
-			}
-		})
 	})
 }
 
@@ -129,24 +59,6 @@ func BenchmarkTypedList(b *testing.B) {
 		if got := len(lst.Value()); got != b.N {
 			b.Fatalf("list length = %d, want %d", got, b.N)
 		}
-	})
-}
-
-// BenchmarkBoxedList is the boxed PushBack baseline, pre-grown like
-// BenchmarkTypedList.
-func BenchmarkBoxedList(b *testing.B) {
-	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
-		lst := newBoxedList[int64](s.Engine())
-		b.ReportAllocs()
-		_ = s.Run(func(c *sched.Context) {
-			view := lst.eng.Lookup(c, lst.r).(*boxedListView[int64])
-			view.items = make([]int64, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lst.pushBack(c, int64(i))
-			}
-			b.StopTimer()
-		})
 	})
 }
 
@@ -218,11 +130,9 @@ func BenchmarkRawSliceIndexBaseline(b *testing.B) {
 	})
 }
 
-// BenchmarkTypedAddRotating rotates over four reducers.  The engines'
-// single-entry per-context caches thrash under rotation, but every typed
-// handle keeps its own per-worker slot, so the typed path still serves
-// cache hits — the case where the handle-side cache beats the engine-side
-// cache outright.
+// BenchmarkTypedAddRotating rotates over four reducers.  Every typed handle
+// keeps its own per-worker slot, so rotation still serves handle-cache
+// hits.
 func BenchmarkTypedAddRotating(b *testing.B) {
 	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
 		sums := [4]*Add[int64]{}
@@ -235,28 +145,6 @@ func BenchmarkTypedAddRotating(b *testing.B) {
 			idx := 0
 			for i := 0; i < b.N; i++ {
 				sums[idx].Add(c, 1)
-				idx++
-				if idx == 4 {
-					idx = 0
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkBoxedAddRotating is the boxed four-reducer rotation baseline.
-func BenchmarkBoxedAddRotating(b *testing.B) {
-	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
-		sums := [4]*boxedAdd[int64]{}
-		for i := range sums {
-			sums[i] = newBoxedAdd[int64](s.Engine())
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		_ = s.Run(func(c *sched.Context) {
-			idx := 0
-			for i := 0; i < b.N; i++ {
-				sums[idx].add(c, 1)
 				idx++
 				if idx == 4 {
 					idx = 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 )
 
@@ -161,27 +162,35 @@ func TestTypedNilContextSerialPath(t *testing.T) {
 }
 
 // TestTypedHandleCountedRouting pins the instrumentation contract: a handle
-// created on an engine with lookup counting enabled routes every access
-// through the engine's counted Lookup (its own cache would hide hits from
-// the paper's lookup-count figures).
+// created on a lookup-counting engine — directly or through a per-job
+// registration session — sends every access to the engine (its own cache
+// would hide hits from the paper's lookup-count figures).
 func TestTypedHandleCountedRouting(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
 		s := NewSession(m, 1, EngineOptions{CountLookups: true})
 		t.Cleanup(s.Close)
 		sum := NewAdd[int](s.Engine())
+		js := core.NewJobSession(s.Engine())
+		defer js.Retire()
+		scoped := NewAdd[int](js)
 		const n = 100
 		if err := s.Run(func(c *sched.Context) {
 			for i := 0; i < n; i++ {
 				sum.Add(c, 1)
+				_ = *scoped.ReadView(c)
+				scoped.Add(c, 1)
 			}
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if got := s.Engine().Lookups(); got != n {
-			t.Fatalf("counted engine saw %d lookups, want %d (typed cache must not swallow counted lookups)", got, n)
+		if got := core.LookupCount(s.Engine()); got != 3*n {
+			t.Fatalf("counted engine saw %d lookups, want %d (typed cache must not swallow counted lookups)", got, 3*n)
 		}
 		if got := sum.Value(); got != n {
 			t.Fatalf("sum = %d, want %d", got, n)
+		}
+		if got := scoped.Value(); got != n {
+			t.Fatalf("job-scoped sum = %d, want %d", got, n)
 		}
 	})
 }

@@ -11,19 +11,6 @@ type Context struct {
 	// keeps that index off the c.w load's dependency chain, so the slot
 	// fetch and the view-epoch load issue in parallel.
 	wid int32
-
-	// Single-entry reducer-lookup cache: the last (key, view) pair a
-	// reducer engine resolved through this context, valid only while
-	// cacheEpoch matches the worker's view epoch.  A context lives exactly
-	// as long as one trace, so the cache can never leak views across
-	// steals; the epoch additionally invalidates it when a hypermerge or a
-	// nested trace changes the views beneath a still-live context.  The
-	// key is the reducer's engine-unique id — an integer compare keeps the
-	// miss penalty to a couple of cycles, where an interface-typed key
-	// would pay a runtime equality call on the hot path.
-	cacheKey   uint64
-	cacheView  any
-	cacheEpoch uint64
 }
 
 // Worker returns the worker executing this context.
@@ -35,31 +22,9 @@ func (c *Context) WorkerID() int { return int(c.wid) }
 
 // ViewEpoch returns the executing worker's current view epoch — the
 // context-level twin of Worker().ViewEpoch(), for callers that hold only
-// the context.  Typed reducer handles and the engines' devirtualized
-// lookup fast paths compare cached epochs against it on every hit, so it
-// must stay a single inlinable atomic load.
+// the context.  Typed reducer handles compare their cached epochs against
+// it on every hit, so it must stay a single inlinable atomic load.
 func (c *Context) ViewEpoch() uint64 { return c.w.viewEpoch.Load() }
-
-// CachedView returns the view this context last cached for key, if the
-// cache is still valid (same key, same worker view epoch).  Reducer engines
-// use it to skip the SPA walk (or hash lookup) when a loop body repeatedly
-// looks up the same reducer.  Keys must be nonzero: engines use reducer
-// ids, which start at 1 and are never recycled, so a fresh context's zero
-// key can never produce a false hit.
-func (c *Context) CachedView(key uint64) (any, bool) {
-	if c.cacheKey == key && c.cacheEpoch == c.w.viewEpoch.Load() {
-		return c.cacheView, true
-	}
-	return nil, false
-}
-
-// CacheView records key's resolved view in the context's single-entry
-// lookup cache, stamped with the worker's current view epoch.
-func (c *Context) CacheView(key uint64, view any) {
-	c.cacheKey = key
-	c.cacheView = view
-	c.cacheEpoch = c.w.viewEpoch.Load()
-}
 
 // Runtime returns the owning runtime.
 func (c *Context) Runtime() *Runtime { return c.w.rt }

@@ -1,12 +1,15 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestContextAccessorsMirrorWorker pins the two context-level accessors the
 // typed lookup fast path leans on: WorkerID must equal the executing
 // worker's ID on every context the runtime hands out (root and both fork
 // branches, stolen or not), and ViewEpoch must track the worker's live
-// epoch through invalidations.
+// epoch through bumps.
 func TestContextAccessorsMirrorWorker(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
@@ -23,15 +26,19 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 		c.Fork(check, check)
 
 		before := c.ViewEpoch()
-		c.Worker().InvalidateLookupCache()
+		c.Worker().BumpViewEpoch()
 		if got := c.ViewEpoch(); got != before+1 {
-			t.Errorf("ViewEpoch after invalidation = %d, want %d", got, before+1)
-		}
-		c.Worker().PublishViewInvalidation()
-		if got := c.ViewEpoch(); got != before+2 {
-			t.Errorf("ViewEpoch after publication = %d, want %d", got, before+2)
+			t.Errorf("ViewEpoch after a bump = %d, want %d", got, before+1)
 		}
 	}); err != nil {
 		t.Fatalf("RunAndMerge: %v", err)
+	}
+}
+
+// TestContextStaysTwoWords pins the context's size: one is allocated with
+// every task, and it carries the worker and its id, nothing else.
+func TestContextStaysTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(Context{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Context{}) = %d, want 16", got)
 	}
 }

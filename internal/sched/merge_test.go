@@ -98,29 +98,3 @@ func TestForkMergeTasksPanicPropagates(t *testing.T) {
 		t.Fatalf("runtime unusable after merge-task panic: n=%d err=%v", n, err)
 	}
 }
-
-// TestContextLookupCacheEpoch checks the single-entry cache honours both the
-// key and the worker's view epoch.
-func TestContextLookupCacheEpoch(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	err := rt.RunAndMerge(func(c *Context) {
-		if _, ok := c.CachedView(1); ok {
-			t.Error("fresh context reported a cached view")
-		}
-		c.CacheView(1, "v1")
-		if v, ok := c.CachedView(1); !ok || v != "v1" {
-			t.Errorf("cache miss after store: %v %v", v, ok)
-		}
-		if _, ok := c.CachedView(2); ok {
-			t.Error("cache hit for a different key")
-		}
-		c.Worker().InvalidateLookupCache()
-		if _, ok := c.CachedView(1); ok {
-			t.Error("cache survived an epoch bump")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

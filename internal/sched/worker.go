@@ -41,18 +41,16 @@ type Worker struct {
 	// local is per-worker storage for the reducer mechanism.
 	local any
 
-	// viewEpoch is bumped by the reducer mechanism whenever the worker's
-	// view state may have changed under an existing context — a trace
-	// boundary or a hypermerge (InvalidateLookupCache, owner-side), or a
-	// cross-worker publication such as a reducer being unregistered or the
-	// directory's view regions growing (PublishViewInvalidation, any
-	// goroutine).  The per-context single-entry lookup cache is valid only
-	// while its recorded epoch matches, so any of those events silently
-	// invalidates every cache built before it.  The counter is atomic so
-	// non-owner publishers can bump it, and padded onto its own cache line
-	// so a publication sweep does not invalidate the lines holding the
-	// owner's other hot fields; the owner's fast-path read is a single
-	// read-mostly atomic load.
+	// viewEpoch is bumped (BumpViewEpoch) by the reducer mechanism whenever
+	// the worker's view state may have changed under an existing context:
+	// owner-side at a trace boundary or after a hypermerge, and from any
+	// goroutine when a reducer is unregistered or the directory's view
+	// regions grow.  Typed reducer handles serve a cached view only while
+	// the epoch they stamped it with still matches, so any of those events
+	// silently invalidates every cache entry built before it.  The counter
+	// is padded onto its own cache line so a cross-worker bump does not
+	// invalidate the lines holding the owner's other hot fields; the
+	// owner's fast-path read is a single read-mostly atomic load.
 	_         [64]byte
 	viewEpoch atomic.Uint64
 	_         [56]byte
@@ -120,29 +118,19 @@ func (w *Worker) SetLocal(v any) { w.local = v }
 // CurrentTrace returns the worker's current reducer trace.
 func (w *Worker) CurrentTrace() Trace { return w.curTrace }
 
-// InvalidateLookupCache bumps the worker's view epoch, invalidating every
-// per-context lookup cache built against the previous epoch.  Reducer
-// mechanisms call it whenever the views a context might have cached can
-// change beneath it: at trace boundaries and after hypermerges.  It must be
-// called from the worker's own goroutine; other goroutines use
-// PublishViewInvalidation.
-func (w *Worker) InvalidateLookupCache() { w.viewEpoch.Add(1) }
+// BumpViewEpoch advances the worker's view epoch, invalidating every view
+// a typed reducer handle cached against the previous one.  Reducer
+// mechanisms call it whenever the views a context resolved can change
+// beneath it: on the worker's own goroutine at trace boundaries and after
+// hypermerges, and from any goroutine when a reducer is unregistered (its
+// slot may be recycled) or the directory's view regions grow.
+func (w *Worker) BumpViewEpoch() { w.viewEpoch.Add(1) }
 
 // ViewEpoch returns the worker's current view epoch.  Typed reducer
 // handles stamp their per-worker cached views with it: a cached view is
-// served only while the stamp still equals the worker's epoch, so every
-// event that calls InvalidateLookupCache or PublishViewInvalidation
-// silently invalidates those caches too.  Safe from any goroutine.
+// served only while the stamp still equals the worker's epoch.  Safe from
+// any goroutine.
 func (w *Worker) ViewEpoch() uint64 { return w.viewEpoch.Load() }
-
-// PublishViewInvalidation is the cross-worker half of the view-epoch
-// mechanism: it bumps this worker's view epoch from any goroutine.  Reducer
-// mechanisms use it as the publication hook for events that change shared
-// view metadata out from under running contexts — a reducer unregistered
-// mid-run (its slot may be recycled), or the directory's per-worker view
-// regions growing — so that every context's cached view is re-resolved
-// against the newly published state on its next lookup.
-func (w *Worker) PublishViewInvalidation() { w.viewEpoch.Add(1) }
 
 // Steals returns the number of successful steals this worker has performed.
 func (w *Worker) Steals() int64 { return w.nSteals.Load() }

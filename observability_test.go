@@ -54,7 +54,6 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 	s := cilkm.New(
 		cilkm.WithMechanism(cilkm.MemoryMapped),
 		cilkm.WithWorkers(4),
-		cilkm.WithCountLookups(),
 		cilkm.WithMetricsExporter(exp),
 	)
 	defer s.Close()
@@ -74,8 +73,7 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 		"cilkm_merge_batches_total.mm":     ms.Batches,
 		"cilkm_stale_view_drops_total.mm":  ms.StaleViewDrops,
 		"cilkm_identity_elisions_total.mm": ms.IdentityElisions,
-		"cilkm_lookup_cache_hits_total.mm": ms.CacheHits,
-		"cilkm_lookups_total.mm":           mm.Lookups(),
+		"cilkm_lookups_total.mm":           cilkm.LookupCount(mm),
 	} {
 		got, ok := m[name]
 		if !ok {
@@ -132,8 +130,8 @@ func TestExporterMatchesStatsHypermap(t *testing.T) {
 
 	eng := s.Engine()
 	m := exp.ExpvarMap()
-	if got, want := int64(m["cilkm_lookups_total.hypermap"]), eng.Lookups(); got != want {
-		t.Errorf("cilkm_lookups_total.hypermap = %d, engine reports %d", got, want)
+	if got, want := int64(m["cilkm_lookups_total.hypermap"]), cilkm.LookupCount(eng); got != want || want == 0 {
+		t.Errorf("cilkm_lookups_total.hypermap = %d, engine reports %d, want equal and nonzero", got, want)
 	}
 	if m["cilkm_sched_steals_total"] <= 0 {
 		t.Error("cilkm_sched_steals_total = 0, want steals on a fork-heavy run")

@@ -5,14 +5,14 @@
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
 # the slot probe and owner-stamp check into the memory-mapped engine's
-# LookupWordFast, the bucket-head probe into the hypermap engine's
-# LookupWordFast, and the worker-id/epoch accessors into the handle's View
-# and ReadView.  None of that is visible in a test — a regression (say, a
-# helper growing past the 80-node inlining budget) silently turns a
-# single-deref hit into a call chain.  This script greps the compiler's
-# -gcflags=-m diagnostics for the exact decisions the fast path relies on
-# and fails when any is gone.  The build cache replays diagnostics, so the
-# check is stable across warm runs.
+# LookupWord, the bucket-head probe into the hypermap engine's LookupWord,
+# and the worker-id/epoch accessors into the handle's View and ReadView.
+# None of that is visible in a test — a regression (say, a helper growing
+# past the 80-node inlining budget) silently turns a single-deref hit into
+# a call chain.  This script greps the compiler's -gcflags=-m diagnostics
+# for the exact decisions the fast path relies on and fails when any is
+# gone.  The build cache replays diagnostics, so the check is stable across
+# warm runs.
 #
 # Deliberately NOT asserted: `can inline (*Handle[go.shape.*]).View` — the
 # generic View body cannot inline (the outlined miss call alone costs 57 of
@@ -55,18 +55,18 @@ require 'internal/sched/context.go' 'can inline (*Context).ViewEpoch'
 require 'internal/sched/context.go' 'can inline (*Context).WorkerID'
 require 'internal/sched/worker.go' 'can inline (*Worker).ViewEpoch'
 
-# Layer 2: the memory-mapped engine's LookupWordFast hit shape is fully
+# Layer 2: the memory-mapped engine's LookupWord hit shape is fully
 # flattened — probe, owner-stamp check, view word and epoch all inline.
-require 'internal/core/lookupfast.go' 'inlining call to spa.(*MapSet).Probe'
-require 'internal/core/lookupfast.go' 'inlining call to spa.Slot.FastHit'
-require 'internal/core/lookupfast.go' 'inlining call to spa.Slot.View'
-require 'internal/core/lookupfast.go' 'inlining call to sched.(*Worker).ViewEpoch'
+require 'internal/core/mm.go' 'inlining call to spa.(*MapSet).Probe'
+require 'internal/core/mm.go' 'inlining call to spa.Slot.FastHit'
+require 'internal/core/mm.go' 'inlining call to spa.Slot.View'
+require 'internal/core/mm.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
-# Layer 2 (baseline engine): the hypermap LookupWordFast hit shape —
+# Layer 2 (baseline engine): the hypermap LookupWord hit shape —
 # bucket-head probe (hash included) and epoch inline.
-require 'internal/hypermap/lookupfast.go' 'inlining call to (*hashTable).probeHead'
-require 'internal/hypermap/lookupfast.go' 'inlining call to (*hashTable).hash'
-require 'internal/hypermap/lookupfast.go' 'inlining call to sched.(*Worker).ViewEpoch'
+require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).probeHead'
+require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).hash'
+require 'internal/hypermap/hypermap.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
 # Layer 3: the handle's View/ReadView hit checks use the inlined context
 # accessors (no call, no worker-struct detour on the id), and the concrete
@@ -79,7 +79,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'lookupfast|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"
