@@ -56,11 +56,13 @@ test:
 # race exercises the Chase–Lev deque's memory-ordering assumptions (the
 # concurrent stress tests in internal/sched), both reducer engines, the typed
 # reducers, and PBFS over its bag reducer (dist is filled with plain stores
-# before the first Run and claimed by CAS after it) under the race detector.
-# Run it on every scheduler change.
+# before the first Run and claimed by CAS after it) under the race detector,
+# then the scheduler again with 1, 2 and 4 Ps: the park/wake protocol is
+# barely exercised by a run with one.  Run it on every scheduler change.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/hypermap/... \
 		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
+	$(GO) test -race -cpu 1,2,4 ./internal/sched/
 
 # bench-check covers the benchmark/ module, which `go build ./...` and
 # `go test ./...` at the root do not descend into although it pins part of

@@ -138,10 +138,9 @@ func runServiceLeg(mech reducers.Mechanism, workers, rate, jobs, leafSpin int) (
 	eng := reducers.NewEngine(mech, workers, reducers.EngineOptions{})
 	rt := sched.New(sched.Config{Workers: workers, Reducers: eng})
 	svc := sched.NewService(rt, sched.ServiceConfig{
-		Admit:           sched.AdmitReject,
-		AdaptiveParking: true,
-		RootMerge:       eng.MergeRootDeposit,
-		Quiesce:         eng.Quiescent,
+		Admit:     sched.AdmitReject,
+		RootMerge: eng.MergeRootDeposit,
+		Quiesce:   eng.Quiescent,
 	})
 
 	row := &ServiceLatencyRow{Mechanism: mech, Rate: rate, Jobs: jobs}

@@ -230,9 +230,12 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 //
 // The steady-state hit is an epoch load, two compares and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
-// cache misses, written-bit stamping) lives in the outlined viewMiss,
-// keeping View itself under the compiler's inlining budget so the hit path
-// inlines into the caller's loop body; `make inline-check` pins that.
+// cache misses, written-bit stamping) lives in the outlined viewMiss.
+// View itself does not inline into its caller — the outlined miss call
+// alone takes 57 of the compiler's 80-node budget, and -gcflags=-m=2 prices
+// the body at 121 — so an update loop makes one direct call to the
+// monomorphized View per access, and what `make inline-check` pins is that
+// the interior of that call is flat: WorkerID and ViewEpoch inline into it.
 //
 // Being a mutable access, a miss stamps the slot's written bit, which
 // exempts the view from the merge pipeline's identity-view elision.

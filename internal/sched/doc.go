@@ -11,6 +11,10 @@
 // serial fast path (no steal) performs no reducer-related work at all,
 // matching the property the paper's overhead accounting relies on.
 //
+// An idle worker parks, and is woken by the push, Run or Submit that gives
+// it something to do; how long it first keeps looking is set by what a
+// wake-up is measured to cost the callers it serves (idle.go).
+//
 // The runtime keeps per-worker padded counters (forks, steals, merge
 // tasks, deque depth) that Stats aggregates lock-free; Runtime implements
 // metrics.Source, so the same counters can be scraped live through the

@@ -1,0 +1,164 @@
+package sched
+
+import (
+	"time"
+
+	"repro/internal/metrics"
+)
+
+// This file is the worker's idle policy: when a worker that has found no
+// work should stop looking and park.
+//
+// Parking is free while the worker sleeps and costs one wake-up when the
+// next job arrives; sweeping costs CPU for as long as it lasts and nothing
+// when the job arrives.  This is the ski-rental problem, and the policy is
+// its classic answer: keep sweeping for a fixed multiple of what one
+// wake-up costs, then park, so that neither the CPU spent nor the latency
+// added is ever more than a constant factor from the best choice in
+// hindsight.  What a wake-up costs is measured, not configured.  Every root
+// and service job is stamped when it is queued, and a worker whose first
+// sweep after an unpark picks one up folds pickup − queued into its own
+// estimate.  A caller that blocks after Run or Submit hands its P to the
+// worker it readied, the estimate stays near 1 µs and the worker parks
+// exactly as it would without this file.  A submitter that keeps running
+// leaves the readied worker in its P's runnext slot until another M has been
+// futex-woken and steals it, the estimate reads what that took, and the
+// worker stays warm across gaps of that order.
+//
+// Only a worker whose last pickup was a root or a service job stays warm.
+// Keeping thieves (and waitJoin) warm the same way was measured and lost:
+// a stolen half of a 25 µs Run costs more in view creation and hypermerge
+// than it saves (docs/ARCHITECTURE.md, "no dispatcher goroutine").
+
+const (
+	// parkSweeps is how many empty sweeps a worker makes before it
+	// considers parking, in loop and in waitJoin alike: four sweeps of a
+	// few deques are ≈ 0.1 µs, which rides out the instant between a
+	// victim's pop and its next push.  More is worse: at 32, which the
+	// knob this replaces used while a service was busy, thieves stole
+	// halves of 10 µs jobs and service_closed ran 40 k jobs/s, not 50 k.
+	parkSweeps = 4
+
+	// warmSkipNS is the estimate below which a worker skips the warm phase
+	// and parks at once.  A handed-over P runs the woken worker about 1 µs
+	// after the stamp (TestIdleClosedLoopNeverWarms, 50 runs on 2 vCPUs:
+	// estimate 0.3–2.5 µs), and one yield-paced sweep is ≈ 0.5 µs, so below
+	// a few µs the phase has nothing to save.
+	warmSkipNS = 4_000
+
+	// warmFactor is how many estimates long the warm phase is.  A wake-up
+	// delays not only the job that caused it but every arrival behind it:
+	// on Poisson arrivals 67 µs apart with a 95 µs estimate (service_open
+	// on the 2-vCPU sizing box), one estimate let 30 % of the idle periods
+	// outlast the phase and 45 % of all jobs still queued behind a
+	// wake-up (pooled latency p50 34–47 µs, p75 108–124 µs); two estimates
+	// leave 9 % and 17 % (p50 18–19 µs, p75 60–108 µs), and the rarer
+	// wake-ups also give the OS fewer chances to put the woken thread on
+	// the submitter's CPU.  Holding the phase at warmCapNS whatever the
+	// estimate read the same as two.
+	warmFactor = 2
+
+	// resampleEvery is how many consecutive warm pickups a worker makes
+	// before it parks once to measure a wake-up again: often enough that an
+	// estimate left behind by a submitter that has since begun to block is
+	// gone within a few thousand jobs, rarely enough that under steady
+	// open-loop traffic one job in 256 pays for it.
+	resampleEvery = 256
+
+	// warmCapNS bounds a sample and the warm phase, and with it how long an
+	// idle worker holds a P after its last job.  The wake-up of a worker
+	// readied by a submitter that does not block measured 70–110 µs on a
+	// 2-vCPU VM (service_open's sched.queue_wait_us_p50 before this
+	// policy: 84 µs), so 200 µs is two of those; it leaves room for a
+	// slower host and still hands every P back well inside 1 ms
+	// (TestIdleParksWhenTrafficStops).
+	warmCapNS = 200_000
+)
+
+var clockBase = time.Now()
+
+// nanotime is the monotonic clock of the queued stamps and the warm
+// deadline: one runtime clock read, no wall-clock part.
+func nanotime() int64 { return int64(time.Since(clockBase)) }
+
+// idlePolicy is one worker's share of the policy.  Every field is written
+// by the owning worker only; the three counters are published for
+// SampleMetrics by single-writer stores, so the sweep performs no locked
+// read-modify-write.
+type idlePolicy struct {
+	// unparked is set by an unpark and consumed by the sweep that follows
+	// it: only a pickup made by that sweep measures a wake-up.
+	unparked bool
+	// warm is set while the worker's last productive pickup was a root or
+	// a service job and the warm phase it earned has not expired.  A steal
+	// clears it: thieves are not kept warm.
+	warm bool
+	// warmUntil is the deadline of the warm phase in progress, 0 when the
+	// phase has not begun.
+	warmUntil int64
+	// lastSample is the previous wake-up sample.  The estimate moves a
+	// sixteenth of the way to the smaller of two consecutive samples: 2–3 %
+	// of a blocking caller's hand-overs take 10–50 µs instead of 1 (the
+	// readied worker is stolen by a thread that was itself just woken), and
+	// neither one of those nor two in a row may open warm phases, while
+	// twenty samples of a slow wake-up are enough to learn it.
+	lastSample int64
+	// unsampled counts the warm pickups since the last sample.  A worker
+	// that is always caught warm never parks, so nothing measures what a
+	// wake-up costs its callers now; after resampleEvery of them it parks
+	// once regardless, to find out.
+	unsampled int
+
+	parkCost     metrics.PaddedCounter // estimate of one wake-up, ns
+	warmPickups  metrics.PaddedCounter // roots and jobs picked up inside a warm phase
+	warmExpiries metrics.PaddedCounter // warm phases that ran out and parked
+}
+
+// tookRoot records that the worker picked up a root or a service job that
+// was queued at queuedAt.
+func (p *idlePolicy) tookRoot(queuedAt int64) {
+	switch {
+	case p.unparked:
+		sample := min(nanotime()-queuedAt, warmCapNS)
+		est := p.parkCost.Load()
+		p.parkCost.Store(est + (min(sample, p.lastSample)-est)/16)
+		p.lastSample = sample
+		p.unparked = false
+		p.unsampled = 0
+	case p.warmUntil != 0:
+		p.warmPickups.Store(p.warmPickups.Load() + 1)
+		p.unsampled++
+	}
+	p.warm, p.warmUntil = true, 0
+}
+
+// tookSteal records that the worker stole a task, which ends any claim to
+// a warm phase.
+func (p *idlePolicy) tookSteal() {
+	p.unparked, p.warm, p.warmUntil = false, false, 0
+}
+
+// stayWarm reports whether the worker, having found nothing, should yield
+// and sweep again instead of parking.  The first call after a root or job
+// opens the phase, if the estimate is worth one; later calls hold it open
+// until its deadline.
+func (p *idlePolicy) stayWarm() bool {
+	if !p.warm {
+		return false
+	}
+	if p.warmUntil == 0 {
+		est := p.parkCost.Load()
+		if est < warmSkipNS || p.unsampled >= resampleEvery {
+			p.warm, p.unsampled = false, 0
+			return false
+		}
+		p.warmUntil = nanotime() + min(warmFactor*est, warmCapNS)
+		return true
+	}
+	if nanotime() < p.warmUntil {
+		return true
+	}
+	p.warm, p.warmUntil = false, 0
+	p.warmExpiries.Store(p.warmExpiries.Load() + 1)
+	return false
+}

@@ -24,6 +24,20 @@ func (rt *Runtime) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_sched_parallel_for_splits_total", "Splits performed by ParallelFor.", s.ParallelForSpl)
 	counter("cilkm_sched_worker_parks_total", "Worker park transitions (a registration that backs out at the recheck is not counted).", rt.parks.Load())
 	counter("cilkm_sched_worker_unparks_total", "Worker unpark transitions.", rt.unparks.Load())
+	var parkCost, warmPickups, warmExpiries int64
+	for _, w := range rt.workers {
+		parkCost = max(parkCost, w.idle.parkCost.Load())
+		warmPickups += w.idle.warmPickups.Load()
+		warmExpiries += w.idle.warmExpiries.Load()
+	}
+	counter("cilkm_sched_warm_pickups_total", "Roots and service jobs picked up by a worker that stayed warm instead of parking.", warmPickups)
+	counter("cilkm_sched_warm_expiries_total", "Warm phases that ran out without a pickup, after which the worker parked.", warmExpiries)
+	emit(metrics.MetricSample{
+		Name:  "cilkm_sched_park_to_run_latency_ns",
+		Help:  "Measured cost of waking a parked worker (queued stamp to pickup right after an unpark), the largest per-worker estimate; a worker stays warm for at most this long.",
+		Kind:  metrics.KindGauge,
+		Value: float64(parkCost),
+	})
 	emit(metrics.MetricSample{
 		Name:  "cilkm_sched_max_deque_depth",
 		Help:  "High-water mark of any worker deque.",

@@ -21,9 +21,6 @@ type Config struct {
 	// Reducers is the reducer mechanism to notify about steals, view
 	// transferal and merges.  Nil disables reducer support.
 	Reducers ReducerRuntime
-	// StealAttemptsBeforePark bounds how many full victim sweeps a worker
-	// performs before parking.  Zero selects a default.
-	StealAttemptsBeforePark int
 }
 
 // Stats aggregates scheduler counters across workers.
@@ -61,13 +58,6 @@ type Runtime struct {
 	// instead of a dedicated dispatcher goroutine.
 	service atomic.Pointer[Service]
 
-	// spin is the adaptive park threshold: how many empty sweeps a worker
-	// tolerates before parking.  It starts at StealAttemptsBeforePark; a
-	// service with AdaptiveParking steers it with the live load (hot while
-	// jobs are in flight, 1 when idle so an embedding server gets its CPUs
-	// back).
-	spin atomic.Int32
-
 	// parks and unparks count actual worker park/unpark transitions (a
 	// registration that backs out at the recheck is not a park).
 	parks   atomic.Int64
@@ -80,10 +70,11 @@ type Runtime struct {
 
 // rootTask carries one Run invocation into the worker pool.
 type rootTask struct {
-	fn   func(*Context)
-	job  *job // cancellation token; nil for plain Run
-	done chan Deposit
-	err  chan any // contained panic value (*PanicError or cancellation token)
+	fn       func(*Context)
+	job      *job  // cancellation token; nil for plain Run
+	queuedAt int64 // nanotime just before the inbox send (idle.go)
+	done     chan Deposit
+	err      chan any // contained panic value (*PanicError or cancellation token)
 }
 
 // ErrClosed is returned by Run after Close has been called.
@@ -97,9 +88,6 @@ func New(cfg Config) *Runtime {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x9E3779B97F4A7C15
 	}
-	if cfg.StealAttemptsBeforePark <= 0 {
-		cfg.StealAttemptsBeforePark = 4
-	}
 	red := cfg.Reducers
 	if red == nil {
 		red = nopReducerRuntime{}
@@ -111,7 +99,6 @@ func New(cfg Config) *Runtime {
 		quit:     make(chan struct{}),
 		wake:     make(chan struct{}, cfg.Workers),
 	}
-	rt.spin.Store(int32(cfg.StealAttemptsBeforePark))
 	rt.workers = make([]*Worker, cfg.Workers)
 	for i := range rt.workers {
 		rt.workers[i] = newWorker(rt, i, cfg.Seed+uint64(i)*0x9E3779B97F4A7C15+1)
@@ -156,9 +143,10 @@ func (rt *Runtime) Run(fn func(*Context)) (Deposit, error) {
 	}
 	rt.stats.rootTasks.Add(1)
 	root := &rootTask{
-		fn:   fn,
-		done: make(chan Deposit, 1),
-		err:  make(chan any, 1),
+		fn:       fn,
+		queuedAt: nanotime(),
+		done:     make(chan Deposit, 1),
+		err:      make(chan any, 1),
 	}
 	select {
 	case rt.inbox <- root:
@@ -215,10 +203,11 @@ func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, 
 	}
 	rt.stats.rootTasks.Add(1)
 	root := &rootTask{
-		fn:   fn,
-		job:  &job{},
-		done: make(chan Deposit, 1),
-		err:  make(chan any, 1),
+		fn:       fn,
+		job:      &job{},
+		queuedAt: nanotime(),
+		done:     make(chan Deposit, 1),
+		err:      make(chan any, 1),
 	}
 	select {
 	case rt.inbox <- root:
@@ -355,17 +344,6 @@ func (rt *Runtime) signalWork() {
 		// worker is guaranteed a wakeup, so dropping this one is safe.
 	}
 }
-
-// setSpinAttempts adjusts the adaptive park threshold (minimum 1 sweep).
-func (rt *Runtime) setSpinAttempts(n int32) {
-	if n < 1 {
-		n = 1
-	}
-	rt.spin.Store(n)
-}
-
-// spinAttempts returns the current park threshold.
-func (rt *Runtime) spinAttempts() int { return int(rt.spin.Load()) }
 
 // takeServiceRoot polls the attached service's admission queue for the next
 // runnable job.  The no-service and empty-queue fast paths are one atomic

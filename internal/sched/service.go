@@ -18,12 +18,11 @@ import (
 // one-job-at-a-time Run API lacks: a bounded admission queue with a
 // configurable overload policy, per-job priorities and deadlines enforced at
 // the existing fork/steal/merge cancellation checkpoints, a watchdog that
-// cancels jobs whose steal/merge progress stops, adaptive worker parking
-// driven by the live load, and a graceful drain on Close that stops
-// admission, settles every in-flight job by policy, and verifies pool-wide
-// quiescence.  Jobs are dispatched by the pool's own workers: an idle worker
-// polls the admission queue after its steal sweep, so dispatch needs no
-// extra goroutine and scales with idle capacity.
+// cancels jobs whose steal/merge progress stops, and a graceful drain on
+// Close that stops admission, settles every in-flight job by policy, and
+// verifies pool-wide quiescence.  Jobs are dispatched by the pool's own
+// workers: an idle worker polls the admission queue after its steal sweep,
+// so dispatch needs no extra goroutine and scales with idle capacity.
 
 // AdmitPolicy selects what Submit does when the admission queue is full.
 type AdmitPolicy uint8
@@ -126,12 +125,6 @@ type ServiceConfig struct {
 	// a legitimate serial section longer than the window is flagged too —
 	// size the window for request-shaped fork-join jobs.  Zero disables.
 	Watchdog time.Duration
-	// AdaptiveParking lets the service steer how long idle workers spin
-	// before parking: while jobs are queued or running workers stay hot
-	// (longer steal sweeps before parking, lower dispatch latency), and
-	// when the service goes idle workers park after a single failed sweep
-	// so an embedding server gets its CPUs back.
-	AdaptiveParking bool
 	// RootMerge, when non-nil, is called by the finishing worker with a
 	// successful job's root deposit (the engine's MergeRootDeposit).  When
 	// nil the deposit is discarded through the runtime's reducer hooks.
@@ -195,6 +188,7 @@ type JobHandle struct {
 	job      *job
 	priority int
 	seq      uint64
+	queuedAt int64 // nanotime just before the heap push (idle.go)
 
 	// state is the queue-lifecycle state (jobState*), advanced by CAS so
 	// the dispatch/cancel race has exactly one winner.
@@ -642,12 +636,12 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 	}
 	s.seq++
 	h.seq = s.seq
+	h.queuedAt = nanotime()
 	heap.Push(&s.queue, h)
 	s.queuedLive.Add(1)
 	s.unsettled++
 	s.admitted.Add(1)
 	s.mu.Unlock()
-	s.updateSpin()
 	// Publish-then-signal: the queue store above happens-before this load
 	// of rt.parked (both sides use sequentially-consistent atomics), so a
 	// worker registering as parked either sees the queued job in its
@@ -705,7 +699,6 @@ func (s *Service) queuedEvicted(h *JobHandle) {
 	s.mu.Lock()
 	s.evictAccountingLocked()
 	s.mu.Unlock()
-	s.updateSpin()
 }
 
 // evictAccountingLocked adjusts the queue counters after an eviction and
@@ -779,7 +772,6 @@ func (s *Service) jobSettled(h *JobHandle) {
 	s.unsettled--
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.updateSpin()
 }
 
 // countCancel classifies a delivered cancellation for the metrics.
@@ -789,18 +781,6 @@ func (s *Service) countCancel(cause error) {
 		s.deadlineMisses.Add(1)
 	case errors.Is(cause, ErrStalled):
 		s.watchdogCancels.Add(1)
-	}
-}
-
-// updateSpin steers the adaptive parking level from the live load.
-func (s *Service) updateSpin() {
-	if !s.cfg.AdaptiveParking {
-		return
-	}
-	if s.queuedLive.Load() > 0 || s.runningCnt.Load() > 0 {
-		s.rt.setSpinAttempts(8 * int32(s.rt.cfg.StealAttemptsBeforePark))
-	} else {
-		s.rt.setSpinAttempts(1)
 	}
 }
 

@@ -537,7 +537,7 @@ func TestServiceCloseRacingSubmit(t *testing.T) {
 		if round%2 == 1 {
 			drain = DrainCancel
 		}
-		s := NewService(rt, ServiceConfig{Queue: 4, Drain: drain, AdaptiveParking: true})
+		s := NewService(rt, ServiceConfig{Queue: 4, Drain: drain})
 		const callers = 8
 		var wg sync.WaitGroup
 		handles := make([]*JobHandle, callers)
@@ -584,35 +584,5 @@ func TestServiceCloseRacingSubmit(t *testing.T) {
 		if err := rt.Quiescent(); err != nil {
 			t.Fatalf("round %d: pool not quiescent after drain: %v", round, err)
 		}
-	}
-}
-
-// TestServiceAdaptiveParking checks the spin threshold rises while jobs are
-// in flight and falls back to 1 when the service idles.
-func TestServiceAdaptiveParking(t *testing.T) {
-	rt := New(Config{Workers: 2, StealAttemptsBeforePark: 4})
-	s := NewService(rt, ServiceConfig{Queue: 4, AdaptiveParking: true})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	h, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-ran
-	if got := rt.spinAttempts(); got <= 4 {
-		t.Fatalf("spinAttempts under load = %d, want > 4", got)
-	}
-	close(release)
-	if err := h.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if got := rt.spinAttempts(); got != 1 {
-		t.Fatalf("spinAttempts idle = %d, want 1", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }

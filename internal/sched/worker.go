@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -81,6 +82,10 @@ type Worker struct {
 	forksLocal    int64
 	splitsLocal   int64
 	maxDequeLocal int64
+
+	// idle decides when loop parks (idle.go).  Owner-written; its
+	// counters are padded like the ones below.
+	idle idlePolicy
 
 	_ [64]byte // keep the counters off the owner's hot line
 
@@ -313,44 +318,56 @@ func (w *Worker) flushCounters() {
 	}
 }
 
-// loop is the worker's scheduling loop.  Parking follows a Dekker-style
-// protocol with signalWork: the worker registers itself in rt.parked and
-// then re-checks every deque, while a forking worker publishes its push and
-// then reads rt.parked.  Go atomics are sequentially consistent, so one of
-// the two always sees the other and no wakeup is lost — there is no timed
-// poll anywhere.
+// loop is the worker's scheduling loop: sweep the other deques, the inbox
+// and the service's admission queue; after parkSweeps empty sweeps either
+// stay warm (idle.go: yield the P and sweep again, for a time set by what a
+// wake-up is measured to cost) or park.  Parking follows a Dekker-style protocol
+// with signalWork: the worker registers itself in rt.parked and then
+// re-checks every deque, while a forking worker publishes its push and then
+// reads rt.parked.  Go atomics are sequentially consistent, so one of the
+// two always sees the other and no wakeup is lost — there is no timed poll
+// anywhere, and a warm worker is not registered, so it needs no signal.
 func (w *Worker) loop() {
 	rt := w.rt
 	rt.started.Done()
 	defer rt.stopped.Done()
-	attempts := 0
+	sweeps := 0
 	for {
 		if t := w.trySteal(); t != nil {
+			w.idle.tookSteal()
 			w.runTask(t)
-			attempts = 0
+			sweeps = 0
 			continue
 		}
 		select {
 		case root := <-rt.inbox:
+			w.idle.tookRoot(root.queuedAt)
 			w.runRoot(root)
-			attempts = 0
+			sweeps = 0
 			continue
 		default:
 		}
 		if h := rt.takeServiceRoot(); h != nil {
+			w.idle.tookRoot(h.queuedAt)
 			w.runServiceJob(h)
-			attempts = 0
+			sweeps = 0
 			continue
 		}
-		// Nothing found: spin up to the adaptive threshold (a service under
-		// load keeps idle workers sweeping so dispatch latency stays low),
-		// then register as parked and re-check for work that raced with the
+		w.idle.unparked = false
+		sweeps++
+		if sweeps < parkSweeps {
+			continue
+		}
+		if w.idle.stayWarm() {
+			// Callers, the service's clients and the collector get the P
+			// between sweeps; with nothing else runnable this returns at
+			// once.
+			runtime.Gosched()
+			continue
+		}
+		// Register as parked and re-check for work that raced with the
 		// registration before actually sleeping.
-		attempts++
-		if attempts < rt.spinAttempts() {
-			continue
-		}
-		attempts = 0
+		sweeps = 0
 		if faultinject.Enabled() && faultinject.Perturb(faultinject.SchedPark) {
 			continue // chaos: delay the park decision by one extra sweep
 		}
@@ -367,10 +384,13 @@ func (w *Worker) loop() {
 		case root := <-rt.inbox:
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
+			w.idle.unparked = true
+			w.idle.tookRoot(root.queuedAt)
 			w.runRoot(root)
 		case <-rt.wake:
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
+			w.idle.unparked = true
 		}
 	}
 }
@@ -615,7 +635,7 @@ func (w *Worker) waitJoin(j *join) {
 			continue
 		}
 		attempts++
-		if attempts < rt.spinAttempts() {
+		if attempts < parkSweeps {
 			continue
 		}
 		attempts = 0

@@ -121,15 +121,14 @@ func WithWatchdog(window time.Duration) Option {
 
 // NewService creates a resident service from the same functional options as
 // New (mechanism, workers, engine knobs, metrics exporter) plus the service
-// options (queue bound, admission and drain policies, watchdog).  Adaptive
-// worker parking is always on for a service: workers stay hot while jobs
-// are in flight and park after a single empty sweep when the service idles.
+// options (queue bound, admission and drain policies, watchdog).  How long
+// an idle worker keeps looking for the next job before it parks is measured
+// by the scheduler, not configured (internal/sched/idle.go).
 func NewService(opts ...Option) *Service {
 	o := buildOptions(opts)
 	eng := reducers.NewEngine(o.mech, o.workers, o.eng)
 	rt := sched.New(sched.Config{Workers: o.workers, Reducers: eng})
 	cfg := o.svc
-	cfg.AdaptiveParking = true
 	cfg.RootMerge = eng.MergeRootDeposit
 	cfg.Quiesce = eng.Quiescent
 	svc := sched.NewService(rt, cfg)
