@@ -49,8 +49,6 @@ type chaosPoint struct {
 var chaosPoints = []chaosPoint{
 	{id: faultinject.SchedSteal, rule: faultinject.Rule{Prob: 0.3}},
 	{id: faultinject.SchedPark, rule: faultinject.Rule{Prob: 0.5}},
-	{id: faultinject.SchedMergeFork, rule: faultinject.Rule{Prob: 0.5}},
-	{id: faultinject.MergeTask, rule: faultinject.Rule{Prob: 0.05, Limit: 3}},
 	{id: faultinject.PagepoolGetN, rule: faultinject.Rule{Prob: 0.15, Limit: 3}},
 	{id: faultinject.TLMMGrow, rule: faultinject.Rule{Prob: 0.5, Limit: 2}, storm: true},
 	{id: faultinject.DirectoryRegister, rule: faultinject.Rule{Prob: 0.3}, storm: true},
@@ -79,16 +77,13 @@ func chaosSeeds(t testing.TB) []uint64 {
 // newChaosSession builds a session tuned to reach every failpoint: the
 // modelled address space wires the TLMM failpoints in, a single directory
 // shard makes registrations fill SPA pages (and hence trigger growth)
-// deterministically, and tiny merge batching pushes hypermerges onto the
-// parallel fan-out path where the merge-task failpoints live.
+// deterministically.
 func newChaosSession(mech cilkm.Mechanism) *cilkm.Session {
 	return cilkm.New(
 		cilkm.WithMechanism(mech),
 		cilkm.WithWorkers(4),
 		cilkm.WithModelAddressSpace(),
 		cilkm.WithDirectoryShards(1),
-		cilkm.WithMergeBatchSize(2),
-		cilkm.WithParallelMergeThreshold(2),
 	)
 }
 
@@ -114,8 +109,8 @@ func assertContained(t *testing.T, err error) {
 
 // chaosJob runs one reducer-heavy fork-join job: a grain-1 parallel loop in
 // which every leaf touches every reducer, so steals produce deposits whose
-// hypermerges carry enough matched reduce pairs to take the parallel
-// fan-out path (where the merge-task failpoints live).
+// hypermerges carry matched reduce pairs (where the MonoidReduce failpoint
+// lives).
 func chaosJob(s *cilkm.Session, sums []*reducers.Add[int], iters int) error {
 	return s.RunErr(func(c *cilkm.Context) {
 		c.ParallelForGrain(0, iters, 1, func(c *cilkm.Context, i int) {
@@ -282,8 +277,6 @@ func chaosServiceRun(t *testing.T, mech cilkm.Mechanism, pt chaosPoint, seed uin
 		cilkm.WithWorkers(4),
 		cilkm.WithModelAddressSpace(),
 		cilkm.WithDirectoryShards(1),
-		cilkm.WithMergeBatchSize(2),
-		cilkm.WithParallelMergeThreshold(2),
 		cilkm.WithQueueBound(4),
 		cilkm.WithDrainPolicy(drain),
 	)

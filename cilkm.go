@@ -163,40 +163,15 @@ func WithModelAddressSpace() Option {
 	return func(o *options) { o.eng.ModelAddressSpace = true }
 }
 
-// WithMergeBatchSize sets the memory-mapped engine's hypermerge batch size;
-// zero keeps the default (ignored by the hypermap engine).
-func WithMergeBatchSize(n int) Option {
-	return func(o *options) { o.eng.MergeBatchSize = n }
-}
-
-// WithParallelMergeThreshold sets how many reduce pairs one hypermerge must
-// carry before the memory-mapped engine fans its batches out through the
-// scheduler; zero keeps the default (ignored by the hypermap engine).
-func WithParallelMergeThreshold(n int) Option {
-	return func(o *options) { o.eng.ParallelMergeThreshold = n }
-}
-
 // WithDirectoryShards sets the number of reducer-directory shards for
 // either engine; zero sizes the directory from the worker count.
 func WithDirectoryShards(n int) Option {
 	return func(o *options) { o.eng.DirectoryShards = n }
 }
 
-// WithAdaptiveMerge lets the memory-mapped engine retune its hypermerge
-// batching knobs (MergeBatchSize, ParallelMergeThreshold) from live
-// pipeline signals — reduce pairs per merge, batch occupancy, the
-// identity-elision rate — at trace boundaries.  Knobs set explicitly with
-// WithMergeBatchSize or WithParallelMergeThreshold stay fixed overrides
-// the tuner never touches.  Tuning only changes merge partitioning
-// granularity, never reduce order, so results are unchanged.  Ignored by
-// the hypermap engine.
-func WithAdaptiveMerge() Option {
-	return func(o *options) { o.eng.AdaptiveMerge = true }
-}
-
 // WithMetricsExporter registers the session's runtime signals on the given
 // exporter: the reducer engine (merge pipeline, arenas, directory, page
-// pool), the scheduler (steals, forks, merge tasks), and the
+// pool), the scheduler (steals, forks, parking), and the
 // fault-injection plan.  The exporter is an http.Handler — mount it to
 // serve Prometheus text format (default) or expvar JSON (?format=expvar):
 //

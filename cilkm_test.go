@@ -112,8 +112,6 @@ func TestFunctionalOptionsConstructor(t *testing.T) {
 			cilkm.WithWorkers(2),
 			cilkm.WithTiming(),
 			cilkm.WithDirectoryShards(1),
-			cilkm.WithMergeBatchSize(16),
-			cilkm.WithParallelMergeThreshold(64),
 		)
 		cu := cilkm.NewCustomOf[pair](s.Engine(), typedPairMonoid{})
 		if err := s.Run(func(c *cilkm.Context) {

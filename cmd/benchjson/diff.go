@@ -37,7 +37,7 @@ var headlineBenchmarks = map[string][]string{
 	"fork":         {"BenchmarkForkNoSteal", "BenchmarkForkNoStealDepth8"},
 	"steal":        {"BenchmarkStealThroughput"},
 	"lookup":       {"BenchmarkMMLookupRaw", "BenchmarkMMLookupViaInterface"},
-	"merge":        {"BenchmarkMergeSerial256", "BenchmarkMergeParallel1k", "BenchmarkMMMergeWritten100"},
+	"merge":        {"BenchmarkMerge256", "BenchmarkMerge1k", "BenchmarkMMMergeWritten100"},
 	"first-lookup": {"BenchmarkMMFirstLookupArena", "BenchmarkMMFirstLookupHeap"},
 }
 

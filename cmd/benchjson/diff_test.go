@@ -151,7 +151,7 @@ func TestNormalizeBenchName(t *testing.T) {
 		"BenchmarkForkNoSteal-128":        "BenchmarkForkNoSteal",
 		"BenchmarkForkNoStealDepth8":      "BenchmarkForkNoStealDepth8",
 		"BenchmarkTypedAdd/hypermap":      "BenchmarkTypedAdd/hypermap",
-		"BenchmarkMergeParallel1k":        "BenchmarkMergeParallel1k",
+		"BenchmarkMerge1k":                "BenchmarkMerge1k",
 		"BenchmarkRegisterChurn-foo-8":    "BenchmarkRegisterChurn-foo",
 		"BenchmarkForkNoSteal-race":       "BenchmarkForkNoSteal",
 		"BenchmarkForkNoSteal-short":      "BenchmarkForkNoSteal",

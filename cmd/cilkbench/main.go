@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cilkbench -experiment fig1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|mergepipe|manyreducers|faultoverhead|service|all \
+//	cilkbench -experiment fig1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|manyreducers|faultoverhead|service|all \
 //	          [-workers N] [-lookups N] [-reps N] [-scale F] [-graphs a,b,c] [-rates r1,r2] [-quick]
 //
 // The service experiment is not a paper figure: it drives the resident
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which figure to regenerate: fig1, fig5a, fig5b, fig6, fig7, fig8, fig9, fig10, mergepipe, manyreducers, faultoverhead, service, or all")
+		experiment = flag.String("experiment", "all", "which figure to regenerate: fig1, fig5a, fig5b, fig6, fig7, fig8, fig9, fig10, manyreducers, faultoverhead, service, or all")
 		workers    = flag.Int("workers", 0, "maximum worker count for parallel experiments (default 16)")
 		lookups    = flag.Int("lookups", 0, "number of reducer lookups per microbenchmark run (default 2,000,000)")
 		reps       = flag.Int("reps", 0, "repetitions per data point (default 3)")
@@ -102,7 +102,6 @@ func main() {
 		{"fig8", func() error { return runFig7(cfg, false, true) }},
 		{"fig9", func() error { return runFig9(cfg) }},
 		{"fig10", func() error { return runFig10(cfg, inputs) }},
-		{"mergepipe", func() error { return runMergePipe(cfg) }},
 		{"manyreducers", func() error { return runManyReducers(cfg) }},
 		{"faultoverhead", func() error { return runFaultOverhead(cfg) }},
 		{"service", func() error { return runService(cfg, *rates) }},
@@ -189,16 +188,6 @@ func runFig7(cfg bench.Config, printFig7, printFig8 bool) error {
 
 func runFig9(cfg bench.Config) error {
 	res, err := bench.RunFig9(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table())
-	fmt.Println()
-	return nil
-}
-
-func runMergePipe(cfg bench.Config) error {
-	res, err := bench.RunMergePipeline(cfg)
 	if err != nil {
 		return err
 	}

@@ -13,13 +13,16 @@ import (
 	cilkm "repro"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/reducers"
 )
 
-// TestReducePanicConservesResources arms the monoid/reduce failpoint so the
-// first hypermerge reduce of a job panics, and asserts — on both engines —
-// that the failure is contained, the pagepool is conserved (every page
-// fetched for view transferal came back), the view arenas balance, and the
-// engine produces exact results once the fault is gone.
+// TestReducePanicConservesResources arms the monoid/reduce failpoint so a
+// hypermerge reduce of a job panics — the first one after a real steal,
+// then the first, a middle and the last pair of a 300-pair deposit — and
+// asserts, on both engines, that the failure is contained, the pagepool is
+// conserved (every page fetched for view transferal came back), the view
+// arenas balance, and the engine produces exact results once the fault is
+// gone.
 func TestReducePanicConservesResources(t *testing.T) {
 	for _, mech := range cilkm.Mechanisms() {
 		mech := mech
@@ -84,6 +87,57 @@ func TestReducePanicConservesResources(t *testing.T) {
 			}
 			if err := s.Quiescent(); err != nil {
 				t.Fatalf("engine not quiescent after recovery: %v", err)
+			}
+
+			// The same fault at a chosen pair of a wide deposit, without
+			// needing a thief: the job drives one transferal and hypermerge
+			// on its own worker, over enough reducers to span two SPA pages.
+			// Whatever was merged, killed or still deposited when the reduce
+			// panicked must be settled exactly once.
+			const pairs = 300
+			sums := make([]*reducers.Add[int], pairs)
+			for i := range sums {
+				sums[i] = cilkm.NewAdd[int](s.Engine())
+			}
+			cycle := func(c *cilkm.Context) {
+				eng, w := s.Engine(), c.Worker()
+				for _, a := range sums {
+					a.Add(c, 1)
+				}
+				tr := eng.BeginTrace(w)
+				for _, a := range sums {
+					a.Add(c, 1)
+				}
+				d := eng.EndTrace(w, tr)
+				eng.Merge(w, w.CurrentTrace(), d)
+			}
+			for _, pair := range []uint64{0, pairs / 2, pairs - 1} {
+				deactivate := faultinject.Activate(faultinject.NewPlan(7).Arm(
+					faultinject.MonoidReduce, faultinject.Rule{Prob: 1, After: pair, Limit: 1}))
+				err := s.RunErr(cycle)
+				deactivate()
+				if !errors.As(err, &fault) || fault.ID != faultinject.MonoidReduce {
+					t.Fatalf("pair %d: job failed with %v, want a monoid/reduce fault", pair, err)
+				}
+				if qerr := s.Quiescent(); qerr != nil {
+					t.Fatalf("pair %d: engine not quiescent: %v", pair, qerr)
+				}
+				for i, a := range sums {
+					if got := a.Value(); got != 0 {
+						t.Fatalf("pair %d: failed job leaked %d into reducer %d", pair, got, i)
+					}
+				}
+			}
+			if err := s.RunErr(cycle); err != nil {
+				t.Fatalf("clean wide job after reduce panics: %v", err)
+			}
+			for i, a := range sums {
+				if got := a.Value(); got != 2 {
+					t.Fatalf("reducer %d = %d after the clean wide job, want 2", i, got)
+				}
+			}
+			if err := s.Quiescent(); err != nil {
+				t.Fatalf("engine not quiescent after the wide jobs: %v", err)
 			}
 		})
 	}

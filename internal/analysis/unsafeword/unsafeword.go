@@ -52,8 +52,6 @@ var DefaultAllow = strings.Join([]string{
 	"repro/internal/core.reducerOf",
 	// The per-worker view arena carves views out of pointer-free chunks.
 	"repro/internal/core.viewArena.alloc",
-	// The merge locality sort keys on view addresses (integer use only).
-	"repro/internal/core.sortOpsByLocality",
 	// The spa slot tag helpers: flags live in the stamp's low bits.
 	"repro/internal/spa.tagOwner",
 	"repro/internal/spa.untagOwner",

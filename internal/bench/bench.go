@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/reducers"
 	"repro/internal/sched"
@@ -152,6 +153,19 @@ func xorshift(x uint64) uint64 {
 func session(m reducers.Mechanism, workers int, timing bool) *core.Session {
 	eng := reducers.NewEngine(m, workers, reducers.EngineOptions{Timing: timing})
 	return core.NewSessionWithConfig(sched.Config{Workers: workers}, eng)
+}
+
+// export points the scrape endpoint, if there is one, at the session about
+// to run; registration replaces by name.
+func (c Config) export(s *core.Session) {
+	if c.Exporter == nil {
+		return
+	}
+	if src, ok := s.Engine().(metrics.Source); ok {
+		c.Exporter.Register("engine", src)
+	}
+	c.Exporter.Register("sched", s.Runtime())
+	c.Exporter.Register("faultinject", metrics.SourceFunc(faultinject.SampleMetrics))
 }
 
 // chunkSize is the number of lookups each parallel-loop iteration performs

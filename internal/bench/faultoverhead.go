@@ -129,7 +129,7 @@ func RunFaultOverhead(cfg Config) (*FaultOverheadResult, error) {
 		},
 		{
 			// The same add workload on four workers: steals deposit views
-			// and the hypermerge (with its merge-task failpoints) folds
+			// and the hypermerge (with its monoid/reduce failpoint) folds
 			// them back.
 			name: "merge (memory-mapped)",
 			ops:  cfg.Lookups,

@@ -55,6 +55,7 @@ func RunFig7(cfg Config) (*Fig7Result, error) {
 		}
 		for _, mech := range reducers.Mechanisms() {
 			s := session(mech, workers, true)
+			cfg.export(s)
 			var agg metrics.Breakdown
 			var steals int64
 			sample, err := measure(cfg.Repetitions, func() (time.Duration, error) {

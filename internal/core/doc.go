@@ -29,10 +29,9 @@
 // Around that mechanism the package grows the runtime pieces a resident
 // engine needs: a sharded lock-free reducer directory (type Directory),
 // per-worker size-classed view arenas that recycle identity views through
-// the merge, a batched hypermerge pipeline that fans out through the
-// scheduler past a threshold, and — behind MMConfig.AdaptiveMerge — a
-// tuner (mergetune.go) that retunes the batching knobs from the live
-// pipeline counters at trace boundaries.  MM implements metrics.Source, so
-// every one of those counters is exportable on a scrape endpoint; see
-// docs/OBSERVABILITY.md at the repository root.
+// the merge, and a hypermerge that is one walk over the deposit's occupied
+// slots, reducing each matched pair in place on the worker that owns the
+// join.  MM implements metrics.Source, so every counter those pieces keep
+// is exportable on a scrape endpoint; see docs/OBSERVABILITY.md at the
+// repository root.
 package core

@@ -1,11 +1,17 @@
 package core_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 )
 
@@ -27,5 +33,57 @@ func TestEngineSurface(t *testing.T) {
 	}
 	if lookups != 1 {
 		t.Errorf("core.Engine has %d Lookup* methods, want exactly one (LookupWord)", lookups)
+	}
+}
+
+// TestOptionSurface pins every independently settable value of the engine
+// configuration — the exported cilkm.With* functions of the root package
+// and the fields of core.MMConfig and reducers.EngineOptions — so a knob
+// cannot (re)appear without an edit here that says which two callers need
+// different values.
+func TestOptionSurface(t *testing.T) {
+	fields := func(typ reflect.Type) []string {
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		return names
+	}
+	if got, want := fields(reflect.TypeFor[core.MMConfig]()),
+		[]string{"Workers", "Timing", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {
+		t.Errorf("core.MMConfig fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeFor[reducers.EngineOptions]()),
+		[]string{"Timing", "CountLookups", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {
+		t.Errorf("reducers.EngineOptions fields = %v, want %v", got, want)
+	}
+
+	files, err := filepath.Glob("../../*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("root package sources: %v (%d files)", err, len(files))
+	}
+	var withs []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+				withs = append(withs, fn.Name.Name)
+			}
+		}
+	}
+	slices.Sort(withs)
+	want := []string{
+		"WithAdmitPolicy", "WithCountLookups", "WithDirectoryShards", "WithDrainPolicy",
+		"WithMechanism", "WithMetricsExporter", "WithModelAddressSpace", "WithOnDone",
+		"WithPriority", "WithQueueBound", "WithTimeout", "WithTiming", "WithWatchdog", "WithWorkers",
+	}
+	if !slices.Equal(withs, want) {
+		t.Errorf("cilkm.With* = %v, want %v", withs, want)
 	}
 }

@@ -7,16 +7,12 @@ import (
 	"repro/internal/sched"
 )
 
-// benchMergeCycle measures one full pipeline cycle — begin a trace, touch
+// benchMergeCycle measures one full trace cycle — begin a trace, touch
 // every reducer, transfer the views out in one bulk page fetch, and
-// hypermerge the deposit back — for a given width and batching config.
-func benchMergeCycle(b *testing.B, nred, workers, batch, threshold int) {
-	eng := core.NewMM(core.MMConfig{
-		Workers:                workers,
-		MergeBatchSize:         batch,
-		ParallelMergeThreshold: threshold,
-	})
-	s := core.NewSession(workers, eng)
+// hypermerge the deposit back — at a given width.
+func benchMergeCycle(b *testing.B, nred int) {
+	eng := core.NewMM(core.MMConfig{Workers: 1})
+	s := core.NewSession(1, eng)
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
@@ -40,12 +36,8 @@ func benchMergeCycle(b *testing.B, nred, workers, batch, threshold int) {
 	if ms.SlotsMerged > 0 {
 		b.ReportMetric(float64(pool.RoundTrips())/float64(ms.SlotsMerged), "poolops/slot")
 	}
-	if ms.Merges > 0 {
-		b.ReportMetric(float64(ms.ParallelMerges)/float64(ms.Merges), "parallel/merge")
-	}
 }
 
-func BenchmarkMergeSerial64(b *testing.B)    { benchMergeCycle(b, 64, 1, 32, 1<<30) }
-func BenchmarkMergeSerial256(b *testing.B)   { benchMergeCycle(b, 256, 1, 32, 1<<30) }
-func BenchmarkMergeParallel256(b *testing.B) { benchMergeCycle(b, 256, 4, 32, 96) }
-func BenchmarkMergeParallel1k(b *testing.B)  { benchMergeCycle(b, 1024, 4, 32, 96) }
+func BenchmarkMerge64(b *testing.B)  { benchMergeCycle(b, 64) }
+func BenchmarkMerge256(b *testing.B) { benchMergeCycle(b, 256) }
+func BenchmarkMerge1k(b *testing.B)  { benchMergeCycle(b, 1024) }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -112,20 +111,16 @@ func TestLookupNilContextBothEngines(t *testing.T) {
 	}
 }
 
-// TestParallelMergePreservesSerialOrder drives lanes of a noncommutative
-// monoid through a steal-heavy computation with the parallel merge path
-// forced on (threshold 1, batch size 1, so every multi-slot hypermerge
-// fans out), and checks that every lane's final string equals the serial
-// left-to-right concatenation.
-func TestParallelMergePreservesSerialOrder(t *testing.T) {
+// TestMergePreservesSerialOrder drives lanes of a noncommutative monoid
+// through a steal-heavy computation and checks that every lane's final
+// string equals the serial left-to-right concatenation: each hypermerge
+// must reduce current ⊗ deposited with the serially-earlier view on the
+// left.
+func TestMergePreservesSerialOrder(t *testing.T) {
 	const lanes = 16
 	const steps = 26
 	workers := 4
-	eng := core.NewMM(core.MMConfig{
-		Workers:                workers,
-		MergeBatchSize:         1,
-		ParallelMergeThreshold: 1,
-	})
+	eng := core.NewMM(core.MMConfig{Workers: workers})
 	s := core.NewSession(workers, eng)
 	defer s.Close()
 	rs := make([]*core.Reducer, lanes)
@@ -162,11 +157,10 @@ func TestParallelMergePreservesSerialOrder(t *testing.T) {
 }
 
 // TestMergePipelineCounters drives controlled trace cycles and checks the
-// pipeline's accounting: every slot is merged, batches are formed, wide
-// merges fan out, and bulk page movement keeps pagepool round-trips
-// strictly below the number of slots merged.
+// hypermerge's accounting: every slot is merged, and bulk page movement
+// keeps pagepool round-trips strictly below the number of slots merged.
 func TestMergePipelineCounters(t *testing.T) {
-	const n = 300 // > default parallel threshold, spans two SPA pages
+	const n = 300 // spans two SPA pages
 	const reps = 10
 	workers := 4
 	eng := core.NewMM(core.MMConfig{Workers: workers})
@@ -209,15 +203,12 @@ func TestMergePipelineCounters(t *testing.T) {
 	if ms.Adopts < n || ms.Reduces < int64(n*(reps-1)) {
 		t.Fatalf("adopts=%d reduces=%d, want >= %d / %d", ms.Adopts, ms.Reduces, n, n*(reps-1))
 	}
-	if ms.ParallelMerges == 0 {
-		t.Fatal("no merge crossed the parallel threshold")
-	}
 	if ms.BulkPageFetches < reps || ms.BulkPageReturns < reps {
 		t.Fatalf("bulk page movement missing: fetches=%d returns=%d", ms.BulkPageFetches, ms.BulkPageReturns)
 	}
 	pool := eng.PoolStats()
 	if got := pool.RoundTrips(); got >= ms.SlotsMerged {
-		t.Fatalf("%d pagepool round-trips for %d merged slots — batching not engaged", got, ms.SlotsMerged)
+		t.Fatalf("%d pagepool round-trips for %d merged slots — bulk page movement not engaged", got, ms.SlotsMerged)
 	}
 	if pool.RejectedDirty != 0 {
 		t.Fatalf("dirty pages recycled: %+v", pool)
@@ -264,49 +255,5 @@ func TestLookupCacheCountsHits(t *testing.T) {
 				t.Fatalf("LookupCount after ResetOverheads = %d, want 0", got)
 			}
 		})
-	}
-}
-
-// TestMergeBatchSizesEquivalent runs the same deterministic workload under
-// several batch/threshold settings and requires identical results — the
-// batching must be invisible to the monoid algebra.
-func TestMergeBatchSizesEquivalent(t *testing.T) {
-	run := func(batch, threshold int) []string {
-		const lanes = 8
-		const steps = 12
-		eng := core.NewMM(core.MMConfig{
-			Workers:                4,
-			MergeBatchSize:         batch,
-			ParallelMergeThreshold: threshold,
-		})
-		s := core.NewSession(4, eng)
-		defer s.Close()
-		rs := make([]*core.Reducer, lanes)
-		for i := range rs {
-			rs[i], _ = eng.Register(catMonoid{})
-		}
-		if err := s.Run(func(c *sched.Context) {
-			c.ParallelForGrain(0, lanes*steps, 1, func(c *sched.Context, i int) {
-				time.Sleep(5 * time.Microsecond)
-				core.Lookup(eng, c, rs[i%lanes]).(*catView).s += fmt.Sprint(i / lanes % 10)
-			})
-		}); err != nil {
-			t.Fatalf("Run(batch=%d,thresh=%d): %v", batch, threshold, err)
-		}
-		out := make([]string, lanes)
-		for i, r := range rs {
-			out[i] = r.Value().(*catView).s
-		}
-		return out
-	}
-	serial := run(1, 1<<30) // parallel path disabled
-	for _, cfg := range [][2]int{{1, 1}, {4, 2}, {32, 96}} {
-		got := run(cfg[0], cfg[1])
-		for lane := range serial {
-			if got[lane] != serial[lane] {
-				t.Fatalf("batch=%d threshold=%d lane %d: got %q, want %q",
-					cfg[0], cfg[1], lane, got[lane], serial[lane])
-			}
-		}
 	}
 }

@@ -8,8 +8,9 @@ const engineLabel = "mm"
 
 // SampleMetrics implements metrics.Source: it emits the engine's live
 // counters as exporter samples.  Every value comes from an atomic load —
-// the merge pipeline's padded counters, the per-worker arena atomics, the
-// page pool's internal accounting and the directory shard counters — so
+// the merge pipeline's padded counters, the flushed arena and lookup
+// counters, the page pool's internal accounting and the directory shard
+// counters — so
 // sampling is safe at any moment of a run and never blocks a worker.
 func (e *MM) SampleMetrics(emit func(metrics.MetricSample)) {
 	ms := e.MergeStats()
@@ -35,13 +36,4 @@ func (e *MM) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_pagepool_local_hits_total", "Allocations served by a worker's local pool.", ps.LocalHits)
 	counter("cilkm_pagepool_global_hits_total", "Allocations served by the global pool.", ps.GlobalHits)
 	gauge("cilkm_pagepool_outstanding_pages", "Pages currently checked out of the pool.", float64(ps.Outstanding()))
-
-	// The live tuning knobs: constant for a fixed-configuration engine,
-	// moving when the adaptive tuner is driving them.
-	batch, threshold, adaptive, retunes := e.MergeTuning()
-	gauge("cilkm_merge_batch_size", "Live hypermerge batch size (reduce pairs per batch).", float64(batch))
-	gauge("cilkm_parallel_merge_threshold", "Live fan-out threshold (reduce pairs per hypermerge).", float64(threshold))
-	if adaptive {
-		counter("cilkm_merge_retunes_total", "Adaptive-tuner retune events.", retunes)
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -34,33 +33,7 @@ type MMConfig struct {
 	// rounded up to a power of two.  Zero sizes the directory from
 	// Workers.  Tests pin it to 1 to make slot recycling deterministic.
 	DirectoryShards int
-	// MergeBatchSize is the number of occupied SPA slots grouped into one
-	// unit of hypermerge work.  Zero selects the default (32).
-	MergeBatchSize int
-	// ParallelMergeThreshold is the number of reduce pairs a single
-	// hypermerge must carry before its batches are fanned out through the
-	// scheduler as forked merge tasks; below it the owner folds the slots
-	// serially.  Zero selects the default (96); set it very large to keep
-	// every merge serial.
-	ParallelMergeThreshold int
-	// AdaptiveMerge enables the merge tuner: the engine re-derives
-	// MergeBatchSize and ParallelMergeThreshold at trace boundaries from
-	// the live pipeline signals (average reduce pairs per hypermerge,
-	// identity-elision rate) instead of keeping the constructor values for
-	// the engine's lifetime.  A knob explicitly set in this config is an
-	// override the tuner never touches, so fixed and adaptive operation
-	// compose per knob.  Tuning changes only how reduce batches are
-	// partitioned and fanned out, never the per-reducer reduce order, so
-	// results are bit-identical with tuning on or off (the noncommutative
-	// equivalence suites run under both).
-	AdaptiveMerge bool
 }
-
-// Default batching parameters of the hypermerge pipeline.
-const (
-	defaultMergeBatchSize         = 32
-	defaultParallelMergeThreshold = 96
-)
 
 // MM is the memory-mapping reducer engine (the paper's Cilk-M mechanism).
 type MM struct {
@@ -92,19 +65,9 @@ type MM struct {
 	// a lock.
 	workers atomic.Pointer[[]*mmWorker]
 
-	// mergeBatch and parallelThreshold are the live batching knobs.  They
-	// are atomics because the adaptive merge tuner (when enabled) retunes
-	// them concurrently with merges reading them; Merge loads each knob
-	// once per hypermerge, so one merge never observes a mid-flight mix.
-	mergeBatch        atomic.Int64
-	parallelThreshold atomic.Int64
-	// tuner adapts the batching knobs from live pipeline signals; nil
-	// unless cfg.AdaptiveMerge.
-	tuner *mergeTuner
 	// nworkers is the number of per-worker structures maintained: the
 	// construction size, grown under initMu in WorkerInit when a larger
-	// runtime attaches.  Workers, the tuner and the metrics sampler read it
-	// lock-free.
+	// runtime attaches.  Workers and the metrics sampler read it lock-free.
 	nworkers atomic.Int64
 	// mergePipe aggregates the hypermerge pipeline counters.
 	mergePipe metrics.MergePipeline
@@ -114,6 +77,9 @@ type MM struct {
 	// flushes them here, so a lookup costs no atomic and the totals are
 	// exact once a Run has returned.
 	lookups metrics.LookupCounters
+	// arena holds the view-arena counters ArenaStats reports, kept the same
+	// way: plain fields on each worker's arena, flushed here.
+	arena metrics.ArenaCounters
 
 	// mergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
 	// currently executing; part of the engine's quiescence invariant.
@@ -143,40 +109,9 @@ type mmWorker struct {
 	// mapped[i] reports whether SPA page index i is backed by a TLMM page
 	// in this worker's address space.
 	mapped []bool
-	// opsFree caches reduce-partition buffers for reuse across hypermerges,
-	// so the steady state allocates no mergeOp storage at all.  It is a
-	// small stack, not a single slot: a worker blocked in ForkMergeTasks
-	// can steal and run another hypermerge reentrantly, putting several
-	// buffers in flight at once.  Owner-goroutine only — every merge this
-	// worker owns partitions and recycles on its own goroutine.
-	opsFree [][]mergeOp
 	// lookups counts this worker's LookupWord outcomes since its last
 	// EndTrace.  Owner-goroutine only; see MM.lookups.
 	lookups metrics.LookupFastPathStats
-}
-
-// getOpsBuf hands out a recycled reduce-partition buffer, or a fresh one
-// sized to capHint when the stack is empty.
-func (ws *mmWorker) getOpsBuf(capHint int) []mergeOp {
-	if n := len(ws.opsFree); n > 0 {
-		buf := ws.opsFree[n-1]
-		ws.opsFree[n-1] = nil
-		ws.opsFree = ws.opsFree[:n-1]
-		return buf
-	}
-	return make([]mergeOp, 0, capHint)
-}
-
-// putOpsBuf returns a settled partition buffer to the stack.  The buffer is
-// cleared first so a cached buffer never pins dead views, owners or pages
-// for the collector; merges that panic never reach here, leaving their
-// buffer to the panic-cleanup sweep (and the GC) instead.
-func (ws *mmWorker) putOpsBuf(ops []mergeOp) {
-	if cap(ops) == 0 || len(ws.opsFree) >= 4 {
-		return
-	}
-	clear(ops)
-	ws.opsFree = append(ws.opsFree, ops[:0])
 }
 
 // freeSlotView recycles a dead slot's view block into this worker's arena.
@@ -252,26 +187,11 @@ func NewMM(cfg MMConfig) *MM {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	// An explicitly configured knob is an override the adaptive tuner
-	// never touches; record which knobs were fixed before defaulting.
-	batchFixed := cfg.MergeBatchSize > 0
-	thresholdFixed := cfg.ParallelMergeThreshold > 0
-	if cfg.MergeBatchSize <= 0 {
-		cfg.MergeBatchSize = defaultMergeBatchSize
-	}
-	if cfg.ParallelMergeThreshold <= 0 {
-		cfg.ParallelMergeThreshold = defaultParallelMergeThreshold
-	}
 	e := &MM{
 		cfg: cfg,
 		rec: metrics.NewRecorder(cfg.Workers),
 	}
-	e.mergeBatch.Store(int64(cfg.MergeBatchSize))
-	e.parallelThreshold.Store(int64(cfg.ParallelMergeThreshold))
 	e.nworkers.Store(int64(cfg.Workers))
-	if cfg.AdaptiveMerge {
-		e.tuner = &mergeTuner{batchFixed: batchFixed, thresholdFixed: thresholdFixed}
-	}
 	e.rec.SetTiming(cfg.Timing)
 	e.pool = pagepool.New[*spa.Map](cfg.Workers,
 		func() *spa.Map { return spa.New() },
@@ -337,19 +257,12 @@ func (e *MM) RegionLayout() *tlmm.RegionLayout { return e.layout }
 // PoolStats exposes the public SPA page pool statistics.
 func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 
-// ArenaStats aggregates the per-worker view-arena counters.  The counters
-// are per-worker atomics, so sampling is safe at any time — including
-// mid-run, which is how the metrics exporter reads them; a snapshot taken
-// while the engine is quiescent is exact.
-func (e *MM) ArenaStats() metrics.ArenaStats {
-	var s metrics.ArenaStats
-	if ws := e.workers.Load(); ws != nil {
-		for _, w := range *ws {
-			s.Add(w.arena.stats())
-		}
-	}
-	return s
-}
+// ArenaStats returns the view-arena counters summed over the workers.
+// Workers count into plain owner-only fields and flush them at EndTrace and
+// at the end of every Merge and Discard they run, so sampling is safe at any
+// time — mid-run, which is how the metrics exporter reads them, a sample
+// lags by at most one trace — and a snapshot taken between jobs is exact.
+func (e *MM) ArenaStats() metrics.ArenaStats { return e.arena.Snapshot() }
 
 // --- Engine registration and lookup ---
 
@@ -488,7 +401,7 @@ func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 		flags = spa.FlagArena
 	} else {
 		word = r.UnboxView(r.monoid.Identity())
-		ws.arena.heapViews.Add(1)
+		ws.arena.n.HeapViews++
 	}
 	e.rec.Stop(w.ID(), metrics.ViewCreation, start)
 	if mutable {
@@ -633,6 +546,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	if elided > 0 {
 		e.mergePipe.IdentityElisions.Add(elided)
 	}
+	e.arena.Flush(&ws.arena.n)
 	if span := ws.private.OccupiedPageSpan(); span > 0 {
 		start := e.rec.Start()
 		pages, err := e.pool.TryGetN(w.ID(), span)
@@ -651,6 +565,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			// worker's arena, the suspended outer trace's maps come back, and
 			// the panic is contained at the job boundary by the scheduler.
 			ws.dropPrivateViews()
+			e.arena.Flush(&ws.arena.n)
 			ws.restoreOuterTrace(mt)
 			w.BumpViewEpoch()
 			panic(fmt.Errorf("core: view transferal: %w", err))
@@ -677,163 +592,67 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	return dep
 }
 
-// mergeOp is one reduce pair of a hypermerge: the slot address, the owning
-// reducer resolved from the owner stamp, and the packed slots holding the
-// serially-earlier current view and the deposited view.  The partition pass
-// also resolves the slot's position in the current trace's map set — the
-// page pointer and the slot index — so the reduce inner loop updates the
-// surviving slot with plain indexing instead of re-deriving page and slot
-// from the address (SlotsPerMap is 248, so every Addr decomposition is an
-// integer division).  page stays valid even if the map set grows during the
-// partition: pages are stable heap objects, only the page table reallocates.
-// runMergeBatch records the views the reduce killed in dead; the merge
-// owner recycles their arena blocks after the batches join (cross-worker
-// batch executors never touch an arena).
-type mergeOp struct {
-	addr  spa.Addr
-	owner *Reducer
-	page  *spa.Map
-	slot  int32
-	cur   spa.Slot
-	dep   spa.Slot
-	dead  [2]spa.Slot
-}
-
-// mergeLocalitySortMin is the reduce-partition size at which Merge orders
-// the ops by (arena size class, current-view address) before batching.
-// Below it the ordering pass costs more than the contiguity buys; above it
-// each batch walks same-class views in address order — contiguous runs
-// through the arena chunks the views were carved from.
-const mergeLocalitySortMin = 512
-
-// mergeLocalityIdxBits bounds the partitions the locality sort handles: the
-// op index shares the packed sort key with the class and address, so
-// partitions of 2^20 ops or more skip the ordering (they are far past any
-// size where the key encoding is worth revisiting).
-const mergeLocalityIdxBits = 20
-
-// sortOpsByLocality computes the order in which a reduce partition's ops
-// should run so that views of one arena size class form contiguous
-// address-ordered runs.  The sort key packs (class+1, view address, op
-// index) into one uint64 — heap views (class -1) sort first, the
-// 8-byte-aligned address is kept to 36 significant bits (truncation only
-// perturbs ordering across 512 GiB strides, and the order is a locality
-// heuristic, never a correctness condition), and the index makes keys
-// unique and the permutation stable.  The ops themselves stay in place:
-// the result is an index permutation the batch loops walk, so the sort
-// moves 8-byte keys, never the ~100-byte ops (physically permuting them
-// measurably slowed large parallel merges).  Deposits usually arrive
-// already address-ordered — views are carved from bump chunks in slot
-// order — so the already-sorted check keeps the steady-state cost at one
-// linear scan; a nil result means "run in natural order".
-func sortOpsByLocality(ops []mergeOp) []uint32 {
-	keys := make([]uint64, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		class := uint64(uint8(op.owner.arenaClass+1)) & 0xFF
-		view := uint64(uintptr(op.cur.View())) >> 3
-		keys[i] = class<<56 | (view&(1<<36-1))<<mergeLocalityIdxBits | uint64(i)
+// releaseDeposit is the one end of every deposit: whatever is still in
+// dep.views dies unmerged, the public pages go back to the pool in one bulk
+// round-trip, and the deposit is marked consumed.  Merge and
+// MergeRootDeposit take a slot out of dep.views the moment its view is
+// consumed, so after a completed merge nothing is left to free, and after
+// one that panicked exactly the views nobody consumed are — this walk is
+// the whole recovery path.  On a worker the dead arena blocks recycle into
+// that worker's arena (cross-arena frees are legal: blocks are not returned
+// to the chunk they were carved from) and its arena counters are flushed;
+// with no worker (ws nil) the blocks fall to the garbage collector and
+// arenaRootReleased counts them out of the arena accounting.
+func (e *MM) releaseDeposit(ws *mmWorker, wid int, dep *MMDeposit) {
+	if !dep.views.IsEmpty() {
+		dep.views.Range(func(_ spa.Addr, s spa.Slot) bool {
+			if ws != nil {
+				ws.freeSlotView(s)
+			} else if s.Arena() {
+				e.arenaRootReleased.Add(1)
+			}
+			return true
+		})
 	}
-	if slices.IsSorted(keys) {
-		return nil
+	// DrainPages resets the pages, so the slots just freed need no Remove.
+	if pages := dep.views.DrainPages(); len(pages) > 0 {
+		e.pool.PutN(wid, pages)
+		e.mergePipe.BulkPageReturns.Add(1)
 	}
-	slices.Sort(keys)
-	order := make([]uint32, len(ops))
-	for j, k := range keys {
-		order[j] = uint32(k & (1<<mergeLocalityIdxBits - 1))
-	}
-	return order
-}
-
-// runMergeBatch folds one batch of reduce pairs into the current trace's
-// private SPA slots.  Distinct batches touch disjoint slots, so batches may
-// run concurrently; within a batch each Reduce keeps the serially-earlier
-// view on the left, preserving the serial order of every reducer's view
-// chain.  The interface values handed to the monoid are assembled from the
-// slot words (BoxView: word pairing, no allocation), and the combined
-// result is unboxed back into the op's pre-resolved (page, slot) position —
-// no address decomposition anywhere in the loop.
-func runMergeBatch(ops []mergeOp) {
-	for i := range ops {
-		runMergeOp(&ops[i])
+	dep.views = nil
+	dep.count = 0
+	if ws != nil {
+		e.arena.Flush(&ws.arena.n)
 	}
 }
 
-// runMergeBatchOrdered is runMergeBatch through an index permutation: the
-// batch is a slice of the locality order computed by sortOpsByLocality, and
-// the ops stay at their partition positions (the panic-cleanup and
-// dead-view sweeps iterate them positionally).  Slices of one permutation
-// are disjoint index sets, so ordered batches parallelise exactly like
-// positional ones.
-func runMergeBatchOrdered(ops []mergeOp, order []uint32) {
-	for _, j := range order {
-		runMergeOp(&ops[j])
-	}
-}
-
-// runMergeOp folds one reduce pair into its pre-resolved current-trace
-// slot.
-func runMergeOp(op *mergeOp) {
-	// Chaos point for a monoid whose Reduce blows up mid-hypermerge:
-	// fired before the op's slots are touched, so this op's dead records
-	// stay empty and the cleanup path treats it as never run.
-	faultinject.Check(faultinject.MonoidReduce)
-	left := op.owner.BoxView(op.cur.View())
-	right := op.owner.BoxView(op.dep.View())
-	combined := op.owner.UnboxView(op.owner.monoid.Reduce(left, right))
-	switch combined {
-	case op.cur.View():
-		// The usual in-place reduction: the current view survives and
-		// the deposited view dies.  The surviving slot now carries the
-		// deposit's (written) contribution even if the current trace
-		// only ever read it, so its written bit must be set — otherwise
-		// the trace-end elision would drop the merged value.
-		if !op.cur.Written() {
-			op.page.MarkWritten(int(op.slot))
-		}
-		op.dead[0] = op.dep
-	case op.dep.View():
-		// The monoid returned its right argument: the deposited view
-		// (flags included) replaces the current one, which dies.
-		if err := op.page.Update(int(op.slot), combined, op.dep.Flags()|spa.FlagWritten); err != nil {
-			panic(fmt.Sprintf("core: hypermerge update: %v", err))
-		}
-		op.dead[0] = op.cur
-	default:
-		// A fresh combined view of unknown provenance: no arena flag,
-		// and both inputs die.
-		if err := op.page.Update(int(op.slot), combined, spa.FlagWritten); err != nil {
-			panic(fmt.Sprintf("core: hypermerge update: %v", err))
-		}
-		op.dead[0] = op.cur
-		op.dead[1] = op.dep
-	}
-}
-
-// Merge implements sched.ReducerRuntime: the hypermerge, rebuilt as a
-// batched pipeline over packed slots.  One pass over the deposit partitions
-// the occupied slots: never-written views are elided outright (recycled
-// without a reduce call — MM deposits are normally already elided at
-// EndTrace, but deposits that bypass it, and future transports, stay
-// correct), views with no matching current view are adopted wholesale (a
-// slot insertion, flags preserved, done serially because it mutates the map
-// structure), and matched pairs are gathered into batches of MergeBatchSize
-// reduce operations with their target (page, slot) position pre-resolved —
-// the partition walks deposit and current pages in lockstep, and the reduce
-// loops never decompose an address again.  Large partitions are first
-// ordered by (arena size class, view address) so each batch works through
-// contiguous runs of the arena chunks (see sortOpsByLocality).  Small
-// merges fold their batches serially; once the
-// pair count crosses ParallelMergeThreshold the batches are fanned out
-// through the scheduler as forked merge tasks, which is sound because
-// distinct reducers' Reduce calls are independent and each reducer still
-// sees current ⊗ deposited exactly once per deposit.  After the batches
-// complete, the owner recycles the arena blocks of every view the reduces
-// killed, and the emptied public pages go back to the pool in one bulk
-// round-trip.
+// Merge implements sched.ReducerRuntime: the hypermerge.  It is one walk
+// over the deposit's occupied slots, page by page against the current
+// trace's page of the same index, that settles each slot where it stands:
+//
+//   - a never-written view still equals the monoid identity, and
+//     current ⊗ e = current: it is recycled with no reduce call (MM deposits
+//     are normally already elided at EndTrace; deposits that bypass it stay
+//     correct);
+//   - a view with no current counterpart is adopted: the slot moves into the
+//     current trace's maps, flags preserved;
+//   - where the two owner stamps differ the address was recycled while one
+//     view was in flight, and the stale side is dropped;
+//   - a matched pair is reduced right there, current ⊗ deposited, the
+//     serially-earlier view on the left, and the views the reduce killed go
+//     back to this worker's arena.
+//
+// A slot leaves dep.views only once its view has been consumed — adopted,
+// folded into the current view, or freed — and no step that can panic runs
+// between the consumption and the removal.  So whenever a Reduce panics (a
+// buggy or fault-injected monoid), dep.views holds exactly the deposited
+// views nobody owns yet; the deferred releaseDeposit frees them, returns the
+// pages, and the panic unwinds to the job boundary.  The current trace may
+// then hold a partial merge: the job is aborting, and the trace's views are
+// discarded at the recovery point.
 func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
-	if dep == nil {
+	if dep == nil || dep.views == nil {
 		return
 	}
 	ws, _ := w.Local().(*mmWorker)
@@ -842,70 +661,13 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	}
 	e.mergeInflight.Add(1)
 	defer e.mergeInflight.Add(-1)
-	start := e.rec.Start()
-	// Capture the merging trace's map set once: if the fan-out below
-	// stalls and this worker helps with other stolen work, ws.private is
-	// temporarily swapped, but the partition (and the page pointers it
-	// resolves into the ops) must keep targeting the trace that owns the
-	// join.
-	cur := ws.private
-	var ops []mergeOp
-	// If a reduce panics mid-hypermerge (a buggy — or fault-injected —
-	// monoid), the deposit must not leak: every deposited view is either
-	// already folded into cur, recorded dead, or still unmerged in ops /
-	// dep.views.  Settle all three classes, return the public pages, and
-	// let the wrapped panic unwind to the job boundary.
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if dep.views == nil {
-			// The deposit was already fully settled by the success path.
-			panic(p)
-		}
-		for i := range ops {
-			op := &ops[i]
-			dep.views.Remove(op.addr)
-			if op.dead[0].IsEmpty() && op.dead[1].IsEmpty() {
-				// The op never ran: its deposited view dies unmerged.  (cur
-				// may hold a partial merge — the job is aborting, and the
-				// trace's views are discarded at the recovery point.)
-				ws.freeSlotView(op.dep)
-				continue
-			}
-			for _, dv := range op.dead {
-				if !dv.IsEmpty() {
-					ws.freeSlotView(dv)
-				}
-			}
-		}
-		// Anything still left (a future transport that panics during the
-		// partition pass) dies with its slot.
-		dep.views.Range(func(addr spa.Addr, s spa.Slot) bool {
-			if _, err := dep.views.Remove(addr); err == nil {
-				ws.freeSlotView(s)
-			}
-			return true
-		})
-		if pages := dep.views.DrainPages(); len(pages) > 0 {
-			e.pool.PutN(w.ID(), pages)
-			e.mergePipe.BulkPageReturns.Add(1)
-		}
-		dep.views = nil
-		dep.count = 0
+		e.releaseDeposit(ws, w.ID(), dep)
 		w.BumpViewEpoch()
-		panic(p)
 	}()
-	adopts := int64(0)
-	staleDrops := int64(0)
-	elisions := int64(0)
-	// The partition walks the deposit's pages directly, pairing each with
-	// the current trace's page of the same index, so the per-slot work is
-	// one array index on each side — no address recomposition in the loop
-	// and no division to split it back apart.  The Addr is still assembled
-	// (one add against the page base) for the removal paths and the
-	// panic-cleanup records, which stay address-keyed.
+	start := e.rec.Start()
+	cur := ws.private
+	var reduces, adopts, staleDrops, elisions int64
 	for pi, depPages := 0, dep.views.Pages(); pi < depPages; pi++ {
 		dp := dep.views.Page(pi)
 		if dp == nil || dp.IsEmpty() {
@@ -917,19 +679,10 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		// holds only slots this loop adopted, and each slot index is
 		// visited exactly once.
 		curPage := cur.Page(pi)
-		pageBase := spa.MakeAddr(pi, 0)
 		dp.Range(func(si int, s spa.Slot) bool {
-			addr := pageBase + spa.Addr(si)
-			owner := reducerOf(s.Owner())
 			if !s.Written() {
-				// The view was looked up but never written: it still equals the
-				// monoid identity, and current ⊗ e = current.  Recycle it with
-				// no reduce call and no slot traffic.  The slot is removed from
-				// the deposit as it is freed so the panic-cleanup sweep above can
-				// never see (and double-free) it.
-				if _, err := dep.views.Remove(addr); err == nil {
-					ws.freeSlotView(s)
-				}
+				dp.Remove(si)
+				ws.freeSlotView(s)
 				elisions++
 				return true
 			}
@@ -938,95 +691,35 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				curSlot = curPage.SlotAt(si)
 			}
 			if curSlot.View() != nil {
-				if curSlot.Owner() == ownerWord(owner) {
-					if ops == nil {
-						ops = ws.getOpsBuf(dep.count)
-					}
-					ops = append(ops, mergeOp{
-						addr: addr, owner: owner,
-						page: curPage, slot: int32(si),
-						cur: curSlot, dep: s,
-					})
+				owner := reducerOf(s.Owner())
+				if curSlot.Owner() == s.Owner() {
+					e.reduceSlot(ws, owner, curPage, dp, si, curSlot, s)
+					reduces++
 					return true
 				}
-				// The owner stamps differ, so the address was recycled while
-				// one of the views was in flight; the directory holds at most
-				// one live registration per address, so at most one side can
-				// still be valid.  Drop the stale side (recycling its block).
-				if owner == nil || !e.dir.Valid(owner) {
-					if _, err := dep.views.Remove(addr); err == nil {
-						ws.freeSlotView(s)
-					}
-					staleDrops++
-					return true
-				}
-				old, err := cur.Remove(addr)
-				if err != nil {
-					panic(fmt.Sprintf("core: hypermerge stale removal: %v", err))
-				}
-				ws.freeSlotView(old)
+				// The directory holds at most one live registration per
+				// address, so at most one side can still be valid.
 				staleDrops++
+				if owner == nil || !e.dir.Valid(owner) {
+					dp.Remove(si)
+					ws.freeSlotView(s)
+					return true
+				}
+				curPage.Remove(si)
+				ws.freeSlotView(curSlot)
 				// Fall through to adopt the deposited (live) view.
 			}
 			if ws.vm != nil {
 				ws.ensureMapped(pi)
 			}
-			if err := cur.InsertSlot(addr, s); err != nil {
+			if err := cur.InsertSlot(spa.MakeAddr(pi, si), s); err != nil {
 				panic(fmt.Sprintf("core: hypermerge insert: %v", err))
 			}
-			// The view now lives in cur; clear the deposit's reference so the
-			// panic-cleanup sweep cannot free a view another map owns.
-			dep.views.Remove(addr)
+			dp.Remove(si)
 			adopts++
 			return true
 		})
 	}
-	// Load the batching knobs once per hypermerge: the adaptive tuner may
-	// retune them concurrently, and one merge must partition consistently.
-	mergeBatch := int(e.mergeBatch.Load())
-	parallelThreshold := int(e.parallelThreshold.Load())
-	reduces := int64(len(ops))
-	var order []uint32
-	if len(ops) >= mergeLocalitySortMin && len(ops) < 1<<mergeLocalityIdxBits {
-		order = sortOpsByLocality(ops)
-		e.mergePipe.LocalitySorts.Add(1)
-	}
-	batches := 0
-	if len(ops) > 0 {
-		batches = (len(ops) + mergeBatch - 1) / mergeBatch
-	}
-	if len(ops) >= parallelThreshold && batches > 1 {
-		fns := make([]func(), 0, batches)
-		for lo := 0; lo < len(ops); lo += mergeBatch {
-			hi := min(lo+mergeBatch, len(ops))
-			if order != nil {
-				batch := order[lo:hi]
-				fns = append(fns, func() { runMergeBatchOrdered(ops, batch) })
-			} else {
-				batch := ops[lo:hi]
-				fns = append(fns, func() { runMergeBatch(batch) })
-			}
-		}
-		e.mergePipe.ParallelMerges.Add(1)
-		w.ForkMergeTasks(fns)
-	} else if order != nil {
-		runMergeBatchOrdered(ops, order)
-	} else if len(ops) > 0 {
-		runMergeBatch(ops)
-	}
-	// The batches have joined (ForkMergeTasks blocks), so the dead-view
-	// records are visible here; return their arena blocks to this worker's
-	// arena — "the owning arena at trace end" — off the batch executors'
-	// goroutines.
-	for i := range ops {
-		for _, dv := range ops[i].dead {
-			if !dv.IsEmpty() {
-				ws.freeSlotView(dv)
-			}
-		}
-	}
-	ws.putOpsBuf(ops)
-	w.BumpViewEpoch()
 	e.rec.Stop(w.ID(), metrics.Hypermerge, start)
 	if reduces > 1 {
 		e.rec.RecordCount(w.ID(), metrics.Hypermerge, reduces-1)
@@ -1038,25 +731,53 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	e.mergePipe.SlotsMerged.Add(reduces + adopts)
 	e.mergePipe.Reduces.Add(reduces)
 	e.mergePipe.Adopts.Add(adopts)
-	e.mergePipe.Batches.Add(int64(batches))
 	if staleDrops > 0 {
 		e.mergePipe.StaleViewDrops.Add(staleDrops)
 	}
 	if elisions > 0 {
 		e.mergePipe.IdentityElisions.Add(elisions)
 	}
-	if pages := dep.views.DrainPages(); len(pages) > 0 {
-		e.pool.PutN(w.ID(), pages)
-		e.mergePipe.BulkPageReturns.Add(1)
-	}
-	dep.views = nil
-	dep.count = 0
-	// A completed hypermerge is a trace-boundary event and the only point
-	// where the tuner's input signals change, so retuning hooks in here
-	// (and costs one atomic load and a compare when the window has not
-	// filled, nothing when tuning is off).
-	if e.tuner != nil {
-		e.tuner.maybeRetune(e)
+}
+
+// reduceSlot folds one deposited view into the current trace's slot of the
+// same index: cur ⊗ dep, with the interface values handed to the monoid
+// assembled from the slot words (BoxView: word pairing, no allocation).
+// The deposited slot is removed from its page as soon as Reduce has
+// returned — before that its view is still the deposit's to free.
+func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map, si int, cur, dep spa.Slot) {
+	// Chaos point for a monoid whose Reduce blows up mid-hypermerge: fired
+	// before either slot is touched.
+	faultinject.Check(faultinject.MonoidReduce)
+	combined := owner.UnboxView(owner.monoid.Reduce(owner.BoxView(cur.View()), owner.BoxView(dep.View())))
+	switch combined {
+	case cur.View():
+		// The usual in-place reduction: the current view survives and the
+		// deposited view dies.  The surviving slot now carries the deposit's
+		// (written) contribution even if the current trace only ever read
+		// it, so its written bit must be set — otherwise the trace-end
+		// elision would drop the merged value.
+		if !cur.Written() {
+			curPage.MarkWritten(si)
+		}
+		depPage.Remove(si)
+		ws.freeSlotView(dep)
+	case dep.View():
+		// The monoid returned its right argument: the deposited view (flags
+		// included) replaces the current one, which dies.
+		if err := curPage.Update(si, combined, dep.Flags()|spa.FlagWritten); err != nil {
+			panic(fmt.Sprintf("core: hypermerge update: %v", err))
+		}
+		depPage.Remove(si)
+		ws.freeSlotView(cur)
+	default:
+		// A fresh combined view of unknown provenance: no arena flag, and
+		// both inputs die.
+		if err := curPage.Update(si, combined, spa.FlagWritten); err != nil {
+			panic(fmt.Sprintf("core: hypermerge update: %v", err))
+		}
+		depPage.Remove(si)
+		ws.freeSlotView(cur)
+		ws.freeSlotView(dep)
 	}
 }
 
@@ -1066,9 +787,11 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 // no registry copy, no lock — and the directory's epoch-stamped Valid check
 // drops views whose reducer was unregistered while they were in flight,
 // even if the address has since been recycled.  Never-written views are
-// elided exactly as in Merge (leftmost ⊗ e = leftmost); their blocks are
-// not recycled — MergeRootDeposit runs on the caller's goroutine, which
-// owns no arena — and fall to the garbage collector with the deposit.
+// elided exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever happens
+// to a view — absorbed, elided, or dropped stale — its arena block is not
+// recycled: MergeRootDeposit runs on the caller's goroutine, which owns no
+// arena, so the block goes to the garbage collector and arenaRootReleased
+// closes the books on it.
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.views == nil {
@@ -1076,78 +799,52 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	}
 	e.mergeInflight.Add(1)
 	defer e.mergeInflight.Add(-1)
-	dep.views.Range(func(addr spa.Addr, s spa.Slot) bool {
-		// Whatever happens to the view below — absorbed into the leftmost,
-		// elided, or dropped stale — an arena-carved block leaves the arena
-		// accounting here: no worker goroutine owns this code path, so the
-		// block goes to the garbage collector instead of a free list, and
-		// arenaRootReleased closes the books on it.
-		if s.Arena() {
-			e.arenaRootReleased.Add(1)
-		}
-		owner := reducerOf(s.Owner())
-		if owner == nil || !e.dir.Valid(owner) {
-			// The reducer was unregistered while views for it were still
-			// in flight; fold into nothing (drop), mirroring a view whose
-			// reducer went out of scope.
-			e.mergePipe.StaleViewDrops.Add(1)
+	defer e.releaseDeposit(nil, 0, dep)
+	for pi, depPages := 0, dep.views.Pages(); pi < depPages; pi++ {
+		dp := dep.views.Page(pi)
+		dp.Range(func(si int, s spa.Slot) bool {
+			dp.Remove(si)
+			if s.Arena() {
+				e.arenaRootReleased.Add(1)
+			}
+			owner := reducerOf(s.Owner())
+			if owner == nil || !e.dir.Valid(owner) {
+				// The reducer was unregistered while views for it were still
+				// in flight; fold into nothing (drop), mirroring a view whose
+				// reducer went out of scope.
+				e.mergePipe.StaleViewDrops.Add(1)
+				return true
+			}
+			if !s.Written() {
+				e.mergePipe.IdentityElisions.Add(1)
+				return true
+			}
+			owner.absorb(owner.BoxView(s.View()))
 			return true
-		}
-		if !s.Written() {
-			e.mergePipe.IdentityElisions.Add(1)
-			return true
-		}
-		owner.absorb(owner.BoxView(s.View()))
-		return true
-	})
-	if pages := dep.views.DrainPages(); len(pages) > 0 {
-		e.pool.PutN(0, pages)
-		e.mergePipe.BulkPageReturns.Add(1)
+		})
 	}
-	dep.views = nil
-	dep.count = 0
 }
 
 // Discard implements sched.ReducerRuntime: release the resources held by a
 // deposit that will never be merged — the containment path for a job that
 // panicked or was cancelled between a trace's EndTrace and its join.  When
 // the discarding goroutine is a worker, arena-carved views recycle into
-// that worker's arena (cross-arena frees are legal: blocks are not returned
-// to the chunk they were carved from); from a non-worker goroutine the
-// blocks fall to the garbage collector and are counted out of the arena
-// accounting like root-merged views.  The public SPA pages always go back
-// to the pool.  A nil or already-consumed deposit is a no-op, so Discard
-// is safe to call on both sides of a racing settle.
+// that worker's arena; from a non-worker goroutine they are counted out of
+// the arena accounting like root-merged views.  A nil or already-consumed
+// deposit is a no-op, so Discard is safe to call on both sides of a racing
+// settle.
 func (e *MM) Discard(w *sched.Worker, d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.views == nil {
 		return
 	}
 	var ws *mmWorker
-	if w != nil {
-		ws, _ = w.Local().(*mmWorker)
-	}
-	dep.views.Range(func(addr spa.Addr, s spa.Slot) bool {
-		if _, err := dep.views.Remove(addr); err != nil {
-			return true
-		}
-		if ws != nil {
-			ws.freeSlotView(s)
-		} else if s.Arena() {
-			e.arenaRootReleased.Add(1)
-		}
-		return true
-	})
 	wid := 0
 	if w != nil {
+		ws, _ = w.Local().(*mmWorker)
 		wid = w.ID()
 	}
-	if pages := dep.views.DrainPages(); len(pages) > 0 {
-		e.pool.PutN(wid, pages)
-		e.mergePipe.BulkPageReturns.Add(1)
-	}
-	dep.views = nil
-	dep.count = 0
+	e.releaseDeposit(ws, wid, dep)
 }
 
 // Quiescent implements Engine: verify that no job left resources in flight.

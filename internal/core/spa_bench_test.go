@@ -22,12 +22,7 @@ import (
 // across K ops and reported in ns/op like the paper amortises view
 // bookkeeping against steals.
 func benchFirstLookup(b *testing.B, m core.Monoid, bump func(v any)) {
-	eng := core.NewMM(core.MMConfig{
-		Workers: 1,
-		// Keep the merge serial: the fan-out path's task plumbing would
-		// charge scheduler allocations to the lookup measurement.
-		ParallelMergeThreshold: 1 << 30,
-	})
+	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
 	const K = 256
@@ -79,10 +74,7 @@ func BenchmarkMMFirstLookupHeap(b *testing.B) {
 // views: the rest are resolved read-only and must be elided — no reduce
 // call, and for the all-read-only case no pagepool traffic at all.
 func benchMergeWritten(b *testing.B, writtenPct int) {
-	eng := core.NewMM(core.MMConfig{
-		Workers:                1,
-		ParallelMergeThreshold: 1 << 30,
-	})
+	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
 	const K = 256

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -111,7 +113,26 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(workers, eng)
 			defer s.Close()
+			// An exporter scrapes throughout: under -race this pins that
+			// every counter it reads is an atomic the workers flush into,
+			// never a worker-owned field (the arena and lookup counts).
+			stop := make(chan struct{})
+			scraped := make(chan struct{})
+			go func() {
+				defer close(scraped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						eng.(metrics.Source).SampleMetrics(func(metrics.MetricSample) {})
+						runtime.Gosched()
+					}
+				}
+			}()
+			defer func() { close(stop); <-scraped }()
 			keeper, _ := eng.Register(sumMonoid{})
+			arenaKeeper, _ := eng.Register(arenaSumMonoid{})
 			const rounds = 6
 			const perRound = 64
 			for round := 0; round < rounds; round++ {
@@ -119,6 +140,7 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 				err := s.Run(func(c *sched.Context) {
 					c.ParallelForGrain(0, perRound, 1, func(c *sched.Context, i int) {
 						core.Lookup(eng, c, keeper).(*sumView).v++
+						*core.Lookup(eng, c, arenaKeeper).(*int64)++
 						scratch, err := eng.Register(sumMonoid{})
 						if err != nil {
 							t.Errorf("Register: %v", err)
@@ -153,8 +175,11 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 			if got := keeper.Value().(*sumView).v; got != rounds*perRound {
 				t.Fatalf("keeper = %d, want %d — scratch churn leaked into a live reducer", got, rounds*perRound)
 			}
-			if got := eng.Registered(); got != 1 {
-				t.Fatalf("Registered = %d, want 1", got)
+			if got := *arenaKeeper.Value().(*int64); got != rounds*perRound {
+				t.Fatalf("arena keeper = %d, want %d", got, rounds*perRound)
+			}
+			if got := eng.Registered(); got != 2 {
+				t.Fatalf("Registered = %d, want 2", got)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/metrics"
@@ -22,8 +21,8 @@ import (
 // nothing.
 //
 // Ownership: an arena belongs to one worker and is touched only from that
-// worker's goroutine (lookupSlow, EndTrace elision, and the post-join free
-// sweep of Merge all run there).  Blocks are not returned to the chunk they
+// worker's goroutine (lookupSlow, EndTrace elision and the hypermerge's
+// frees all run there).  Blocks are not returned to the chunk they
 // were carved from: a block freed by the merging worker goes on the merging
 // worker's free list, which is safe because every block of one class is
 // interchangeable and the unsafe.Pointer references on free lists and in
@@ -67,19 +66,15 @@ func arenaClassBytes(class int) uintptr {
 	return arenaMinClassBytes << uint(class)
 }
 
-// viewArena is one worker's size-classed view allocator.  The allocator
-// state (free lists, bump chunks) is owner-goroutine-only, but the counters
-// are atomics: only the owning worker writes them, while the metrics
-// exporter may sample them lock-free at any time during a run.
+// viewArena is one worker's size-classed view allocator.  Everything in it
+// is owner-goroutine-only, the counters included: n holds the counts since
+// the worker's last flush into MM.arena (metrics.ArenaCounters), which is
+// the side the metrics exporter samples.  The worker flushes where it
+// flushes its lookup counts (EndTrace) and at the end of every Merge and
+// Discard it runs, so the engine-level totals are exact between jobs.
 type viewArena struct {
 	classes [arenaNumClasses]arenaClass
-
-	allocs      atomic.Int64 // blocks handed out
-	freeHits    atomic.Int64 // allocations served from a free list
-	chunkAllocs atomic.Int64 // fresh bump chunks allocated
-	frees       atomic.Int64 // blocks returned to a free list
-	freeBlocks  atomic.Int64 // blocks currently sitting on free lists
-	heapViews   atomic.Int64 // identity views that bypassed the arena (heap path)
+	n       metrics.ArenaStats
 }
 
 // arenaClass is one size class: a free list of recycled blocks and the
@@ -98,21 +93,20 @@ func (a *viewArena) alloc(class int) unsafe.Pointer {
 	if class < 0 || class >= arenaNumClasses {
 		panic(fmt.Sprintf("core: view arena class %d out of range", class))
 	}
-	a.allocs.Add(1)
+	a.n.Allocs++
 	c := &a.classes[class]
 	if n := len(c.free); n > 0 {
 		p := c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		a.freeHits.Add(1)
-		a.freeBlocks.Add(-1)
+		a.n.FreeHits++
 		return p
 	}
 	words := int(arenaClassBytes(class) / 8)
 	if c.off+words > len(c.chunk) {
 		c.chunk = make([]uint64, arenaChunkBytes/8)
 		c.off = 0
-		a.chunkAllocs.Add(1)
+		a.n.ChunkAllocs++
 	}
 	p := unsafe.Pointer(&c.chunk[c.off])
 	c.off += words
@@ -127,22 +121,7 @@ func (a *viewArena) free(class int, p unsafe.Pointer) {
 	if class < 0 || class >= arenaNumClasses || p == nil {
 		return
 	}
-	a.frees.Add(1)
-	a.freeBlocks.Add(1)
+	a.n.Frees++
 	c := &a.classes[class]
 	c.free = append(c.free, p)
-}
-
-// stats snapshots the arena counters.  Safe to call at any time (atomic
-// loads); the counters are only mutated by the owning worker, so a snapshot
-// taken while the engine is quiescent is exact.
-func (a *viewArena) stats() metrics.ArenaStats {
-	return metrics.ArenaStats{
-		Allocs:      a.allocs.Load(),
-		FreeHits:    a.freeHits.Load(),
-		ChunkAllocs: a.chunkAllocs.Load(),
-		Frees:       a.frees.Load(),
-		FreeBlocks:  a.freeBlocks.Load(),
-		HeapViews:   a.heapViews.Load(),
-	}
 }

@@ -23,7 +23,7 @@
 //   - Check(id) panics with an *Fault: used where failure arrives as a
 //     panic (a monoid's Identity or Reduce blowing up mid-merge).
 //   - Perturb(id) calls runtime.Gosched() when the hit fires: used at
-//     scheduling decision points (steal sweeps, pre-park, merge fan-out) to
+//     scheduling decision points (steal sweeps, pre-park) to
 //     shake out rare interleavings without changing any result.
 //
 // The active plan's per-site hit and fire counters are exported through

@@ -17,11 +17,6 @@ const (
 	SchedSteal ID = iota
 	// SchedPark perturbs the pre-park decision (internal/sched parking).
 	SchedPark
-	// SchedMergeFork perturbs the hypermerge fan-out between batch pushes.
-	SchedMergeFork
-	// MergeTask panics a runtime-internal merge task before its closure
-	// runs (internal/sched.runMergeTask).
-	MergeTask
 	// PagepoolGet injects exhaustion into pagepool.Pool.TryGet.
 	PagepoolGet
 	// PagepoolGetN injects exhaustion into pagepool.Pool.TryGetN (the bulk
@@ -71,10 +66,6 @@ func (id ID) String() string {
 		return "sched/steal"
 	case SchedPark:
 		return "sched/park"
-	case SchedMergeFork:
-		return "sched/merge-fork"
-	case MergeTask:
-		return "sched/merge-task"
 	case PagepoolGet:
 		return "pagepool/get"
 	case PagepoolGetN:

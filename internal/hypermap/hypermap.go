@@ -370,7 +370,6 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	defer e.mergeInflight.Add(-1)
 	start := e.rec.Start()
 	reduces := int64(0)
-	inserts := int64(0)
 	elisions := int64(0)
 	dep.views.forEach(func(addr spa.Addr, depEnt *entry) {
 		if !depEnt.written {
@@ -402,7 +401,6 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		insStart := e.rec.Start()
 		ws.user.insert(addr, *depEnt)
 		e.rec.Stop(w.ID(), metrics.ViewInsertion, insStart)
-		inserts++
 	})
 	dep.views = nil
 	w.BumpViewEpoch()
@@ -413,7 +411,6 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	if elisions > 0 {
 		e.elisions.Add(elisions)
 	}
-	_ = inserts
 }
 
 // MergeRootDeposit implements core.Engine.  Each entry's owner stamp

@@ -5,9 +5,9 @@ import "repro/internal/metrics"
 // engineLabel is the engine label value the hypermap engine exports under.
 const engineLabel = "hypermap"
 
-// SampleMetrics implements metrics.Source.  The hypermap engine does not
-// run the batched merge pipeline, so it exports the subset of the shared
-// metric names it actually tracks: identity elisions, lookup counters and
+// SampleMetrics implements metrics.Source.  The hypermap engine keeps no
+// merge or arena counters, so it exports the subset of the shared metric
+// names it actually tracks: identity elisions, lookup counters and
 // the reducer-directory aggregate.  All values are atomic loads, safe to
 // sample mid-run.
 func (e *HM) SampleMetrics(emit func(metrics.MetricSample)) {

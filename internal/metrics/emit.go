@@ -28,27 +28,20 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// EmitMergePipeline emits the hypermerge pipeline counters plus the two
-// derived gauges the adaptive tuner consumes: merge batch occupancy
-// (reduce pairs per batch) and the identity-elision rate (elided views as
-// a fraction of views reaching the merge).
+// EmitMergePipeline emits the hypermerge counters.
 func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineStats) {
 	counter(emit, engine, "cilkm_merges_total", "Completed hypermerges.", s.Merges)
 	counter(emit, engine, "cilkm_merge_slots_total", "SPA slots walked by hypermerges.", s.SlotsMerged)
 	counter(emit, engine, "cilkm_merge_reduces_total", "Monoid reduce calls performed by hypermerges.", s.Reduces)
 	counter(emit, engine, "cilkm_merge_adopts_total", "Views adopted without a reduce (empty left slot).", s.Adopts)
-	counter(emit, engine, "cilkm_merge_batches_total", "Reduce batches formed by the merge pipeline.", s.Batches)
-	counter(emit, engine, "cilkm_parallel_merges_total", "Hypermerges that fanned batches out through the scheduler.", s.ParallelMerges)
 	counter(emit, engine, "cilkm_bulk_page_fetches_total", "Bulk page-pool fetches issued by view transferal.", s.BulkPageFetches)
 	counter(emit, engine, "cilkm_bulk_page_returns_total", "Bulk page-pool returns issued by the merge pipeline.", s.BulkPageReturns)
 	counter(emit, engine, "cilkm_stale_view_drops_total", "Invalidated views dropped instead of merged.", s.StaleViewDrops)
-	counter(emit, engine, "cilkm_merge_locality_sorts_total", "Hypermerges whose reduce partition was ordered by (arena class, view address) before batching.", s.LocalitySorts)
-	gauge(emit, engine, "cilkm_merge_batch_occupancy", "Reduce pairs per merge batch (cumulative average).", ratio(s.Reduces, s.Batches))
 }
 
 // EmitElisions emits the identity-elision counter and rate.  Split from
 // EmitMergePipeline because the hypermap engine tracks elisions without
-// running the batched pipeline.
+// counting merged slots the same way.
 func EmitElisions(emit func(MetricSample), engine string, elisions, slotsMerged int64) {
 	counter(emit, engine, "cilkm_identity_elisions_total", "Never-written identity views elided instead of merged.", elisions)
 	gauge(emit, engine, "cilkm_identity_elision_rate", "Elided views as a fraction of views reaching the merge.", ratio(elisions, elisions+slotsMerged))

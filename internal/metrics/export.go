@@ -33,9 +33,9 @@ import (
 //
 // The exporter is deliberately not a general metrics library: one label
 // per sample, counters and gauges only, no histograms.  That is enough to
-// expose every runtime signal the adaptive merge tuner and the bench
-// guardrails consume, while keeping the scrape path allocation-light and
-// the package free of third-party dependencies.
+// expose every runtime signal the bench guardrails consume, while keeping
+// the scrape path allocation-light and the package free of third-party
+// dependencies.
 
 // MetricKind distinguishes the Prometheus TYPE of an exported sample.
 type MetricKind int

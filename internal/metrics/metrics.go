@@ -118,20 +118,16 @@ func (c *PaddedCounter) Max(v int64) {
 	}
 }
 
-// MergePipeline aggregates the counters of the batched, parallel hypermerge
-// pipeline: how many deposits were merged, how many occupied SPA slots they
-// carried, how those slots were grouped into batches, and how often the
-// batches were fanned out through the scheduler as forked merge tasks.  The
-// pipeline's efficiency claim — bulk page movement means fewer pagepool
-// round-trips than slots merged — is checked against these counters together
-// with pagepool.Stats.RoundTrips.
+// MergePipeline aggregates the hypermerge counters: how many deposits were
+// merged, how many occupied SPA slots they carried and how each was settled
+// (reduced, adopted, elided, dropped stale).  The bulk-page-movement claim —
+// fewer pagepool round-trips than slots merged — is checked against these
+// counters together with pagepool.Stats.RoundTrips.
 type MergePipeline struct {
 	Merges          PaddedCounter // deposits folded by Merge
 	SlotsMerged     PaddedCounter // occupied slots processed (reduces + adopts)
 	Reduces         PaddedCounter // slots reduced current ⊗ deposited
 	Adopts          PaddedCounter // slots adopted (deposit only)
-	Batches         PaddedCounter // reduce batches formed
-	ParallelMerges  PaddedCounter // merges fanned out as forked merge tasks
 	BulkPageFetches PaddedCounter // bulk pagepool fetches by view transferal
 	BulkPageReturns PaddedCounter // bulk pagepool returns after merging
 	StaleViewDrops  PaddedCounter // in-flight views dropped after their reducer was unregistered
@@ -140,10 +136,6 @@ type MergePipeline struct {
 	// pipeline recycled them without a reduce call or a page round-trip:
 	// reducing with the monoid identity is a no-op.
 	IdentityElisions PaddedCounter
-	// LocalitySorts counts merges whose reduce partition was large enough
-	// to be sorted by (arena size class, view address) before batching, so
-	// each batch walks its views in contiguous runs.
-	LocalitySorts PaddedCounter
 }
 
 // MergePipelineStats is a point-in-time snapshot of MergePipeline.
@@ -152,13 +144,10 @@ type MergePipelineStats struct {
 	SlotsMerged      int64
 	Reduces          int64
 	Adopts           int64
-	Batches          int64
-	ParallelMerges   int64
 	BulkPageFetches  int64
 	BulkPageReturns  int64
 	StaleViewDrops   int64
 	IdentityElisions int64
-	LocalitySorts    int64
 }
 
 // Snapshot reads every counter.
@@ -168,13 +157,10 @@ func (m *MergePipeline) Snapshot() MergePipelineStats {
 		SlotsMerged:      m.SlotsMerged.Load(),
 		Reduces:          m.Reduces.Load(),
 		Adopts:           m.Adopts.Load(),
-		Batches:          m.Batches.Load(),
-		ParallelMerges:   m.ParallelMerges.Load(),
 		BulkPageFetches:  m.BulkPageFetches.Load(),
 		BulkPageReturns:  m.BulkPageReturns.Load(),
 		StaleViewDrops:   m.StaleViewDrops.Load(),
 		IdentityElisions: m.IdentityElisions.Load(),
-		LocalitySorts:    m.LocalitySorts.Load(),
 	}
 }
 
@@ -184,13 +170,10 @@ func (m *MergePipeline) Reset() {
 	m.SlotsMerged.Store(0)
 	m.Reduces.Store(0)
 	m.Adopts.Store(0)
-	m.Batches.Store(0)
-	m.ParallelMerges.Store(0)
 	m.BulkPageFetches.Store(0)
 	m.BulkPageReturns.Store(0)
 	m.StaleViewDrops.Store(0)
 	m.IdentityElisions.Store(0)
-	m.LocalitySorts.Store(0)
 }
 
 // LookupFastPathStats is a point-in-time snapshot of an engine's lookup
@@ -250,8 +233,9 @@ func (c *LookupCounters) Reset() {
 // ArenaStats is a point-in-time aggregate of the per-worker view arenas:
 // how identity views were allocated (free-list reuse vs fresh bump-chunk
 // carves), how many dead views came back, and how many views bypassed the
-// arena because their monoid is not arena-eligible.  Snapshots are taken
-// while the engine is quiescent (the arenas are owner-goroutine-only).
+// arena because their monoid is not arena-eligible.  A snapshot lags the
+// workers by at most one trace mid-run and is exact between jobs (see
+// ArenaCounters).
 type ArenaStats struct {
 	Allocs      int64 // blocks handed out by the arenas
 	FreeHits    int64 // allocations served from a free list (recycled views)
@@ -261,14 +245,41 @@ type ArenaStats struct {
 	HeapViews   int64 // identity views heap-allocated (monoid not arena-eligible)
 }
 
-// Add accumulates another snapshot into s (used to sum per-worker arenas).
-func (s *ArenaStats) Add(other ArenaStats) {
-	s.Allocs += other.Allocs
-	s.FreeHits += other.FreeHits
-	s.ChunkAllocs += other.ChunkAllocs
-	s.Frees += other.Frees
-	s.FreeBlocks += other.FreeBlocks
-	s.HeapViews += other.HeapViews
+// ArenaCounters is the shared, sampled side of the view-arena counters,
+// the LookupCounters idiom: each worker counts into a private ArenaStats
+// and Flushes it here at trace end and after every hypermerge, so an arena
+// alloc or free never performs an atomic write.
+type ArenaCounters struct {
+	allocs, freeHits, chunkAllocs, frees, heapViews PaddedCounter
+}
+
+// Flush folds a worker's private counts into the shared counters and zeroes
+// them.  Owner-goroutine only with respect to local, whose FreeBlocks is not
+// read: the level is derived in Snapshot.
+func (c *ArenaCounters) Flush(local *ArenaStats) {
+	if *local == (ArenaStats{}) {
+		return
+	}
+	c.allocs.Add(local.Allocs)
+	c.freeHits.Add(local.FreeHits)
+	c.chunkAllocs.Add(local.ChunkAllocs)
+	c.frees.Add(local.Frees)
+	c.heapViews.Add(local.HeapViews)
+	*local = ArenaStats{}
+}
+
+// Snapshot reads every counter.  A block is on a free list from its free
+// until a later allocation pops it, so FreeBlocks is Frees − FreeHits.
+func (c *ArenaCounters) Snapshot() ArenaStats {
+	s := ArenaStats{
+		Allocs:      c.allocs.Load(),
+		FreeHits:    c.freeHits.Load(),
+		ChunkAllocs: c.chunkAllocs.Load(),
+		Frees:       c.frees.Load(),
+		HeapViews:   c.heapViews.Load(),
+	}
+	s.FreeBlocks = s.Frees - s.FreeHits
+	return s
 }
 
 // DirectoryCounters aggregates one registry shard's registration and

@@ -34,7 +34,7 @@ type Stats struct {
 
 // RoundTrips returns the number of pool operations performed: a single-page
 // Get or Put counts one, and a bulk GetN or PutN counts one regardless of
-// how many pages it moved.  The batched hypermerge pipeline's invariant —
+// how many pages it moved.  The hypermerge's bulk-page-movement invariant —
 // fewer pool operations than slots merged — is asserted against this.
 func (s Stats) RoundTrips() int64 {
 	return s.SingleGets + s.SinglePuts + s.BulkGets + s.BulkPuts

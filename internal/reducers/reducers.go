@@ -60,25 +60,12 @@ type EngineOptions struct {
 	// ModelAddressSpace backs the memory-mapped engine's SPA pages with
 	// the simulated TLMM address space (ignored by the hypermap engine).
 	ModelAddressSpace bool
-	// MergeBatchSize sets the memory-mapped engine's hypermerge batch
-	// size; zero keeps the default (ignored by the hypermap engine).
-	MergeBatchSize int
-	// ParallelMergeThreshold sets how many reduce pairs one hypermerge
-	// must carry before the memory-mapped engine fans its batches out
-	// through the scheduler; zero keeps the default (ignored by the
-	// hypermap engine).
-	ParallelMergeThreshold int
 	// DirectoryShards sets the number of reducer-directory shards for
 	// either engine; zero sizes the directory from the worker count.
 	// Workloads that register and unregister reducers dynamically from
 	// many workers benefit from more shards; tests pin it to 1 to make
 	// slot recycling deterministic.
 	DirectoryShards int
-	// AdaptiveMerge lets the memory-mapped engine retune its hypermerge
-	// batching knobs from live pipeline signals at trace boundaries
-	// (ignored by the hypermap engine).  Knobs set explicitly above stay
-	// fixed overrides the tuner never touches.
-	AdaptiveMerge bool
 }
 
 // NewEngine creates a reducer engine of the requested mechanism sized for
@@ -94,13 +81,10 @@ func NewEngine(m Mechanism, workers int, opts EngineOptions) core.Engine {
 		})
 	default:
 		eng = core.NewMM(core.MMConfig{
-			Workers:                workers,
-			Timing:                 opts.Timing,
-			ModelAddressSpace:      opts.ModelAddressSpace,
-			MergeBatchSize:         opts.MergeBatchSize,
-			ParallelMergeThreshold: opts.ParallelMergeThreshold,
-			DirectoryShards:        opts.DirectoryShards,
-			AdaptiveMerge:          opts.AdaptiveMerge,
+			Workers:           workers,
+			Timing:            opts.Timing,
+			ModelAddressSpace: opts.ModelAddressSpace,
+			DirectoryShards:   opts.DirectoryShards,
 		})
 	}
 	if opts.CountLookups {

@@ -16,12 +16,6 @@ import "sync/atomic"
 type task struct {
 	fn   func(*Context)
 	join *join
-	// mfn, when non-nil, marks a runtime-internal merge task (see
-	// Worker.ForkMergeTasks): the executor runs it without beginning a
-	// reducer trace, because the closure operates on view state owned and
-	// coordinated by the forking worker's hypermerge, not on the executing
-	// worker's own views.  A task carries either fn or mfn, never both.
-	mfn func()
 	// owner is the worker that pushed the task; recorded for statistics.
 	owner int
 	// job is the submission this task belongs to, captured from the

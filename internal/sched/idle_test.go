@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -137,6 +138,7 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	const n = 2000
+	var failures []string
 	for attempt := 1; attempt <= 3; attempt++ {
 		spreadThreads(t, s)
 		// Gaps longer than any warm phase: every pickup follows an unpark
@@ -161,17 +163,28 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 			// was measured is the OS time-slicing the two.
 			continue
 		}
+		// The worker can lose its CPU too, to another package's tests
+		// running beside this one, so a reading counts as a failure only
+		// when every attempt that measured something agrees.
+		failures = failures[:0]
 		if median > 10*time.Microsecond {
-			t.Errorf("median queue wait %v, want under 10µs", median)
+			failures = append(failures, fmt.Sprintf("median queue wait %v, want under 10µs", median))
 		}
 		// The first arrival finds the worker parked; after that only a
 		// stalled submitter opens a gap long enough to park in.
 		if est >= warmSkipNS && parks > n/50 {
-			t.Errorf("%d parks over %d arrivals %v apart with a %d ns estimate, want the worker to stay warm", parks, n, gap, est)
+			failures = append(failures, fmt.Sprintf("%d parks over %d arrivals %v apart with a %d ns estimate, want the worker to stay warm", parks, n, gap, est))
 		}
-		return
+		if len(failures) == 0 {
+			return
+		}
 	}
-	t.Skip("the submitter's thread kept losing its CPU: nothing was measured")
+	if len(failures) == 0 {
+		t.Skip("the submitter's thread kept losing its CPU: nothing was measured")
+	}
+	for _, f := range failures {
+		t.Error(f)
+	}
 }
 
 // TestIdleParksWhenTrafficStops checks the other half of the bargain: with
@@ -219,42 +232,55 @@ func TestIdleParksWhenTrafficStops(t *testing.T) {
 // TestIdleClosedLoopNeverWarms checks that callers who block after Run or
 // Submit — who hand their P to the worker they readied — keep the estimate
 // under the skip threshold, so that the policy changes nothing for them.
+// The bounds are on measured wake-ups, which other packages' tests running
+// beside this one can stretch, so a reading counts as a failure only when
+// three fresh runtimes in a row agree.
 func TestIdleClosedLoopNeverWarms(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector multiplies the cost of the hand-over this test bounds")
 	}
-	rt := New(Config{Workers: 2})
-	s := NewService(rt, ServiceConfig{})
 	const n = 10_000
-	for i := 0; i < n; i++ {
-		if _, err := rt.Run(func(*Context) {}); err != nil {
-			t.Fatalf("Run %d: %v", i, err)
+	var failures []string
+	for attempt := 0; attempt < 3; attempt++ {
+		rt := New(Config{Workers: 2})
+		s := NewService(rt, ServiceConfig{})
+		for i := 0; i < n; i++ {
+			if _, err := rt.Run(func(*Context) {}); err != nil {
+				t.Fatalf("Run %d: %v", i, err)
+			}
+		}
+		estRun, _, _, _ := idleSample(rt)
+		for i := 0; i < n; i++ {
+			h, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) {}})
+			if err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+			if err := h.Wait(); err != nil {
+				t.Fatalf("Wait %d: %v", i, err)
+			}
+		}
+		est, pickups, expiries, parks := idleSample(rt)
+		t.Logf("estimate %d ns after %d Runs, %d ns after %d Submit+Waits; %d parks, %d warm expiries", estRun, n, est, n, parks, expiries)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		failures = failures[:0]
+		if estRun >= warmSkipNS || est >= warmSkipNS {
+			failures = append(failures, fmt.Sprintf("estimate %d ns after the Runs and %d ns after the Submits, want both under %d", estRun, est, warmSkipNS))
+		}
+		// A burst of slow hand-overs — threads left over from earlier tests
+		// steal the readied worker — can lift the estimate for a few dozen
+		// parks; the blocking callers must bring it back down, and no more
+		// than 1 % of their jobs may have met a warm phase.
+		if pickups+expiries > 2*n/100 {
+			failures = append(failures, fmt.Sprintf("%d warm pickups and %d warm expiries over %d jobs, want under 1 %%", pickups, expiries, 2*n))
+		}
+		if len(failures) == 0 {
+			return
 		}
 	}
-	estRun, _, _, _ := idleSample(rt)
-	for i := 0; i < n; i++ {
-		h, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) {}})
-		if err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		if err := h.Wait(); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	est, pickups, expiries, parks := idleSample(rt)
-	t.Logf("estimate %d ns after %d Runs, %d ns after %d Submit+Waits; %d parks, %d warm expiries", estRun, n, est, n, parks, expiries)
-	if estRun >= warmSkipNS || est >= warmSkipNS {
-		t.Errorf("estimate %d ns after the Runs and %d ns after the Submits, want both under %d", estRun, est, warmSkipNS)
-	}
-	// A burst of slow hand-overs — threads left over from earlier tests
-	// steal the readied worker — can lift the estimate for a few dozen
-	// parks; the blocking callers must bring it back down, and no more than
-	// 1 % of their jobs may have met a warm phase.
-	if pickups+expiries > 2*n/100 {
-		t.Errorf("%d warm pickups and %d warm expiries over %d jobs, want under 1 %%", pickups, expiries, 2*n)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	for _, f := range failures {
+		t.Error(f)
 	}
 }
 

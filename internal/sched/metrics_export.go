@@ -3,7 +3,7 @@ package sched
 import "repro/internal/metrics"
 
 // SampleMetrics implements metrics.Source: it exports the scheduler's
-// per-worker counters (forks, steals, merge tasks, deque depth) as
+// per-worker counters (forks, steals, deque depth) as
 // exporter samples.  Stats already reads nothing but per-worker padded
 // atomics, so sampling is lock-free and safe at any point of a run; a
 // Prometheus rate() over cilkm_sched_steals_total is the steals/s signal
@@ -19,7 +19,6 @@ func (rt *Runtime) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_sched_stalled_joins_total", "Forks whose continuation was stolen.", s.StalledJoins)
 	counter("cilkm_sched_helped_tasks_total", "Tasks executed while waiting at a join.", s.HelpedTasks)
 	counter("cilkm_sched_tasks_executed_total", "Stolen or injected tasks executed.", s.TasksExecuted)
-	counter("cilkm_sched_merge_tasks_total", "Runtime-internal merge tasks run by thieves.", s.MergeTasks)
 	counter("cilkm_sched_root_tasks_total", "Run invocations.", s.RootTasks)
 	counter("cilkm_sched_parallel_for_splits_total", "Splits performed by ParallelFor.", s.ParallelForSpl)
 	counter("cilkm_sched_worker_parks_total", "Worker park transitions (a registration that backs out at the recheck is not counted).", rt.parks.Load())

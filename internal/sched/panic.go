@@ -70,11 +70,10 @@ func wrapPanic(p any) any {
 type job struct {
 	cancelled atomic.Bool
 	// progress counts scheduler-visible progress events for this job:
-	// dispatch, every stolen/helped task executed, and every merge task run
-	// on its behalf.  The service watchdog declares a job stalled when the
-	// counter stops moving for a whole window — exactly the "no steal or
-	// merge progress" criterion, so a long serial section that never forks
-	// is indistinguishable from a stall (see ServiceConfig.Watchdog).
+	// dispatch and every stolen/helped task executed.  The service watchdog
+	// declares a job stalled when the counter stops moving for a whole
+	// window, so a long serial section that never forks is
+	// indistinguishable from a stall (see ServiceConfig.Watchdog).
 	progress atomic.Uint64
 }
 

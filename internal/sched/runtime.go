@@ -31,7 +31,7 @@ type Stats struct {
 	StalledJoins   int64 // forks whose continuation was stolen
 	HelpedTasks    int64 // tasks executed while waiting at a join
 	TasksExecuted  int64 // stolen or injected tasks executed
-	MergeTasks     int64 // runtime-internal merge tasks run by thieves
+	MergeTasks     int64 // always 0: kept only until benchmark/workload.go stops reading it
 	RootTasks      int64 // Run invocations
 	MaxDequeDepth  int64 // high-water mark of any deque
 	ParallelForSpl int64 // splits performed by ParallelFor
@@ -303,7 +303,6 @@ func (rt *Runtime) Stats() Stats {
 		s.StalledJoins += w.nStalledJoins.Load()
 		s.HelpedTasks += w.nHelped.Load()
 		s.TasksExecuted += w.nTasks.Load()
-		s.MergeTasks += w.nMergeTasks.Load()
 		s.ParallelForSpl += w.nPForSplits.Load()
 		if d := w.maxDeque.Load(); d > s.MaxDequeDepth {
 			s.MaxDequeDepth = d
@@ -322,7 +321,6 @@ func (rt *Runtime) ResetStats() {
 		w.nStalledJoins.Store(0)
 		w.nHelped.Store(0)
 		w.nTasks.Store(0)
-		w.nMergeTasks.Store(0)
 		w.nPForSplits.Store(0)
 		w.maxDeque.Store(0)
 	}

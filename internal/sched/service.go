@@ -119,7 +119,7 @@ type ServiceConfig struct {
 	// DrainFinish).
 	Drain DrainPolicy
 	// Watchdog, when positive, enables the stall watchdog: a job whose
-	// progress counter (dispatch, stolen/helped tasks, merge tasks) does
+	// progress counter (dispatch, stolen/helped tasks) does
 	// not move for a whole window is cancelled with a *StallError carrying
 	// an all-goroutine stack dump.  The criterion is scheduler progress, so
 	// a legitimate serial section longer than the window is flagged too —

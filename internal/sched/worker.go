@@ -90,7 +90,6 @@ type Worker struct {
 	_ [64]byte // keep the counters off the owner's hot line
 
 	nForks        metrics.PaddedCounter
-	nMergeTasks   metrics.PaddedCounter
 	nSteals       metrics.PaddedCounter
 	nFailedSteals metrics.PaddedCounter
 	nStalledJoins metrics.PaddedCounter
@@ -145,29 +144,17 @@ func (w *Worker) Steals() int64 { return w.nSteals.Load() }
 func (w *Worker) newTask(fn func(*Context), j *join) *task {
 	if t := w.freeTasks; t != nil {
 		w.freeTasks = t.next
-		t.fn, t.mfn, t.join, t.owner, t.job, t.next = fn, nil, j, w.id, w.curJob, nil
+		t.fn, t.join, t.owner, t.job, t.next = fn, j, w.id, w.curJob, nil
 		return t
 	}
 	return &task{fn: fn, join: j, owner: w.id, job: w.curJob}
-}
-
-// newMergeTask takes a task from the free list (or allocates one) and
-// configures it as a runtime-internal merge task: mfn runs without trace
-// hooks.  Owner-goroutine only.
-func (w *Worker) newMergeTask(fn func(), j *join) *task {
-	if t := w.freeTasks; t != nil {
-		w.freeTasks = t.next
-		t.fn, t.mfn, t.join, t.owner, t.job, t.next = nil, fn, j, w.id, w.curJob, nil
-		return t
-	}
-	return &task{mfn: fn, join: j, owner: w.id, job: w.curJob}
 }
 
 // freeTask recycles a task whose identity-check window has closed: popped
 // back by its owner on the fast path, or a Group child the owner ran
 // locally and has finished waiting on.
 func (w *Worker) freeTask(t *task) {
-	t.fn, t.mfn, t.join, t.job = nil, nil, nil, nil
+	t.fn, t.join, t.job = nil, nil, nil
 	t.next = w.freeTasks
 	w.freeTasks = t
 }
@@ -495,10 +482,6 @@ func (w *Worker) endTraceAbort() {
 // runTask executes a stolen task as a fresh trace, completes its join, and
 // recycles the task object into this worker's free list.
 func (w *Worker) runTask(t *task) {
-	if t.mfn != nil {
-		w.runMergeTask(t)
-		return
-	}
 	w.nTasks.Add(1)
 	if j := t.job; j != nil {
 		j.progress.Add(1) // a stolen/helped branch ran: the job is alive
