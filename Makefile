@@ -20,7 +20,7 @@ vet:
 vet-unsafe:
 	$(GO) vet -unsafeptr ./...
 
-# cilkvet builds the repo's own analysis suite (cmd/cilkvet): five
+# cilkvet builds the repo's own analysis suite (cmd/cilkvet): six
 # analyzers over the lock-free runtime's invariants, documented in
 # docs/STATIC_ANALYSIS.md.  The binary also speaks the go vet tool
 # protocol, so CI caches it and `go vet -vettool=bin/cilkvet` works.

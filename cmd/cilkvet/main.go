@@ -1,7 +1,7 @@
 // Command cilkvet checks the repository's lock-free runtime invariants.
 //
-// It bundles five analyzers — atomicfield, deprecatedapi, epochbump,
-// nocopy and unsafeword — documented in docs/STATIC_ANALYSIS.md.  The
+// It bundles six analyzers — atomicfield, deprecatedapi, epochbump,
+// hotpath, nocopy and unsafeword — documented in docs/STATIC_ANALYSIS.md.  The
 // command runs in two modes:
 //
 // Standalone, over whole package patterns (the `make lint` entry point):

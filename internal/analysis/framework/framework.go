@@ -16,7 +16,7 @@
 //   - Cross-package information does not travel through serialized Facts.
 //     Instead every Pass carries a ModuleIndex — deprecation notices and
 //     cilkvet directives harvested from the doc comments of every package
-//     the driver saw — which is all the cross-package state these five
+//     the driver saw — which is all the cross-package state these
 //     analyzers need.
 //
 //   - Suppression is first-class: a diagnostic is dropped when the

@@ -20,6 +20,8 @@ type ObjKey struct {
 // package boundaries: deprecation notices (for deprecatedapi) and
 // `//cilkvet:nocopy` type directives (for nocopy).  The drivers build one
 // index over every package they load and share it between passes.
+// Directives that bind only within their own declaration (hotpath) need no
+// index; analyzers read them with HasDirective.
 type ModuleIndex struct {
 	// Deprecated maps objects whose doc comment contains a "Deprecated:"
 	// paragraph to the first line of that paragraph.
@@ -63,7 +65,7 @@ func (idx *ModuleIndex) IndexFiles(pkgPath string, files []*ast.File) {
 
 func (idx *ModuleIndex) indexGenDecl(pkgPath string, d *ast.GenDecl) {
 	declMsg, declDep := deprecationMessage(d.Doc)
-	declNoCopy := hasDirective(d.Doc, "nocopy")
+	declNoCopy := HasDirective(d.Doc, "nocopy")
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *ast.TypeSpec:
@@ -74,7 +76,7 @@ func (idx *ModuleIndex) indexGenDecl(pkgPath string, d *ast.GenDecl) {
 			if dep {
 				idx.Deprecated[ObjKey{pkgPath, s.Name.Name}] = msg
 			}
-			if declNoCopy || hasDirective(s.Doc, "nocopy") || hasDirective(s.Comment, "nocopy") {
+			if declNoCopy || HasDirective(s.Doc, "nocopy") || HasDirective(s.Comment, "nocopy") {
 				idx.NoCopy[ObjKey{pkgPath, s.Name.Name}] = true
 			}
 		case *ast.ValueSpec:
@@ -125,10 +127,10 @@ func deprecationMessage(doc *ast.CommentGroup) (string, bool) {
 	return "", false
 }
 
-// hasDirective reports whether the comment group contains the cilkvet
+// HasDirective reports whether the comment group contains the cilkvet
 // directive `//cilkvet:<name>`.  Directives are machine-readable comments:
 // no space after //, exact name match up to whitespace.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
+func HasDirective(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
 		return false
 	}

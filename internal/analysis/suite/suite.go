@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis/deprecatedapi"
 	"repro/internal/analysis/epochbump"
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/nocopy"
 	"repro/internal/analysis/unsafeword"
 )
@@ -20,6 +21,7 @@ func Analyzers() []*framework.Analyzer {
 		atomicfield.Analyzer,
 		deprecatedapi.Analyzer,
 		epochbump.Analyzer,
+		hotpath.Analyzer,
 		nocopy.Analyzer,
 		unsafeword.Analyzer,
 	}

@@ -350,6 +350,11 @@ func TestLogOverflowHypermergeBothEngines(t *testing.T) {
 					t.Fatalf("reducer %d = %q, want %q (overflowed map merged wrong)", i, got, want)
 				}
 			}
+			// The overflowed pages were handed off as deposits and came back
+			// through the pool: nothing may be left in flight.
+			if err := eng.Quiescent(); err != nil {
+				t.Fatalf("not quiescent: %v", err)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/metrics"
@@ -133,13 +134,15 @@ type Reducer struct {
 	// hoisting it here means the lookup fast path probes the worker's
 	// private maps with two plain array indexes (see MM.LookupWord).
 	page, slot int32
-	// slotEpoch is the incarnation of the directory slot this reducer was
-	// registered under.  The slot's epoch is bumped on every unregister, so
-	// a handle kept across Unregister can never pass Directory.Valid once
-	// its address has been recycled (see directory.go).
-	slotEpoch uint64
-	monoid    Monoid
-	eng       Engine
+	// dir is the validity flag: the directory r is registered in, nil once
+	// unregistered.  It sits beside page and slot so Directory.Valid is one
+	// load on a line the lookup has already touched.  Directory.Unregister
+	// clears it by compare-and-swap before it releases the address (see
+	// directory.go), so no successor at a recycled address ever coexists
+	// with a predecessor that still reads valid.
+	dir    atomic.Pointer[Directory]
+	monoid Monoid
+	eng    Engine
 
 	// viewType is the type word shared by every view of this reducer,
 	// captured at registration from the identity view; BoxView pairs it

@@ -43,10 +43,10 @@ import (
 //   - The live count is per-shard (registers minus unregisters), so
 //     Registered() sums a handful of counters instead of taking a lock, and
 //     steady-state churn touches no shared cache line except the cursor.
-//   - Every slot carries an epoch, bumped on unregister.  A reducer records
-//     the epoch of its slot at registration, so a recycled address can never
-//     satisfy a stale handle: Valid(r) compares both the slot's current
-//     occupant and its epoch against the handle.
+//   - Validity is a flag on the reducer itself (Reducer.dir), not a slot
+//     lookup: Unregister clears it by compare-and-swap before it vacates
+//     the slot and recycles the address, so a recycled address can never
+//     satisfy a stale handle and Valid(r) is one load.
 //   - When an allocation first touches a new SPA page index, the directory
 //     invokes the OnGrow hook outside every shard lock (serialised by a
 //     dedicated grow mutex).  The memory-mapped engine uses the hook to
@@ -98,10 +98,6 @@ func ceilPow2(n int) int {
 // moves; the RCU-published slice holds pointers to it, so growth never
 // copies slot state.
 type dirSlot struct {
-	// epoch counts the slot's incarnations: it is bumped every time the
-	// slot's reducer is unregistered.  A Reducer records the epoch it was
-	// registered under, letting Valid reject stale handles after reuse.
-	epoch atomic.Uint64
 	// r is the slot's current occupant, nil while the slot is free.
 	r atomic.Pointer[Reducer]
 	// nextFree is the intrusive free-stack link: the packed index
@@ -327,7 +323,6 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 		addr:       addr,
 		page:       int32(addr.Page()),
 		slot:       int32(addr.Slot()),
-		slotEpoch:  slot.epoch.Load(),
 		monoid:     m,
 		eng:        eng,
 		leftmost:   m.Identity(),
@@ -346,6 +341,7 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 			r.arenaClass = int8(class)
 		}
 	}
+	r.dir.Store(d)
 	slot.r.Store(r)
 	s.counters.Registers.Add(1)
 	return r, nil
@@ -370,13 +366,16 @@ func (d *Directory) growToPage(page int) error {
 	return nil
 }
 
-// Unregister removes r from the directory, bumps its slot's epoch, and
-// recycles the address.  The compare-and-swap performs the registry
-// identity check atomically: a second Unregister of the same handle — or an
-// Unregister racing a slot reuse — fails the CAS and leaves the current
-// occupant untouched, so a double-unregister can never delete another live
-// reducer's entry or push a duplicate address onto the free list.  It
-// returns whether r was the slot's occupant.
+// Unregister removes r from the directory and recycles its address.  The
+// compare-and-swap on r's validity flag is the registry identity check: a
+// second Unregister of the same handle, or one for a reducer of another
+// directory, fails it and touches nothing, so a double-unregister can never
+// delete another live reducer's entry or push a duplicate address onto the
+// free list.  The order is the design: the flag is cleared before the slot
+// is vacated and the address pushed, so by the time a successor can be
+// registered at the address its predecessor already reads invalid, and a
+// merge that finds two owners at one address has at most one valid side.
+// It returns whether r was live here.
 func (d *Directory) Unregister(r *Reducer) bool {
 	if r == nil {
 		return false
@@ -384,15 +383,11 @@ func (d *Directory) Unregister(r *Reducer) bool {
 	si := uint64(r.addr) & d.mask
 	local := uint64(r.addr) >> d.shift
 	s := &d.shards[si]
-	slot := s.lookup(local)
-	if slot == nil {
-		return false
-	}
-	if !slot.r.CompareAndSwap(r, nil) {
+	if !r.dir.CompareAndSwap(d, nil) {
 		s.counters.StaleUnregisters.Add(1)
 		return false
 	}
-	slot.epoch.Add(1)
+	s.lookup(local).r.Store(nil)
 	s.counters.Unregisters.Add(1)
 	s.pushFree(local)
 	return true
@@ -410,16 +405,14 @@ func (d *Directory) Get(addr spa.Addr) *Reducer {
 	return slot.r.Load()
 }
 
-// Valid reports whether r is still the live registration for its address:
-// the slot's occupant must be r and the slot's epoch must equal the epoch r
-// was registered under.  A handle kept across Unregister fails the check
-// even after its address has been recycled to a new reducer.
+// Valid reports whether r is still the live registration for its address
+// in this directory: one load of the reducer's validity flag.  A handle
+// kept across Unregister fails the check even after its address has been
+// recycled to a new reducer, and so does a reducer of another directory.
+//
+//cilkvet:hotpath
 func (d *Directory) Valid(r *Reducer) bool {
-	if r == nil {
-		return false
-	}
-	slot := d.shards[uint64(r.addr)&d.mask].lookup(uint64(r.addr) >> d.shift)
-	return slot != nil && slot.r.Load() == r && slot.epoch.Load() == r.slotEpoch
+	return r != nil && r.dir.Load() == d
 }
 
 // Range calls fn for every live reducer until fn returns false.  It is a

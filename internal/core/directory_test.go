@@ -71,7 +71,8 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if r2.Addr() != r1.Addr() {
 		t.Fatalf("address not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 	}
-	// The epoch stamp distinguishes the incarnations of the shared slot.
+	// The validity flag lives on the reducer, so the incarnations of the
+	// shared address cannot be confused.
 	if d.Valid(r1) {
 		t.Fatal("stale handle satisfied by recycled slot")
 	}
@@ -80,6 +81,19 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	}
 	if got := d.Get(r2.Addr()); got != r2 {
 		t.Fatalf("Get after recycle = %p, want r2", got)
+	}
+	// A reducer of another directory at the same address is neither valid
+	// here nor unregistered by this directory.
+	other := newDir(core.DirectoryConfig{Shards: 1})
+	foreign, _ := other.Register(nil, sumMonoid{})
+	if foreign.Addr() != r2.Addr() {
+		t.Fatalf("foreign reducer at address %d, want %d", foreign.Addr(), r2.Addr())
+	}
+	if d.Valid(foreign) || d.Unregister(foreign) {
+		t.Fatal("a reducer of another directory passed for one of this directory's")
+	}
+	if !other.Valid(foreign) || !d.Valid(r2) || d.Live() != 1 {
+		t.Fatal("the foreign unregister attempt disturbed a live registration")
 	}
 }
 

@@ -21,10 +21,11 @@
 //  3. View organisation: pointers are arranged in SPA map pages
 //     (package spa), giving constant-time lookup and linear-time
 //     sequencing.
-//  4. View transferal: on completion of a stolen branch the worker copies
-//     its private SPA-map slots into public SPA pages drawn from a
-//     Hoard-style pool (package pagepool) and zeroes the private ones, so
-//     hypermerges never remap memory.
+//  4. View transferal: on completion of a stolen branch the worker hands
+//     its private SPA pages over as the public deposit and takes empty
+//     ones from a Hoard-style pool (package pagepool) in their place — the
+//     paper's remapping strategy, which here is a pointer swap per page
+//     where the paper's kernel crossing made copying the slots cheaper.
 //
 // Around that mechanism the package grows the runtime pieces a resident
 // engine needs: a sharded lock-free reducer directory (type Directory),

@@ -9,8 +9,8 @@ import (
 // multi-tenant resident service hands each submitted job one, so reducers a
 // tenant registers live exactly as long as the job and are retired in one
 // sweep when it completes — a tenant cannot leak slots into the shared
-// directory, and the directory's epoch-stamped slot recycling guarantees
-// that a stale handle from a finished job never resolves a view belonging
+// directory, and the reducer's validity flag — cleared before its address
+// is released for recycling — guarantees that a stale handle from a finished job never resolves a view belonging
 // to whichever job the slot was recycled to.
 //
 // JobSession implements Engine by delegation, so typed reducer handles and

@@ -90,8 +90,9 @@ func mergeCycle(t *testing.T, eng core.Engine, s *core.Session, cur, dep func(c 
 // against a serial oracle on both engines: every combination of the current
 // trace's access, the deposited trace's access, the operand the monoid
 // returns and the view's placement; a recycled address whose stale view
-// sits on either side; and a noncommutative string monoid over widths that
-// cross SPA page boundaries.
+// sits on either side or was already dropped inside the deposited trace;
+// and a noncommutative string monoid over widths that cross SPA page
+// boundaries and overflow the pages' logs.
 func TestMergeMatrixBothEngines(t *testing.T) {
 	for name, eng := range map[string]core.Engine{
 		"mm":       core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1}),
@@ -179,6 +180,20 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 					touch(c, r1, written, 1)
 					r2 := recycle(r1, m)
 					tr := eng.BeginTrace(w)
+					touch(c, r2, written, 2)
+					d := eng.EndTrace(w, tr)
+					eng.Merge(w, w.CurrentTrace(), d)
+					return r2
+				},
+				// Both incarnations inside the deposited trace: r2's first
+				// lookup drops r1's view and reuses its slot, so the page
+				// the memory-mapped engine hands off logs that index twice
+				// and the hypermerge must still fold r2's view exactly once.
+				"stale dropped inside the deposited trace": func(c *sched.Context, r1 *core.Reducer, m core.Monoid) *core.Reducer {
+					w := c.Worker()
+					tr := eng.BeginTrace(w)
+					touch(c, r1, written, 1)
+					r2 := recycle(r1, m)
 					touch(c, r2, written, 2)
 					d := eng.EndTrace(w, tr)
 					eng.Merge(w, w.CurrentTrace(), d)

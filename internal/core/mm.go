@@ -38,7 +38,7 @@ type MMConfig struct {
 // MM is the memory-mapping reducer engine (the paper's Cilk-M mechanism).
 type MM struct {
 	cfg MMConfig
-	rec *metrics.Recorder
+	rec metrics.Recorder
 	// pool recycles public SPA pages used for view transferal.
 	pool *pagepool.Pool[*spa.Map]
 
@@ -57,8 +57,8 @@ type MM struct {
 	// lock-free paths.
 	dir *Directory
 
-	// initMu guards attach-time bookkeeping only (the worker list and the
-	// recorder resize in WorkerInit); no steady-state path takes it.
+	// initMu guards attach-time bookkeeping only (the worker list in
+	// WorkerInit); no steady-state path takes it.
 	initMu sync.Mutex
 	// workers is the RCU-published list of attached per-worker states, so
 	// Unregister and region growth can publish view invalidations without
@@ -109,9 +109,23 @@ type mmWorker struct {
 	// mapped[i] reports whether SPA page index i is backed by a TLMM page
 	// in this worker's address space.
 	mapped []bool
-	// lookups counts this worker's LookupWord outcomes since its last
-	// EndTrace.  Owner-goroutine only; see MM.lookups.
-	lookups metrics.LookupFastPathStats
+	// lookups and overheads count this worker's LookupWord outcomes and
+	// reduce-overhead events since its last flushCounts.  Owner-goroutine
+	// only; see MM.lookups.
+	lookups   metrics.LookupFastPathStats
+	overheads metrics.Breakdown
+}
+
+// flushCounts publishes the worker's three owner-only tallies — lookup
+// outcomes, arena counters, overhead events — into the engine's sampled
+// counters.  It runs where a trace ends and at the end of every Merge and
+// Discard on a worker, which is what makes the engine-level totals exact
+// between jobs and at most one trace behind while one runs.
+func (ws *mmWorker) flushCounts() {
+	e := ws.eng
+	e.lookups.Flush(&ws.lookups)
+	e.arena.Flush(&ws.arena.n)
+	e.rec.Flush(&ws.overheads)
 }
 
 // freeSlotView recycles a dead slot's view block into this worker's arena.
@@ -145,18 +159,16 @@ type mmTrace struct {
 // set without merging it anywhere: arena blocks recycle into this worker's
 // arena, heap views fall to the garbage collector.  It is the abort-path
 // counterpart of view transferal — the trace's updates are already lost,
-// so only the resource accounting matters.  Returns the number of views
-// dropped.
-func (ws *mmWorker) dropPrivateViews() int {
-	n := 0
-	ws.private.Range(func(addr spa.Addr, s spa.Slot) bool {
-		if _, err := ws.private.Remove(addr); err == nil {
+// so only the resource accounting matters.
+func (ws *mmWorker) dropPrivateViews() {
+	for pi := 0; pi < ws.private.Pages(); pi++ {
+		p := ws.private.Page(pi)
+		p.Range(func(si int, s spa.Slot) bool {
+			p.Remove(si)
 			ws.freeSlotView(s)
-			n++
-		}
-		return true
-	})
-	return n
+			return true
+		})
+	}
 }
 
 // restoreOuterTrace swaps the (now empty) private map set for the suspended
@@ -168,29 +180,21 @@ func (ws *mmWorker) restoreOuterTrace(mt *mmTrace) {
 	}
 }
 
-// MMDeposit is the result of view transferal: public SPA pages holding the
-// transferred view pointers.
+// MMDeposit is the result of view transferal: the trace's own SPA pages,
+// handed over with the views in place, indexed by SPA page index.  The
+// pages keep the log they grew as private pages, so it may have overflowed
+// or name one index twice; see spa.Map.Range for what that asks of a walk.
 type MMDeposit struct {
-	views *spa.MapSet
-	// count is the number of views in the deposit.
-	count int
+	// pages is nil once the deposit has been consumed.
+	pages []*spa.Map
 }
-
-// Views exposes the deposited views (for tests and diagnostics).
-func (d *MMDeposit) Views() *spa.MapSet { return d.views }
-
-// Count returns the number of deposited views.
-func (d *MMDeposit) Count() int { return d.count }
 
 // NewMM creates a memory-mapping engine.
 func NewMM(cfg MMConfig) *MM {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	e := &MM{
-		cfg: cfg,
-		rec: metrics.NewRecorder(cfg.Workers),
-	}
+	e := &MM{cfg: cfg}
 	e.nworkers.Store(int64(cfg.Workers))
 	e.rec.SetTiming(cfg.Timing)
 	e.pool = pagepool.New[*spa.Map](cfg.Workers,
@@ -324,6 +328,8 @@ func (e *MM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 // retired handles — is outlined into lookupMiss so the hot shape stays
 // branch-predictable.  The typed handles call this method on the concrete
 // *MM (no interface dispatch); everyone else reaches it through Engine.
+//
+//cilkvet:hotpath
 func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
 	if c != nil {
 		w := c.Worker()
@@ -333,7 +339,7 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 				ws.lookups.Hits++
 				return s.View(), epoch
 			}
-			return e.lookupMiss(w, ws, r, epoch, mutable)
+			return e.lookupMiss(ws, r, epoch, mutable)
 		}
 	}
 	return r.UnboxView(r.Value()), 0
@@ -346,7 +352,9 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 // is the owner stamp, not directory validity).  A retired handle without a
 // private view is served the frozen leftmost value and epoch zero, so the
 // caller never caches it.  Anything else installs an identity view.
-func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+//
+//cilkvet:hotpath
+func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
 	ws.lookups.Misses++
 	s := ws.private.Probe(int(r.page), int(r.slot))
 	if s.View() != nil && s.Owner() == ownerWord(r) {
@@ -368,7 +376,7 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, epoch uint64,
 			e.mergePipe.StaleViewDrops.Add(1)
 		}
 	}
-	return e.lookupSlow(w, ws, r, mutable), epoch
+	return e.lookupSlow(ws, r, mutable), epoch
 }
 
 // Workers implements Engine: the number of per-worker structures currently
@@ -383,7 +391,9 @@ func (e *MM) Workers() int { return int(e.nworkers.Load()) }
 // recyclable when the view dies.  mutable stamps the written bit; a
 // read-only first lookup leaves it clear so the identity view can be elided
 // if it is never subsequently written.
-func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
+//
+//cilkvet:hotpath
+func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 	// Ensure the worker's TLMM region backs the SPA page holding this slot.
 	if ws.vm != nil {
 		ws.ensureMapped(int(r.page))
@@ -403,7 +413,7 @@ func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 		word = r.UnboxView(r.monoid.Identity())
 		ws.arena.n.HeapViews++
 	}
-	e.rec.Stop(w.ID(), metrics.ViewCreation, start)
+	ws.overheads.Tick(metrics.ViewCreation, start)
 	if mutable {
 		flags |= spa.FlagWritten
 	}
@@ -416,7 +426,7 @@ func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 		// is a programming error.
 		panic(fmt.Sprintf("core: SPA slot %d unexpectedly occupied: %v", r.addr, err))
 	}
-	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
+	ws.overheads.Tick(metrics.ViewInsertion, start)
 	return word
 }
 
@@ -455,13 +465,8 @@ func (ws *mmWorker) ensureMapped(pi int) {
 // --- sched.ReducerRuntime hooks ---
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
-// while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the overhead recorder from the
-// runtime's actual worker count and the recorder can index by worker ID
-// directly.  An engine must not be attached to a new runtime while a
-// previously attached one is executing: the resize would race with that
-// runtime's lock-free recorder writes.  (Sessions couple one engine to one
-// runtime, so no current caller does this.)
+// while the attaching runtime is being constructed, before any of that
+// runtime's tasks execute.
 func (e *MM) WorkerInit(w *sched.Worker) {
 	ws := &mmWorker{
 		eng:     e,
@@ -474,7 +479,6 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 	w.SetLocal(ws)
 	e.initMu.Lock()
 	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
-		e.rec.EnsureWorkers(n)
 		e.nworkers.Store(int64(n))
 	}
 	// Republish the worker list copy-on-write: publication sweeps
@@ -514,9 +518,13 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 // them — so folding them at the join would be a no-op; they are removed
 // here instead, their arena blocks recycled, before the deposit is even
 // sized.  A trace whose views were all elided deposits nothing and performs
-// no pagepool round-trip at all.  The surviving views are copied into
-// public SPA pages fetched from the pool in one bulk round-trip (zeroing
-// the private slots as the worker sequences through), and the suspended
+// no pagepool round-trip at all.  Transferal itself is the paper's
+// remapping strategy: the trace's pages, surviving views in place, are
+// swapped for as many empty pages fetched from the pool in one bulk
+// round-trip and become the deposit — one pointer swap per page, nothing
+// per view.  The pool counts pages out and in, not where a page was born,
+// so pages that started life on the heap in a private set enter it on the
+// deposit's release and Outstanding stays exact.  Finally the suspended
 // outer trace's maps are restored.
 func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	ws, _ := w.Local().(*mmWorker)
@@ -530,23 +538,22 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		}
 		mt.ended = true
 	}
-	e.lookups.Flush(&ws.lookups)
 	var dep *MMDeposit
 	elided := int64(0)
-	ws.private.Range(func(addr spa.Addr, s spa.Slot) bool {
-		if s.Written() {
+	for pi := 0; pi < ws.private.Pages(); pi++ {
+		p := ws.private.Page(pi)
+		p.Range(func(si int, s spa.Slot) bool {
+			if !s.Written() {
+				p.Remove(si)
+				ws.freeSlotView(s)
+				elided++
+			}
 			return true
-		}
-		if _, err := ws.private.Remove(addr); err == nil {
-			ws.freeSlotView(s)
-			elided++
-		}
-		return true
-	})
+		})
+	}
 	if elided > 0 {
 		e.mergePipe.IdentityElisions.Add(elided)
 	}
-	e.arena.Flush(&ws.arena.n)
 	if span := ws.private.OccupiedPageSpan(); span > 0 {
 		start := e.rec.Start()
 		pages, err := e.pool.TryGetN(w.ID(), span)
@@ -565,26 +572,19 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			// worker's arena, the suspended outer trace's maps come back, and
 			// the panic is contained at the job boundary by the scheduler.
 			ws.dropPrivateViews()
-			e.arena.Flush(&ws.arena.n)
+			ws.flushCounts()
 			ws.restoreOuterTrace(mt)
 			w.BumpViewEpoch()
 			panic(fmt.Errorf("core: view transferal: %w", err))
 		}
-		public := spa.NewMapSet()
-		public.AttachPages(pages)
+		ws.private.SwapPages(pages)
 		e.mergePipe.BulkPageFetches.Add(1)
-		moved, terr := ws.private.TransferTo(public)
-		if terr != nil {
-			panic(fmt.Sprintf("core: view transferal failed: %v", terr))
-		}
-		e.rec.Stop(w.ID(), metrics.ViewTransferal, start)
-		dep = &MMDeposit{views: public, count: moved}
+		ws.overheads.Tick(metrics.ViewTransferal, start)
+		dep = &MMDeposit{pages: pages}
 	}
-	if mt != nil && mt.saved != nil {
-		// The now-empty map set becomes the spare for the next trace.
-		ws.spare = ws.private
-		ws.private = mt.saved
-	}
+	ws.flushCounts()
+	// The now-empty map set becomes the spare for the next trace.
+	ws.restoreOuterTrace(mt)
 	w.BumpViewEpoch()
 	if dep == nil {
 		return nil
@@ -593,36 +593,41 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 }
 
 // releaseDeposit is the one end of every deposit: whatever is still in
-// dep.views dies unmerged, the public pages go back to the pool in one bulk
+// its pages dies unmerged, the pages go back to the pool in one bulk
 // round-trip, and the deposit is marked consumed.  Merge and
-// MergeRootDeposit take a slot out of dep.views the moment its view is
+// MergeRootDeposit take a slot out of its page the moment its view is
 // consumed, so after a completed merge nothing is left to free, and after
 // one that panicked exactly the views nobody consumed are — this walk is
-// the whole recovery path.  On a worker the dead arena blocks recycle into
-// that worker's arena (cross-arena frees are legal: blocks are not returned
-// to the chunk they were carved from) and its arena counters are flushed;
-// with no worker (ws nil) the blocks fall to the garbage collector and
-// arenaRootReleased counts them out of the arena accounting.
+// the whole recovery path, and it takes each slot out as it frees it like
+// every other deposit walk (spa.Map.Range says why).  On a worker the dead
+// arena blocks recycle into that worker's arena (cross-arena frees are
+// legal: blocks are not returned to the chunk they were carved from) and
+// its tallies are flushed; with no worker (ws nil) the blocks fall to the
+// garbage collector and arenaRootReleased counts them out of the arena
+// accounting.
 func (e *MM) releaseDeposit(ws *mmWorker, wid int, dep *MMDeposit) {
-	if !dep.views.IsEmpty() {
-		dep.views.Range(func(_ spa.Addr, s spa.Slot) bool {
+	released := int64(0)
+	for _, p := range dep.pages {
+		p.Range(func(si int, s spa.Slot) bool {
+			p.Remove(si)
 			if ws != nil {
 				ws.freeSlotView(s)
 			} else if s.Arena() {
-				e.arenaRootReleased.Add(1)
+				released++
 			}
 			return true
 		})
+		// The page is empty; Reset rewinds the log it carried over.
+		p.Reset()
 	}
-	// DrainPages resets the pages, so the slots just freed need no Remove.
-	if pages := dep.views.DrainPages(); len(pages) > 0 {
-		e.pool.PutN(wid, pages)
-		e.mergePipe.BulkPageReturns.Add(1)
+	if released > 0 {
+		e.arenaRootReleased.Add(released)
 	}
-	dep.views = nil
-	dep.count = 0
+	e.pool.PutN(wid, dep.pages)
+	e.mergePipe.BulkPageReturns.Add(1)
+	dep.pages = nil
 	if ws != nil {
-		e.arena.Flush(&ws.arena.n)
+		ws.flushCounts()
 	}
 }
 
@@ -642,17 +647,17 @@ func (e *MM) releaseDeposit(ws *mmWorker, wid int, dep *MMDeposit) {
 //     serially-earlier view on the left, and the views the reduce killed go
 //     back to this worker's arena.
 //
-// A slot leaves dep.views only once its view has been consumed — adopted,
-// folded into the current view, or freed — and no step that can panic runs
-// between the consumption and the removal.  So whenever a Reduce panics (a
-// buggy or fault-injected monoid), dep.views holds exactly the deposited
-// views nobody owns yet; the deferred releaseDeposit frees them, returns the
-// pages, and the panic unwinds to the job boundary.  The current trace may
-// then hold a partial merge: the job is aborting, and the trace's views are
-// discarded at the recovery point.
+// A slot leaves its deposit page only once its view has been consumed —
+// adopted, folded into the current view, or freed — and no step that can
+// panic runs between the consumption and the removal.  So whenever a Reduce
+// panics (a buggy or fault-injected monoid), the deposit holds exactly the
+// deposited views nobody owns yet; the deferred releaseDeposit frees them,
+// returns the pages, and the panic unwinds to the job boundary.  The current
+// trace may then hold a partial merge: the job is aborting, and the trace's
+// views are discarded at the recovery point.
 func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
-	if dep == nil || dep.views == nil {
+	if dep == nil || dep.pages == nil {
 		return
 	}
 	ws, _ := w.Local().(*mmWorker)
@@ -668,11 +673,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	start := e.rec.Start()
 	cur := ws.private
 	var reduces, adopts, staleDrops, elisions int64
-	for pi, depPages := 0, dep.views.Pages(); pi < depPages; pi++ {
-		dp := dep.views.Page(pi)
-		if dp == nil || dp.IsEmpty() {
-			continue
-		}
+	for pi, dp := range dep.pages {
 		// curPage is resolved once per page.  An adopt below may create the
 		// page in cur after this lookup returned nil; the cached nil stays
 		// correct for the rest of this page's slots — a just-created page
@@ -700,7 +701,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				// The directory holds at most one live registration per
 				// address, so at most one side can still be valid.
 				staleDrops++
-				if owner == nil || !e.dir.Valid(owner) {
+				if !e.dir.Valid(owner) {
 					dp.Remove(si)
 					ws.freeSlotView(s)
 					return true
@@ -720,13 +721,11 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 			return true
 		})
 	}
-	e.rec.Stop(w.ID(), metrics.Hypermerge, start)
+	ws.overheads.Tick(metrics.Hypermerge, start)
 	if reduces > 1 {
-		e.rec.RecordCount(w.ID(), metrics.Hypermerge, reduces-1)
+		ws.overheads.TickN(metrics.Hypermerge, reduces-1)
 	}
-	if adopts > 0 {
-		e.rec.RecordCount(w.ID(), metrics.ViewInsertion, adopts)
-	}
+	ws.overheads.TickN(metrics.ViewInsertion, adopts)
 	e.mergePipe.Merges.Add(1)
 	e.mergePipe.SlotsMerged.Add(reduces + adopts)
 	e.mergePipe.Reduces.Add(reduces)
@@ -784,42 +783,47 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 // MergeRootDeposit implements Engine: the views produced by the root trace
 // are folded into the reducers' leftmost views in serial order.  The owner
 // stamp carried by every deposited slot resolves the reducer directly —
-// no registry copy, no lock — and the directory's epoch-stamped Valid check
-// drops views whose reducer was unregistered while they were in flight,
-// even if the address has since been recycled.  Never-written views are
-// elided exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever happens
-// to a view — absorbed, elided, or dropped stale — its arena block is not
-// recycled: MergeRootDeposit runs on the caller's goroutine, which owns no
-// arena, so the block goes to the garbage collector and arenaRootReleased
-// closes the books on it.
+// no registry copy, no lock — and the reducer's validity flag drops views
+// whose reducer was unregistered while they were in flight, even if the
+// address has since been recycled.  Never-written views are elided exactly
+// as in Merge (leftmost ⊗ e = leftmost).  Whatever happens to a view —
+// absorbed, elided, or dropped stale — its arena block is not recycled:
+// MergeRootDeposit runs on the caller's goroutine, which owns no arena, so
+// the block goes to the garbage collector and arenaRootReleased closes the
+// books on it.  The walk counts locally and publishes once, in the deferred
+// tail, so a panicking Reduce still leaves Quiescent balanced.
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
-	if dep == nil || dep.views == nil {
+	if dep == nil || dep.pages == nil {
 		return
 	}
 	e.mergeInflight.Add(1)
-	defer e.mergeInflight.Add(-1)
-	defer e.releaseDeposit(nil, 0, dep)
-	for pi, depPages := 0, dep.views.Pages(); pi < depPages; pi++ {
-		dp := dep.views.Page(pi)
+	var released, stale, elided int64
+	defer func() {
+		e.arenaRootReleased.Add(released)
+		e.mergePipe.StaleViewDrops.Add(stale)
+		e.mergePipe.IdentityElisions.Add(elided)
+		e.releaseDeposit(nil, 0, dep)
+		e.mergeInflight.Add(-1)
+	}()
+	for _, dp := range dep.pages {
 		dp.Range(func(si int, s spa.Slot) bool {
 			dp.Remove(si)
 			if s.Arena() {
-				e.arenaRootReleased.Add(1)
+				released++
 			}
 			owner := reducerOf(s.Owner())
-			if owner == nil || !e.dir.Valid(owner) {
+			switch {
+			case !e.dir.Valid(owner):
 				// The reducer was unregistered while views for it were still
 				// in flight; fold into nothing (drop), mirroring a view whose
 				// reducer went out of scope.
-				e.mergePipe.StaleViewDrops.Add(1)
-				return true
+				stale++
+			case !s.Written():
+				elided++
+			default:
+				owner.absorb(owner.BoxView(s.View()))
 			}
-			if !s.Written() {
-				e.mergePipe.IdentityElisions.Add(1)
-				return true
-			}
-			owner.absorb(owner.BoxView(s.View()))
 			return true
 		})
 	}
@@ -835,7 +839,7 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 // settle.
 func (e *MM) Discard(w *sched.Worker, d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
-	if dep == nil || dep.views == nil {
+	if dep == nil || dep.pages == nil {
 		return
 	}
 	var ws *mmWorker

@@ -184,3 +184,76 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestUnregisterWindowStress churns Register/Unregister on a one-shard
+// directory — every freed address is the next one handed out — while
+// hypermerges decide which side of a recycled address is stale.  Each lane
+// writes a scratch reducer, retires it with the view still in flight, and
+// registers a survivor that is then written from a nested parallel loop, so
+// survivors' views meet retired reducers' views at shared addresses in
+// current traces and in deposits on every worker.  Validity is a flag on
+// the reducer that Unregister clears before the address is released: a
+// survivor must never lose a view (its sum is exact), a retired reducer
+// must absorb nothing, and on the memory-mapped engine the stale drops are
+// exactly the retired reducers' views.  Run it under -race.
+func TestUnregisterWindowStress(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 8
+		lanes   = 32
+		writes  = 16
+	)
+	for name, eng := range map[string]core.Engine{
+		"mm":       core.NewMM(core.MMConfig{Workers: workers, DirectoryShards: 1}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: workers, DirectoryShards: 1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := core.NewSession(workers, eng)
+			defer s.Close()
+			keeper, _ := eng.Register(arenaSumMonoid{})
+			for round := 0; round < rounds; round++ {
+				var retired, survivors [lanes]*core.Reducer
+				err := s.Run(func(c *sched.Context) {
+					c.ParallelForGrain(0, lanes, 1, func(c *sched.Context, i int) {
+						*core.Lookup(eng, c, keeper).(*int64)++
+						scratch, _ := eng.Register(arenaSumMonoid{})
+						*core.Lookup(eng, c, scratch).(*int64) += 1000
+						eng.Unregister(scratch)
+						retired[i] = scratch
+						live, _ := eng.Register(arenaSumMonoid{})
+						c.ParallelForGrain(0, writes, 1, func(c *sched.Context, _ int) {
+							*core.Lookup(eng, c, live).(*int64)++
+							runtime.Gosched()
+						})
+						survivors[i] = live
+					})
+				})
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for i := range survivors {
+					if got := *survivors[i].Value().(*int64); got != writes {
+						t.Fatalf("round %d lane %d: survivor = %d, want %d — a live reducer's view was dropped", round, i, got, writes)
+					}
+					if got := *retired[i].Value().(*int64); got != 0 {
+						t.Fatalf("round %d lane %d: retired reducer absorbed %d", round, i, got)
+					}
+					eng.Unregister(survivors[i])
+				}
+				if err := eng.Quiescent(); err != nil {
+					t.Fatalf("round %d: not quiescent: %v", round, err)
+				}
+			}
+			if got := *keeper.Value().(*int64); got != rounds*lanes {
+				t.Fatalf("keeper = %d, want %d", got, rounds*lanes)
+			}
+			if mm, ok := eng.(*core.MM); ok {
+				// Each retired reducer had exactly one written view in flight;
+				// those are dropped, once each, and nothing else ever is.
+				if drops := mm.MergeStats().StaleViewDrops; drops != rounds*lanes {
+					t.Fatalf("%d stale view drops, want %d: one per retired reducer", drops, rounds*lanes)
+				}
+			}
+		})
+	}
+}

@@ -89,6 +89,8 @@ type arenaClass struct {
 // chunk, then a fresh chunk.  Blocks are 8-byte aligned (chunks are
 // []uint64) and sized to the class, so any block can later serve any view
 // of the same class.
+//
+//cilkvet:hotpath
 func (a *viewArena) alloc(class int) unsafe.Pointer {
 	if class < 0 || class >= arenaNumClasses {
 		panic(fmt.Sprintf("core: view arena class %d out of range", class))
@@ -117,6 +119,8 @@ func (a *viewArena) alloc(class int) unsafe.Pointer {
 // pointer previously handed out for this class by some worker's arena
 // (slots record this in their FlagArena bit), so the memory is at least
 // class-size bytes and 8-byte aligned.
+//
+//cilkvet:hotpath
 func (a *viewArena) free(class int, p unsafe.Pointer) {
 	if class < 0 || class >= arenaNumClasses || p == nil {
 		return

@@ -16,7 +16,7 @@ import (
 
 // Config configures the hypermap engine.
 type Config struct {
-	// Workers sizes the per-worker instrumentation.
+	// Workers sizes the per-worker structures.
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
@@ -37,7 +37,7 @@ type Config struct {
 // dispatch on a handle-cache miss.
 type HM struct {
 	cfg Config
-	rec *metrics.Recorder
+	rec metrics.Recorder
 
 	// dir is the sharded reducer directory shared with the memory-mapped
 	// engine's implementation: registration, unregistration and the live
@@ -45,8 +45,8 @@ type HM struct {
 	// the lookup structures rather than a registry mutex.
 	dir *core.Directory
 
-	// initMu guards attach-time bookkeeping only (the worker list and the
-	// recorder resize in WorkerInit).
+	// initMu guards attach-time bookkeeping only (the worker list in
+	// WorkerInit).
 	initMu sync.Mutex
 	// workers is the RCU-published list of attached per-worker states, so
 	// Unregister can publish view invalidations without a lock.
@@ -77,9 +77,19 @@ type hmWorker struct {
 	w   *sched.Worker
 	// user is the user hypermap: reducer address → local view.
 	user *hashTable
-	// lookups counts this worker's LookupWord outcomes since its last
-	// EndTrace.  Owner-goroutine only; see HM.lookups.
-	lookups metrics.LookupFastPathStats
+	// lookups and overheads count this worker's LookupWord outcomes and
+	// reduce-overhead events since its last flushCounts.  Owner-goroutine
+	// only; see HM.lookups.
+	lookups   metrics.LookupFastPathStats
+	overheads metrics.Breakdown
+}
+
+// flushCounts publishes the worker's owner-only tallies into the engine's
+// sampled counters; it runs where a trace ends and at the end of every
+// Merge, mirroring the memory-mapped engine.
+func (ws *hmWorker) flushCounts() {
+	ws.eng.lookups.Flush(&ws.lookups)
+	ws.eng.rec.Flush(&ws.overheads)
 }
 
 // entry pairs a local view with the reducer that owns it.  The view is
@@ -132,10 +142,7 @@ func New(cfg Config) *HM {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	e := &HM{
-		cfg: cfg,
-		rec: metrics.NewRecorder(cfg.Workers),
-	}
+	e := &HM{cfg: cfg}
 	e.nworkers.Store(int64(cfg.Workers))
 	e.dir = core.NewDirectory(core.DirectoryConfig{
 		Shards:  cfg.DirectoryShards,
@@ -215,6 +222,8 @@ func (e *HM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 // handles — takes the outlined lookupMiss.  The owner stamp guarantees an
 // entry at a recycled address never serves a stale view, mirroring the
 // memory-mapped engine's SPA slot stamp.
+//
+//cilkvet:hotpath
 func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
 	if c != nil {
 		w := c.Worker()
@@ -224,7 +233,7 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 				ws.lookups.Hits++
 				return ent.view, epoch
 			}
-			return e.lookupMiss(w, ws, r, epoch, mutable)
+			return e.lookupMiss(ws, r, epoch, mutable)
 		}
 	}
 	return r.UnboxView(r.Value()), 0
@@ -236,7 +245,9 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 // without an entry of its own is served the frozen leftmost value and epoch
 // zero, so the caller never caches it, matching a serial lookup after
 // unregistration.  Anything else installs an identity view.
-func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+//
+//cilkvet:hotpath
+func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
 	ws.lookups.Misses++
 	ent := ws.user.lookup(r.Addr())
 	if ent != nil && ent.owner == r {
@@ -260,11 +271,11 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, epoch ui
 	faultinject.Check(faultinject.MonoidIdentity)
 	start := e.rec.Start()
 	word := r.UnboxView(r.Monoid().Identity())
-	e.rec.Stop(w.ID(), metrics.ViewCreation, start)
+	ws.overheads.Tick(metrics.ViewCreation, start)
 
 	start = e.rec.Start()
 	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
-	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
+	ws.overheads.Tick(metrics.ViewInsertion, start)
 	return word, epoch
 }
 
@@ -276,19 +287,13 @@ func (e *HM) Workers() int { return int(e.nworkers.Load()) }
 // --- sched.ReducerRuntime hooks ---
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
-// while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the overhead recorder from the
-// runtime's actual worker count and the recorder can index by worker ID
-// directly.  An engine must not be attached to a new runtime while a
-// previously attached one is executing: the resize would race with that
-// runtime's lock-free recorder writes.  (Sessions couple one engine to one
-// runtime, so no current caller does this.)
+// while the attaching runtime is being constructed, before any of that
+// runtime's tasks execute.
 func (e *HM) WorkerInit(w *sched.Worker) {
 	ws := &hmWorker{eng: e, w: w, user: e.newHypermap()}
 	w.SetLocal(ws)
 	e.initMu.Lock()
 	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
-		e.rec.EnsureWorkers(n)
 		e.nworkers.Store(int64(n))
 	}
 	// Republish the worker list copy-on-write: publication sweeps iterate
@@ -331,14 +336,14 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		}
 		ht.ended = true
 	}
-	e.lookups.Flush(&ws.lookups)
 	var dep *Deposit
 	if ws.user.len() != 0 {
 		start := e.rec.Start()
 		dep = &Deposit{views: ws.user}
 		ws.user = nil
-		e.rec.Stop(w.ID(), metrics.ViewTransferal, start)
+		ws.overheads.Tick(metrics.ViewTransferal, start)
 	}
+	ws.flushCounts()
 	if ht != nil && ht.saved != nil {
 		ws.user = ht.saved
 	} else if ws.user == nil {
@@ -393,21 +398,22 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 			// Owner stamps differ: the address was recycled while one of
 			// the views was in flight, and at most one owner can still be
 			// registered.  Drop the stale side.
-			if depEnt.owner == nil || !e.dir.Valid(depEnt.owner) {
+			if !e.dir.Valid(depEnt.owner) {
 				return
 			}
 			ws.user.remove(addr)
 		}
 		insStart := e.rec.Start()
 		ws.user.insert(addr, *depEnt)
-		e.rec.Stop(w.ID(), metrics.ViewInsertion, insStart)
+		ws.overheads.Tick(metrics.ViewInsertion, insStart)
 	})
 	dep.views = nil
 	w.BumpViewEpoch()
-	e.rec.Stop(w.ID(), metrics.Hypermerge, start)
+	ws.overheads.Tick(metrics.Hypermerge, start)
 	if reduces > 1 {
-		e.rec.RecordCount(w.ID(), metrics.Hypermerge, reduces-1)
+		ws.overheads.TickN(metrics.Hypermerge, reduces-1)
 	}
+	ws.flushCounts()
 	if elisions > 0 {
 		e.elisions.Add(elisions)
 	}
@@ -415,8 +421,8 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 
 // MergeRootDeposit implements core.Engine.  Each entry's owner stamp
 // resolves the reducer directly — no registry copy, no lock — and the
-// directory's epoch-stamped Valid check drops views whose reducer was
-// unregistered while they were in flight.  Never-written entries are
+// reducer's validity flag drops views whose reducer was unregistered while
+// they were in flight.  Never-written entries are
 // elided exactly as in Merge.
 func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*Deposit)
@@ -426,7 +432,7 @@ func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	e.mergeInflight.Add(1)
 	defer e.mergeInflight.Add(-1)
 	dep.views.forEach(func(addr spa.Addr, ent *entry) {
-		if ent.owner == nil || !e.dir.Valid(ent.owner) {
+		if !e.dir.Valid(ent.owner) {
 			return
 		}
 		if !ent.written {

@@ -1,6 +1,6 @@
 // Package metrics provides the instrumentation used to reproduce the
-// paper's overhead measurements: per-worker padded counters for the four
-// sources of reduce overhead (view creation, view insertion, view
+// paper's overhead measurements: owner-only tallies and padded counters for
+// the four sources of reduce overhead (view creation, view insertion, view
 // transferal and hypermerge), simple timing statistics, and text renderers
 // for the tables and figures the benchmark harness prints.
 package metrics
@@ -61,6 +61,35 @@ func (b *Breakdown) Add(other Breakdown) {
 	}
 }
 
+// Tick counts one event of category o and, when start is a Recorder.Start
+// stamp taken with timing on, the time since.  A worker ticks a Breakdown
+// of its own — plain fields, owner-goroutine only — on the per-view paths
+// and hands it to Recorder.Flush where its trace ends.
+//
+//cilkvet:hotpath
+func (b *Breakdown) Tick(o Overhead, start int64) {
+	b.Counts[o]++
+	if start != 0 {
+		b.addSince(o, start)
+	}
+}
+
+// addSince is Tick's timed half, outlined so the untimed Tick inlines.
+//
+//go:noinline
+func (b *Breakdown) addSince(o Overhead, start int64) { b.Nanos[o] += now() - start }
+
+// clockBase anchors the monotonic stamps Recorder.Start hands out.
+var clockBase = time.Now()
+
+// now returns the monotonic nanoseconds since clockBase.
+func now() int64 { return int64(time.Since(clockBase)) }
+
+// TickN counts n untimed events of category o.
+//
+//cilkvet:hotpath
+func (b *Breakdown) TickN(o Overhead, n int64) { b.Counts[o] += n }
+
 // Total returns the summed duration across all categories.
 func (b Breakdown) Total() time.Duration {
 	var t int64
@@ -84,9 +113,6 @@ func (b Breakdown) String() string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// cacheLinePad separates per-worker counters to avoid false sharing.
-type cacheLinePad [64]byte
 
 // PaddedCounter is an atomic int64 counter padded out to a cache line, so
 // that adjacent counters (scheduler statistics, the reducer engines'
@@ -314,48 +340,17 @@ type DirectoryStats struct {
 	SlotGrows        int64
 }
 
-// workerCounters is one worker's slice of the recorder.
-type workerCounters struct {
-	nanos  [numOverheads]atomic.Int64
-	counts [numOverheads]atomic.Int64
-	_      cacheLinePad
-}
-
-// Recorder accumulates overhead contributions from many workers without
-// contention and aggregates them on demand.
+// Recorder is the shared, sampled side of the overhead instrumentation,
+// the LookupCounters idiom: workers tick a private Breakdown and Flush it
+// here where a trace ends, so the per-view paths never perform an atomic
+// write, a Snapshot lags a running worker by at most one trace, and one
+// taken once the job has returned is exact.  The zero value is ready to
+// use, with timing off.
 type Recorder struct {
-	workers []workerCounters
+	nanos, counts [numOverheads]PaddedCounter
 	// timing controls whether durations are recorded; event counts are
 	// always recorded.
 	timing atomic.Bool
-}
-
-// NewRecorder creates a recorder for n workers.
-func NewRecorder(n int) *Recorder {
-	if n < 1 {
-		n = 1
-	}
-	r := &Recorder{workers: make([]workerCounters, n)}
-	r.timing.Store(true)
-	return r
-}
-
-// EnsureWorkers grows the recorder to at least n per-worker slots,
-// preserving accumulated counts.  It may only be called while nothing else
-// touches the recorder — at attach time, before the runtime executes tasks
-// — so that Record/Stop can keep indexing without a lock.
-func (r *Recorder) EnsureWorkers(n int) {
-	if n <= len(r.workers) {
-		return
-	}
-	grown := make([]workerCounters, n)
-	for i := range r.workers {
-		for o := 0; o < int(numOverheads); o++ {
-			grown[i].nanos[o].Store(r.workers[i].nanos[o].Load())
-			grown[i].counts[o].Store(r.workers[i].counts[o].Load())
-		}
-	}
-	r.workers = grown
 }
 
 // SetTiming enables or disables duration recording.  Disabling it removes
@@ -365,66 +360,47 @@ func (r *Recorder) SetTiming(on bool) { r.timing.Store(on) }
 // Timing reports whether duration recording is enabled.
 func (r *Recorder) Timing() bool { return r.timing.Load() }
 
-// Record adds one event of category o with the given duration for worker w.
-func (r *Recorder) Record(w int, o Overhead, d time.Duration) {
-	wc := &r.workers[r.clamp(w)]
-	wc.counts[o].Add(1)
-	if r.timing.Load() && d > 0 {
-		wc.nanos[o].Add(int64(d))
-	}
-}
-
-// RecordCount adds n events of category o without timing.
-func (r *Recorder) RecordCount(w int, o Overhead, n int64) {
-	r.workers[r.clamp(w)].counts[o].Add(n)
-}
-
-// Start returns the current time if timing is enabled and the zero time
-// otherwise; pair it with Stop.
-func (r *Recorder) Start() time.Time {
+// Start returns a clock stamp if timing is enabled and zero otherwise; pair
+// it with Breakdown.Tick.
+//
+//cilkvet:hotpath
+func (r *Recorder) Start() int64 {
 	if !r.timing.Load() {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return now()
 }
 
-// Stop records one event of category o for worker w, measured from the
-// Start value.
-func (r *Recorder) Stop(w int, o Overhead, start time.Time) {
-	wc := &r.workers[r.clamp(w)]
-	wc.counts[o].Add(1)
-	if !start.IsZero() {
-		wc.nanos[o].Add(int64(time.Since(start)))
+// Flush folds a worker's private tally into the recorder and zeroes it.
+// Owner-goroutine only with respect to local.
+func (r *Recorder) Flush(local *Breakdown) {
+	for o := range local.Counts {
+		if n := local.Counts[o]; n != 0 {
+			r.counts[o].Add(n)
+		}
+		if n := local.Nanos[o]; n != 0 {
+			r.nanos[o].Add(n)
+		}
 	}
+	*local = Breakdown{}
 }
 
-// Snapshot aggregates all workers into one breakdown.
+// Snapshot reads every counter.
 func (r *Recorder) Snapshot() Breakdown {
 	var b Breakdown
-	for i := range r.workers {
-		for o := 0; o < int(numOverheads); o++ {
-			b.Nanos[o] += r.workers[i].nanos[o].Load()
-			b.Counts[o] += r.workers[i].counts[o].Load()
-		}
+	for o := range b.Counts {
+		b.Nanos[o] = r.nanos[o].Load()
+		b.Counts[o] = r.counts[o].Load()
 	}
 	return b
 }
 
 // Reset zeroes every counter.
 func (r *Recorder) Reset() {
-	for i := range r.workers {
-		for o := 0; o < int(numOverheads); o++ {
-			r.workers[i].nanos[o].Store(0)
-			r.workers[i].counts[o].Store(0)
-		}
+	for o := range r.counts {
+		r.nanos[o].Store(0)
+		r.counts[o].Store(0)
 	}
-}
-
-func (r *Recorder) clamp(w int) int {
-	if w < 0 {
-		return 0
-	}
-	return w % len(r.workers)
 }
 
 // Sample summarises repeated timing measurements.

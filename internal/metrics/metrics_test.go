@@ -28,12 +28,26 @@ func TestOverheadStrings(t *testing.T) {
 	}
 }
 
+// tally builds a worker's private Breakdown from (category, nanos) events.
+func tally(events ...[2]int64) *Breakdown {
+	var b Breakdown
+	for _, ev := range events {
+		b.Counts[ev[0]]++
+		b.Nanos[ev[0]] += ev[1]
+	}
+	return &b
+}
+
 func TestRecorderRecordAndSnapshot(t *testing.T) {
-	r := NewRecorder(4)
-	r.Record(0, ViewCreation, 10*time.Nanosecond)
-	r.Record(1, ViewCreation, 20*time.Nanosecond)
-	r.Record(2, Hypermerge, 30*time.Nanosecond)
-	r.RecordCount(3, ViewInsertion, 5)
+	var r Recorder
+	r.Flush(tally([2]int64{int64(ViewCreation), 10}))
+	r.Flush(tally([2]int64{int64(ViewCreation), 20}))
+	local := tally([2]int64{int64(Hypermerge), 30})
+	local.TickN(ViewInsertion, 5)
+	r.Flush(local)
+	if *local != (Breakdown{}) {
+		t.Fatalf("Flush left the local tally at %+v", *local)
+	}
 	b := r.Snapshot()
 	if b.Count(ViewCreation) != 2 || b.Duration(ViewCreation) != 30*time.Nanosecond {
 		t.Fatalf("ViewCreation = %v/%d", b.Duration(ViewCreation), b.Count(ViewCreation))
@@ -48,23 +62,24 @@ func TestRecorderRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("String() = %q", b.String())
 	}
 	r.Reset()
-	if r.Snapshot().Total() != 0 {
+	if r.Snapshot() != (Breakdown{}) {
 		t.Fatal("Reset did not clear counters")
 	}
 }
 
 func TestRecorderTimingToggle(t *testing.T) {
-	r := NewRecorder(1)
-	if !r.Timing() {
-		t.Fatal("timing should default to enabled")
+	var r Recorder
+	if r.Timing() {
+		t.Fatal("the zero Recorder should have timing off")
 	}
-	r.SetTiming(false)
+	var local Breakdown
 	start := r.Start()
-	if !start.IsZero() {
-		t.Fatal("Start should return zero time when timing is disabled")
+	if start != 0 {
+		t.Fatal("Start should return zero when timing is disabled")
 	}
-	r.Stop(0, ViewTransferal, start)
-	r.Record(0, ViewTransferal, time.Second)
+	local.Tick(ViewTransferal, start)
+	local.Tick(ViewTransferal, r.Start())
+	r.Flush(&local)
 	b := r.Snapshot()
 	if b.Count(ViewTransferal) != 2 {
 		t.Fatalf("counts = %d, want 2", b.Count(ViewTransferal))
@@ -75,37 +90,29 @@ func TestRecorderTimingToggle(t *testing.T) {
 	r.SetTiming(true)
 	start = r.Start()
 	time.Sleep(time.Millisecond)
-	r.Stop(0, ViewTransferal, start)
-	if r.Snapshot().Duration(ViewTransferal) == 0 {
-		t.Fatal("expected a positive duration with timing enabled")
-	}
-}
-
-func TestRecorderWorkerClamping(t *testing.T) {
-	r := NewRecorder(2)
-	r.Record(-1, ViewCreation, time.Nanosecond)
-	r.Record(17, ViewCreation, time.Nanosecond)
-	if got := r.Snapshot().Count(ViewCreation); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
-	}
-	r0 := NewRecorder(0)
-	r0.Record(0, ViewCreation, time.Nanosecond)
-	if r0.Snapshot().Count(ViewCreation) != 1 {
-		t.Fatal("zero-worker recorder should clamp to one slot")
+	local.Tick(ViewTransferal, start)
+	r.Flush(&local)
+	if r.Snapshot().Duration(ViewTransferal) < time.Millisecond {
+		t.Fatal("expected the slept millisecond with timing enabled")
 	}
 }
 
 func TestRecorderConcurrentUse(t *testing.T) {
-	r := NewRecorder(4)
+	var r Recorder
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
+			var local Breakdown
 			for i := 0; i < 1000; i++ {
-				r.Record(worker, Hypermerge, time.Nanosecond)
+				local.Counts[Hypermerge]++
+				local.Nanos[Hypermerge]++
+				if i%10 == 9 {
+					r.Flush(&local)
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	b := r.Snapshot()
@@ -233,20 +240,5 @@ func TestPaddedCounterConcurrentMax(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 7999 {
 		t.Fatalf("concurrent Max converged to %d, want 7999", c.Load())
-	}
-}
-
-func TestRecorderEnsureWorkers(t *testing.T) {
-	r := NewRecorder(2)
-	r.RecordCount(1, Hypermerge, 7)
-	r.EnsureWorkers(5)
-	r.RecordCount(4, Hypermerge, 3)
-	if got := r.Snapshot().Count(Hypermerge); got != 10 {
-		t.Fatalf("counts after grow = %d, want 10", got)
-	}
-	r.EnsureWorkers(1) // never shrinks
-	r.RecordCount(4, Hypermerge, 1)
-	if got := r.Snapshot().Count(Hypermerge); got != 11 {
-		t.Fatalf("counts after no-op grow = %d, want 11", got)
 	}
 }

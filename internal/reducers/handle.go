@@ -239,6 +239,8 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 //
 // Being a mutable access, a miss stamps the slot's written bit, which
 // exempts the view from the merge pipeline's identity-view elision.
+//
+//cilkvet:hotpath
 func (h *Handle[V]) View(c *sched.Context) *V {
 	if c != nil {
 		// The id comes off the context, not the worker, so the slot fetch
@@ -258,6 +260,8 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 // pipeline elides it — no reduce call, no transferal, and (on the
 // memory-mapped engine) its arena block is recycled at trace end.  Do not
 // write through the returned pointer; use View for that.
+//
+//cilkvet:hotpath
 func (h *Handle[V]) ReadView(c *sched.Context) *V {
 	if c != nil {
 		if id := c.WorkerID(); uint(id) < uint(len(h.slots)) {
@@ -274,6 +278,8 @@ func (h *Handle[V]) ReadView(c *sched.Context) *V {
 // viewMiss is the outlined slow half of View (mutable) and ReadView: a
 // cache miss, or a View of an entry that was resolved read-only and must
 // revisit the engine once so the slot's written bit gets stamped.
+//
+//cilkvet:hotpath
 func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 	if c == nil {
 		return h.r.Value().(*V)

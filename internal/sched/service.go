@@ -207,9 +207,12 @@ type JobHandle struct {
 
 	// ctxCancel releases the Timeout-derived context; stopWatch detaches
 	// the context watcher.  Both are set before the handle is published to
-	// the queue and called once at completion.
+	// the queue and called once at completion.  watchMu orders the store of
+	// stopWatch before the watcher's own cancellation, which can fire (an
+	// already-expired context) before context.AfterFunc has returned.
 	ctxCancel context.CancelFunc
 	stopWatch func() bool
+	watchMu   sync.Mutex
 	onDone    func(error)
 	onSettle  func()
 	// settleOnce guards onSettle: cancellation racing dispatch means two
@@ -571,9 +574,13 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 		ctx, h.ctxCancel = context.WithTimeout(ctx, spec.Timeout)
 	}
 	if ctx.Done() != nil {
+		h.watchMu.Lock()
 		h.stopWatch = context.AfterFunc(ctx, func() {
+			h.watchMu.Lock() // wait for stopWatch: deliver reads it
+			h.watchMu.Unlock()
 			h.cancel(ctx.Err())
 		})
+		h.watchMu.Unlock()
 	}
 
 	s.mu.Lock()

@@ -353,6 +353,27 @@ func TestServiceDeadline(t *testing.T) {
 	}
 }
 
+// TestServiceDeadlineExpiredAtSubmit submits jobs whose deadline has passed
+// before Submit finishes arming them, so the context watcher fires while
+// Submit is still storing the watcher's stop function.  Every outcome is
+// either a run or DeadlineExceeded; under -race it pins that the watcher's
+// cancellation is ordered after that store.
+func TestServiceDeadlineExpiredAtSubmit(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Queue: 8})
+	for i := 0; i < 300; i++ {
+		h, err := s.Submit(context.Background(), JobSpec{Timeout: time.Nanosecond, Fn: func(c *Context) {}})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if werr := h.Wait(); werr != nil && !errors.Is(werr, context.DeadlineExceeded) {
+			t.Fatalf("job %d: %v, want nil or DeadlineExceeded", i, werr)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestServiceRunningDeadline checks a deadline firing mid-execution unblocks
 // the waiter with DeadlineExceeded while the job unwinds at its checkpoints
 // and the pool settles to quiescence.

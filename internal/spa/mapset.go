@@ -21,8 +21,7 @@ func MakeAddr(page, slot int) Addr { return Addr(page*SlotsPerMap + slot) }
 
 // MapSet is an ordered collection of SPA map pages addressed by Addr.  A
 // worker's private TLMM reducer area is one MapSet; the public SPA maps
-// produced by view transferal are another.  Pool-backed callers move pages
-// in and out in bulk via AttachPages and DrainPages.
+// produced by view transferal are another.
 type MapSet struct {
 	pages []*Map
 }
@@ -163,7 +162,8 @@ func (ms *MapSet) Range(fn func(addr Addr, s Slot) bool) {
 }
 
 // TransferTo moves every view from ms into dst, page by page, leaving ms
-// empty.  It returns the number of views moved.
+// empty.  It returns the number of views moved.  Kept, like Map.TransferTo,
+// for benchmark/probes.go (spa.transfer_ns_per_view).
 func (ms *MapSet) TransferTo(dst *MapSet) (int, error) {
 	moved := 0
 	for pi, p := range ms.pages {
@@ -192,23 +192,17 @@ func (ms *MapSet) OccupiedPageSpan() int {
 	return 0
 }
 
-// AttachPages appends already-allocated empty pages to the set, so that a
-// caller who fetched pages from a pool in bulk can install them without
-// going through EnsurePage's one-at-a-time allocator.
-func (ms *MapSet) AttachPages(pages []*Map) {
-	ms.pages = append(ms.pages, pages...)
-}
-
-// DrainPages resets every page and returns them all, leaving the set empty
-// and pageless.  The pages are guaranteed empty, so the caller can hand the
-// whole slice back to a pagepool in one bulk Put.
-func (ms *MapSet) DrainPages() []*Map {
-	pages := ms.pages
-	for _, p := range pages {
-		p.Reset()
+// SwapPages exchanges the set's leading len(pages) pages with the pages in
+// the slice, element by element: afterwards pages holds what the set held
+// and the set holds what the caller passed.  It is view transferal as the
+// paper's remapping strategy — the private pages, views in place, become
+// the public deposit and fresh empty pages take their indices — at the cost
+// of one pointer swap per page.  The set must have at least len(pages)
+// pages.
+func (ms *MapSet) SwapPages(pages []*Map) {
+	for i, p := range pages {
+		pages[i], ms.pages[i] = ms.pages[i], p
 	}
-	ms.pages = nil
-	return pages
 }
 
 // Reset empties every page in place, keeping the pages for reuse.

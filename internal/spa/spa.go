@@ -275,8 +275,16 @@ func (m *Map) Remove(i int) (Slot, error) {
 // Range calls fn for every valid (index, slot) pair.  If the log is valid
 // it walks only the logged indices (linear in the number of insertions);
 // otherwise it scans the whole view array.  Iteration stops early if fn
-// returns false.  fn may Remove the slot it is visiting.
+// returns false.  fn may Remove the slot it is visiting, and a walk that
+// consumes views must: a page that lived as a worker's private page can
+// log one index twice (insert, Remove, insert again at a recycled address),
+// so a slot fn leaves in place may be visited a second time.  The rule for
+// every deposit walk is therefore "take the slot out the moment its view is
+// consumed"; freeing a view and leaving its slot frees it twice.
 func (m *Map) Range(fn func(i int, s Slot) bool) {
+	if m.nviews == 0 {
+		return
+	}
 	if m.logValid {
 		for k := 0; k < int(m.nlogs); k++ {
 			i := int(m.log[k])
@@ -318,7 +326,9 @@ func (m *Map) Indices() []int {
 // for view transferal (Section 7): as the worker sequences through valid
 // indices it simultaneously zeroes them out in the source map, so that
 // after the transfer the private map is empty and may be reused by the
-// worker for its next trace.  Slots move wholesale, flags included.
+// worker for its next trace.  Slots move wholesale, flags included.  The
+// engine hands pages over instead (MapSet.SwapPages); the copy is kept for
+// benchmark/probes.go, which times it as spa.transfer_ns_per_view.
 func (m *Map) TransferTo(dst *Map) (moved int, err error) {
 	transfer := func(i int, s Slot) bool {
 		if insErr := dst.insertSlot(i, s); insErr != nil {

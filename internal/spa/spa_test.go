@@ -652,39 +652,69 @@ func TestMapSetOccupiedPageSpan(t *testing.T) {
 	}
 }
 
-func TestMapSetAttachAndDrainPages(t *testing.T) {
-	src := NewMapSet()
+func TestMapSetSwapPages(t *testing.T) {
+	private := NewMapSet()
 	own := &fakeOwner{"m"}
 	views := make([]unsafe.Pointer, 3)
 	for i := 0; i < 3; i++ {
 		views[i] = newView()
-		if err := src.Insert(MakeAddr(i, i), views[i], own.ptr(), 0); err != nil {
+		if err := private.Insert(MakeAddr(i, i), views[i], own.ptr(), 0); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	dst := NewMapSet()
-	pages := []*Map{New(), New(), New()}
-	dst.AttachPages(pages)
-	if dst.Pages() != 3 {
-		t.Fatalf("Pages = %d, want 3", dst.Pages())
+	// Hand off the two leading pages; page 2 stays private.
+	fresh := []*Map{New(), New()}
+	pages := append([]*Map(nil), fresh...)
+	old := []*Map{private.Page(0), private.Page(1)}
+	private.SwapPages(pages)
+	if private.Pages() != 3 || private.Len() != 1 || private.Get(MakeAddr(2, 2)) != views[2] {
+		t.Fatalf("private set after swap: %d pages, %d views", private.Pages(), private.Len())
 	}
-	moved, err := src.TransferTo(dst)
-	if err != nil || moved != 3 {
-		t.Fatalf("TransferTo moved %d err %v", moved, err)
-	}
-	// The attached pages must be the ones that received the views.
-	for i, p := range pages {
-		if p.Get(i) != views[i] {
-			t.Fatalf("attached page %d missing its view", i)
+	for i := range pages {
+		if pages[i] != old[i] || pages[i].Get(i) != views[i] {
+			t.Fatalf("handed-off page %d is not the private page with its view in place", i)
+		}
+		if private.Page(i) != fresh[i] || !private.Page(i).IsEmpty() {
+			t.Fatalf("private page %d is not the fresh page", i)
 		}
 	}
-	drained := dst.DrainPages()
-	if len(drained) != 3 || dst.Pages() != 0 || !dst.IsEmpty() {
-		t.Fatalf("DrainPages left set in bad state: %d pages returned, %d held", len(drained), dst.Pages())
-	}
-	for i, p := range drained {
-		if !p.IsEmpty() || !p.LogValid() {
-			t.Fatalf("drained page %d not pristine", i)
+}
+
+// A page that lived as a private page can log one index twice.  A walk that
+// removes what it visits sees the slot once; one that leaves it in place
+// sees it again — which is why every deposit walk takes slots out.
+func TestRangeRepeatedLogIndex(t *testing.T) {
+	m := New()
+	own := &fakeOwner{"m"}
+	insert := func(i int) {
+		t.Helper()
+		if err := m.Insert(i, newView(), own.ptr(), 0); err != nil {
+			t.Fatalf("Insert(%d): %v", i, err)
 		}
+	}
+	insert(5)
+	if _, err := m.Remove(5); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	insert(5)
+	insert(9)
+	if !m.LogValid() || m.LogLen() != 3 || m.Len() != 2 {
+		t.Fatalf("log valid=%v len=%d views=%d, want true/3/2", m.LogValid(), m.LogLen(), m.Len())
+	}
+	keep := map[int]int{}
+	m.Range(func(i int, _ Slot) bool { keep[i]++; return true })
+	if keep[5] != 2 || keep[9] != 1 {
+		t.Fatalf("non-removing walk visited %v, want index 5 twice and 9 once", keep)
+	}
+	take := map[int]int{}
+	m.Range(func(i int, _ Slot) bool {
+		if _, err := m.Remove(i); err != nil {
+			t.Fatalf("Remove(%d) during Range: %v", i, err)
+		}
+		take[i]++
+		return true
+	})
+	if take[5] != 1 || take[9] != 1 || !m.IsEmpty() {
+		t.Fatalf("removing walk visited %v and left %d views, want each index once and none left", take, m.Len())
 	}
 }

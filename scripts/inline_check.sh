@@ -1,6 +1,6 @@
 #!/bin/sh
 # inline-check: pin the compiler's inlining decisions for the typed-lookup
-# fast path.
+# fast path and the first-lookup miss path.
 #
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
@@ -24,7 +24,7 @@ set -u
 GO=${GO:-go}
 
 out=$("$GO" build -gcflags=-m \
-	./internal/spa ./internal/sched ./internal/core \
+	./internal/spa ./internal/sched ./internal/metrics ./internal/core \
 	./internal/hypermap ./internal/reducers 2>&1) || {
 	printf '%s\n' "$out"
 	echo "inline-check: build failed" >&2
@@ -68,6 +68,19 @@ require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).probeHead
 require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).hash'
 require 'internal/hypermap/hypermap.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
+# Layer 2 (first lookup): the per-view miss path ticks its overhead tally
+# and checks reducer validity without a call on either engine — the tick
+# is a plain owner-only increment (its timed half is outlined on purpose)
+# and validity is one load of a flag on the reducer.  The cilkvet hotpath
+# analyzer keeps locked instructions out of these functions; this keeps the
+# calls out.
+require 'internal/metrics/metrics.go' 'can inline (*Breakdown).Tick'
+require 'internal/core/directory.go' 'can inline (*Directory).Valid'
+require 'internal/core/mm.go' 'inlining call to metrics.(*Breakdown).Tick'
+require 'internal/core/mm.go' 'inlining call to (*Directory).Valid'
+require 'internal/hypermap/hypermap.go' 'inlining call to metrics.(*Breakdown).Tick'
+require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Directory).Valid'
+
 # Layer 3: the handle's View/ReadView hit checks use the inlined context
 # accessors (no call, no worker-struct detour on the id), and the concrete
 # dictionary wrappers callers bind to are themselves inlinable.
@@ -79,7 +92,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"

@@ -47,8 +47,9 @@ type JobHandle = sched.JobHandle
 // settles — every branch it spawned has unwound, not merely the handle
 // completing — the session is retired: its reducers are unregistered in
 // one sweep (their final values remain readable) and their directory slots
-// recycle to later jobs, with the engines' epoch-stamped slot reuse
-// guaranteeing stale cross-job views are dropped, never merged.
+// recycle to later jobs, with the reducers' validity flags — cleared before
+// an address is released — guaranteeing stale cross-job views are dropped,
+// never merged.
 type JobSession = core.JobSession
 
 // ServiceStats is a point-in-time snapshot of the service counters.
