@@ -57,12 +57,15 @@ test:
 # concurrent stress tests in internal/sched), both reducer engines, the typed
 # reducers, and PBFS over its bag reducer (dist is filled with plain stores
 # before the first Run and claimed by CAS after it) under the race detector,
-# then the scheduler again with 1, 2 and 4 Ps: the park/wake protocol is
-# barely exercised by a run with one.  Run it on every scheduler change.
+# then the scheduler, the engine and the facade's suites again with 1, 2 and
+# 4 Ps: the park/wake protocol is barely exercised by a run with one, and a
+# Session's caller is one of its workers, so how many Ps the callers and the
+# pool share decides which of them ever steals.  Run it on every scheduler
+# change.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/hypermap/... \
 		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
-	$(GO) test -race -cpu 1,2,4 ./internal/sched/
+	$(GO) test -race -cpu 1,2,4 ./internal/sched/ ./internal/core/ .
 
 # bench-check covers the benchmark/ module, which `go build ./...` and
 # `go test ./...` at the root do not descend into although it pins part of
@@ -76,12 +79,19 @@ bench-check:
 # chaos runs the fault-injection sweep under the race detector: every
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
 # failure-containment regression tests (reduce-panic resource conservation,
-# context-cancellation settlement), and the Close-vs-Run race.  Widen with
-# CHAOS_SEEDS=n.
+# context-cancellation settlement), and the Close-vs-Run race; then the
+# forced-steal leg: the equivalence, merge-matrix, hand-off and order suites
+# and both sweeps again with forks' continuations run as stolen tasks
+# (faultinject.SchedForceSteal), which is what reaches the hypermerge now
+# that a short job wakes no thief (internal/bench's leg compares timings, so
+# it runs without the race detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
 		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles' .
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \
+		. ./internal/sched/ ./internal/core/ ./internal/reducers/
+	$(GO) test -count=1 -run 'ForcedSteals' ./internal/bench/
 
 # chaos-service runs the multi-tenant sweep under the race detector: N
 # concurrent submitters × the service failpoints (admission, dispatch,

@@ -49,12 +49,27 @@ type chaosPoint struct {
 var chaosPoints = []chaosPoint{
 	{id: faultinject.SchedSteal, rule: faultinject.Rule{Prob: 0.3}},
 	{id: faultinject.SchedPark, rule: faultinject.Rule{Prob: 0.5}},
+	{id: faultinject.SchedForceSteal, rule: faultinject.Rule{Prob: 0.5}},
 	{id: faultinject.PagepoolGetN, rule: faultinject.Rule{Prob: 0.15, Limit: 3}},
 	{id: faultinject.TLMMGrow, rule: faultinject.Rule{Prob: 0.5, Limit: 2}, storm: true},
 	{id: faultinject.DirectoryRegister, rule: faultinject.Rule{Prob: 0.3}, storm: true},
 	{id: faultinject.MonoidIdentity, rule: faultinject.Rule{Prob: 0.01, Limit: 2}},
 	{id: faultinject.MonoidReduce, rule: faultinject.Rule{Prob: 0.2, Limit: 3}},
 	{id: faultinject.EndTraceTransfer, rule: faultinject.Rule{Prob: 0.15, Limit: 3}},
+}
+
+// alsoForceSteals makes every plan the suite builds arm the forced-steal
+// failpoint beside the fault it is about; only TestUnderForcedSteals, which
+// reruns the sweeps that way, sets it.
+var alsoForceSteals bool
+
+// newPlan is faultinject.NewPlan for this suite.
+func newPlan(seed uint64) *faultinject.Plan {
+	plan := faultinject.NewPlan(seed)
+	if alsoForceSteals {
+		plan.Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 0.5})
+	}
+	return plan
 }
 
 // chaosSeeds returns the plan seeds to sweep; CHAOS_SEEDS=n widens it.
@@ -142,7 +157,7 @@ func chaosRun(t *testing.T, mech cilkm.Mechanism, pt chaosPoint, seed uint64) ui
 	}
 	var want [nsums]int
 
-	plan := faultinject.NewPlan(seed).Arm(pt.id, pt.rule)
+	plan := newPlan(seed).Arm(pt.id, pt.rule)
 	deactivate := faultinject.Activate(plan)
 	deactivated := false
 	defer func() {
@@ -243,6 +258,7 @@ var chaosServicePoints = []chaosPoint{
 	{id: faultinject.ServiceDispatch, rule: faultinject.Rule{Prob: 0.5}},
 	{id: faultinject.ServiceDeadline, rule: faultinject.Rule{Prob: 0.5}},
 	{id: faultinject.ServiceDrain, rule: faultinject.Rule{Prob: 0.9}},
+	{id: faultinject.SchedForceSteal, rule: faultinject.Rule{Prob: 0.5}},
 	{id: faultinject.MonoidReduce, rule: faultinject.Rule{Prob: 0.1, Limit: 4}},
 	{id: faultinject.EndTraceTransfer, rule: faultinject.Rule{Prob: 0.1, Limit: 4}},
 }
@@ -281,7 +297,7 @@ func chaosServiceRun(t *testing.T, mech cilkm.Mechanism, pt chaosPoint, seed uin
 		cilkm.WithDrainPolicy(drain),
 	)
 
-	plan := faultinject.NewPlan(seed).Arm(pt.id, pt.rule)
+	plan := newPlan(seed).Arm(pt.id, pt.rule)
 	deactivate := faultinject.Activate(plan)
 	deactivated := false
 	defer func() {

@@ -31,7 +31,7 @@ func TestReducePanicConservesResources(t *testing.T) {
 			defer s.Close()
 			sum := cilkm.NewAdd[int](s.Engine())
 
-			plan := faultinject.NewPlan(7).Arm(faultinject.MonoidReduce, faultinject.Rule{Prob: 1, Limit: 1})
+			plan := newPlan(7).Arm(faultinject.MonoidReduce, faultinject.Rule{Prob: 1, Limit: 1})
 			deactivate := faultinject.Activate(plan)
 			deactivated := false
 			defer func() {
@@ -112,7 +112,7 @@ func TestReducePanicConservesResources(t *testing.T) {
 				eng.Merge(w, w.CurrentTrace(), d)
 			}
 			for _, pair := range []uint64{0, pairs / 2, pairs - 1} {
-				deactivate := faultinject.Activate(faultinject.NewPlan(7).Arm(
+				deactivate := faultinject.Activate(newPlan(7).Arm(
 					faultinject.MonoidReduce, faultinject.Rule{Prob: 1, After: pair, Limit: 1}))
 				err := s.RunErr(cycle)
 				deactivate()

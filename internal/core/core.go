@@ -240,6 +240,11 @@ func MarkRetired(r *Reducer) { r.markRetired() }
 // get the complete "run a parallel computation with reducers" workflow in
 // one object: views produced by the root computation are merged into the
 // reducers' leftmost views when Run returns.
+//
+// The goroutine inside Run, RunErr or RunContext is one of the session's
+// workers (sched.Config.CallerRuns): it runs its own root as worker 0, so a
+// session of W workers is that goroutine plus a pool of W−1, and a Run in
+// which nothing is stolen never leaves the caller's goroutine.
 type Session struct {
 	rt  *sched.Runtime
 	eng Engine
@@ -248,14 +253,15 @@ type Session struct {
 // NewSession creates a runtime with the given number of workers wired to
 // the given engine.
 func NewSession(workers int, eng Engine) *Session {
-	rt := sched.New(sched.Config{Workers: workers, Reducers: eng})
-	return &Session{rt: rt, eng: eng}
+	return NewSessionWithConfig(sched.Config{Workers: workers}, eng)
 }
 
 // NewSessionWithConfig creates a session from an explicit scheduler
-// configuration; cfg.Reducers is overwritten with eng.
+// configuration; cfg.Reducers is overwritten with eng and cfg.CallerRuns is
+// set.
 func NewSessionWithConfig(cfg sched.Config, eng Engine) *Session {
 	cfg.Reducers = eng
+	cfg.CallerRuns = true
 	rt := sched.New(cfg)
 	return &Session{rt: rt, eng: eng}
 }
@@ -269,8 +275,9 @@ func (s *Session) Engine() Engine { return s.eng }
 // Workers returns the number of workers.
 func (s *Session) Workers() int { return s.rt.Workers() }
 
-// Run executes fn on the worker pool, waits for completion, and merges the
-// root computation's views into the reducers' leftmost views.
+// Run executes fn with the caller as one of the workers, waits for
+// completion, and merges the root computation's views into the reducers'
+// leftmost views.
 func (s *Session) Run(fn func(*sched.Context)) error {
 	d, err := s.rt.Run(fn)
 	if err != nil {

@@ -56,6 +56,11 @@ const (
 	// ServiceDrain perturbs Service.Close between the stop-admission
 	// barrier and the drain wait, widening the Submit-racing-Close window.
 	ServiceDrain
+	// SchedForceSteal makes a Fork run its continuation as a stolen task on
+	// the forking worker (internal/sched.forkForced), Cilk's force_reduce:
+	// view creation, transferal and a hypermerge at every fork that fires,
+	// with no second CPU needed.  It changes no result.
+	SchedForceSteal
 	numIDs
 )
 
@@ -88,6 +93,8 @@ func (id ID) String() string {
 		return "service/deadline"
 	case ServiceDrain:
 		return "service/drain"
+	case SchedForceSteal:
+		return "sched/force-steal"
 	default:
 		return fmt.Sprintf("failpoint(%d)", uint32(id))
 	}

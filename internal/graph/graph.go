@@ -9,7 +9,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected graph in compressed-sparse-row form.
@@ -100,8 +100,7 @@ func (g *Graph) sortAdjacency() {
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		lo, hi := g.rowPtr[v], g.rowPtr[v+1]
-		seg := g.col[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		slices.Sort(g.col[lo:hi])
 	}
 }
 

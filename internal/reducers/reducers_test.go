@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/sched"
 )
 
@@ -68,32 +69,56 @@ func TestAddSerialExecution(t *testing.T) {
 	})
 }
 
+// TestAddParallelWithForcedSteals runs a parallel sum with the forced-steal
+// failpoint armed on half the forks: view creation in the forced traces,
+// transferal and a hypermerge at each of their joins, whatever the host's
+// CPU count lets real thieves do.
 func TestAddParallelWithForcedSteals(t *testing.T) {
+	plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 0.5})
+	defer faultinject.Activate(plan)()
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
 		s := testSession(t, m, 4)
 		sum := NewAdd[int64](s.Engine())
 		const n = 400
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
-				time.Sleep(50 * time.Microsecond)
 				sum.Add(c, int64(i))
 			})
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if steals := s.Runtime().Stats().Steals; steals == 0 {
-			t.Fatalf("workload did not provoke any steals; cannot exercise merges")
+		if steals := s.Runtime().Stats().Steals; steals < n/4 {
+			t.Fatalf("%d steals over %d forks with every other one forced", steals, n-1)
 		}
 		want := int64(n * (n - 1) / 2)
 		if got := sum.Value(); got != want {
 			t.Fatalf("sum = %d, want %d", got, want)
 		}
 		// Views must not linger in worker-private state between runs.
+		if err := s.Quiescent(); err != nil {
+			t.Fatal(err)
+		}
 		ovh := s.Engine().Overheads()
-		if ovh.Count(0) == 0 { // view creation happened at least for stolen traces
+		if ovh.Count(0) < n/4 { // a view per forced trace that added, at least
 			t.Fatalf("expected view creations under steals, got %s", ovh)
 		}
 	})
+}
+
+// TestUnderForcedSteals reruns the order-sensitive reducer tests with every
+// fork's continuation executed as a stolen task.
+func TestUnderForcedSteals(t *testing.T) {
+	plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1})
+	defer faultinject.Activate(plan)()
+	t.Run("ListAppendMatchesSerialOrder", TestListAppendMatchesSerialOrder)
+	t.Run("ListAppendTreeWalkOrder", TestListAppendTreeWalkOrder)
+	t.Run("StringReducer", TestStringReducer)
+	t.Run("MultipleReducersInOneRun", TestMultipleReducersInOneRun)
+	t.Run("TypedHandleNoncommutativeEquivalence", TestTypedHandleNoncommutativeEquivalence)
+	t.Run("TypedCacheInvalidationOnSlotReuse", TestTypedCacheInvalidationOnSlotReuse)
+	if plan.Fires(faultinject.SchedForceSteal) == 0 {
+		t.Error("no fork was forced")
+	}
 }
 
 func TestAddAccumulatesAcrossRuns(t *testing.T) {

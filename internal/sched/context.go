@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/faultinject"
+
 // Context is the handle through which running code interacts with the
 // scheduler: it identifies the worker currently executing the code and
 // provides the fork-join primitives.  A Context is only valid on the
@@ -37,10 +39,16 @@ func (c *Context) Runtime() *Runtime { return c.w.rt }
 // reducer views are created, transferred or merged.  If right is stolen,
 // the thief executes it with a fresh set of views and the calling worker
 // merges those views back in serial order at the join.
+//
+//cilkvet:hotpath
 func (c *Context) Fork(left, right func(*Context)) {
 	w := c.w
 	w.checkCancelled()
 	w.forksLocal++
+	if faultinject.Enabled() && faultinject.Fire(faultinject.SchedForceSteal) {
+		w.forkForced(c, left, right)
+		return
+	}
 	j := w.newJoin()
 	t := w.newTask(right, j)
 	w.pushTask(t)
@@ -51,6 +59,9 @@ func (c *Context) Fork(left, right func(*Context)) {
 
 	left(c)
 
+	if w.wakeGated() {
+		w.checkGate()
+	}
 	if w.tryPopOwn(t) {
 		// Serial fast path: the continuation was not stolen.  Both
 		// objects go straight back to the free lists — the pop proves no
@@ -71,6 +82,21 @@ func (c *Context) Fork(left, right func(*Context)) {
 		// Re-raise the contained value itself (a *PanicError wrapped at
 		// the thief's recovery point, or the cancellation token) so the
 		// original payload and stack survive every join on the way out.
+		panic(j.panicVal)
+	}
+}
+
+// forkForced is Fork under the forced-steal failpoint, Cilk's force_reduce:
+// the continuation runs here as a thief would run it (fresh trace, view
+// transferal, hypermerge at the join) and counts as a steal.
+func (w *Worker) forkForced(c *Context, left, right func(*Context)) {
+	left(c)
+	j := &join{}
+	w.nSteals.Add(1)
+	w.nStalledJoins.Add(1)
+	w.runTask(&task{fn: right, join: j, owner: w.id, job: w.curJob})
+	w.rt.reducers.Merge(w, w.curTrace, j.deposit)
+	if j.panicVal != nil {
 		panic(j.panicVal)
 	}
 }

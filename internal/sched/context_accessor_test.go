@@ -21,7 +21,7 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 			t.Errorf("ViewEpoch = %d, want %d", got, want)
 		}
 	}
-	if err := rt.RunAndMerge(func(c *Context) {
+	if err := run(rt, func(c *Context) {
 		check(c)
 		c.Fork(check, check)
 
@@ -31,7 +31,7 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 			t.Errorf("ViewEpoch after a bump = %d, want %d", got, before+1)
 		}
 	}); err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 }
 

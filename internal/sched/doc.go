@@ -12,8 +12,9 @@
 // matching the property the paper's overhead accounting relies on.
 //
 // An idle worker parks, and is woken by the push, Run or Submit that gives
-// it something to do; how long it first keeps looking is set by what a
-// wake-up is measured to cost the callers it serves (idle.go).
+// it something to do; what a wake-up is measured to cost sets how long it
+// first keeps looking and which roots' pushes wake it at all (idle.go).
+// With Config.CallerRuns the goroutine inside Run is itself worker 0.
 //
 // The runtime keeps per-worker padded counters (forks, steals, merge
 // tasks, deque depth) that Stats aggregates lock-free; Runtime implements

@@ -1,0 +1,185 @@
+package sched
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+)
+
+// gateSample reads the wake gate's exported counters.
+func gateSample(rt *Runtime) (sent, gated, released int64) {
+	rt.SampleMetrics(func(m metrics.MetricSample) {
+		switch m.Name {
+		case "cilkm_sched_wakeups_sent_total":
+			sent = int64(m.Value)
+		case "cilkm_sched_wakeups_gated_total":
+			gated = int64(m.Value)
+		case "cilkm_sched_gate_releases_total":
+			released = int64(m.Value)
+		}
+	})
+	return
+}
+
+// gatedRuntime returns a two-worker CallerRuns runtime whose one pool worker
+// is parked and whose next root starts behind a gate of hold ns: the
+// estimate says a wake-up costs hold/gateFactor and no root has run yet, so
+// the prediction for the next one is "shorter than that".
+func gatedRuntime(t *testing.T, hold int64) *Runtime {
+	t.Helper()
+	rt := New(Config{Workers: 2, CallerRuns: true})
+	waitPoolParked(t, rt)
+	rt.wakeCost.Store(hold / gateFactor)
+	return rt
+}
+
+// waitPoolParked waits until the pool worker of a gatedRuntime is parked.
+func waitPoolParked(t *testing.T, rt *Runtime) {
+	t.Helper()
+	waitParked(t, rt, rt.Workers()-1)
+}
+
+// TestGateShortRootWakesNobody: a root that ends inside its gate forks and
+// joins without a single wake token, and its thief sleeps through it.
+func TestGateShortRootWakesNobody(t *testing.T) {
+	rt := gatedRuntime(t, 1<<40)
+	defer rt.Close()
+	unparks := rt.unparks.Load()
+	for i := 0; i < 100; i++ {
+		if err := run(rt, func(c *Context) {
+			c.ParallelForGrain(0, 64, 1, func(*Context, int) {})
+		}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	sent, gated, released := gateSample(rt)
+	// The deque goes empty→non-empty once per level of the loop's right
+	// spine: log₂ 64 pushes a root that would each have signalled.
+	if sent != 0 || released != 0 || gated != 100*6 {
+		t.Errorf("%d tokens sent, %d wake-ups gated, %d gates released; want 0, 600, 0", sent, gated, released)
+	}
+	if st := rt.Stats(); st.Steals != 0 || st.Forks != 100*63 {
+		t.Errorf("stats %+v, want no steals and %d forks", st, 100*63)
+	}
+	if rt.parked.Load() != 1 || rt.unparks.Load() != unparks {
+		t.Errorf("the pool worker was woken: parked %d, %d unparks", rt.parked.Load(), rt.unparks.Load()-unparks)
+	}
+	if err := rt.Quiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGateReleasesLongRoot: a root that starts gated and turns out long —
+// three leaves of about 1 µs, then 5 ms in 100 µs leaves — signals at the
+// first fork checkpoint past its gate, not before, and from there on its
+// thief finds work.  A checkpoint is the end of a left branch, so the
+// signal is at most one leaf late; the thief then needs one wake-up, which
+// on a busy box is whatever the OS makes of it: the counters must be right
+// every time, the thief's arrival is judged on the best of a few attempts.
+func TestGateReleasesLongRoot(t *testing.T) {
+	const hold = 200_000
+	best := int64(1 << 62)
+	for attempt := 0; attempt < 5 && best > int64(time.Millisecond); attempt++ {
+		rt := gatedRuntime(t, hold)
+		var sentAfterShort, began, shortEnd, firstForeign int64
+		var foreign atomic.Int64
+		err := run(rt, func(c *Context) {
+			began = nanotime()
+			c.Fork(
+				func(c *Context) {
+					c.ForkN(func(*Context) { spinFor(1_000) }, func(*Context) { spinFor(1_000) }, func(*Context) { spinFor(1_000) })
+					sentAfterShort, shortEnd = rt.wakesSent.Load(), nanotime()
+				},
+				func(c *Context) {
+					c.ParallelForGrain(0, 50, 1, func(c *Context, i int) {
+						if c.WorkerID() != 0 && foreign.Add(1) == 1 {
+							firstForeign = nanotime()
+						}
+						spinFor(100_000)
+					})
+				})
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		sent, gated, released := gateSample(rt)
+		if sentAfterShort != 0 && shortEnd-began < hold {
+			t.Errorf("%d tokens sent during the first few µs, inside the gate", sentAfterShort)
+		}
+		if released != 1 || gated == 0 || sent == 0 {
+			t.Errorf("%d tokens sent, %d wake-ups gated, %d gates released; want the gate released exactly once, with a token", sent, gated, released)
+		}
+		if foreign.Load() > 0 {
+			// Outliving the gate is noticed within a leaf; the rest is the
+			// wake-up.
+			late := firstForeign - (began + hold + 100_000)
+			t.Logf("first stolen leaf began %v after the gate could first be seen expired; estimate now %d ns", time.Duration(late), rt.wakeCost.Load())
+			best = min(best, late)
+		}
+		rt.Close()
+	}
+	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
+		t.Skip("the caller spins: its thief needs a processor of its own to arrive on")
+	}
+	if best > int64(time.Millisecond) {
+		t.Errorf("the thief of a released root never arrived within 1ms of the release (best %v)", time.Duration(best))
+	}
+}
+
+// TestGateProbeAndPrediction covers the two ways a root starts ungated with
+// a high estimate in place: the previous root on the identity ran longer
+// than the gate, or it is the one root in gateProbeEvery that signals
+// regardless so that wake-ups keep being measured.
+func TestGateProbeAndPrediction(t *testing.T) {
+	rt := gatedRuntime(t, 20_000)
+	defer rt.Close()
+	fork := func(c *Context) { c.Fork(func(*Context) {}, func(*Context) {}) }
+	if err := run(rt, func(c *Context) { spinFor(40_000) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(rt, fork); err != nil {
+		t.Fatal(err)
+	}
+	waitPoolParked(t, rt)
+	if sent, gated, _ := gateSample(rt); sent != 1 || gated != 0 {
+		t.Errorf("after a long root: %d tokens sent, %d gated; want the next root's push to signal", sent, gated)
+	}
+	rt.wakeCost.Store(warmCapNS) // whatever that wake-up measured
+	before, _, _ := gateSample(rt)
+	for i := 0; i < 2*gateProbeEvery; i++ {
+		rt.workers[0].rootRan = 0 // whatever the collector did to the last one
+		if err := run(rt, fork); err != nil {
+			t.Fatal(err)
+		}
+		waitPoolParked(t, rt) // a probe woke it: the next one must find it parked again
+		rt.wakeCost.Store(warmCapNS)
+	}
+	sent, gated, _ := gateSample(rt)
+	if probes := sent - before; probes != 2 || gated != 2*gateProbeEvery-2 {
+		t.Errorf("%d probes and %d gated pushes over %d short roots, want 2 and %d", probes, gated, 2*gateProbeEvery, 2*gateProbeEvery-2)
+	}
+}
+
+// TestForkAllocFreeBehindGate is BenchmarkForkNoSteal's 0 allocs/op as a
+// test, on a root that is gated so that the clock check after the left
+// branch runs at every fork.
+func TestForkAllocFreeBehindGate(t *testing.T) {
+	rt := New(Config{Workers: 1, CallerRuns: true})
+	defer rt.Close()
+	rt.wakeCost.Store(1 << 40)
+	var allocs float64
+	if err := run(rt, func(c *Context) {
+		if !c.w.wakeGated() {
+			t.Error("the root is not behind the gate")
+		}
+		allocs = testing.AllocsPerRun(1000, func() { c.Fork(func(*Context) {}, func(*Context) {}) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Fork on the no-steal path allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -7,7 +7,8 @@ import (
 )
 
 // This file is the worker's idle policy: when a worker that has found no
-// work should stop looking and park.
+// work should stop looking and park, and — the same question asked from the
+// other side — when a parked worker is worth waking (the wake gate, below).
 //
 // Parking is free while the worker sleeps and costs one wake-up when the
 // next job arrives; sweeping costs CPU for as long as it lasts and nothing
@@ -28,7 +29,8 @@ import (
 // Only a worker whose last pickup was a root or a service job stays warm.
 // Keeping thieves (and waitJoin) warm the same way was measured and lost:
 // a stolen half of a 25 µs Run costs more in view creation and hypermerge
-// than it saves (docs/ARCHITECTURE.md, "no dispatcher goroutine").
+// than it saves (docs/ARCHITECTURE.md, "no dispatcher goroutine").  The
+// wake gate at the end of this file is the selective form of that lesson.
 
 const (
 	// parkSweeps is how many empty sweeps a worker makes before it
@@ -73,6 +75,18 @@ const (
 	// slower host and still hands every P back well inside 1 ms
 	// (TestIdleParksWhenTrafficStops).
 	warmCapNS = 200_000
+
+	// gateFactor is warmFactor's twin on the waking side: a root predicted
+	// shorter than this many thief wake-ups wakes no parked thief (shutGate).
+	// A 12–17 µs root's thief arrives 50–130 µs after the signal, to nothing.
+	// Never waking one reads +45…50 % on trace_cycle; a gate of 8 wake-ups
+	// keeps +45 % but takes pbfs_grid's ≈ 200 µs layers' thief (−11…−14 %,
+	// no steals); 2 keeps +33…39 % and a 200 µs root straddles or clears it.
+	gateFactor = 2
+
+	// gateProbeEvery: one gated root in this many signals as if ungated, so
+	// thief wake-ups keep being sampled and useful thieves can show it.
+	gateProbeEvery = 256
 )
 
 var clockBase = time.Now()
@@ -161,4 +175,75 @@ func (p *idlePolicy) stayWarm() bool {
 	p.warm, p.warmUntil = false, 0
 	p.warmExpiries.Store(p.warmExpiries.Load() + 1)
 	return false
+}
+
+// The wake gate.  A push onto an empty deque wakes a parked thief
+// (pushTask), who is worth the wake-up only if the job is still running
+// when it arrives.  So a root run by its own caller (Runtime.run) predicts
+// its length from the previous one's, and one predicted shorter than
+// gateFactor thief wake-ups starts behind the gate: its pushes signal
+// nobody.  Fork checks a gated root's age after its left branches, and once
+// the root has outlived the gate it signals for what its deque holds and
+// pushes as if never gated.  Awake thieves steal from a gated root as from
+// any other, and what a stolen task pushes always signals (runTask).  Roots
+// the pool runs are never gated: their caller sleeps, and the thief they
+// wake is the worker that is up when the next one arrives.
+//
+// What a thief's wake-up costs is Runtime.wakeCost: the first wake token a
+// root's pushes send, and a gate release's, carry the time, and the worker
+// one wakes from loop's park folds woken − sent in as tookRoot folds its
+// samples.  It is not parkCost, which prices waking a worker for the waker's
+// own job (a blocking Submit hands its P over, ≈ 1 µs; a thief's waker runs
+// on, tens of µs): one estimate for both kept service_closed's workers warm
+// through a third of its jobs (p50 +15…28 %; docs/ARCHITECTURE.md §1).
+
+// woke folds the wake-up of a worker that parked at parkedAt, by the token
+// sent at sent, into the estimate.  An untimed token, or one older than the
+// park, measures nothing; workers woken together may lose an update.
+func (w *Worker) woke(sent, parkedAt int64) {
+	if sent < parkedAt {
+		return
+	}
+	sample := min(nanotime()-sent, warmCapNS)
+	est := w.rt.wakeCost.Load()
+	w.rt.wakeCost.Store(est + (min(sample, w.lastWake)-est)/16)
+	w.lastWake = sample
+}
+
+// wakeStamp is the token for an ungated push's signal: the time, once a root.
+func (w *Worker) wakeStamp() int64 {
+	if w.stamped {
+		return 0
+	}
+	w.stamped = true
+	return nanotime()
+}
+
+// wakeGated reports whether the trace in progress is behind the gate.
+func (w *Worker) wakeGated() bool { return w.gateUntil != 0 }
+
+// shutGate decides whether the caller's root starts gated; it returns the time.
+func (w *Worker) shutGate() int64 {
+	now := nanotime()
+	w.stamped = false
+	if hold := gateFactor * w.rt.wakeCost.Load(); w.rootRan < hold {
+		if w.gatedRoots++; w.gatedRoots%gateProbeEvery != 0 {
+			w.gateUntil = now + hold
+		}
+	}
+	return now
+}
+
+// checkGate opens the gate once the root has outlived it.  A clock read is
+// 40 ns on the sizing box and a 15 µs root forks 15 times, so only every
+// fourth call reads it: the root learns at most four leaves late.
+func (w *Worker) checkGate() {
+	if w.gateChecks++; w.gateChecks%4 != 0 || nanotime() < w.gateUntil {
+		return
+	}
+	w.gateUntil = 0
+	w.releasedLocal++
+	if w.dq.size() > 0 {
+		w.rt.signalWork(nanotime())
+	}
 }

@@ -44,10 +44,17 @@ func setParkCost(rt *Runtime, ns int64) {
 // returns how long that took.
 func waitAllParked(t *testing.T, rt *Runtime) time.Duration {
 	t.Helper()
+	return waitParked(t, rt, rt.Workers())
+}
+
+// waitParked spins until n workers are registered as parked and returns how
+// long that took.
+func waitParked(t *testing.T, rt *Runtime, n int) time.Duration {
+	t.Helper()
 	start := nanotime()
-	for int(rt.parked.Load()) != rt.Workers() {
+	for int(rt.parked.Load()) != n {
 		if nanotime()-start > int64(10*time.Second) {
-			t.Fatalf("workers never parked: %d of %d", rt.parked.Load(), rt.Workers())
+			t.Fatalf("workers never parked: %d of %d", rt.parked.Load(), n)
 		}
 		runtime.Gosched()
 	}

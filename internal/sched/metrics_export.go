@@ -23,32 +23,26 @@ func (rt *Runtime) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_sched_parallel_for_splits_total", "Splits performed by ParallelFor.", s.ParallelForSpl)
 	counter("cilkm_sched_worker_parks_total", "Worker park transitions (a registration that backs out at the recheck is not counted).", rt.parks.Load())
 	counter("cilkm_sched_worker_unparks_total", "Worker unpark transitions.", rt.unparks.Load())
-	var parkCost, warmPickups, warmExpiries int64
+	var parkCost, warmPickups, warmExpiries, wakesGated, gateReleased int64
 	for _, w := range rt.workers {
 		parkCost = max(parkCost, w.idle.parkCost.Load())
 		warmPickups += w.idle.warmPickups.Load()
 		warmExpiries += w.idle.warmExpiries.Load()
+		wakesGated += w.nWakesGated.Load()
+		gateReleased += w.nGateReleased.Load()
 	}
 	counter("cilkm_sched_warm_pickups_total", "Roots and service jobs picked up by a worker that stayed warm instead of parking.", warmPickups)
 	counter("cilkm_sched_warm_expiries_total", "Warm phases that ran out without a pickup, after which the worker parked.", warmExpiries)
-	emit(metrics.MetricSample{
-		Name:  "cilkm_sched_park_to_run_latency_ns",
-		Help:  "Measured cost of waking a parked worker (queued stamp to pickup right after an unpark), the largest per-worker estimate; a worker stays warm for at most this long.",
-		Kind:  metrics.KindGauge,
-		Value: float64(parkCost),
-	})
-	emit(metrics.MetricSample{
-		Name:  "cilkm_sched_max_deque_depth",
-		Help:  "High-water mark of any worker deque.",
-		Kind:  metrics.KindGauge,
-		Value: float64(s.MaxDequeDepth),
-	})
-	emit(metrics.MetricSample{
-		Name:  "cilkm_sched_workers",
-		Help:  "Configured worker count.",
-		Kind:  metrics.KindGauge,
-		Value: float64(len(rt.workers)),
-	})
+	counter("cilkm_sched_wakeups_sent_total", "Wake tokens sent to parked workers.", rt.wakesSent.Load())
+	counter("cilkm_sched_wakeups_gated_total", "Wake-ups not sent because the pushing root was predicted to end before a woken thief could arrive.", wakesGated)
+	counter("cilkm_sched_gate_releases_total", "Gated roots that outlived the gate and signalled for their deque.", gateReleased)
+	gauge := func(name, help string, v int64) {
+		emit(metrics.MetricSample{Name: name, Help: help, Kind: metrics.KindGauge, Value: float64(v)})
+	}
+	gauge("cilkm_sched_park_to_run_latency_ns", "Measured cost of waking a parked worker (queued stamp to pickup right after an unpark), the largest per-worker estimate; a worker stays warm for at most this long.", parkCost)
+	gauge("cilkm_sched_thief_wakeup_latency_ns", "Measured cost of waking a parked thief (wake token sent to thief running), smoothed; a root predicted shorter than twice this wakes none.", rt.wakeCost.Load())
+	gauge("cilkm_sched_max_deque_depth", "High-water mark of any worker deque.", s.MaxDequeDepth)
+	gauge("cilkm_sched_workers", "Configured worker count.", int64(len(rt.workers)))
 }
 
 // SampleMetrics implements metrics.Source for the resident service: the

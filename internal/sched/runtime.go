@@ -21,6 +21,12 @@ type Config struct {
 	// Reducers is the reducer mechanism to notify about steals, view
 	// transferal and merges.  Nil disables reducer support.
 	Reducers ReducerRuntime
+	// CallerRuns makes the pool Workers−1 goroutines and lends worker
+	// identity 0 to whichever goroutine is inside Run, RunErr or RunContext:
+	// it runs its own root inline, forking and joining as that worker.  A
+	// caller that finds the identity taken queues its root on the pool (with
+	// one worker there is none: it waits).  Not for a Service's runtime.
+	CallerRuns bool
 }
 
 // Stats aggregates scheduler counters across workers.
@@ -43,10 +49,14 @@ type Runtime struct {
 	workers  []*Worker
 	reducers ReducerRuntime
 
-	inbox    chan *rootTask
-	quit     chan struct{}
-	wake     chan struct{}
-	parked   atomic.Int32
+	inbox chan *rootTask
+	quit  chan struct{}
+	// wake carries one token per wake-up owed to a parked worker: the
+	// signal's nanotime if the woken worker is to sample it (signalWork).
+	wake   chan int64
+	parked atomic.Int32
+	// caller is held by the goroutine that is worker 0 (Config.CallerRuns).
+	caller   sync.Mutex
 	started  sync.WaitGroup
 	stopped  sync.WaitGroup
 	closed   atomic.Bool
@@ -63,18 +73,24 @@ type Runtime struct {
 	parks   atomic.Int64
 	unparks atomic.Int64
 
+	// wakeCost is the pool's estimate of one thief wake-up in ns (idle.go),
+	// and wakesSent counts the tokens signalWork has sent.
+	wakeCost  atomic.Int64
+	wakesSent atomic.Int64
+
 	stats struct {
 		rootTasks atomic.Int64
 	}
 }
 
-// rootTask carries one Run invocation into the worker pool.
+// rootTask carries one queued Run into the pool; done closes once d or p is set.
 type rootTask struct {
 	fn       func(*Context)
 	job      *job  // cancellation token; nil for plain Run
 	queuedAt int64 // nanotime just before the inbox send (idle.go)
-	done     chan Deposit
-	err      chan any // contained panic value (*PanicError or cancellation token)
+	d        Deposit
+	p        any // contained panic value (*PanicError or cancellation token)
+	done     chan struct{}
 }
 
 // ErrClosed is returned by Run after Close has been called.
@@ -97,7 +113,7 @@ func New(cfg Config) *Runtime {
 		reducers: red,
 		inbox:    make(chan *rootTask),
 		quit:     make(chan struct{}),
-		wake:     make(chan struct{}, cfg.Workers),
+		wake:     make(chan int64, cfg.Workers), // one token per worker: see signalWork
 	}
 	rt.workers = make([]*Worker, cfg.Workers)
 	for i := range rt.workers {
@@ -106,9 +122,13 @@ func New(cfg Config) *Runtime {
 	for _, w := range rt.workers {
 		rt.reducers.WorkerInit(w)
 	}
-	rt.started.Add(cfg.Workers)
-	rt.stopped.Add(cfg.Workers)
-	for _, w := range rt.workers {
+	pool := rt.workers
+	if cfg.CallerRuns {
+		pool = pool[1:]
+	}
+	rt.started.Add(len(pool))
+	rt.stopped.Add(len(pool))
+	for _, w := range pool {
 		go w.loop()
 	}
 	rt.started.Wait()
@@ -129,45 +149,23 @@ func (rt *Runtime) Reducers() ReducerRuntime {
 	return rt.reducers
 }
 
-// Run executes fn on the worker pool and blocks until it — and every branch
-// it forked — has completed.  It returns the Deposit produced by the root
-// trace's view transferal, which the reducer mechanism uses to fold the
-// computation's views into the reducers' leftmost (user-visible) views.
+// Run executes fn and blocks until it — and every branch it forked — has
+// completed.  It returns the Deposit produced by the root trace's view
+// transferal, which the reducer mechanism uses to fold the computation's
+// views into the reducers' leftmost (user-visible) views.
 //
-// Run may be called repeatedly, but calls are serialised by the caller's
-// own structure; concurrent Run calls execute concurrently on the same pool
-// and are independent of each other.
+// Run may be called repeatedly and concurrently; concurrent calls are
+// independent of each other.  A panic in the job is re-raised here as the
+// *PanicError wrapped at the recovery point nearest it, typed payload
+// (PanicError.Value) and stack intact.  By then every branch of the job has
+// been settled and its views discarded, so the engine is reusable even if
+// the caller recovers.
 func (rt *Runtime) Run(fn func(*Context)) (Deposit, error) {
-	if rt.closed.Load() {
-		return nil, ErrClosed
-	}
-	rt.stats.rootTasks.Add(1)
-	root := &rootTask{
-		fn:       fn,
-		queuedAt: nanotime(),
-		done:     make(chan Deposit, 1),
-		err:      make(chan any, 1),
-	}
-	select {
-	case rt.inbox <- root:
-	case <-rt.quit:
-		return nil, ErrClosed
-	}
-	rt.inflight.Add(1)
-	defer rt.inflight.Add(-1)
-	rt.signalWork()
-	select {
-	case d := <-root.done:
-		return d, nil
-	case p := <-root.err:
-		// p is the contained *PanicError wrapped at the recovery point
-		// nearest the original panic: re-raising the value itself keeps
-		// the caller's recover() able to inspect the typed payload (via
-		// PanicError.Value) and the captured stack.  By the time it is
-		// delivered every branch of the job has been settled and its views
-		// discarded, so the engine is reusable even if the caller recovers.
+	d, p, err := rt.run(context.Background(), fn, nil)
+	if p != nil {
 		panic(p)
 	}
+	return d, err
 }
 
 // RunErr is Run with the panic contained at the job boundary: a panic
@@ -192,58 +190,81 @@ func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
 // A job that completes in the same instant its context is cancelled has its
 // result discarded and still reports ctx.Err().
 func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, error) {
-	if rt.closed.Load() {
-		return nil, ErrClosed
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
+	jb := &job{}
+	if ctx.Done() != nil {
+		// The caller may be the one running the job, so it cannot select on
+		// ctx.Done() meanwhile: the context sets the flag itself.
+		stop := context.AfterFunc(ctx, func() { jb.cancelled.Store(true) })
+		defer stop()
+	}
+	d, p, err := rt.run(ctx, fn, jb)
+	if err != nil {
 		return nil, err
 	}
-	rt.stats.rootTasks.Add(1)
-	root := &rootTask{
-		fn:       fn,
-		job:      &job{},
-		queuedAt: nanotime(),
-		done:     make(chan Deposit, 1),
-		err:      make(chan any, 1),
+	cerr := ctx.Err()
+	if p != nil {
+		return nil, containedError(p, cerr)
 	}
+	if cerr != nil {
+		// The job outran its cancellation.  Honour the context contract —
+		// no result after Done — and hand the root deposit back to the
+		// mechanism so nothing leaks.
+		rt.reducers.Discard(nil, d)
+		return nil, cerr
+	}
+	return d, nil
+}
+
+// run is the root path behind Run, RunErr and RunContext: inline as worker 0
+// when the runtime lends that identity and it is free, else through the
+// inbox.  It returns the deposit, the contained panic p, or an admission error.
+func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) (d Deposit, p any, err error) {
+	if rt.closed.Load() {
+		return nil, nil, ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	rt.stats.rootTasks.Add(1)
+	if rt.cfg.CallerRuns && rt.claimCaller() {
+		defer rt.caller.Unlock()
+		rt.inflight.Add(1)
+		defer rt.inflight.Add(-1)
+		w := rt.workers[0]
+		start := w.shutGate()
+		d, p = w.runJob(fn, jb)
+		w.gateUntil, w.rootRan = 0, nanotime()-start
+		return d, p, nil
+	}
+	root := &rootTask{fn: fn, job: jb, queuedAt: nanotime(), done: make(chan struct{})}
 	select {
 	case rt.inbox <- root:
 	case <-rt.quit:
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
-	rt.signalWork()
-	select {
-	case d := <-root.done:
-		return d, nil
-	case p := <-root.err:
-		return nil, containedError(p, nil)
-	case <-ctx.Done():
-		// Request cancellation, then keep waiting: the job must fully
-		// settle (every branch joined or reclaimed, every deposit
-		// discarded) before the pool is reusable.
-		root.job.cancelled.Store(true)
-		cerr := ctx.Err()
-		select {
-		case d := <-root.done:
-			// The job outran its cancellation.  Honour the context
-			// contract — no result after Done — and hand the root deposit
-			// back to the mechanism so nothing leaks.
-			rt.reducers.Discard(nil, d)
-			return nil, cerr
-		case p := <-root.err:
-			return nil, containedError(p, cerr)
-		}
-	}
+	rt.signalWork(0)
+	<-root.done
+	return root.d, root.p, nil
 }
 
-// containedError translates a value delivered on rootTask.err into the
+// claimCaller takes worker identity 0 for the calling goroutine if it is
+// free; with no pool to queue on instead, the caller waits its turn.
+func (rt *Runtime) claimCaller() bool {
+	if len(rt.workers) > 1 {
+		return rt.caller.TryLock()
+	}
+	rt.caller.Lock()
+	return true
+}
+
+// containedError translates a job's contained panic value into the
 // error RunErr/RunContext return: the cancellation token becomes the
 // context's error, anything else is the already-wrapped *PanicError.
 func containedError(p any, cancelErr error) error {
@@ -273,13 +294,6 @@ func (rt *Runtime) Quiescent() error {
 		}
 	}
 	return nil
-}
-
-// RunAndMerge executes fn and asks the reducer mechanism to merge the root
-// deposit into its leftmost views.  Most callers use this rather than Run.
-func (rt *Runtime) RunAndMerge(fn func(*Context)) error {
-	_, err := rt.Run(fn)
-	return err
 }
 
 // Close shuts the workers down and waits for them to exit.  Outstanding Run
@@ -330,13 +344,22 @@ func (rt *Runtime) ResetStats() {
 // (the deque push, the inbox send) before calling it; a parker registers in
 // rt.parked before re-checking for work.  Under sequentially-consistent
 // atomics one side always observes the other, so no wakeup is lost and
-// workers never need a timed poll.
-func (rt *Runtime) signalWork() {
+// workers never need a timed poll.  That argument is about work only a woken
+// worker can run, a queued root or service job.  A pushed continuation is
+// not: its owner pops and runs what nobody stole, so the wake gate (idle.go),
+// which skips this call for a short root's pushes, withholds parallelism,
+// never progress, and leaves the protocol untouched.
+//
+// sent is the token: the signal's time if the woken worker is to sample it
+// (idle.go), else 0.  Few are timed: the clock read keeps the pusher's deque
+// non-empty 40 ns longer just when a parking thief rechecks it.
+func (rt *Runtime) signalWork(sent int64) {
 	if rt.parked.Load() == 0 {
 		return
 	}
 	select {
-	case rt.wake <- struct{}{}:
+	case rt.wake <- sent:
+		rt.wakesSent.Add(1)
 	default:
 		// The buffer already holds one token per worker; every parked
 		// worker is guaranteed a wakeup, so dropping this one is safe.

@@ -7,12 +7,19 @@ import (
 	"time"
 )
 
+// run is Run for the tests that have no use for the root deposit (the nop
+// reducer mechanism's is nil).
+func run(rt *Runtime, fn func(*Context)) error {
+	_, err := rt.Run(fn)
+	return err
+}
+
 func TestRunExecutesRoot(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	ran := false
-	if err := rt.RunAndMerge(func(c *Context) { ran = true }); err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+	if err := run(rt, func(c *Context) { ran = true }); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
 		t.Fatal("root function did not run")
@@ -38,7 +45,7 @@ func TestRunAfterCloseFails(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	rt.Close()
 	rt.Close() // idempotent
-	if err := rt.RunAndMerge(func(*Context) {}); err != ErrClosed {
+	if err := run(rt, func(*Context) {}); err != ErrClosed {
 		t.Fatalf("Run after Close: got %v, want ErrClosed", err)
 	}
 }
@@ -47,7 +54,7 @@ func TestForkSerialOrderOnSingleWorker(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var order []int
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		order = append(order, 0)
 		c.Fork(
 			func(c *Context) {
@@ -62,7 +69,7 @@ func TestForkSerialOrderOnSingleWorker(t *testing.T) {
 		order = append(order, 5)
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	want := []int{0, 1, 2, 3, 4, 5}
 	if len(order) != len(want) {
@@ -86,7 +93,7 @@ func TestForkNSerialOrder(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var order []int
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ForkN(
 			func(*Context) { order = append(order, 0) },
 			func(*Context) { order = append(order, 1) },
@@ -95,7 +102,7 @@ func TestForkNSerialOrder(t *testing.T) {
 		)
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for i, v := range order {
 		if v != i {
@@ -106,11 +113,11 @@ func TestForkNSerialOrder(t *testing.T) {
 		t.Fatalf("ran %d branches, want 4", len(order))
 	}
 	// Degenerate arities.
-	if err := rt.RunAndMerge(func(c *Context) {
+	if err := run(rt, func(c *Context) {
 		c.ForkN()
 		c.ForkN(func(*Context) { order = append(order, 99) })
 	}); err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if order[len(order)-1] != 99 {
 		t.Fatal("single-branch ForkN did not run its branch")
@@ -122,13 +129,13 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	defer rt.Close()
 	const n = 10000
 	counts := make([]int32, n)
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelFor(0, n, func(_ *Context, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for i, v := range counts {
 		if v != 1 {
@@ -141,14 +148,14 @@ func TestParallelForGrainAndEmptyRanges(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	var count atomic.Int64
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelFor(5, 5, func(*Context, int) { count.Add(1) })
 		c.ParallelFor(7, 3, func(*Context, int) { count.Add(1) })
 		c.ParallelForGrain(0, 100, 0, func(*Context, int) { count.Add(1) })
 		c.ParallelForGrain(0, 64, 1000, func(*Context, int) { count.Add(1) })
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if count.Load() != 164 {
 		t.Fatalf("executed %d iterations, want 164", count.Load())
@@ -160,7 +167,7 @@ func TestWorkIsDistributedAcrossWorkers(t *testing.T) {
 	defer rt.Close()
 	var mu sync.Mutex
 	workersSeen := make(map[int]int)
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 500, 1, func(c *Context, i int) {
 			// Sleeping yields the processor so that, even on a single-CPU
 			// host, parked workers get scheduled and steal.
@@ -171,7 +178,7 @@ func TestWorkIsDistributedAcrossWorkers(t *testing.T) {
 		})
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	st := rt.Stats()
 	if st.Steals == 0 {
@@ -190,7 +197,7 @@ func TestGroupRunsAllChildren(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	var sum atomic.Int64
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		g := c.NewGroup()
 		for i := 1; i <= 10; i++ {
 			v := int64(i)
@@ -200,7 +207,7 @@ func TestGroupRunsAllChildren(t *testing.T) {
 		g.Wait() // second Wait is a no-op
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if sum.Load() != 55 {
 		t.Fatalf("sum = %d, want 55", sum.Load())
@@ -215,7 +222,7 @@ func TestGroupSpawnAfterWaitPanics(t *testing.T) {
 			t.Fatal("expected panic from Spawn after Wait")
 		}
 	}()
-	_ = rt.RunAndMerge(func(c *Context) {
+	_ = run(rt, func(c *Context) {
 		g := c.NewGroup()
 		g.Spawn(func(*Context) {})
 		g.Wait()
@@ -231,7 +238,7 @@ func TestRootPanicPropagatesToRunCaller(t *testing.T) {
 			t.Fatal("expected panic to propagate out of Run")
 		}
 	}()
-	_ = rt.RunAndMerge(func(c *Context) {
+	_ = run(rt, func(c *Context) {
 		panic("boom")
 	})
 }
@@ -241,11 +248,11 @@ func TestRuntimeUsableAfterRootPanic(t *testing.T) {
 	defer rt.Close()
 	func() {
 		defer func() { _ = recover() }()
-		_ = rt.RunAndMerge(func(*Context) { panic("first") })
+		_ = run(rt, func(*Context) { panic("first") })
 	}()
 	ran := false
-	if err := rt.RunAndMerge(func(*Context) { ran = true }); err != nil {
-		t.Fatalf("RunAndMerge after panic: %v", err)
+	if err := run(rt, func(*Context) { ran = true }); err != nil {
+		t.Fatalf("Run after panic: %v", err)
 	}
 	if !ran {
 		t.Fatal("runtime unusable after a root panic")
@@ -256,7 +263,7 @@ func TestNestedParallelism(t *testing.T) {
 	rt := New(Config{Workers: 3})
 	defer rt.Close()
 	var total atomic.Int64
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 32, 1, func(c *Context, i int) {
 			c.ParallelForGrain(0, 32, 1, func(_ *Context, j int) {
 				total.Add(1)
@@ -264,7 +271,7 @@ func TestNestedParallelism(t *testing.T) {
 		})
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if total.Load() != 32*32 {
 		t.Fatalf("total = %d, want %d", total.Load(), 32*32)
@@ -280,7 +287,7 @@ func TestConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = rt.RunAndMerge(func(c *Context) {
+			_ = run(rt, func(c *Context) {
 				c.ParallelFor(0, 1000, func(*Context, int) { total.Add(1) })
 			})
 		}()
@@ -294,7 +301,7 @@ func TestConcurrentRuns(t *testing.T) {
 func TestStatsResetAndDequeHighWater(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
-	_ = rt.RunAndMerge(func(c *Context) {
+	_ = run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 256, 1, func(*Context, int) {})
 	})
 	st := rt.Stats()
@@ -352,14 +359,14 @@ func TestReducerHooksOnSerialRun(t *testing.T) {
 	if rt.Reducers() == nil {
 		t.Fatal("Reducers() should return the configured mechanism")
 	}
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 64, 1, func(*Context, int) {})
 		if c.Worker().Local() != any(rec) {
 			t.Error("WorkerInit did not install local state")
 		}
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if got := rec.inits.Load(); got != 1 {
 		t.Fatalf("WorkerInit called %d times, want 1", got)
@@ -378,7 +385,7 @@ func TestReducerHooksOnParallelRun(t *testing.T) {
 	rec := &recordingReducers{}
 	rt := New(Config{Workers: 4, Reducers: rec})
 	defer rt.Close()
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 2000, 1, func(*Context, int) {
 			s := 0
 			for k := 0; k < 100; k++ {
@@ -388,7 +395,7 @@ func TestReducerHooksOnParallelRun(t *testing.T) {
 		})
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	st := rt.Stats()
 	begins, ends, merges := rec.begins.Load(), rec.ends.Load(), rec.merges.Load()
@@ -414,7 +421,7 @@ func TestStolenBranchPanicPropagates(t *testing.T) {
 			t.Fatal("expected panic from stolen branch to propagate")
 		}
 	}()
-	_ = rt.RunAndMerge(func(c *Context) {
+	_ = run(rt, func(c *Context) {
 		c.ParallelForGrain(0, 512, 1, func(_ *Context, i int) {
 			busy := 0
 			for k := 0; k < 500; k++ {
@@ -480,7 +487,7 @@ func TestForkLeftPanicReclaimsContinuation(t *testing.T) {
 				t.Fatal("expected panic from left branch to propagate")
 			}
 		}()
-		_ = rt.RunAndMerge(func(c *Context) {
+		_ = run(rt, func(c *Context) {
 			c.Fork(
 				func(*Context) { panic("left failure") },
 				func(*Context) { rightRuns.Add(1) },
@@ -494,7 +501,7 @@ func TestForkLeftPanicReclaimsContinuation(t *testing.T) {
 	if got := rightRuns.Load(); got != snapshot {
 		t.Fatalf("orphaned continuation executed after Run failed (%d -> %d)", snapshot, got)
 	}
-	if err := rt.RunAndMerge(func(*Context) {}); err != nil {
+	if err := run(rt, func(*Context) {}); err != nil {
 		t.Fatalf("runtime unusable after left panic: %v", err)
 	}
 }
@@ -512,7 +519,7 @@ func TestForkPanicWithAbandonedGroupChild(t *testing.T) {
 					t.Fatal("expected panic to propagate")
 				}
 			}()
-			_ = rt.RunAndMerge(func(c *Context) {
+			_ = run(rt, func(c *Context) {
 				c.Fork(
 					func(c *Context) {
 						g := c.NewGroup()
@@ -536,7 +543,7 @@ func TestForkPanicWithAbandonedGroupChild(t *testing.T) {
 			t.Fatalf("workers=%d: abandoned group child ran after Run failed (%d -> %d)",
 				workers, snapshot, got)
 		}
-		if err := rt.RunAndMerge(func(*Context) {}); err != nil {
+		if err := run(rt, func(*Context) {}); err != nil {
 			t.Fatalf("workers=%d: runtime unusable after panic: %v", workers, err)
 		}
 		rt.Close()
@@ -557,7 +564,7 @@ func TestGroupWaitInsideLaterForkPanic(t *testing.T) {
 				t.Fatal("expected panic to propagate")
 			}
 		}()
-		_ = rt.RunAndMerge(func(c *Context) {
+		_ = run(rt, func(c *Context) {
 			g := c.NewGroup()
 			g.Spawn(func(*Context) { time.Sleep(2 * time.Millisecond) })
 			c.Fork(
@@ -574,7 +581,7 @@ func TestGroupWaitInsideLaterForkPanic(t *testing.T) {
 	if got := rightRuns.Load(); got != snapshot {
 		t.Fatalf("fork continuation ran after Run failed (%d -> %d)", snapshot, got)
 	}
-	if err := rt.RunAndMerge(func(*Context) {}); err != nil {
+	if err := run(rt, func(*Context) {}); err != nil {
 		t.Fatalf("runtime unusable after panic: %v", err)
 	}
 }
@@ -587,7 +594,7 @@ func TestGroupWaitInsideLaterForkSingleWorker(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var childRan, rightRan atomic.Int64
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		g := c.NewGroup()
 		g.Spawn(func(*Context) { childRan.Add(1) })
 		c.Fork(
@@ -596,7 +603,7 @@ func TestGroupWaitInsideLaterForkSingleWorker(t *testing.T) {
 		)
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if childRan.Load() != 1 || rightRan.Load() != 1 {
 		t.Fatalf("child ran %d, right ran %d; want 1 and 1", childRan.Load(), rightRan.Load())
@@ -616,7 +623,7 @@ func TestNestedGroupWaitThenRootPanic(t *testing.T) {
 					t.Fatal("expected root panic to propagate")
 				}
 			}()
-			_ = rt.RunAndMerge(func(c *Context) {
+			_ = run(rt, func(c *Context) {
 				c.Fork(
 					func(c *Context) {
 						g := c.NewGroup()
@@ -628,7 +635,7 @@ func TestNestedGroupWaitThenRootPanic(t *testing.T) {
 				panic("root failure after nested wait")
 			})
 		}()
-		if err := rt.RunAndMerge(func(*Context) {}); err != nil {
+		if err := run(rt, func(*Context) {}); err != nil {
 			t.Fatalf("workers=%d: runtime unusable after panic: %v", workers, err)
 		}
 		rt.Close()
@@ -642,7 +649,7 @@ func TestGroupSpawnInsideForkLeftBranch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rt := New(Config{Workers: workers})
 		var sum atomic.Int64
-		err := rt.RunAndMerge(func(c *Context) {
+		err := run(rt, func(c *Context) {
 			g := c.NewGroup()
 			c.Fork(
 				func(*Context) { g.Spawn(func(*Context) { sum.Add(1) }) },
@@ -651,7 +658,7 @@ func TestGroupSpawnInsideForkLeftBranch(t *testing.T) {
 			g.Wait()
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: RunAndMerge: %v", workers, err)
+			t.Fatalf("workers=%d: Run: %v", workers, err)
 		}
 		if sum.Load() != 11 {
 			t.Fatalf("workers=%d: sum = %d, want 11", workers, sum.Load())
@@ -674,7 +681,7 @@ func TestNestedWaitSweepThenPanicNoResurrection(t *testing.T) {
 				t.Fatal("expected panic to propagate")
 			}
 		}()
-		_ = rt.RunAndMerge(func(c *Context) {
+		_ = run(rt, func(c *Context) {
 			g := c.NewGroup()
 			g.Spawn(func(*Context) {})
 			g.Spawn(func(c *Context) {
@@ -690,7 +697,7 @@ func TestNestedWaitSweepThenPanicNoResurrection(t *testing.T) {
 	if got := len(rt.Worker(0).liveForks); got != 0 {
 		t.Fatalf("liveForks not empty after aborted run: %d", got)
 	}
-	if err := rt.RunAndMerge(func(*Context) {}); err != nil {
+	if err := run(rt, func(*Context) {}); err != nil {
 		t.Fatalf("runtime unusable after panic: %v", err)
 	}
 }
@@ -702,7 +709,7 @@ func TestNestedGroupInsideEarlierSibling(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var ran atomic.Int64
-	err := rt.RunAndMerge(func(c *Context) {
+	err := run(rt, func(c *Context) {
 		g := c.NewGroup()
 		g.Spawn(func(c *Context) {
 			g2 := c.NewGroup()
@@ -713,7 +720,7 @@ func TestNestedGroupInsideEarlierSibling(t *testing.T) {
 		g.Wait()
 	})
 	if err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if ran.Load() != 2 {
 		t.Fatalf("ran = %d, want 2", ran.Load())

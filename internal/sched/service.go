@@ -492,6 +492,9 @@ type Service struct {
 // runtime's plain Run/RunErr/RunContext API remains usable alongside the
 // service (legacy callers share the same pool).
 func NewService(rt *Runtime, cfg ServiceConfig) *Service {
+	if rt.cfg.CallerRuns {
+		panic("sched: NewService on a CallerRuns runtime: Submit has no caller whose goroutine could be worker 0")
+	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4 * rt.Workers()
 	}
@@ -653,7 +656,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 	// of rt.parked (both sides use sequentially-consistent atomics), so a
 	// worker registering as parked either sees the queued job in its
 	// recheck or is woken here — no lost wakeup.
-	s.rt.signalWork()
+	s.rt.signalWork(0)
 	return h, nil
 }
 

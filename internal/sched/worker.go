@@ -82,6 +82,20 @@ type Worker struct {
 	forksLocal    int64
 	splitsLocal   int64
 	maxDequeLocal int64
+	gatedLocal    int64 // wake-ups the gate held back
+	releasedLocal int64 // gated traces that outlived the gate and signalled
+
+	// The wake gate (idle.go), worker 0's only: gateUntil, while nonzero, is
+	// when the root in progress will have outlived it; gateChecks, how often Fork has asked;
+	// stamped, whether the root has sent its timed wake token; rootRan, how
+	// long the previous root ran; gatedRoots, how many the gate has held;
+	// lastWake, this worker's previous wake-up sample.
+	gateUntil  int64
+	gateChecks uint
+	stamped    bool
+	rootRan    int64
+	gatedRoots uint
+	lastWake   int64
 
 	// idle decides when loop parks (idle.go).  Owner-written; its
 	// counters are padded like the ones below.
@@ -97,6 +111,8 @@ type Worker struct {
 	nTasks        metrics.PaddedCounter
 	nPForSplits   metrics.PaddedCounter
 	maxDeque      metrics.PaddedCounter
+	nWakesGated   metrics.PaddedCounter
+	nGateReleased metrics.PaddedCounter
 }
 
 func newWorker(rt *Runtime, id int, seed uint64) *Worker {
@@ -189,9 +205,11 @@ func (w *Worker) freeJoinUsed(j *join) {
 // pushTask publishes t on this worker's deque and applies the wake
 // protocol: only the empty→non-empty transition can turn a parked worker's
 // situation from "nothing to steal" into "something to steal", so it is
-// the only push that signals; trySteal re-signals while a deep deque
-// drains.  Fork and Group.Spawn share this so the protocol lives in one
-// place.
+// the only push that signals — unless the trace is behind the wake gate
+// (idle.go); trySteal re-signals while a deep deque drains.  Fork and
+// Group.Spawn share this so the protocol lives in one place.
+//
+//cilkvet:hotpath
 func (w *Worker) pushTask(t *task) {
 	w.liveForks = append(w.liveForks, liveFork{t: t, j: t.join})
 	wasEmpty, depth := w.dq.pushBottom(t)
@@ -199,7 +217,11 @@ func (w *Worker) pushTask(t *task) {
 		w.maxDequeLocal = depth
 	}
 	if wasEmpty {
-		w.rt.signalWork()
+		if w.wakeGated() {
+			w.gatedLocal++
+		} else {
+			w.rt.signalWork(w.wakeStamp())
+		}
 	}
 }
 
@@ -214,7 +236,7 @@ func (w *Worker) tryPopOwn(t *task) bool {
 		return true
 	}
 	if w.dq.size() > 0 {
-		w.rt.signalWork()
+		w.rt.signalWork(0)
 	}
 	return false
 }
@@ -303,6 +325,11 @@ func (w *Worker) flushCounters() {
 		w.maxDeque.Max(w.maxDequeLocal)
 		w.maxDequeLocal = 0
 	}
+	if w.gatedLocal|w.releasedLocal != 0 {
+		w.nWakesGated.Add(w.gatedLocal)
+		w.nGateReleased.Add(w.releasedLocal)
+		w.gatedLocal, w.releasedLocal = 0, 0
+	}
 }
 
 // loop is the worker's scheduling loop: sweep the other deques, the inbox
@@ -364,6 +391,7 @@ func (w *Worker) loop() {
 			continue
 		}
 		rt.parks.Add(1)
+		parkedAt := nanotime()
 		select {
 		case <-rt.quit:
 			rt.parked.Add(-1)
@@ -374,100 +402,59 @@ func (w *Worker) loop() {
 			w.idle.unparked = true
 			w.idle.tookRoot(root.queuedAt)
 			w.runRoot(root)
-		case <-rt.wake:
+		case sent := <-rt.wake:
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
 			w.idle.unparked = true
+			w.woke(sent, parkedAt)
 		}
 	}
 }
 
-// runRoot executes one Run invocation as a fresh trace.
-func (w *Worker) runRoot(root *rootTask) {
+// runJob is the body every root runs through — the Run caller's own as
+// worker 0, a queued root, a service job: a fresh trace, the job's panic
+// boundary, view transferal.  It returns the root deposit, or the contained
+// panic value (wrapped here, nearest the panic, so it carries the panicking
+// stack; or the cancellation token; a failed view transferal is one too)
+// once everything the root pushed is settled and its views are discarded.
+func (w *Worker) runJob(fn func(*Context), jb *job) (d Deposit, panicked any) {
 	w.nTasks.Add(1)
 	prev, prevJob := w.curTrace, w.curJob
 	w.curTrace = w.rt.reducers.BeginTrace(w)
-	w.curJob = root.job
+	w.curJob = jb
 	mark := len(w.liveForks)
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				// Wrap here, at the recovery point nearest the panic, so
-				// the value reported to the Run caller carries the original
-				// payload and the panicking goroutine's stack.  Then settle
-				// everything the failed root pushed and leave the trace in
-				// a defined (empty) state, discarding the views of the
-				// aborted job.
-				p = wrapPanic(p)
-				w.abortScope(mark)
-				w.endTraceAbort()
-				w.curTrace = prev
-				w.curJob = prevJob
-				w.flushCounters()
-				root.err <- p
-			}
-		}()
-		ctx := &Context{w: w, wid: int32(w.id)}
-		root.fn(ctx)
-		w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
-		d := w.rt.reducers.EndTrace(w, w.curTrace)
-		w.curTrace = prev
-		w.curJob = prevJob
+	defer func() {
+		if p := recover(); p != nil {
+			d, panicked = nil, wrapPanic(p)
+			w.abortScope(mark)
+			w.endTraceAbort()
+		}
+		w.curTrace, w.curJob = prev, prevJob
 		w.flushCounters()
-		root.done <- d
 	}()
+	fn(&Context{w: w, wid: int32(w.id)})
+	w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
+	return w.rt.reducers.EndTrace(w, w.curTrace), nil
 }
 
-// runServiceJob executes one admitted service job as a fresh root trace —
-// exactly runRoot's shape, but the outcome is delivered through the job's
-// handle (completion claim + settle) instead of the rootTask channels, so a
-// deadline or watchdog cancellation that already completed the handle just
-// sees its deposit discarded here.
+// runRoot executes one queued Run invocation.
+func (w *Worker) runRoot(root *rootTask) {
+	root.d, root.p = w.runJob(root.fn, root.job)
+	close(root.done)
+}
+
+// runServiceJob executes one admitted service job; the outcome goes through
+// the job's handle (completion claim + settle), so a deadline or watchdog
+// cancellation that already completed the handle sees its deposit discarded.
 func (w *Worker) runServiceJob(h *JobHandle) {
-	w.nTasks.Add(1)
 	if h.job.cancelled.Load() {
 		// Cancelled between dispatch and execution: never begin the trace.
+		w.nTasks.Add(1)
 		h.settleFromWorker(w, nil, errJobCancelled)
 		return
 	}
-	prev, prevJob := w.curTrace, w.curJob
-	w.curTrace = w.rt.reducers.BeginTrace(w)
-	w.curJob = h.job
-	mark := len(w.liveForks)
-	var panicked any
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				panicked = wrapPanic(p)
-			}
-		}()
-		ctx := &Context{w: w, wid: int32(w.id)}
-		h.fn(ctx)
-	}()
-	if panicked != nil {
-		w.abortScope(mark)
-		w.endTraceAbort()
-		w.curTrace = prev
-		w.curJob = prevJob
-		w.flushCounters()
-		h.settleFromWorker(w, nil, panicked)
-		return
-	}
-	w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
-	var d Deposit
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				d = nil
-				panicked = wrapPanic(p)
-			}
-		}()
-		d = w.rt.reducers.EndTrace(w, w.curTrace)
-	}()
-	w.curTrace = prev
-	w.curJob = prevJob
-	w.flushCounters()
-	h.settleFromWorker(w, d, panicked)
+	d, p := w.runJob(h.fn, h.job)
+	h.settleFromWorker(w, d, p)
 }
 
 // endTraceAbort performs view transferal for a scope that is already
@@ -486,9 +473,11 @@ func (w *Worker) runTask(t *task) {
 	if j := t.job; j != nil {
 		j.progress.Add(1) // a stolen/helped branch ran: the job is alive
 	}
-	prev, prevJob := w.curTrace, w.curJob
+	prev, prevJob, prevGate := w.curTrace, w.curJob, w.gateUntil
 	w.curTrace = w.rt.reducers.BeginTrace(w)
 	w.curJob = t.job
+	// A stolen task's pushes signal, whatever gate its root began behind.
+	w.gateUntil = 0
 	mark := len(w.liveForks)
 	var panicked any
 	if j := t.job; j != nil && j.cancelled.Load() {
@@ -532,8 +521,7 @@ func (w *Worker) runTask(t *task) {
 		}()
 		d = w.rt.reducers.EndTrace(w, w.curTrace)
 	}()
-	w.curTrace = prev
-	w.curJob = prevJob
+	w.curTrace, w.curJob, w.gateUntil = prev, prevJob, prevGate
 	if panicked != nil {
 		t.join.panicVal = panicked
 	}
@@ -577,7 +565,7 @@ func (w *Worker) trySteal() *task {
 		if t := victim.dq.stealTop(); t != nil {
 			w.nSteals.Add(1)
 			if victim.dq.size() > 0 {
-				rt.signalWork()
+				rt.signalWork(0)
 			}
 			return t
 		}
@@ -646,7 +634,7 @@ func (w *Worker) waitJoin(j *join) {
 			// the token on rather than swallow it; a spurious extra wake
 			// just re-parks.
 			if rt.workAvailable(nil) || rt.serviceReady() {
-				rt.signalWork()
+				rt.signalWork(0)
 			}
 		}
 		rt.unparks.Add(1)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # inline-check: pin the compiler's inlining decisions for the typed-lookup
-# fast path and the first-lookup miss path.
+# fast path, the first-lookup miss path and the fork path's wake-gate test.
 #
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
@@ -55,6 +55,13 @@ require 'internal/sched/context.go' 'can inline (*Context).ViewEpoch'
 require 'internal/sched/context.go' 'can inline (*Context).WorkerID'
 require 'internal/sched/worker.go' 'can inline (*Worker).ViewEpoch'
 
+# Layer 1 (scheduler): the wake gate's test is a field compare inside the
+# fork path's two functions, not a call — Fork makes it after every left
+# branch, pushTask at every empty→non-empty push.
+require 'internal/sched/idle.go' 'can inline (*Worker).wakeGated'
+require 'internal/sched/worker.go' 'inlining call to (*Worker).wakeGated'
+require 'internal/sched/context.go' 'inlining call to (*Worker).wakeGated'
+
 # Layer 2: the memory-mapped engine's LookupWord hit shape is fully
 # flattened — probe, owner-stamp check, view word and epoch all inline.
 require 'internal/core/mm.go' 'inlining call to spa.(*MapSet).Probe'
@@ -92,7 +99,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"
