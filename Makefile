@@ -1,10 +1,8 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
-BENCH_BASE ?= BENCH_pr8.json
 CHAOS_SEEDS ?= 6
 CILKVET ?= bin/cilkvet
 
-.PHONY: build vet vet-unsafe lint cilkvet check-binaries inline-check test race bench-check chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
+.PHONY: build vet vet-unsafe lint cilkvet check-binaries inline-check test race bench-check chaos chaos-service docs-check fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -20,7 +18,7 @@ vet:
 vet-unsafe:
 	$(GO) vet -unsafeptr ./...
 
-# cilkvet builds the repo's own analysis suite (cmd/cilkvet): six
+# cilkvet builds the repo's own analysis suite (cmd/cilkvet): five
 # analyzers over the lock-free runtime's invariants, documented in
 # docs/STATIC_ANALYSIS.md.  The binary also speaks the go vet tool
 # protocol, so CI caches it and `go vet -vettool=bin/cilkvet` works.
@@ -57,15 +55,16 @@ test:
 # concurrent stress tests in internal/sched), both reducer engines, the typed
 # reducers, and PBFS over its bag reducer (dist is filled with plain stores
 # before the first Run and claimed by CAS after it) under the race detector,
-# then the scheduler, the engine and the facade's suites again with 1, 2 and
-# 4 Ps: the park/wake protocol is barely exercised by a run with one, and a
-# Session's caller is one of its workers, so how many Ps the callers and the
-# pool share decides which of them ever steals.  Run it on every scheduler
-# change.
+# then the scheduler, both engines, the typed reducers, PBFS and the facade's
+# suites again with 1, 2 and 4 Ps: the park/wake protocol is barely
+# exercised by a run with one, and a Session's caller is one of its workers,
+# so how many Ps the callers and the pool share decides which of them ever
+# steals.  Run it on every scheduler change.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/hypermap/... \
 		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
-	$(GO) test -race -cpu 1,2,4 ./internal/sched/ ./internal/core/ .
+	$(GO) test -race -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/hypermap/ \
+		./internal/reducers/ ./internal/pbfs/ .
 
 # bench-check covers the benchmark/ module, which `go build ./...` and
 # `go test ./...` at the root do not descend into although it pins part of
@@ -103,89 +102,6 @@ chaos-service:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m \
 		-run 'TestChaosServiceSweep' .
 	$(GO) test -race -count=1 -run 'TestServiceCloseRacingSubmit' ./internal/sched/
-
-# bench runs the scheduler microbenchmarks: the allocation-free fork fast
-# path (expect 0 allocs/op on BenchmarkForkNoSteal), steal throughput, and
-# the fib fork-stress test.
-bench:
-	$(GO) test -run NONE -bench 'ForkNoSteal|StealThroughput|ParallelFor|Fib' -benchmem ./internal/sched/
-
-# bench-directory runs the sharded reducer-directory microbenchmarks at 8
-# procs: concurrent register churn and growth, and the lookup fast path at
-# small vs 1e5-live populations.
-bench-directory:
-	$(GO) test -run NONE -bench 'RegisterChurn|RegisterGrowth|MMLookup4Live|MMLookup100kLive' \
-		-benchmem -benchtime=0.5s -cpu 8 ./internal/core/
-
-# bench-typed runs the typed reducer update microbenchmarks: the
-# generics-first Handle path (expect 0 allocs/op on both engines), including
-# the four-reducer rotation.
-bench-typed:
-	$(GO) test -run NONE -bench 'TypedAdd|TypedList' \
-		-benchmem -benchtime=0.5s ./internal/reducers/
-
-# bench-spa runs the word-packed SPA storage benchmarks: the post-steal
-# first lookup (arena vs heap view creation — expect 0 allocs/op on the
-# arena path), the steady-state typed update (expect 0 allocs/op), and the
-# hypermerge at 0%/50%/100% written views (elided slots must show zero
-# reduce calls and zero pagepool round-trips at 0%).
-bench-spa:
-	$(GO) test -run NONE -bench 'FirstLookup|MergeWritten' \
-		-benchmem -benchtime=0.5s ./internal/core/
-	$(GO) test -run NONE -bench 'TypedAdd' \
-		-benchmem -benchtime=0.5s ./internal/reducers/
-
-# bench-lookup runs the steady-state typed-lookup benchmark against the raw
-# per-worker []V array-index floor on both engines and records the numbers
-# as a perf-trajectory artifact (BENCH_LOOKUP_OUT).  The acceptance bar for
-# the devirtualized fast path is TypedLookupSteadyState within 1.5x of
-# RawSliceIndexBaseline; -count=5 because single runs on shared machines
-# are noisy (the diff tool aggregates by min).
-BENCH_LOOKUP_OUT ?= BENCH_lookup.json
-bench-lookup:
-	@$(GO) test -run NONE -bench 'TypedLookupSteadyState|RawSliceIndexBaseline' \
-		-benchmem -benchtime=0.5s -count=5 \
-		./internal/reducers/ > $(BENCH_LOOKUP_OUT).txt 2>&1 \
-		|| { cat $(BENCH_LOOKUP_OUT).txt; rm -f $(BENCH_LOOKUP_OUT).txt; exit 1; }
-	@$(GO) run ./cmd/benchjson -out $(BENCH_LOOKUP_OUT) < $(BENCH_LOOKUP_OUT).txt
-	@cat $(BENCH_LOOKUP_OUT).txt
-	@rm -f $(BENCH_LOOKUP_OUT).txt
-
-# bench-json runs the sched, core and typed-reducer microbenchmarks
-# (fork/steal, lookup, merge pipeline, directory registration, typed update
-# paths) plus the open-loop service-latency experiment and records them as a
-# machine-readable perf-trajectory artifact.  Numbers are advisory — the
-# target fails only on build or run errors, never on regressions.  The go
-# test output goes through a file rather than a pipe so its exit status is
-# checked (a plain pipe would let a broken benchmark build slip through with
-# the converter's status).  The directory benchmarks run at -cpu 8 so the
-# artifact records the concurrent-registration scaling.
-bench-json:
-	@$(GO) test -run NONE -bench 'ForkNoSteal|StealThroughput|Lookup|Merge' \
-		-benchmem -benchtime=0.5s -count=3 \
-		./internal/sched/ ./internal/core/ > $(BENCH_OUT).txt 2>&1 \
-		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }
-	@$(GO) test -run NONE -bench 'RegisterChurn|RegisterGrowth' \
-		-benchmem -benchtime=0.5s -count=3 -cpu 8 \
-		./internal/core/ >> $(BENCH_OUT).txt 2>&1 \
-		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }
-	@$(GO) test -run NONE -bench 'TypedAdd|TypedList|TypedLookupSteadyState|RawSliceIndexBaseline' \
-		-benchmem -benchtime=0.5s -count=3 \
-		./internal/reducers/ >> $(BENCH_OUT).txt 2>&1 \
-		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }
-	@$(GO) run ./cmd/cilkbench -experiment service -quick \
-		>> $(BENCH_OUT).txt 2>&1 \
-		|| { cat $(BENCH_OUT).txt; rm -f $(BENCH_OUT).txt; exit 1; }
-	@$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < $(BENCH_OUT).txt
-	@rm -f $(BENCH_OUT).txt
-
-# bench-diff compares two committed perf-trajectory artifacts and fails on
-# >10% ns/op regressions in the headline benchmarks (fork, steal, lookup,
-# merge, first-lookup).  CI runs it as an advisory step; the committed
-# BENCH_pr*.json trajectory is the record of truth.  Override the pair with
-# BENCH_BASE/BENCH_OUT.
-bench-diff:
-	$(GO) run ./cmd/benchjson diff $(BENCH_BASE) $(BENCH_OUT)
 
 # docs-check is the documentation lint: broken relative links in README.md
 # and docs/, and undocumented exported identifiers in the public facade

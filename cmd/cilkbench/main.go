@@ -4,13 +4,11 @@
 //
 // Usage:
 //
-//	cilkbench -experiment fig1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|manyreducers|faultoverhead|service|all \
-//	          [-workers N] [-lookups N] [-reps N] [-scale F] [-graphs a,b,c] [-rates r1,r2] [-quick]
+//	cilkbench -experiment fig1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|faultoverhead|all \
+//	          [-workers N] [-lookups N] [-reps N] [-scale F] [-graphs a,b,c] [-quick]
 //
-// The service experiment is not a paper figure: it drives the resident
-// multi-tenant Service with open-loop arrivals at each -rates value and
-// reports request-latency percentiles, emitting the rows both as a table
-// and as `go test -bench`-style lines for cmd/benchjson.
+// A performance claim cites benchmark/run.sh (benchmark/README.md), not
+// these tables.
 package main
 
 import (
@@ -19,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,7 +26,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which figure to regenerate: fig1, fig5a, fig5b, fig6, fig7, fig8, fig9, fig10, manyreducers, faultoverhead, service, or all")
+		experiment = flag.String("experiment", "all", "which figure to regenerate: fig1, fig5a, fig5b, fig6, fig7, fig8, fig9, fig10, faultoverhead, or all")
 		workers    = flag.Int("workers", 0, "maximum worker count for parallel experiments (default 16)")
 		lookups    = flag.Int("lookups", 0, "number of reducer lookups per microbenchmark run (default 2,000,000)")
 		reps       = flag.Int("reps", 0, "repetitions per data point (default 3)")
@@ -37,7 +34,6 @@ func main() {
 		graphs     = flag.String("graphs", "", "comma-separated subset of PBFS inputs (default: all eight)")
 		quick      = flag.Bool("quick", false, "use a very small configuration for a smoke run")
 		seed       = flag.Int64("seed", 0, "workload seed")
-		rates      = flag.String("rates", "", "comma-separated open-loop arrival rates in jobs/sec for the service experiment (default 200,1000,4000)")
 		metricsAt  = flag.String("metrics-addr", "", "serve runtime metrics on this address while experiments run (e.g. :9090; Prometheus text at /metrics, ?format=expvar for JSON)")
 	)
 	flag.Parse()
@@ -102,9 +98,7 @@ func main() {
 		{"fig8", func() error { return runFig7(cfg, false, true) }},
 		{"fig9", func() error { return runFig9(cfg) }},
 		{"fig10", func() error { return runFig10(cfg, inputs) }},
-		{"manyreducers", func() error { return runManyReducers(cfg) }},
 		{"faultoverhead", func() error { return runFaultOverhead(cfg) }},
-		{"service", func() error { return runService(cfg, *rates) }},
 	} {
 		if want != "all" && want != exp.name {
 			continue
@@ -196,16 +190,6 @@ func runFig9(cfg bench.Config) error {
 	return nil
 }
 
-func runManyReducers(cfg bench.Config) error {
-	res, err := bench.RunManyReducers(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table())
-	fmt.Println()
-	return nil
-}
-
 func runFaultOverhead(cfg bench.Config) error {
 	res, err := bench.RunFaultOverhead(cfg)
 	if err != nil {
@@ -224,29 +208,6 @@ func runFig10(cfg bench.Config, inputs []string) error {
 	fmt.Print(res.Fig10aTable())
 	fmt.Println()
 	fmt.Print(res.Fig10bTable())
-	fmt.Println()
-	return nil
-}
-
-func runService(cfg bench.Config, ratesArg string) error {
-	var rates []int
-	for _, r := range strings.Split(ratesArg, ",") {
-		if r = strings.TrimSpace(r); r == "" {
-			continue
-		}
-		n, err := strconv.Atoi(r)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -rates value %q", r)
-		}
-		rates = append(rates, n)
-	}
-	res, err := bench.RunServiceLatency(cfg, rates)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Table())
-	fmt.Println()
-	fmt.Print(res.BenchLines())
 	fmt.Println()
 	return nil
 }

@@ -1,8 +1,8 @@
 // Command cilkvet checks the repository's lock-free runtime invariants.
 //
-// It bundles six analyzers — atomicfield, deprecatedapi, epochbump,
-// hotpath, nocopy and unsafeword — documented in docs/STATIC_ANALYSIS.md.  The
-// command runs in two modes:
+// It bundles five analyzers — atomicfield, epochbump, hotpath, nocopy and
+// unsafeword — documented in docs/STATIC_ANALYSIS.md.  The command runs in
+// two modes:
 //
 // Standalone, over whole package patterns (the `make lint` entry point):
 //
@@ -17,8 +17,8 @@
 // from source; nothing is executed and no build cache is needed.  In
 // vettool mode cilkvet speaks cmd/go's unitchecker protocol: it imports
 // dependencies from export data and carries cross-package doc-comment
-// information (deprecations, //cilkvet:nocopy directives) between
-// packages in its .vetx fact files.
+// information (//cilkvet:nocopy directives) between packages in its
+// .vetx fact files.
 //
 // Exit status: 0 for a clean tree, 1 (standalone) or 2 (vettool) when
 // findings are reported, 2 (standalone) for usage or load errors.

@@ -3,8 +3,8 @@
 // describing sources, the import map and fact-file locations.  This file
 // is a self-contained reimplementation of the slice of
 // golang.org/x/tools/go/analysis/unitchecker the suite needs, with the
-// module doc-comment index (deprecations, //cilkvet:nocopy) serialized
-// through the .vetx fact files.
+// module doc-comment index (//cilkvet:nocopy) serialized through the
+// .vetx fact files.
 package main
 
 import (
@@ -83,15 +83,10 @@ type vetConfig struct {
 
 // vetxPayload is what cilkvet stores in its .vetx fact files: the
 // doc-comment index for the package and everything it imports, so
-// indirect dependencies' deprecations survive even when cmd/go only
+// indirect dependencies' directives survive even when cmd/go only
 // hands us direct imports' fact files.
 type vetxPayload struct {
-	Deprecated []deprecatedFact
-	NoCopy     []objFact
-}
-
-type deprecatedFact struct {
-	Pkg, Name, Msg string
+	NoCopy []objFact
 }
 
 type objFact struct {
@@ -149,7 +144,6 @@ func vetUnit(cfgPath string, analyzers []*framework.Analyzer) int {
 	if compiler == "" {
 		compiler = "gc"
 	}
-	//cilkvet:allow deprecatedapi -- the deprecation covers nil-lookup use only; we pass an explicit lookup
 	gcImporter := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
@@ -233,9 +227,6 @@ func readVetx(path string, index *framework.ModuleIndex) error {
 	if err := json.Unmarshal(data, &payload); err != nil {
 		return nil // not ours; ignore
 	}
-	for _, d := range payload.Deprecated {
-		index.Deprecated[framework.ObjKey{Pkg: d.Pkg, Name: d.Name}] = d.Msg
-	}
 	for _, n := range payload.NoCopy {
 		index.NoCopy[framework.ObjKey{Pkg: n.Pkg, Name: n.Name}] = true
 	}
@@ -248,9 +239,6 @@ func writeVetx(path string, index *framework.ModuleIndex) int {
 		return 0
 	}
 	var payload vetxPayload
-	for k, msg := range index.Deprecated {
-		payload.Deprecated = append(payload.Deprecated, deprecatedFact{k.Pkg, k.Name, msg})
-	}
 	for k := range index.NoCopy {
 		payload.NoCopy = append(payload.NoCopy, objFact{k.Pkg, k.Name})
 	}

@@ -14,10 +14,10 @@
 // Two deliberate deviations from go/analysis:
 //
 //   - Cross-package information does not travel through serialized Facts.
-//     Instead every Pass carries a ModuleIndex — deprecation notices and
-//     cilkvet directives harvested from the doc comments of every package
-//     the driver saw — which is all the cross-package state these
-//     analyzers need.
+//     Instead every Pass carries a ModuleIndex — the //cilkvet:nocopy
+//     directives harvested from the doc comments of every package the
+//     driver saw — which is all the cross-package state these analyzers
+//     need.
 //
 //   - Suppression is first-class: a diagnostic is dropped when the
 //     offending line (or the line above it) carries a
@@ -71,7 +71,7 @@ type Pass struct {
 	// TypesInfo holds the type information for Files.
 	TypesInfo *types.Info
 
-	// Module indexes doc-comment information (deprecations, cilkvet
+	// Module indexes doc-comment information (//cilkvet:nocopy
 	// directives) across every package the driver loaded.  Never nil, but
 	// possibly restricted to the current package under drivers that cannot
 	// see the whole module.

@@ -9,23 +9,6 @@ import (
 
 const indexSrc = `package p
 
-// Old does things.
-//
-// Deprecated: use New instead.
-// Second line is not part of the message.
-func Old() {}
-
-// New does things.
-func New() {}
-
-// T is a type with a deprecated method.
-type T struct{}
-
-// M is going away.
-//
-// Deprecated: call T.N.
-func (t *T) M() {}
-
 // Page must not move.
 //
 //cilkvet:nocopy
@@ -34,12 +17,19 @@ type Page struct{}
 // Free is unconstrained.
 type Free struct{}
 
-// B is deprecated at the decl group level.
+// Grouped types take the directive from the group's doc comment.
 //
-// Deprecated: gone.
-var (
-	B = 1
+//cilkvet:nocopy
+type (
+	G1 struct{}
+	G2 struct{}
 )
+
+// Handle's directive sits in a trailing comment; a func is not indexed.
+type Handle struct{} //cilkvet:nocopy
+
+//cilkvet:nocopy
+func NotAType() {}
 `
 
 func TestModuleIndex(t *testing.T) {
@@ -51,22 +41,18 @@ func TestModuleIndex(t *testing.T) {
 	idx := NewModuleIndex()
 	idx.IndexFiles("example/p", []*ast.File{f})
 
-	if got := idx.Deprecated[ObjKey{"example/p", "Old"}]; got != "use New instead." {
-		t.Errorf("Old deprecation = %q, want first line only", got)
-	}
-	if _, ok := idx.Deprecated[ObjKey{"example/p", "New"}]; ok {
-		t.Error("New wrongly indexed as deprecated")
-	}
-	if got := idx.Deprecated[ObjKey{"example/p", "T.M"}]; got != "call T.N." {
-		t.Errorf("T.M deprecation = %q", got)
-	}
-	if got := idx.Deprecated[ObjKey{"example/p", "B"}]; got != "gone." {
-		t.Errorf("B deprecation = %q", got)
-	}
 	if !idx.NoCopy[ObjKey{"example/p", "Page"}] {
 		t.Error("Page //cilkvet:nocopy directive not indexed")
 	}
 	if idx.NoCopy[ObjKey{"example/p", "Free"}] {
 		t.Error("Free wrongly indexed as nocopy")
+	}
+	for _, name := range []string{"G1", "G2", "Handle"} {
+		if !idx.NoCopy[ObjKey{"example/p", name}] {
+			t.Errorf("%s //cilkvet:nocopy directive not indexed", name)
+		}
+	}
+	if len(idx.NoCopy) != 4 {
+		t.Errorf("index = %v, want exactly Page, G1, G2, Handle", idx.NoCopy)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/analysis/framework"
 )
 
 // moduleRoot walks up from the working directory to the directory holding
@@ -56,7 +58,7 @@ func TestLoadModule(t *testing.T) {
 	if !foundCore || !foundSched {
 		t.Errorf("expected core and sched among roots (core=%v sched=%v)", foundCore, foundSched)
 	}
-	if len(res.Index.Deprecated) == 0 {
-		t.Error("module index found no deprecations (cilkm shims should be indexed)")
+	if !res.Index.NoCopy[framework.ObjKey{Pkg: "repro/internal/spa", Name: "Map"}] {
+		t.Error("module index missed spa.Map's //cilkvet:nocopy directive")
 	}
 }

@@ -7,7 +7,6 @@ package suite
 
 import (
 	"repro/internal/analysis/atomicfield"
-	"repro/internal/analysis/deprecatedapi"
 	"repro/internal/analysis/epochbump"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotpath"
@@ -19,7 +18,6 @@ import (
 func Analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		atomicfield.Analyzer,
-		deprecatedapi.Analyzer,
 		epochbump.Analyzer,
 		hotpath.Analyzer,
 		nocopy.Analyzer,

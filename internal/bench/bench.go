@@ -39,10 +39,6 @@ type Config struct {
 	GraphScale float64
 	// Seed seeds workload generation.
 	Seed int64
-	// Quick marks a smoke-run configuration: experiments with their own
-	// sizing sweeps (manyreducers) shrink them rather than inferring
-	// smallness from the other knobs.
-	Quick bool
 	// Exporter, when non-nil, receives the live engine, scheduler and
 	// fault-injection metric sources of each experiment as it runs, so a
 	// scrape endpoint (cilkbench -metrics-addr) follows the experiment
@@ -74,7 +70,6 @@ func QuickConfig() Config {
 		Repetitions: 3,
 		GraphScale:  1.0 / 2048,
 		Seed:        1,
-		Quick:       true,
 	}
 }
 

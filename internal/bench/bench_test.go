@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/reducers"
 	"repro/internal/sched"
 )
@@ -370,5 +371,31 @@ func TestFig10(t *testing.T) {
 	}
 	if _, err := RunFig10(cfg, []string{"not-a-graph"}); err == nil {
 		t.Fatal("unknown input name should fail")
+	}
+}
+
+// TestRunFaultOverheadQuick smoke-runs the failpoint-overhead experiment at
+// the quick configuration (nothing else in tier-1 executes it): every
+// headline path yields a row measured in both failpoint states, and the
+// armed-idle plan is deactivated again on the way out.
+func TestRunFaultOverheadQuick(t *testing.T) {
+	res, err := RunFaultOverhead(QuickConfig())
+	if err != nil {
+		t.Fatalf("RunFaultOverhead: %v", err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4 (fork, steal, lookup, merge)", len(res.Rows))
+	}
+	table := res.Table()
+	for _, row := range res.Rows {
+		if row.Disabled <= 0 || row.Armed <= 0 || row.Ops <= 0 {
+			t.Errorf("row %+v: non-positive measurement", row)
+		}
+		if !strings.Contains(table, row.Path) {
+			t.Errorf("table misses path %q", row.Path)
+		}
+	}
+	if faultinject.Enabled() {
+		t.Error("armed-idle plan still active after the experiment")
 	}
 }

@@ -284,6 +284,21 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 	if m == nil {
 		return nil, errors.New("core: nil monoid")
 	}
+	// The leftmost view is built and its type word captured (see word.go:
+	// the identity view is the canonical instance of the reducer's single
+	// view type) before an address is taken.  Identity is the caller's
+	// code and may panic; past the pop below only growth can fail, and
+	// that hands the address back.
+	r := &Reducer{monoid: m, eng: eng, leftmost: m.Identity(), arenaClass: -1}
+	if err := r.captureViewType(r.leftmost); err != nil {
+		return nil, err
+	}
+	if am, ok := m.(ArenaMonoid); ok {
+		if class := ArenaClassFor(am.ViewBytes()); class >= 0 {
+			r.arena = am
+			r.arenaClass = int8(class)
+		}
+	}
 	si := (d.cursor.Add(1) - 1) & d.mask
 	s := &d.shards[si]
 	var local uint64
@@ -316,31 +331,12 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 	// concurrent registrations, lookups on recycled addresses, and shard
 	// growth can interleave with this half-done registration.
 	faultinject.Perturb(faultinject.DirectoryRegister)
-	r := &Reducer{
-		// id = seq*Shards + shard + 1: unique across the directory (the
-		// shard part distinguishes concurrent sequences) and nonzero.
-		id:         (s.idSeq.Add(1)-1)<<d.shift + si + 1,
-		addr:       addr,
-		page:       int32(addr.Page()),
-		slot:       int32(addr.Slot()),
-		monoid:     m,
-		eng:        eng,
-		leftmost:   m.Identity(),
-		arenaClass: -1,
-	}
-	// Capture the view type word for the packed-slot representation (see
-	// word.go); the identity view that seeds the leftmost value is the
-	// canonical instance of the reducer's single view type.
-	if err := r.captureViewType(r.leftmost); err != nil {
-		s.pushFree(local)
-		return nil, err
-	}
-	if am, ok := m.(ArenaMonoid); ok {
-		if class := ArenaClassFor(am.ViewBytes()); class >= 0 {
-			r.arena = am
-			r.arenaClass = int8(class)
-		}
-	}
+	// id = seq*Shards + shard + 1: unique across the directory (the shard
+	// part distinguishes concurrent sequences) and nonzero.
+	r.id = (s.idSeq.Add(1)-1)<<d.shift + si + 1
+	r.addr = addr
+	r.page = int32(addr.Page())
+	r.slot = int32(addr.Slot())
 	r.dir.Store(d)
 	slot.r.Store(r)
 	s.counters.Registers.Add(1)

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/hypermap"
 	"repro/internal/reducers"
 	"repro/internal/sched"
 )
@@ -36,11 +38,47 @@ func TestEngineSurface(t *testing.T) {
 	}
 }
 
+// TestJobSurface pins the ways to run a job as TestEngineSurface pins
+// lookups: three Run variants over one private body on the runtime and the
+// session, one Submit on the service, and so none of the entry points
+// earlier PRs folded into them (RunAndMerge, RunRoot, SubmitAndWait).
+func TestJobSurface(t *testing.T) {
+	// entryPoints returns typ's exported methods named prefix or
+	// prefix+CamelCase ("Runtime" is an accessor, not a Run variant).
+	entryPoints := func(typ reflect.Type, prefix string) []string {
+		var names []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			rest, ok := strings.CutPrefix(name, prefix)
+			if ok && (rest == "" || rest[0] >= 'A' && rest[0] <= 'Z') {
+				names = append(names, name)
+			}
+		}
+		return names // reflect lists methods in name order
+	}
+	runs := []string{"Run", "RunContext", "RunErr"}
+	for _, typ := range []reflect.Type{reflect.TypeFor[*sched.Runtime](), reflect.TypeFor[*core.Session]()} {
+		if got := entryPoints(typ, "Run"); !slices.Equal(got, runs) {
+			t.Errorf("%v Run* methods = %v, want %v", typ, got, runs)
+		}
+		if got := entryPoints(typ, "Submit"); len(got) != 0 {
+			t.Errorf("%v has Submit* methods %v, want none", typ, got)
+		}
+	}
+	svc := reflect.TypeFor[*sched.Service]()
+	if got := entryPoints(svc, "Submit"); !slices.Equal(got, []string{"Submit"}) {
+		t.Errorf("%v Submit* methods = %v, want exactly Submit", svc, got)
+	}
+	if got := entryPoints(svc, "Run"); len(got) != 0 {
+		t.Errorf("%v has Run* methods %v, want none", svc, got)
+	}
+}
+
 // TestOptionSurface pins every independently settable value of the engine
 // configuration — the exported cilkm.With* functions of the root package
-// and the fields of core.MMConfig and reducers.EngineOptions — so a knob
-// cannot (re)appear without an edit here that says which two callers need
-// different values.
+// and the fields of core.MMConfig, hypermap.Config, reducers.EngineOptions
+// and the figure harness's bench.Config — so a knob cannot (re)appear
+// without an edit here that says which two callers need different values.
 func TestOptionSurface(t *testing.T) {
 	fields := func(typ reflect.Type) []string {
 		var names []string
@@ -52,6 +90,14 @@ func TestOptionSurface(t *testing.T) {
 	if got, want := fields(reflect.TypeFor[core.MMConfig]()),
 		[]string{"Workers", "Timing", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {
 		t.Errorf("core.MMConfig fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeFor[hypermap.Config]()),
+		[]string{"Workers", "Timing", "DirectoryShards"}; !slices.Equal(got, want) {
+		t.Errorf("hypermap.Config fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeFor[bench.Config]()),
+		[]string{"MaxWorkers", "Lookups", "Repetitions", "GraphScale", "Seed", "Exporter"}; !slices.Equal(got, want) {
+		t.Errorf("bench.Config fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[reducers.EngineOptions]()),
 		[]string{"Timing", "CountLookups", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -149,6 +150,66 @@ func TestRetiredHandleLookupDoesNotClobberLiveView(t *testing.T) {
 			}
 			if got := r2.Value().(*sumView).v; got != 42 {
 				t.Fatalf("r2 value = %d, want 42", got)
+			}
+		})
+	}
+}
+
+// panicIdentityMonoid is a broken tenant monoid: building its identity view
+// panics.
+type panicIdentityMonoid struct{ sumMonoid }
+
+func (panicIdentityMonoid) Identity() any { panic("identity boom") }
+
+// TestPanickingIdentityLeaksNoAddressBothEngines registers a monoid whose
+// Identity panics.  Register builds the leftmost view before it takes an
+// address, so the failures must leave the directory exactly as it was: the
+// one recycled address is still the next one handed out and no fresh slot
+// was minted.  (Taking the address first lost one per failed Register — in
+// the resident service, one per job of a broken tenant, for ever.)
+func TestPanickingIdentityLeaksNoAddressBothEngines(t *testing.T) {
+	for name, eng := range oneShardEngines(1) {
+		t.Run(name, func(t *testing.T) {
+			stats := eng.(interface {
+				DirectoryStats() metrics.DirectoryStats
+			}).DirectoryStats
+			r1, err := eng.Register(sumMonoid{})
+			if err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			eng.Unregister(r1)
+			before := stats()
+			const failures = 3
+			for i := 0; i < failures; i++ {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("Register with a panicking Identity returned normally")
+						}
+					}()
+					_, _ = eng.Register(panicIdentityMonoid{})
+				}()
+			}
+			if after := stats(); after.FreeSlots != before.FreeSlots || after.FreshSlots != before.FreshSlots {
+				t.Errorf("failed registrations moved the directory: FreeSlots %d → %d, FreshSlots %d → %d",
+					before.FreeSlots, after.FreeSlots, before.FreshSlots, after.FreshSlots)
+			}
+			if got := eng.Registered(); got != 0 {
+				t.Errorf("Registered after failed registrations = %d, want 0", got)
+			}
+			r2, err := eng.Register(sumMonoid{})
+			if err != nil {
+				t.Fatalf("Register after failures: %v", err)
+			}
+			if r2.Addr() != r1.Addr() {
+				t.Errorf("next registration landed on address %d, want the recycled %d", r2.Addr(), r1.Addr())
+			}
+			if after := stats(); after.FreshSlots != before.FreshSlots {
+				t.Errorf("FreshSlots %d → %d: an address was minted although one was free",
+					before.FreshSlots, after.FreshSlots)
+			}
+			if got := eng.Registered(); got != 1 {
+				t.Errorf("Registered = %d, want 1", got)
 			}
 		})
 	}

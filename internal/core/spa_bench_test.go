@@ -10,8 +10,6 @@ import (
 // This file benchmarks the word-packed SPA storage layer: the post-steal
 // first lookup (view creation) on the arena vs the heap path, and the
 // hypermerge at varying written-view fractions (identity-view elision).
-// `make bench-spa` runs them; bench-json records them in the BENCH_pr5
-// artifact.
 
 // benchFirstLookup measures the post-steal first lookup: every op resolves
 // a reducer that has no view in the current trace, so it runs the full

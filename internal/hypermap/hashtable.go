@@ -38,16 +38,12 @@ type hashEntry struct {
 // prime-like sizes the Cilk Plus runtime grows its hypermaps through.
 var bucketSizes = []int{17, 37, 79, 163, 331, 673, 1361, 2729, 5471, 10949, 21911, 43853, 87719, 175447}
 
-// newHashTable creates an empty table whose initial size is at least hint.
-func newHashTable(hint int) *hashTable {
-	idx := 0
-	for idx < len(bucketSizes)-1 && bucketSizes[idx] < hint {
-		idx++
-	}
+// newHashTable creates an empty table at the smallest size; like the Cilk
+// Plus runtime's, it starts small and grows.
+func newHashTable() *hashTable {
 	return &hashTable{
-		buckets:  make([]*hashEntry, bucketSizes[idx]),
-		nbuckets: uint64(bucketSizes[idx]),
-		sizeIdx:  idx,
+		buckets:  make([]*hashEntry, bucketSizes[0]),
+		nbuckets: uint64(bucketSizes[0]),
 	}
 }
 

@@ -20,10 +20,6 @@ type Config struct {
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
-	// InitialBuckets is the initial size hint for newly created hypermaps.
-	// The Cilk Plus runtime starts its hash tables small and grows them;
-	// a value of 0 keeps Go's default behaviour.
-	InitialBuckets int
 	// DirectoryShards is the number of reducer-directory shards; it is
 	// rounded up to a power of two.  Zero sizes the directory from
 	// Workers.  Tests pin it to 1 to make slot recycling deterministic.
@@ -165,11 +161,6 @@ func (e *HM) publishViewInvalidation() {
 // Name implements core.Engine.
 func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 
-// newHypermap allocates an empty user hypermap.
-func (e *HM) newHypermap() *hashTable {
-	return newHashTable(e.cfg.InitialBuckets)
-}
-
 // --- registration and lookup ---
 
 // Register implements core.Engine: a lock-free slot allocation in the
@@ -290,7 +281,7 @@ func (e *HM) Workers() int { return int(e.nworkers.Load()) }
 // while the attaching runtime is being constructed, before any of that
 // runtime's tasks execute.
 func (e *HM) WorkerInit(w *sched.Worker) {
-	ws := &hmWorker{eng: e, w: w, user: e.newHypermap()}
+	ws := &hmWorker{eng: e, w: w, user: newHashTable()}
 	w.SetLocal(ws)
 	e.initMu.Lock()
 	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
@@ -316,7 +307,7 @@ func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 		return &hmTrace{}
 	}
 	tr := &hmTrace{ws: ws, saved: ws.user}
-	ws.user = e.newHypermap()
+	ws.user = newHashTable()
 	w.BumpViewEpoch()
 	return tr
 }
@@ -347,7 +338,7 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	if ht != nil && ht.saved != nil {
 		ws.user = ht.saved
 	} else if ws.user == nil {
-		ws.user = e.newHypermap()
+		ws.user = newHashTable()
 	}
 	w.BumpViewEpoch()
 	if dep == nil {

@@ -64,7 +64,7 @@ func TestHypermapRegisterUnregister(t *testing.T) {
 
 func TestHypermapSerialAndParallelSum(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		eng := hypermap.New(hypermap.Config{Workers: workers, InitialBuckets: 8})
+		eng := hypermap.New(hypermap.Config{Workers: workers})
 		s := core.NewSession(workers, eng)
 		r, _ := eng.Register(sumMonoid{})
 		const n = 500

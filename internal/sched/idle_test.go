@@ -146,7 +146,11 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 	defer runtime.UnlockOSThread()
 	const n = 2000
 	var failures []string
-	for attempt := 1; attempt <= 3; attempt++ {
+	// Up to ten attempts, with a pause after one that measured nothing:
+	// `go test ./...` runs this package beside another one, and on a 2-CPU
+	// box the root package's chaos sweeps can hold the submitter's CPU for
+	// the length of three back-to-back attempts.
+	for attempt := 1; attempt <= 10; attempt++ {
 		spreadThreads(t, s)
 		// Gaps longer than any warm phase: every pickup follows an unpark
 		// and is a sample.
@@ -168,6 +172,7 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 		if late > n/10 {
 			// The submitter lost its CPU, most likely to the worker: what
 			// was measured is the OS time-slicing the two.
+			time.Sleep(300 * time.Millisecond)
 			continue
 		}
 		// The worker can lose its CPU too, to another package's tests

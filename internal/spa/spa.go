@@ -156,7 +156,7 @@ func (m *Map) Len() int { return int(m.nviews) }
 func (m *Map) LogLen() int { return int(m.nlogs) }
 
 // LogValid reports whether the log still describes every valid view, i.e.
-// whether it has not overflowed since the last Reset.
+// whether it has not overflowed since the map was last empty.
 func (m *Map) LogValid() bool { return m.logValid }
 
 // IsEmpty reports whether the map holds no views.
@@ -267,8 +267,17 @@ func (m *Map) Remove(i int) (Slot, error) {
 	}
 	m.views[i] = Slot{}
 	m.nviews--
-	// The log may now contain a stale index; sequencing skips empty slots,
-	// so the log remains usable without compaction.
+	if m.nviews == 0 {
+		// The last view left: rewind the log, overflowed or not.  A private
+		// page whose views are all elided every trace is never handed off
+		// and never Reset, so without this its log fills once and every
+		// later walk scans the whole view array.  Legal inside Range: both
+		// of its loops then find nothing more to visit.
+		m.nlogs = 0
+		m.logValid = true
+	}
+	// Otherwise the log may now contain a stale index; sequencing skips
+	// empty slots, so it remains usable without compaction.
 	return s, nil
 }
 
@@ -309,18 +318,6 @@ func (m *Map) Range(fn func(i int, s Slot) bool) {
 	}
 }
 
-// Indices returns the indices of all valid views in ascending order.  It is
-// a convenience for tests and for deterministic sequencing in merges.
-func (m *Map) Indices() []int {
-	out := make([]int, 0, m.nviews)
-	for i := 0; i < SlotsPerMap; i++ {
-		if !m.views[i].IsEmpty() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // TransferTo moves every valid view from m into dst (which must have the
 // corresponding slots empty) and clears m.  This is the copying strategy
 // for view transferal (Section 7): as the worker sequences through valid
@@ -349,101 +346,4 @@ func (m *Map) TransferTo(dst *Map) (moved int, err error) {
 	m.nlogs = 0
 	m.logValid = true
 	return moved, nil
-}
-
-// Encode serialises the SPA map into its in-page byte layout inside buf,
-// which must be at least tlmm.PageSize bytes.  View and owner words are
-// represented by the caller-provided handle function, which maps them to
-// 8-byte identifiers (a real system stores raw pointers; the model stores
-// stable handles so a page can round-trip through the TLMM page store).
-// Handles must have their low three bits clear — like the 8-byte-aligned
-// pointers they stand in for — because the slot flags are packed into the
-// low bits of the encoded owner word.
-func (m *Map) Encode(buf []byte, handle func(unsafe.Pointer) uint64) error {
-	if len(buf) < tlmm.PageSize {
-		return fmt.Errorf("spa: encode buffer of %d bytes, need %d", len(buf), tlmm.PageSize)
-	}
-	off := 0
-	for i := 0; i < SlotsPerMap; i++ {
-		var hv, hm uint64
-		if s := m.views[i]; !s.IsEmpty() {
-			hv = handle(s.View())
-			hm = handle(s.Owner())
-			if hv&uint64(FlagMask) != 0 || hm&uint64(FlagMask) != 0 {
-				return fmt.Errorf("spa: handle with low flag bits set at slot %d", i)
-			}
-			hm |= uint64(s.Flags())
-		}
-		putLE64(buf[off:], hv)
-		putLE64(buf[off+8:], hm)
-		off += SlotBytes
-	}
-	copy(buf[off:off+LogCapacity], m.log[:])
-	off += LogCapacity
-	putLE32(buf[off:], uint32(m.nviews))
-	putLE32(buf[off+4:], uint32(m.nlogs))
-	return nil
-}
-
-// Decode reconstructs the SPA map from its in-page byte layout, resolving
-// 8-byte identifiers back to view/owner words through the lookup function
-// and restoring the slot flags from the encoded owner word's low bits.
-func (m *Map) Decode(buf []byte, lookup func(uint64) unsafe.Pointer) error {
-	if len(buf) < tlmm.PageSize {
-		return fmt.Errorf("spa: decode buffer of %d bytes, need %d", len(buf), tlmm.PageSize)
-	}
-	m.Reset()
-	off := 0
-	valid := 0
-	for i := 0; i < SlotsPerMap; i++ {
-		hv := getLE64(buf[off:])
-		hm := getLE64(buf[off+8:])
-		off += SlotBytes
-		if hv == 0 && hm == 0 {
-			continue
-		}
-		flags := uintptr(hm) & FlagMask
-		m.views[i] = MakeSlot(lookup(hv), lookup(hm&^uint64(FlagMask)), flags)
-		valid++
-	}
-	copy(m.log[:], buf[off:off+LogCapacity])
-	off += LogCapacity
-	m.nviews = int32(getLE32(buf[off:]))
-	m.nlogs = int32(getLE32(buf[off+4:]))
-	if int(m.nviews) != valid {
-		return fmt.Errorf("spa: decode count mismatch: header %d, slots %d", m.nviews, valid)
-	}
-	m.logValid = int(m.nlogs) <= LogCapacity && int(m.nviews) == int(m.nlogs)
-	return nil
-}
-
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getLE64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE32(b []byte, v uint32) {
-	_ = b[3]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getLE32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

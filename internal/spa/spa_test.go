@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"repro/internal/tlmm"
 )
 
 // fakeOwner stands in for the reducer handle whose pointer the engines
@@ -279,6 +277,53 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 			}
 			return true
 		})
+		// Removing the rest inside Range takes the last view out mid-walk,
+		// which rewinds the log under the loop: every slot is still visited
+		// exactly once and the page comes out as good as Reset.
+		seen := make(map[int]int)
+		m.Range(func(i int, s Slot) bool {
+			seen[i]++
+			if _, err := m.Remove(i); err != nil {
+				t.Fatalf("Remove(%d) during Range: %v", i, err)
+			}
+			return true
+		})
+		if len(seen) != n-removed {
+			t.Fatalf("n=%d: remove-all walk visited %d slots, want %d", n, len(seen), n-removed)
+		}
+		for i, k := range seen {
+			if k != 1 {
+				t.Fatalf("n=%d: slot %d visited %d times", n, i, k)
+			}
+		}
+		if !m.IsEmpty() || !m.LogValid() || m.LogLen() != 0 {
+			t.Fatalf("n=%d: emptied page has views=%d logValid=%v logLen=%d, want a rewound log",
+				n, m.Len(), m.LogValid(), m.LogLen())
+		}
+	}
+}
+
+// TestRemoveOfLastViewRewindsLog pins the rule that keeps a worker's
+// private page cheap to walk when every view on it is elided at every
+// EndTrace: such a page is never handed off and never Reset, so its log
+// must rewind when its last view leaves, or the 121st insertion overflows
+// it and every later walk scans all SlotsPerMap slots.
+func TestRemoveOfLastViewRewindsLog(t *testing.T) {
+	m := New()
+	own := &fakeOwner{"add"}
+	for round := 0; round < 300; round++ {
+		if err := m.Insert(7, newView(), own.ptr(), 0); err != nil {
+			t.Fatalf("round %d: Insert: %v", round, err)
+		}
+		if !m.LogValid() || m.LogLen() != 1 {
+			t.Fatalf("round %d: after insert logValid=%v logLen=%d, want true/1", round, m.LogValid(), m.LogLen())
+		}
+		if _, err := m.Remove(7); err != nil {
+			t.Fatalf("round %d: Remove: %v", round, err)
+		}
+		if !m.LogValid() || m.LogLen() != 0 {
+			t.Fatalf("round %d: after remove logValid=%v logLen=%d, want true/0", round, m.LogValid(), m.LogLen())
+		}
 	}
 }
 
@@ -321,9 +366,10 @@ func TestResetRestoresEmptyState(t *testing.T) {
 	if !m.IsEmpty() || m.LogLen() != 0 || !m.LogValid() {
 		t.Fatal("Reset did not restore the empty state")
 	}
-	if got := len(m.Indices()); got != 0 {
-		t.Fatalf("Indices after Reset = %d entries, want 0", got)
-	}
+	m.Range(func(i int, s Slot) bool {
+		t.Fatalf("Range after Reset visited slot %d", i)
+		return false
+	})
 }
 
 func TestTransferToMovesAndEmptiesSource(t *testing.T) {
@@ -368,52 +414,6 @@ func TestTransferToOccupiedDestinationFails(t *testing.T) {
 	_ = dst.Insert(4, newView(), own.ptr(), 0)
 	if _, err := src.TransferTo(dst); !errors.Is(err, ErrSlotOccupied) {
 		t.Fatalf("TransferTo into occupied slot: got %v, want ErrSlotOccupied", err)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	m := New()
-	own := &fakeOwner{"add"}
-	// Handles are shifted past the flag bits, like aligned pointers.
-	words := map[uint64]unsafe.Pointer{1 << 3: own.ptr()}
-	handleOf := map[unsafe.Pointer]uint64{own.ptr(): 1 << 3}
-	next := uint64(2)
-	flagsAt := map[int]uintptr{0: 0, 10: FlagWritten, 200: FlagWritten | FlagArena}
-	for _, i := range []int{0, 10, 200} {
-		v := newView()
-		words[next<<3] = v
-		handleOf[v] = next << 3
-		next++
-		if err := m.Insert(i, v, own.ptr(), flagsAt[i]); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	buf := make([]byte, tlmm.PageSize)
-	if err := m.Encode(buf, func(x unsafe.Pointer) uint64 { return handleOf[x] }); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	var out Map
-	if err := out.Decode(buf, func(h uint64) unsafe.Pointer { return words[h] }); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if out.Len() != m.Len() {
-		t.Fatalf("decoded Len = %d, want %d", out.Len(), m.Len())
-	}
-	for _, i := range []int{0, 10, 200} {
-		got, want := out.SlotAt(i), m.SlotAt(i)
-		if got != want {
-			t.Fatalf("decoded slot %d = %+v, want %+v (flags must round-trip)", i, got, want)
-		}
-	}
-	// Handles with flag bits set cannot be distinguished from flags.
-	if err := m.Encode(buf, func(unsafe.Pointer) uint64 { return 3 }); err == nil {
-		t.Fatal("Encode with misaligned handles should fail")
-	}
-	if err := m.Encode(make([]byte, 10), func(unsafe.Pointer) uint64 { return 0 }); err == nil {
-		t.Fatal("Encode into short buffer should fail")
-	}
-	if err := out.Decode(make([]byte, 10), func(uint64) unsafe.Pointer { return nil }); err == nil {
-		t.Fatal("Decode from short buffer should fail")
 	}
 }
 
@@ -692,12 +692,14 @@ func TestRangeRepeatedLogIndex(t *testing.T) {
 			t.Fatalf("Insert(%d): %v", i, err)
 		}
 	}
+	// Index 9 stays resident throughout: removing a page's only view
+	// rewinds its log, and the doubled index needs the log kept.
+	insert(9)
 	insert(5)
 	if _, err := m.Remove(5); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	insert(5)
-	insert(9)
 	if !m.LogValid() || m.LogLen() != 3 || m.Len() != 2 {
 		t.Fatalf("log valid=%v len=%d views=%d, want true/3/2", m.LogValid(), m.LogLen(), m.Len())
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	cilkm "repro"
+	"repro/internal/metrics"
 	"repro/internal/reducers"
 )
 
@@ -355,5 +356,69 @@ func TestServiceJobSessionScoping(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// brokenIdentity is a tenant monoid whose identity constructor panics.  Its
+// view carries a pointer, so it takes the heap path: AdaptMonoid probes the
+// identity of a pointer-free view itself, before registration is reached.
+type brokenIdentity struct{}
+
+func (brokenIdentity) Identity() *[]int          { panic("tenant identity boom") }
+func (brokenIdentity) Reduce(l, r *[]int) *[]int { *l = append(*l, *r...); return l }
+
+// TestServiceBrokenTenantMonoidLeaksNoAddress submits jobs that register a
+// monoid whose Identity panics.  Each must complete with a *PanicError and
+// cost the shared directory nothing: JobSession promises a tenant cannot
+// grow the resident address space, and a registration that took its address
+// before building the view broke that one slot per job.
+func TestServiceBrokenTenantMonoidLeaksNoAddress(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(fmt.Sprint(mech), func(t *testing.T) {
+			svc := cilkm.NewService(
+				cilkm.WithMechanism(mech),
+				cilkm.WithWorkers(2),
+				cilkm.WithDirectoryShards(1),
+			)
+			stats := svc.Engine().(interface {
+				DirectoryStats() metrics.DirectoryStats
+			}).DirectoryStats
+			submit := func(fn func(*cilkm.Context, *cilkm.JobSession)) error {
+				t.Helper()
+				h, err := svc.Submit(context.Background(), fn)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				return h.Wait()
+			}
+			good := func(c *cilkm.Context, js *cilkm.JobSession) { cilkm.NewAdd[int](js).Add(c, 1) }
+			if err := submit(good); err != nil {
+				t.Fatalf("healthy job: %v", err)
+			}
+			before := stats()
+			for i := 0; i < 5; i++ {
+				err := submit(func(c *cilkm.Context, js *cilkm.JobSession) {
+					cilkm.NewCustomOf[[]int](js, brokenIdentity{})
+				})
+				var pe *cilkm.PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("job %d with a panicking Identity: Wait = %v, want a *PanicError", i, err)
+				}
+			}
+			if err := submit(good); err != nil {
+				t.Fatalf("healthy job after the broken ones: %v", err)
+			}
+			after := stats()
+			if after.FreshSlots != before.FreshSlots || after.FreeSlots != before.FreeSlots {
+				t.Errorf("broken tenant grew the directory: FreshSlots %d → %d, FreeSlots %d → %d",
+					before.FreshSlots, after.FreshSlots, before.FreeSlots, after.FreeSlots)
+			}
+			if n := svc.Engine().Registered(); n != 0 {
+				t.Errorf("%d reducers still registered after all jobs", n)
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
 	}
 }
