@@ -78,7 +78,8 @@ bench-check:
 # chaos runs the fault-injection sweep under the race detector: every
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
 # failure-containment regression tests (reduce-panic resource conservation,
-# context-cancellation settlement), and the Close-vs-Run race; then the
+# context-cancellation settlement, a monoid that panics or returns nil in
+# the root merge), and the Close-vs-Run race; then the
 # forced-steal leg: the equivalence, merge-matrix, hand-off and order suites
 # and both sweeps again with forks' continuations run as stolen tasks
 # (faultinject.SchedForceSteal), which is what reaches the hypermerge now
@@ -86,7 +87,7 @@ bench-check:
 # it runs without the race detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles' .
+		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures' .
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \
 		. ./internal/sched/ ./internal/core/ ./internal/reducers/

@@ -54,12 +54,15 @@ type Session = core.Session
 // Engine is a reducer mechanism (memory-mapped or hypermap).
 type Engine = core.Engine
 
-// Monoid defines a reducer's algebra (untyped; see TypedMonoid).
+// Monoid is a reducer's algebra in the word-level form the engines run.  It
+// is not implemented by hand: reducers.AdaptMonoid builds one from a
+// TypedMonoid, and the typed constructors (NewAdd, NewCustomOf, NewHandle,
+// ...) do so internally.
 type Monoid = core.Monoid
 
 // TypedMonoid is the generics-first monoid interface: Identity and Reduce
-// over a concrete view type, adapted once into the untyped engine monoid
-// at registration.
+// over a concrete view type, built once into the engines' Monoid at
+// registration.
 type TypedMonoid[V any] = reducers.TypedMonoid[V]
 
 // TypedFuncMonoid adapts a pair of typed functions into a TypedMonoid.

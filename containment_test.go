@@ -7,12 +7,16 @@ package cilkm_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	cilkm "repro"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/metrics"
 	"repro/internal/reducers"
 )
 
@@ -186,6 +190,205 @@ func TestRunContextCancelSettles(t *testing.T) {
 			}
 			if got := sum.Value(); got != 200 {
 				t.Fatalf("sum=%d after post-cancel job, want 200", got)
+			}
+		})
+	}
+}
+
+// within runs f on its own goroutine and fails the test when f has not
+// returned after d, so a wedged reducer is a failure, not a hung suite; a
+// panic f lets escape is reported the same way.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s panicked on the caller: %v", what, p)
+			}
+		}()
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// containDeadline bounds every step the tests below expect not to block.
+const containDeadline = 10 * time.Second
+
+// armedReduce is an int sum whose Reduce panics while armed.  The jobs that
+// use it never fork, so the only Reduce they reach is the root merge's
+// leftmost ⊗ root view.
+func armedReduce(armed *atomic.Bool) cilkm.TypedMonoid[int] {
+	return cilkm.TypedFuncMonoid[int]{
+		IdentityFn: func() *int { return new(int) },
+		ReduceFn: func(l, r *int) *int {
+			if armed.Load() {
+				panic("reduce boom")
+			}
+			*l += *r
+			return l
+		},
+	}
+}
+
+// directoryStats reads the engine's directory counters.
+func directoryStats(eng cilkm.Engine) metrics.DirectoryStats {
+	return eng.(interface {
+		DirectoryStats() metrics.DirectoryStats
+	}).DirectoryStats()
+}
+
+// TestRootMergeReducePanicServiceJob submits a job whose monoid panics in
+// the root merge.  The reducer's lock must be released on the way out, or
+// whatever takes it next — at the parent, the job's own retirement —
+// never returns: Wait returns the *PanicError, the service runs the next
+// job, and Close drains.
+func TestRootMergeReducePanicServiceJob(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(2), cilkm.WithDirectoryShards(1))
+			submit := func(what string, fn func(*cilkm.Context, *cilkm.JobSession)) (err error) {
+				t.Helper()
+				h, serr := svc.Submit(context.Background(), fn)
+				if serr != nil {
+					t.Fatalf("%s: Submit: %v", what, serr)
+				}
+				within(t, containDeadline, what+": Wait", func() { err = h.Wait() })
+				return err
+			}
+			var armed atomic.Bool
+			armed.Store(true)
+			err := submit("panicking job", func(c *cilkm.Context, js *cilkm.JobSession) {
+				*cilkm.NewCustomOf[int](js, armedReduce(&armed)).View(c) += 7
+			})
+			var pe *cilkm.PanicError
+			if !errors.As(err, &pe) || pe.Value != "reduce boom" {
+				t.Fatalf("Wait = %v, want a *PanicError carrying \"reduce boom\"", err)
+			}
+			var sum *reducers.Add[int]
+			if err := submit("next job", func(c *cilkm.Context, js *cilkm.JobSession) {
+				sum = cilkm.NewAdd[int](js)
+				sum.Add(c, 41)
+			}); err != nil {
+				t.Fatalf("next job on the same service: %v", err)
+			}
+			if got := sum.Value(); got != 41 {
+				t.Errorf("next job's sum = %d, want 41", got)
+			}
+			if n := svc.Engine().Registered(); n != 0 {
+				t.Errorf("%d reducers still registered after both jobs", n)
+			}
+			within(t, containDeadline, "Close", func() {
+				if err := svc.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+		})
+	}
+}
+
+// TestRootMergeReducePanicRunErr is the same failure through a Session:
+// RunErr promises containment of the merge pipeline, so the root merge's
+// panic comes back as a *PanicError, not as a raw panic on the caller, and
+// the reducer, the engine and the session stay usable.
+func TestRootMergeReducePanicRunErr(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			s := newChaosSession(mech)
+			var armed atomic.Bool
+			armed.Store(true)
+			h := cilkm.NewCustomOf[int](s.Engine(), armedReduce(&armed))
+			var err error
+			within(t, containDeadline, "RunErr", func() {
+				err = s.RunErr(func(c *cilkm.Context) { *h.View(c) += 7 })
+			})
+			var pe *cilkm.PanicError
+			if !errors.As(err, &pe) || pe.Value != "reduce boom" {
+				t.Fatalf("RunErr = %v, want a *PanicError carrying \"reduce boom\"", err)
+			}
+			within(t, containDeadline, "Peek", func() { _ = *h.Peek() })
+			if qerr := s.Quiescent(); qerr != nil {
+				t.Fatalf("not quiescent after the contained root merge: %v", qerr)
+			}
+			armed.Store(false)
+			before := *h.Peek()
+			within(t, containDeadline, "clean Run", func() {
+				if err := s.Run(func(c *cilkm.Context) { *h.View(c) += 5 }); err != nil {
+					t.Errorf("clean Run: %v", err)
+				}
+			})
+			if got := *h.Peek(); got != before+5 {
+				t.Errorf("value after the clean Run = %d, want %d", got, before+5)
+			}
+			within(t, containDeadline, "Close", func() {
+				h.Close()
+				s.Close()
+			})
+		})
+	}
+}
+
+// TestNilViewMonoidNamedFailures pins the two view checks a typed monoid can
+// still trip.  An Identity that returns nil fails registration before an
+// address is taken; a Reduce that returns nil panics with the reducer's id,
+// in a worker's hypermerge and in the root merge alike, and is contained at
+// the job boundary.  Neither costs the directory an address.
+func TestNilViewMonoidNamedFailures(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			s := newChaosSession(mech)
+			defer s.Close()
+			eng := s.Engine()
+			warm := cilkm.NewAdd[int](eng)
+			warm.Close() // one recycled address on the free stack
+			before := directoryStats(eng)
+
+			_, err := reducers.TryNewHandle[int](eng, cilkm.TypedFuncMonoid[int]{
+				IdentityFn: func() *int { return nil },
+				ReduceFn:   func(l, r *int) *int { return l },
+			})
+			if err == nil || !strings.Contains(err.Error(), "Identity returned a nil view") {
+				t.Fatalf("registering a nil-Identity monoid: err = %v, want the named failure", err)
+			}
+			if after := directoryStats(eng); after.FreeSlots != before.FreeSlots || after.FreshSlots != before.FreshSlots {
+				t.Errorf("failed registration moved the directory: FreeSlots %d → %d, FreshSlots %d → %d",
+					before.FreeSlots, after.FreeSlots, before.FreshSlots, after.FreshSlots)
+			}
+
+			h := cilkm.NewCustomOf[int](eng, cilkm.TypedFuncMonoid[int]{
+				IdentityFn: func() *int { return new(int) },
+				ReduceFn:   func(l, r *int) *int { return nil },
+			})
+			named := fmt.Sprintf("reducer %d: Reduce returned a nil view", h.Reducer().ID())
+			for what, job := range map[string]func(c *cilkm.Context){
+				"root merge": func(c *cilkm.Context) { *h.View(c) += 1 },
+				"hypermerge": func(c *cilkm.Context) {
+					w := c.Worker()
+					*h.View(c) += 1
+					tr := eng.BeginTrace(w)
+					*h.View(c) += 1
+					eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, tr))
+				},
+			} {
+				var err error
+				within(t, containDeadline, what, func() { err = s.RunErr(job) })
+				var pe *cilkm.PanicError
+				if !errors.As(err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), named) {
+					t.Fatalf("%s: RunErr = %v, want a *PanicError naming %q", what, err, named)
+				}
+				if qerr := s.Quiescent(); qerr != nil {
+					t.Fatalf("%s: not quiescent: %v", what, qerr)
+				}
+			}
+			within(t, containDeadline, "Close of the handle", h.Close)
+			if after := directoryStats(eng); after.FreshSlots != before.FreshSlots || after.FreeSlots != before.FreeSlots {
+				t.Errorf("nil-Reduce reducer leaked an address: FreeSlots %d → %d, FreshSlots %d → %d",
+					before.FreeSlots, after.FreeSlots, before.FreshSlots, after.FreshSlots)
 			}
 		})
 	}

@@ -5,11 +5,11 @@
 // a flag-tagged owner stamp.  The GC-safety argument for that layout (see
 // internal/core/word.go) holds only while every conversion between typed
 // pointers, unsafe.Pointer and uintptr goes through a small set of audited
-// helpers: BoxView/UnboxView and the eface pack/unpack behind them, the
-// spa tag/untag helpers, the arena allocator, and the typed handles'
-// word-to-*V resolution.  A conversion anywhere else is either a new
-// unaudited entry point into the unsafe representation or an accidental
-// pointer/integer round-trip the collector cannot see.
+// helpers: the one kernel type that closes a typed monoid over view words,
+// the owner-stamp pair, the spa tag/untag helpers, the arena allocator, and
+// the typed handles' word-to-*V resolution.  A conversion anywhere else is
+// either a new unaudited entry point into the unsafe representation or an
+// accidental pointer/integer round-trip the collector cannot see.
 //
 // The analyzer flags, outside an allowlist of fully-qualified functions:
 //
@@ -43,9 +43,10 @@ import (
 // this module.  Everything here has a documented GC-safety argument at its
 // definition.
 var DefaultAllow = strings.Join([]string{
-	// The eface pack/unpack pair behind BoxView/UnboxView.
-	"repro/internal/core.unpackEface",
-	"repro/internal/core.packEface",
+	// The word-level kernel core.NewMonoid builds: its methods are the only
+	// place a view word becomes a *V and back on the engines' side.
+	"repro/internal/core.typedKernel.*",
+	"repro/internal/core.arenaKernel.seed",
 	// The owner-stamp word used in SPA slots and hypermap entries, and
 	// its one inverse.
 	"repro/internal/core.ownerWord",
@@ -58,8 +59,6 @@ var DefaultAllow = strings.Join([]string{
 	"repro/internal/spa.Slot.*",
 	// Typed handles resolve a view word back to *V.
 	"repro/internal/reducers.Handle.viewMiss",
-	"repro/internal/reducers.Handle.readViewMiss",
-	"repro/internal/reducers.arenaMonoidAdapter.InitView",
 }, ",")
 
 // Analyzer is the unsafeword analyzer.
@@ -125,7 +124,7 @@ func run(pass *framework.Pass) error {
 			if fn != "" && allowed(fn) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "%s outside the blessed view-word helpers; route through BoxView/UnboxView or the spa tag helpers, or add the containing function to the unsafeword allowlist", kind)
+			pass.Reportf(call.Pos(), "%s outside the blessed view-word helpers; keep view words opaque outside the monoid kernel and the spa tag helpers, or add the containing function to the unsafeword allowlist", kind)
 			return true
 		})
 	}

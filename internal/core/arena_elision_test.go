@@ -2,28 +2,22 @@ package core_test
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 	"repro/internal/spa"
 )
 
-// arenaSumMonoid is an untyped sum monoid that opts into arena placement:
-// its view is a bare int64, fixed-size and pointer-free.
-type arenaSumMonoid struct{}
-
-func (arenaSumMonoid) Identity() any { return new(int64) }
-func (arenaSumMonoid) Reduce(left, right any) any {
-	l := left.(*int64)
-	*l += *right.(*int64)
-	return l
-}
-func (arenaSumMonoid) ViewBytes() uintptr        { return unsafe.Sizeof(int64(0)) }
-func (arenaSumMonoid) InitView(p unsafe.Pointer) { *(*int64)(p) = 0 }
-
-var _ core.ArenaMonoid = arenaSumMonoid{}
+// arenaSumMonoid is a sum monoid whose view is a bare int64: fixed-size and
+// pointer-free, so its views are arena-placed.
+var arenaSumMonoid = core.NewMonoid(reducers.TypedFuncMonoid[int64]{
+	IdentityFn: func() *int64 { return new(int64) },
+	ReduceFn: func(l, r *int64) *int64 {
+		*l += *r
+		return l
+	}})
 
 // TestArenaClassFor pins the size-class mapping.
 func TestArenaClassFor(t *testing.T) {
@@ -54,7 +48,7 @@ func TestArenaViewsRecycleThroughMergeCycle(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		r, err := eng.Register(arenaSumMonoid{})
+		r, err := eng.Register(arenaSumMonoid)
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
@@ -112,9 +106,9 @@ func TestHeapMonoidBypassesArena(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	r, _ := eng.Register(sumMonoid{}) // *sumView: plain monoid, no ArenaMonoid
+	r, _ := eng.Register(sumMonoid) // *sumView holds a pointer: heap path
 	if r.ArenaEligible() {
-		t.Fatal("plain monoid misdetected as arena-eligible")
+		t.Fatal("pointer-holding view misdetected as arena-eligible")
 	}
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
@@ -145,7 +139,7 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = eng.Register(arenaSumMonoid{})
+		rs[i], _ = eng.Register(arenaSumMonoid)
 	}
 	baseTrips := eng.PoolStats().RoundTrips()
 	if err := s.Run(func(c *sched.Context) {
@@ -197,7 +191,7 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = eng.Register(arenaSumMonoid{})
+		rs[i], _ = eng.Register(arenaSumMonoid)
 	}
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
@@ -245,7 +239,7 @@ func TestWriteAfterReadOnlyLookupIsMerged(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	r, _ := eng.Register(arenaSumMonoid{})
+	r, _ := eng.Register(arenaSumMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		tr := eng.BeginTrace(w)
@@ -278,8 +272,8 @@ func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	written, _ := eng.Register(arenaSumMonoid{})
-	readOnly, _ := eng.Register(arenaSumMonoid{})
+	written, _ := eng.Register(arenaSumMonoid)
+	readOnly, _ := eng.Register(arenaSumMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		*core.Lookup(eng, c, written).(*int64) += 3
 		word, _ := eng.LookupWord(c, readOnly, 0, false)
@@ -316,7 +310,7 @@ func TestLogOverflowHypermergeBothEngines(t *testing.T) {
 			defer s.Close()
 			rs := make([]*core.Reducer, nred)
 			for i := range rs {
-				r, err := eng.Register(catMonoid{})
+				r, err := eng.Register(catMonoid)
 				if err != nil {
 					t.Fatalf("Register: %v", err)
 				}
@@ -377,7 +371,7 @@ func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 	// higher pages have already been mapped).
 	var rs []*core.Reducer
 	for i := 0; i < pages*spa.SlotsPerMap; i++ {
-		r, err := eng.Register(arenaSumMonoid{})
+		r, err := eng.Register(arenaSumMonoid)
 		if err != nil {
 			t.Fatalf("Register #%d: %v", i, err)
 		}
@@ -385,7 +379,7 @@ func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 		if i%97 == 13 {
 			victim := rs[i/3]
 			eng.Unregister(victim)
-			r2, err := eng.Register(arenaSumMonoid{})
+			r2, err := eng.Register(arenaSumMonoid)
 			if err != nil {
 				t.Fatalf("churn re-register: %v", err)
 			}
@@ -427,7 +421,7 @@ func TestMergeIntoReadOnlySlotSurvivesElision(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	r, _ := eng.Register(arenaSumMonoid{})
+	r, _ := eng.Register(arenaSumMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		outer := eng.BeginTrace(w)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -10,46 +11,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/spa"
 )
-
-// Monoid defines a reducer's algebra: an associative binary operation
-// Reduce with identity Identity.  Reduce may update and return its left
-// argument in place; the runtime always passes the serially-earlier view on
-// the left, so in-place reduction preserves the serial semantics.
-//
-// Views are stored word-packed: the engines keep only the data word of the
-// view's interface value in their 16-byte SPA slots (or hypermap entries)
-// and re-box it with a type word captured at registration.  Identity and
-// Reduce must therefore produce non-nil views of one concrete type for the
-// lifetime of the reducer; a monoid that changes its view type panics at
-// the first unbox (see Reducer.UnboxView).
-type Monoid interface {
-	// Identity allocates a fresh identity view.
-	Identity() any
-	// Reduce combines two views, with left serially preceding right, and
-	// returns the combined view (commonly left, updated in place).
-	Reduce(left, right any) any
-}
-
-// ArenaMonoid is an optional extension of Monoid for monoids whose views
-// are fixed-size and pointer-free.  The memory-mapping engine places such
-// identity views inside the per-worker view arena instead of calling the
-// heap allocator, and recycles them when the hypermerge folds them away —
-// making the post-steal first lookup allocation-free.  The typed reducer
-// adapter implements it automatically for eligible view types (see
-// reducers.AdaptMonoid); hand-written untyped monoids may implement it
-// directly.
-//
-// InitView must fully overwrite the ViewBytes() bytes at p with a complete
-// identity view: p is 8-byte-aligned arena memory that may still hold a
-// dead prior view.  ViewBytes must not exceed ArenaClassFor's largest
-// class; larger monoids simply remain on the heap path.
-type ArenaMonoid interface {
-	Monoid
-	// ViewBytes returns the exact byte size of one view.
-	ViewBytes() uintptr
-	// InitView constructs an identity view in place at p.
-	InitView(p unsafe.Pointer)
-}
 
 // Engine is the interface both reducer mechanisms implement.  It extends
 // the scheduler's ReducerRuntime hooks with the OpenCilk-shaped surface —
@@ -80,7 +41,7 @@ type Engine interface {
 	// LookupWord is the engine's one lookup: it resolves the local view of
 	// r for the execution context c as its packed single-word
 	// representation (the slot word; convert it to the typed view pointer,
-	// or reassemble the interface value with Lookup or Reducer.BoxView).
+	// or take the interface value from Lookup).
 	// mutable distinguishes accesses that may mutate the view (Handle.View)
 	// from read-only peeks (Handle.ReadView): a mutable resolution sets the
 	// slot's written bit, which exempts the view from the merge pipeline's
@@ -140,23 +101,15 @@ type Reducer struct {
 	// clears it by compare-and-swap before it releases the address (see
 	// directory.go), so no successor at a recycled address ever coexists
 	// with a predecessor that still reads valid.
-	dir    atomic.Pointer[Directory]
+	dir atomic.Pointer[Directory]
+	// monoid sits here by value, beside the coordinates a merge has already
+	// loaded, so reducing a pair is one load of the kernel and one call.
 	monoid Monoid
 	eng    Engine
 
-	// viewType is the type word shared by every view of this reducer,
-	// captured at registration from the identity view; BoxView pairs it
-	// with a stored slot word to reassemble the interface value.
-	viewType unsafe.Pointer
-	// arena is non-nil when the monoid supports in-place identity
-	// construction (ArenaMonoid) and its views fit an arena size class;
-	// arenaClass is that class, or -1 for the heap path.
-	arena      ArenaMonoid
-	arenaClass int8
-
-	mu       sync.Mutex
-	leftmost any
-	retired  bool
+	mu sync.Mutex
+	// leftmost is the leftmost view's word; Value boxes it on the way out.
+	leftmost unsafe.Pointer
 }
 
 // ID returns the reducer's unique identifier within its engine.
@@ -167,52 +120,82 @@ func (r *Reducer) ID() uint64 { return r.id }
 // TLMM region.
 func (r *Reducer) Addr() spa.Addr { return r.addr }
 
-// Monoid returns the reducer's monoid.
-func (r *Reducer) Monoid() Monoid { return r.monoid }
-
 // ArenaEligible reports whether the reducer's identity views are placed in
-// the per-worker view arenas (fixed-size, pointer-free monoid) rather than
-// heap-allocated.
-func (r *Reducer) ArenaEligible() bool { return r.arenaClass >= 0 }
+// the per-worker view arenas (fixed-size, pointer-free view type) rather
+// than heap-allocated.
+func (r *Reducer) ArenaEligible() bool { return r.monoid.arenaClass >= 0 }
 
 // Engine returns the engine the reducer is registered with.
 func (r *Reducer) Engine() Engine { return r.eng }
 
 // Value returns the reducer's leftmost view: outside a parallel region this
 // is the reducer's current (final) value.
-func (r *Reducer) Value() any {
+func (r *Reducer) Value() any { return r.monoid.box(r.LeftmostView()) }
+
+// LeftmostView returns the leftmost view's word: what a lookup outside the
+// scheduler, or through a retired handle, resolves to.
+func (r *Reducer) LeftmostView() unsafe.Pointer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.leftmost
 }
 
 // SetValue replaces the leftmost view.  It is intended for initialising a
-// reducer before a parallel region.
+// reducer before a parallel region.  v must hold a non-nil pointer to the
+// monoid's view type.
 func (r *Reducer) SetValue(v any) {
+	word := r.monoid.unbox(v)
+	if word == nil {
+		panic(fmt.Sprintf("core: reducer %d: SetValue of a nil view", r.id))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.leftmost = v
+	r.leftmost = word
 }
 
-// Retired reports whether the reducer has been unregistered.
-func (r *Reducer) Retired() bool {
+// IdentityView allocates a fresh identity view on the heap.  A monoid whose
+// Identity returns nil is trapped here: a nil word in a slot means "empty".
+func (r *Reducer) IdentityView() unsafe.Pointer {
+	word := r.monoid.identity()
+	if word == nil {
+		panic(fmt.Sprintf("core: reducer %d: Identity returned a nil view", r.id))
+	}
+	return word
+}
+
+// ReduceViews runs the monoid on two view words, left serially preceding
+// right, and returns the combined view's word.  Both engines and the root
+// merge reduce through it, so a Reduce that returns nil is one named
+// failure, contained at the job boundary like any monoid panic.
+func (r *Reducer) ReduceViews(left, right unsafe.Pointer) unsafe.Pointer {
+	word := r.monoid.reduce(left, right)
+	if word == nil {
+		panic(nilReduceError(r.id))
+	}
+	return word
+}
+
+// nilReduceError is the named failure of a Reduce that returned nil; its
+// value is the reducer's id.  A one-word panic value keeps ReduceViews under
+// the inlining budget (scripts/inline_check.sh pins its three call sites).
+type nilReduceError uint64
+
+func (e nilReduceError) Error() string {
+	return fmt.Sprintf("core: reducer %d: Reduce returned a nil view", uint64(e))
+}
+
+// Retired reports whether the reducer has been unregistered: its validity
+// flag is clear.
+func (r *Reducer) Retired() bool { return r.dir.Load() == nil }
+
+// Absorb folds a deposited view into the leftmost view in serial order
+// (leftmost ⊗ view): the root merge's step, for either engine.  The lock is
+// released on every exit: Reduce is the caller's code and may panic, and a
+// reducer left locked would wedge its own retirement and every later read.
+func (r *Reducer) Absorb(view unsafe.Pointer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retired
-}
-
-// absorb folds a deposited view into the leftmost view in serial order
-// (leftmost ⊗ view).
-func (r *Reducer) absorb(view any) {
-	r.mu.Lock()
-	r.leftmost = r.monoid.Reduce(r.leftmost, view)
-	r.mu.Unlock()
-}
-
-func (r *Reducer) markRetired() {
-	r.mu.Lock()
-	r.retired = true
-	r.mu.Unlock()
+	r.leftmost = r.ReduceViews(r.leftmost, view)
 }
 
 // WithLeftmost runs f with the reducer's leftmost view while holding the
@@ -224,17 +207,8 @@ func (r *Reducer) markRetired() {
 func (r *Reducer) WithLeftmost(f func(view any)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f(r.leftmost)
+	f(r.monoid.box(r.leftmost))
 }
-
-// AbsorbView folds a deposited view into the reducer's leftmost view in
-// serial order (leftmost ⊗ view).  It is exported for Engine
-// implementations outside this package.
-func AbsorbView(r *Reducer, view any) { r.absorb(view) }
-
-// MarkRetired marks the reducer as unregistered.  It is exported for Engine
-// implementations outside this package.
-func MarkRetired(r *Reducer) { r.markRetired() }
 
 // Session couples a scheduler runtime with a reducer engine so that callers
 // get the complete "run a parallel computation with reducers" workflow in
@@ -287,11 +261,12 @@ func (s *Session) Run(fn func(*sched.Context)) error {
 	return nil
 }
 
-// RunErr is Run with panic containment: a panic inside fn does not re-panic
-// on the caller's goroutine but is returned as a *sched.PanicError carrying
-// the original panic value and the captured stack.  Whatever the outcome,
-// the root deposit (if any) is settled — merged on success, discarded on
-// failure — so the engine is quiescent and reusable afterwards.
+// RunErr is Run with panic containment: a panic inside fn, or in a monoid
+// running in the root merge, does not re-panic on the caller's goroutine
+// but is returned as a *sched.PanicError carrying the original panic value
+// and the captured stack.  Whatever the outcome, the root deposit (if any)
+// is settled — merged on success, discarded on failure — so the engine is
+// quiescent and reusable afterwards.
 func (s *Session) RunErr(fn func(*sched.Context)) error {
 	return s.RunContext(context.Background(), fn)
 }
@@ -307,8 +282,7 @@ func (s *Session) RunContext(ctx context.Context, fn func(*sched.Context)) error
 		s.eng.Discard(nil, d)
 		return err
 	}
-	s.eng.MergeRootDeposit(d)
-	return nil
+	return sched.Contain(func() { s.eng.MergeRootDeposit(d) })
 }
 
 // Quiescent verifies that neither the scheduler nor the engine has work or

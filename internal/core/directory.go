@@ -281,24 +281,17 @@ func (d *Directory) addr(shard, local uint64) spa.Addr {
 // and monoid.  The only lock it can take is the grow mutex, and only when
 // the allocation is the first to land on a new SPA page.
 func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
-	if m == nil {
+	if m.kernel == nil {
 		return nil, errors.New("core: nil monoid")
 	}
-	// The leftmost view is built and its type word captured (see word.go:
-	// the identity view is the canonical instance of the reducer's single
-	// view type) before an address is taken.  Identity is the caller's
-	// code and may panic; past the pop below only growth can fail, and
-	// that hands the address back.
-	r := &Reducer{monoid: m, eng: eng, leftmost: m.Identity(), arenaClass: -1}
-	if err := r.captureViewType(r.leftmost); err != nil {
-		return nil, err
+	// The leftmost view is built before an address is taken.  Identity is
+	// the caller's code and may panic or return nil; past the pop below
+	// only growth can fail, and that hands the address back.
+	leftmost := m.identity()
+	if leftmost == nil {
+		return nil, errors.New("core: monoid Identity returned a nil view")
 	}
-	if am, ok := m.(ArenaMonoid); ok {
-		if class := ArenaClassFor(am.ViewBytes()); class >= 0 {
-			r.arena = am
-			r.arenaClass = int8(class)
-		}
-	}
+	r := &Reducer{monoid: m, eng: eng, leftmost: leftmost}
 	si := (d.cursor.Add(1) - 1) & d.mask
 	s := &d.shards[si]
 	var local uint64

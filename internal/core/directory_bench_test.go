@@ -15,7 +15,7 @@ func BenchmarkRegisterChurnDirectory(b *testing.B) {
 	eng := core.NewMM(core.MMConfig{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			r, err := eng.Register(benchMonoid{})
+			r, err := eng.Register(benchMonoid)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -30,7 +30,7 @@ func BenchmarkRegisterChurnDirectoryHypermap(b *testing.B) {
 	eng := hypermap.New(hypermap.Config{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			r, err := eng.Register(benchMonoid{})
+			r, err := eng.Register(benchMonoid)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func BenchmarkRegisterGrowthDirectory(b *testing.B) {
 	eng := core.NewMM(core.MMConfig{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := eng.Register(benchMonoid{}); err != nil {
+			if _, err := eng.Register(benchMonoid); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -64,7 +64,7 @@ func lookupAtScale(b *testing.B, live int) {
 	defer s.Close()
 	rs := make([]*core.Reducer, live)
 	for i := range rs {
-		rs[i], _ = eng.Register(benchMonoid{})
+		rs[i], _ = eng.Register(benchMonoid)
 	}
 	// Rotate over four reducers spread across the registry, as in the Raw
 	// benchmarks.

@@ -36,7 +36,7 @@ func TestDirectoryShardRounding(t *testing.T) {
 func TestDirectorySequentialAddrsDense(t *testing.T) {
 	d := newDir(core.DirectoryConfig{Shards: 16})
 	for i := 0; i < 1000; i++ {
-		r, err := d.Register(nil, sumMonoid{})
+		r, err := d.Register(nil, sumMonoid)
 		if err != nil {
 			t.Fatalf("Register %d: %v", i, err)
 		}
@@ -51,7 +51,7 @@ func TestDirectorySequentialAddrsDense(t *testing.T) {
 
 func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	d := newDir(core.DirectoryConfig{Shards: 1})
-	r1, _ := d.Register(nil, sumMonoid{})
+	r1, _ := d.Register(nil, sumMonoid)
 	if !d.Valid(r1) {
 		t.Fatal("fresh registration not valid")
 	}
@@ -67,7 +67,7 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if d.Get(r1.Addr()) != nil {
 		t.Fatal("Get returned a retired reducer")
 	}
-	r2, _ := d.Register(nil, sumMonoid{})
+	r2, _ := d.Register(nil, sumMonoid)
 	if r2.Addr() != r1.Addr() {
 		t.Fatalf("address not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 	}
@@ -85,7 +85,7 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	// A reducer of another directory at the same address is neither valid
 	// here nor unregistered by this directory.
 	other := newDir(core.DirectoryConfig{Shards: 1})
-	foreign, _ := other.Register(nil, sumMonoid{})
+	foreign, _ := other.Register(nil, sumMonoid)
 	if foreign.Addr() != r2.Addr() {
 		t.Fatalf("foreign reducer at address %d, want %d", foreign.Addr(), r2.Addr())
 	}
@@ -102,11 +102,11 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 // occupant's entry nor push a duplicate address onto the free list.
 func TestDirectoryDoubleUnregister(t *testing.T) {
 	d := newDir(core.DirectoryConfig{Shards: 1})
-	r1, _ := d.Register(nil, sumMonoid{})
+	r1, _ := d.Register(nil, sumMonoid)
 	if !d.Unregister(r1) {
 		t.Fatal("first Unregister failed")
 	}
-	r2, _ := d.Register(nil, sumMonoid{})
+	r2, _ := d.Register(nil, sumMonoid)
 	if r2.Addr() != r1.Addr() {
 		t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 	}
@@ -119,7 +119,7 @@ func TestDirectoryDoubleUnregister(t *testing.T) {
 	}
 	// No duplicate address may have entered the free list: the next
 	// registration must get a fresh address, not r2's.
-	r3, _ := d.Register(nil, sumMonoid{})
+	r3, _ := d.Register(nil, sumMonoid)
 	if r3.Addr() == r2.Addr() {
 		t.Fatalf("free list handed out a live address %d twice", r2.Addr())
 	}
@@ -137,7 +137,7 @@ func TestDirectoryGrowHookOrdering(t *testing.T) {
 	})
 	n := 2*spa.SlotsPerMap + 1 // spans three SPA pages
 	for i := 0; i < n; i++ {
-		if _, err := d.Register(nil, sumMonoid{}); err != nil {
+		if _, err := d.Register(nil, sumMonoid); err != nil {
 			t.Fatalf("Register %d: %v", i, err)
 		}
 	}
@@ -166,17 +166,17 @@ func TestDirectoryGrowHookErrorFailsRegistration(t *testing.T) {
 		},
 	})
 	for i := 0; i < spa.SlotsPerMap; i++ {
-		if _, err := d.Register(nil, sumMonoid{}); err != nil {
+		if _, err := d.Register(nil, sumMonoid); err != nil {
 			t.Fatalf("Register %d: %v", i, err)
 		}
 	}
 	fail = true
-	if _, err := d.Register(nil, sumMonoid{}); err == nil {
+	if _, err := d.Register(nil, sumMonoid); err == nil {
 		t.Fatal("registration crossing a failed grow succeeded")
 	}
 	live := d.Live()
 	fail = false
-	r, err := d.Register(nil, sumMonoid{})
+	r, err := d.Register(nil, sumMonoid)
 	if err != nil {
 		t.Fatalf("Register after grow recovered: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				r, err := d.Register(nil, sumMonoid{})
+				r, err := d.Register(nil, sumMonoid)
 				if err != nil {
 					t.Errorf("Register: %v", err)
 					return

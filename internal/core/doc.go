@@ -27,6 +27,11 @@
 //     paper's remapping strategy, which here is a pointer swap per page
 //     where the paper's kernel crossing made copying the slots cheaper.
 //
+// A view is one machine word from the monoid's Identity to its Reduce: a
+// Monoid is a concrete value only NewMonoid builds, closing a typed monoid
+// over view words, and both engines call it on the words their slots hold
+// (word.go).
+//
 // Around that mechanism the package grows the runtime pieces a resident
 // engine needs: a sharded lock-free reducer directory (type Directory),
 // per-worker size-classed view arenas that recycle identity views through

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 )
 
@@ -14,16 +15,16 @@ import (
 
 // boomMonoid is the arena-class int64 sum with a Reduce that panics while
 // armed.
-type boomMonoid struct {
-	arenaSumMonoid
-	armed *bool
-}
-
-func (m boomMonoid) Reduce(left, right any) any {
-	if *m.armed {
-		panic("boomMonoid: armed Reduce")
-	}
-	return m.arenaSumMonoid.Reduce(left, right)
+func boomMonoid(armed *bool) core.Monoid {
+	return core.NewMonoid(reducers.TypedFuncMonoid[int64]{
+		IdentityFn: func() *int64 { return new(int64) },
+		ReduceFn: func(l, r *int64) *int64 {
+			if *armed {
+				panic("boomMonoid: armed Reduce")
+			}
+			*l += *r
+			return l
+		}})
 }
 
 // repeatedIndexDeposit runs a nested trace on c's worker that writes keep
@@ -35,10 +36,10 @@ func repeatedIndexDeposit(t *testing.T, eng *core.MM, c *sched.Context, keep *co
 	w := c.Worker()
 	tr := eng.BeginTrace(w)
 	*core.Lookup(eng, c, keep).(*int64) += 10
-	r1, _ := eng.Register(arenaSumMonoid{})
+	r1, _ := eng.Register(arenaSumMonoid)
 	*core.Lookup(eng, c, r1).(*int64) += 1
 	eng.Unregister(r1)
-	r2, _ := eng.Register(arenaSumMonoid{})
+	r2, _ := eng.Register(arenaSumMonoid)
 	if r2.Addr() != r1.Addr() {
 		t.Errorf("address not recycled (%d, then %d)", r1.Addr(), r2.Addr())
 	}
@@ -96,7 +97,7 @@ func TestHandoffRepeatedLogIndex(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
 			armed := false
-			keep, _ := eng.Register(boomMonoid{armed: &armed})
+			keep, _ := eng.Register(boomMonoid(&armed))
 			var dep sched.Deposit
 			var r2 *core.Reducer
 			err := s.RunErr(func(c *sched.Context) {
@@ -147,7 +148,7 @@ func TestHandoffNestedTracesConservePool(t *testing.T) {
 			defer s.Close()
 			rs := make([]*core.Reducer, 300)
 			for i := range rs {
-				rs[i], _ = eng.Register(arenaSumMonoid{})
+				rs[i], _ = eng.Register(arenaSumMonoid)
 			}
 			const runs = 3
 			for run := 0; run < runs; run++ {

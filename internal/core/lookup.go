@@ -14,7 +14,7 @@ import (
 // (serial code outside the scheduler) it returns the leftmost view.
 func Lookup(eng Engine, c *sched.Context, r *Reducer) any {
 	word, _ := eng.LookupWord(c, r, 0, true)
-	return r.BoxView(word)
+	return r.monoid.box(word)
 }
 
 // counting is the engine CountLookups builds.

@@ -16,7 +16,7 @@ func benchMergeCycle(b *testing.B, nred int) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = eng.Register(benchMonoid{})
+		rs[i], _ = eng.Register(benchMonoid)
 	}
 	b.ResetTimer()
 	_ = s.Run(func(c *sched.Context) {

@@ -3,10 +3,10 @@ package core_test
 import (
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 )
 
@@ -21,7 +21,21 @@ const seqBase = 1_000_003
 
 func (v *seqView) push(x uint64) { v.h, v.p = v.h*seqBase+x, v.p*seqBase }
 
+// seq lets the tests read both view types as a *seqView.
+func (v *seqView) seq() *seqView { return v }
+
 func seqConcat(l, r seqView) seqView { return seqView{h: l.h*r.p + r.h, p: l.p * r.p} }
+
+// seqHeapView is seqView kept off the arena: placement is a property of the
+// view type, and a pointer field makes a type ineligible.
+type seqHeapView struct {
+	seqView
+	_ *byte
+}
+
+// seqViewer is what core.Lookup and Reducer.Value return for either view
+// type.
+type seqViewer interface{ seq() *seqView }
 
 // Which operand a seqMonoid's Reduce returns: the engines handle "left
 // updated in place", "right updated in place" and "a fresh view"
@@ -32,31 +46,40 @@ const (
 	retFresh
 )
 
-// seqMonoid is the heap-path monoid over seqView.
-type seqMonoid struct{ ret int }
-
-func (seqMonoid) Identity() any { return &seqView{p: 1} }
-func (m seqMonoid) Reduce(left, right any) any {
-	l, r := left.(*seqView), right.(*seqView)
-	c := seqConcat(*l, *r)
-	switch m.ret {
-	case retLeft:
-		*l = c
-		return l
-	case retRight:
-		*r = c
-		return r
+// seqMonoid is the sequence monoid over V, seqView (arena) or seqHeapView
+// (heap), whose Reduce returns the operand ret names.
+func seqMonoid[V any, PV interface {
+	*V
+	seqViewer
+}](ret int) core.Monoid {
+	fresh := func(v seqView) *V {
+		f := new(V)
+		*PV(f).seq() = v
+		return f
 	}
-	return &c
+	return core.NewMonoid(reducers.TypedFuncMonoid[V]{
+		IdentityFn: func() *V { return fresh(seqView{p: 1}) },
+		ReduceFn: func(l, r *V) *V {
+			c := seqConcat(*PV(l).seq(), *PV(r).seq())
+			switch ret {
+			case retLeft:
+				*PV(l).seq() = c
+				return l
+			case retRight:
+				*PV(r).seq() = c
+				return r
+			}
+			return fresh(c)
+		}})
 }
 
-// seqArenaMonoid is seqMonoid with arena placement.
-type seqArenaMonoid struct{ seqMonoid }
-
-func (seqArenaMonoid) ViewBytes() uintptr        { return unsafe.Sizeof(seqView{}) }
-func (seqArenaMonoid) InitView(p unsafe.Pointer) { *(*seqView)(p) = seqView{p: 1} }
-
-var _ core.ArenaMonoid = seqArenaMonoid{}
+// seqPlacements is the placement axis of the matrix.
+func seqPlacements(ret int) map[string]core.Monoid {
+	return map[string]core.Monoid{
+		"heap":  seqMonoid[seqHeapView](ret),
+		"arena": seqMonoid[seqView](ret),
+	}
+}
 
 // How a trace touches a reducer before the merge.
 const (
@@ -106,7 +129,7 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 				case readOnly:
 					eng.LookupWord(c, r, 0, false)
 				case written:
-					core.Lookup(eng, c, r).(*seqView).push(x)
+					core.Lookup(eng, c, r).(seqViewer).seq().push(x)
 				}
 			}
 
@@ -115,11 +138,14 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 			for cur := absent; cur <= written; cur++ {
 				for dep := readOnly; dep <= written; dep++ {
 					for ret := retLeft; ret <= retFresh; ret++ {
-						for _, m := range []core.Monoid{seqMonoid{ret}, seqArenaMonoid{seqMonoid{ret}}} {
-							row := fmt.Sprintf("cur=%s dep=%s ret=%s %T", accessNames[cur], accessNames[dep], retNames[ret], m)
+						for placement, m := range seqPlacements(ret) {
+							row := fmt.Sprintf("cur=%s dep=%s ret=%s %s", accessNames[cur], accessNames[dep], retNames[ret], placement)
 							r, err := eng.Register(m)
 							if err != nil {
 								t.Fatalf("%s: Register: %v", row, err)
+							}
+							if r.ArenaEligible() != (placement == "arena") {
+								t.Fatalf("%s: ArenaEligible = %v", row, r.ArenaEligible())
 							}
 							var reducesBefore int64
 							mm, isMM := eng.(*core.MM)
@@ -136,7 +162,7 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 							if dep == written {
 								want.push(2)
 							}
-							if got := *r.Value().(*seqView); got != want {
+							if got := *r.Value().(seqViewer).seq(); got != want {
 								t.Errorf("%s: value %+v, want %+v", row, got, want)
 							}
 							if isMM {
@@ -200,7 +226,7 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 					return r2
 				},
 			} {
-				for _, m := range []core.Monoid{seqMonoid{}, seqArenaMonoid{}} {
+				for placement, m := range seqPlacements(retLeft) {
 					r1, _ := eng.Register(m)
 					var r2 *core.Reducer
 					if err := s.Run(func(c *sched.Context) { r2 = run(c, r1, m) }); err != nil {
@@ -210,15 +236,15 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 						t.Fatalf("%s: address not recycled (%d, then %d)", side, r1.Addr(), r2.Addr())
 					}
 					want := seqView{p: 1}
-					if got := *r1.Value().(*seqView); got != want {
-						t.Errorf("%s %T: retired reducer absorbed %+v", side, m, got)
+					if got := *r1.Value().(seqViewer).seq(); got != want {
+						t.Errorf("%s %s: retired reducer absorbed %+v", side, placement, got)
 					}
 					want.push(2)
-					if got := *r2.Value().(*seqView); got != want {
-						t.Errorf("%s %T: live reducer = %+v, want %+v", side, m, got, want)
+					if got := *r2.Value().(seqViewer).seq(); got != want {
+						t.Errorf("%s %s: live reducer = %+v, want %+v", side, placement, got, want)
 					}
 					if err := eng.Quiescent(); err != nil {
-						t.Fatalf("%s %T: not quiescent: %v", side, m, err)
+						t.Fatalf("%s %s: not quiescent: %v", side, placement, err)
 					}
 					eng.Unregister(r2)
 				}
@@ -232,7 +258,7 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 				rs := make([]*core.Reducer, n)
 				want := make([]string, n)
 				for i := range rs {
-					rs[i], _ = eng.Register(catMonoid{})
+					rs[i], _ = eng.Register(catMonoid)
 				}
 				round := func(c *sched.Context, k int) {
 					for i, r := range rs {

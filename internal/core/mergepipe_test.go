@@ -32,7 +32,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(2, eng)
 			defer s.Close()
-			r1, err := eng.Register(sumMonoid{})
+			r1, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
@@ -57,7 +57,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 			}
 			// A new registration must reuse the recycled slot without
 			// inheriting any state from the retired reducer.
-			r2, err := eng.Register(sumMonoid{})
+			r2, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("re-Register: %v", err)
 			}
@@ -84,7 +84,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 func TestLookupNilContextBothEngines(t *testing.T) {
 	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
-			r, err := eng.Register(sumMonoid{})
+			r, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
@@ -125,7 +125,7 @@ func TestMergePreservesSerialOrder(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, lanes)
 	for i := range rs {
-		r, err := eng.Register(catMonoid{})
+		r, err := eng.Register(catMonoid)
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
@@ -168,7 +168,7 @@ func TestMergePipelineCounters(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, n)
 	for i := range rs {
-		rs[i], _ = eng.Register(sumMonoid{})
+		rs[i], _ = eng.Register(sumMonoid)
 	}
 	err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
@@ -228,7 +228,7 @@ func TestLookupCacheCountsHits(t *testing.T) {
 			counted := core.CountLookups(eng)
 			s := core.NewSession(1, counted)
 			defer s.Close()
-			r, _ := counted.Register(sumMonoid{})
+			r, _ := counted.Register(sumMonoid)
 			const iters = 1000
 			if err := s.Run(func(c *sched.Context) {
 				for i := 0; i < iters; i++ {

@@ -138,7 +138,7 @@ func (ws *mmWorker) freeSlotView(s spa.Slot) {
 		return
 	}
 	r := reducerOf(s.Owner())
-	ws.arena.free(int(r.arenaClass), s.View())
+	ws.arena.free(int(r.monoid.arenaClass), s.View())
 }
 
 // mmTrace identifies an active trace.  Because a worker that stalls at a
@@ -295,7 +295,6 @@ func (e *MM) Unregister(r *Reducer) {
 	if e.dir.Unregister(r) {
 		e.publishViewInvalidation()
 	}
-	r.markRetired()
 }
 
 // Registered returns the number of live reducers.  Lock-free.
@@ -342,7 +341,7 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 			return e.lookupMiss(ws, r, epoch, mutable)
 		}
 	}
-	return r.UnboxView(r.Value()), 0
+	return r.LeftmostView(), 0
 }
 
 // lookupMiss is the outlined slow half of LookupWord.  An owned slot gets
@@ -363,7 +362,7 @@ func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (u
 	}
 	ws.lookups.ColdMisses++
 	if !e.dir.Valid(r) {
-		return r.UnboxView(r.Value()), 0
+		return r.LeftmostView(), 0
 	}
 	if s.View() != nil {
 		// Occupied by another owner: the occupant registered an earlier
@@ -405,12 +404,12 @@ func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 	var word unsafe.Pointer
 	var flags uintptr
 	start := e.rec.Start()
-	if r.arenaClass >= 0 {
-		word = ws.arena.alloc(int(r.arenaClass))
-		r.arena.InitView(word)
+	if class := r.monoid.arenaClass; class >= 0 {
+		word = ws.arena.alloc(int(class))
+		r.monoid.seed(word)
 		flags = spa.FlagArena
 	} else {
-		word = r.UnboxView(r.monoid.Identity())
+		word = r.IdentityView()
 		ws.arena.n.HeapViews++
 	}
 	ws.overheads.Tick(metrics.ViewCreation, start)
@@ -739,15 +738,14 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 }
 
 // reduceSlot folds one deposited view into the current trace's slot of the
-// same index: cur ⊗ dep, with the interface values handed to the monoid
-// assembled from the slot words (BoxView: word pairing, no allocation).
+// same index: cur ⊗ dep, the monoid's kernel called on the two slot words.
 // The deposited slot is removed from its page as soon as Reduce has
 // returned — before that its view is still the deposit's to free.
 func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map, si int, cur, dep spa.Slot) {
 	// Chaos point for a monoid whose Reduce blows up mid-hypermerge: fired
 	// before either slot is touched.
 	faultinject.Check(faultinject.MonoidReduce)
-	combined := owner.UnboxView(owner.monoid.Reduce(owner.BoxView(cur.View()), owner.BoxView(dep.View())))
+	combined := owner.ReduceViews(cur.View(), dep.View())
 	switch combined {
 	case cur.View():
 		// The usual in-place reduction: the current view survives and the
@@ -822,7 +820,7 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 			case !s.Written():
 				elided++
 			default:
-				owner.absorb(owner.BoxView(s.View()))
+				owner.Absorb(s.View())
 			}
 			return true
 		})

@@ -6,40 +6,43 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 	"repro/internal/spa"
 	"repro/internal/tlmm"
 )
 
-// sumMonoid is a minimal integer-sum monoid for engine-level tests.
-type sumMonoid struct{}
-
-type sumView struct{ v int }
-
-func (sumMonoid) Identity() any { return &sumView{} }
-func (sumMonoid) Reduce(left, right any) any {
-	l := left.(*sumView)
-	l.v += right.(*sumView).v
-	return l
+// sumView is the view of sumMonoid.  Arena eligibility is a property of the
+// view type, and the unused pointer keeps this one on the heap path;
+// arenaSumMonoid is the arena-placed sum.
+type sumView struct {
+	v int
+	_ *byte
 }
 
-// catMonoid concatenates strings; it is associative but not commutative.
-type catMonoid struct{}
+// sumMonoid is a minimal integer-sum monoid for engine-level tests.
+var sumMonoid = core.NewMonoid(reducers.TypedFuncMonoid[sumView]{
+	IdentityFn: func() *sumView { return &sumView{} },
+	ReduceFn: func(l, r *sumView) *sumView {
+		l.v += r.v
+		return l
+	}})
 
 type catView struct{ s string }
 
-func (catMonoid) Identity() any { return &catView{} }
-func (catMonoid) Reduce(left, right any) any {
-	l := left.(*catView)
-	l.s += right.(*catView).s
-	return l
-}
+// catMonoid concatenates strings; it is associative but not commutative.
+var catMonoid = core.NewMonoid(reducers.TypedFuncMonoid[catView]{
+	IdentityFn: func() *catView { return &catView{} },
+	ReduceFn: func(l, r *catView) *catView {
+		l.s += r.s
+		return l
+	}})
 
 func TestMMRegisterAssignsSequentialAddrs(t *testing.T) {
 	e := core.NewMM(core.MMConfig{Workers: 2})
 	var prev spa.Addr = -1
 	for i := 0; i < 300; i++ {
-		r, err := e.Register(sumMonoid{})
+		r, err := e.Register(sumMonoid)
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
@@ -47,7 +50,7 @@ func TestMMRegisterAssignsSequentialAddrs(t *testing.T) {
 			t.Fatalf("addresses not increasing: %d after %d", r.Addr(), prev)
 		}
 		prev = r.Addr()
-		if r.Monoid() == nil || r.Engine() != core.Engine(e) || r.ID() == 0 {
+		if r.Engine() != core.Engine(e) || r.ID() == 0 {
 			t.Fatal("reducer accessors incomplete")
 		}
 	}
@@ -58,8 +61,8 @@ func TestMMRegisterAssignsSequentialAddrs(t *testing.T) {
 
 func TestMMRegisterNilMonoidFails(t *testing.T) {
 	e := core.NewMM(core.MMConfig{Workers: 1})
-	if _, err := e.Register(nil); err == nil {
-		t.Fatal("Register(nil) should fail")
+	if _, err := e.Register(core.Monoid{}); err == nil {
+		t.Fatal("Register of the zero Monoid should fail")
 	}
 }
 
@@ -67,15 +70,15 @@ func TestMMUnregisterRecyclesSlots(t *testing.T) {
 	// One directory shard makes the recycled address available to the very
 	// next registration.
 	e := core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1})
-	r1, _ := e.Register(sumMonoid{})
-	r2, _ := e.Register(sumMonoid{})
+	r1, _ := e.Register(sumMonoid)
+	r2, _ := e.Register(sumMonoid)
 	addr1 := r1.Addr()
 	e.Unregister(r1)
 	e.Unregister(nil) // no-op
 	if e.Registered() != 1 {
 		t.Fatalf("Registered = %d, want 1", e.Registered())
 	}
-	r3, _ := e.Register(sumMonoid{})
+	r3, _ := e.Register(sumMonoid)
 	if r3.Addr() != addr1 {
 		t.Fatalf("slot not recycled: got %d, want %d", r3.Addr(), addr1)
 	}
@@ -86,7 +89,7 @@ func TestMMUnregisterRecyclesSlots(t *testing.T) {
 
 func TestMMLeftmostViewSemantics(t *testing.T) {
 	e := core.NewMM(core.MMConfig{Workers: 1})
-	r, _ := e.Register(sumMonoid{})
+	r, _ := e.Register(sumMonoid)
 	if got := r.Value().(*sumView).v; got != 0 {
 		t.Fatalf("identity leftmost = %d, want 0", got)
 	}
@@ -106,7 +109,7 @@ func TestMMModelAddressSpaceBacksSPAPages(t *testing.T) {
 	n := spa.SlotsPerMap + 10
 	reds := make([]*core.Reducer, n)
 	for i := range reds {
-		r, err := eng.Register(sumMonoid{})
+		r, err := eng.Register(sumMonoid)
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
@@ -146,7 +149,7 @@ func TestMMRootDepositsAbsorbInSerialOrder(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 2})
 	s := core.NewSession(2, eng)
 	defer s.Close()
-	r, _ := eng.Register(catMonoid{})
+	r, _ := eng.Register(catMonoid)
 	for _, part := range []string{"A", "B", "C"} {
 		part := part
 		if err := s.Run(func(c *sched.Context) {
@@ -168,7 +171,7 @@ func TestMMDepositCountAndPool(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: workers, Timing: true})
 	s := core.NewSession(workers, eng)
 	defer s.Close()
-	r, _ := eng.Register(sumMonoid{})
+	r, _ := eng.Register(sumMonoid)
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, 200, 1, func(c *sched.Context, i int) {
 			time.Sleep(30 * time.Microsecond)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypermap"
 	"repro/internal/metrics"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 )
 
@@ -26,12 +27,12 @@ func oneShardEngines(workers int) map[string]core.Engine {
 func TestDoubleUnregisterAfterReuseBothEngines(t *testing.T) {
 	for name, eng := range oneShardEngines(1) {
 		t.Run(name, func(t *testing.T) {
-			r1, err := eng.Register(sumMonoid{})
+			r1, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
 			eng.Unregister(r1)
-			r2, _ := eng.Register(sumMonoid{})
+			r2, _ := eng.Register(sumMonoid)
 			if r2.Addr() != r1.Addr() {
 				t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 			}
@@ -43,7 +44,7 @@ func TestDoubleUnregisterAfterReuseBothEngines(t *testing.T) {
 			}
 			// No duplicate address may have entered the free list: the next
 			// registration must not alias r2's live slot.
-			r3, _ := eng.Register(sumMonoid{})
+			r3, _ := eng.Register(sumMonoid)
 			if r3.Addr() == r2.Addr() {
 				t.Fatalf("live address %d handed out twice", r2.Addr())
 			}
@@ -72,7 +73,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
-			r1, _ := eng.Register(sumMonoid{})
+			r1, _ := eng.Register(sumMonoid)
 			var r2 *core.Reducer
 			if err := s.Run(func(c *sched.Context) {
 				// Install and warm r1's view (and the per-context cache).
@@ -81,7 +82,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 				}
 				eng.Unregister(r1)
 				var err error
-				r2, err = eng.Register(sumMonoid{})
+				r2, err = eng.Register(sumMonoid)
 				if err != nil {
 					t.Errorf("re-Register: %v", err)
 					return
@@ -131,9 +132,9 @@ func TestRetiredHandleLookupDoesNotClobberLiveView(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
-			r1, _ := eng.Register(sumMonoid{})
+			r1, _ := eng.Register(sumMonoid)
 			eng.Unregister(r1)
-			r2, _ := eng.Register(sumMonoid{})
+			r2, _ := eng.Register(sumMonoid)
 			if r2.Addr() != r1.Addr() {
 				t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 			}
@@ -156,10 +157,11 @@ func TestRetiredHandleLookupDoesNotClobberLiveView(t *testing.T) {
 }
 
 // panicIdentityMonoid is a broken tenant monoid: building its identity view
-// panics.
-type panicIdentityMonoid struct{ sumMonoid }
-
-func (panicIdentityMonoid) Identity() any { panic("identity boom") }
+// panics.  (*sumView is heap-path, so NewMonoid does not call Identity for
+// an arena seed: the panic happens inside Register.)
+var panicIdentityMonoid = core.NewMonoid(reducers.TypedFuncMonoid[sumView]{
+	IdentityFn: func() *sumView { panic("identity boom") },
+	ReduceFn:   func(l, r *sumView) *sumView { return l }})
 
 // TestPanickingIdentityLeaksNoAddressBothEngines registers a monoid whose
 // Identity panics.  Register builds the leftmost view before it takes an
@@ -173,7 +175,7 @@ func TestPanickingIdentityLeaksNoAddressBothEngines(t *testing.T) {
 			stats := eng.(interface {
 				DirectoryStats() metrics.DirectoryStats
 			}).DirectoryStats
-			r1, err := eng.Register(sumMonoid{})
+			r1, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
@@ -187,7 +189,7 @@ func TestPanickingIdentityLeaksNoAddressBothEngines(t *testing.T) {
 							t.Error("Register with a panicking Identity returned normally")
 						}
 					}()
-					_, _ = eng.Register(panicIdentityMonoid{})
+					_, _ = eng.Register(panicIdentityMonoid)
 				}()
 			}
 			if after := stats(); after.FreeSlots != before.FreeSlots || after.FreshSlots != before.FreshSlots {
@@ -197,7 +199,7 @@ func TestPanickingIdentityLeaksNoAddressBothEngines(t *testing.T) {
 			if got := eng.Registered(); got != 0 {
 				t.Errorf("Registered after failed registrations = %d, want 0", got)
 			}
-			r2, err := eng.Register(sumMonoid{})
+			r2, err := eng.Register(sumMonoid)
 			if err != nil {
 				t.Fatalf("Register after failures: %v", err)
 			}

@@ -54,17 +54,17 @@ func benchFirstLookup(b *testing.B, m core.Monoid, bump func(v any)) {
 	}
 }
 
-// BenchmarkMMFirstLookupArena is the arena path: an ArenaMonoid's identity
+// BenchmarkMMFirstLookupArena is the arena path: a pointer-free view's identity
 // views are carved from the worker's view arena, so after warm-up the
 // whole steal→lookup→merge cycle allocates nothing (0 allocs/op).
 func BenchmarkMMFirstLookupArena(b *testing.B) {
-	benchFirstLookup(b, arenaSumMonoid{}, func(v any) { *v.(*int64)++ })
+	benchFirstLookup(b, arenaSumMonoid, func(v any) { *v.(*int64)++ })
 }
 
-// BenchmarkMMFirstLookupHeap is the same cycle over a plain monoid whose
+// BenchmarkMMFirstLookupHeap is the same cycle over a pointer-holding view whose
 // Identity calls the heap allocator — the pre-arena baseline.
 func BenchmarkMMFirstLookupHeap(b *testing.B) {
-	benchFirstLookup(b, sumMonoid{}, func(v any) { v.(*sumView).v++ })
+	benchFirstLookup(b, sumMonoid, func(v any) { v.(*sumView).v++ })
 }
 
 // benchMergeWritten measures one full trace cycle (begin, touch K
@@ -78,7 +78,7 @@ func benchMergeWritten(b *testing.B, writtenPct int) {
 	const K = 256
 	rs := make([]*core.Reducer, K)
 	for i := range rs {
-		rs[i], _ = eng.Register(arenaSumMonoid{})
+		rs[i], _ = eng.Register(arenaSumMonoid)
 	}
 	written := K * writtenPct / 100
 	b.ReportAllocs()

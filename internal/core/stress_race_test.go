@@ -40,7 +40,7 @@ func TestConcurrentRegisterLookupUnregisterStress(t *testing.T) {
 			// left-to-right concatenation regardless of the churn below.
 			cats := make([]*core.Reducer, lanes)
 			for i := range cats {
-				r, err := eng.Register(catMonoid{})
+				r, err := eng.Register(catMonoid)
 				if err != nil {
 					t.Fatalf("Register: %v", err)
 				}
@@ -59,7 +59,7 @@ func TestConcurrentRegisterLookupUnregisterStress(t *testing.T) {
 					// Scratch churn: a register → lookup → verify →
 					// unregister cycle whose slot immediately becomes
 					// available for recycling by a concurrent iteration.
-					scratch, err := eng.Register(sumMonoid{})
+					scratch, err := eng.Register(sumMonoid)
 					if err != nil {
 						scratchFailures.Add(1)
 						return
@@ -131,8 +131,8 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 				}
 			}()
 			defer func() { close(stop); <-scraped }()
-			keeper, _ := eng.Register(sumMonoid{})
-			arenaKeeper, _ := eng.Register(arenaSumMonoid{})
+			keeper, _ := eng.Register(sumMonoid)
+			arenaKeeper, _ := eng.Register(arenaSumMonoid)
 			const rounds = 6
 			const perRound = 64
 			for round := 0; round < rounds; round++ {
@@ -141,7 +141,7 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 					c.ParallelForGrain(0, perRound, 1, func(c *sched.Context, i int) {
 						core.Lookup(eng, c, keeper).(*sumView).v++
 						*core.Lookup(eng, c, arenaKeeper).(*int64)++
-						scratch, err := eng.Register(sumMonoid{})
+						scratch, err := eng.Register(sumMonoid)
 						if err != nil {
 							t.Errorf("Register: %v", err)
 							return
@@ -210,17 +210,17 @@ func TestUnregisterWindowStress(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(workers, eng)
 			defer s.Close()
-			keeper, _ := eng.Register(arenaSumMonoid{})
+			keeper, _ := eng.Register(arenaSumMonoid)
 			for round := 0; round < rounds; round++ {
 				var retired, survivors [lanes]*core.Reducer
 				err := s.Run(func(c *sched.Context) {
 					c.ParallelForGrain(0, lanes, 1, func(c *sched.Context, i int) {
 						*core.Lookup(eng, c, keeper).(*int64)++
-						scratch, _ := eng.Register(arenaSumMonoid{})
+						scratch, _ := eng.Register(arenaSumMonoid)
 						*core.Lookup(eng, c, scratch).(*int64) += 1000
 						eng.Unregister(scratch)
 						retired[i] = scratch
-						live, _ := eng.Register(arenaSumMonoid{})
+						live, _ := eng.Register(arenaSumMonoid)
 						c.ParallelForGrain(0, writes, 1, func(c *sched.Context, _ int) {
 							*core.Lookup(eng, c, live).(*int64)++
 							runtime.Gosched()

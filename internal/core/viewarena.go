@@ -9,7 +9,8 @@ import (
 
 // This file implements the per-worker view arena: a size-classed bump
 // allocator with free lists that backs identity-view creation for monoids
-// whose views are fixed-size and pointer-free (ArenaMonoid).
+// whose views are fixed-size and pointer-free (NewMonoid decides, from the
+// view type).
 //
 // The paper amortises view bookkeeping against steals; what remains of the
 // post-steal lookup cost in this model is one heap allocation per identity

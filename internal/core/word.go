@@ -1,95 +1,135 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"unsafe"
 )
 
 // This file implements the single-word view representation behind the
 // paper's 16-byte SPA slots.
 //
-// A Go interface value is two machine words: a type word and a data word.
-// Storing interface values in the SPA view array would make every slot 32
-// bytes — twice the paper's layout — and would drag interface conversions
-// through the hottest paths in the system.  Instead, the engines store only
-// the data word in the slot and keep the type word once per reducer:
+// A view is one machine word from Identity to Reduce: the *V a typed monoid
+// allocates is stored as an unsafe.Pointer in the SPA slot (or hypermap
+// entry) and handed back to the monoid's Reduce as the same word, the way
+// both C runtimes call a raw-pointer function stored beside the view.  The
+// engines never see V; typedKernel[V], which NewMonoid builds around the
+// typed monoid once, is the only place the word is converted to and from
+// *V.  No interface value is assembled on any engine path — Go interfaces
+// appear only on the cold edge (Reducer.Value, SetValue, WithLeftmost,
+// Lookup), through the ordinary conversions any((*V)(word)) and v.(*V),
+// which the compiler type-checks.
 //
-//   - Every view of one reducer has the same dynamic type (the Monoid
-//     contract below), so the reducer captures its views' type word once,
-//     at registration, from the identity view that initialises its
-//     leftmost value.
-//   - UnboxView extracts a view's data word for storage, verifying the
-//     dynamic type against the captured word so a monoid that violates the
-//     contract fails loudly instead of corrupting memory.
-//   - BoxView reassembles the interface value from the stored word and the
-//     captured type word.  It is pure word assembly: no allocation, no
-//     reflection.
-//
-// Safety argument for the garbage collector: the data word of any non-nil
-// interface value is always a pointer — pointer-shaped types (pointers,
-// maps, channels, functions) store the value itself, and every other type
-// is boxed behind a pointer when it enters an interface.  SPA slots and
-// arena free lists store these words as unsafe.Pointer in ordinary Go
-// structs and slices, so the collector scans them and keeps both the views
-// and (through interior pointers) their backing arena chunks alive.  No
-// pointer is ever round-tripped through a uintptr variable; the only
-// pointer arithmetic is unsafe.Add on the owner stamp's flag bits (see
-// package spa), which `go vet -unsafeptr` accepts.
+// Safety argument for the garbage collector: a view word is a pointer the
+// monoid's Identity (or Reduce) returned, or a block of the per-worker view
+// arena.  SPA slots, hypermap entries and arena free lists store these
+// words as unsafe.Pointer in ordinary Go structs and slices, so the
+// collector scans them and keeps both the views and (through interior
+// pointers) their backing arena chunks alive.  No pointer is ever
+// round-tripped through a uintptr variable; the only pointer arithmetic is
+// unsafe.Add on the owner stamp's flag bits (see package spa), which
+// `go vet -unsafeptr` accepts.
 
-// eface mirrors the runtime representation of an empty interface.
-type eface struct {
-	typ  unsafe.Pointer
-	data unsafe.Pointer
+// Monoid defines a reducer's algebra — an associative binary operation with
+// an identity — in the form the engines run it: operations on view words.
+// Reduce may update and return its left argument in place; the runtime
+// always passes the serially-earlier view on the left, so in-place
+// reduction preserves the serial semantics.  NewMonoid is the only
+// constructor; the zero Monoid is the "nil monoid" Register rejects.
+type Monoid struct {
+	kernel
+	// arenaClass is the arena size class of the view type, or -1 when its
+	// views stay on the heap path.
+	arenaClass int8
 }
 
-// unpackEface splits an interface value into its type and data words.
-func unpackEface(v any) (typ, data unsafe.Pointer) {
-	e := (*eface)(unsafe.Pointer(&v))
-	return e.typ, e.data
+// kernel is the word-level form of one typed monoid: one object per Monoid
+// (a typedKernel, or an arenaKernel around one), so building it costs a
+// registration a single allocation.
+type kernel interface {
+	// identity allocates a fresh identity view on the heap.
+	identity() unsafe.Pointer
+	// seed writes a complete identity view over the arena block at p, which
+	// may still hold a dead prior view.  Arena-eligible view types only.
+	seed(p unsafe.Pointer)
+	// reduce combines two views, left serially preceding right, and returns
+	// the combined view (commonly left, updated in place).
+	reduce(left, right unsafe.Pointer) unsafe.Pointer
+	// box and unbox convert between a view word and the *V inside an
+	// interface value, for callers without a typed handle.
+	box(word unsafe.Pointer) any
+	unbox(v any) unsafe.Pointer
 }
 
-// packEface assembles an interface value from a type word and a data word.
-func packEface(typ, data unsafe.Pointer) any {
-	var v any
-	e := (*eface)(unsafe.Pointer(&v))
-	e.typ = typ
-	e.data = data
-	return v
+// typed is the algebra over a concrete view type that NewMonoid accepts
+// (reducers.TypedMonoid has this method set).
+type typed[V any] interface {
+	Identity() *V
+	Reduce(left, right *V) *V
 }
 
-// captureViewType records the reducer's view type word from its first
-// identity view.  Register calls it with the leftmost view.
-func (r *Reducer) captureViewType(view any) error {
-	typ, data := unpackEface(view)
-	if typ == nil || data == nil {
-		return fmt.Errorf("core: monoid %T produced a nil identity view", r.monoid)
+// typedKernel closes a typed monoid over view words.  Its methods are the
+// audited conversions between a view word and *V.
+type typedKernel[V any] struct{ m typed[V] }
+
+func (k *typedKernel[V]) identity() unsafe.Pointer { return unsafe.Pointer(k.m.Identity()) }
+func (k *typedKernel[V]) seed(unsafe.Pointer)      { panic("core: seed of a heap-path view") }
+func (k *typedKernel[V]) reduce(left, right unsafe.Pointer) unsafe.Pointer {
+	return unsafe.Pointer(k.m.Reduce((*V)(left), (*V)(right)))
+}
+func (k *typedKernel[V]) box(word unsafe.Pointer) any { return (*V)(word) }
+func (k *typedKernel[V]) unbox(v any) unsafe.Pointer  { return unsafe.Pointer(v.(*V)) }
+
+// arenaKernel is the kernel of an arena-eligible view type: it adds the
+// identity value seed copies (the identity element is unique, so a copy is
+// an Identity call).  By value, so a first lookup reads it off the line the
+// dispatch touched; heap-path kernels carry no V, which for a large
+// pointer-holding view the collector would scan per registered reducer.
+type arenaKernel[V any] struct {
+	typedKernel[V]
+	id V
+}
+
+func (k *arenaKernel[V]) seed(p unsafe.Pointer) { *(*V)(p) = k.id }
+
+// NewMonoid builds the word-level monoid of a typed one.  Arena eligibility
+// is decided here, from V alone: a fixed-size, pointer-free V that fits a
+// size class has its identity value captured once, and the memory-mapping
+// engine then builds and recycles such views inside its per-worker arenas.
+func NewMonoid[V any](m typed[V]) Monoid {
+	if t := reflect.TypeFor[V](); pointerFree(t) {
+		if class := ArenaClassFor(t.Size()); class >= 0 {
+			if id := m.Identity(); id != nil {
+				return Monoid{&arenaKernel[V]{typedKernel[V]{m}, *id}, int8(class)}
+			}
+		}
 	}
-	r.viewType = typ
-	return nil
+	return Monoid{&typedKernel[V]{m}, -1}
 }
 
-// UnboxView extracts the single-word representation of a view for storage
-// in a packed SPA slot (or hypermap entry).  It panics when the view's
-// dynamic type differs from the reducer's captured view type: the Monoid
-// contract requires Identity and Reduce to produce views of one concrete
-// type, because the slot has no room for a per-view type word.
-func (r *Reducer) UnboxView(v any) unsafe.Pointer {
-	typ, data := unpackEface(v)
-	if typ != r.viewType {
-		panic(fmt.Sprintf("core: reducer %d monoid %T changed its view type (views must share one concrete type)",
-			r.id, r.monoid))
+// pointerFree reports whether a value of type t contains no pointers, so
+// its views may live in arena memory the garbage collector does not scan.
+// The check is conservative: anything not provably pointer-free (slices,
+// maps, strings, interfaces, channels, pointers, functions) stays on the
+// heap path.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
 	}
-	if data == nil {
-		panic(fmt.Sprintf("core: reducer %d monoid %T produced a nil view", r.id, r.monoid))
-	}
-	return data
-}
-
-// BoxView reassembles the interface value for a stored view word.  It
-// performs no allocation: the result is the reducer's captured type word
-// paired with the slot word.
-func (r *Reducer) BoxView(word unsafe.Pointer) any {
-	return packEface(r.viewType, word)
 }
 
 // ownerWord encodes r as the owner-stamp word stored in an SPA slot's

@@ -1,7 +1,6 @@
 package hypermap
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -88,17 +87,16 @@ func (ws *hmWorker) flushCounts() {
 	ws.eng.rec.Flush(&ws.overheads)
 }
 
-// entry pairs a local view with the reducer that owns it.  The view is
-// stored as its packed single-word representation (core.Reducer.BoxView
-// reassembles the interface value) rather than as a two-word interface, so
-// both mechanisms share one boxing strategy; unlike the 16-byte SPA slot,
-// though, the written flag lives in an explicit byte (24 bytes per entry)
-// rather than in the stamp's low bits — the baseline keeps plain loads and
-// stores on its mutable-in-place entries.  The owner stamp plays the role
-// the monoid pointer plays in Cilk Plus (it carries the monoid) and
-// additionally lets a lookup detect that an entry at a recycled address
-// belongs to a retired reducer.  written mirrors the SPA slots' written
-// flag: entries never handed out for mutation still hold the monoid
+// entry pairs a local view with the reducer that owns it.  The view is the
+// same single word the SPA slot stores (internal/core/word.go) and the
+// monoid's kernel takes, so both mechanisms reduce the same way; unlike the
+// 16-byte SPA slot, though, the written flag lives in an explicit byte (24
+// bytes per entry) rather than in the stamp's low bits — the baseline keeps
+// plain loads and stores on its mutable-in-place entries.  The owner stamp
+// plays the role the monoid pointer plays in Cilk Plus (it carries the
+// monoid) and additionally lets a lookup detect that an entry at a recycled
+// address belongs to a retired reducer.  written mirrors the SPA slots'
+// written flag: entries never handed out for mutation still hold the monoid
 // identity and are elided by the hypermerge.
 type entry struct {
 	view    unsafe.Pointer
@@ -166,9 +164,6 @@ func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 // Register implements core.Engine: a lock-free slot allocation in the
 // sharded directory.
 func (e *HM) Register(m core.Monoid) (*core.Reducer, error) {
-	if m == nil {
-		return nil, errors.New("hypermap: nil monoid")
-	}
 	return e.dir.Register(e, m)
 }
 
@@ -188,7 +183,6 @@ func (e *HM) Unregister(r *core.Reducer) {
 	if e.dir.Unregister(r) {
 		e.publishViewInvalidation()
 	}
-	core.MarkRetired(r)
 }
 
 // Registered returns the number of live reducers.  Lock-free.
@@ -227,7 +221,7 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 			return e.lookupMiss(ws, r, epoch, mutable)
 		}
 	}
-	return r.UnboxView(r.Value()), 0
+	return r.LeftmostView(), 0
 }
 
 // lookupMiss is the outlined slow half of LookupWord.  The full chain walk
@@ -249,7 +243,7 @@ func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable boo
 	}
 	ws.lookups.ColdMisses++
 	if !e.dir.Valid(r) {
-		return r.UnboxView(r.Value()), 0
+		return r.LeftmostView(), 0
 	}
 	if ent != nil {
 		// A stale entry from a retired occupant of this recycled address;
@@ -261,7 +255,7 @@ func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable boo
 	// hypermap exactly as it was.
 	faultinject.Check(faultinject.MonoidIdentity)
 	start := e.rec.Start()
-	word := r.UnboxView(r.Monoid().Identity())
+	word := r.IdentityView()
 	ws.overheads.Tick(metrics.ViewCreation, start)
 
 	start = e.rec.Start()
@@ -380,8 +374,7 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				// reduce panic leaks nothing — the dropped deposit falls to
 				// the garbage collector.
 				faultinject.Check(faultinject.MonoidReduce)
-				combined := r.Monoid().Reduce(r.BoxView(curEnt.view), r.BoxView(depEnt.view))
-				curEnt.view = r.UnboxView(combined)
+				curEnt.view = r.ReduceViews(curEnt.view, depEnt.view)
 				curEnt.written = true
 				reduces++
 				return
@@ -430,7 +423,7 @@ func (e *HM) MergeRootDeposit(d sched.Deposit) {
 			e.elisions.Add(1)
 			return
 		}
-		core.AbsorbView(ent.owner, ent.owner.BoxView(ent.view))
+		ent.owner.Absorb(ent.view)
 	})
 	dep.views = nil
 }

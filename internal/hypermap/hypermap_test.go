@@ -7,43 +7,40 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
+	"repro/internal/reducers"
 	"repro/internal/sched"
 )
 
-type sumMonoid struct{}
-
 type sumView struct{ v int }
 
-func (sumMonoid) Identity() any { return &sumView{} }
-func (sumMonoid) Reduce(left, right any) any {
-	l := left.(*sumView)
-	l.v += right.(*sumView).v
-	return l
-}
-
-type catMonoid struct{}
+var sumMonoid = core.NewMonoid(reducers.TypedFuncMonoid[sumView]{
+	IdentityFn: func() *sumView { return &sumView{} },
+	ReduceFn: func(l, r *sumView) *sumView {
+		l.v += r.v
+		return l
+	}})
 
 type catView struct{ s string }
 
-func (catMonoid) Identity() any { return &catView{} }
-func (catMonoid) Reduce(left, right any) any {
-	l := left.(*catView)
-	l.s += right.(*catView).s
-	return l
-}
+var catMonoid = core.NewMonoid(reducers.TypedFuncMonoid[catView]{
+	IdentityFn: func() *catView { return &catView{} },
+	ReduceFn: func(l, r *catView) *catView {
+		l.s += r.s
+		return l
+	}})
 
 func TestHypermapRegisterUnregister(t *testing.T) {
 	// One directory shard makes the recycled address available to the very
 	// next registration.
 	e := hypermap.New(hypermap.Config{Workers: 2, DirectoryShards: 1})
-	if _, err := e.Register(nil); err == nil {
-		t.Fatal("Register(nil) should fail")
+	if _, err := e.Register(core.Monoid{}); err == nil {
+		t.Fatal("Register of the zero Monoid should fail")
 	}
-	r1, err := e.Register(sumMonoid{})
+	r1, err := e.Register(sumMonoid)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	r2, _ := e.Register(sumMonoid{})
+	r2, _ := e.Register(sumMonoid)
 	if r1.Addr() == r2.Addr() {
 		t.Fatal("distinct reducers share an address")
 	}
@@ -56,7 +53,7 @@ func TestHypermapRegisterUnregister(t *testing.T) {
 	if !r1.Retired() {
 		t.Fatal("Unregister did not retire the reducer")
 	}
-	r3, _ := e.Register(sumMonoid{})
+	r3, _ := e.Register(sumMonoid)
 	if r3.Addr() != addr {
 		t.Fatalf("address %d not recycled, got %d", addr, r3.Addr())
 	}
@@ -66,7 +63,7 @@ func TestHypermapSerialAndParallelSum(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		eng := hypermap.New(hypermap.Config{Workers: workers})
 		s := core.NewSession(workers, eng)
-		r, _ := eng.Register(sumMonoid{})
+		r, _ := eng.Register(sumMonoid)
 		const n = 500
 		err := s.Run(func(c *sched.Context) {
 			c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
@@ -98,7 +95,7 @@ func TestHypermapNonCommutativeOrder(t *testing.T) {
 	eng := hypermap.New(hypermap.Config{Workers: 4})
 	s := core.NewSession(4, eng)
 	defer s.Close()
-	r, _ := eng.Register(catMonoid{})
+	r, _ := eng.Register(catMonoid)
 	const n = 150
 	var want strings.Builder
 	for i := 0; i < n; i++ {
@@ -123,7 +120,7 @@ func TestHypermapOverheadsAndLookupCounting(t *testing.T) {
 	eng := hypermap.New(hypermap.Config{Workers: 2, Timing: true})
 	s := core.NewSession(2, eng)
 	defer s.Close()
-	r, _ := eng.Register(sumMonoid{})
+	r, _ := eng.Register(sumMonoid)
 	const n = 300
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
@@ -161,7 +158,7 @@ func TestHypermapMergeRootDepositNil(t *testing.T) {
 
 func TestHypermapSerialContext(t *testing.T) {
 	eng := hypermap.New(hypermap.Config{Workers: 1})
-	r, _ := eng.Register(sumMonoid{})
+	r, _ := eng.Register(sumMonoid)
 	core.Lookup(eng, nil, r).(*sumView).v = 9
 	if got := r.Value().(*sumView).v; got != 9 {
 		t.Fatalf("serial-context value = %d, want 9", got)
@@ -180,7 +177,7 @@ func TestHypermapIdentityElision(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = e.Register(sumMonoid{})
+		rs[i], _ = e.Register(sumMonoid)
 	}
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
@@ -226,7 +223,7 @@ func TestHypermapWriteAfterReadOnlyLookup(t *testing.T) {
 	e := hypermap.New(hypermap.Config{Workers: 1})
 	s := core.NewSession(1, e)
 	defer s.Close()
-	r, _ := e.Register(sumMonoid{})
+	r, _ := e.Register(sumMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		tr := e.BeginTrace(w)

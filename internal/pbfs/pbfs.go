@@ -51,7 +51,7 @@ func (bagMonoid) Reduce(left, right *bag.Bag[int32]) *bag.Bag[int32] {
 // reducers, for callers building their own bag reducer handles.
 func BagTypedMonoid() reducers.TypedMonoid[bag.Bag[int32]] { return bagMonoid{} }
 
-// BagMonoid returns the bag-union monoid adapted to the untyped engine
+// BagMonoid returns the bag-union monoid built for the raw engine
 // interface, for callers registering through the raw core.Engine API.
 func BagMonoid() core.Monoid { return reducers.AdaptMonoid[bag.Bag[int32]](bagMonoid{}) }
 

@@ -182,21 +182,25 @@ func TestReducerReleasedAfterRun(t *testing.T) {
 }
 
 func TestBagMonoid(t *testing.T) {
-	m := pbfs.BagMonoid()
-	a := m.Identity()
-	b := m.Identity()
-	ab, bb := a.(interface {
+	s := newSession(t, reducers.Hypermap, 1)
+	eng := s.Engine()
+	r, err := eng.Register(pbfs.BagMonoid())
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	type inserter interface {
 		Insert(int32)
 		Len() int
-	}), b.(interface {
-		Insert(int32)
-		Len() int
-	})
-	ab.Insert(1)
-	bb.Insert(2)
-	bb.Insert(3)
-	combined := m.Reduce(a, b)
-	if combined.(interface{ Len() int }).Len() != 3 {
+	}
+	r.Value().(inserter).Insert(1)
+	if err := s.Run(func(c *sched.Context) {
+		b := core.Lookup(eng, c, r).(inserter)
+		b.Insert(2)
+		b.Insert(3)
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if r.Value().(inserter).Len() != 3 {
 		t.Fatal("bag monoid reduce should union the bags")
 	}
 }

@@ -2,70 +2,93 @@ package reducers
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sched"
 )
 
-// TestAdaptMonoidArenaEligibility pins which view types get the arena
-// adapter: fixed-size pointer-free types do, anything carrying pointers
-// (slices, maps, strings) stays on the plain adapter.
+// TestAdaptMonoidArenaEligibility pins which view types are arena-placed:
+// fixed-size pointer-free types are, anything carrying pointers (slices,
+// maps, strings) or larger than the largest class stays on the heap path.
 func TestAdaptMonoidArenaEligibility(t *testing.T) {
-	if _, ok := AdaptMonoid[int](addMonoid[int]{}).(core.ArenaMonoid); !ok {
+	eng := core.NewMM(core.MMConfig{Workers: 1})
+	eligible := func(m core.Monoid) bool {
+		r, err := eng.Register(m)
+		if err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		defer eng.Unregister(r)
+		return r.ArenaEligible()
+	}
+	if !eligible(AdaptMonoid[int](addMonoid[int]{})) {
 		t.Fatal("int views should be arena-eligible")
 	}
-	if _, ok := AdaptMonoid[bool](andMonoid{}).(core.ArenaMonoid); !ok {
+	if !eligible(AdaptMonoid[bool](andMonoid{})) {
 		t.Fatal("bool views should be arena-eligible")
 	}
-	if _, ok := AdaptMonoid[Extreme[float64]](minMonoid[float64]{}).(core.ArenaMonoid); !ok {
+	if !eligible(AdaptMonoid[Extreme[float64]](minMonoid[float64]{})) {
 		t.Fatal("Extreme[float64] (flat struct) should be arena-eligible")
 	}
-	if _, ok := AdaptMonoid[Extreme[string]](minMonoid[string]{}).(core.ArenaMonoid); ok {
+	if eligible(AdaptMonoid[Extreme[string]](minMonoid[string]{})) {
 		t.Fatal("Extreme[string] carries a string and must stay on the heap path")
 	}
-	if _, ok := AdaptMonoid[[]int](listMonoid[int]{}).(core.ArenaMonoid); ok {
+	if eligible(AdaptMonoid[[]int](listMonoid[int]{})) {
 		t.Fatal("slice views must stay on the heap path")
 	}
-	if _, ok := AdaptMonoid[map[string]int](mapMonoid[string, int]{combine: func(a, b int) int { return a + b }}).(core.ArenaMonoid); ok {
+	if eligible(AdaptMonoid[map[string]int](mapMonoid[string, int]{combine: func(a, b int) int { return a + b }})) {
 		t.Fatal("map views must stay on the heap path")
 	}
 	// Oversized pointer-free views fall back to the heap path too.
 	type big struct{ a [40]int64 } // 320 bytes > largest class
-	if _, ok := AdaptMonoid[big](TypedFuncMonoid[big]{
+	if eligible(AdaptMonoid[big](TypedFuncMonoid[big]{
 		IdentityFn: func() *big { return &big{} },
 		ReduceFn:   func(l, r *big) *big { return l },
-	}).(core.ArenaMonoid); ok {
+	})) {
 		t.Fatal("oversized views must stay on the heap path")
 	}
 }
 
-// TestArenaAdapterInitViewWritesIdentity checks that InitView reproduces
-// the monoid identity — including non-zero identities like And's true —
-// over memory holding a dead prior view.
+// TestArenaAdapterInitViewWritesIdentity checks that an arena-placed first
+// lookup reproduces the monoid identity — including non-zero identities
+// like And's true — over a block holding a dead prior view: the first trace
+// leaves a view that is not the identity, the merge recycles its block, and
+// the second trace's first ReadView is served that block.
 func TestArenaAdapterInitViewWritesIdentity(t *testing.T) {
-	am, ok := AdaptMonoid[bool](andMonoid{}).(core.ArenaMonoid)
-	if !ok {
-		t.Fatal("andMonoid should adapt to an ArenaMonoid")
+	eng := core.NewMM(core.MMConfig{Workers: 1})
+	s := core.NewSession(1, eng)
+	defer s.Close()
+	and := NewAnd(eng)
+	min := NewMin[int](eng)
+	if !and.Reducer().ArenaEligible() || !min.Reducer().ArenaEligible() {
+		t.Fatal("And and Min[int] should be arena-eligible")
 	}
-	if am.ViewBytes() != unsafe.Sizeof(false) {
-		t.Fatalf("ViewBytes = %d, want %d", am.ViewBytes(), unsafe.Sizeof(false))
+	if err := s.Run(func(c *sched.Context) {
+		w := c.Worker()
+		and.Update(c, true) // the current trace's view, which survives the merge
+		min.Update(c, 50)
+		tr := eng.BeginTrace(w)
+		and.Update(c, false)
+		min.Update(c, 42)
+		eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, tr))
+		tr = eng.BeginTrace(w)
+		if !*and.ReadView(c) {
+			t.Error("first ReadView over a recycled block did not read the And identity (true)")
+		}
+		if ext := *min.ReadView(c); ext.Set || ext.Val != 0 {
+			t.Errorf("first ReadView over a recycled block read a dirty Extreme view: %+v", ext)
+		}
+		eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, tr))
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	block := new(bool)
-	*block = false // a dead prior view that is NOT the identity
-	am.InitView(unsafe.Pointer(block))
-	if !*block {
-		t.Fatal("InitView did not reconstruct the And identity (true)")
+	if st := eng.ArenaStats(); st.FreeHits < 2 {
+		t.Fatalf("FreeHits = %d, want >= 2: the second trace's views did not reuse the dead blocks", st.FreeHits)
 	}
-
-	me, ok := AdaptMonoid[Extreme[int]](minMonoid[int]{}).(core.ArenaMonoid)
-	if !ok {
-		t.Fatal("minMonoid should adapt to an ArenaMonoid")
+	if and.Value() {
+		t.Error("And = true, want false")
 	}
-	ext := &Extreme[int]{Set: true, Val: 42}
-	me.InitView(unsafe.Pointer(ext))
-	if ext.Set || ext.Val != 0 {
-		t.Fatalf("InitView left a dirty Extreme view: %+v", ext)
+	if v, ok := min.Value(); !ok || v != 42 {
+		t.Errorf("Min = %d, %v, want 42, true", v, ok)
 	}
 }
 

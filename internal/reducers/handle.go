@@ -2,7 +2,6 @@ package reducers
 
 import (
 	"fmt"
-	"reflect"
 	"unsafe"
 
 	"repro/internal/core"
@@ -10,12 +9,12 @@ import (
 	"repro/internal/sched"
 )
 
-// TypedMonoid is the generics-first counterpart of core.Monoid: the same
-// algebra (associative Reduce with identity Identity, left argument
-// serially earlier and commonly updated in place), expressed over a
-// concrete view type V.  It is adapted into the untyped core.Monoid
-// exactly once, at registration, so the engines stay mechanism-focused and
-// monomorphic while user code never writes a type assertion.
+// TypedMonoid is the algebra of a reducer over a concrete view type V: an
+// associative Reduce with identity Identity, the left argument serially
+// earlier and commonly updated in place.  It is turned into the word-level
+// core.Monoid the engines run exactly once, at registration, so the engines
+// stay mechanism-focused and monomorphic while user code never writes a
+// type assertion.
 type TypedMonoid[V any] interface {
 	// Identity allocates a fresh identity view.
 	Identity() *V
@@ -24,78 +23,16 @@ type TypedMonoid[V any] interface {
 	Reduce(left, right *V) *V
 }
 
-// typedMonoidAdapter boxes a TypedMonoid into the untyped core.Monoid.
-// The only interface conversions in the whole typed pipeline happen here —
-// on view creation and on hypermerge, never on the update fast path.
-type typedMonoidAdapter[V any] struct{ m TypedMonoid[V] }
-
-func (a typedMonoidAdapter[V]) Identity() any { return a.m.Identity() }
-func (a typedMonoidAdapter[V]) Reduce(left, right any) any {
-	return a.m.Reduce(left.(*V), right.(*V))
-}
-
-// arenaMonoidAdapter is the adapter used when V is arena-eligible (fixed
-// size, pointer-free): it additionally implements core.ArenaMonoid, so the
-// memory-mapping engine places identity views inside its per-worker view
-// arenas instead of calling the heap allocator.  The identity value is
-// captured once at adaptation — a monoid's identity element is unique, so
-// copying the seed is equivalent to calling Identity (which stays in use on
-// the heap path and for the reducer's leftmost view).
-type arenaMonoidAdapter[V any] struct {
-	m    TypedMonoid[V]
-	seed V
-}
-
-func (a *arenaMonoidAdapter[V]) Identity() any { return a.m.Identity() }
-func (a *arenaMonoidAdapter[V]) Reduce(left, right any) any {
-	return a.m.Reduce(left.(*V), right.(*V))
-}
-func (a *arenaMonoidAdapter[V]) ViewBytes() uintptr { return unsafe.Sizeof(a.seed) }
-func (a *arenaMonoidAdapter[V]) InitView(p unsafe.Pointer) {
-	*(*V)(p) = a.seed
-}
-
-// AdaptMonoid wraps a typed monoid into the untyped core.Monoid the engines
-// operate on.  Handles do this internally; it is exported for callers that
+// AdaptMonoid builds the core.Monoid the engines operate on from a typed
+// monoid.  Handles do this internally; it is exported for callers that
 // register typed monoids through the raw core.Engine API.  View types that
 // are fixed-size and pointer-free (numbers, bools, flat structs — the Add,
-// Min, Max, And and Or reducers) get the arena adapter, which lets the
-// memory-mapping engine construct and recycle their identity views inside
-// its per-worker view arenas: the post-steal first lookup then performs no
-// heap allocation at all.
+// Min, Max, And and Or reducers) are arena-eligible (core.NewMonoid decides),
+// which lets the memory-mapping engine construct and recycle their identity
+// views inside its per-worker view arenas: the post-steal first lookup then
+// performs no heap allocation at all.
 func AdaptMonoid[V any](m TypedMonoid[V]) core.Monoid {
-	if t := reflect.TypeFor[V](); pointerFree(t) && core.ArenaClassFor(t.Size()) >= 0 {
-		if id := m.Identity(); id != nil {
-			return &arenaMonoidAdapter[V]{m: m, seed: *id}
-		}
-	}
-	return typedMonoidAdapter[V]{m: m}
-}
-
-// pointerFree reports whether a value of type t contains no pointers, so
-// its views may live in arena memory the garbage collector does not scan.
-// The check is conservative: anything not provably pointer-free (slices,
-// maps, strings, interfaces, channels, pointers, functions) stays on the
-// heap path.
-func pointerFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return t.Len() == 0 || pointerFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !pointerFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
+	return core.NewMonoid(m)
 }
 
 // TypedFuncMonoid adapts a pair of typed functions into a TypedMonoid, for

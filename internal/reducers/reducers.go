@@ -6,7 +6,7 @@
 // for choosing the mechanism.
 //
 // Every reducer kind embeds Handle[V]: a typed monoid (TypedMonoid) is
-// adapted once into the untyped core.Monoid at registration, and every
+// built once into the word-level core.Monoid at registration, and every
 // update resolves its view through the handle's per-context typed cache,
 // so the steady-state update path performs no interface dispatch, no
 // runtime type assertion and no allocation — the paper's
@@ -430,5 +430,4 @@ var (
 	_ TypedMonoid[[]byte]         = stringMonoid{}
 	_ TypedMonoid[map[string]int] = mapMonoid[string, int]{}
 	_ TypedMonoid[int]            = TypedFuncMonoid[int]{}
-	_ core.Monoid                 = typedMonoidAdapter[int]{}
 )

@@ -224,17 +224,27 @@ func TestTypedMapCombinerCached(t *testing.T) {
 	})
 }
 
-// TestAdaptMonoidRoundTrip checks the typed→untyped monoid adapter used at
-// registration: identity and reduce must behave identically through the
-// untyped interface.
+// TestAdaptMonoidRoundTrip checks the typed→word-level monoid built at
+// registration: identity and reduce must behave identically when an engine
+// runs them on view words (the leftmost view is an Identity, the root
+// trace's view another, and the root merge is leftmost ⊗ root).
 func TestAdaptMonoidRoundTrip(t *testing.T) {
-	um := AdaptMonoid[[]int](seqMonoid{})
-	l := um.Identity().(*[]int)
-	r := um.Identity().(*[]int)
+	s := NewSession(Hypermap, 1, EngineOptions{})
+	defer s.Close()
+	eng := s.Engine()
+	red, err := eng.Register(AdaptMonoid[[]int](seqMonoid{}))
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	l := red.Value().(*[]int)
 	*l = append(*l, 1)
-	*r = append(*r, 2, 3)
-	out := um.Reduce(l, r).(*[]int)
-	if got := *out; len(got) != 3 || got[0] != 1 || got[2] != 3 {
+	if err := s.Run(func(c *sched.Context) {
+		r := core.Lookup(eng, c, red).(*[]int)
+		*r = append(*r, 2, 3)
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := *red.Value().(*[]int); len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("adapted reduce = %v", got)
 	}
 	tf := TypedFuncMonoid[int]{

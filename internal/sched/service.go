@@ -387,19 +387,13 @@ func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
 		// Success, and no cancellation raced ahead: fold the root deposit
 		// into the leftmost views before the outcome is visible, so a
 		// submitter that observes Done reads fully merged reducer values.
-		var mergeErr error
-		func() {
-			defer func() {
-				if mp := recover(); mp != nil {
-					mergeErr = containedError(wrapPanic(mp), nil)
-				}
-			}()
+		mergeErr := Contain(func() {
 			if h.svc.cfg.RootMerge != nil {
 				h.svc.cfg.RootMerge(d)
 			} else {
 				rt.reducers.Discard(w, d)
 			}
-		}()
+		})
 		// Merge before settle (teardown may unregister the job's reducers),
 		// settle before deliver (a submitter returning from Wait observes
 		// the job fully retired).

@@ -18,9 +18,9 @@
 // # Word packing
 //
 // A slot really is two machine words — 16 bytes, the paper's layout — not
-// two Go interfaces (32 bytes).  The first word is the view's single-word
-// representation (the data word of the interface value the reducer engine
-// hands out; see core.Reducer.BoxView for the safety argument).  The second
+// two Go interfaces (32 bytes).  The first word is the view itself: the *V
+// the reducer's monoid allocated, held as an unsafe.Pointer (see
+// internal/core/word.go for the safety argument).  The second
 // word is the owner stamp: a pointer to the owning reducer, whose low three
 // bits — always zero in a real pointer — carry per-slot flags:
 //

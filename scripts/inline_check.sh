@@ -88,6 +88,12 @@ require 'internal/core/mm.go' 'inlining call to (*Directory).Valid'
 require 'internal/hypermap/hypermap.go' 'inlining call to metrics.(*Breakdown).Tick'
 require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Directory).Valid'
 
+# Layer 2 (merge): reducing a pair is the monoid's kernel call and a nil
+# compare at the call site on both engines, not a call to a wrapper first.
+require 'internal/core/core.go' 'can inline (*Reducer).ReduceViews'
+require 'internal/core/mm.go' 'inlining call to (*Reducer).ReduceViews'
+require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Reducer).ReduceViews'
+
 # Layer 3: the handle's View/ReadView hit checks use the inlined context
 # accessors (no call, no worker-struct detour on the id), and the concrete
 # dictionary wrappers callers bind to are themselves inlinable.
@@ -99,7 +105,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|ReduceViews' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"

@@ -351,7 +351,7 @@ func TestServiceJobSessionScoping(t *testing.T) {
 	if err := h.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if _, err := late.Register(nil); err == nil {
+	if _, err := late.Register(cilkm.Monoid{}); err == nil {
 		t.Fatal("Register on retired session succeeded, want error")
 	}
 	if err := svc.Close(); err != nil {
