@@ -236,6 +236,56 @@ func armedReduce(armed *atomic.Bool) cilkm.TypedMonoid[int] {
 	}
 }
 
+// TestFailedBranchViewsDieWhereItFailed forces a fork's continuation to run
+// as a stolen task, which writes a view and panics.  The forking strand wrote
+// the same reducer first, so a deposit from the failed branch would meet its
+// pair at the join and reach the monoid's Reduce: user code run on behalf of
+// a job that has already failed, free to panic over the failure it follows.
+// The branch's views are discarded where it failed instead: no Reduce call,
+// the original payload reported, nothing held and nothing contributed.
+func TestFailedBranchViewsDieWhereItFailed(t *testing.T) {
+	plan := everyForkForced()
+	defer faultinject.Activate(plan)()
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			s := newChaosSession(mech)
+			defer s.Close()
+			var reduces atomic.Int64
+			h := cilkm.NewCustomOf[int](s.Engine(), cilkm.TypedFuncMonoid[int]{
+				IdentityFn: func() *int { return new(int) },
+				ReduceFn: func(l, r *int) *int {
+					reduces.Add(1)
+					*l += *r
+					return l
+				},
+			})
+			err := s.RunErr(func(c *cilkm.Context) {
+				*h.View(c) += 1
+				c.Fork(func(*cilkm.Context) {}, func(c *cilkm.Context) {
+					*h.View(c) += 2
+					panic("branch boom")
+				})
+			})
+			var pe *cilkm.PanicError
+			if !errors.As(err, &pe) || pe.Value != "branch boom" {
+				t.Errorf("RunErr = %v, want a *PanicError carrying \"branch boom\"", err)
+			}
+			if n := reduces.Load(); n != 0 {
+				t.Errorf("%d Reduce calls on the failed branch's views, want none", n)
+			}
+			if qerr := s.Quiescent(); qerr != nil {
+				t.Errorf("not quiescent after the failed branch: %v", qerr)
+			}
+			if got := *h.Peek(); got != 0 {
+				t.Errorf("the failed job contributed %d", got)
+			}
+		})
+	}
+	if plan.Fires(faultinject.SchedForceSteal) == 0 {
+		t.Error("no fork was forced")
+	}
+}
+
 // directoryStats reads the engine's directory counters.
 func directoryStats(eng cilkm.Engine) metrics.DirectoryStats {
 	return eng.(interface {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	cilkm "repro"
+	"repro/internal/faultinject"
 	"repro/internal/reducers"
 )
 
@@ -268,32 +269,34 @@ func TestFastPathInvalidationOnMidRunUnregister(t *testing.T) {
 }
 
 // TestFastPathInvalidationOnHypermerge reads a typed handle between
-// hypermerges.  Each spawned child runs as its own trace, so every Wait
-// performs a real hypermerge that bumps the worker's view epoch; the
-// handle's fast path must re-resolve after each bump and observe the
-// running merged total — a stale cached view would report a stale count.
+// hypermerges.  Every fork's continuation is forced to run as a stolen task
+// (faultinject.SchedForceSteal), a trace of its own, so every join performs
+// a real hypermerge that bumps the worker's view epoch; the handle's fast
+// path must re-resolve after each bump and observe the running merged
+// total — a stale cached view would report a stale count.
 func TestFastPathInvalidationOnHypermerge(t *testing.T) {
 	const rounds = 80
+	if !faultinject.Enabled() { // TestUnderForcedSteals has armed it already
+		defer faultinject.Activate(everyForkForced())()
+	}
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
 		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 		sum := cilkm.NewAdd[int64](s.Engine())
 		err := s.Run(func(c *cilkm.Context) {
 			start := c.ViewEpoch()
 			for round := 1; round <= rounds; round++ {
-				g := c.NewGroup()
-				g.Spawn(func(c *cilkm.Context) { sum.Add(c, 1) })
-				g.Wait()
-				// The child's trace deposited one written view and Wait
-				// merged it here, bumping the epoch; the fast path must
-				// re-resolve and see every contribution so far.
+				c.Fork(func(*cilkm.Context) {}, func(c *cilkm.Context) { sum.Add(c, 1) })
+				// The continuation's trace deposited one written view and
+				// the join merged it here, bumping the epoch; the fast path
+				// must re-resolve and see every contribution so far.
 				if got := *sum.ReadView(c); got != int64(round) {
 					t.Fatalf("%v: after %d merges the fast path reads %d",
 						mech, round, got)
 				}
 			}
-			if end := c.ViewEpoch(); end <= start {
-				t.Errorf("%v: %d hypermerges never bumped the view epoch (%d -> %d)",
-					mech, rounds, start, end)
+			if end := c.ViewEpoch(); end-start < rounds {
+				t.Errorf("%v: %d hypermerges bumped the view epoch %d times (%d -> %d)",
+					mech, rounds, end-start, start, end)
 			}
 		})
 		if err != nil {

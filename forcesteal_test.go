@@ -6,6 +6,12 @@ import (
 	"repro/internal/faultinject"
 )
 
+// everyForkForced is the plan under which every fork's continuation runs as
+// a stolen task.
+func everyForkForced() *faultinject.Plan {
+	return faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1})
+}
+
 // TestUnderForcedSteals reruns the suites that pin reducer semantics with
 // the forced-steal failpoint armed (faultinject.SchedForceSteal, Cilk's
 // force_reduce): a fork that fires runs its continuation as a stolen task on
@@ -15,7 +21,7 @@ import (
 // the ones that do get forced steals on half the forks beside their fault.
 func TestUnderForcedSteals(t *testing.T) {
 	t.Run("every-fork", func(t *testing.T) {
-		plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1})
+		plan := everyForkForced()
 		defer faultinject.Activate(plan)()
 		t.Run("PropertyMechanismsMatchSerialOnRandomTrees", TestPropertyMechanismsMatchSerialOnRandomTrees)
 		t.Run("MechanismsAgreeOnAggregates", TestMechanismsAgreeOnAggregates)

@@ -41,7 +41,8 @@ func TestEngineSurface(t *testing.T) {
 // TestJobSurface pins the ways to run a job as TestEngineSurface pins
 // lookups: three Run variants over one private body on the runtime and the
 // session, one Submit on the service, and so none of the entry points
-// earlier PRs folded into them (RunAndMerge, RunRoot, SubmitAndWait).
+// earlier PRs folded into them (RunAndMerge, RunRoot, SubmitAndWait); and
+// the context's method set, the spawn primitives among them.
 func TestJobSurface(t *testing.T) {
 	// entryPoints returns typ's exported methods named prefix or
 	// prefix+CamelCase ("Runtime" is an accessor, not a Run variant).
@@ -71,6 +72,15 @@ func TestJobSurface(t *testing.T) {
 	}
 	if got := entryPoints(svc, "Run"); len(got) != 0 {
 		t.Errorf("%v has Run* methods %v, want none", svc, got)
+	}
+	// What a job can do with its context.  Fork and the two built on it are
+	// the only spawns: the scheduler's nesting invariant and the serial
+	// order of noncommutative reductions rest on it, so a second spawn
+	// primitive does not appear without an edit here that names its caller.
+	ctx := []string{"Cancelled", "Fork", "ForkN", "ParallelFor", "ParallelForGrain",
+		"Runtime", "ViewEpoch", "Worker", "WorkerID"}
+	if got := entryPoints(reflect.TypeFor[*sched.Context](), ""); !slices.Equal(got, ctx) {
+		t.Errorf("*sched.Context methods = %v, want %v", got, ctx)
 	}
 }
 

@@ -23,7 +23,7 @@ func BenchmarkForkNoSteal(b *testing.B) {
 }
 
 // BenchmarkForkNoStealDepth8 forks through a small recursion so the deque
-// holds several continuations at once, exercising pushBottom/popBottomIf at
+// holds several continuations at once, exercising pushBottom/popBottom at
 // depth rather than at a constantly-empty deque.
 func BenchmarkForkNoStealDepth8(b *testing.B) {
 	rt := New(Config{Workers: 1})

@@ -53,20 +53,20 @@ func (c *Context) Fork(left, right func(*Context)) {
 	t := w.newTask(right, j)
 	w.pushTask(t)
 
-	// If left (or anything it calls) panics, there is no cleanup here:
-	// the panic unwinds to runRoot/runTask, whose abortScope settles this
-	// task along with everything else the failed scope pushed.
+	// If left (or anything it calls) panics, there is no cleanup here: the
+	// panic unwinds to the trace scope (runTrace), whose abortScope settles
+	// this task along with everything else the failed scope pushed.
 
 	left(c)
 
 	if w.wakeGated() {
 		w.checkGate()
 	}
-	if w.tryPopOwn(t) {
+	if w.popOwn(t) {
 		// Serial fast path: the continuation was not stolen.  Both
 		// objects go straight back to the free lists — the pop proves no
 		// other worker ever saw the join.
-		w.popLiveFork(j)
+		w.popLiveFork()
 		w.freeTask(t)
 		w.freeJoin(j)
 		right(c)
@@ -74,16 +74,10 @@ func (c *Context) Fork(left, right func(*Context)) {
 	}
 	// The continuation was stolen and promoted; wait for it, helping with
 	// other work in the meantime, then fold its views back in.  The thief
-	// recycles the task; the join is left to the GC (see join's doc).
+	// leaves the task, and this worker the join, to the GC (see join's doc).
 	w.waitJoin(j)
-	w.rt.reducers.Merge(w, w.curTrace, j.deposit)
-	w.popLiveFork(j)
-	if j.panicVal != nil {
-		// Re-raise the contained value itself (a *PanicError wrapped at
-		// the thief's recovery point, or the cancellation token) so the
-		// original payload and stack survive every join on the way out.
-		panic(j.panicVal)
-	}
+	w.popLiveFork()
+	w.joinStolen(j)
 }
 
 // forkForced is Fork under the forced-steal failpoint, Cilk's force_reduce:
@@ -94,11 +88,22 @@ func (w *Worker) forkForced(c *Context, left, right func(*Context)) {
 	j := &join{}
 	w.nSteals.Add(1)
 	w.nStalledJoins.Add(1)
-	w.runTask(&task{fn: right, join: j, owner: w.id, job: w.curJob})
-	w.rt.reducers.Merge(w, w.curTrace, j.deposit)
+	w.runTask(&task{fn: right, join: j, job: w.curJob})
+	w.joinStolen(j)
+}
+
+// joinStolen resumes the forking strand once its stolen continuation has
+// finished: the hypermerge of the views the thief deposited, or, if the
+// branch failed, its failure raised again here.  A failed branch deposits
+// nothing (its views died on the thief, runTask), so no Reduce runs on behalf
+// of a job that has already failed, and what crosses every join on the way
+// out is the contained value itself — the *PanicError wrapped at the thief's
+// recovery point, or the cancellation token — original payload and stack.
+func (w *Worker) joinStolen(j *join) {
 	if j.panicVal != nil {
 		panic(j.panicVal)
 	}
+	w.rt.reducers.Merge(w, w.curTrace, j.deposit)
 }
 
 // ForkN executes the given branches as logically parallel work, preserving
@@ -161,129 +166,4 @@ func (c *Context) pfor(lo, hi, grain int, body func(*Context, int)) {
 		func(c2 *Context) { c2.pfor(lo, mid, grain, body) },
 		func(c2 *Context) { c2.pfor(mid, hi, grain, body) },
 	)
-}
-
-// Group provides a help-first spawn/sync convenience API in the style of
-// cilk_spawn / cilk_sync.  Unlike Fork, every spawned child is a separate
-// stealable task even on the no-steal path, so each child contributes its
-// own set of views; Wait folds the contributions back in spawn order after
-// the parent's own updates.  Consequently the result equals the serial
-// execution whenever the parent performs no reducer updates between its
-// Spawn calls (or the monoid is commutative).  Code that needs exact serial
-// semantics with interleaved parent updates should use Fork or ForkN.
-//
-// Every Spawn must be matched by a Wait before the enclosing task or Run
-// returns: un-Waited children are abandoned — their contributions are
-// never merged and their task objects confuse the runtime's recycling.
-//
-// A Group is bound to the worker that created it.  Spawn and Wait must be
-// called from code executing on that worker: the serial branch that
-// called NewGroup, including the left (inline) branch of a nested Fork —
-// but never from a right-hand continuation, which a thief may execute on
-// another worker (the deque and free lists are owner-only structures, so
-// that would be a data race, as it already was for traces in the
-// mutex-deque runtime).
-type Group struct {
-	ctx      *Context
-	children []*groupChild
-	waited   bool
-}
-
-type groupChild struct {
-	t *task
-	j *join
-	// idx is the child's entry in the worker's liveForks stack, recorded
-	// at Spawn time: Wait may run inside a Fork branch pushed after the
-	// Spawns, so the children are not necessarily the newest entries.
-	idx int
-	// local records that the parent popped and ran the child itself, so
-	// its join was never visible to a thief and can be recycled.
-	local bool
-}
-
-// NewGroup creates an empty spawn group bound to this context.
-func (c *Context) NewGroup() *Group {
-	return &Group{ctx: c}
-}
-
-// Spawn schedules fn as a child of the group.
-func (g *Group) Spawn(fn func(*Context)) {
-	if g.waited {
-		panic("sched: Spawn after Wait")
-	}
-	w := g.ctx.w
-	w.checkCancelled()
-	w.forksLocal++
-	j := w.newJoin()
-	t := w.newTask(fn, j)
-	ch := &groupChild{t: t, j: j}
-	g.children = append(g.children, ch)
-	w.pushTask(t)
-	ch.idx = len(w.liveForks) - 1
-}
-
-// Wait blocks until every spawned child has completed and merges their view
-// contributions in spawn order.  Children that were not stolen are executed
-// by the calling worker itself (newest first, like a deque pop), each as its
-// own trace so the merge order is still the spawn order.
-func (g *Group) Wait() {
-	if g.waited {
-		return
-	}
-	g.waited = true
-	w := g.ctx.w
-	// Children are zeroed out of the live-fork stack by their recorded
-	// indices as they resolve, so a panic mid-Wait leaves abortScope
-	// exactly the unresolved ones; trailing zeroes are swept at the end.
-	// Reclaim and run children that are still in our own deque, newest
-	// first (they are at the bottom).
-	for i := len(g.children) - 1; i >= 0; i-- {
-		ch := g.children[i]
-		if w.tryPopOwn(ch.t) {
-			ch.local = true
-			w.runTask(ch.t)
-			// Resolved: the child's join is complete, so a panic later
-			// in Wait must not let abortScope touch this entry.  (The
-			// entry is live here, so it cannot have been swept and the
-			// index is in range.)
-			w.liveForks[ch.idx] = liveFork{}
-		}
-	}
-	// Wait for the rest and merge everything in spawn order.
-	var panicked any
-	for _, ch := range g.children {
-		if !ch.j.finished() {
-			w.waitJoin(ch.j)
-		}
-		w.rt.reducers.Merge(w, w.curTrace, ch.j.deposit)
-		if ch.j.panicVal != nil && panicked == nil {
-			panicked = ch.j.panicVal
-		}
-		if ch.local {
-			// This worker completed the join itself, so no thief can hold
-			// a stale reference; recycle both objects now that the
-			// child's identity-check window is closed (runTask leaves
-			// owner-pushed tasks unrecycled precisely for this).
-			w.freeJoinUsed(ch.j)
-			w.freeTask(ch.t)
-		}
-		if ch.idx < len(w.liveForks) {
-			// In range only if the entry still exists: a nested Wait's
-			// sweep inside an earlier child may already have truncated
-			// this child's zeroed entry away.
-			w.liveForks[ch.idx] = liveFork{}
-		}
-	}
-	// Sweep resolved entries off the top of the stack.  When Wait ran
-	// inside a newer Fork branch, that fork's live entry stays below-top
-	// zeroes that the enclosing scope's truncation will remove.
-	for n := len(w.liveForks); n > 0 && w.liveForks[n-1].j == nil; n-- {
-		w.liveForks = w.liveForks[:n-1]
-	}
-	g.children = g.children[:0]
-	if panicked != nil {
-		// Contained value, not a formatted string: the child's recovery
-		// point already wrapped it with the original payload and stack.
-		panic(panicked)
-	}
 }

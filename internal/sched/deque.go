@@ -8,16 +8,13 @@ import "sync/atomic"
 // to be stolen and promoted into a full frame.
 //
 // Tasks are pooled in per-worker free lists (see Worker.newTask): the
-// owner recycles a task when its identity-check window provably closes (a
-// fast-path pop, or a locally-run Group child after Wait) so the no-steal
-// fork path allocates nothing; stolen tasks are left to the GC so their
-// pointers can never re-enter a pool while a suspended fork still compares
-// against them.
+// owner recycles a task when it pops it back, on the fork fast path or in a
+// failed scope's abort, so the no-steal fork path allocates nothing; stolen
+// tasks are left to the GC so their pointers can never re-enter a pool
+// while a suspended fork still compares against them.
 type task struct {
 	fn   func(*Context)
 	join *join
-	// owner is the worker that pushed the task; recorded for statistics.
-	owner int
 	// job is the submission this task belongs to, captured from the
 	// pushing worker at creation so a thief inherits the forker's
 	// cancellation token.  Nil for jobs submitted through plain Run.
@@ -114,8 +111,11 @@ func (d *deque) grow(old *dequeBuf, top, bottom int64) *dequeBuf {
 }
 
 // popBottom removes and returns the newest task, or nil if the deque is
-// empty.  Owner only.  Only the last-element case races with thieves and
-// is resolved by a CAS on top.
+// empty.  Owner only, and the owner's only pop: at the end of a Fork it
+// returns the fork's continuation if no thief has promoted it (forks nest
+// and thieves take the oldest task first, so nothing else can be newest),
+// nil if one has.  Only the last-element case races with thieves and is
+// resolved by a CAS on top.
 func (d *deque) popBottom() *task {
 	buf := d.buf.Load()
 	if buf == nil {
@@ -138,37 +138,6 @@ func (d *deque) popBottom() *task {
 		d.bottom.Store(b + 1)
 	}
 	return t
-}
-
-// popBottomIf removes the newest task and returns true iff it is exactly t.
-// Owner only.  This is the owner's conditional pop at the end of a Fork:
-// if the continuation is still there, the fork resumes serially; if it is
-// gone, a thief has promoted it.  The identity check also lets Group.Wait
-// decline to pop when the bottom task belongs to an enclosing computation.
-func (d *deque) popBottomIf(want *task) bool {
-	buf := d.buf.Load()
-	if buf == nil {
-		return false
-	}
-	b := d.bottom.Load() - 1
-	d.bottom.Store(b)
-	top := d.top.Load()
-	if top > b {
-		d.bottom.Store(b + 1)
-		return false
-	}
-	got := buf.get(b)
-	if got != want {
-		// The bottom task is not the one we are looking for; put it back.
-		d.bottom.Store(b + 1)
-		return false
-	}
-	if top == b {
-		ok := d.top.CompareAndSwap(top, top+1)
-		d.bottom.Store(b + 1)
-		return ok
-	}
-	return true
 }
 
 // stealTop removes and returns the oldest task, or nil if the deque is

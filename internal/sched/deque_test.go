@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// numberedTasks returns n tasks and each one's index, by which the stress
+// tests count claims.  The map is only read once the thieves start.
+func numberedTasks(n int) ([]*task, map[*task]int) {
+	tasks, index := make([]*task, n), make(map[*task]int, n)
+	for i := range tasks {
+		tasks[i] = &task{}
+		index[tasks[i]] = i
+	}
+	return tasks, index
+}
+
 // TestDequeGrowth pushes far past the initial buffer capacity without any
 // pops, then drains from both ends, checking FIFO order at the top and LIFO
 // order at the bottom.
@@ -15,7 +26,7 @@ func TestDequeGrowth(t *testing.T) {
 	const n = dequeInitialSize*8 + 3
 	tasks := make([]*task, n)
 	for i := range tasks {
-		tasks[i] = &task{owner: i}
+		tasks[i] = &task{}
 		d.pushBottom(tasks[i])
 	}
 	if d.size() != n {
@@ -49,10 +60,7 @@ func TestDequeStressOwnerVsThieves(t *testing.T) {
 	const total = 100_000
 	const nThieves = 4
 	var d deque
-	tasks := make([]*task, total)
-	for i := range tasks {
-		tasks[i] = &task{owner: i}
-	}
+	tasks, index := numberedTasks(total)
 	claims := make([]atomic.Int32, total)
 	var stolen atomic.Int64
 	var wg sync.WaitGroup
@@ -63,7 +71,7 @@ func TestDequeStressOwnerVsThieves(t *testing.T) {
 			defer wg.Done()
 			for {
 				if tk := d.stealTop(); tk != nil {
-					claims[tk.owner].Add(1)
+					claims[index[tk]].Add(1)
 					stolen.Add(1)
 					continue
 				}
@@ -86,7 +94,7 @@ func TestDequeStressOwnerVsThieves(t *testing.T) {
 		}
 		if i%3 == 0 {
 			if tk := d.popBottom(); tk != nil {
-				claims[tk.owner].Add(1)
+				claims[index[tk]].Add(1)
 				popped++
 			}
 		}
@@ -97,7 +105,7 @@ func TestDequeStressOwnerVsThieves(t *testing.T) {
 		if tk == nil {
 			break
 		}
-		claims[tk.owner].Add(1)
+		claims[index[tk]].Add(1)
 		popped++
 	}
 	stop.Store(true)
@@ -115,11 +123,13 @@ func TestDequeStressOwnerVsThieves(t *testing.T) {
 // TestDequeStressForkPattern replays Fork's exact access pattern — push
 // one task, do some work, conditionally pop it back — against concurrent
 // thieves.  Each task must be executed exactly once, by the owner iff
-// popBottomIf succeeded.
+// popBottom returned it; it never returns another, as it is the only one the
+// owner has in the deque.
 func TestDequeStressForkPattern(t *testing.T) {
 	const total = 100_000
 	const nThieves = 3
 	var d deque
+	tasks, index := numberedTasks(total)
 	claims := make([]atomic.Int32, total)
 	var stolen atomic.Int64
 	var wg sync.WaitGroup
@@ -130,7 +140,7 @@ func TestDequeStressForkPattern(t *testing.T) {
 			defer wg.Done()
 			for {
 				if tk := d.stealTop(); tk != nil {
-					claims[tk.owner].Add(1)
+					claims[index[tk]].Add(1)
 					stolen.Add(1)
 					continue
 				}
@@ -141,21 +151,28 @@ func TestDequeStressForkPattern(t *testing.T) {
 			}
 		}()
 	}
-	ownerRan := 0
+	ownerRan, foreign := 0, 0
 	spin := 0
 	for i := 0; i < total; i++ {
-		tk := &task{owner: i}
+		tk := tasks[i]
 		d.pushBottom(tk)
 		// A little "left branch" work so thieves get a window.
 		spin += i % 13
-		if d.popBottomIf(tk) {
+		switch d.popBottom() {
+		case tk:
 			claims[i].Add(1)
 			ownerRan++
+		case nil:
+		default:
+			foreign++
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 	_ = spin
+	if foreign != 0 {
+		t.Fatalf("popBottom returned a task other than the one just pushed %d times", foreign)
+	}
 	for idx := range claims {
 		if got := claims[idx].Load(); got != 1 {
 			t.Fatalf("task %d claimed %d times, want exactly 1", idx, got)
@@ -166,27 +183,5 @@ func TestDequeStressForkPattern(t *testing.T) {
 	}
 	if testing.Verbose() {
 		t.Logf("owner ran %d, thieves stole %d", ownerRan, stolen.Load())
-	}
-}
-
-// TestDequePopBottomIfDeclines checks the guard Group.Wait relies on: when
-// the bottom task is not the wanted one, popBottomIf must leave the deque
-// intact.
-func TestDequePopBottomIfDeclines(t *testing.T) {
-	var d deque
-	t1, t2 := &task{}, &task{}
-	d.pushBottom(t1)
-	d.pushBottom(t2)
-	if d.popBottomIf(t1) {
-		t.Fatal("popBottomIf popped a task that was not at the bottom")
-	}
-	if d.size() != 2 {
-		t.Fatalf("size = %d after declined pop, want 2", d.size())
-	}
-	if !d.popBottomIf(t2) || !d.popBottomIf(t1) {
-		t.Fatal("popBottomIf should succeed for bottom tasks in order")
-	}
-	if d.popBottomIf(t1) {
-		t.Fatal("popBottomIf succeeded on an empty deque")
 	}
 }

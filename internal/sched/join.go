@@ -6,7 +6,8 @@ import "sync/atomic"
 // ("full") frame.  It is created lazily in the sense that it only matters
 // when the continuation is actually stolen; in the serial fast path the
 // struct is taken from the worker's free list but never synchronised on,
-// and is recycled as soon as the owner pops its continuation back.
+// and is recycled, still in its zero state, as soon as the owner pops its
+// continuation back.
 //
 // Joins whose continuation WAS stolen are not recycled: after the owner
 // observes finished() the thief may still be inside complete(), between
@@ -19,31 +20,25 @@ type join struct {
 	// waiter, when non-nil, is closed by the thief to wake the owner
 	// parked at the join.
 	waiter atomic.Pointer[chan struct{}]
-	// deposit holds the stolen branch's transferred views.  It is written
-	// by the thief before done is set and read by the owner after done is
-	// observed, so the atomic provides the necessary ordering.
+	// deposit holds the stolen branch's transferred views, nil if the
+	// branch failed.  It is written by the thief before done is set and read
+	// by the owner after done is observed, so the atomic provides the
+	// necessary ordering.
 	deposit Deposit
 	// panicVal carries a panic out of a stolen branch so the forking
-	// worker can re-raise it after the join.
+	// worker can re-raise it after the join.  Written and read like deposit.
 	panicVal any
 	// next links joins in a worker's free list while recycled.
 	next *join
 }
 
-// reset clears the join for reuse from a worker's free list.
-func (j *join) reset() {
-	j.done.Store(false)
-	j.waiter.Store(nil)
-	j.deposit = nil
-	j.panicVal = nil
-}
-
 // complete is called by the thief once the stolen continuation has finished
-// and its views have been transferred out.  done is set before the waiter
-// is read, pairing with park's store-then-recheck, so the owner can never
-// sleep on a channel complete will not close.
-func (j *join) complete(d Deposit) {
-	j.deposit = d
+// and its views have been transferred out, or has failed with panicked and
+// had them discarded.  done is set before the waiter is read, pairing with
+// park's store-then-recheck, so the owner can never sleep on a channel
+// complete will not close.
+func (j *join) complete(d Deposit, panicked any) {
+	j.deposit, j.panicVal = d, panicked
 	j.done.Store(true)
 	if ch := j.waiter.Load(); ch != nil {
 		close(*ch)

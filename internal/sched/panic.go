@@ -93,10 +93,10 @@ type job struct {
 
 // checkCancelled panics with the cancellation token when the worker's
 // current job has been cancelled.  It is the fork checkpoint: every Fork,
-// ForkN, ParallelFor split and Group.Spawn passes through it, so a
-// cancelled job unwinds at its next fork boundary, settles everything it
-// already spawned (via the normal panic containment), and reports
-// ctx.Err() instead of running to completion.
+// ForkN and ParallelFor split passes through it, so a cancelled job unwinds
+// at its next fork boundary, settles everything it already spawned (via the
+// normal panic containment), and reports ctx.Err() instead of running to
+// completion.
 func (w *Worker) checkCancelled() {
 	if j := w.curJob; j != nil && j.cancelled.Load() {
 		panic(errJobCancelled)

@@ -182,7 +182,7 @@ func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
 
 // RunContext is RunErr with cooperative cancellation.  When ctx is
 // cancelled the job is asked to stop: every fork checkpoint (Fork, ForkN,
-// ParallelFor splits, Group.Spawn) and every not-yet-started stolen branch
+// ParallelFor splits) and every not-yet-started stolen branch
 // observes the token and unwinds, already-running serial sections run to
 // their next checkpoint (or may poll Context.Cancelled), and RunContext
 // waits for the job to fully settle before returning ctx.Err() — it never
@@ -235,7 +235,7 @@ func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) (d Depos
 		defer rt.inflight.Add(-1)
 		w := rt.workers[0]
 		start := w.shutGate()
-		d, p = w.runJob(fn, jb)
+		d, p = w.runTrace(fn, jb)
 		w.gateUntil, w.rootRan = 0, nanotime()-start
 		return d, p, nil
 	}
@@ -385,15 +385,13 @@ func (rt *Runtime) serviceReady() bool {
 	return s != nil && s.ready()
 }
 
-// workAvailable reports whether any worker other than except holds a
-// stealable task.  Parking workers call it after registering in rt.parked
-// to close the race with a concurrent push.  The caller's own deque is
-// excluded: a worker stalled at a join may still hold its enclosing
-// continuations, which it can neither steal (trySteal skips itself) nor
-// run early — counting them would make it spin instead of park.
-func (rt *Runtime) workAvailable(except *Worker) bool {
+// workAvailable reports whether any worker holds a stealable task.  Parking
+// workers call it after registering in rt.parked to close the race with a
+// concurrent push; their own deques are empty, between tasks and at a
+// stalled join alike (waitJoin).
+func (rt *Runtime) workAvailable() bool {
 	for _, w := range rt.workers {
-		if w != except && w.dq.size() > 0 {
+		if w.dq.size() > 0 {
 			return true
 		}
 	}

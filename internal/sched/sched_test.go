@@ -193,43 +193,6 @@ func TestWorkIsDistributedAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestGroupRunsAllChildren(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	defer rt.Close()
-	var sum atomic.Int64
-	err := run(rt, func(c *Context) {
-		g := c.NewGroup()
-		for i := 1; i <= 10; i++ {
-			v := int64(i)
-			g.Spawn(func(*Context) { sum.Add(v) })
-		}
-		g.Wait()
-		g.Wait() // second Wait is a no-op
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if sum.Load() != 55 {
-		t.Fatalf("sum = %d, want 55", sum.Load())
-	}
-}
-
-func TestGroupSpawnAfterWaitPanics(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from Spawn after Wait")
-		}
-	}()
-	_ = run(rt, func(c *Context) {
-		g := c.NewGroup()
-		g.Spawn(func(*Context) {})
-		g.Wait()
-		g.Spawn(func(*Context) {})
-	})
-}
-
 func TestRootPanicPropagatesToRunCaller(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
@@ -452,11 +415,8 @@ func TestDequeOperations(t *testing.T) {
 	if got := d.stealTop(); got != t1 {
 		t.Fatal("stealTop should return the oldest task")
 	}
-	if d.popBottomIf(t2) {
-		t.Fatal("popBottomIf should fail when the bottom is a different task")
-	}
-	if !d.popBottomIf(t3) {
-		t.Fatal("popBottomIf should succeed for the bottom task")
+	if got := d.popBottom(); got != t3 {
+		t.Fatal("popBottom should return the newest task")
 	}
 	if got := d.popBottom(); got != t2 {
 		t.Fatal("popBottom should return the remaining task")
@@ -503,226 +463,5 @@ func TestForkLeftPanicReclaimsContinuation(t *testing.T) {
 	}
 	if err := run(rt, func(*Context) {}); err != nil {
 		t.Fatalf("runtime unusable after left panic: %v", err)
-	}
-}
-
-func TestForkPanicWithAbandonedGroupChild(t *testing.T) {
-	// A branch that spawns a group child and panics before Wait must not
-	// hang Fork's panic cleanup (single worker: no thief will ever take
-	// the continuation) nor let the abandoned child outlive the Run.
-	for _, workers := range []int{1, 4} {
-		rt := New(Config{Workers: workers})
-		var childRuns atomic.Int64
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic to propagate")
-				}
-			}()
-			_ = run(rt, func(c *Context) {
-				c.Fork(
-					func(c *Context) {
-						g := c.NewGroup()
-						// A slow child: with thieves around it is stolen
-						// and still running when the panic unwinds, so
-						// the abort path must wait it out.
-						g.Spawn(func(*Context) {
-							time.Sleep(30 * time.Millisecond)
-							childRuns.Add(1)
-						})
-						time.Sleep(5 * time.Millisecond)
-						panic("mid-group failure")
-					},
-					func(*Context) {},
-				)
-			})
-		}()
-		snapshot := childRuns.Load()
-		time.Sleep(20 * time.Millisecond)
-		if got := childRuns.Load(); got != snapshot {
-			t.Fatalf("workers=%d: abandoned group child ran after Run failed (%d -> %d)",
-				workers, snapshot, got)
-		}
-		if err := run(rt, func(*Context) {}); err != nil {
-			t.Fatalf("workers=%d: runtime unusable after panic: %v", workers, err)
-		}
-		rt.Close()
-	}
-}
-
-func TestGroupWaitInsideLaterForkPanic(t *testing.T) {
-	// Wait may legally run inside a Fork branch pushed after the Spawns;
-	// the group's live-fork entries are then not the newest.  A panic
-	// after such a Wait must still settle the fork's continuation — it
-	// must not outlive the failed Run — and the runtime must stay usable.
-	rt := New(Config{Workers: 2})
-	defer rt.Close()
-	var rightRuns atomic.Int64
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic to propagate")
-			}
-		}()
-		_ = run(rt, func(c *Context) {
-			g := c.NewGroup()
-			g.Spawn(func(*Context) { time.Sleep(2 * time.Millisecond) })
-			c.Fork(
-				func(*Context) {
-					g.Wait()
-					panic("after nested wait")
-				},
-				func(*Context) { rightRuns.Add(1) },
-			)
-		})
-	}()
-	snapshot := rightRuns.Load()
-	time.Sleep(30 * time.Millisecond)
-	if got := rightRuns.Load(); got != snapshot {
-		t.Fatalf("fork continuation ran after Run failed (%d -> %d)", snapshot, got)
-	}
-	if err := run(rt, func(*Context) {}); err != nil {
-		t.Fatalf("runtime unusable after panic: %v", err)
-	}
-}
-
-func TestGroupWaitInsideLaterForkSingleWorker(t *testing.T) {
-	// With one worker there is no thief: Wait inside a Fork branch pushed
-	// after the Spawns can only make progress if the waiting worker runs
-	// its own pending tasks (self-steal in waitJoin).  This deadlocked
-	// before self-stealing existed.
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	var childRan, rightRan atomic.Int64
-	err := run(rt, func(c *Context) {
-		g := c.NewGroup()
-		g.Spawn(func(*Context) { childRan.Add(1) })
-		c.Fork(
-			func(*Context) { g.Wait() },
-			func(*Context) { rightRan.Add(1) },
-		)
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if childRan.Load() != 1 || rightRan.Load() != 1 {
-		t.Fatalf("child ran %d, right ran %d; want 1 and 1", childRan.Load(), rightRan.Load())
-	}
-}
-
-func TestNestedGroupWaitThenRootPanic(t *testing.T) {
-	// A Wait nested in a later Fork's left branch zeroes a live-fork entry
-	// below the inner fork's; the outer forks' stack pops must skip such
-	// zeroes (popLiveFork) or a later panic sends abortScope chasing a
-	// recycled join and the worker hangs forever.
-	for _, workers := range []int{1, 4} {
-		rt := New(Config{Workers: workers})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected root panic to propagate")
-				}
-			}()
-			_ = run(rt, func(c *Context) {
-				c.Fork(
-					func(c *Context) {
-						g := c.NewGroup()
-						g.Spawn(func(*Context) {})
-						c.Fork(func(*Context) { g.Wait() }, func(*Context) {})
-					},
-					func(*Context) {},
-				)
-				panic("root failure after nested wait")
-			})
-		}()
-		if err := run(rt, func(*Context) {}); err != nil {
-			t.Fatalf("workers=%d: runtime unusable after panic: %v", workers, err)
-		}
-		rt.Close()
-	}
-}
-
-func TestGroupSpawnInsideForkLeftBranch(t *testing.T) {
-	// Spawning into a group from a fork's left branch leaves the child's
-	// live entry above the fork's own; the fork's stack pop must remove
-	// its own entry (by join identity), not whatever is newest.
-	for _, workers := range []int{1, 4} {
-		rt := New(Config{Workers: workers})
-		var sum atomic.Int64
-		err := run(rt, func(c *Context) {
-			g := c.NewGroup()
-			c.Fork(
-				func(*Context) { g.Spawn(func(*Context) { sum.Add(1) }) },
-				func(*Context) { sum.Add(10) },
-			)
-			g.Wait()
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: Run: %v", workers, err)
-		}
-		if sum.Load() != 11 {
-			t.Fatalf("workers=%d: sum = %d, want 11", workers, sum.Load())
-		}
-		rt.Close()
-		sum.Store(0)
-	}
-}
-
-func TestNestedWaitSweepThenPanicNoResurrection(t *testing.T) {
-	// A nested Wait's trailing-zero sweep can shrink liveForks below an
-	// enclosing scope's mark; scope-end truncation must clamp to len
-	// rather than reslice up over vacated array slots, or a later panic
-	// sends abortScope chasing a resurrected entry with a recycled join.
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic to propagate")
-			}
-		}()
-		_ = run(rt, func(c *Context) {
-			g := c.NewGroup()
-			g.Spawn(func(*Context) {})
-			g.Spawn(func(c *Context) {
-				g2 := c.NewGroup()
-				g2.Spawn(func(*Context) {})
-				g2.Wait()
-				c.Fork(func(*Context) {}, func(*Context) {})
-			})
-			g.Wait()
-			panic("after nested waits")
-		})
-	}()
-	if got := len(rt.Worker(0).liveForks); got != 0 {
-		t.Fatalf("liveForks not empty after aborted run: %d", got)
-	}
-	if err := run(rt, func(*Context) {}); err != nil {
-		t.Fatalf("runtime unusable after panic: %v", err)
-	}
-}
-
-func TestNestedGroupInsideEarlierSibling(t *testing.T) {
-	// An earlier-spawned local child that runs its own nested group can
-	// sweep a later sibling's zeroed live-fork entry off the stack; the
-	// outer Wait's merge loop must tolerate the vanished index.
-	rt := New(Config{Workers: 1})
-	defer rt.Close()
-	var ran atomic.Int64
-	err := run(rt, func(c *Context) {
-		g := c.NewGroup()
-		g.Spawn(func(c *Context) {
-			g2 := c.NewGroup()
-			g2.Spawn(func(*Context) { ran.Add(1) })
-			g2.Wait()
-		})
-		g.Spawn(func(*Context) { ran.Add(1) })
-		g.Wait()
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ran.Load() != 2 {
-		t.Fatalf("ran = %d, want 2", ran.Load())
 	}
 }

@@ -57,22 +57,23 @@ type Worker struct {
 	_         [56]byte
 
 	// freeTasks and freeJoins are owner-only free lists backing the
-	// allocation-free fork fast path.  Tasks are recycled by whichever
-	// worker takes them out of circulation; joins only by their owner on
-	// the no-steal path (see join's doc comment).
+	// allocation-free fork fast path.  Both are recycled only by the worker
+	// that pushed them, when it pops its task back; what a thief took goes
+	// to the GC (see task's and join's doc comments).
 	freeTasks *task
 	freeJoins *join
 
 	// liveForks is the owner-only stack of forks this worker has pushed
 	// whose joins are not yet resolved, in push order.  Each entry keeps
 	// its own join pointer, captured at push time: the entry's task
-	// pointer is used only for popBottomIf identity comparison, never
-	// dereferenced, because once stolen the task belongs to its executor
-	// (stolen tasks are left to the GC, never recycled — see runTask).
-	// Normal fork/join flow maintains strict stack discipline (Group.Wait
-	// zeroes entries it consumes out of order); abortScope walks the
-	// stack when a task scope panics, so nothing a failed Run pushed can
-	// outlive the Run.
+	// pointer is used only for identity comparison with what popBottom
+	// returns, never dereferenced, because once stolen the task belongs to
+	// its executor.  Fork is the only spawn and thieves take the oldest task
+	// first, so this stack and the deque nest strictly: the deque holds the
+	// tasks of the newest entries, in the same order, and a fork's own entry
+	// is the top one when its join resolves.  abortScope unwinds the stack
+	// when a trace scope panics, so nothing a failed Run pushed can outlive
+	// the Run.
 	liveForks []liveFork
 
 	// Owner-only plain counters for the fork fast path; flushCounters
@@ -160,15 +161,14 @@ func (w *Worker) Steals() int64 { return w.nSteals.Load() }
 func (w *Worker) newTask(fn func(*Context), j *join) *task {
 	if t := w.freeTasks; t != nil {
 		w.freeTasks = t.next
-		t.fn, t.join, t.owner, t.job, t.next = fn, j, w.id, w.curJob, nil
+		t.fn, t.join, t.job, t.next = fn, j, w.curJob, nil
 		return t
 	}
-	return &task{fn: fn, join: j, owner: w.id, job: w.curJob}
+	return &task{fn: fn, join: j, job: w.curJob}
 }
 
-// freeTask recycles a task whose identity-check window has closed: popped
-// back by its owner on the fast path, or a Group child the owner ran
-// locally and has finished waiting on.
+// freeTask recycles a task its owner has popped back, which closes its
+// identity-check window: no thief ever held the pointer.
 func (w *Worker) freeTask(t *task) {
 	t.fn, t.join, t.job = nil, nil, nil
 	t.next = w.freeTasks
@@ -185,19 +185,9 @@ func (w *Worker) newJoin() *join {
 	return &join{}
 }
 
-// freeJoin recycles a join that is still in its pristine (reset) state: on
-// the fork fast path the pop proves no thief ever touched it, so the two
-// atomic stores of a reset would be pure overhead.
+// freeJoin recycles a join that is still in its zero state: its task was
+// popped back, which proves no thief ever touched it.
 func (w *Worker) freeJoin(j *join) {
-	j.next = w.freeJoins
-	w.freeJoins = j
-}
-
-// freeJoinUsed recycles a join this worker itself completed (a Group child
-// it popped and ran locally): no other worker can hold a reference, but the
-// fields must be cleared before reuse.
-func (w *Worker) freeJoinUsed(j *join) {
-	j.reset()
 	j.next = w.freeJoins
 	w.freeJoins = j
 }
@@ -206,8 +196,9 @@ func (w *Worker) freeJoinUsed(j *join) {
 // protocol: only the empty→non-empty transition can turn a parked worker's
 // situation from "nothing to steal" into "something to steal", so it is
 // the only push that signals — unless the trace is behind the wake gate
-// (idle.go); trySteal re-signals while a deep deque drains.  Fork and
-// Group.Spawn share this so the protocol lives in one place.
+// (idle.go); trySteal re-signals while a deep deque drains.  Fork is the
+// only caller: a push from anywhere else breaks the nesting popOwn and
+// waitJoin trap.
 //
 //cilkvet:hotpath
 func (w *Worker) pushTask(t *task) {
@@ -225,52 +216,28 @@ func (w *Worker) pushTask(t *task) {
 	}
 }
 
-// tryPopOwn pops t from the bottom of this worker's deque if it is still
-// there.  On decline it re-signals when the deque holds other work: the
-// declined pop transiently lowers bottom, and a parking worker whose
-// pre-park scan ran in that window may have seen this deque as empty.
-// Every owner-side conditional pop must go through here so the wake
-// protocol's no-lost-wakeup invariant cannot be forgotten at a call site.
-func (w *Worker) tryPopOwn(t *task) bool {
-	if w.dq.popBottomIf(t) {
-		return true
+// popOwn takes t, the newest task this worker pushed, back from the bottom
+// of its deque, or reports that a thief has it.  Nesting leaves no third
+// outcome: a newer task was pushed by a fork that has since joined, an older
+// one is stolen before t is.  Another task at the bottom was therefore pushed
+// outside Fork; it goes back, so that the abort of the scope this panic fails
+// finds the deque and liveForks in step.
+func (w *Worker) popOwn(t *task) bool {
+	got := w.dq.popBottom()
+	if got != t && got != nil {
+		w.dq.pushBottom(got)
+		panic("sched: popped a task that is not the fork's own")
 	}
-	if w.dq.size() > 0 {
-		w.rt.signalWork(0)
-	}
-	return false
+	return got != nil
 }
 
-// popLiveFork removes the calling fork's own liveForks entry, identified
-// by its join.  Usually it is the newest live entry — zeroed entries from
-// an out-of-order Group.Wait may sit above it and are swept by the
-// truncation — but children spawned into a still-un-Waited Group during
-// the fork's left branch are live entries above ours and must be kept: in
-// that case our entry is zeroed in place, preserving the indices Wait
-// recorded at Spawn time.
-func (w *Worker) popLiveFork(j *join) {
-	i := len(w.liveForks) - 1
-	for i >= 0 && w.liveForks[i].j == nil {
-		i--
-	}
-	if i >= 0 && w.liveForks[i].j == j {
-		vacated := w.liveForks[i:]
-		w.liveForks = w.liveForks[:i]
-		for k := range vacated {
-			// Clear the vacated backing slots: they hold recycled
-			// task/join pointers that must neither pin memory nor be
-			// resurrected by a later reslice.
-			vacated[k] = liveFork{}
-		}
-		return
-	}
-	for ; i >= 0; i-- {
-		if w.liveForks[i].j == j {
-			w.liveForks[i] = liveFork{}
-			return
-		}
-	}
-	panic("sched: fork's live entry missing from its worker's stack")
+// popLiveFork removes the newest liveForks entry: forks nest, so it is the
+// calling fork's own.  The vacated slot is cleared so that it does not pin a
+// stolen task's closure until the next fork this deep overwrites it.
+func (w *Worker) popLiveFork() {
+	n := len(w.liveForks) - 1
+	w.liveForks[n] = liveFork{}
+	w.liveForks = w.liveForks[:n]
 }
 
 // liveFork is one liveForks entry: a pushed task and the join captured at
@@ -281,19 +248,16 @@ type liveFork struct {
 	j *join
 }
 
-// abortScope runs when the task scope that begins at liveForks[mark]
+// abortScope runs when the trace scope that begins at liveForks[mark]
 // panics: every task the scope pushed is either reclaimed from the deque
 // (never seen by a thief — both objects recycle) or, if stolen, waited
 // out with its deposit dropped, so no user code from a failed Run keeps
-// executing after Run has returned.  Entries are processed newest-first;
-// zero entries were already consumed by the normal join paths.
+// executing after Run has returned.  Newest first, as their forks would
+// have joined.
 func (w *Worker) abortScope(mark int) {
-	for i := len(w.liveForks) - 1; i >= mark; i-- {
-		lf := w.liveForks[i]
-		if lf.j == nil {
-			continue
-		}
-		if w.tryPopOwn(lf.t) {
+	for len(w.liveForks) > mark {
+		lf := w.liveForks[len(w.liveForks)-1]
+		if w.popOwn(lf.t) {
 			w.freeTask(lf.t)
 			w.freeJoin(lf.j)
 		} else {
@@ -304,8 +268,8 @@ func (w *Worker) abortScope(mark int) {
 			// pagepool and view accounting balanced across an abort.
 			w.rt.reducers.Discard(w, lf.j.deposit)
 		}
+		w.popLiveFork()
 	}
-	w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
 }
 
 // flushCounters publishes the owner-local fast-path counters into the
@@ -386,7 +350,7 @@ func (w *Worker) loop() {
 			continue // chaos: delay the park decision by one extra sweep
 		}
 		rt.parked.Add(1)
-		if rt.workAvailable(w) || rt.serviceReady() {
+		if rt.workAvailable() || rt.serviceReady() {
 			rt.parked.Add(-1)
 			continue
 		}
@@ -411,13 +375,14 @@ func (w *Worker) loop() {
 	}
 }
 
-// runJob is the body every root runs through — the Run caller's own as
-// worker 0, a queued root, a service job: a fresh trace, the job's panic
-// boundary, view transferal.  It returns the root deposit, or the contained
-// panic value (wrapped here, nearest the panic, so it carries the panicking
-// stack; or the cancellation token; a failed view transferal is one too)
-// once everything the root pushed is settled and its views are discarded.
-func (w *Worker) runJob(fn func(*Context), jb *job) (d Deposit, panicked any) {
+// runTrace is the scope every trace runs in — the Run caller's root as
+// worker 0, a queued root, a service job, a stolen task — and the only place
+// one begins: a fresh trace, the closure's panic boundary, view transferal.
+// It returns the trace's deposit, or the contained panic value (wrapped
+// here, nearest the panic, so it carries the panicking stack; or the
+// cancellation token; a failed view transferal is one too) once everything
+// the scope pushed is settled and its views are discarded on this worker.
+func (w *Worker) runTrace(fn func(*Context), jb *job) (d Deposit, panicked any) {
 	w.nTasks.Add(1)
 	prev, prevJob := w.curTrace, w.curJob
 	w.curTrace = w.rt.reducers.BeginTrace(w)
@@ -433,13 +398,12 @@ func (w *Worker) runJob(fn func(*Context), jb *job) (d Deposit, panicked any) {
 		w.flushCounters()
 	}()
 	fn(&Context{w: w, wid: int32(w.id)})
-	w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
 	return w.rt.reducers.EndTrace(w, w.curTrace), nil
 }
 
 // runRoot executes one queued Run invocation.
 func (w *Worker) runRoot(root *rootTask) {
-	root.d, root.p = w.runJob(root.fn, root.job)
+	root.d, root.p = w.runTrace(root.fn, root.job)
 	close(root.done)
 }
 
@@ -453,7 +417,7 @@ func (w *Worker) runServiceJob(h *JobHandle) {
 		h.settleFromWorker(w, nil, errJobCancelled)
 		return
 	}
-	d, p := w.runJob(h.fn, h.job)
+	d, p := w.runTrace(h.fn, h.job)
 	h.settleFromWorker(w, d, p)
 }
 
@@ -466,77 +430,34 @@ func (w *Worker) endTraceAbort() {
 	w.rt.reducers.Discard(w, w.rt.reducers.EndTrace(w, w.curTrace))
 }
 
-// runTask executes a stolen task as a fresh trace, completes its join, and
-// recycles the task object into this worker's free list.
+// runTask executes a stolen task as a trace of its own and completes its
+// join: with the deposit, or, if the branch failed or its view transferal
+// did, with the contained failure and no deposit.  The join always
+// completes, or the forker would hang.
+//
+// The task is not recycled: a stolen task's pointer could migrate through
+// thieves' pools back into the origin worker's free list and forge an
+// identity match in popOwn (ABA) while the pushing fork is still suspended.
+// It goes to the GC — part of the steal cost the paper's accounting already
+// budgets for.
 func (w *Worker) runTask(t *task) {
-	w.nTasks.Add(1)
-	if j := t.job; j != nil {
-		j.progress.Add(1) // a stolen/helped branch ran: the job is alive
+	jb := t.job
+	if jb != nil {
+		jb.progress.Add(1) // a stolen/helped branch ran: the job is alive
+		if jb.cancelled.Load() {
+			// Cancelled before this branch started: never begin the trace.
+			// The token crosses the join as it would from a checkpoint.
+			w.nTasks.Add(1)
+			t.join.complete(nil, errJobCancelled)
+			return
+		}
 	}
-	prev, prevJob, prevGate := w.curTrace, w.curJob, w.gateUntil
-	w.curTrace = w.rt.reducers.BeginTrace(w)
-	w.curJob = t.job
 	// A stolen task's pushes signal, whatever gate its root began behind.
+	prevGate := w.gateUntil
 	w.gateUntil = 0
-	mark := len(w.liveForks)
-	var panicked any
-	if j := t.job; j != nil && j.cancelled.Load() {
-		// The job was cancelled before this branch started: skip the user
-		// closure entirely.  The join still completes (with an empty
-		// deposit) so the forker unblocks, and the token propagates so the
-		// forker's own join logic treats the branch as cancelled.
-		panicked = errJobCancelled
-	} else {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panicked = wrapPanic(p)
-				}
-			}()
-			ctx := &Context{w: w, wid: int32(w.id)}
-			t.fn(ctx)
-		}()
-	}
-	if panicked != nil {
-		w.abortScope(mark)
-	}
-	// Drop any resolved (zeroed) entries the scope left behind — and, like
-	// the seed runtime, stop tracking children a misused Group never
-	// Waited for.  Clamp to len: a nested Wait's sweep may have truncated
-	// below mark, and reslicing up would resurrect vacated slots.
-	w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
-	var d Deposit
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				// View transferal itself failed (e.g. injected pagepool
-				// exhaustion).  The join must still complete or the forker
-				// hangs forever; report the transferal failure through the
-				// join unless the branch had already failed.
-				d = nil
-				if panicked == nil {
-					panicked = wrapPanic(p)
-				}
-			}
-		}()
-		d = w.rt.reducers.EndTrace(w, w.curTrace)
-	}()
-	w.curTrace, w.curJob, w.gateUntil = prev, prevJob, prevGate
-	if panicked != nil {
-		t.join.panicVal = panicked
-	}
-	w.flushCounters()
-	t.join.complete(d)
-	// The task is deliberately NOT recycled here.  Recycling is only safe
-	// once no suspended frame can still hold the pointer for a later
-	// popBottomIf identity check, and the executor cannot know that: a
-	// remote-stolen task's pointer could migrate through thieves' pools
-	// back into the origin worker's free list and forge an identity match
-	// (ABA) while the pushing fork is still suspended.  Only the two
-	// sites that provably close a task's window recycle it: Fork's
-	// fast-path pop and Group.Wait's local children.  Stolen and
-	// self-stolen tasks go to the GC — part of the steal cost the paper's
-	// accounting already budgets for.
+	d, panicked := w.runTrace(t.fn, jb)
+	w.gateUntil = prevGate
+	t.join.complete(d, panicked)
 }
 
 // trySteal performs one sweep over the other workers in random order and
@@ -591,19 +512,12 @@ func (w *Worker) waitJoin(j *join) {
 			attempts = 0
 			continue
 		}
-		// Self-steal: with nothing to take from other workers, pop and run
-		// our own newest continuation exactly as a thief would (fresh
-		// trace, deposit, merge at its fork's join).  Any thief could
-		// legally run it concurrently with the suspended branch, so this
-		// is a valid parallel interleaving — and it is the only way to
-		// make progress when the join we are waiting on depends on a task
-		// stuck in our own deque (e.g. a group child spawned before the
-		// fork being joined, with no other worker free to steal it).
-		if t := w.dq.popBottom(); t != nil {
-			w.nHelped.Add(1)
-			w.runTask(t)
-			attempts = 0
-			continue
+		// Thieves take the oldest task first, so everything this worker
+		// pushed before the stolen continuation is stolen too, and every
+		// fork since has joined: a task here was pushed outside Fork, and
+		// parking on a join that may depend on it would hang.
+		if w.dq.size() > 0 {
+			panic("sched: stalled join with a non-empty own deque")
 		}
 		attempts++
 		if attempts < parkSweeps {
@@ -618,7 +532,7 @@ func (w *Worker) waitJoin(j *join) {
 			return
 		}
 		rt.parked.Add(1)
-		if rt.workAvailable(w) {
+		if rt.workAvailable() {
 			rt.parked.Add(-1)
 			continue
 		}
@@ -626,14 +540,13 @@ func (w *Worker) waitJoin(j *join) {
 		select {
 		case <-ch:
 		case <-rt.wake:
-			// The token may have been meant for stealable work anywhere —
-			// including this worker's own deque, whose tasks other
-			// workers can take, or a queued service job this worker (busy
-			// at a join) cannot dispatch.  If the join happens to have
+			// The token may have been meant for stealable work anywhere, or
+			// for a queued service job this worker (busy at a join)
+			// cannot dispatch.  If the join happens to have
 			// completed too, the loop exits without a steal sweep, so pass
 			// the token on rather than swallow it; a spurious extra wake
 			// just re-parks.
-			if rt.workAvailable(nil) || rt.serviceReady() {
+			if rt.workAvailable() || rt.serviceReady() {
 				rt.signalWork(0)
 			}
 		}

@@ -1,6 +1,7 @@
 #!/bin/sh
 # inline-check: pin the compiler's inlining decisions for the typed-lookup
-# fast path, the first-lookup miss path and the fork path's wake-gate test.
+# fast path, the first-lookup miss path and the fork path's wake-gate test
+# and live-fork pop.
 #
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
@@ -62,6 +63,12 @@ require 'internal/sched/idle.go' 'can inline (*Worker).wakeGated'
 require 'internal/sched/worker.go' 'inlining call to (*Worker).wakeGated'
 require 'internal/sched/context.go' 'inlining call to (*Worker).wakeGated'
 
+# Layer 1 (scheduler): a fork's live entry is the top of its worker's stack
+# (forks nest), so removing it is a store and a reslice inside Fork.  The
+# deque's popBottom does not fit the budget (cost 131) and stays a call.
+require 'internal/sched/worker.go' 'can inline (*Worker).popLiveFork'
+require 'internal/sched/context.go' 'inlining call to (*Worker).popLiveFork'
+
 # Layer 2: the memory-mapped engine's LookupWord hit shape is fully
 # flattened — probe, owner-stamp check, view word and epoch all inline.
 require 'internal/core/mm.go' 'inlining call to spa.(*MapSet).Probe'
@@ -105,7 +112,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|ReduceViews' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|popLiveFork|ReduceViews' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"
