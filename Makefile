@@ -97,12 +97,16 @@ chaos:
 # concurrent submitters × the service failpoints (admission, dispatch,
 # deadline, drain) plus engine faults re-run under concurrent submission,
 # asserting per-job containment and pool-wide quiescence after drain, with
-# the Close-vs-Submit race alongside.  Widened seeds by default: the
-# interesting interleavings here come from the seed × submitter product.
+# the Close-vs-Submit race alongside, and the settle-before-deliver order
+# (Stats read right after Wait, or from OnDone, counts the job settled)
+# repeated at 1, 2 and 4 Ps.  Widened seeds by default: the interesting
+# interleavings here come from the seed × submitter product.
 chaos-service:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m \
 		-run 'TestChaosServiceSweep' .
 	$(GO) test -race -count=1 -run 'TestServiceCloseRacingSubmit' ./internal/sched/
+	$(GO) test -race -count=10 -cpu 1,2,4 \
+		-run 'TestServiceSubmitConcurrent|TestServiceSettlesBeforeDelivery' ./internal/sched/
 
 # docs-check is the documentation lint: broken relative links in README.md
 # and docs/, and undocumented exported identifiers in the public facade

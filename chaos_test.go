@@ -90,15 +90,14 @@ func chaosSeeds(t testing.TB) []uint64 {
 }
 
 // newChaosSession builds a session tuned to reach every failpoint: the
-// modelled address space wires the TLMM failpoints in, a single directory
-// shard makes registrations fill SPA pages (and hence trigger growth)
-// deterministically.
+// modelled address space wires the TLMM failpoints in, and the directory's
+// dense addresses make registrations fill SPA pages (and hence trigger
+// growth) deterministically.
 func newChaosSession(mech cilkm.Mechanism) *cilkm.Session {
 	return cilkm.New(
 		cilkm.WithMechanism(mech),
 		cilkm.WithWorkers(4),
 		cilkm.WithModelAddressSpace(),
-		cilkm.WithDirectoryShards(1),
 	)
 }
 
@@ -292,7 +291,6 @@ func chaosServiceRun(t *testing.T, mech cilkm.Mechanism, pt chaosPoint, seed uin
 		cilkm.WithMechanism(mech),
 		cilkm.WithWorkers(4),
 		cilkm.WithModelAddressSpace(),
-		cilkm.WithDirectoryShards(1),
 		cilkm.WithQueueBound(4),
 		cilkm.WithDrainPolicy(drain),
 	)

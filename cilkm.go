@@ -166,12 +166,6 @@ func WithModelAddressSpace() Option {
 	return func(o *options) { o.eng.ModelAddressSpace = true }
 }
 
-// WithDirectoryShards sets the number of reducer-directory shards for
-// either engine; zero sizes the directory from the worker count.
-func WithDirectoryShards(n int) Option {
-	return func(o *options) { o.eng.DirectoryShards = n }
-}
-
 // WithMetricsExporter registers the session's runtime signals on the given
 // exporter: the reducer engine (merge pipeline, arenas, directory, page
 // pool), the scheduler (steals, forks, parking), and the

@@ -111,7 +111,6 @@ func TestFunctionalOptionsConstructor(t *testing.T) {
 			cilkm.WithMechanism(mech),
 			cilkm.WithWorkers(2),
 			cilkm.WithTiming(),
-			cilkm.WithDirectoryShards(1),
 		)
 		cu := cilkm.NewCustomOf[pair](s.Engine(), typedPairMonoid{})
 		if err := s.Run(func(c *cilkm.Context) {

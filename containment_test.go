@@ -301,7 +301,7 @@ func directoryStats(eng cilkm.Engine) metrics.DirectoryStats {
 func TestRootMergeReducePanicServiceJob(t *testing.T) {
 	for _, mech := range cilkm.Mechanisms() {
 		t.Run(mech.String(), func(t *testing.T) {
-			svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(2), cilkm.WithDirectoryShards(1))
+			svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 			submit := func(what string, fn func(*cilkm.Context, *cilkm.JobSession)) (err error) {
 				t.Helper()
 				h, serr := svc.Submit(context.Background(), fn)
@@ -395,7 +395,7 @@ func TestNilViewMonoidNamedFailures(t *testing.T) {
 			defer s.Close()
 			eng := s.Engine()
 			warm := cilkm.NewAdd[int](eng)
-			warm.Close() // one recycled address on the free stack
+			warm.Close() // one recycled address on the free list
 			before := directoryStats(eng)
 
 			_, err := reducers.TryNewHandle[int](eng, cilkm.TypedFuncMonoid[int]{

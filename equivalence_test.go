@@ -211,16 +211,15 @@ func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 // TestFastPathInvalidationOnMidRunUnregister pins the lookup fast path's
 // invalidation contract against the nastiest reuse scenario: a reducer is
 // unregistered mid-run and its slot address is immediately recycled by a
-// fresh registration.  With a single directory shard the shard's LIFO free
-// stack makes the reuse deterministic.  The Unregister must bump the view
+// fresh registration.  The directory's LIFO free list makes the reuse
+// deterministic.  The Unregister must bump the view
 // epoch (so every per-handle and per-context cache re-resolves), and the
 // handle occupying the recycled address must read its own identity view —
 // never the retired reducer's value — on both engines.
 func TestFastPathInvalidationOnMidRunUnregister(t *testing.T) {
 	const n = 1000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2),
-			cilkm.WithDirectoryShards(1))
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 		keep := cilkm.NewAdd[int64](s.Engine())
 		var reused *reducers.Add[int64]
 		err := s.Run(func(c *cilkm.Context) {

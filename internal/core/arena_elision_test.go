@@ -296,14 +296,14 @@ func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 // the engine level: a single trace inserts more views into one SPA map page
 // than the 120-entry log can describe, so transferal and the hypermerge
 // must fall back to the full-array scan — and still fold every view, on
-// both engines.  DirectoryShards is pinned to 1 so the first 248 reducers
-// share SPA page 0.
+// both engines.  Addresses are handed out densely, so the first 248
+// reducers share SPA page 0.
 func TestLogOverflowHypermergeBothEngines(t *testing.T) {
 	const nred = spa.LogCapacity + 80 // 200 > 120, all on page 0
 	const reps = 3
 	for name, eng := range map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: 1, DirectoryShards: 1}),
+		"mm":       core.NewMM(core.MMConfig{Workers: 1}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: 1}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)
@@ -361,7 +361,7 @@ func TestLogOverflowHypermergeBothEngines(t *testing.T) {
 // the invariant.
 func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 	const pages = 5
-	eng := core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1, ModelAddressSpace: true})
+	eng := core.NewMM(core.MMConfig{Workers: 1, ModelAddressSpace: true})
 	s := core.NewSession(1, eng)
 	defer s.Close()
 

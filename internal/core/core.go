@@ -36,7 +36,7 @@ type Engine interface {
 	// has been recycled to a new reducer.
 	Unregister(r *Reducer)
 	// Registered reports the number of live reducers.  Both engines answer
-	// from the directory's atomic live counter, without taking a lock.
+	// from the directory's counters, under its lock.
 	Registered() int
 	// LookupWord is the engine's one lookup: it resolves the local view of
 	// r for the execution context c as its packed single-word

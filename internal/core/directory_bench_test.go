@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkRegisterChurnDirectory is concurrent register/unregister churn
-// through the sharded directory on the memory-mapped engine: lock-free slot
-// pop/push per shard.
+// through the directory on the memory-mapped engine: one free-list pop and
+// one push per pair, each under the directory's lock.
 func BenchmarkRegisterChurnDirectory(b *testing.B) {
 	eng := core.NewMM(core.MMConfig{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {
@@ -40,8 +40,8 @@ func BenchmarkRegisterChurnDirectoryHypermap(b *testing.B) {
 }
 
 // BenchmarkRegisterGrowthDirectory registers without unregistering, so
-// every allocation takes a fresh slot and the directory's RCU slot arrays
-// and page-growth path are exercised rather than the free lists.
+// every allocation takes a fresh address and the page-growth path is
+// exercised rather than the free list.
 func BenchmarkRegisterGrowthDirectory(b *testing.B) {
 	eng := core.NewMM(core.MMConfig{Workers: 8})
 	b.RunParallel(func(pb *testing.PB) {

@@ -8,33 +8,15 @@ import (
 	"repro/internal/spa"
 )
 
-// newDir is a directory with no engine attached: registration through the
-// directory tags reducers with a nil engine, which none of these tests
-// dereference.
-func newDir(cfg core.DirectoryConfig) *core.Directory { return core.NewDirectory(cfg) }
+// The directories in these tests have no engine attached: registration
+// through the directory tags reducers with a nil engine, which none of these
+// tests dereference.
 
-func TestDirectoryShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {100, 128},
-	} {
-		d := newDir(core.DirectoryConfig{Shards: tc.in})
-		if got := d.Shards(); got != tc.want {
-			t.Fatalf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	// The default is a power of two sized from the worker count.
-	d := newDir(core.DirectoryConfig{Workers: 3})
-	if got := d.Shards(); got < 8 || got&(got-1) != 0 {
-		t.Fatalf("default shard count %d: want a power of two >= 8", got)
-	}
-}
-
-// TestDirectorySequentialAddrsDense checks the striped address layout: a
-// single-threaded registration sequence receives the dense addresses
-// 0, 1, 2, ... regardless of the shard count, so the SPA page span stays
-// proportional to the number of reducers.
+// TestDirectorySequentialAddrsDense checks that a single-threaded
+// registration sequence receives the dense addresses 0, 1, 2, ..., so the
+// SPA page span stays proportional to the number of reducers.
 func TestDirectorySequentialAddrsDense(t *testing.T) {
-	d := newDir(core.DirectoryConfig{Shards: 16})
+	d := core.NewDirectory(nil)
 	for i := 0; i < 1000; i++ {
 		r, err := d.Register(nil, sumMonoid)
 		if err != nil {
@@ -49,23 +31,73 @@ func TestDirectorySequentialAddrsDense(t *testing.T) {
 	}
 }
 
-func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
-	d := newDir(core.DirectoryConfig{Shards: 1})
-	r1, _ := d.Register(nil, sumMonoid)
-	if !d.Valid(r1) {
-		t.Fatal("fresh registration not valid")
+// TestDirectoryRecyclesLIFO pins the free list's order: the address
+// unregistered last is the next one handed out.  So one reducer churned in
+// a loop keeps one address, and concurrent churn never mints an address
+// beyond the peak live count.
+func TestDirectoryRecyclesLIFO(t *testing.T) {
+	d := core.NewDirectory(nil)
+	first, _ := d.Register(nil, sumMonoid)
+	d.Unregister(first)
+	for i := 0; i < 1000; i++ {
+		r, err := d.Register(nil, sumMonoid)
+		if err != nil {
+			t.Fatalf("Register %d: %v", i, err)
+		}
+		if r.Addr() != first.Addr() {
+			t.Fatalf("churn %d got address %d, want the recycled %d", i, r.Addr(), first.Addr())
+		}
+		d.Unregister(r)
 	}
-	if got := d.Get(r1.Addr()); got != r1 {
-		t.Fatalf("Get = %p, want r1", got)
+
+	// W goroutines each hold at most k live reducers, so at most W·k are
+	// live at once: a fresh address is minted only when the free list is
+	// empty, so none may reach W·k.
+	const workers, k, rounds = 4, 8, 200
+	d = core.NewDirectory(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs := make([]*core.Reducer, k)
+			for i := 0; i < rounds; i++ {
+				for j := range rs {
+					r, err := d.Register(nil, sumMonoid)
+					if err != nil {
+						t.Errorf("Register: %v", err)
+						return
+					}
+					if r.Addr() >= workers*k {
+						t.Errorf("address %d minted with at most %d reducers live", r.Addr(), workers*k)
+						return
+					}
+					rs[j] = r
+				}
+				for _, r := range rs {
+					d.Unregister(r)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := d.Stats(); st.FreshSlots > workers*k || st.Live != 0 || st.FreeSlots != st.FreshSlots {
+		t.Fatalf("after churn: FreshSlots=%d Live=%d FreeSlots=%d, want FreshSlots ≤ %d, no live, every address free",
+			st.FreshSlots, st.Live, st.FreeSlots, workers*k)
+	}
+}
+
+func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
+	d := core.NewDirectory(nil)
+	r1, _ := d.Register(nil, sumMonoid)
+	if !d.Valid(r1) || d.Live() != 1 {
+		t.Fatal("fresh registration not valid")
 	}
 	if !d.Unregister(r1) {
 		t.Fatal("Unregister returned false for a live reducer")
 	}
-	if d.Valid(r1) {
+	if d.Valid(r1) || d.Live() != 0 {
 		t.Fatal("retired handle still valid")
-	}
-	if d.Get(r1.Addr()) != nil {
-		t.Fatal("Get returned a retired reducer")
 	}
 	r2, _ := d.Register(nil, sumMonoid)
 	if r2.Addr() != r1.Addr() {
@@ -79,12 +111,9 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if !d.Valid(r2) {
 		t.Fatal("recycled registration not valid")
 	}
-	if got := d.Get(r2.Addr()); got != r2 {
-		t.Fatalf("Get after recycle = %p, want r2", got)
-	}
 	// A reducer of another directory at the same address is neither valid
 	// here nor unregistered by this directory.
-	other := newDir(core.DirectoryConfig{Shards: 1})
+	other := core.NewDirectory(nil)
 	foreign, _ := other.Register(nil, sumMonoid)
 	if foreign.Addr() != r2.Addr() {
 		t.Fatalf("foreign reducer at address %d, want %d", foreign.Addr(), r2.Addr())
@@ -101,7 +130,7 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 // a double-Unregister after slot reuse must neither delete the new
 // occupant's entry nor push a duplicate address onto the free list.
 func TestDirectoryDoubleUnregister(t *testing.T) {
-	d := newDir(core.DirectoryConfig{Shards: 1})
+	d := core.NewDirectory(nil)
 	r1, _ := d.Register(nil, sumMonoid)
 	if !d.Unregister(r1) {
 		t.Fatal("first Unregister failed")
@@ -131,10 +160,7 @@ func TestDirectoryDoubleUnregister(t *testing.T) {
 
 func TestDirectoryGrowHookOrdering(t *testing.T) {
 	var pages []int
-	d := newDir(core.DirectoryConfig{
-		Shards: 4,
-		OnGrow: func(p int) error { pages = append(pages, p); return nil },
-	})
+	d := core.NewDirectory(func(p int) error { pages = append(pages, p); return nil })
 	n := 2*spa.SlotsPerMap + 1 // spans three SPA pages
 	for i := 0; i < n; i++ {
 		if _, err := d.Register(nil, sumMonoid); err != nil {
@@ -156,14 +182,11 @@ func TestDirectoryGrowHookOrdering(t *testing.T) {
 
 func TestDirectoryGrowHookErrorFailsRegistration(t *testing.T) {
 	fail := false
-	d := newDir(core.DirectoryConfig{
-		Shards: 1,
-		OnGrow: func(p int) error {
-			if fail {
-				return errTest
-			}
-			return nil
-		},
+	d := core.NewDirectory(func(p int) error {
+		if fail {
+			return errTest
+		}
+		return nil
 	})
 	for i := 0; i < spa.SlotsPerMap; i++ {
 		if _, err := d.Register(nil, sumMonoid); err != nil {
@@ -188,10 +211,11 @@ func TestDirectoryGrowHookErrorFailsRegistration(t *testing.T) {
 
 // TestDirectoryConcurrentChurn hammers Register/Unregister from many
 // goroutines and checks the directory's global invariants afterwards:
-// the live count is exact, every live reducer is valid, and no two live
-// reducers share an address.
+// the live count is exact, every live reducer is valid, no two live
+// reducers share an address, and every address ever minted is either live
+// or on the free list.
 func TestDirectoryConcurrentChurn(t *testing.T) {
-	d := newDir(core.DirectoryConfig{Shards: 8})
+	d := core.NewDirectory(nil)
 	const goroutines = 8
 	const perG = 2000
 	var wg sync.WaitGroup
@@ -237,11 +261,6 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 	if d.Live() != want {
 		t.Fatalf("Live = %d, want %d", d.Live(), want)
 	}
-	n := 0
-	d.Range(func(r *core.Reducer) bool { n++; return true })
-	if n != want {
-		t.Fatalf("Range visited %d live reducers, want %d", n, want)
-	}
 	st := d.Stats()
 	if st.Registers != goroutines*perG {
 		t.Fatalf("Registers = %d, want %d", st.Registers, goroutines*perG)
@@ -251,6 +270,9 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 	}
 	if st.Unregisters != int64(goroutines*perG-want) {
 		t.Fatalf("Unregisters = %d, want %d", st.Unregisters, goroutines*perG-want)
+	}
+	if st.Live+st.FreeSlots != st.FreshSlots {
+		t.Fatalf("Live+FreeSlots = %d, want FreshSlots = %d", st.Live+st.FreeSlots, st.FreshSlots)
 	}
 }
 

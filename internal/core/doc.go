@@ -33,7 +33,7 @@
 // (word.go).
 //
 // Around that mechanism the package grows the runtime pieces a resident
-// engine needs: a sharded lock-free reducer directory (type Directory),
+// engine needs: a one-lock reducer directory (type Directory),
 // per-worker size-classed view arenas that recycle identity views through
 // the merge, and a hypermerge that is one walk over the deposit's occupied
 // slots, reducing each matched pair in place on the worker that owns the

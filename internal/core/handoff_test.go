@@ -93,7 +93,7 @@ func TestHandoffRepeatedLogIndex(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1})
+			eng := core.NewMM(core.MMConfig{Workers: 1})
 			s := core.NewSession(1, eng)
 			defer s.Close()
 			armed := false
@@ -143,7 +143,7 @@ func TestHandoffRepeatedLogIndex(t *testing.T) {
 func TestHandoffNestedTracesConservePool(t *testing.T) {
 	for name, model := range map[string]bool{"plain": false, "modelled address space": true} {
 		t.Run(name, func(t *testing.T) {
-			eng := core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1, ModelAddressSpace: model})
+			eng := core.NewMM(core.MMConfig{Workers: 1, ModelAddressSpace: model})
 			s := core.NewSession(1, eng)
 			defer s.Close()
 			rs := make([]*core.Reducer, 300)

@@ -98,11 +98,11 @@ func TestOptionSurface(t *testing.T) {
 		return names
 	}
 	if got, want := fields(reflect.TypeFor[core.MMConfig]()),
-		[]string{"Workers", "Timing", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {
+		[]string{"Workers", "Timing", "ModelAddressSpace"}; !slices.Equal(got, want) {
 		t.Errorf("core.MMConfig fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[hypermap.Config]()),
-		[]string{"Workers", "Timing", "DirectoryShards"}; !slices.Equal(got, want) {
+		[]string{"Workers", "Timing"}; !slices.Equal(got, want) {
 		t.Errorf("hypermap.Config fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[bench.Config]()),
@@ -110,7 +110,7 @@ func TestOptionSurface(t *testing.T) {
 		t.Errorf("bench.Config fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[reducers.EngineOptions]()),
-		[]string{"Timing", "CountLookups", "ModelAddressSpace", "DirectoryShards"}; !slices.Equal(got, want) {
+		[]string{"Timing", "CountLookups", "ModelAddressSpace"}; !slices.Equal(got, want) {
 		t.Errorf("reducers.EngineOptions fields = %v, want %v", got, want)
 	}
 
@@ -135,7 +135,7 @@ func TestOptionSurface(t *testing.T) {
 	}
 	slices.Sort(withs)
 	want := []string{
-		"WithAdmitPolicy", "WithCountLookups", "WithDirectoryShards", "WithDrainPolicy",
+		"WithAdmitPolicy", "WithCountLookups", "WithDrainPolicy",
 		"WithMechanism", "WithMetricsExporter", "WithModelAddressSpace", "WithOnDone",
 		"WithPriority", "WithQueueBound", "WithTimeout", "WithTiming", "WithWatchdog", "WithWorkers",
 	}

@@ -118,8 +118,8 @@ func mergeCycle(t *testing.T, eng core.Engine, s *core.Session, cur, dep func(c 
 // boundaries and overflow the pages' logs.
 func TestMergeMatrixBothEngines(t *testing.T) {
 	for name, eng := range map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: 1, DirectoryShards: 1}),
+		"mm":       core.NewMM(core.MMConfig{Workers: 1}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: 1}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)

@@ -20,15 +20,11 @@ func engines(workers int) map[string]core.Engine {
 
 // TestUnregisterSlotRecyclingBothEngines covers the full recycle cycle on
 // both engines: register → unregister → register reuses the slot, and the
-// unregistered reducer's final value stays readable.  The directory is
-// pinned to one shard so the recycled address is handed to the very next
-// registration (with more shards the round-robin cursor reaches the freed
-// shard within Shards() registrations).
+// unregistered reducer's final value stays readable.  The directory's free
+// list is LIFO, so the recycled address is handed to the very next
+// registration.
 func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
-	for name, eng := range map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: 2, DirectoryShards: 1}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: 2, DirectoryShards: 1}),
-	} {
+	for name, eng := range engines(2) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(2, eng)
 			defer s.Close()

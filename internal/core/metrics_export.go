@@ -7,11 +7,11 @@ import "repro/internal/metrics"
 const engineLabel = "mm"
 
 // SampleMetrics implements metrics.Source: it emits the engine's live
-// counters as exporter samples.  Every value comes from an atomic load —
-// the merge pipeline's padded counters, the flushed arena and lookup
-// counters, the page pool's internal accounting and the directory shard
-// counters — so
-// sampling is safe at any moment of a run and never blocks a worker.
+// counters as exporter samples.  The merge pipeline's padded counters, the
+// flushed arena and lookup counters and the page pool's accounting are
+// atomic loads; the directory's counters are read under its lock, which no
+// lookup or merge takes — so sampling is safe at any moment of a run and
+// never blocks a worker's lookups or merges.
 func (e *MM) SampleMetrics(emit func(metrics.MetricSample)) {
 	ms := e.MergeStats()
 	metrics.EmitMergePipeline(emit, engineLabel, ms)

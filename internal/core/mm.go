@@ -29,10 +29,6 @@ type MMConfig struct {
 	// kernel modification provides; disable it for the tightest possible
 	// lookup fast path.
 	ModelAddressSpace bool
-	// DirectoryShards is the number of reducer-directory shards; it is
-	// rounded up to a power of two.  Zero sizes the directory from
-	// Workers.  Tests pin it to 1 to make slot recycling deterministic.
-	DirectoryShards int
 }
 
 // MM is the memory-mapping reducer engine (the paper's Cilk-M mechanism).
@@ -47,14 +43,13 @@ type MM struct {
 	layout *tlmm.RegionLayout
 	// pageTable is the RCU-published map from SPA page index to reserved
 	// TLMM base address (nil unless ModelAddressSpace).  It is grown by
-	// the directory's serialised OnGrow hook and read lock-free by every
-	// worker mapping a page, so address-space growth never blocks lookups
-	// or other registrations.
+	// the directory's OnGrow hook and read lock-free by every worker
+	// mapping a page, so address-space growth never blocks lookups.
 	pageTable *tlmm.RegionPageTable
 
-	// dir is the sharded reducer directory: Register, Unregister,
-	// Registered and the root merge's reducer resolution all run on its
-	// lock-free paths.
+	// dir is the reducer directory: Register, Unregister and Registered
+	// take its lock; the lookup miss and the merges check validity with one
+	// load.
 	dir *Directory
 
 	// initMu guards attach-time bookkeeping only (the worker list in
@@ -201,28 +196,28 @@ func NewMM(cfg MMConfig) *MM {
 		func() *spa.Map { return spa.New() },
 		pagepool.WithEmptyCheck[*spa.Map](func(m *spa.Map) bool { return m.IsEmpty() }),
 	)
-	dcfg := DirectoryConfig{Shards: cfg.DirectoryShards, Workers: cfg.Workers}
+	var onGrow func(page int) error
 	if cfg.ModelAddressSpace {
 		e.aspace = tlmm.NewAddressSpace(nil)
 		e.layout = tlmm.NewRegionLayout()
 		e.pageTable = &tlmm.RegionPageTable{}
-		dcfg.OnGrow = e.growReducerPage
+		onGrow = e.growReducerPage
 	}
-	e.dir = NewDirectory(dcfg)
+	e.dir = NewDirectory(onGrow)
 	return e
 }
 
 // growReducerPage is the directory's OnGrow hook: it reserves TLMM address
 // space for one more SPA page and publishes the reservation in the RCU page
-// table.  The directory serialises calls and keeps them off the shard fast
-// paths, so registering reducer #100,000 neither stalls lookups nor other
-// registrations.  Workers observe the growth through the published table
-// (and the view-epoch bump) the next time they need to map the page.
+// table.  The directory calls it under its lock, once per spa.SlotsPerMap
+// fresh addresses, so lookups never wait for it.  Workers observe the growth
+// through the published table (and the view-epoch bump) the next time they
+// need to map the page.
 func (e *MM) growReducerPage(page int) error {
 	if err := faultinject.Error(faultinject.TLMMGrow); err != nil {
 		// Injected address-space exhaustion: the registration that
-		// triggered the growth fails cleanly (the directory returns the
-		// slot to its free stack) and no reservation is recorded.
+		// triggered the growth fails cleanly (the directory keeps the
+		// address unused) and no reservation is recorded.
 		return fmt.Errorf("core: reserving TLMM page %d: %w", page, err)
 	}
 	base, err := e.layout.ReserveReducerPages(1)
@@ -270,10 +265,9 @@ func (e *MM) ArenaStats() metrics.ArenaStats { return e.arena.Snapshot() }
 
 // --- Engine registration and lookup ---
 
-// Register implements Engine: a lock-free slot allocation in the sharded
-// directory.  The only lock a registration can encounter is the directory's
-// grow mutex, taken once per fresh SPA page (every spa.SlotsPerMap
-// addresses) to reserve TLMM address space.
+// Register implements Engine: one address taken under the directory's lock,
+// which also reserves TLMM address space once per fresh SPA page (every
+// spa.SlotsPerMap addresses).
 func (e *MM) Register(m Monoid) (*Reducer, error) {
 	return e.dir.Register(e, m)
 }
@@ -297,15 +291,10 @@ func (e *MM) Unregister(r *Reducer) {
 	}
 }
 
-// Registered returns the number of live reducers.  Lock-free.
+// Registered returns the number of live reducers.
 func (e *MM) Registered() int { return e.dir.Live() }
 
-// Directory exposes the sharded reducer directory (for tests, benchmarks
-// and diagnostics).
-func (e *MM) Directory() *Directory { return e.dir }
-
-// DirectoryStats returns a snapshot of the directory's shard layout and
-// contention counters.
+// DirectoryStats returns a snapshot of the directory's counters.
 func (e *MM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
 // LookupWord implements Engine.  The hit is the paper's two memory accesses

@@ -67,9 +67,9 @@ func TestMMRegisterNilMonoidFails(t *testing.T) {
 }
 
 func TestMMUnregisterRecyclesSlots(t *testing.T) {
-	// One directory shard makes the recycled address available to the very
+	// The directory's LIFO free list hands the recycled address to the very
 	// next registration.
-	e := core.NewMM(core.MMConfig{Workers: 1, DirectoryShards: 1})
+	e := core.NewMM(core.MMConfig{Workers: 1})
 	r1, _ := e.Register(sumMonoid)
 	r2, _ := e.Register(sumMonoid)
 	addr1 := r1.Addr()

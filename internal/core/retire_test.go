@@ -4,28 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hypermap"
 	"repro/internal/metrics"
 	"repro/internal/reducers"
 	"repro/internal/sched"
 )
-
-// oneShardEngines builds one engine of each mechanism with a single
-// directory shard, so a recycled address is handed to the very next
-// registration and the retirement tests are deterministic.
-func oneShardEngines(workers int) map[string]core.Engine {
-	return map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: workers, DirectoryShards: 1}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: workers, DirectoryShards: 1}),
-	}
-}
 
 // TestDoubleUnregisterAfterReuseBothEngines is the regression test for the
 // seed MM bug: Unregister did not verify registry identity, so a second
 // Unregister of a stale handle after slot reuse deleted the new occupant's
 // entry and pushed a duplicate address onto the free list.
 func TestDoubleUnregisterAfterReuseBothEngines(t *testing.T) {
-	for name, eng := range oneShardEngines(1) {
+	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
 			r1, err := eng.Register(sumMonoid)
 			if err != nil {
@@ -69,7 +58,7 @@ func TestDoubleUnregisterAfterReuseBothEngines(t *testing.T) {
 // reducer's in-flight updates are dropped, not leaked into the new
 // registration.
 func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
-	for name, eng := range oneShardEngines(1) {
+	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
@@ -128,7 +117,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 // live reducer already holds a view: the stale lookup must neither return
 // nor disturb the live occupant's view.
 func TestRetiredHandleLookupDoesNotClobberLiveView(t *testing.T) {
-	for name, eng := range oneShardEngines(1) {
+	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(1, eng)
 			defer s.Close()
@@ -170,7 +159,7 @@ var panicIdentityMonoid = core.NewMonoid(reducers.TypedFuncMonoid[sumView]{
 // was minted.  (Taking the address first lost one per failed Register — in
 // the resident service, one per job of a broken tenant, for ever.)
 func TestPanickingIdentityLeaksNoAddressBothEngines(t *testing.T) {
-	for name, eng := range oneShardEngines(1) {
+	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
 			stats := eng.(interface {
 				DirectoryStats() metrics.DirectoryStats

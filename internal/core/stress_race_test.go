@@ -107,8 +107,8 @@ func TestConcurrentRegisterLookupUnregisterStress(t *testing.T) {
 func TestConcurrentChurnManyTraces(t *testing.T) {
 	workers := 4
 	for name, eng := range map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: workers, DirectoryShards: 2}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: workers, DirectoryShards: 2}),
+		"mm":       core.NewMM(core.MMConfig{Workers: workers}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: workers}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(workers, eng)
@@ -185,8 +185,8 @@ func TestConcurrentChurnManyTraces(t *testing.T) {
 	}
 }
 
-// TestUnregisterWindowStress churns Register/Unregister on a one-shard
-// directory — every freed address is the next one handed out — while
+// TestUnregisterWindowStress churns Register/Unregister on the directory —
+// every freed address is the next one handed out — while
 // hypermerges decide which side of a recycled address is stale.  Each lane
 // writes a scratch reducer, retires it with the view still in flight, and
 // registers a survivor that is then written from a nested parallel loop, so
@@ -204,8 +204,8 @@ func TestUnregisterWindowStress(t *testing.T) {
 		writes  = 16
 	)
 	for name, eng := range map[string]core.Engine{
-		"mm":       core.NewMM(core.MMConfig{Workers: workers, DirectoryShards: 1}),
-		"hypermap": hypermap.New(hypermap.Config{Workers: workers, DirectoryShards: 1}),
+		"mm":       core.NewMM(core.MMConfig{Workers: workers}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: workers}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewSession(workers, eng)

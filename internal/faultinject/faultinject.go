@@ -25,8 +25,8 @@ const (
 	// TLMMGrow fails TLMM address-space growth for a fresh SPA page
 	// (internal/core.MM.growReducerPage), surfacing as a Register error.
 	TLMMGrow
-	// DirectoryRegister perturbs the directory's lock-free slot allocation
-	// between the free-stack pop and the occupant publication, widening the
+	// DirectoryRegister perturbs a directory registration between taking
+	// the address and publishing the reducer, widening the
 	// registration/unregistration race window.
 	DirectoryRegister
 	// MonoidIdentity panics identity-view creation (engine lookupSlow).

@@ -11,7 +11,7 @@
 // lookup in the other per element, which is where the paper finds Cilk Plus
 // spending most of its reduce overhead.
 //
-// The engine shares the sharded reducer directory with the memory-mapped
+// The engine shares the reducer directory with the memory-mapped
 // mechanism and implements metrics.Source for the subset of runtime
 // signals it tracks (identity elisions, lookup counters, directory
 // statistics), so figure comparisons and scrape endpoints treat both

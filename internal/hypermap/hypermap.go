@@ -19,10 +19,6 @@ type Config struct {
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
-	// DirectoryShards is the number of reducer-directory shards; it is
-	// rounded up to a power of two.  Zero sizes the directory from
-	// Workers.  Tests pin it to 1 to make slot recycling deterministic.
-	DirectoryShards int
 }
 
 // HM is the hypermap reducer engine (the Cilk Plus baseline mechanism).
@@ -34,10 +30,9 @@ type HM struct {
 	cfg Config
 	rec metrics.Recorder
 
-	// dir is the sharded reducer directory shared with the memory-mapped
-	// engine's implementation: registration, unregistration and the live
-	// count run on its lock-free paths, so the Figure comparisons measure
-	// the lookup structures rather than a registry mutex.
+	// dir is the reducer directory, the same implementation the
+	// memory-mapped engine uses, so the figure comparisons measure the
+	// lookup structures rather than two registries.
 	dir *core.Directory
 
 	// initMu guards attach-time bookkeeping only (the worker list in
@@ -138,10 +133,7 @@ func New(cfg Config) *HM {
 	}
 	e := &HM{cfg: cfg}
 	e.nworkers.Store(int64(cfg.Workers))
-	e.dir = core.NewDirectory(core.DirectoryConfig{
-		Shards:  cfg.DirectoryShards,
-		Workers: cfg.Workers,
-	})
+	e.dir = core.NewDirectory(nil)
 	e.rec.SetTiming(cfg.Timing)
 	return e
 }
@@ -161,8 +153,8 @@ func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 
 // --- registration and lookup ---
 
-// Register implements core.Engine: a lock-free slot allocation in the
-// sharded directory.
+// Register implements core.Engine: one address taken under the directory's
+// lock.
 func (e *HM) Register(m core.Monoid) (*core.Reducer, error) {
 	return e.dir.Register(e, m)
 }
@@ -185,15 +177,10 @@ func (e *HM) Unregister(r *core.Reducer) {
 	}
 }
 
-// Registered returns the number of live reducers.  Lock-free.
+// Registered returns the number of live reducers.
 func (e *HM) Registered() int { return e.dir.Live() }
 
-// Directory exposes the sharded reducer directory (for tests and
-// diagnostics).
-func (e *HM) Directory() *core.Directory { return e.dir }
-
-// DirectoryStats returns a snapshot of the directory's shard layout and
-// contention counters.
+// DirectoryStats returns a snapshot of the directory's counters.
 func (e *HM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
 // LookupWord implements core.Engine: a hash-table lookup keyed by the
@@ -406,21 +393,26 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 // MergeRootDeposit implements core.Engine.  Each entry's owner stamp
 // resolves the reducer directly — no registry copy, no lock — and the
 // reducer's validity flag drops views whose reducer was unregistered while
-// they were in flight.  Never-written entries are
-// elided exactly as in Merge.
+// they were in flight.  Never-written entries are elided exactly as in
+// Merge.  The walk counts elisions locally and publishes them once, in the
+// deferred tail, so a panicking Reduce still publishes what it counted.
 func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*Deposit)
 	if dep == nil || dep.views == nil {
 		return
 	}
 	e.mergeInflight.Add(1)
-	defer e.mergeInflight.Add(-1)
+	var elided int64
+	defer func() {
+		e.elisions.Add(elided)
+		e.mergeInflight.Add(-1)
+	}()
 	dep.views.forEach(func(addr spa.Addr, ent *entry) {
 		if !e.dir.Valid(ent.owner) {
 			return
 		}
 		if !ent.written {
-			e.elisions.Add(1)
+			elided++
 			return
 		}
 		ent.owner.Absorb(ent.view)

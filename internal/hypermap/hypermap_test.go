@@ -30,9 +30,9 @@ var catMonoid = core.NewMonoid(reducers.TypedFuncMonoid[catView]{
 	}})
 
 func TestHypermapRegisterUnregister(t *testing.T) {
-	// One directory shard makes the recycled address available to the very
+	// The directory's LIFO free list hands the recycled address to the very
 	// next registration.
-	e := hypermap.New(hypermap.Config{Workers: 2, DirectoryShards: 1})
+	e := hypermap.New(hypermap.Config{Workers: 2})
 	if _, err := e.Register(core.Monoid{}); err == nil {
 		t.Fatal("Register of the zero Monoid should fail")
 	}

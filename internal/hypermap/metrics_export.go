@@ -8,8 +8,8 @@ const engineLabel = "hypermap"
 // SampleMetrics implements metrics.Source.  The hypermap engine keeps no
 // merge or arena counters, so it exports the subset of the shared metric
 // names it actually tracks: identity elisions, lookup counters and
-// the reducer-directory aggregate.  All values are atomic loads, safe to
-// sample mid-run.
+// the reducer-directory snapshot.  All values are safe to sample mid-run:
+// atomic loads, and the directory's counters under its lock.
 func (e *HM) SampleMetrics(emit func(metrics.MetricSample)) {
 	emit(metrics.MetricSample{
 		Name:     "cilkm_identity_elisions_total",

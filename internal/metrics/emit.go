@@ -75,15 +75,12 @@ func EmitArena(emit func(MetricSample), engine string, s ArenaStats) {
 	gauge(emit, engine, "cilkm_arena_hit_rate", "Arena allocations recycled from a free list, as a fraction.", ratio(s.FreeHits, s.Allocs))
 }
 
-// EmitDirectory emits the sharded reducer-directory aggregate.
+// EmitDirectory emits the reducer-directory snapshot.
 func EmitDirectory(emit func(MetricSample), engine string, s DirectoryStats) {
-	gauge(emit, engine, "cilkm_directory_shards", "Configured directory shard count.", float64(s.Shards))
 	gauge(emit, engine, "cilkm_directory_live_reducers", "Reducers currently registered.", float64(s.Live))
-	gauge(emit, engine, "cilkm_directory_free_slots", "Recycled slots available on the shard free lists.", float64(s.FreeSlots))
+	gauge(emit, engine, "cilkm_directory_free_slots", "Recycled slots available on the directory free list.", float64(s.FreeSlots))
 	counter(emit, engine, "cilkm_directory_registers_total", "Successful reducer registrations.", s.Registers)
-	counter(emit, engine, "cilkm_directory_recycles_total", "Registrations served from a shard free list.", s.Recycles)
+	counter(emit, engine, "cilkm_directory_recycles_total", "Registrations served from the free list.", s.Recycles)
 	counter(emit, engine, "cilkm_directory_unregisters_total", "Identity-checked unregistrations.", s.Unregisters)
 	counter(emit, engine, "cilkm_directory_stale_unregisters_total", "Unregisters that lost the identity CAS.", s.StaleUnregisters)
-	counter(emit, engine, "cilkm_directory_free_retries_total", "CAS retries on a shard free stack (contention).", s.FreeRetries)
-	counter(emit, engine, "cilkm_directory_slot_grows_total", "RCU republications of a shard slot array.", s.SlotGrows)
 }

@@ -308,36 +308,17 @@ func (c *ArenaCounters) Snapshot() ArenaStats {
 	return s
 }
 
-// DirectoryCounters aggregates one registry shard's registration and
-// contention events.  The fields are plain atomics rather than padded
-// counters because each shard structure is already padded as a whole: only
-// registrations that hash to the same shard touch the same counter lines,
-// which is exactly the contention the counters are there to expose.
-type DirectoryCounters struct {
-	Registers        atomic.Int64 // successful registrations through this shard
-	Recycles         atomic.Int64 // registrations served from the shard free list
-	FreshSlots       atomic.Int64 // registrations that allocated a fresh slot
-	Unregisters      atomic.Int64 // identity-checked unregistrations
-	StaleUnregisters atomic.Int64 // unregisters that failed the identity CAS
-	FreeRetries      atomic.Int64 // CAS retries on the free stack (contention)
-	SlotGrows        atomic.Int64 // RCU republications of the slot array
-}
-
-// DirectoryStats is a point-in-time aggregate of a sharded reducer
-// directory: shard layout, live/free slot population, and the summed
-// per-shard counters.
+// DirectoryStats is a point-in-time snapshot of the reducer directory: the
+// live and free address population and the registration counters.
 type DirectoryStats struct {
-	Shards           int
-	Live             int64
-	FreeSlots        int64
-	GrownPages       int64
-	Registers        int64
-	Recycles         int64
-	FreshSlots       int64
-	Unregisters      int64
-	StaleUnregisters int64
-	FreeRetries      int64
-	SlotGrows        int64
+	Live             int64 // reducers currently registered
+	FreeSlots        int64 // recycled addresses on the free list
+	GrownPages       int64 // SPA pages fresh addresses have reached
+	Registers        int64 // successful registrations
+	Recycles         int64 // registrations served from the free list
+	FreshSlots       int64 // registrations that took a never-used address
+	Unregisters      int64 // identity-checked unregistrations
+	StaleUnregisters int64 // unregisters that lost the identity CAS
 }
 
 // Recorder is the shared, sampled side of the overhead instrumentation,

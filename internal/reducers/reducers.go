@@ -60,12 +60,6 @@ type EngineOptions struct {
 	// ModelAddressSpace backs the memory-mapped engine's SPA pages with
 	// the simulated TLMM address space (ignored by the hypermap engine).
 	ModelAddressSpace bool
-	// DirectoryShards sets the number of reducer-directory shards for
-	// either engine; zero sizes the directory from the worker count.
-	// Workloads that register and unregister reducers dynamically from
-	// many workers benefit from more shards; tests pin it to 1 to make
-	// slot recycling deterministic.
-	DirectoryShards int
 }
 
 // NewEngine creates a reducer engine of the requested mechanism sized for
@@ -74,17 +68,12 @@ func NewEngine(m Mechanism, workers int, opts EngineOptions) core.Engine {
 	var eng core.Engine
 	switch m {
 	case Hypermap:
-		eng = hypermap.New(hypermap.Config{
-			Workers:         workers,
-			Timing:          opts.Timing,
-			DirectoryShards: opts.DirectoryShards,
-		})
+		eng = hypermap.New(hypermap.Config{Workers: workers, Timing: opts.Timing})
 	default:
 		eng = core.NewMM(core.MMConfig{
 			Workers:           workers,
 			Timing:            opts.Timing,
 			ModelAddressSpace: opts.ModelAddressSpace,
-			DirectoryShards:   opts.DirectoryShards,
 		})
 	}
 	if opts.CountLookups {

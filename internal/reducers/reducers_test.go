@@ -427,9 +427,9 @@ func TestMultipleReducersInOneRun(t *testing.T) {
 
 func TestCloseAndSlotReuse(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
-		// One directory shard makes the recycled address available to the
+		// The directory's LIFO free list hands the recycled address to the
 		// very next registration.
-		s := NewSession(m, 2, EngineOptions{Timing: true, DirectoryShards: 1})
+		s := NewSession(m, 2, EngineOptions{Timing: true})
 		t.Cleanup(s.Close)
 		a := NewAdd[int](s.Engine())
 		addrA := a.Reducer().Addr()

@@ -69,13 +69,13 @@ func TestTypedHandleNoncommutativeEquivalence(t *testing.T) {
 
 // TestTypedCacheInvalidationOnSlotReuse pins the interaction between the
 // typed view cache and the directory's slot recycling: unregistering a
-// reducer mid-run and registering a new one into the recycled slot (one
-// directory shard makes the reuse deterministic) must invalidate every
-// cached typed view — the retired handle serves its frozen leftmost value
+// reducer mid-run and registering a new one into the recycled slot (the
+// directory's LIFO free list makes the reuse deterministic) must invalidate
+// every cached typed view — the retired handle serves its frozen leftmost value
 // and the new reducer starts from a clean identity view.
 func TestTypedCacheInvalidationOnSlotReuse(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
-		s := NewSession(m, 1, EngineOptions{DirectoryShards: 1})
+		s := NewSession(m, 1, EngineOptions{})
 		t.Cleanup(s.Close)
 		a := NewAdd[int](s.Engine())
 		a.SetValue(10)

@@ -367,38 +367,35 @@ func (h *JobHandle) cancel(cause error) {
 }
 
 // settleFromWorker is called by the worker that finished executing the job
-// root (normally, by panic, or by cancellation unwind).  It delivers the
-// outcome if no cancellation got there first, settles the deposit (merge on
-// success, discard otherwise), and retires the job from the service's
-// in-flight accounting.
+// root (normally, by panic, or by cancellation unwind).  It settles the
+// deposit (merge on success, discard otherwise), retires the job from the
+// service's in-flight accounting, and then delivers the outcome if no
+// cancellation got there first.
 func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
 	rt := w.rt
+	var err error
+	claimed := false
 	if p != nil {
 		// Failed or cancelled: the abort path already discarded the trace's
 		// views; d is nil.  Every strand has unwound (the root's joins
 		// resolved before the worker returned), so settle-time teardown can
 		// run before the outcome is published.
-		err := containedError(p, h.causeErr())
+		err = containedError(p, h.causeErr())
 		h.runOnSettle()
-		if h.claimCompletion() {
-			h.deliver(err)
-		}
-	} else if h.claimCompletion() {
+		claimed = h.claimCompletion()
+	} else if claimed = h.claimCompletion(); claimed {
 		// Success, and no cancellation raced ahead: fold the root deposit
 		// into the leftmost views before the outcome is visible, so a
 		// submitter that observes Done reads fully merged reducer values.
-		mergeErr := Contain(func() {
+		// Merge before settle: teardown may unregister the job's reducers.
+		err = Contain(func() {
 			if h.svc.cfg.RootMerge != nil {
 				h.svc.cfg.RootMerge(d)
 			} else {
 				rt.reducers.Discard(w, d)
 			}
 		})
-		// Merge before settle (teardown may unregister the job's reducers),
-		// settle before deliver (a submitter returning from Wait observes
-		// the job fully retired).
 		h.runOnSettle()
-		h.deliver(mergeErr)
 	} else {
 		// A cancellation outran the finish (the RunContext "outran its
 		// cancellation" contract): no result after Done, so the deposit is
@@ -406,8 +403,13 @@ func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
 		rt.reducers.Discard(w, d)
 		h.runOnSettle()
 	}
+	// Settle before deliver: an OnDone hook, or a submitter returning from
+	// Wait, observes the job fully retired in Stats.
 	h.state.Store(jobStateSettled)
 	h.svc.jobSettled(h)
+	if claimed {
+		h.deliver(err)
+	}
 }
 
 // jobQueue is the priority heap behind the admission queue: higher Priority

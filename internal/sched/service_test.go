@@ -59,6 +59,33 @@ func TestServiceSubmitConcurrent(t *testing.T) {
 	}
 }
 
+// TestServiceSettlesBeforeDelivery pins the settle-then-deliver order: by
+// the time a job's OnDone runs, and so before its Wait returns, the job is
+// already counted settled and no longer running, whether it succeeded or
+// panicked.
+func TestServiceSettlesBeforeDelivery(t *testing.T) {
+	for name, fn := range map[string]func(*Context){
+		"success": func(c *Context) {},
+		"panic":   func(c *Context) { panic("settle-order boom") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestService(t, ServiceConfig{})
+			var seen ServiceStats
+			h, err := s.Submit(context.Background(), JobSpec{Fn: fn, OnDone: func(error) { seen = s.Stats() }})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			_ = h.Wait()
+			if seen.Settled != 1 || seen.Running != 0 {
+				t.Errorf("OnDone saw Settled=%d Running=%d, want 1 and 0", seen.Settled, seen.Running)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
+	}
+}
+
 // TestServicePanicContainment checks one tenant's panic surfaces as a
 // *PanicError on its own handle and perturbs nothing else.
 func TestServicePanicContainment(t *testing.T) {

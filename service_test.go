@@ -58,17 +58,17 @@ func TestServiceFacadeQuickstart(t *testing.T) {
 }
 
 // TestServiceTenantIsolation is the colliding-slot isolation test: two
-// tenants repeatedly register reducers through their own job sessions on a
-// single-shard directory (maximal slot collision and recycling) under steal
-// pressure, on both engines.  Every job must read exactly its own total —
-// a stale cross-job view merged in (or a view leaked out) would corrupt it.
+// tenants repeatedly register reducers through their own job sessions on
+// the directory's LIFO free list (maximal slot collision and recycling)
+// under steal pressure, on both engines.  Every job must read exactly its
+// own total — a stale cross-job view merged in (or a view leaked out) would
+// corrupt it.
 func TestServiceTenantIsolation(t *testing.T) {
 	for _, mech := range cilkm.Mechanisms() {
 		t.Run(fmt.Sprint(mech), func(t *testing.T) {
 			svc := cilkm.NewService(
 				cilkm.WithMechanism(mech),
 				cilkm.WithWorkers(4),
-				cilkm.WithDirectoryShards(1),
 				cilkm.WithQueueBound(8),
 			)
 			const tenants = 2
@@ -378,7 +378,6 @@ func TestServiceBrokenTenantMonoidLeaksNoAddress(t *testing.T) {
 			svc := cilkm.NewService(
 				cilkm.WithMechanism(mech),
 				cilkm.WithWorkers(2),
-				cilkm.WithDirectoryShards(1),
 			)
 			stats := svc.Engine().(interface {
 				DirectoryStats() metrics.DirectoryStats
