@@ -51,20 +51,15 @@ inline-check:
 test:
 	$(GO) test ./...
 
-# race exercises the Chase–Lev deque's memory-ordering assumptions (the
-# concurrent stress tests in internal/sched), both reducer engines, the typed
-# reducers, and PBFS over its bag reducer (dist is filled with plain stores
-# before the first Run and claimed by CAS after it) under the race detector,
-# then the scheduler, both engines, the typed reducers, PBFS and the facade's
-# suites again with 1, 2 and 4 Ps: the park/wake protocol is barely
-# exercised by a run with one, and a Session's caller is one of its workers,
-# so how many Ps the callers and the pool share decides which of them ever
-# steals.  Run it on every scheduler change.
+# race runs the whole module under the race detector with 1, 2 and 4 Ps:
+# the Chase–Lev deque's memory-ordering assumptions, both reducer engines,
+# PBFS's plain-store/CAS claim on dist, and the park/wake protocol, which is
+# barely exercised by a run with one P; a Session's caller is one of its
+# workers, so how many Ps the callers and the pool share decides which of
+# them ever steals.  Timing orderings skip their assertion under -race
+# (the raceEnabled build-tag pairs).  Run it on every scheduler change.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/hypermap/... \
-		./internal/reducers/... ./internal/bag/... ./internal/pbfs/...
-	$(GO) test -race -cpu 1,2,4 ./internal/sched/ ./internal/core/ ./internal/hypermap/ \
-		./internal/reducers/ ./internal/pbfs/ .
+	$(GO) test -race -cpu 1,2,4 ./...
 
 # bench-check covers the benchmark/ module, which `go build ./...` and
 # `go test ./...` at the root do not descend into although it pins part of

@@ -14,8 +14,7 @@ import (
 
 // TestConcurrentRunCallersMatchSerial has several goroutines call Run on one
 // session at once.  The goroutine inside Run is the session's worker 0, and
-// only one can be: the others queue their roots on the pool, or with one
-// worker wait their turn.  Whichever way each Run went, its caller's
+// only one can be: the others wait their turn.  Each caller's
 // noncommutative list must equal the serial walk of its own tree.
 func TestConcurrentRunCallersMatchSerial(t *testing.T) {
 	for _, mech := range cilkm.Mechanisms() {

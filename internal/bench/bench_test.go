@@ -187,16 +187,22 @@ func traceCycleNanos(t *testing.T, mech reducers.Mechanism, n, cycles int) float
 // cost the memory-mapped mechanism no more than the hypermap, at a reducer
 // count where the hash table has left the cache-resident regime.  The bound
 // is 1.0 — the measured margin is about 2× — and, like TestFig1, a reading
-// only fails when three in a row agree.
+// only fails when three in a row agree.  Under the race detector, whose
+// instrumentation skews the two engines differently, both cycles still run
+// and are checked quiescent, but their ratio is not asserted.
 func TestTraceCycleOrdering(t *testing.T) {
 	const n, cycles = 256, 2000
-	ratio := bestOfThree(1.0, func() float64 {
+	measure := func() float64 {
 		hm := traceCycleNanos(t, reducers.Hypermap, n, cycles)
 		mm := traceCycleNanos(t, reducers.MemoryMapped, n, cycles)
 		t.Logf("trace cycle over %d reducers: memory-mapped %.0f ns, hypermap %.0f ns", n, mm, hm)
 		return hm / mm
-	})
-	if ratio < 1.0 {
+	}
+	if raceEnabled {
+		measure()
+		return
+	}
+	if ratio := bestOfThree(1.0, measure); ratio < 1.0 {
 		t.Fatalf("memory-mapped trace cycle costs %.2f× the hypermap's; the paper's ordering has flipped", 1/ratio)
 	}
 }

@@ -14,9 +14,7 @@ import (
 func TestUnderForcedSteals(t *testing.T) {
 	plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1})
 	defer faultinject.Activate(plan)()
-	if !raceEnabled {
-		t.Run("TraceCycleOrdering", TestTraceCycleOrdering)
-	}
+	t.Run("TraceCycleOrdering", TestTraceCycleOrdering)
 	t.Run("Fig5Parallel", TestFig5Parallel)
 	if plan.Fires(faultinject.SchedForceSteal) == 0 {
 		t.Error("no fork was forced")

@@ -2,6 +2,6 @@
 
 package bench
 
-// raceEnabled tells TestUnderForcedSteals that the race detector, under
-// which a timing comparison means nothing, is compiled in.
+// raceEnabled tells the timing tests that the race detector, under which a
+// timing comparison means nothing, is compiled in.
 const raceEnabled = true

@@ -216,9 +216,9 @@ func (r *Reducer) WithLeftmost(f func(view any)) {
 // reducers' leftmost views when Run returns.
 //
 // The goroutine inside Run, RunErr or RunContext is one of the session's
-// workers (sched.Config.CallerRuns): it runs its own root as worker 0, so a
-// session of W workers is that goroutine plus a pool of W−1, and a Run in
-// which nothing is stolen never leaves the caller's goroutine.
+// workers: it runs its own root as worker 0, so a session of W workers is
+// that goroutine plus a pool of W−1, and a Run in which nothing is stolen
+// never leaves the caller's goroutine.  Concurrent callers take turns.
 type Session struct {
 	rt  *sched.Runtime
 	eng Engine
@@ -231,11 +231,9 @@ func NewSession(workers int, eng Engine) *Session {
 }
 
 // NewSessionWithConfig creates a session from an explicit scheduler
-// configuration; cfg.Reducers is overwritten with eng and cfg.CallerRuns is
-// set.
+// configuration; cfg.Reducers is overwritten with eng.
 func NewSessionWithConfig(cfg sched.Config, eng Engine) *Session {
 	cfg.Reducers = eng
-	cfg.CallerRuns = true
 	rt := sched.New(cfg)
 	return &Session{rt: rt, eng: eng}
 }

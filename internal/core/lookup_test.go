@@ -86,9 +86,10 @@ func TestJobSurface(t *testing.T) {
 
 // TestOptionSurface pins every independently settable value of the engine
 // configuration — the exported cilkm.With* functions of the root package
-// and the fields of core.MMConfig, hypermap.Config, reducers.EngineOptions
-// and the figure harness's bench.Config — so a knob cannot (re)appear
-// without an edit here that says which two callers need different values.
+// and the fields of core.MMConfig, hypermap.Config, reducers.EngineOptions,
+// the figure harness's bench.Config and the scheduler's Config, ServiceConfig
+// and JobSpec — so a knob cannot (re)appear without an edit here that says
+// which two callers need different values.
 func TestOptionSurface(t *testing.T) {
 	fields := func(typ reflect.Type) []string {
 		var names []string
@@ -113,6 +114,18 @@ func TestOptionSurface(t *testing.T) {
 		[]string{"Timing", "CountLookups", "ModelAddressSpace"}; !slices.Equal(got, want) {
 		t.Errorf("reducers.EngineOptions fields = %v, want %v", got, want)
 	}
+	if got, want := fields(reflect.TypeFor[sched.Config]()),
+		[]string{"Workers", "Seed", "Reducers"}; !slices.Equal(got, want) {
+		t.Errorf("sched.Config fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeFor[sched.ServiceConfig]()),
+		[]string{"Queue", "Admit", "Watchdog", "RootMerge", "Quiesce"}; !slices.Equal(got, want) {
+		t.Errorf("sched.ServiceConfig fields = %v, want %v", got, want)
+	}
+	if got, want := fields(reflect.TypeFor[sched.JobSpec]()),
+		[]string{"Fn", "OnDone", "OnSettle"}; !slices.Equal(got, want) {
+		t.Errorf("sched.JobSpec fields = %v, want %v", got, want)
+	}
 
 	files, err := filepath.Glob("../../*.go")
 	if err != nil || len(files) == 0 {
@@ -135,9 +148,9 @@ func TestOptionSurface(t *testing.T) {
 	}
 	slices.Sort(withs)
 	want := []string{
-		"WithAdmitPolicy", "WithCountLookups", "WithDrainPolicy",
+		"WithAdmitPolicy", "WithCountLookups",
 		"WithMechanism", "WithMetricsExporter", "WithModelAddressSpace", "WithOnDone",
-		"WithPriority", "WithQueueBound", "WithTimeout", "WithTiming", "WithWatchdog", "WithWorkers",
+		"WithQueueBound", "WithTiming", "WithWatchdog", "WithWorkers",
 	}
 	if !slices.Equal(withs, want) {
 		t.Errorf("cilkm.With* = %v, want %v", withs, want)

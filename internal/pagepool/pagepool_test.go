@@ -2,6 +2,7 @@ package pagepool
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -11,21 +12,23 @@ type page struct {
 	dirty bool
 }
 
-func newPool(workers, localMax int) (*Pool[*page], *int) {
-	created := 0
+// newPool returns a pool and the count of pages its factory has made; the
+// factory runs on whichever worker's Get missed, so the count is atomic.
+func newPool(workers, localMax int) (*Pool[*page], *atomic.Int64) {
+	created := new(atomic.Int64)
 	p := New[*page](workers,
-		func() *page { created++; return &page{id: created} },
+		func() *page { return &page{id: int(created.Add(1))} },
 		WithEmptyCheck[*page](func(pg *page) bool { return !pg.dirty }),
 		WithLocalMax[*page](localMax),
 	)
-	return p, &created
+	return p, created
 }
 
 func TestGetCreatesFreshWhenEmpty(t *testing.T) {
 	p, created := newPool(2, 4)
 	pg := p.Get(0)
-	if pg == nil || *created != 1 {
-		t.Fatalf("expected one fresh page, created=%d", *created)
+	if pg == nil || created.Load() != 1 {
+		t.Fatalf("expected one fresh page, created=%d", created.Load())
 	}
 	st := p.Stats()
 	if st.Allocs != 1 || st.FreshPages != 1 || st.LocalHits != 0 || st.GlobalHits != 0 {
@@ -41,8 +44,8 @@ func TestPutThenGetHitsLocalPool(t *testing.T) {
 	if got != pg {
 		t.Fatal("expected to get the recycled page back")
 	}
-	if *created != 1 {
-		t.Fatalf("created %d pages, want 1", *created)
+	if created.Load() != 1 {
+		t.Fatalf("created %d pages, want 1", created.Load())
 	}
 	st := p.Stats()
 	if st.LocalHits != 1 {
@@ -98,8 +101,8 @@ func TestPrime(t *testing.T) {
 	p, created := newPool(1, 4)
 	p.Prime(5)
 	p.Prime(0)
-	if *created != 5 {
-		t.Fatalf("Prime created %d pages, want 5", *created)
+	if created.Load() != 5 {
+		t.Fatalf("Prime created %d pages, want 5", created.Load())
 	}
 	st := p.Stats()
 	if st.GlobalPages != 5 {

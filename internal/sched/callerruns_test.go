@@ -18,13 +18,13 @@ func orderDeposit(dep Deposit) []int {
 	return out
 }
 
-// TestCallerRunsIdentityAndOrder checks what a CallerRuns runtime promises
-// its callers: the root runs on the calling goroutine as worker 0 — with no
-// pool at all when there is one worker — every WorkerID stays in
-// [0, Workers), and the noncommutative deposit is the serial sequence.
+// TestCallerRunsIdentityAndOrder checks what a runtime promises the callers
+// of Run: the root runs on the calling goroutine as worker 0 — with no pool
+// at all when there is one worker — every WorkerID stays in [0, Workers),
+// and the noncommutative deposit is the serial sequence.
 func TestCallerRunsIdentityAndOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		rt := New(Config{Workers: workers, CallerRuns: true, Reducers: orderReducers{}})
+		rt := New(Config{Workers: workers, Reducers: orderReducers{}})
 		if got := rt.Workers(); got != workers {
 			t.Fatalf("Workers() = %d, want %d", got, workers)
 		}
@@ -73,14 +73,13 @@ func TestCallerRunsIdentityAndOrder(t *testing.T) {
 	}
 }
 
-// TestCallerRunsConcurrentCallers puts more callers on a runtime than it has
-// identities to lend: one runs inline, the rest queue on the pool (or, with
-// one worker, wait their turn), and every one of them must get its own
-// serial sequence back.  Close then races the last of them, as
-// TestCloseRacingRun does for the queued path alone.
+// TestCallerRunsConcurrentCallers puts several callers on a runtime that has
+// one identity to lend: they take turns for worker 0, and every one of them
+// must get its own serial sequence back.  Close then races the last of them,
+// as TestCloseRacingRun does with callers that fork less.
 func TestCallerRunsConcurrentCallers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		rt := New(Config{Workers: workers, CallerRuns: true, Reducers: orderReducers{}})
+		rt := New(Config{Workers: workers, Reducers: orderReducers{}})
 		const callers, rounds, n = 5, 30, 64
 		var wg sync.WaitGroup
 		for g := 0; g < callers; g++ {
@@ -141,7 +140,7 @@ func TestCallerRunsConcurrentCallers(t *testing.T) {
 func TestCallerRunsPanicAndCancel(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		hooks := &recordingReducers{}
-		rt := New(Config{Workers: workers, CallerRuns: true, Reducers: hooks})
+		rt := New(Config{Workers: workers, Reducers: hooks})
 
 		func() {
 			defer func() {
@@ -194,17 +193,4 @@ func TestCallerRunsPanicAndCancel(t *testing.T) {
 		}
 		rt.Close()
 	}
-}
-
-// TestServiceRefusesCallerRuns: Submit has no caller whose goroutine could
-// be worker 0, and with one worker nobody would ever poll the queue.
-func TestServiceRefusesCallerRuns(t *testing.T) {
-	rt := New(Config{Workers: 2, CallerRuns: true})
-	defer rt.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("NewService accepted a CallerRuns runtime")
-		}
-	}()
-	NewService(rt, ServiceConfig{})
 }

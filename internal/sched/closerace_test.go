@@ -7,9 +7,10 @@ import (
 )
 
 // TestCloseRacingRun races Runtime.Close against a burst of concurrent Run
-// calls: every Run must either complete its job normally or return
-// ErrClosed — never a hang, never a lost job.  The -race build additionally
-// checks the inbox/quit/park handshakes involved.
+// calls that take turns for worker 0: every Run must either complete its job
+// normally or return ErrClosed — never a hang, never a lost job, even when
+// the pool has stopped under a root that is still running.  The -race build
+// additionally checks the caller/quit/park handshakes involved.
 func TestCloseRacingRun(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		rt := New(Config{Workers: 4})

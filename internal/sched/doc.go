@@ -11,10 +11,12 @@
 // serial fast path (no steal) performs no reducer-related work at all,
 // matching the property the paper's overhead accounting relies on.
 //
-// An idle worker parks, and is woken by the push, Run or Submit that gives
-// it something to do; what a wake-up is measured to cost sets how long it
-// first keeps looking and which roots' pushes wake it at all (idle.go).
-// With Config.CallerRuns the goroutine inside Run is itself worker 0.
+// A root enters a runtime one of two ways: the goroutine inside Run is
+// itself worker 0 and runs it inline, or, on a Service's runtime, an idle
+// worker pops the next job from the FIFO admission queue.  An idle worker
+// parks, and is woken by the push or Submit that gives it something to do;
+// what a wake-up is measured to cost sets how long it first keeps looking
+// and which roots' pushes wake it at all (idle.go).
 //
 // The runtime keeps per-worker padded counters (forks, steals, merge
 // tasks, deque depth) that Stats aggregates lock-free; Runtime implements

@@ -19,7 +19,7 @@ func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
 	for _, prob := range []float64{1, 0.5} {
 		plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: prob})
 		deactivate := faultinject.Activate(plan)
-		rt := New(Config{Workers: 1, CallerRuns: true, Reducers: orderReducers{}})
+		rt := New(Config{Workers: 1, Reducers: orderReducers{}})
 		const n = 300
 		dep, err := rt.Run(func(c *Context) {
 			c.ParallelForGrain(0, n, 1, func(c *Context, i int) { orderAppend(c, i) })
@@ -56,7 +56,7 @@ func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
 func TestForcedStealsContainFailures(t *testing.T) {
 	defer faultinject.Activate(faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1}))()
 	rec := &recordingReducers{}
-	rt := New(Config{Workers: 1, CallerRuns: true, Reducers: rec})
+	rt := New(Config{Workers: 1, Reducers: rec})
 	defer rt.Close()
 
 	var pe *PanicError

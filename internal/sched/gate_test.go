@@ -24,13 +24,13 @@ func gateSample(rt *Runtime) (sent, gated, released int64) {
 	return
 }
 
-// gatedRuntime returns a two-worker CallerRuns runtime whose one pool worker
+// gatedRuntime returns a two-worker runtime whose one pool worker
 // is parked and whose next root starts behind a gate of hold ns: the
 // estimate says a wake-up costs hold/gateFactor and no root has run yet, so
 // the prediction for the next one is "shorter than that".
 func gatedRuntime(t *testing.T, hold int64) *Runtime {
 	t.Helper()
-	rt := New(Config{Workers: 2, CallerRuns: true})
+	rt := New(Config{Workers: 2})
 	waitPoolParked(t, rt)
 	rt.wakeCost.Store(hold / gateFactor)
 	return rt
@@ -167,7 +167,7 @@ func TestGateProbeAndPrediction(t *testing.T) {
 // test, on a root that is gated so that the clock check after the left
 // branch runs at every fork.
 func TestForkAllocFreeBehindGate(t *testing.T) {
-	rt := New(Config{Workers: 1, CallerRuns: true})
+	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	rt.wakeCost.Store(1 << 40)
 	var allocs float64

@@ -16,18 +16,18 @@ import (
 // its classic answer: keep sweeping for a fixed multiple of what one
 // wake-up costs, then park, so that neither the CPU spent nor the latency
 // added is ever more than a constant factor from the best choice in
-// hindsight.  What a wake-up costs is measured, not configured.  Every root
-// and service job is stamped when it is queued, and a worker whose first
-// sweep after an unpark picks one up folds pickup − queued into its own
-// estimate.  A caller that blocks after Run or Submit hands its P to the
-// worker it readied, the estimate stays near 1 µs and the worker parks
-// exactly as it would without this file.  A submitter that keeps running
-// leaves the readied worker in its P's runnext slot until another M has been
-// futex-woken and steals it, the estimate reads what that took, and the
-// worker stays warm across gaps of that order.
+// hindsight.  What a wake-up costs is measured, not configured.  Every
+// service job is stamped when it is queued, and a worker whose first sweep
+// after an unpark picks one up folds pickup − queued into its own estimate.
+// A client that blocks after Submit hands its P to the worker it readied,
+// the estimate stays near 1 µs and the worker parks exactly as it would
+// without this file.  A submitter that keeps running leaves the readied
+// worker in its P's runnext slot until another M has been futex-woken and
+// steals it, the estimate reads what that took, and the worker stays warm
+// across gaps of that order.
 //
-// Only a worker whose last pickup was a root or a service job stays warm.
-// Keeping thieves (and waitJoin) warm the same way was measured and lost:
+// Only a worker whose last pickup was a service job stays warm.  Keeping
+// thieves (and waitJoin) warm the same way was measured and lost:
 // a stolen half of a 25 µs Run costs more in view creation and hypermerge
 // than it saves (docs/ARCHITECTURE.md, "no dispatcher goroutine").  The
 // wake gate at the end of this file is the selective form of that lesson.
@@ -103,8 +103,8 @@ type idlePolicy struct {
 	// unparked is set by an unpark and consumed by the sweep that follows
 	// it: only a pickup made by that sweep measures a wake-up.
 	unparked bool
-	// warm is set while the worker's last productive pickup was a root or
-	// a service job and the warm phase it earned has not expired.  A steal
+	// warm is set while the worker's last productive pickup was a service
+	// job and the warm phase it earned has not expired.  A steal
 	// clears it: thieves are not kept warm.
 	warm bool
 	// warmUntil is the deadline of the warm phase in progress, 0 when the
@@ -124,12 +124,12 @@ type idlePolicy struct {
 	unsampled int
 
 	parkCost     metrics.PaddedCounter // estimate of one wake-up, ns
-	warmPickups  metrics.PaddedCounter // roots and jobs picked up inside a warm phase
+	warmPickups  metrics.PaddedCounter // jobs picked up inside a warm phase
 	warmExpiries metrics.PaddedCounter // warm phases that ran out and parked
 }
 
-// tookRoot records that the worker picked up a root or a service job that
-// was queued at queuedAt.
+// tookRoot records that the worker picked up a service job that was queued
+// at queuedAt.
 func (p *idlePolicy) tookRoot(queuedAt int64) {
 	switch {
 	case p.unparked:
@@ -153,8 +153,8 @@ func (p *idlePolicy) tookSteal() {
 }
 
 // stayWarm reports whether the worker, having found nothing, should yield
-// and sweep again instead of parking.  The first call after a root or job
-// opens the phase, if the estimate is worth one; later calls hold it open
+// and sweep again instead of parking.  The first call after a job opens
+// the phase, if the estimate is worth one; later calls hold it open
 // until its deadline.
 func (p *idlePolicy) stayWarm() bool {
 	if !p.warm {
@@ -185,9 +185,9 @@ func (p *idlePolicy) stayWarm() bool {
 // nobody.  Fork checks a gated root's age after its left branches, and once
 // the root has outlived the gate it signals for what its deque holds and
 // pushes as if never gated.  Awake thieves steal from a gated root as from
-// any other, and what a stolen task pushes always signals (runTask).  Roots
-// the pool runs are never gated: their caller sleeps, and the thief they
-// wake is the worker that is up when the next one arrives.
+// any other, and what a stolen task pushes always signals (runTask).  Service
+// jobs are never gated: their client sleeps, and the thief they wake is the
+// worker that is up when the next one arrives.
 //
 // What a thief's wake-up costs is Runtime.wakeCost: the first wake token a
 // root's pushes send, and a gate release's, carry the time, and the worker

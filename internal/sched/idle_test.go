@@ -61,6 +61,15 @@ func waitParked(t *testing.T, rt *Runtime, n int) time.Duration {
 	return time.Duration(nanotime() - start)
 }
 
+// submitWait submits fn and waits for it, as a client that blocks does.
+func submitWait(s *Service, fn func(*Context)) error {
+	h, err := s.Submit(context.Background(), JobSpec{Fn: fn})
+	if err != nil {
+		return err
+	}
+	return h.Wait()
+}
+
 // openLoopSubmit submits n empty jobs from the calling goroutine, which
 // must be locked to its thread, gap apart and never waiting for one.  It
 // returns each job's queue wait — the stamp taken before Submit to the first
@@ -135,8 +144,8 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector a Submit takes longer than the gaps this test paces")
 	}
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 1 << 12})
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 1 << 12})
+	rt := s.Runtime()
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -203,8 +212,8 @@ func TestIdleWarmAcrossOpenLoopGaps(t *testing.T) {
 // the longest warm phase the policy allows, every worker is parked within
 // 1 ms of the last job, and Close still drains to a quiescent pool.
 func TestIdleParksWhenTrafficStops(t *testing.T) {
-	rt := New(Config{Workers: 4})
-	s := NewService(rt, ServiceConfig{})
+	s := NewService(Config{Workers: 4}, ServiceConfig{})
+	rt := s.Runtime()
 	best := time.Duration(1 << 62)
 	// The bound is on the runtime, not on this goroutine's luck with the OS
 	// scheduler: the quickest of a few rounds has to meet it.
@@ -212,18 +221,14 @@ func TestIdleParksWhenTrafficStops(t *testing.T) {
 		waitAllParked(t, rt)
 		setParkCost(rt, warmCapNS)
 		for i := 0; i < 32; i++ {
-			h, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
+			if err := submitWait(s, func(c *Context) {
 				c.ParallelForGrain(0, 16, 1, func(*Context, int) {})
-			}})
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			if err := h.Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
+			}); err != nil {
+				t.Fatalf("job %d: %v", i, err)
 			}
 		}
-		if _, err := rt.Run(func(*Context) {}); err != nil {
-			t.Fatalf("Run: %v", err)
+		if err := submitWait(s, func(*Context) {}); err != nil {
+			t.Fatalf("empty job: %v", err)
 		}
 		best = min(best, waitAllParked(t, rt))
 	}
@@ -241,9 +246,10 @@ func TestIdleParksWhenTrafficStops(t *testing.T) {
 	}
 }
 
-// TestIdleClosedLoopNeverWarms checks that callers who block after Run or
-// Submit — who hand their P to the worker they readied — keep the estimate
-// under the skip threshold, so that the policy changes nothing for them.
+// TestIdleClosedLoopNeverWarms checks that clients who block after Submit —
+// who hand their P to the worker they readied — keep the estimate under the
+// skip threshold, so that the policy changes nothing for them.  The
+// estimate is read halfway through and at the end.
 // The bounds are on measured wake-ups, which other packages' tests running
 // beside this one can stretch, so a reading counts as a failure only when
 // three fresh runtimes in a row agree.
@@ -254,31 +260,27 @@ func TestIdleClosedLoopNeverWarms(t *testing.T) {
 	const n = 10_000
 	var failures []string
 	for attempt := 0; attempt < 3; attempt++ {
-		rt := New(Config{Workers: 2})
-		s := NewService(rt, ServiceConfig{})
+		s := NewService(Config{Workers: 2}, ServiceConfig{})
+		rt := s.Runtime()
 		for i := 0; i < n; i++ {
-			if _, err := rt.Run(func(*Context) {}); err != nil {
-				t.Fatalf("Run %d: %v", i, err)
+			if err := submitWait(s, func(*Context) {}); err != nil {
+				t.Fatalf("job %d: %v", i, err)
 			}
 		}
-		estRun, _, _, _ := idleSample(rt)
+		estHalf, _, _, _ := idleSample(rt)
 		for i := 0; i < n; i++ {
-			h, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) {}})
-			if err != nil {
-				t.Fatalf("Submit %d: %v", i, err)
-			}
-			if err := h.Wait(); err != nil {
-				t.Fatalf("Wait %d: %v", i, err)
+			if err := submitWait(s, func(*Context) {}); err != nil {
+				t.Fatalf("job %d: %v", n+i, err)
 			}
 		}
 		est, pickups, expiries, parks := idleSample(rt)
-		t.Logf("estimate %d ns after %d Runs, %d ns after %d Submit+Waits; %d parks, %d warm expiries", estRun, n, est, n, parks, expiries)
+		t.Logf("estimate %d ns after %d Submit+Waits, %d ns after %d; %d parks, %d warm expiries", estHalf, n, est, 2*n, parks, expiries)
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 		failures = failures[:0]
-		if estRun >= warmSkipNS || est >= warmSkipNS {
-			failures = append(failures, fmt.Sprintf("estimate %d ns after the Runs and %d ns after the Submits, want both under %d", estRun, est, warmSkipNS))
+		if estHalf >= warmSkipNS || est >= warmSkipNS {
+			failures = append(failures, fmt.Sprintf("estimate %d ns halfway and %d ns at the end, want both under %d", estHalf, est, warmSkipNS))
 		}
 		// A burst of slow hand-overs — threads left over from earlier tests
 		// steal the readied worker — can lift the estimate for a few dozen
@@ -298,16 +300,16 @@ func TestIdleClosedLoopNeverWarms(t *testing.T) {
 
 // TestWakeProtocolUnderParkPerturbation runs the wake protocol's stress
 // tests with the park failpoint armed, plus one that keeps every worker
-// crossing the warm→park edge while submitters and Run callers arrive at
-// gaps around the length of the warm phase: a wakeup lost on that edge
+// crossing the warm→park edge while open-loop and blocking submitters arrive
+// at gaps around the length of the warm phase: a wakeup lost on that edge
 // leaves a job queued for ever and the test times out.
 func TestWakeProtocolUnderParkPerturbation(t *testing.T) {
 	plan := faultinject.NewPlan(14).Arm(faultinject.SchedPark, faultinject.Rule{Prob: 0.5})
 	defer faultinject.Activate(plan)()
 
 	t.Run("warm-park-edge", func(t *testing.T) {
-		rt := New(Config{Workers: 3})
-		s := NewService(rt, ServiceConfig{Queue: 1 << 12})
+		s := NewService(Config{Workers: 3}, ServiceConfig{Queue: 1 << 12})
+		rt := s.Runtime()
 		const rounds, perRound = 40, 50
 		var ran atomic.Int64
 		for round := 0; round < rounds; round++ {
@@ -317,11 +319,11 @@ func TestWakeProtocolUnderParkPerturbation(t *testing.T) {
 				go func() {
 					defer callers.Done()
 					for i := 0; i < perRound; i++ {
-						if _, err := rt.Run(func(c *Context) {
+						if err := submitWait(s, func(c *Context) {
 							c.Fork(func(*Context) {}, func(*Context) {})
 							ran.Add(1)
 						}); err != nil {
-							t.Errorf("Run: %v", err)
+							t.Errorf("blocking submitter: %v", err)
 						}
 						spinFor(int64(i%8) * 5_000)
 					}

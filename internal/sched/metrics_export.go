@@ -31,7 +31,7 @@ func (rt *Runtime) SampleMetrics(emit func(metrics.MetricSample)) {
 		wakesGated += w.nWakesGated.Load()
 		gateReleased += w.nGateReleased.Load()
 	}
-	counter("cilkm_sched_warm_pickups_total", "Roots and service jobs picked up by a worker that stayed warm instead of parking.", warmPickups)
+	counter("cilkm_sched_warm_pickups_total", "Service jobs picked up by a worker that stayed warm instead of parking.", warmPickups)
 	counter("cilkm_sched_warm_expiries_total", "Warm phases that ran out without a pickup, after which the worker parked.", warmExpiries)
 	counter("cilkm_sched_wakeups_sent_total", "Wake tokens sent to parked workers.", rt.wakesSent.Load())
 	counter("cilkm_sched_wakeups_gated_total", "Wake-ups not sent because the pushing root was predicted to end before a woken thief could arrive.", wakesGated)
@@ -59,7 +59,6 @@ func (s *Service) SampleMetrics(emit func(metrics.MetricSample)) {
 	}
 	counter("cilkm_service_jobs_admitted_total", "Jobs accepted into the admission queue.", st.Admitted)
 	counter("cilkm_service_jobs_rejected_total", "Submissions failed with ErrOverloaded under the reject policy.", st.Rejected)
-	counter("cilkm_service_jobs_shed_total", "Queued jobs evicted by the shed-oldest policy.", st.Shed)
 	counter("cilkm_service_jobs_settled_total", "Jobs fully settled (success, failure, or cancellation).", st.Settled)
 	counter("cilkm_service_deadline_misses_total", "Jobs cancelled by deadline expiry.", st.DeadlineMisses)
 	counter("cilkm_service_watchdog_cancels_total", "Jobs cancelled by the stall watchdog.", st.WatchdogCancels)

@@ -36,27 +36,25 @@ func TestBrokenNestingIsTrapped(t *testing.T) {
 			w.waitJoin(pushStray(w).join)
 		}},
 	}
-	for _, callerRuns := range []bool{false, true} {
-		for _, tc := range cases {
-			rt := New(Config{Workers: 1, CallerRuns: callerRuns})
-			_, err := rt.RunErr(tc.job)
-			var pe *PanicError
-			if !errors.As(err, &pe) || pe.Value != tc.trap {
-				t.Errorf("%s (caller runs: %v): RunErr = %v, want a *PanicError for %q", tc.name, callerRuns, err, tc.trap)
-			}
-			if err := rt.Quiescent(); err != nil {
-				t.Errorf("%s (caller runs: %v): %v", tc.name, callerRuns, err)
-			}
-			if n := len(rt.Worker(0).liveForks); n != 0 {
-				t.Errorf("%s (caller runs: %v): %d live forks left behind", tc.name, callerRuns, n)
-			}
-			ran := false
-			if _, err := rt.RunErr(func(c *Context) {
-				c.Fork(func(*Context) {}, func(*Context) { ran = true })
-			}); err != nil || !ran {
-				t.Errorf("%s (caller runs: %v): next Run: err %v, continuation ran %v", tc.name, callerRuns, err, ran)
-			}
-			rt.Close()
+	for _, tc := range cases {
+		rt := New(Config{Workers: 1})
+		_, err := rt.RunErr(tc.job)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != tc.trap {
+			t.Errorf("%s: RunErr = %v, want a *PanicError for %q", tc.name, err, tc.trap)
 		}
+		if err := rt.Quiescent(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if n := len(rt.Worker(0).liveForks); n != 0 {
+			t.Errorf("%s: %d live forks left behind", tc.name, n)
+		}
+		ran := false
+		if _, err := rt.RunErr(func(c *Context) {
+			c.Fork(func(*Context) {}, func(*Context) { ran = true })
+		}); err != nil || !ran {
+			t.Errorf("%s: next Run: err %v, continuation ran %v", tc.name, err, ran)
+		}
+		rt.Close()
 	}
 }

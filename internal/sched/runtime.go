@@ -21,12 +21,6 @@ type Config struct {
 	// Reducers is the reducer mechanism to notify about steals, view
 	// transferal and merges.  Nil disables reducer support.
 	Reducers ReducerRuntime
-	// CallerRuns makes the pool Workers−1 goroutines and lends worker
-	// identity 0 to whichever goroutine is inside Run, RunErr or RunContext:
-	// it runs its own root inline, forking and joining as that worker.  A
-	// caller that finds the identity taken queues its root on the pool (with
-	// one worker there is none: it waits).  Not for a Service's runtime.
-	CallerRuns bool
 }
 
 // Stats aggregates scheduler counters across workers.
@@ -43,30 +37,31 @@ type Stats struct {
 	ParallelForSpl int64 // splits performed by ParallelFor
 }
 
-// Runtime is a work-stealing fork-join scheduler instance.
+// Runtime is a work-stealing fork-join scheduler instance.  A root enters
+// it one of two ways: the goroutine inside Run, RunErr or RunContext runs
+// it inline as worker 0, or, on a Service's runtime, an idle worker pops
+// the next job from the admission queue.
 type Runtime struct {
-	cfg      Config
 	workers  []*Worker
 	reducers ReducerRuntime
 
-	inbox chan *rootTask
-	quit  chan struct{}
+	quit chan struct{}
 	// wake carries one token per wake-up owed to a parked worker: the
 	// signal's nanotime if the woken worker is to sample it (signalWork).
 	wake   chan int64
 	parked atomic.Int32
-	// caller is held by the goroutine that is worker 0 (Config.CallerRuns).
+	// caller is held by the goroutine that is worker 0 while it runs a root.
 	caller   sync.Mutex
 	started  sync.WaitGroup
 	stopped  sync.WaitGroup
 	closed   atomic.Bool
 	inflight atomic.Int64
 
-	// service is the resident service attached by NewService, nil for a
-	// plain batch runtime.  Idle workers poll its admission queue after an
-	// empty steal sweep, so job dispatch rides the existing scheduling loop
-	// instead of a dedicated dispatcher goroutine.
-	service atomic.Pointer[Service]
+	// service is the Service that built this runtime (NewService), nil for
+	// a batch runtime; set before the workers start.  Idle workers poll its
+	// admission queue after an empty steal sweep, so job dispatch rides the
+	// scheduling loop instead of a dedicated dispatcher goroutine.
+	service *Service
 
 	// parks and unparks count actual worker park/unpark transitions (a
 	// registration that backs out at the recheck is not a park).
@@ -78,26 +73,23 @@ type Runtime struct {
 	wakeCost  atomic.Int64
 	wakesSent atomic.Int64
 
-	stats struct {
-		rootTasks atomic.Int64
-	}
-}
-
-// rootTask carries one queued Run into the pool; done closes once d or p is set.
-type rootTask struct {
-	fn       func(*Context)
-	job      *job  // cancellation token; nil for plain Run
-	queuedAt int64 // nanotime just before the inbox send (idle.go)
-	d        Deposit
-	p        any // contained panic value (*PanicError or cancellation token)
-	done     chan struct{}
+	roots atomic.Int64 // Run invocations (Stats.RootTasks)
 }
 
 // ErrClosed is returned by Run after Close has been called.
 var ErrClosed = errors.New("sched: runtime is closed")
 
-// New creates a runtime and starts its workers.
-func New(cfg Config) *Runtime {
+// errServiceRuntime is returned by Run on a Service's runtime, whose workers
+// are all pool goroutines: its jobs go through Submit.
+var errServiceRuntime = errors.New("sched: Run on a service's runtime: use Service.Submit")
+
+// New creates a runtime whose worker 0 is the goroutine inside Run, RunErr
+// or RunContext, and starts the other Workers−1 as a pool.
+func New(cfg Config) *Runtime { return start(cfg, nil) }
+
+// start creates a runtime and starts its pool: every worker but 0 for a
+// batch runtime, every worker for s's.
+func start(cfg Config, s *Service) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -109,11 +101,10 @@ func New(cfg Config) *Runtime {
 		red = nopReducerRuntime{}
 	}
 	rt := &Runtime{
-		cfg:      cfg,
 		reducers: red,
-		inbox:    make(chan *rootTask),
 		quit:     make(chan struct{}),
 		wake:     make(chan int64, cfg.Workers), // one token per worker: see signalWork
+		service:  s,
 	}
 	rt.workers = make([]*Worker, cfg.Workers)
 	for i := range rt.workers {
@@ -122,9 +113,9 @@ func New(cfg Config) *Runtime {
 	for _, w := range rt.workers {
 		rt.reducers.WorkerInit(w)
 	}
-	pool := rt.workers
-	if cfg.CallerRuns {
-		pool = pool[1:]
+	pool := rt.workers[1:]
+	if s != nil {
+		pool = rt.workers
 	}
 	rt.started.Add(len(pool))
 	rt.stopped.Add(len(pool))
@@ -154,12 +145,16 @@ func (rt *Runtime) Reducers() ReducerRuntime {
 // transferal, which the reducer mechanism uses to fold the computation's
 // views into the reducers' leftmost (user-visible) views.
 //
-// Run may be called repeatedly and concurrently; concurrent calls are
-// independent of each other.  A panic in the job is re-raised here as the
-// *PanicError wrapped at the recovery point nearest it, typed payload
-// (PanicError.Value) and stack intact.  By then every branch of the job has
-// been settled and its views discarded, so the engine is reusable even if
-// the caller recovers.
+// The calling goroutine is worker 0 until Run returns.  Concurrent callers
+// take turns for that identity, so their jobs run one after another; a
+// Service is the API for concurrent tenants.  Run called from inside a job
+// of the same runtime waits for its own caller and never returns.  On a
+// Service's runtime Run runs nothing and returns an error: submit the job.
+//
+// A panic in the job is re-raised here as the *PanicError wrapped at the
+// recovery point nearest it, typed payload (PanicError.Value) and stack
+// intact.  By then every branch of the job has been settled and its views
+// discarded, so the engine is reusable even if the caller recovers.
 func (rt *Runtime) Run(fn func(*Context)) (Deposit, error) {
 	d, p, err := rt.run(context.Background(), fn, nil)
 	if p != nil {
@@ -188,15 +183,16 @@ func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
 // waits for the job to fully settle before returning ctx.Err() — it never
 // abandons a running job, so a cancelled runtime is quiescent, not leaking.
 // A job that completes in the same instant its context is cancelled has its
-// result discarded and still reports ctx.Err().
+// result discarded and still reports ctx.Err().  As in Run, callers take
+// turns for worker 0, and a call from inside a job never returns.
 func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	jb := &job{}
 	if ctx.Done() != nil {
-		// The caller may be the one running the job, so it cannot select on
-		// ctx.Done() meanwhile: the context sets the flag itself.
+		// The caller runs the job, so it cannot select on ctx.Done()
+		// meanwhile: the context sets the flag itself.
 		stop := context.AfterFunc(ctx, func() { jb.cancelled.Store(true) })
 		defer stop()
 	}
@@ -218,50 +214,29 @@ func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, 
 	return d, nil
 }
 
-// run is the root path behind Run, RunErr and RunContext: inline as worker 0
-// when the runtime lends that identity and it is free, else through the
-// inbox.  It returns the deposit, the contained panic p, or an admission error.
+// run is the root path behind Run, RunErr and RunContext: the caller takes
+// worker 0, waiting its turn, and runs fn inline.  It returns the deposit,
+// the contained panic p, or an admission error.
 func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) (d Deposit, p any, err error) {
+	if rt.service != nil {
+		return nil, nil, errServiceRuntime
+	}
+	rt.caller.Lock()
+	defer rt.caller.Unlock()
 	if rt.closed.Load() {
 		return nil, nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	rt.stats.rootTasks.Add(1)
-	if rt.cfg.CallerRuns && rt.claimCaller() {
-		defer rt.caller.Unlock()
-		rt.inflight.Add(1)
-		defer rt.inflight.Add(-1)
-		w := rt.workers[0]
-		start := w.shutGate()
-		d, p = w.runTrace(fn, jb)
-		w.gateUntil, w.rootRan = 0, nanotime()-start
-		return d, p, nil
-	}
-	root := &rootTask{fn: fn, job: jb, queuedAt: nanotime(), done: make(chan struct{})}
-	select {
-	case rt.inbox <- root:
-	case <-rt.quit:
-		return nil, nil, ErrClosed
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
+	rt.roots.Add(1)
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
-	rt.signalWork(0)
-	<-root.done
-	return root.d, root.p, nil
-}
-
-// claimCaller takes worker identity 0 for the calling goroutine if it is
-// free; with no pool to queue on instead, the caller waits its turn.
-func (rt *Runtime) claimCaller() bool {
-	if len(rt.workers) > 1 {
-		return rt.caller.TryLock()
-	}
-	rt.caller.Lock()
-	return true
+	w := rt.workers[0]
+	start := w.shutGate()
+	d, p = w.runTrace(fn, jb)
+	w.gateUntil, w.rootRan = 0, nanotime()-start
+	return d, p, nil
 }
 
 // containedError translates a job's contained panic value into the
@@ -296,8 +271,8 @@ func (rt *Runtime) Quiescent() error {
 	return nil
 }
 
-// Close shuts the workers down and waits for them to exit.  Outstanding Run
-// calls must have completed.
+// Close shuts the pool down and waits for it to exit.  A Run that already
+// holds worker 0 finishes on it alone; every later one returns ErrClosed.
 func (rt *Runtime) Close() {
 	if rt.closed.Swap(true) {
 		return
@@ -309,7 +284,7 @@ func (rt *Runtime) Close() {
 // Stats aggregates counters across workers.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	s.RootTasks = rt.stats.rootTasks.Load()
+	s.RootTasks = rt.roots.Load()
 	for _, w := range rt.workers {
 		s.Forks += w.nForks.Load()
 		s.Steals += w.nSteals.Load()
@@ -327,7 +302,7 @@ func (rt *Runtime) Stats() Stats {
 
 // ResetStats zeroes all per-worker counters.
 func (rt *Runtime) ResetStats() {
-	rt.stats.rootTasks.Store(0)
+	rt.roots.Store(0)
 	for _, w := range rt.workers {
 		w.nForks.Store(0)
 		w.nSteals.Store(0)
@@ -341,11 +316,11 @@ func (rt *Runtime) ResetStats() {
 }
 
 // signalWork wakes one parked worker, if any.  Callers publish their work
-// (the deque push, the inbox send) before calling it; a parker registers in
+// (the deque push, the queued job) before calling it; a parker registers in
 // rt.parked before re-checking for work.  Under sequentially-consistent
 // atomics one side always observes the other, so no wakeup is lost and
 // workers never need a timed poll.  That argument is about work only a woken
-// worker can run, a queued root or service job.  A pushed continuation is
+// worker can run, a queued service job.  A pushed continuation is
 // not: its owner pops and runs what nobody stole, so the wake gate (idle.go),
 // which skips this call for a short root's pushes, withholds parallelism,
 // never progress, and leaves the protocol untouched.
@@ -366,23 +341,11 @@ func (rt *Runtime) signalWork(sent int64) {
 	}
 }
 
-// takeServiceRoot polls the attached service's admission queue for the next
-// runnable job.  The no-service and empty-queue fast paths are one atomic
-// load each, so a batch runtime pays nothing for the serving machinery.
-func (rt *Runtime) takeServiceRoot() *JobHandle {
-	s := rt.service.Load()
-	if s == nil {
-		return nil
-	}
-	return s.pop()
-}
-
-// serviceReady reports whether the attached service has a queued job;
+// serviceReady reports whether the runtime's service has a queued job;
 // parking workers include it in their registered recheck so a Submit racing
 // a park is never lost.
 func (rt *Runtime) serviceReady() bool {
-	s := rt.service.Load()
-	return s != nil && s.ready()
+	return rt.service != nil && rt.service.queuedLive.Load() > 0
 }
 
 // workAvailable reports whether any worker holds a stealable task.  Parking

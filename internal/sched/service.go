@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -14,15 +13,15 @@ import (
 )
 
 // This file turns the batch fork-join runtime into a resident multi-tenant
-// service.  A Service wraps a Runtime with the serving machinery the
-// one-job-at-a-time Run API lacks: a bounded admission queue with a
-// configurable overload policy, per-job priorities and deadlines enforced at
-// the existing fork/steal/merge cancellation checkpoints, a watchdog that
-// cancels jobs whose steal/merge progress stops, and a graceful drain on
-// Close that stops admission, settles every in-flight job by policy, and
-// verifies pool-wide quiescence.  Jobs are dispatched by the pool's own
-// workers: an idle worker polls the admission queue after its steal sweep,
-// so dispatch needs no extra goroutine and scales with idle capacity.
+// service.  A Service owns a Runtime and adds the serving machinery the
+// one-job-at-a-time Run API lacks: a bounded FIFO admission queue with a
+// configurable overload policy, cancellation by the submission context
+// (deadlines included) at the existing fork/steal/merge checkpoints, a
+// watchdog that cancels jobs whose steal/merge progress stops, and a
+// graceful drain on Close that stops admission, finishes every admitted job,
+// and verifies pool-wide quiescence.  Jobs are dispatched by the pool's own
+// workers: an idle worker pops the admission queue after its steal sweep, so
+// dispatch needs no extra goroutine and scales with idle capacity.
 
 // AdmitPolicy selects what Submit does when the admission queue is full.
 type AdmitPolicy uint8
@@ -34,11 +33,6 @@ const (
 	AdmitBlock AdmitPolicy = iota
 	// AdmitReject fails the submission immediately with ErrOverloaded.
 	AdmitReject
-	// AdmitShedOldest admits the new job and sheds the oldest queued job of
-	// the lowest priority class, completing the shed job's handle with
-	// ErrOverloaded.  The submitter of a fresher request wins over a stale
-	// queued one, which suits deadline-bound request serving.
-	AdmitShedOldest
 )
 
 // String returns the policy name.
@@ -48,40 +42,13 @@ func (p AdmitPolicy) String() string {
 		return "block"
 	case AdmitReject:
 		return "reject"
-	case AdmitShedOldest:
-		return "shed-oldest"
 	default:
 		return fmt.Sprintf("admit-policy(%d)", uint8(p))
 	}
 }
 
-// DrainPolicy selects what Close does with jobs admitted before the close.
-type DrainPolicy uint8
-
-const (
-	// DrainFinish runs every queued and running job to completion before
-	// shutting the workers down (new submissions still fail immediately).
-	DrainFinish DrainPolicy = iota
-	// DrainCancel cancels queued jobs (their handles complete with
-	// ErrClosed without ever running) and asks running jobs to stop at
-	// their next cancellation checkpoint, then waits for them to settle.
-	DrainCancel
-)
-
-// String returns the policy name.
-func (p DrainPolicy) String() string {
-	switch p {
-	case DrainFinish:
-		return "finish"
-	case DrainCancel:
-		return "cancel"
-	default:
-		return fmt.Sprintf("drain-policy(%d)", uint8(p))
-	}
-}
-
 // ErrOverloaded is returned by Submit under AdmitReject when the admission
-// queue is full, and delivered to a shed job's handle under AdmitShedOldest.
+// queue is full.
 var ErrOverloaded = errors.New("sched: service overloaded")
 
 // ErrStalled is the sentinel every watchdog cancellation wraps; classify a
@@ -115,9 +82,6 @@ type ServiceConfig struct {
 	Queue int
 	// Admit selects the overload policy (default AdmitBlock).
 	Admit AdmitPolicy
-	// Drain selects what Close does with in-flight jobs (default
-	// DrainFinish).
-	Drain DrainPolicy
 	// Watchdog, when positive, enables the stall watchdog: a job whose
 	// progress counter (dispatch, stolen/helped tasks) does
 	// not move for a whole window is cancelled with a *StallError carrying
@@ -139,14 +103,6 @@ type JobSpec struct {
 	// Fn is the job's root closure, executed on the worker pool exactly
 	// like a Run root.  Required.
 	Fn func(*Context)
-	// Priority orders the admission queue: higher runs first, ties run in
-	// submission order.  Zero is the normal priority.
-	Priority int
-	// Timeout, when positive, bounds the job's total latency — queue wait
-	// included.  It is implemented as a context deadline, so expiry
-	// completes the handle with context.DeadlineExceeded and cancels the
-	// job at its next checkpoint.
-	Timeout time.Duration
 	// OnDone, when non-nil, runs exactly once when the handle completes —
 	// after the result (or error) is recorded, before Done unblocks — on
 	// whichever goroutine completed the job.  It must not block or call
@@ -169,8 +125,7 @@ const (
 	jobStateNew int32 = iota
 	jobStateQueued
 	jobStateRunning
-	jobStateSettled
-	jobStateEvicted // cancelled or shed before a worker took it
+	jobStateEvicted // cancelled or refused before a worker took it
 )
 
 // JobHandle tracks one submitted job.  The submitter keeps it to wait for
@@ -186,18 +141,21 @@ type JobHandle struct {
 	svc      *Service
 	fn       func(*Context)
 	job      *job
-	priority int
-	seq      uint64
-	queuedAt int64 // nanotime just before the heap push (idle.go)
+	queuedAt int64 // nanotime just before the queue push (idle.go)
 
-	// state is the queue-lifecycle state (jobState*), advanced by CAS so
-	// the dispatch/cancel race has exactly one winner.
+	// prev and next link the handle into the admission queue while it is
+	// queued; guarded by svc.mu.
+	prev, next *JobHandle
+
+	// state is the queue-lifecycle state (jobState*).  It leaves New and
+	// Queued only under svc.mu, so the dispatch/cancel race has exactly one
+	// winner.
 	state atomic.Int32
 	// completed is the once-only completion claim: whoever wins the CAS
 	// delivers the outcome.
 	completed atomic.Bool
 	// cause records the first cancellation cause (deadline, caller cancel,
-	// stall, shed, close) for the settle path to report.
+	// stall) for the settle path to report.
 	cause atomic.Pointer[causeBox]
 
 	// err is written exactly once before done is closed; read it only
@@ -205,12 +163,10 @@ type JobHandle struct {
 	err  error
 	done chan struct{}
 
-	// ctxCancel releases the Timeout-derived context; stopWatch detaches
-	// the context watcher.  Both are set before the handle is published to
-	// the queue and called once at completion.  watchMu orders the store of
-	// stopWatch before the watcher's own cancellation, which can fire (an
-	// already-expired context) before context.AfterFunc has returned.
-	ctxCancel context.CancelFunc
+	// stopWatch detaches the context watcher.  It is set before the handle
+	// is published to the queue and called once at completion.  watchMu
+	// orders its store before the watcher's own cancellation, which can fire
+	// (an already-expired context) before context.AfterFunc has returned.
 	stopWatch func() bool
 	watchMu   sync.Mutex
 	onDone    func(error)
@@ -234,11 +190,9 @@ type causeBox struct{ err error }
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the job completes and returns its error: nil on
-// success, ErrOverloaded if shed, context.DeadlineExceeded on a missed
-// deadline, the submission context's error on caller cancellation, a
-// *StallError on watchdog cancellation, ErrClosed when the service was
-// closed under DrainCancel before the job ran, or a *PanicError when the
-// job's code panicked.
+// success, context.DeadlineExceeded on a missed deadline of the submission
+// context, its other error on caller cancellation, a *StallError on
+// watchdog cancellation, or a *PanicError when the job's code panicked.
 func (h *JobHandle) Wait() error {
 	<-h.done
 	return h.err
@@ -293,9 +247,6 @@ func (h *JobHandle) claimCompletion() bool {
 // exactly once, by the claimCompletion winner.
 func (h *JobHandle) deliver(err error) {
 	h.err = err
-	if h.ctxCancel != nil {
-		h.ctxCancel()
-	}
 	if h.stopWatch != nil {
 		h.stopWatch()
 	}
@@ -323,46 +274,43 @@ func (h *JobHandle) runOnSettle() {
 }
 
 // cancel is the single entry point for every asynchronous cancellation:
-// caller Cancel, context expiry (deadline or cancellation), watchdog stall,
-// shed, and drain.  Exactly one of three things happens: the job is evicted
-// from the queue before ever running, the running job's handle completes
-// early (the job unwinds and settles in the background), or — if the
-// outcome was already delivered — nothing.
+// caller Cancel, context expiry (deadline or cancellation) and watchdog
+// stall.  Exactly one of three things happens: the job is evicted before
+// ever running, the running job's handle completes early (the job unwinds
+// and settles in the background), or — if the outcome was already
+// delivered — nothing.
 func (h *JobHandle) cancel(cause error) {
 	h.storeCause(cause)
 	if faultinject.Enabled() {
 		faultinject.Perturb(faultinject.ServiceDeadline)
 	}
-	if h.state.CompareAndSwap(jobStateNew, jobStateEvicted) {
-		// Cancelled while Submit was still admitting: Submit observes the
-		// eviction and never queues the job.
-		h.job.cancelled.Store(true)
-		if h.claimCompletion() {
-			h.svc.countCancel(cause)
-			h.deliver(cause)
-		}
-		h.runOnSettle() // never dispatched, so eviction is settlement
-		return
-	}
-	if h.state.CompareAndSwap(jobStateQueued, jobStateEvicted) {
-		// Evicted from the queue: the job never ran.  The heap entry is
-		// dropped lazily at the next pop.
-		h.job.cancelled.Store(true)
-		if h.claimCompletion() {
-			h.svc.countCancel(cause)
-			h.deliver(cause)
-		}
-		h.runOnSettle() // won the CAS against dispatch: the job never runs
-		h.svc.queuedEvicted(h)
-		return
-	}
-	// Running (or settling): ask the checkpoints to unwind and complete the
-	// handle early so the submitter is unblocked now; the worker discards
-	// the deposit when the job settles.
 	h.job.cancelled.Store(true)
+	s := h.svc
+	s.mu.Lock()
+	// Queued, the job leaves the queue now; still admitting, Submit observes
+	// the eviction and never queues it.  Either way it never runs.
+	queued := h.state.CompareAndSwap(jobStateQueued, jobStateEvicted)
+	if queued {
+		s.unlinkLocked(h)
+	}
+	evicted := queued || h.state.CompareAndSwap(jobStateNew, jobStateEvicted)
+	s.mu.Unlock()
+	// A running job unwinds at its checkpoints, and its worker discards the
+	// deposit when it settles; the handle completes now either way.
 	if h.claimCompletion() {
-		h.svc.countCancel(cause)
+		s.countCancel(cause)
 		h.deliver(cause)
+	}
+	if !evicted {
+		return
+	}
+	h.runOnSettle() // never dispatched, so eviction is settlement
+	if queued {
+		// Admitted, so Close has waited for it until now.
+		s.mu.Lock()
+		s.unsettled--
+		s.cond.Broadcast()
+		s.mu.Unlock()
 	}
 }
 
@@ -405,42 +353,16 @@ func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
 	}
 	// Settle before deliver: an OnDone hook, or a submitter returning from
 	// Wait, observes the job fully retired in Stats.
-	h.state.Store(jobStateSettled)
 	h.svc.jobSettled(h)
 	if claimed {
 		h.deliver(err)
 	}
 }
 
-// jobQueue is the priority heap behind the admission queue: higher Priority
-// first, FIFO within a priority (by admission sequence).  Evicted entries
-// stay in the heap and are skipped at pop.
-type jobQueue []*JobHandle
-
-func (q jobQueue) Len() int { return len(q) }
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].priority != q[j].priority {
-		return q[i].priority > q[j].priority
-	}
-	return q[i].seq < q[j].seq
-}
-func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *jobQueue) Push(x any)   { *q = append(*q, x.(*JobHandle)) }
-func (q *jobQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return h
-}
-func (q jobQueue) peekDead(i int) bool { return q[i].state.Load() != jobStateQueued }
-
 // ServiceStats is a point-in-time snapshot of the service counters.
 type ServiceStats struct {
 	Admitted        int64 // jobs accepted into the queue
 	Rejected        int64 // submissions failed with ErrOverloaded (AdmitReject)
-	Shed            int64 // queued jobs evicted by AdmitShedOldest
 	Settled         int64 // jobs fully settled (success, failure, or cancel)
 	DeadlineMisses  int64 // jobs cancelled by deadline expiry
 	WatchdogCancels int64 // jobs cancelled by the stall watchdog
@@ -456,20 +378,20 @@ type Service struct {
 	rt  *Runtime
 	cfg ServiceConfig
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     jobQueue
-	heapDead  int // evicted entries still in the heap
-	seq       uint64
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue is the sentinel of the FIFO admission queue, a ring linked
+	// through JobHandle.prev/next: queue.next is the oldest job.  An evicted
+	// job is unlinked when it is evicted, so every entry is live.
+	queue     JobHandle
 	running   map[*JobHandle]struct{}
 	unsettled int // admitted jobs not yet settled or evicted
 	closed    bool
 	closeErr  error
 	closeDone chan struct{}
-	closing   bool
 
-	// queuedLive mirrors the number of live (non-evicted) queued jobs so
-	// the workers' pre-park recheck and the pop fast path stay lock-free.
+	// queuedLive mirrors the queue's length so the workers' pre-park
+	// recheck and the pop fast path stay lock-free.
 	queuedLive atomic.Int64
 	runningCnt atomic.Int64
 
@@ -477,34 +399,31 @@ type Service struct {
 
 	admitted        atomic.Int64
 	rejected        atomic.Int64
-	shed            atomic.Int64
 	settled         atomic.Int64
 	deadlineMisses  atomic.Int64
 	watchdogCancels atomic.Int64
 }
 
-// NewService attaches a resident service to the runtime.  At most one
-// service may be attached to a runtime; a second NewService panics.  The
-// runtime's plain Run/RunErr/RunContext API remains usable alongside the
-// service (legacy callers share the same pool).
-func NewService(rt *Runtime, cfg ServiceConfig) *Service {
-	if rt.cfg.CallerRuns {
-		panic("sched: NewService on a CallerRuns runtime: Submit has no caller whose goroutine could be worker 0")
+// NewService creates a resident service over a runtime of its own, built
+// from rc, whose workers are all pool goroutines that take jobs from the
+// admission queue.  Its jobs enter through Submit only: Run on that runtime
+// returns an error.
+func NewService(rc Config, cfg ServiceConfig) *Service {
+	if rc.Workers <= 0 {
+		rc.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Queue <= 0 {
-		cfg.Queue = 4 * rt.Workers()
+		cfg.Queue = 4 * rc.Workers
 	}
 	s := &Service{
-		rt:           rt,
 		cfg:          cfg,
 		running:      make(map[*JobHandle]struct{}),
 		closeDone:    make(chan struct{}),
 		stopWatchdog: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if !rt.service.CompareAndSwap(nil, s) {
-		panic("sched: runtime already has a service attached")
-	}
+	s.queue.prev, s.queue.next = &s.queue, &s.queue
+	s.rt = start(rc, s)
 	if cfg.Watchdog > 0 {
 		go s.watchdog()
 	}
@@ -519,7 +438,6 @@ func (s *Service) Stats() ServiceStats {
 	return ServiceStats{
 		Admitted:        s.admitted.Load(),
 		Rejected:        s.rejected.Load(),
-		Shed:            s.shed.Load(),
 		Settled:         s.settled.Load(),
 		DeadlineMisses:  s.deadlineMisses.Load(),
 		WatchdogCancels: s.watchdogCancels.Load(),
@@ -532,9 +450,9 @@ func (s *Service) Stats() ServiceStats {
 // Submit admits a job for execution on the worker pool and returns a handle
 // to wait on.  It is safe to call from any number of goroutines.  The
 // submission context governs the job end to end: cancelling it (or its
-// deadline expiring) evicts a queued job immediately and cancels a running
-// one at its next checkpoint; spec.Timeout additionally bounds the job when
-// the caller's context has no deadline of its own.
+// deadline expiring — context.WithTimeout bounds a job's total latency,
+// queue wait included) evicts a queued job immediately and cancels a running
+// one at its next checkpoint.
 //
 // Submit's error reports an admission failure only: ErrClosed after (or
 // racing) Close, ErrOverloaded under AdmitReject with a full queue, the
@@ -561,17 +479,12 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 		svc:      s,
 		fn:       spec.Fn,
 		job:      &job{},
-		priority: spec.Priority,
 		done:     make(chan struct{}),
 		onDone:   spec.OnDone,
 		onSettle: spec.OnSettle,
 	}
-	// Arm the deadline and the context watcher before the handle becomes
-	// reachable by any cancellation path, so deliver never races the field
-	// stores.
-	if spec.Timeout > 0 {
-		ctx, h.ctxCancel = context.WithTimeout(ctx, spec.Timeout)
-	}
+	// Arm the context watcher before the handle becomes reachable by any
+	// cancellation path, so deliver never races the field store.
 	if ctx.Done() != nil {
 		h.watchMu.Lock()
 		h.stopWatch = context.AfterFunc(ctx, func() {
@@ -607,12 +520,6 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 			s.mu.Unlock()
 			h.abandonPreQueue(ErrOverloaded)
 			return nil, ErrOverloaded
-		case AdmitShedOldest:
-			if !s.shedOldestLocked() {
-				// Nothing evictable (a race emptied the queue): re-check
-				// capacity on the next loop iteration.
-				continue
-			}
 		default: // AdmitBlock
 			stop := context.AfterFunc(ctx, func() {
 				s.mu.Lock()
@@ -635,15 +542,11 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 			}
 		}
 	}
-	if !h.state.CompareAndSwap(jobStateNew, jobStateQueued) {
-		// Evicted in the instant before queueing (see above).
-		s.mu.Unlock()
-		return h, nil
-	}
-	s.seq++
-	h.seq = s.seq
+	// cancel evicts only under s.mu, so the job is still New here.
+	h.state.Store(jobStateQueued)
 	h.queuedAt = nanotime()
-	heap.Push(&s.queue, h)
+	h.prev, h.next = s.queue.prev, &s.queue
+	h.prev.next, s.queue.prev = h, h
 	s.queuedLive.Add(1)
 	s.unsettled++
 	s.admitted.Add(1)
@@ -667,114 +570,46 @@ func (h *JobHandle) abandonPreQueue(err error) {
 	h.runOnSettle()
 }
 
-// shedOldestLocked evicts the oldest queued job of the lowest priority
-// class, completing it with ErrOverloaded.  Caller holds s.mu.  Returns
-// false when no live queued job exists.
-func (s *Service) shedOldestLocked() bool {
-	var victim *JobHandle
-	for _, h := range s.queue {
-		if h.state.Load() != jobStateQueued {
-			continue
-		}
-		if victim == nil ||
-			h.priority < victim.priority ||
-			(h.priority == victim.priority && h.seq < victim.seq) {
-			victim = h
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	if !victim.state.CompareAndSwap(jobStateQueued, jobStateEvicted) {
-		return false // lost a race to another eviction; retry from Submit
-	}
-	s.shed.Add(1)
-	victim.job.cancelled.Store(true)
-	victim.storeCause(ErrOverloaded)
-	if victim.claimCompletion() {
-		victim.deliver(ErrOverloaded)
-	}
-	victim.runOnSettle() // never dispatched
-	s.evictAccountingLocked()
-	return true
-}
-
-// queuedEvicted is the accounting hook for a queued handle evicted by an
-// asynchronous cancellation (deadline, caller cancel, drain).
-func (s *Service) queuedEvicted(h *JobHandle) {
-	s.mu.Lock()
-	s.evictAccountingLocked()
-	s.mu.Unlock()
-}
-
-// evictAccountingLocked adjusts the queue counters after an eviction and
-// compacts the heap when dead entries dominate, so a long-lived service
-// under heavy shedding does not pin evicted handles.  Caller holds s.mu.
-func (s *Service) evictAccountingLocked() {
+// unlinkLocked takes a queued job out of the admission queue, which frees a
+// place for a blocked submitter.  Caller holds s.mu.
+func (s *Service) unlinkLocked(h *JobHandle) {
+	h.prev.next, h.next.prev = h.next, h.prev
+	h.prev, h.next = nil, nil
 	s.queuedLive.Add(-1)
-	s.heapDead++
-	s.unsettled--
-	if s.heapDead > 32 && s.heapDead > len(s.queue)/2 {
-		live := s.queue[:0]
-		for _, h := range s.queue {
-			if h.state.Load() == jobStateQueued {
-				live = append(live, h)
-			}
-		}
-		for i := len(live); i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = live
-		heap.Init(&s.queue)
-		s.heapDead = 0
-	}
 	s.cond.Broadcast()
 }
 
-// pop takes the highest-priority live queued job, transitioning it to
-// running.  Called by idle workers; the nil fast path is one atomic load.
+// pop takes the oldest queued job, transitioning it to running.  Called by
+// idle workers; the nil fast path is one atomic load.
 func (s *Service) pop() *JobHandle {
 	if s.queuedLive.Load() == 0 {
 		return nil
 	}
 	s.mu.Lock()
-	for s.queue.Len() > 0 {
-		h := heap.Pop(&s.queue).(*JobHandle)
-		if !h.state.CompareAndSwap(jobStateQueued, jobStateRunning) {
-			// Evicted entry surfacing at the top: drop it.
-			if s.heapDead > 0 {
-				s.heapDead--
-			}
-			continue
-		}
-		s.queuedLive.Add(-1)
-		s.running[h] = struct{}{}
-		s.runningCnt.Add(1)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if faultinject.Enabled() {
-			faultinject.Perturb(faultinject.ServiceDispatch)
-		}
-		h.job.progress.Add(1) // dispatch counts as progress
-		return h
+	h := s.queue.next
+	if h == &s.queue {
+		s.mu.Unlock() // another worker took it
+		return nil
 	}
+	h.state.Store(jobStateRunning) // every queued job is live: cancel unlinks under s.mu
+	s.unlinkLocked(h)
+	s.running[h] = struct{}{}
+	s.runningCnt.Add(1)
 	s.mu.Unlock()
-	return nil
+	if faultinject.Enabled() {
+		faultinject.Perturb(faultinject.ServiceDispatch)
+	}
+	h.job.progress.Add(1) // dispatch counts as progress
+	return h
 }
 
-// ready reports whether a live job is queued; parking workers use it in
-// their registered recheck.
-func (s *Service) ready() bool { return s.queuedLive.Load() > 0 }
-
-// jobSettled retires a job from the in-flight accounting once every branch
-// has unwound and its deposit is settled.
+// jobSettled retires a dispatched job from the in-flight accounting once
+// every branch has unwound and its deposit is settled.
 func (s *Service) jobSettled(h *JobHandle) {
 	s.settled.Add(1)
 	s.mu.Lock()
-	if _, ok := s.running[h]; ok {
-		delete(s.running, h)
-		s.runningCnt.Add(-1)
-	}
+	delete(s.running, h)
+	s.runningCnt.Add(-1)
 	s.unsettled--
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -848,47 +683,30 @@ func allStacks() []byte {
 
 // Close drains and shuts the service down: admission stops first (every
 // Submit from this point deterministically returns ErrClosed, including
-// submitters blocked for queue space), in-flight jobs are finished or
-// cancelled per the drain policy, the worker pool is stopped once every job
-// has settled, and pool-wide quiescence is verified — the scheduler's own
-// accounting plus the engine check configured in ServiceConfig.Quiesce.
-// The first leak found (or a non-quiescent pool) is returned as an error.
-// Close is idempotent; concurrent calls all return the first close's
-// verdict.
+// submitters blocked for queue space), every admitted job runs to
+// completion (or to its own cancellation), the worker pool is stopped once
+// every job has settled, and pool-wide quiescence is verified — the
+// scheduler's own accounting plus the engine check configured in
+// ServiceConfig.Quiesce.  The first leak found (or a non-quiescent pool) is
+// returned as an error.  Close is idempotent; concurrent calls all return
+// the first close's verdict.
 func (s *Service) Close() error {
 	s.mu.Lock()
-	if s.closing {
+	if s.closed {
 		s.mu.Unlock()
 		<-s.closeDone
 		return s.closeErr
 	}
-	s.closing = true
 	s.closed = true
 	s.cond.Broadcast()
-	var toCancel []*JobHandle
-	if s.cfg.Drain == DrainCancel {
-		for _, h := range s.queue {
-			if h.state.Load() == jobStateQueued {
-				toCancel = append(toCancel, h)
-			}
-		}
-		for h := range s.running {
-			toCancel = append(toCancel, h)
-		}
-	}
 	s.mu.Unlock()
 
 	if faultinject.Enabled() {
 		faultinject.Perturb(faultinject.ServiceDrain)
 	}
-	for _, h := range toCancel {
-		h.cancel(ErrClosed)
-	}
 
-	// Wait for every admitted job to settle.  Under DrainFinish the queued
-	// jobs are still being dispatched by the workers; under DrainCancel
-	// the evictions above have already retired the queued ones and the
-	// running ones unwind at their next checkpoint.
+	// Wait for every admitted job to settle; the workers are still
+	// dispatching the queued ones.
 	s.mu.Lock()
 	for s.unsettled > 0 {
 		s.cond.Wait()

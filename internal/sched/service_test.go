@@ -12,8 +12,94 @@ import (
 // newTestService builds a small service over a fresh runtime.
 func newTestService(t *testing.T, cfg ServiceConfig) *Service {
 	t.Helper()
-	rt := New(Config{Workers: 4})
-	return NewService(rt, cfg)
+	return NewService(Config{Workers: 4}, cfg)
+}
+
+// occupy keeps the one worker of s busy with a job until the returned
+// function is called, which then waits for that job to finish.
+func occupy(t *testing.T, s *Service) (release func()) {
+	t.Helper()
+	ch, ran := make(chan struct{}), make(chan struct{})
+	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) {
+		close(ran)
+		<-ch
+	}})
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	<-ran
+	return func() {
+		close(ch)
+		if err := blocker.Wait(); err != nil {
+			t.Fatalf("blocker: %v", err)
+		}
+	}
+}
+
+// TestRunOnServiceRuntimeRefused: every worker of a service's runtime is a
+// pool goroutine, so there is no worker 0 to lend a caller.  Run, RunErr and
+// RunContext on it run nothing and return the named error.
+func TestRunOnServiceRuntimeRefused(t *testing.T) {
+	s := NewService(Config{Workers: 2}, ServiceConfig{})
+	rt := s.Runtime()
+	var ran atomic.Bool
+	job := func(*Context) { ran.Store(true) }
+	if _, err := rt.Run(job); !errors.Is(err, errServiceRuntime) {
+		t.Errorf("Run = %v, want %v", err, errServiceRuntime)
+	}
+	if _, err := rt.RunErr(job); !errors.Is(err, errServiceRuntime) {
+		t.Errorf("RunErr = %v, want %v", err, errServiceRuntime)
+	}
+	if _, err := rt.RunContext(context.Background(), job); !errors.Is(err, errServiceRuntime) {
+		t.Errorf("RunContext = %v, want %v", err, errServiceRuntime)
+	}
+	if ran.Load() || rt.Stats().RootTasks != 0 {
+		t.Errorf("a refused Run ran its job (%v) or counted a root (%d)", ran.Load(), rt.Stats().RootTasks)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestServiceEvictionLeavesNoEntry: a cancelled job leaves the admission
+// queue at the moment it is evicted, so a queue whose every job was
+// cancelled holds no entry at all, however few were cancelled.
+func TestServiceEvictionLeavesNoEntry(t *testing.T) {
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 16})
+	release := occupy(t, s)
+	var ran atomic.Int64
+	hs := make([]*JobHandle, 16)
+	for i := range hs {
+		h, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) { ran.Add(1) }})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		hs[i] = h
+	}
+	for _, h := range hs {
+		h.Cancel()
+	}
+	s.mu.Lock()
+	entries := 0
+	for h := s.queue.next; h != &s.queue; h = h.next {
+		entries++
+	}
+	s.mu.Unlock()
+	if entries != 0 || s.Stats().QueueDepth != 0 {
+		t.Errorf("queue holds %d entries (depth %d) after every queued job was cancelled, want 0", entries, s.Stats().QueueDepth)
+	}
+	release()
+	for i, h := range hs {
+		if err := h.Wait(); !errors.Is(err, context.Canceled) {
+			t.Errorf("job %d: %v, want context.Canceled", i, err)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d cancelled jobs ran", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 }
 
 // TestServiceSubmitConcurrent drives many concurrent submitters through one
@@ -123,18 +209,8 @@ func TestServicePanicContainment(t *testing.T) {
 // checks the reject policy answers ErrOverloaded within bounded time while
 // the in-flight job still completes correctly.
 func TestServiceAdmitReject(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 1, Admit: AdmitReject})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 1, Admit: AdmitReject})
+	release := occupy(t, s)
 	queued, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {}})
 	if err != nil {
 		t.Fatalf("Submit queued: %v", err)
@@ -149,70 +225,9 @@ func TestServiceAdmitReject(t *testing.T) {
 	if got := s.Stats().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
+	release()
 	if err := queued.Wait(); err != nil {
 		t.Fatalf("queued: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestServiceAdmitShedOldest checks the shed policy evicts the oldest
-// lowest-priority queued job, completing its handle with ErrOverloaded,
-// and admits the newcomer.
-func TestServiceAdmitShedOldest(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 2, Admit: AdmitShedOldest})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
-	var lowRan, highRan, newRan atomic.Bool
-	low, err := s.Submit(context.Background(), JobSpec{Priority: 0, Fn: func(c *Context) { lowRan.Store(true) }})
-	if err != nil {
-		t.Fatalf("Submit low: %v", err)
-	}
-	high, err := s.Submit(context.Background(), JobSpec{Priority: 5, Fn: func(c *Context) { highRan.Store(true) }})
-	if err != nil {
-		t.Fatalf("Submit high: %v", err)
-	}
-	// Queue full (low, high): the next submission sheds `low`, the oldest
-	// job of the lowest priority class.
-	newer, err := s.Submit(context.Background(), JobSpec{Priority: 0, Fn: func(c *Context) { newRan.Store(true) }})
-	if err != nil {
-		t.Fatalf("Submit newer: %v", err)
-	}
-	if werr := low.Wait(); !errors.Is(werr, ErrOverloaded) {
-		t.Fatalf("shed job error = %v, want ErrOverloaded", werr)
-	}
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
-	if err := high.Wait(); err != nil {
-		t.Fatalf("high: %v", err)
-	}
-	if err := newer.Wait(); err != nil {
-		t.Fatalf("newer: %v", err)
-	}
-	if lowRan.Load() {
-		t.Fatal("shed job ran")
-	}
-	if !highRan.Load() || !newRan.Load() {
-		t.Fatal("surviving jobs did not run")
-	}
-	if got := s.Stats().Shed; got != 1 {
-		t.Fatalf("Shed = %d, want 1", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -223,18 +238,8 @@ func TestServiceAdmitShedOldest(t *testing.T) {
 // space frees, and that a blocked submitter's context cancellation fails
 // the submission with the context's error.
 func TestServiceAdmitBlock(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 1, Admit: AdmitBlock})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 1, Admit: AdmitBlock})
+	release := occupy(t, s)
 	queued, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {}})
 	if err != nil {
 		t.Fatalf("Submit queued: %v", err)
@@ -268,10 +273,7 @@ func TestServiceAdmitBlock(t *testing.T) {
 		blocked <- h
 	}()
 	time.Sleep(10 * time.Millisecond)
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
+	release()
 	if err := queued.Wait(); err != nil {
 		t.Fatalf("queued: %v", err)
 	}
@@ -288,50 +290,35 @@ func TestServiceAdmitBlock(t *testing.T) {
 	}
 }
 
-// TestServicePriorityOrder checks queued jobs dispatch in priority order,
-// FIFO within a class.
-func TestServicePriorityOrder(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 8})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
+// TestServiceFIFOOrder checks queued jobs dispatch in submission order.
+func TestServiceFIFOOrder(t *testing.T) {
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 8})
+	release := occupy(t, s)
 	var mu sync.Mutex
 	var order []int
-	submit := func(tag, prio int) *JobHandle {
-		h, err := s.Submit(context.Background(), JobSpec{Priority: prio, Fn: func(c *Context) {
+	hs := make([]*JobHandle, 6)
+	for i := range hs {
+		h, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
 			mu.Lock()
-			order = append(order, tag)
+			order = append(order, i)
 			mu.Unlock()
 		}})
 		if err != nil {
-			t.Fatalf("Submit %d: %v", tag, err)
+			t.Fatalf("Submit %d: %v", i, err)
 		}
-		return h
+		hs[i] = h
 	}
-	hs := []*JobHandle{submit(1, 0), submit(2, 5), submit(3, 0), submit(4, 5)}
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
+	release()
 	for i, h := range hs {
 		if err := h.Wait(); err != nil {
-			t.Fatalf("job %d: %v", i+1, err)
+			t.Fatalf("job %d: %v", i, err)
 		}
 	}
-	want := []int{2, 4, 1, 3}
 	mu.Lock()
 	defer mu.Unlock()
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order = %v, want %v", order, want)
+	for i, tag := range order {
+		if tag != i {
+			t.Fatalf("dispatch order = %v, want submission order", order)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -339,26 +326,16 @@ func TestServicePriorityOrder(t *testing.T) {
 	}
 }
 
-// TestServiceDeadline checks a queued job whose Timeout expires before a
-// worker takes it completes with context.DeadlineExceeded and never runs.
+// TestServiceDeadline checks a queued job whose submission context's
+// deadline expires before a worker takes it completes with
+// context.DeadlineExceeded and never runs.
 func TestServiceDeadline(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 4})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 4})
+	release := occupy(t, s)
 	var doomedRan atomic.Bool
-	doomed, err := s.Submit(context.Background(), JobSpec{
-		Timeout: 20 * time.Millisecond,
-		Fn:      func(c *Context) { doomedRan.Store(true) },
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	doomed, err := s.Submit(ctx, JobSpec{Fn: func(c *Context) { doomedRan.Store(true) }})
 	if err != nil {
 		t.Fatalf("Submit doomed: %v", err)
 	}
@@ -368,10 +345,7 @@ func TestServiceDeadline(t *testing.T) {
 	if doomedRan.Load() {
 		t.Fatal("expired job ran anyway")
 	}
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
+	release()
 	if got := s.Stats().DeadlineMisses; got != 1 {
 		t.Fatalf("DeadlineMisses = %d, want 1", got)
 	}
@@ -380,19 +354,27 @@ func TestServiceDeadline(t *testing.T) {
 	}
 }
 
-// TestServiceDeadlineExpiredAtSubmit submits jobs whose deadline has passed
-// before Submit finishes arming them, so the context watcher fires while
-// Submit is still storing the watcher's stop function.  Every outcome is
-// either a run or DeadlineExceeded; under -race it pins that the watcher's
-// cancellation is ordered after that store.
+// TestServiceDeadlineExpiredAtSubmit submits jobs whose deadline passes
+// while Submit is arming them, so the context watcher can fire while Submit
+// is still storing the watcher's stop function.  Every outcome is either a
+// run or DeadlineExceeded (from Submit itself when the deadline beat it);
+// under -race it pins that the watcher's cancellation is ordered after that
+// store.
 func TestServiceDeadlineExpiredAtSubmit(t *testing.T) {
 	s := newTestService(t, ServiceConfig{Queue: 8})
 	for i := 0; i < 300; i++ {
-		h, err := s.Submit(context.Background(), JobSpec{Timeout: time.Nanosecond, Fn: func(c *Context) {}})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%8)*250*time.Nanosecond)
+		h, err := s.Submit(ctx, JobSpec{Fn: func(c *Context) {}})
+		if errors.Is(err, context.DeadlineExceeded) {
+			cancel()
+			continue
+		}
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
-		if werr := h.Wait(); werr != nil && !errors.Is(werr, context.DeadlineExceeded) {
+		werr := h.Wait()
+		cancel()
+		if werr != nil && !errors.Is(werr, context.DeadlineExceeded) {
 			t.Fatalf("job %d: %v, want nil or DeadlineExceeded", i, werr)
 		}
 	}
@@ -406,15 +388,14 @@ func TestServiceDeadlineExpiredAtSubmit(t *testing.T) {
 // and the pool settles to quiescence.
 func TestServiceRunningDeadline(t *testing.T) {
 	s := newTestService(t, ServiceConfig{Queue: 4})
-	h, err := s.Submit(context.Background(), JobSpec{
-		Timeout: 20 * time.Millisecond,
-		Fn: func(c *Context) {
-			for i := 0; i < 1_000_000; i++ {
-				c.Fork(func(c *Context) { time.Sleep(50 * time.Microsecond) },
-					func(c *Context) { time.Sleep(50 * time.Microsecond) })
-			}
-		},
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	h, err := s.Submit(ctx, JobSpec{Fn: func(c *Context) {
+		for i := 0; i < 1_000_000; i++ {
+			c.Fork(func(c *Context) { time.Sleep(50 * time.Microsecond) },
+				func(c *Context) { time.Sleep(50 * time.Microsecond) })
+		}
+	}})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -429,18 +410,8 @@ func TestServiceRunningDeadline(t *testing.T) {
 // TestServiceCancelHandle checks JobHandle.Cancel evicts a queued job with
 // context.Canceled.
 func TestServiceCancelHandle(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 4})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
+	s := NewService(Config{Workers: 1}, ServiceConfig{Queue: 4})
+	release := occupy(t, s)
 	var victimRan atomic.Bool
 	victim, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) { victimRan.Store(true) }})
 	if err != nil {
@@ -453,10 +424,7 @@ func TestServiceCancelHandle(t *testing.T) {
 	if victimRan.Load() {
 		t.Fatal("cancelled job ran")
 	}
-	close(release)
-	if err := blocker.Wait(); err != nil {
-		t.Fatalf("blocker: %v", err)
-	}
+	release()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -520,44 +488,6 @@ func TestServiceWatchdogSparesLiveJobs(t *testing.T) {
 	}
 }
 
-// TestServiceDrainCancel checks Close under DrainCancel completes queued
-// jobs with ErrClosed without running them, and drains to quiescence.
-func TestServiceDrainCancel(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	s := NewService(rt, ServiceConfig{Queue: 8, Drain: DrainCancel})
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	blocker, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {
-		close(ran)
-		<-release
-	}})
-	if err != nil {
-		t.Fatalf("Submit blocker: %v", err)
-	}
-	<-ran
-	var queuedRan atomic.Bool
-	queued, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) { queuedRan.Store(true) }})
-	if err != nil {
-		t.Fatalf("Submit queued: %v", err)
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	if werr := queued.Wait(); !errors.Is(werr, ErrClosed) {
-		t.Fatalf("queued job error = %v, want ErrClosed", werr)
-	}
-	if queuedRan.Load() {
-		t.Fatal("drain-cancelled job ran")
-	}
-	// The running blocker must still be waited for: release it.
-	close(release)
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if werr := blocker.Wait(); werr != nil && !errors.Is(werr, ErrClosed) {
-		t.Fatalf("blocker error = %v, want nil or ErrClosed", werr)
-	}
-}
-
 // TestServiceSubmitAfterClose checks the deterministic ErrClosed contract.
 func TestServiceSubmitAfterClose(t *testing.T) {
 	s := newTestService(t, ServiceConfig{})
@@ -580,12 +510,7 @@ func TestServiceSubmitAfterClose(t *testing.T) {
 // pool must verify quiescent.
 func TestServiceCloseRacingSubmit(t *testing.T) {
 	for round := 0; round < 30; round++ {
-		rt := New(Config{Workers: 4})
-		drain := DrainFinish
-		if round%2 == 1 {
-			drain = DrainCancel
-		}
-		s := NewService(rt, ServiceConfig{Queue: 4, Drain: drain})
+		s := NewService(Config{Workers: 4}, ServiceConfig{Queue: 4})
 		const callers = 8
 		var wg sync.WaitGroup
 		handles := make([]*JobHandle, callers)
@@ -621,15 +546,14 @@ func TestServiceCloseRacingSubmit(t *testing.T) {
 				}
 				continue
 			}
-			werr := handles[g].Wait()
-			if werr != nil && !errors.Is(werr, ErrClosed) {
-				t.Fatalf("round %d: caller %d Wait = %v, want nil or ErrClosed", round, g, werr)
+			if werr := handles[g].Wait(); werr != nil {
+				t.Fatalf("round %d: caller %d Wait = %v, want nil: Close finishes every admitted job", round, g, werr)
 			}
 		}
 		if _, err := s.Submit(context.Background(), JobSpec{Fn: func(c *Context) {}}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("round %d: Submit after Close = %v, want ErrClosed", round, err)
 		}
-		if err := rt.Quiescent(); err != nil {
+		if err := s.Runtime().Quiescent(); err != nil {
 			t.Fatalf("round %d: pool not quiescent after drain: %v", round, err)
 		}
 	}

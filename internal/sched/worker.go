@@ -296,8 +296,8 @@ func (w *Worker) flushCounters() {
 	}
 }
 
-// loop is the worker's scheduling loop: sweep the other deques, the inbox
-// and the service's admission queue; after parkSweeps empty sweeps either
+// loop is the pool worker's scheduling loop: sweep the other deques and the
+// service's admission queue; after parkSweeps empty sweeps either
 // stay warm (idle.go: yield the P and sweep again, for a time set by what a
 // wake-up is measured to cost) or park.  Parking follows a Dekker-style protocol
 // with signalWork: the worker registers itself in rt.parked and then
@@ -317,19 +317,13 @@ func (w *Worker) loop() {
 			sweeps = 0
 			continue
 		}
-		select {
-		case root := <-rt.inbox:
-			w.idle.tookRoot(root.queuedAt)
-			w.runRoot(root)
-			sweeps = 0
-			continue
-		default:
-		}
-		if h := rt.takeServiceRoot(); h != nil {
-			w.idle.tookRoot(h.queuedAt)
-			w.runServiceJob(h)
-			sweeps = 0
-			continue
+		if rt.service != nil {
+			if h := rt.service.pop(); h != nil {
+				w.idle.tookRoot(h.queuedAt)
+				w.runServiceJob(h)
+				sweeps = 0
+				continue
+			}
 		}
 		w.idle.unparked = false
 		sweeps++
@@ -360,12 +354,6 @@ func (w *Worker) loop() {
 		case <-rt.quit:
 			rt.parked.Add(-1)
 			return
-		case root := <-rt.inbox:
-			rt.unparks.Add(1)
-			rt.parked.Add(-1)
-			w.idle.unparked = true
-			w.idle.tookRoot(root.queuedAt)
-			w.runRoot(root)
 		case sent := <-rt.wake:
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
@@ -376,7 +364,7 @@ func (w *Worker) loop() {
 }
 
 // runTrace is the scope every trace runs in — the Run caller's root as
-// worker 0, a queued root, a service job, a stolen task — and the only place
+// worker 0, a service job, a stolen task — and the only place
 // one begins: a fresh trace, the closure's panic boundary, view transferal.
 // It returns the trace's deposit, or the contained panic value (wrapped
 // here, nearest the panic, so it carries the panicking stack; or the
@@ -399,12 +387,6 @@ func (w *Worker) runTrace(fn func(*Context), jb *job) (d Deposit, panicked any) 
 	}()
 	fn(&Context{w: w, wid: int32(w.id)})
 	return w.rt.reducers.EndTrace(w, w.curTrace), nil
-}
-
-// runRoot executes one queued Run invocation.
-func (w *Worker) runRoot(root *rootTask) {
-	root.d, root.p = w.runTrace(root.fn, root.job)
-	close(root.done)
 }
 
 // runServiceJob executes one admitted service job; the outcome goes through

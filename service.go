@@ -13,19 +13,21 @@ import (
 
 // Service is the resident multi-tenant runtime: one worker pool and one
 // reducer engine absorbing request-shaped parallel jobs from any number of
-// goroutines, with admission control, per-job deadlines and priorities,
-// watchdog stall detection, and a graceful drain — the serving counterpart
-// of the batch Session.  Create one with NewService, submit with Submit,
-// shut down with Close:
+// goroutines, with a FIFO admission queue, deadlines through the submission
+// context, watchdog stall detection, and a graceful drain — the serving
+// counterpart of the batch Session.  Create one with NewService, submit with
+// Submit, shut down with Close:
 //
 //	svc := cilkm.NewService(cilkm.WithWorkers(8),
 //	    cilkm.WithAdmitPolicy(cilkm.AdmitReject))
 //	defer svc.Close()
+//	ctx, cancel := context.WithTimeout(ctx, time.Second)
+//	defer cancel()
 //	h, err := svc.Submit(ctx, func(c *cilkm.Context, js *cilkm.JobSession) {
 //	    sum := cilkm.NewAdd[int](js)
 //	    c.ParallelFor(0, n, func(c *cilkm.Context, i int) { sum.Add(c, 1) })
 //	    total = *sum.View(c) // in-trace read: every join has merged by now
-//	}, cilkm.WithTimeout(time.Second))
+//	})
 //	if err == nil {
 //	    err = h.Wait() // sum.Value() is also valid here: root merge precedes Wait
 //	}
@@ -64,25 +66,10 @@ const (
 	AdmitBlock = sched.AdmitBlock
 	// AdmitReject fails the submission immediately with ErrOverloaded.
 	AdmitReject = sched.AdmitReject
-	// AdmitShedOldest admits the new job and sheds the oldest queued job of
-	// the lowest priority class with ErrOverloaded.
-	AdmitShedOldest = sched.AdmitShedOldest
 )
 
-// DrainPolicy selects what Close does with jobs admitted before the close.
-type DrainPolicy = sched.DrainPolicy
-
-// Drain policies.
-const (
-	// DrainFinish runs every admitted job to completion before shutdown.
-	DrainFinish = sched.DrainFinish
-	// DrainCancel cancels queued and running jobs, then waits for them to
-	// settle.
-	DrainCancel = sched.DrainCancel
-)
-
-// ErrOverloaded is returned by Submit (reject policy) or delivered to a
-// shed job's handle when the service is saturated.
+// ErrOverloaded is returned by Submit under the reject policy when the
+// admission queue is full.
 var ErrOverloaded = sched.ErrOverloaded
 
 // ErrStalled is the sentinel a watchdog-cancelled job's error wraps.
@@ -105,12 +92,6 @@ func WithAdmitPolicy(p AdmitPolicy) Option {
 	return func(o *options) { o.svc.Admit = p }
 }
 
-// WithDrainPolicy selects what Close does with in-flight jobs (default
-// DrainFinish).  Only NewService reads it.
-func WithDrainPolicy(p DrainPolicy) Option {
-	return func(o *options) { o.svc.Drain = p }
-}
-
 // WithWatchdog enables the stall watchdog: a job making no scheduler-visible
 // progress (dispatch, steals, merges) for a whole window is cancelled with a
 // *StallError carrying a stack dump.  Size the window for request-shaped
@@ -122,22 +103,22 @@ func WithWatchdog(window time.Duration) Option {
 
 // NewService creates a resident service from the same functional options as
 // New (mechanism, workers, engine knobs, metrics exporter) plus the service
-// options (queue bound, admission and drain policies, watchdog).  How long
-// an idle worker keeps looking for the next job before it parks is measured
-// by the scheduler, not configured (internal/sched/idle.go).
+// options (queue bound, admission policy, watchdog).  All its workers are
+// pool goroutines that take jobs in submission order; how long an idle one
+// keeps looking for the next job before it parks is measured by the
+// scheduler, not configured (internal/sched/idle.go).
 func NewService(opts ...Option) *Service {
 	o := buildOptions(opts)
 	eng := reducers.NewEngine(o.mech, o.workers, o.eng)
-	rt := sched.New(sched.Config{Workers: o.workers, Reducers: eng})
 	cfg := o.svc
 	cfg.RootMerge = eng.MergeRootDeposit
 	cfg.Quiesce = eng.Quiescent
-	svc := sched.NewService(rt, cfg)
+	svc := sched.NewService(sched.Config{Workers: o.workers, Reducers: eng}, cfg)
 	if o.exporter != nil {
 		if src, ok := core.Engine(eng).(MetricSource); ok {
 			o.exporter.Register("engine", src)
 		}
-		o.exporter.Register("sched", rt)
+		o.exporter.Register("sched", svc.Runtime())
 		o.exporter.Register("service", svc)
 		o.exporter.Register("faultinject", metrics.SourceFunc(faultinject.SampleMetrics))
 	}
@@ -146,19 +127,6 @@ func NewService(opts ...Option) *Service {
 
 // JobOption configures one Submit call.
 type JobOption func(*sched.JobSpec)
-
-// WithPriority orders the admission queue: higher runs first, ties run in
-// submission order.  Zero is the normal priority.
-func WithPriority(p int) JobOption {
-	return func(s *sched.JobSpec) { s.Priority = p }
-}
-
-// WithTimeout bounds the job's total latency, queue wait included; expiry
-// completes the handle with context.DeadlineExceeded and cancels the job at
-// its next checkpoint.
-func WithTimeout(d time.Duration) JobOption {
-	return func(s *sched.JobSpec) { s.Timeout = d }
-}
 
 // WithOnDone runs f exactly once when the job's handle completes (the
 // moment Wait would unblock).  For a cancelled job this can be before the
@@ -173,7 +141,9 @@ func WithOnDone(f func(err error)) JobOption {
 // scheduler context and the job's own JobSession for reducer registration.
 // The submission context governs the job end to end: cancelling it evicts a
 // queued job immediately and aborts a running one at its next fork, steal,
-// or merge checkpoint.
+// or merge checkpoint.  A deadline is a context.WithTimeout context: it
+// bounds the job's total latency, queue wait included, and its expiry
+// completes the handle with context.DeadlineExceeded.
 //
 // Submit's error reports admission failures only (ErrClosed, ErrOverloaded,
 // the context's error); execution errors — panics contained as *PanicError,
@@ -204,8 +174,8 @@ func (s *Service) Submit(ctx context.Context, fn func(*Context, *JobSession), op
 	return h, err
 }
 
-// Stats snapshots the service counters (queue depth, rejections, sheds,
-// deadline misses, watchdog cancellations, jobs running).
+// Stats snapshots the service counters (queue depth, rejections, deadline
+// misses, watchdog cancellations, jobs running).
 func (s *Service) Stats() ServiceStats { return s.svc.Stats() }
 
 // Engine returns the shared reducer engine (for reading retired reducers'
@@ -213,12 +183,13 @@ func (s *Service) Stats() ServiceStats { return s.svc.Stats() }
 // JobSession, not here.
 func (s *Service) Engine() Engine { return s.eng }
 
-// Runtime returns the underlying scheduler runtime.
+// Runtime returns the underlying scheduler runtime, for its statistics and
+// metrics.  Its Run refuses to run anything: jobs enter through Submit.
 func (s *Service) Runtime() *sched.Runtime { return s.svc.Runtime() }
 
 // Close drains and shuts the service down: admission stops (concurrent
-// Submit calls deterministically return ErrClosed), in-flight jobs finish
-// or cancel per the drain policy, the pool stops, and pool-wide quiescence
-// is verified — scheduler accounting plus the engine's page/arena/view leak
-// check.  The first leak found is returned.  Close is idempotent.
+// Submit calls deterministically return ErrClosed), every admitted job
+// finishes, the pool stops, and pool-wide quiescence is verified —
+// scheduler accounting plus the engine's page/arena/view leak check.  The
+// first leak found is returned.  Close is idempotent.
 func (s *Service) Close() error { return s.svc.Close() }
