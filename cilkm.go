@@ -36,6 +36,7 @@ package cilkm
 
 import (
 	"cmp"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -181,10 +182,15 @@ func WithMetricsExporter(exp *Exporter) Option {
 	return func(o *options) { o.exporter = exp }
 }
 
+// buildOptions applies opts and resolves the worker count once, so the
+// engine, its page pool and the runtime are all sized for the same workers.
 func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

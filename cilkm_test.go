@@ -1,6 +1,7 @@
 package cilkm_test
 
 import (
+	"runtime"
 	"testing"
 
 	cilkm "repro"
@@ -158,6 +159,22 @@ func TestNewDefaultsAndEngineWith(t *testing.T) {
 	}
 	if n := cilkm.LookupCount(hm); sum.Value() != 10 || n != 10 {
 		t.Fatalf("WithCountLookups ignored: sum = %d, LookupCount = %d, want 10 and 10", sum.Value(), n)
+	}
+}
+
+// TestUnsetWorkersSizeTheEngine checks that an unset worker count sizes the
+// stand-alone engine for runtime.GOMAXPROCS(0) workers, as WithWorkers
+// documents, rather than for one: a handle made before the engine attaches
+// sizes its view cache from Workers.
+func TestUnsetWorkersSizeTheEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, mech := range cilkm.Mechanisms() {
+		if got := cilkm.NewEngineWith(cilkm.WithMechanism(mech)).Workers(); got != 3 {
+			t.Errorf("%v: NewEngineWith().Workers() = %d under GOMAXPROCS 3, want 3", mech, got)
+		}
+		if got := cilkm.NewEngineWith(cilkm.WithMechanism(mech), cilkm.WithWorkers(0)).Workers(); got != 3 {
+			t.Errorf("%v: WithWorkers(0) sized the engine for %d workers, want 3", mech, got)
+		}
 	}
 }
 

@@ -5,9 +5,9 @@
 // per-worker epoch counter.  Any operation that retires or moves a view —
 // unregistering a reducer, growing a TLMM reducer page, reusing an SPA
 // slot, stealing across a trace boundary, merging child views — must bump
-// that epoch (Worker.BumpViewEpoch, directly or through the engines'
-// every-worker sweep publishViewInvalidation) before the old view word can
-// be recycled.  Forgetting the bump does not crash: the stale cache
+// that epoch (Worker.BumpViewEpoch, directly or through core.Base's
+// every-worker sweep) before the old view word can be recycled.
+// Forgetting the bump does not crash: the stale cache
 // entry keeps resolving to the retired view and updates are silently lost
 // into freed memory.  That failure mode survives tests unless a schedule
 // happens to re-read through the stale entry, which is exactly the kind of
@@ -33,12 +33,13 @@ import (
 )
 
 // DefaultFuncs matches the retirement entry points of the memory-mapped
-// reducer runtime: the core MM and hypermap HM lifecycle methods plus TLMM
-// reducer-page growth.
-const DefaultFuncs = `^(MM|HM)\.(Unregister|BeginTrace|EndTrace|Merge)$|^MM\.growReducerPage$`
+// reducer runtime: the core MM and hypermap HM trace and merge hooks, the
+// Unregister both engines share through core.Base, and TLMM reducer-page
+// growth.
+const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge)$|^Base\.Unregister$|^MM\.growReducerPage$`
 
 // DefaultBumps are the blessed invalidation publishers.
-const DefaultBumps = "BumpViewEpoch,publishViewInvalidation"
+const DefaultBumps = "BumpViewEpoch"
 
 // Analyzer is the epochbump analyzer.
 var Analyzer = &framework.Analyzer{

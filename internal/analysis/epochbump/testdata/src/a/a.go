@@ -4,17 +4,13 @@ type MM struct{ epoch uint64 }
 
 func (m *MM) BumpViewEpoch() { m.epoch++ }
 
-func (m *MM) publishViewInvalidation() { m.epoch += 2 }
+func (m *MM) invalidateViews() { m.BumpViewEpoch() }
 
-func (m *MM) Unregister(id int) { // direct bump: ok
-	m.BumpViewEpoch()
-}
-
-func (m *MM) BeginTrace() { // transitive bump through retire: ok
+func (m *MM) BeginTrace() { // transitive bump through retire and the sweep: ok
 	m.retire()
 }
 
-func (m *MM) retire() { m.publishViewInvalidation() }
+func (m *MM) retire() { m.invalidateViews() }
 
 func (m *MM) EndTrace() {} // want `MM\.EndTrace retires or moves views but never reaches`
 
@@ -32,8 +28,15 @@ func recycle(m *MM) { m.growReducerPage() }
 
 type HM struct{ mm MM }
 
-func (h *HM) Unregister() { // bump through a field's method: ok
+func (h *HM) Merge() { // bump through a field's method: ok
 	h.mm.BumpViewEpoch()
+}
+
+// Base stands for the frame both engines embed, where Unregister lives.
+type Base struct{ mm *MM }
+
+func (b *Base) Unregister() { // want `Base\.Unregister retires or moves views but never reaches`
+	b.mm = nil
 }
 
 func (h *HM) helperOnly() {} // not matched by -funcs: ok

@@ -4,7 +4,7 @@
 // run once per view per steal; a LOCK-prefixed read-modify-write on any of
 // them costs more than the work it counts.  The runtime's idiom is
 // therefore "tick a plain owner-only field, flush it where the trace
-// ends" (metrics.LookupCounters, ArenaCounters, Recorder.Flush), and three
+// ends" (metrics.Tally, flushed by metrics.Totals.Flush), and three
 // separate PRs had to remove an atomic counter that crept back onto one of
 // these paths, each found only by profiling.  This analyzer carries the
 // rule instead: a function whose doc comment holds
@@ -14,7 +14,9 @@
 // may not directly call a sync/atomic read-modify-write or store — the
 // Add, And, Or, Swap, CompareAndSwap and Store methods of the atomic types
 // and the package functions of the same families — nor any method of
-// sync.Mutex or sync.RWMutex.  Atomic loads are plain loads on the
+// sync.Mutex or sync.RWMutex, nor the Add, Store and Max of
+// metrics.PaddedCounter, which are an atomic add, an atomic store and a
+// CAS loop behind a method call.  Atomic loads are plain loads on the
 // platforms the runtime targets and stay legal.  Function literals inside
 // a tagged function are part of it.
 //
@@ -67,9 +69,13 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
+// paddedCounterLocked names the metrics.PaddedCounter methods that execute
+// a locked instruction.
+var paddedCounterLocked = map[string]bool{"Add": true, "Store": true, "Max": true}
+
 // locked describes callee when it is a locked operation — a sync/atomic
-// read-modify-write or store, or a sync.Mutex/RWMutex method — and returns
-// "" otherwise.
+// read-modify-write or store, a sync.Mutex/RWMutex method, or one of
+// metrics.PaddedCounter's — and returns "" otherwise.
 func locked(callee *types.Func) string {
 	if callee.Pkg() == nil {
 		return ""
@@ -98,6 +104,10 @@ func locked(callee *types.Func) string {
 	case "sync":
 		if recv == "Mutex" || recv == "RWMutex" {
 			return "sync." + recv + "." + callee.Name()
+		}
+	case "repro/internal/metrics":
+		if recv == "PaddedCounter" && paddedCounterLocked[callee.Name()] {
+			return "metrics.PaddedCounter." + callee.Name()
 		}
 	}
 	return ""

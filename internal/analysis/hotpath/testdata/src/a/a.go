@@ -3,6 +3,8 @@ package a
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 type recorder struct {
@@ -84,4 +86,15 @@ func (w *worker) flush() {
 //cilkvet:hotpath
 func (w *worker) allowed() {
 	w.rec.counts.Add(1) //cilkvet:allow hotpath -- fixture: a justified exception is honoured
+}
+
+// staleDrop is the shape the padded counter hid: a locked add one method
+// call away.  Its Load stays legal.
+//
+//cilkvet:hotpath
+func (w *worker) staleDrop(c *metrics.PaddedCounter) int64 {
+	c.Add(1)   // want `staleDrop is marked //cilkvet:hotpath but calls metrics\.PaddedCounter\.Add`
+	c.Store(0) // want `calls metrics\.PaddedCounter\.Store`
+	c.Max(2)   // want `calls metrics\.PaddedCounter\.Max`
+	return c.Load()
 }

@@ -1,0 +1,164 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/metrics"
+	"repro/internal/sched"
+)
+
+// Base is the frame both reducer engines embed: everything about an engine
+// that is not its mechanism.  It registers reducers in the directory, keeps
+// the list of attached workers, sweeps their view epochs when a reducer is
+// retired, and holds the one counter block every count of the engine goes
+// through — so measured differences between the memory-mapped engine and
+// the hypermap isolate the lookup structures and merges themselves.  The
+// engine keeps its lookup structure, its trace and merge hooks, its
+// per-worker state and its Quiescent walk.
+//
+// The exported fields are the engine's to use and nobody else's.
+type Base struct {
+	// Dir is the reducer directory: Register, Unregister and Registered
+	// take its lock; the lookup miss and the merges check validity with one
+	// load.
+	Dir *Directory
+	// Timing, fixed at construction, adds durations to the overhead counts
+	// (pair metrics.Start with Breakdown.Tick).
+	Timing bool
+	// Attached is the RCU-published list of attached workers, whose Local
+	// is the engine's per-worker state, so the invalidation sweep and the
+	// Quiescent walk iterate it without a lock.
+	Attached atomic.Pointer[[]*sched.Worker]
+
+	self  Engine
+	label string
+	// initMu guards attach-time bookkeeping only (WorkerInit); no
+	// steady-state path takes it.
+	initMu sync.Mutex
+	// nworkers is the number of per-worker structures maintained: the
+	// construction size, grown under initMu when a larger runtime attaches.
+	nworkers atomic.Int64
+
+	// The fields above are read-mostly (Dir and Timing on every first
+	// lookup); the ones below are written by every merge and every flush,
+	// so they come after, off the line the readers load.
+
+	// MergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
+	// currently executing; part of the engine's quiescence invariant.
+	MergeInflight atomic.Int64
+	// Totals is where every worker flushes its metrics.Tally: at EndTrace
+	// and at the end of every Merge and Discard it runs.  A merge that runs
+	// off every worker counts into a Tally of its own and flushes it once.
+	Totals metrics.Totals
+}
+
+// InitBase sets up b, embedded by value in engine self so the per-view
+// paths reach Dir and Timing with no extra load, sized for workers workers
+// (at least one) and exporting under the engine label label.  onGrow is the
+// directory's growth hook, called under its lock once per fresh SPA page
+// (the memory-mapped engine reserves TLMM address space there), and may be
+// nil.
+func InitBase(b *Base, self Engine, label string, workers int, timing bool, onGrow func(page int) error) {
+	b.Dir, b.Timing, b.self, b.label = NewDirectory(onGrow), timing, self, label
+	b.nworkers.Store(int64(max(workers, 1)))
+}
+
+// Register implements Engine: one address taken under the directory's lock.
+func (b *Base) Register(m Monoid) (*Reducer, error) {
+	return b.Dir.Register(b.self, m)
+}
+
+// Unregister implements Engine.  The directory's compare-and-swap performs
+// the registry identity check: a double-unregister — even one racing a slot
+// reuse — can never delete another live reducer's entry or free an address
+// twice.  A successful unregister bumps every attached worker's view epoch
+// so every context re-resolves its cached view on the next lookup.
+// Re-resolution of the retired handle itself yields the frozen leftmost
+// value — unless the calling worker still holds the reducer's private view
+// for the current trace, in which case that view (doomed to be dropped,
+// never merged) remains readable until the trace ends; the owner stamp
+// guarantees no OTHER reducer can ever observe it.
+func (b *Base) Unregister(r *Reducer) {
+	if r == nil || r.eng != b.self {
+		return
+	}
+	if b.Dir.Unregister(r) {
+		b.invalidateViews()
+	}
+}
+
+// invalidateViews bumps every attached worker's view epoch, forcing every
+// handle's cached view to re-resolve on its next access: the publication
+// step for events that change view metadata beneath running contexts.
+func (b *Base) invalidateViews() {
+	if list := b.Attached.Load(); list != nil {
+		for _, w := range *list {
+			w.BumpViewEpoch()
+		}
+	}
+}
+
+// Registered returns the number of live reducers.
+func (b *Base) Registered() int { return b.Dir.Live() }
+
+// Workers implements Engine: the number of per-worker structures currently
+// maintained (construction size, grown when a larger runtime attaches).
+func (b *Base) Workers() int { return int(b.nworkers.Load()) }
+
+// WorkerInit is the attach step each engine's WorkerInit ends with, once
+// the worker's own state is its Local: it lists w in Attached and grows
+// Workers to the attaching runtime's size.
+func (b *Base) WorkerInit(w *sched.Worker) {
+	b.initMu.Lock()
+	defer b.initMu.Unlock()
+	if n := int64(w.Runtime().Workers()); n > b.nworkers.Load() {
+		b.nworkers.Store(n)
+	}
+	// Copy on write: the sweeps iterate the published list lock-free.
+	var grown []*sched.Worker
+	if cur := b.Attached.Load(); cur != nil {
+		grown = append(grown, *cur...)
+	}
+	grown = append(grown, w)
+	b.Attached.Store(&grown)
+}
+
+// DirectoryStats returns a snapshot of the directory's counters.
+func (b *Base) DirectoryStats() metrics.DirectoryStats { return b.Dir.Stats() }
+
+// Overheads implements Engine.
+func (b *Base) Overheads() metrics.Breakdown { return b.Totals.Snapshot().Overhead }
+
+// ResetOverheads implements Engine.  It zeroes the overhead, lookup and
+// merge counts and leaves the arena's (see metrics.Totals.Reset).
+func (b *Base) ResetOverheads() { b.Totals.Reset() }
+
+// FastPathStats returns a snapshot of the lookup outcome counters: every
+// LookupWord that reached a worker's lookup structure is one hit or one
+// miss.
+func (b *Base) FastPathStats() metrics.LookupFastPathStats { return b.Totals.Snapshot().Lookups }
+
+// MergeStats returns a snapshot of the hypermerge pipeline counters.
+func (b *Base) MergeStats() metrics.MergePipelineStats { return b.Totals.Snapshot().Merge }
+
+// ArenaStats returns the view-arena counters summed over the workers; they
+// stay zero on an engine without arenas.
+func (b *Base) ArenaStats() metrics.ArenaStats { return b.Totals.Snapshot().Arena }
+
+// IdentityElisions reports the number of never-written views elided since
+// the last reset: MergeStats().IdentityElisions.
+func (b *Base) IdentityElisions() int64 { return b.MergeStats().IdentityElisions }
+
+// SampleMetrics implements metrics.Source: the merge pipeline, lookup,
+// arena and directory series under the engine's label.  The counts are
+// atomic loads and the directory's counters are read under its lock, which
+// no lookup or merge takes — so sampling is safe at any moment of a run and
+// never blocks a worker.
+func (b *Base) SampleMetrics(emit func(metrics.MetricSample)) {
+	t := b.Totals.Snapshot()
+	metrics.EmitMergePipeline(emit, b.label, t.Merge)
+	metrics.EmitLookups(emit, b.label, t.Lookups)
+	metrics.EmitArena(emit, b.label, t.Arena)
+	metrics.EmitDirectory(emit, b.label, b.DirectoryStats())
+}

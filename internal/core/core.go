@@ -77,7 +77,8 @@ type Engine interface {
 
 	// Overheads returns the accumulated reduce-overhead breakdown.
 	Overheads() metrics.Breakdown
-	// ResetOverheads zeroes the overhead and lookup outcome counters.
+	// ResetOverheads zeroes the overhead, lookup outcome and merge pipeline
+	// counters.
 	ResetOverheads()
 	// Name identifies the mechanism in experiment output.
 	Name() string

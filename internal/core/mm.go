@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -32,9 +31,9 @@ type MMConfig struct {
 }
 
 // MM is the memory-mapping reducer engine (the paper's Cilk-M mechanism).
+// Registration, the worker list and the counts are its Base's.
 type MM struct {
-	cfg MMConfig
-	rec metrics.Recorder
+	Base
 	// pool recycles public SPA pages used for view transferal.
 	pool *pagepool.Pool[*spa.Map]
 
@@ -47,38 +46,6 @@ type MM struct {
 	// mapping a page, so address-space growth never blocks lookups.
 	pageTable *tlmm.RegionPageTable
 
-	// dir is the reducer directory: Register, Unregister and Registered
-	// take its lock; the lookup miss and the merges check validity with one
-	// load.
-	dir *Directory
-
-	// initMu guards attach-time bookkeeping only (the worker list in
-	// WorkerInit); no steady-state path takes it.
-	initMu sync.Mutex
-	// workers is the RCU-published list of attached per-worker states, so
-	// Unregister and region growth can publish view invalidations without
-	// a lock.
-	workers atomic.Pointer[[]*mmWorker]
-
-	// nworkers is the number of per-worker structures maintained: the
-	// construction size, grown under initMu in WorkerInit when a larger
-	// runtime attaches.  Workers and the metrics sampler read it lock-free.
-	nworkers atomic.Int64
-	// mergePipe aggregates the hypermerge pipeline counters.
-	mergePipe metrics.MergePipeline
-
-	// lookups holds the lookup outcome counters FastPathStats reports.
-	// LookupWord ticks owner-only plain fields on the mmWorker; EndTrace
-	// flushes them here, so a lookup costs no atomic and the totals are
-	// exact once a Run has returned.
-	lookups metrics.LookupCounters
-	// arena holds the view-arena counters ArenaStats reports, kept the same
-	// way: plain fields on each worker's arena, flushed here.
-	arena metrics.ArenaCounters
-
-	// mergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
-	// currently executing; part of the engine's quiescence invariant.
-	mergeInflight atomic.Int64
 	// arenaRootReleased counts arena-carved view blocks released on
 	// non-worker goroutines (the root merge and root-side discards), where
 	// no arena is available to recycle into: the blocks fall to the garbage
@@ -93,7 +60,6 @@ type MM struct {
 // and the set of SPA page indices it has backed with physical pages.
 type mmWorker struct {
 	eng     *MM
-	w       *sched.Worker
 	private *spa.MapSet
 	// spare caches an emptied map set for reuse by the next BeginTrace.
 	spare *spa.MapSet
@@ -104,23 +70,9 @@ type mmWorker struct {
 	// mapped[i] reports whether SPA page index i is backed by a TLMM page
 	// in this worker's address space.
 	mapped []bool
-	// lookups and overheads count this worker's LookupWord outcomes and
-	// reduce-overhead events since its last flushCounts.  Owner-goroutine
-	// only; see MM.lookups.
-	lookups   metrics.LookupFastPathStats
-	overheads metrics.Breakdown
-}
-
-// flushCounts publishes the worker's three owner-only tallies — lookup
-// outcomes, arena counters, overhead events — into the engine's sampled
-// counters.  It runs where a trace ends and at the end of every Merge and
-// Discard on a worker, which is what makes the engine-level totals exact
-// between jobs and at most one trace behind while one runs.
-func (ws *mmWorker) flushCounts() {
-	e := ws.eng
-	e.lookups.Flush(&ws.lookups)
-	e.arena.Flush(&ws.arena.n)
-	e.rec.Flush(&ws.overheads)
+	// tally counts everything since the worker's last flush into
+	// Base.Totals.  Owner-goroutine only.
+	tally metrics.Tally
 }
 
 // freeSlotView recycles a dead slot's view block into this worker's arena.
@@ -133,7 +85,7 @@ func (ws *mmWorker) freeSlotView(s spa.Slot) {
 		return
 	}
 	r := reducerOf(s.Owner())
-	ws.arena.free(int(r.monoid.arenaClass), s.View())
+	ws.arena.free(int(r.monoid.arenaClass), s.View(), &ws.tally.Arena)
 }
 
 // mmTrace identifies an active trace.  Because a worker that stalls at a
@@ -141,7 +93,6 @@ func (ws *mmWorker) freeSlotView(s spa.Slot) {
 // holds the private SPA maps of the suspended outer trace so EndTrace can
 // restore them once the inner trace completes.
 type mmTrace struct {
-	ws    *mmWorker
 	saved *spa.MapSet
 	// ended makes the token single-shot: a trace that already ended — in
 	// particular one whose EndTrace panicked after restoring the suspended
@@ -186,16 +137,7 @@ type MMDeposit struct {
 
 // NewMM creates a memory-mapping engine.
 func NewMM(cfg MMConfig) *MM {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	e := &MM{cfg: cfg}
-	e.nworkers.Store(int64(cfg.Workers))
-	e.rec.SetTiming(cfg.Timing)
-	e.pool = pagepool.New[*spa.Map](cfg.Workers,
-		func() *spa.Map { return spa.New() },
-		pagepool.WithEmptyCheck[*spa.Map](func(m *spa.Map) bool { return m.IsEmpty() }),
-	)
+	e := &MM{}
 	var onGrow func(page int) error
 	if cfg.ModelAddressSpace {
 		e.aspace = tlmm.NewAddressSpace(nil)
@@ -203,7 +145,11 @@ func NewMM(cfg MMConfig) *MM {
 		e.pageTable = &tlmm.RegionPageTable{}
 		onGrow = e.growReducerPage
 	}
-	e.dir = NewDirectory(onGrow)
+	InitBase(&e.Base, e, "mm", cfg.Workers, cfg.Timing, onGrow)
+	e.pool = pagepool.New[*spa.Map](e.Workers(),
+		func() *spa.Map { return spa.New() },
+		pagepool.WithEmptyCheck[*spa.Map](func(m *spa.Map) bool { return m.IsEmpty() }),
+	)
 	return e
 }
 
@@ -225,21 +171,8 @@ func (e *MM) growReducerPage(page int) error {
 		return fmt.Errorf("core: reserving TLMM page %d: %w", page, err)
 	}
 	e.pageTable.Publish(base)
-	e.publishViewInvalidation()
+	e.invalidateViews()
 	return nil
-}
-
-// publishViewInvalidation bumps every attached worker's view epoch, forcing
-// every handle's cached view to re-resolve on its next access.  It is the
-// cross-worker publication step for events that change shared view
-// metadata beneath running contexts: a reducer unregistered mid-run and the
-// view regions growing.
-func (e *MM) publishViewInvalidation() {
-	if ws := e.workers.Load(); ws != nil {
-		for _, s := range *ws {
-			s.w.BumpViewEpoch()
-		}
-	}
 }
 
 // Name implements Engine.
@@ -256,46 +189,7 @@ func (e *MM) RegionLayout() *tlmm.RegionLayout { return e.layout }
 // PoolStats exposes the public SPA page pool statistics.
 func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 
-// ArenaStats returns the view-arena counters summed over the workers.
-// Workers count into plain owner-only fields and flush them at EndTrace and
-// at the end of every Merge and Discard they run, so sampling is safe at any
-// time — mid-run, which is how the metrics exporter reads them, a sample
-// lags by at most one trace — and a snapshot taken between jobs is exact.
-func (e *MM) ArenaStats() metrics.ArenaStats { return e.arena.Snapshot() }
-
-// --- Engine registration and lookup ---
-
-// Register implements Engine: one address taken under the directory's lock,
-// which also reserves TLMM address space once per fresh SPA page (every
-// spa.SlotsPerMap addresses).
-func (e *MM) Register(m Monoid) (*Reducer, error) {
-	return e.dir.Register(e, m)
-}
-
-// Unregister implements Engine.  The directory's compare-and-swap performs
-// the registry identity check: a double-unregister — even one racing a slot
-// reuse — can never delete another live reducer's entry or free an address
-// twice.  A successful unregister publishes a view invalidation so every
-// context re-resolves its cached view on the next lookup.  Re-resolution of
-// the retired handle itself yields the frozen leftmost value — unless the
-// calling worker still holds the reducer's private view for the current
-// trace, in which case that view (doomed to be dropped, never merged)
-// remains readable until the trace ends; the owner stamp guarantees no
-// OTHER reducer can ever observe it.
-func (e *MM) Unregister(r *Reducer) {
-	if r == nil || r.eng != Engine(e) {
-		return
-	}
-	if e.dir.Unregister(r) {
-		e.publishViewInvalidation()
-	}
-}
-
-// Registered returns the number of live reducers.
-func (e *MM) Registered() int { return e.dir.Live() }
-
-// DirectoryStats returns a snapshot of the directory's counters.
-func (e *MM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
+// --- Engine lookup ---
 
 // LookupWord implements Engine.  The hit is the paper's two memory accesses
 // and a predictable branch:
@@ -324,7 +218,7 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 		if ws, ok := w.Local().(*mmWorker); ok {
 			epoch := w.ViewEpoch()
 			if s := ws.private.Probe(int(r.page), int(r.slot)); s.FastHit(ownerWord(r), mutable) {
-				ws.lookups.Hits++
+				ws.tally.Lookups.Hits++
 				return s.View(), epoch
 			}
 			return e.lookupMiss(ws, r, epoch, mutable)
@@ -343,14 +237,14 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 //
 //cilkvet:hotpath
 func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	ws.lookups.Misses++
+	ws.tally.Lookups.Misses++
 	s := ws.private.Probe(int(r.page), int(r.slot))
 	if s.View() != nil && s.Owner() == ownerWord(r) {
 		ws.private.MarkWritten(r.addr)
 		return s.View(), epoch
 	}
-	ws.lookups.ColdMisses++
-	if !e.dir.Valid(r) {
+	ws.tally.Lookups.ColdMisses++
+	if !e.Dir.Valid(r) {
 		return r.LeftmostView(), 0
 	}
 	if s.View() != nil {
@@ -361,15 +255,11 @@ func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (u
 		// recycled).
 		if old, err := ws.private.Remove(r.addr); err == nil {
 			ws.freeSlotView(old)
-			e.mergePipe.StaleViewDrops.Add(1)
+			ws.tally.Merge.StaleViewDrops++
 		}
 	}
 	return e.lookupSlow(ws, r, mutable), epoch
 }
-
-// Workers implements Engine: the number of per-worker structures currently
-// maintained (construction size, grown when a larger runtime attaches).
-func (e *MM) Workers() int { return int(e.nworkers.Load()) }
 
 // lookupSlow creates and installs an identity view in r's (empty) private
 // slot: it runs at most once per reducer per steal, plus once per slot
@@ -392,21 +282,21 @@ func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 	faultinject.Check(faultinject.MonoidIdentity)
 	var word unsafe.Pointer
 	var flags uintptr
-	start := e.rec.Start()
+	start := metrics.Start(e.Timing)
 	if class := r.monoid.arenaClass; class >= 0 {
-		word = ws.arena.alloc(int(class))
+		word = ws.arena.alloc(int(class), &ws.tally.Arena)
 		r.monoid.seed(word)
 		flags = spa.FlagArena
 	} else {
 		word = r.IdentityView()
-		ws.arena.n.HeapViews++
+		ws.tally.Arena.HeapViews++
 	}
-	ws.overheads.Tick(metrics.ViewCreation, start)
+	ws.tally.Overhead.Tick(metrics.ViewCreation, start)
 	if mutable {
 		flags |= spa.FlagWritten
 	}
 
-	start = e.rec.Start()
+	start = metrics.Start(e.Timing)
 	// The slot's second word is the owner stamp (the reducer handle, which
 	// carries the monoid), not the bare monoid: see LookupWord.
 	if err := ws.private.Insert(r.addr, word, ownerWord(r), flags); err != nil {
@@ -414,7 +304,7 @@ func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 		// is a programming error.
 		panic(fmt.Sprintf("core: SPA slot %d unexpectedly occupied: %v", r.addr, err))
 	}
-	ws.overheads.Tick(metrics.ViewInsertion, start)
+	ws.tally.Overhead.Tick(metrics.ViewInsertion, start)
 	return word
 }
 
@@ -456,28 +346,12 @@ func (ws *mmWorker) ensureMapped(pi int) {
 // while the attaching runtime is being constructed, before any of that
 // runtime's tasks execute.
 func (e *MM) WorkerInit(w *sched.Worker) {
-	ws := &mmWorker{
-		eng:     e,
-		w:       w,
-		private: spa.NewMapSet(),
-	}
+	ws := &mmWorker{eng: e, private: spa.NewMapSet()}
 	if e.aspace != nil {
 		ws.vm = e.aspace.NewThread()
 	}
 	w.SetLocal(ws)
-	e.initMu.Lock()
-	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
-		e.nworkers.Store(int64(n))
-	}
-	// Republish the worker list copy-on-write: publication sweeps
-	// (Unregister, region growth) iterate it lock-free.
-	var grown []*mmWorker
-	if cur := e.workers.Load(); cur != nil {
-		grown = append(grown, *cur...)
-	}
-	grown = append(grown, ws)
-	e.workers.Store(&grown)
-	e.initMu.Unlock()
+	e.Base.WorkerInit(w)
 }
 
 // BeginTrace implements sched.ReducerRuntime.  The new trace starts with an
@@ -489,7 +363,7 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 	if ws == nil {
 		return &mmTrace{}
 	}
-	tr := &mmTrace{ws: ws, saved: ws.private}
+	tr := &mmTrace{saved: ws.private}
 	if ws.spare != nil {
 		ws.private = ws.spare
 		ws.spare = nil
@@ -539,11 +413,9 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			return true
 		})
 	}
-	if elided > 0 {
-		e.mergePipe.IdentityElisions.Add(elided)
-	}
+	ws.tally.Merge.IdentityElisions += elided
 	if span := ws.private.OccupiedPageSpan(); span > 0 {
-		start := e.rec.Start()
+		start := metrics.Start(e.Timing)
 		pages, err := e.pool.TryGetN(w.ID(), span)
 		if err == nil {
 			// Chaos point for transferal failing after the page fetch: the
@@ -560,17 +432,17 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			// worker's arena, the suspended outer trace's maps come back, and
 			// the panic is contained at the job boundary by the scheduler.
 			ws.dropPrivateViews()
-			ws.flushCounts()
+			e.Totals.Flush(&ws.tally)
 			ws.restoreOuterTrace(mt)
 			w.BumpViewEpoch()
 			panic(fmt.Errorf("core: view transferal: %w", err))
 		}
 		ws.private.SwapPages(pages)
-		e.mergePipe.BulkPageFetches.Add(1)
-		ws.overheads.Tick(metrics.ViewTransferal, start)
+		ws.tally.Merge.BulkPageFetches++
+		ws.tally.Overhead.Tick(metrics.ViewTransferal, start)
 		dep = &MMDeposit{pages: pages}
 	}
-	ws.flushCounts()
+	e.Totals.Flush(&ws.tally)
 	// The now-empty map set becomes the spare for the next trace.
 	ws.restoreOuterTrace(mt)
 	w.BumpViewEpoch()
@@ -589,11 +461,12 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 // the whole recovery path, and it takes each slot out as it frees it like
 // every other deposit walk (spa.Map.Range says why).  On a worker the dead
 // arena blocks recycle into that worker's arena (cross-arena frees are
-// legal: blocks are not returned to the chunk they were carved from) and
-// its tallies are flushed; with no worker (ws nil) the blocks fall to the
-// garbage collector and arenaRootReleased counts them out of the arena
-// accounting.
-func (e *MM) releaseDeposit(ws *mmWorker, wid int, dep *MMDeposit) {
+// legal: blocks are not returned to the chunk they were carved from); with
+// no worker (ws nil) the blocks fall to the garbage collector and
+// arenaRootReleased counts them out of the arena accounting.  The release
+// counts into t — the worker's tally, or the off-worker caller's own — and
+// flushes it.
+func (e *MM) releaseDeposit(ws *mmWorker, t *metrics.Tally, wid int, dep *MMDeposit) {
 	released := int64(0)
 	for _, p := range dep.pages {
 		p.Range(func(si int, s spa.Slot) bool {
@@ -612,11 +485,9 @@ func (e *MM) releaseDeposit(ws *mmWorker, wid int, dep *MMDeposit) {
 		e.arenaRootReleased.Add(released)
 	}
 	e.pool.PutN(wid, dep.pages)
-	e.mergePipe.BulkPageReturns.Add(1)
+	t.Merge.BulkPageReturns++
 	dep.pages = nil
-	if ws != nil {
-		ws.flushCounts()
-	}
+	e.Totals.Flush(t)
 }
 
 // Merge implements sched.ReducerRuntime: the hypermerge.  It is one walk
@@ -652,13 +523,13 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	if ws == nil {
 		return
 	}
-	e.mergeInflight.Add(1)
-	defer e.mergeInflight.Add(-1)
+	e.MergeInflight.Add(1)
+	defer e.MergeInflight.Add(-1)
 	defer func() {
-		e.releaseDeposit(ws, w.ID(), dep)
+		e.releaseDeposit(ws, &ws.tally, w.ID(), dep)
 		w.BumpViewEpoch()
 	}()
-	start := e.rec.Start()
+	start := metrics.Start(e.Timing)
 	cur := ws.private
 	var reduces, adopts, staleDrops, elisions int64
 	for pi, dp := range dep.pages {
@@ -689,7 +560,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				// The directory holds at most one live registration per
 				// address, so at most one side can still be valid.
 				staleDrops++
-				if !e.dir.Valid(owner) {
+				if !e.Dir.Valid(owner) {
 					dp.Remove(si)
 					ws.freeSlotView(s)
 					return true
@@ -709,21 +580,18 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 			return true
 		})
 	}
-	ws.overheads.Tick(metrics.Hypermerge, start)
+	t := &ws.tally
+	t.Overhead.Tick(metrics.Hypermerge, start)
 	if reduces > 1 {
-		ws.overheads.TickN(metrics.Hypermerge, reduces-1)
+		t.Overhead.TickN(metrics.Hypermerge, reduces-1)
 	}
-	ws.overheads.TickN(metrics.ViewInsertion, adopts)
-	e.mergePipe.Merges.Add(1)
-	e.mergePipe.SlotsMerged.Add(reduces + adopts)
-	e.mergePipe.Reduces.Add(reduces)
-	e.mergePipe.Adopts.Add(adopts)
-	if staleDrops > 0 {
-		e.mergePipe.StaleViewDrops.Add(staleDrops)
-	}
-	if elisions > 0 {
-		e.mergePipe.IdentityElisions.Add(elisions)
-	}
+	t.Overhead.TickN(metrics.ViewInsertion, adopts)
+	t.Merge.Merges++
+	t.Merge.SlotsMerged += reduces + adopts
+	t.Merge.Reduces += reduces
+	t.Merge.Adopts += adopts
+	t.Merge.StaleViewDrops += staleDrops
+	t.Merge.IdentityElisions += elisions
 }
 
 // reduceSlot folds one deposited view into the current trace's slot of the
@@ -777,21 +645,21 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 // absorbed, elided, or dropped stale — its arena block is not recycled:
 // MergeRootDeposit runs on the caller's goroutine, which owns no arena, so
 // the block goes to the garbage collector and arenaRootReleased closes the
-// books on it.  The walk counts locally and publishes once, in the deferred
-// tail, so a panicking Reduce still leaves Quiescent balanced.
+// books on it.  The walk counts into a tally of its own and flushes it once,
+// in the deferred tail, so a panicking Reduce still leaves Quiescent
+// balanced.
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.pages == nil {
 		return
 	}
-	e.mergeInflight.Add(1)
-	var released, stale, elided int64
+	e.MergeInflight.Add(1)
+	var t metrics.Tally
+	var released int64
 	defer func() {
 		e.arenaRootReleased.Add(released)
-		e.mergePipe.StaleViewDrops.Add(stale)
-		e.mergePipe.IdentityElisions.Add(elided)
-		e.releaseDeposit(nil, 0, dep)
-		e.mergeInflight.Add(-1)
+		e.releaseDeposit(nil, &t, 0, dep)
+		e.MergeInflight.Add(-1)
 	}()
 	for _, dp := range dep.pages {
 		dp.Range(func(si int, s spa.Slot) bool {
@@ -801,13 +669,13 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 			}
 			owner := reducerOf(s.Owner())
 			switch {
-			case !e.dir.Valid(owner):
+			case !e.Dir.Valid(owner):
 				// The reducer was unregistered while views for it were still
 				// in flight; fold into nothing (drop), mirroring a view whose
 				// reducer went out of scope.
-				stale++
+				t.Merge.StaleViewDrops++
 			case !s.Written():
-				elided++
+				t.Merge.IdentityElisions++
 			default:
 				owner.Absorb(s.View())
 			}
@@ -829,13 +697,14 @@ func (e *MM) Discard(w *sched.Worker, d sched.Deposit) {
 	if dep == nil || dep.pages == nil {
 		return
 	}
-	var ws *mmWorker
-	wid := 0
 	if w != nil {
-		ws, _ = w.Local().(*mmWorker)
-		wid = w.ID()
+		if ws, ok := w.Local().(*mmWorker); ok {
+			e.releaseDeposit(ws, &ws.tally, w.ID(), dep)
+			return
+		}
 	}
-	e.releaseDeposit(ws, wid, dep)
+	var t metrics.Tally
+	e.releaseDeposit(nil, &t, 0, dep)
 }
 
 // Quiescent implements Engine: verify that no job left resources in flight.
@@ -847,18 +716,15 @@ func (e *MM) Discard(w *sched.Worker, d sched.Deposit) {
 // private views, and every arena block either on a free list or accounted
 // to a root-side release.
 func (e *MM) Quiescent() error {
-	if n := e.mergeInflight.Load(); n != 0 {
+	if n := e.MergeInflight.Load(); n != 0 {
 		return fmt.Errorf("core: %d hypermerges still in flight", n)
 	}
 	if out := e.pool.Stats().Outstanding(); out != 0 {
 		return fmt.Errorf("core: %d pagepool pages outstanding", out)
 	}
-	if list := e.workers.Load(); list != nil {
-		for i, ws := range *list {
-			if ws == nil {
-				continue
-			}
-			if n := ws.private.Len(); n != 0 {
+	if list := e.Attached.Load(); list != nil {
+		for i := range *list {
+			if n := e.WorkerPrivateViews(i); n != 0 {
 				return fmt.Errorf("core: worker %d holds %d private views", i, n)
 			}
 		}
@@ -873,33 +739,23 @@ func (e *MM) Quiescent() error {
 
 // --- instrumentation ---
 
-// Overheads implements Engine.
-func (e *MM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
-
-// ResetOverheads implements Engine.
-func (e *MM) ResetOverheads() {
-	e.rec.Reset()
-	e.lookups.Reset()
-	e.mergePipe.Reset()
+// worker returns the state of the i-th attached worker, or nil.
+func (e *MM) worker(i int) *mmWorker {
+	list := e.Attached.Load()
+	if list == nil || i < 0 || i >= len(*list) {
+		return nil
+	}
+	ws, _ := (*list)[i].Local().(*mmWorker)
+	return ws
 }
-
-// MergeStats returns a snapshot of the hypermerge pipeline counters.
-func (e *MM) MergeStats() metrics.MergePipelineStats { return e.mergePipe.Snapshot() }
-
-// FastPathStats returns a snapshot of the lookup outcome counters: every
-// LookupWord that reached a worker's private maps is one hit or one miss.
-// Workers flush their counts at EndTrace, so the snapshot is exact once a
-// Run has returned and lags by at most one trace while one is running.
-func (e *MM) FastPathStats() metrics.LookupFastPathStats { return e.lookups.Snapshot() }
 
 // WorkerPrivateViews reports the number of views currently held in worker
 // i's private SPA maps (diagnostic; it should be zero between runs).
 func (e *MM) WorkerPrivateViews(i int) int {
-	ws := e.workers.Load()
-	if ws == nil || i < 0 || i >= len(*ws) {
-		return 0
+	if ws := e.worker(i); ws != nil {
+		return ws.private.Len()
 	}
-	return (*ws)[i].private.Len()
+	return 0
 }
 
 // WorkerMappedPages reports how many SPA page indexes worker i has backed
@@ -908,12 +764,8 @@ func (e *MM) WorkerPrivateViews(i int) int {
 // invariant: each worker maps each page it touches exactly once, no matter
 // how registration churn interleaves with growth.
 func (e *MM) WorkerMappedPages(i int) int {
-	ws := e.workers.Load()
-	if ws == nil || i < 0 || i >= len(*ws) {
-		return 0
-	}
-	if vm := (*ws)[i].vm; vm != nil {
-		return vm.MappedPages()
+	if ws := e.worker(i); ws != nil && ws.vm != nil {
+		return ws.vm.MappedPages()
 	}
 	return 0
 }

@@ -68,14 +68,10 @@ func arenaClassBytes(class int) uintptr {
 }
 
 // viewArena is one worker's size-classed view allocator.  Everything in it
-// is owner-goroutine-only, the counters included: n holds the counts since
-// the worker's last flush into MM.arena (metrics.ArenaCounters), which is
-// the side the metrics exporter samples.  The worker flushes where it
-// flushes its lookup counts (EndTrace) and at the end of every Merge and
-// Discard it runs, so the engine-level totals are exact between jobs.
+// is owner-goroutine-only.  alloc and free count into n, the arena part of
+// the worker's metrics.Tally, which is flushed with the rest of it.
 type viewArena struct {
 	classes [arenaNumClasses]arenaClass
-	n       metrics.ArenaStats
 }
 
 // arenaClass is one size class: a free list of recycled blocks and the
@@ -92,24 +88,24 @@ type arenaClass struct {
 // of the same class.
 //
 //cilkvet:hotpath
-func (a *viewArena) alloc(class int) unsafe.Pointer {
+func (a *viewArena) alloc(class int, n *metrics.ArenaStats) unsafe.Pointer {
 	if class < 0 || class >= arenaNumClasses {
 		panic(fmt.Sprintf("core: view arena class %d out of range", class))
 	}
-	a.n.Allocs++
+	n.Allocs++
 	c := &a.classes[class]
-	if n := len(c.free); n > 0 {
-		p := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		a.n.FreeHits++
+	if k := len(c.free); k > 0 {
+		p := c.free[k-1]
+		c.free[k-1] = nil
+		c.free = c.free[:k-1]
+		n.FreeHits++
 		return p
 	}
 	words := int(arenaClassBytes(class) / 8)
 	if c.off+words > len(c.chunk) {
 		c.chunk = make([]uint64, arenaChunkBytes/8)
 		c.off = 0
-		a.n.ChunkAllocs++
+		n.ChunkAllocs++
 	}
 	p := unsafe.Pointer(&c.chunk[c.off])
 	c.off += words
@@ -122,11 +118,11 @@ func (a *viewArena) alloc(class int) unsafe.Pointer {
 // class-size bytes and 8-byte aligned.
 //
 //cilkvet:hotpath
-func (a *viewArena) free(class int, p unsafe.Pointer) {
+func (a *viewArena) free(class int, p unsafe.Pointer, n *metrics.ArenaStats) {
 	if class < 0 || class >= arenaNumClasses || p == nil {
 		return
 	}
-	a.n.Frees++
+	n.Frees++
 	c := &a.classes[class]
 	c.free = append(c.free, p)
 }

@@ -17,8 +17,6 @@ const (
 	SchedSteal ID = iota
 	// SchedPark perturbs the pre-park decision (internal/sched parking).
 	SchedPark
-	// PagepoolGet injects exhaustion into pagepool.Pool.TryGet.
-	PagepoolGet
 	// PagepoolGetN injects exhaustion into pagepool.Pool.TryGetN (the bulk
 	// fetch view transferal depends on).
 	PagepoolGetN
@@ -71,8 +69,6 @@ func (id ID) String() string {
 		return "sched/steal"
 	case SchedPark:
 		return "sched/park"
-	case PagepoolGet:
-		return "pagepool/get"
 	case PagepoolGetN:
 		return "pagepool/getn"
 	case TLMMGrow:

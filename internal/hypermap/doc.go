@@ -11,9 +11,9 @@
 // lookup in the other per element, which is where the paper finds Cilk Plus
 // spending most of its reduce overhead.
 //
-// The engine shares the reducer directory with the memory-mapped
-// mechanism and implements metrics.Source for the subset of runtime
-// signals it tracks (identity elisions, lookup counters, directory
-// statistics), so figure comparisons and scrape endpoints treat both
-// mechanisms uniformly.
+// The engine embeds core.Base, as the memory-mapped mechanism does: the
+// same reducer directory, worker list and counts, counted at the same
+// points and exported through the same metrics.Source (its arena and
+// bulk-page series read 0), so figure comparisons and scrape endpoints
+// treat both mechanisms uniformly.
 package hypermap

@@ -2,8 +2,6 @@ package hypermap
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
@@ -25,61 +23,22 @@ type Config struct {
 // The concrete name matters to the typed reducer handles: they capture *HM
 // at construction and call its LookupWord directly, mirroring the
 // memory-mapped engine's *core.MM, so neither mechanism pays an interface
-// dispatch on a handle-cache miss.
+// dispatch on a handle-cache miss.  Registration (through the same
+// directory), the worker list and the counts are the core.Base it shares
+// with the memory-mapped engine, so the figure comparisons measure the
+// lookup structures rather than two frames.
 type HM struct {
-	cfg Config
-	rec metrics.Recorder
-
-	// dir is the reducer directory, the same implementation the
-	// memory-mapped engine uses, so the figure comparisons measure the
-	// lookup structures rather than two registries.
-	dir *core.Directory
-
-	// initMu guards attach-time bookkeeping only (the worker list in
-	// WorkerInit).
-	initMu sync.Mutex
-	// workers is the RCU-published list of attached per-worker states, so
-	// Unregister can publish view invalidations without a lock.
-	workers atomic.Pointer[[]*hmWorker]
-	// nworkers is the number of per-worker structures maintained: the
-	// construction size, grown under initMu in WorkerInit when a larger
-	// runtime attaches.  Workers reads it lock-free.
-	nworkers atomic.Int64
-
-	// elisions counts never-written views the hypermerge skipped, the
-	// hypermap counterpart of metrics.MergePipeline.IdentityElisions.
-	elisions metrics.PaddedCounter
-
-	// lookups holds the lookup outcome counters FastPathStats reports,
-	// mirroring the memory-mapped engine's: LookupWord ticks owner-only
-	// plain fields on the hmWorker and EndTrace flushes them here.
-	lookups metrics.LookupCounters
-
-	// mergeInflight counts hypermerges (Merge and MergeRootDeposit calls)
-	// currently executing; part of the engine's quiescence invariant.
-	mergeInflight atomic.Int64
+	core.Base
 }
 
 // hmWorker is the per-worker state: the user hypermap of the trace the
 // worker is currently executing.
 type hmWorker struct {
-	eng *HM
-	w   *sched.Worker
 	// user is the user hypermap: reducer address → local view.
 	user *hashTable
-	// lookups and overheads count this worker's LookupWord outcomes and
-	// reduce-overhead events since its last flushCounts.  Owner-goroutine
-	// only; see HM.lookups.
-	lookups   metrics.LookupFastPathStats
-	overheads metrics.Breakdown
-}
-
-// flushCounts publishes the worker's owner-only tallies into the engine's
-// sampled counters; it runs where a trace ends and at the end of every
-// Merge, mirroring the memory-mapped engine.
-func (ws *hmWorker) flushCounts() {
-	ws.eng.lookups.Flush(&ws.lookups)
-	ws.eng.rec.Flush(&ws.overheads)
+	// tally counts everything since the worker's last flush into
+	// Base.Totals.  Owner-goroutine only.
+	tally metrics.Tally
 }
 
 // entry pairs a local view with the reducer that owns it.  The view is the
@@ -103,7 +62,6 @@ type entry struct {
 // stalled join, so the token saves the suspended outer trace's user
 // hypermap for EndTrace to restore.
 type hmTrace struct {
-	ws    *hmWorker
 	saved *hashTable
 	// ended makes the token single-shot: the scheduler's abort path may
 	// call EndTrace defensively on a trace that already ended, and the
@@ -128,60 +86,15 @@ func (d *Deposit) Len() int {
 
 // New creates a hypermap engine.
 func New(cfg Config) *HM {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	e := &HM{cfg: cfg}
-	e.nworkers.Store(int64(cfg.Workers))
-	e.dir = core.NewDirectory(nil)
-	e.rec.SetTiming(cfg.Timing)
+	e := &HM{}
+	core.InitBase(&e.Base, e, "hypermap", cfg.Workers, cfg.Timing, nil)
 	return e
-}
-
-// publishViewInvalidation bumps every attached worker's view epoch so no
-// handle keeps serving a cached view after its reducer is unregistered.
-func (e *HM) publishViewInvalidation() {
-	if ws := e.workers.Load(); ws != nil {
-		for _, s := range *ws {
-			s.w.BumpViewEpoch()
-		}
-	}
 }
 
 // Name implements core.Engine.
 func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 
-// --- registration and lookup ---
-
-// Register implements core.Engine: one address taken under the directory's
-// lock.
-func (e *HM) Register(m core.Monoid) (*core.Reducer, error) {
-	return e.dir.Register(e, m)
-}
-
-// Unregister implements core.Engine.  The directory's compare-and-swap is
-// the registry identity check (got == r): a double-unregister after slot
-// reuse can never delete another live reducer's entry or free an address
-// twice.  A successful unregister publishes a view invalidation so every
-// context re-resolves its cached view on the next lookup.  As in the
-// memory-mapped engine, a worker still holding the retired reducer's
-// hypermap entry for the current trace keeps reading that (doomed) view
-// until the trace ends; the owner stamp keeps it invisible to every other
-// reducer.
-func (e *HM) Unregister(r *core.Reducer) {
-	if r == nil || r.Engine() != core.Engine(e) {
-		return
-	}
-	if e.dir.Unregister(r) {
-		e.publishViewInvalidation()
-	}
-}
-
-// Registered returns the number of live reducers.
-func (e *HM) Registered() int { return e.dir.Live() }
-
-// DirectoryStats returns a snapshot of the directory's counters.
-func (e *HM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
+// --- lookup ---
 
 // LookupWord implements core.Engine: a hash-table lookup keyed by the
 // reducer's address.  The hit shape is one hash (the baseline's
@@ -202,7 +115,7 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 		if ws, ok := w.Local().(*hmWorker); ok {
 			epoch := w.ViewEpoch()
 			if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
-				ws.lookups.Hits++
+				ws.tally.Lookups.Hits++
 				return ent.view, epoch
 			}
 			return e.lookupMiss(ws, r, epoch, mutable)
@@ -220,7 +133,7 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 //
 //cilkvet:hotpath
 func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	ws.lookups.Misses++
+	ws.tally.Lookups.Misses++
 	ent := ws.user.lookup(r.Addr())
 	if ent != nil && ent.owner == r {
 		if mutable {
@@ -228,33 +141,29 @@ func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable boo
 		}
 		return ent.view, epoch
 	}
-	ws.lookups.ColdMisses++
-	if !e.dir.Valid(r) {
+	ws.tally.Lookups.ColdMisses++
+	if !e.Dir.Valid(r) {
 		return r.LeftmostView(), 0
 	}
 	if ent != nil {
 		// A stale entry from a retired occupant of this recycled address;
 		// drop its in-flight view before installing r's identity view.
 		ws.user.remove(r.Addr())
+		ws.tally.Merge.StaleViewDrops++
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before the
 	// entry is inserted, so a contained identity panic leaves the worker's
 	// hypermap exactly as it was.
 	faultinject.Check(faultinject.MonoidIdentity)
-	start := e.rec.Start()
+	start := metrics.Start(e.Timing)
 	word := r.IdentityView()
-	ws.overheads.Tick(metrics.ViewCreation, start)
+	ws.tally.Overhead.Tick(metrics.ViewCreation, start)
 
-	start = e.rec.Start()
+	start = metrics.Start(e.Timing)
 	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
-	ws.overheads.Tick(metrics.ViewInsertion, start)
+	ws.tally.Overhead.Tick(metrics.ViewInsertion, start)
 	return word, epoch
 }
-
-// Workers implements core.Engine: the number of per-worker structures
-// currently maintained (construction size, grown when a larger runtime
-// attaches).
-func (e *HM) Workers() int { return int(e.nworkers.Load()) }
 
 // --- sched.ReducerRuntime hooks ---
 
@@ -262,21 +171,8 @@ func (e *HM) Workers() int { return int(e.nworkers.Load()) }
 // while the attaching runtime is being constructed, before any of that
 // runtime's tasks execute.
 func (e *HM) WorkerInit(w *sched.Worker) {
-	ws := &hmWorker{eng: e, w: w, user: newHashTable()}
-	w.SetLocal(ws)
-	e.initMu.Lock()
-	if n := w.Runtime().Workers(); int64(n) > e.nworkers.Load() {
-		e.nworkers.Store(int64(n))
-	}
-	// Republish the worker list copy-on-write: publication sweeps iterate
-	// it lock-free.
-	var grown []*hmWorker
-	if cur := e.workers.Load(); cur != nil {
-		grown = append(grown, *cur...)
-	}
-	grown = append(grown, ws)
-	e.workers.Store(&grown)
-	e.initMu.Unlock()
+	w.SetLocal(&hmWorker{user: newHashTable()})
+	e.Base.WorkerInit(w)
 }
 
 // BeginTrace implements sched.ReducerRuntime.  A stolen frame starts with
@@ -287,7 +183,7 @@ func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 	if ws == nil {
 		return &hmTrace{}
 	}
-	tr := &hmTrace{ws: ws, saved: ws.user}
+	tr := &hmTrace{saved: ws.user}
 	ws.user = newHashTable()
 	w.BumpViewEpoch()
 	return tr
@@ -310,12 +206,12 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	}
 	var dep *Deposit
 	if ws.user.len() != 0 {
-		start := e.rec.Start()
+		start := metrics.Start(e.Timing)
 		dep = &Deposit{views: ws.user}
 		ws.user = nil
-		ws.overheads.Tick(metrics.ViewTransferal, start)
+		ws.tally.Overhead.Tick(metrics.ViewTransferal, start)
 	}
-	ws.flushCounts()
+	e.Totals.Flush(&ws.tally)
 	if ht != nil && ht.saved != nil {
 		ws.user = ht.saved
 	} else if ws.user == nil {
@@ -343,11 +239,10 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	if ws == nil {
 		return
 	}
-	e.mergeInflight.Add(1)
-	defer e.mergeInflight.Add(-1)
-	start := e.rec.Start()
-	reduces := int64(0)
-	elisions := int64(0)
+	e.MergeInflight.Add(1)
+	defer e.MergeInflight.Add(-1)
+	start := metrics.Start(e.Timing)
+	var reduces, adopts, staleDrops, elisions int64
 	dep.views.forEach(func(addr spa.Addr, depEnt *entry) {
 		if !depEnt.written {
 			elisions++
@@ -369,50 +264,57 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 			// Owner stamps differ: the address was recycled while one of
 			// the views was in flight, and at most one owner can still be
 			// registered.  Drop the stale side.
-			if !e.dir.Valid(depEnt.owner) {
+			staleDrops++
+			if !e.Dir.Valid(depEnt.owner) {
 				return
 			}
 			ws.user.remove(addr)
 		}
-		insStart := e.rec.Start()
+		insStart := metrics.Start(e.Timing)
 		ws.user.insert(addr, *depEnt)
-		ws.overheads.Tick(metrics.ViewInsertion, insStart)
+		ws.tally.Overhead.Tick(metrics.ViewInsertion, insStart)
+		adopts++
 	})
 	dep.views = nil
 	w.BumpViewEpoch()
-	ws.overheads.Tick(metrics.Hypermerge, start)
+	t := &ws.tally
+	t.Overhead.Tick(metrics.Hypermerge, start)
 	if reduces > 1 {
-		ws.overheads.TickN(metrics.Hypermerge, reduces-1)
+		t.Overhead.TickN(metrics.Hypermerge, reduces-1)
 	}
-	ws.flushCounts()
-	if elisions > 0 {
-		e.elisions.Add(elisions)
-	}
+	t.Merge.Merges++
+	t.Merge.SlotsMerged += reduces + adopts
+	t.Merge.Reduces += reduces
+	t.Merge.Adopts += adopts
+	t.Merge.StaleViewDrops += staleDrops
+	t.Merge.IdentityElisions += elisions
+	e.Totals.Flush(t)
 }
 
 // MergeRootDeposit implements core.Engine.  Each entry's owner stamp
 // resolves the reducer directly — no registry copy, no lock — and the
 // reducer's validity flag drops views whose reducer was unregistered while
 // they were in flight.  Never-written entries are elided exactly as in
-// Merge.  The walk counts elisions locally and publishes them once, in the
-// deferred tail, so a panicking Reduce still publishes what it counted.
+// Merge.  The walk counts into a tally of its own and flushes it once, in
+// the deferred tail, so a panicking Reduce still publishes what it counted.
 func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*Deposit)
 	if dep == nil || dep.views == nil {
 		return
 	}
-	e.mergeInflight.Add(1)
-	var elided int64
+	e.MergeInflight.Add(1)
+	var t metrics.Tally
 	defer func() {
-		e.elisions.Add(elided)
-		e.mergeInflight.Add(-1)
+		e.Totals.Flush(&t)
+		e.MergeInflight.Add(-1)
 	}()
 	dep.views.forEach(func(addr spa.Addr, ent *entry) {
-		if !e.dir.Valid(ent.owner) {
+		if !e.Dir.Valid(ent.owner) {
+			t.Merge.StaleViewDrops++
 			return
 		}
 		if !ent.written {
-			elided++
+			t.Merge.IdentityElisions++
 			return
 		}
 		ent.owner.Absorb(ent.view)
@@ -439,12 +341,12 @@ func (e *HM) Discard(w *sched.Worker, d sched.Deposit) {
 // just "no hypermerge executing and every worker's user hypermap empty".
 // It must only be called between jobs; the hypermaps are owner-local.
 func (e *HM) Quiescent() error {
-	if n := e.mergeInflight.Load(); n != 0 {
+	if n := e.MergeInflight.Load(); n != 0 {
 		return fmt.Errorf("hypermap: %d hypermerges still in flight", n)
 	}
-	if list := e.workers.Load(); list != nil {
-		for i, ws := range *list {
-			if n := ws.user.len(); n != 0 {
+	if list := e.Attached.Load(); list != nil {
+		for i := range *list {
+			if n := e.WorkerViewCount(i); n != 0 {
 				return fmt.Errorf("hypermap: worker %d holds %d views", i, n)
 			}
 		}
@@ -452,37 +354,17 @@ func (e *HM) Quiescent() error {
 	return nil
 }
 
-// IdentityElisions reports the number of never-written views the
-// hypermerge elided since the last reset (the hypermap counterpart of the
-// memory-mapped engine's MergePipeline.IdentityElisions).
-func (e *HM) IdentityElisions() int64 { return e.elisions.Load() }
-
-// --- instrumentation ---
-
-// Overheads implements core.Engine.
-func (e *HM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
-
-// ResetOverheads implements core.Engine.
-func (e *HM) ResetOverheads() {
-	e.rec.Reset()
-	e.elisions.Store(0)
-	e.lookups.Reset()
-}
-
-// FastPathStats returns a snapshot of the lookup outcome counters: every
-// LookupWord that reached a worker's hypermap is one hit or one miss.
-// Workers flush their counts at EndTrace, so the snapshot is exact once a
-// Run has returned and lags by at most one trace while one is running.
-func (e *HM) FastPathStats() metrics.LookupFastPathStats { return e.lookups.Snapshot() }
-
 // WorkerViewCount reports the number of views in worker i's user hypermap
 // (diagnostic; it should be zero between runs).
 func (e *HM) WorkerViewCount(i int) int {
-	ws := e.workers.Load()
-	if ws == nil || i < 0 || i >= len(*ws) {
+	list := e.Attached.Load()
+	if list == nil || i < 0 || i >= len(*list) {
 		return 0
 	}
-	return (*ws)[i].user.len()
+	if ws, _ := (*list)[i].Local().(*hmWorker); ws != nil {
+		return ws.user.len()
+	}
+	return 0
 }
 
 var _ core.Engine = (*HM)(nil)

@@ -61,10 +61,9 @@ func (b *Breakdown) Add(other Breakdown) {
 	}
 }
 
-// Tick counts one event of category o and, when start is a Recorder.Start
-// stamp taken with timing on, the time since.  A worker ticks a Breakdown
-// of its own — plain fields, owner-goroutine only — on the per-view paths
-// and hands it to Recorder.Flush where its trace ends.
+// Tick counts one event of category o and, when start is a Start stamp
+// taken with timing on, the time since.  A worker ticks the Breakdown of
+// its own Tally on the per-view paths.
 //
 //cilkvet:hotpath
 func (b *Breakdown) Tick(o Overhead, start int64) {
@@ -79,7 +78,7 @@ func (b *Breakdown) Tick(o Overhead, start int64) {
 //go:noinline
 func (b *Breakdown) addSince(o Overhead, start int64) { b.Nanos[o] += now() - start }
 
-// clockBase anchors the monotonic stamps Recorder.Start hands out.
+// clockBase anchors the monotonic stamps Start hands out.
 var clockBase = time.Now()
 
 // now returns the monotonic nanoseconds since clockBase.
@@ -116,7 +115,7 @@ func (b Breakdown) String() string {
 
 // PaddedCounter is an atomic int64 counter padded out to a cache line, so
 // that adjacent counters (scheduler statistics, the reducer engines'
-// pipeline counters) do not false-share.  The zero value is ready
+// Totals) do not false-share.  The zero value is ready
 // to use.
 //
 //cilkvet:nocopy
@@ -144,71 +143,31 @@ func (c *PaddedCounter) Max(v int64) {
 	}
 }
 
-// MergePipeline aggregates the hypermerge counters: how many deposits were
-// merged, how many occupied SPA slots they carried and how each was settled
+// MergePipelineStats counts the hypermerge pipeline: how many deposits were
+// merged, how many occupied slots they carried and how each was settled
 // (reduced, adopted, elided, dropped stale).  The bulk-page-movement claim —
 // fewer pagepool round-trips than slots merged — is checked against these
-// counters together with pagepool.Stats.RoundTrips.
-type MergePipeline struct {
-	Merges          PaddedCounter // deposits folded by Merge
-	SlotsMerged     PaddedCounter // occupied slots processed (reduces + adopts)
-	Reduces         PaddedCounter // slots reduced current ⊗ deposited
-	Adopts          PaddedCounter // slots adopted (deposit only)
-	BulkPageFetches PaddedCounter // bulk pagepool fetches by view transferal
-	BulkPageReturns PaddedCounter // bulk pagepool returns after merging
-	StaleViewDrops  PaddedCounter // in-flight views dropped after their reducer was unregistered
-	// IdentityElisions counts views that were looked up but never handed
-	// out for mutation (their slot's written bit stayed clear), so the
-	// pipeline recycled them without a reduce call or a page round-trip:
-	// reducing with the monoid identity is a no-op.
-	IdentityElisions PaddedCounter
-}
-
-// MergePipelineStats is a point-in-time snapshot of MergePipeline.
+// counts together with pagepool.Stats.RoundTrips.
 type MergePipelineStats struct {
-	Merges           int64
-	SlotsMerged      int64
-	Reduces          int64
-	Adopts           int64
-	BulkPageFetches  int64
-	BulkPageReturns  int64
-	StaleViewDrops   int64
+	Merges          int64 // deposits folded by Merge
+	SlotsMerged     int64 // occupied slots processed (reduces + adopts)
+	Reduces         int64 // slots reduced current ⊗ deposited
+	Adopts          int64 // slots adopted (deposit only)
+	BulkPageFetches int64 // bulk pagepool fetches by view transferal
+	BulkPageReturns int64 // bulk pagepool returns after merging
+	StaleViewDrops  int64 // in-flight views dropped after their reducer was unregistered
+	// IdentityElisions counts views that were looked up but never handed
+	// out for mutation (their written bit stayed clear), so the pipeline
+	// recycled them without a reduce call or a page round-trip: reducing
+	// with the monoid identity is a no-op.
 	IdentityElisions int64
 }
 
-// Snapshot reads every counter.
-func (m *MergePipeline) Snapshot() MergePipelineStats {
-	return MergePipelineStats{
-		Merges:           m.Merges.Load(),
-		SlotsMerged:      m.SlotsMerged.Load(),
-		Reduces:          m.Reduces.Load(),
-		Adopts:           m.Adopts.Load(),
-		BulkPageFetches:  m.BulkPageFetches.Load(),
-		BulkPageReturns:  m.BulkPageReturns.Load(),
-		StaleViewDrops:   m.StaleViewDrops.Load(),
-		IdentityElisions: m.IdentityElisions.Load(),
-	}
-}
-
-// Reset zeroes every counter.
-func (m *MergePipeline) Reset() {
-	m.Merges.Store(0)
-	m.SlotsMerged.Store(0)
-	m.Reduces.Store(0)
-	m.Adopts.Store(0)
-	m.BulkPageFetches.Store(0)
-	m.BulkPageReturns.Store(0)
-	m.StaleViewDrops.Store(0)
-	m.IdentityElisions.Store(0)
-}
-
-// LookupFastPathStats is a point-in-time snapshot of an engine's lookup
-// outcome counters.  The single-deref hit inside reducers.Handle is
-// deliberately counter-free (a counter there would cost as much as the
-// lookup it measures); these counters start one layer down, in the engines'
-// LookupWord, where each worker ticks a plain owner-only field and flushes
-// it at trace end.  Hits + Misses is the number of lookups that reached the
-// engine.
+// LookupFastPathStats counts an engine's lookup outcomes.  The single-deref
+// hit inside reducers.Handle is deliberately counter-free (a counter there
+// would cost as much as the lookup it measures); these counts start one
+// layer down, in the engines' LookupWord.  Hits + Misses is the number of
+// lookups that reached the engine.
 type LookupFastPathStats struct {
 	// Hits counts lookups answered by the precomputed (page, slot) index —
 	// or, on the hypermap engine, the bucket-head probe — with no
@@ -224,44 +183,10 @@ type LookupFastPathStats struct {
 	ColdMisses int64
 }
 
-// LookupCounters is the shared, sampled side of the lookup outcome
-// counters: workers count into a private LookupFastPathStats and Flush it
-// here at trace end, so a lookup never performs an atomic write.
-type LookupCounters struct {
-	hits, misses, cold PaddedCounter
-}
-
-// Flush folds a worker's private counts into the shared counters and zeroes
-// them.  Owner-goroutine only with respect to local.
-func (c *LookupCounters) Flush(local *LookupFastPathStats) {
-	if local.Hits != 0 {
-		c.hits.Add(local.Hits)
-	}
-	if local.Misses != 0 {
-		c.misses.Add(local.Misses)
-		c.cold.Add(local.ColdMisses)
-	}
-	*local = LookupFastPathStats{}
-}
-
-// Snapshot reads every counter.
-func (c *LookupCounters) Snapshot() LookupFastPathStats {
-	return LookupFastPathStats{Hits: c.hits.Load(), Misses: c.misses.Load(), ColdMisses: c.cold.Load()}
-}
-
-// Reset zeroes every counter.
-func (c *LookupCounters) Reset() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.cold.Store(0)
-}
-
-// ArenaStats is a point-in-time aggregate of the per-worker view arenas:
-// how identity views were allocated (free-list reuse vs fresh bump-chunk
-// carves), how many dead views came back, and how many views bypassed the
-// arena because their monoid is not arena-eligible.  A snapshot lags the
-// workers by at most one trace mid-run and is exact between jobs (see
-// ArenaCounters).
+// ArenaStats counts the per-worker view arenas: how identity views were
+// allocated (free-list reuse vs fresh bump-chunk carves), how many dead
+// views came back, and how many views bypassed the arena because their
+// monoid is not arena-eligible.
 type ArenaStats struct {
 	Allocs      int64 // blocks handed out by the arenas
 	FreeHits    int64 // allocations served from a free list (recycled views)
@@ -269,43 +194,6 @@ type ArenaStats struct {
 	Frees       int64 // dead views returned to a free list
 	FreeBlocks  int64 // blocks currently sitting on free lists
 	HeapViews   int64 // identity views heap-allocated (monoid not arena-eligible)
-}
-
-// ArenaCounters is the shared, sampled side of the view-arena counters,
-// the LookupCounters idiom: each worker counts into a private ArenaStats
-// and Flushes it here at trace end and after every hypermerge, so an arena
-// alloc or free never performs an atomic write.
-type ArenaCounters struct {
-	allocs, freeHits, chunkAllocs, frees, heapViews PaddedCounter
-}
-
-// Flush folds a worker's private counts into the shared counters and zeroes
-// them.  Owner-goroutine only with respect to local, whose FreeBlocks is not
-// read: the level is derived in Snapshot.
-func (c *ArenaCounters) Flush(local *ArenaStats) {
-	if *local == (ArenaStats{}) {
-		return
-	}
-	c.allocs.Add(local.Allocs)
-	c.freeHits.Add(local.FreeHits)
-	c.chunkAllocs.Add(local.ChunkAllocs)
-	c.frees.Add(local.Frees)
-	c.heapViews.Add(local.HeapViews)
-	*local = ArenaStats{}
-}
-
-// Snapshot reads every counter.  A block is on a free list from its free
-// until a later allocation pops it, so FreeBlocks is Frees − FreeHits.
-func (c *ArenaCounters) Snapshot() ArenaStats {
-	s := ArenaStats{
-		Allocs:      c.allocs.Load(),
-		FreeHits:    c.freeHits.Load(),
-		ChunkAllocs: c.chunkAllocs.Load(),
-		Frees:       c.frees.Load(),
-		HeapViews:   c.heapViews.Load(),
-	}
-	s.FreeBlocks = s.Frees - s.FreeHits
-	return s
 }
 
 // DirectoryStats is a point-in-time snapshot of the reducer directory: the
@@ -321,67 +209,90 @@ type DirectoryStats struct {
 	StaleUnregisters int64 // unregisters that lost the identity CAS
 }
 
-// Recorder is the shared, sampled side of the overhead instrumentation,
-// the LookupCounters idiom: workers tick a private Breakdown and Flush it
-// here where a trace ends, so the per-view paths never perform an atomic
-// write, a Snapshot lags a running worker by at most one trace, and one
-// taken once the job has returned is exact.  The zero value is ready to
-// use, with timing off.
-type Recorder struct {
-	nanos, counts [numOverheads]PaddedCounter
-	// timing controls whether durations are recorded; event counts are
-	// always recorded.
-	timing atomic.Bool
+// Tally is everything a reducer engine counts, kept by one worker: plain
+// fields only its own goroutine writes, so counting a lookup, an arena
+// alloc or free, a merged slot or an overhead event never performs an
+// atomic write.  The worker hands it to Totals.Flush where its trace ends
+// and at the end of every Merge and Discard it runs; a merge that runs off
+// every worker counts into a Tally of its own and flushes it once.
+type Tally struct {
+	Lookups  LookupFastPathStats
+	Merge    MergePipelineStats
+	Overhead Breakdown
+	// Arena.FreeBlocks is a level, not a count: Totals.Snapshot derives it.
+	Arena ArenaStats
 }
 
-// SetTiming enables or disables duration recording.  Disabling it removes
-// the clock reads from the instrumented fast paths while keeping counts.
-func (r *Recorder) SetTiming(on bool) { r.timing.Store(on) }
+// tallyCounts is the number of counts in a Tally, and tallyResettable the
+// number Totals.Reset zeroes: all but the arena's five, which come last.
+const (
+	tallyCounts     = 3 + 8 + 2*numOverheads + 5
+	tallyResettable = tallyCounts - 5
+)
 
-// Timing reports whether duration recording is enabled.
-func (r *Recorder) Timing() bool { return r.timing.Load() }
+// counts lists t's counts in the order Totals stores them.
+func (t *Tally) counts() [tallyCounts]*int64 {
+	l, m, o, a := &t.Lookups, &t.Merge, &t.Overhead, &t.Arena
+	return [tallyCounts]*int64{
+		&l.Hits, &l.Misses, &l.ColdMisses,
+		&m.Merges, &m.SlotsMerged, &m.Reduces, &m.Adopts,
+		&m.BulkPageFetches, &m.BulkPageReturns, &m.StaleViewDrops, &m.IdentityElisions,
+		&o.Nanos[0], &o.Nanos[1], &o.Nanos[2], &o.Nanos[3],
+		&o.Counts[0], &o.Counts[1], &o.Counts[2], &o.Counts[3],
+		&a.Allocs, &a.FreeHits, &a.ChunkAllocs, &a.Frees, &a.HeapViews,
+	}
+}
 
-// Start returns a clock stamp if timing is enabled and zero otherwise; pair
-// it with Breakdown.Tick.
+// Totals is the shared, sampled side of the tallies: workers Flush into it
+// and Snapshot reads it at any time.  A snapshot lags a running worker by at
+// most one trace and is exact once the job has returned.  The zero value is
+// ready to use.
+type Totals struct {
+	n [tallyCounts]PaddedCounter
+}
+
+// Flush adds t into the totals and zeroes it.  Owner-goroutine only with
+// respect to t.
+func (s *Totals) Flush(t *Tally) {
+	for i, p := range t.counts() {
+		if *p != 0 {
+			s.n[i].Add(*p)
+		}
+	}
+	*t = Tally{}
+}
+
+// Snapshot reads every count.  A block is on an arena free list from its
+// free until a later allocation pops it, so Arena.FreeBlocks is
+// Frees − FreeHits.
+func (s *Totals) Snapshot() Tally {
+	var t Tally
+	for i, p := range t.counts() {
+		*p = s.n[i].Load()
+	}
+	t.Arena.FreeBlocks = t.Arena.Frees - t.Arena.FreeHits
+	return t
+}
+
+// Reset zeroes every count but the arena's.  Those are levels as much as
+// counts — FreeBlocks derives from them, and an engine balances them against
+// the blocks it released when it checks quiescence — so a reset would
+// falsify both.
+func (s *Totals) Reset() {
+	for i := range s.n[:tallyResettable] {
+		s.n[i].Store(0)
+	}
+}
+
+// Start returns a clock stamp when timing is on and zero otherwise; pair it
+// with Breakdown.Tick.  An engine fixes timing at construction.
 //
 //cilkvet:hotpath
-func (r *Recorder) Start() int64 {
-	if !r.timing.Load() {
+func Start(timing bool) int64 {
+	if !timing {
 		return 0
 	}
 	return now()
-}
-
-// Flush folds a worker's private tally into the recorder and zeroes it.
-// Owner-goroutine only with respect to local.
-func (r *Recorder) Flush(local *Breakdown) {
-	for o := range local.Counts {
-		if n := local.Counts[o]; n != 0 {
-			r.counts[o].Add(n)
-		}
-		if n := local.Nanos[o]; n != 0 {
-			r.nanos[o].Add(n)
-		}
-	}
-	*local = Breakdown{}
-}
-
-// Snapshot reads every counter.
-func (r *Recorder) Snapshot() Breakdown {
-	var b Breakdown
-	for o := range b.Counts {
-		b.Nanos[o] = r.nanos[o].Load()
-		b.Counts[o] = r.counts[o].Load()
-	}
-	return b
-}
-
-// Reset zeroes every counter.
-func (r *Recorder) Reset() {
-	for o := range r.counts {
-		r.nanos[o].Store(0)
-		r.counts[o].Store(0)
-	}
 }
 
 // Sample summarises repeated timing measurements.

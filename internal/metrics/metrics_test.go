@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,27 +29,28 @@ func TestOverheadStrings(t *testing.T) {
 	}
 }
 
-// tally builds a worker's private Breakdown from (category, nanos) events.
-func tally(events ...[2]int64) *Breakdown {
-	var b Breakdown
+// tally builds a worker's private Tally from (category, nanos) overhead
+// events.
+func tally(events ...[2]int64) *Tally {
+	var t Tally
 	for _, ev := range events {
-		b.Counts[ev[0]]++
-		b.Nanos[ev[0]] += ev[1]
+		t.Overhead.Counts[ev[0]]++
+		t.Overhead.Nanos[ev[0]] += ev[1]
 	}
-	return &b
+	return &t
 }
 
-func TestRecorderRecordAndSnapshot(t *testing.T) {
-	var r Recorder
-	r.Flush(tally([2]int64{int64(ViewCreation), 10}))
-	r.Flush(tally([2]int64{int64(ViewCreation), 20}))
+func TestTallyRecordAndSnapshot(t *testing.T) {
+	var s Totals
+	s.Flush(tally([2]int64{int64(ViewCreation), 10}))
+	s.Flush(tally([2]int64{int64(ViewCreation), 20}))
 	local := tally([2]int64{int64(Hypermerge), 30})
-	local.TickN(ViewInsertion, 5)
-	r.Flush(local)
-	if *local != (Breakdown{}) {
+	local.Overhead.TickN(ViewInsertion, 5)
+	s.Flush(local)
+	if *local != (Tally{}) {
 		t.Fatalf("Flush left the local tally at %+v", *local)
 	}
-	b := r.Snapshot()
+	b := s.Snapshot().Overhead
 	if b.Count(ViewCreation) != 2 || b.Duration(ViewCreation) != 30*time.Nanosecond {
 		t.Fatalf("ViewCreation = %v/%d", b.Duration(ViewCreation), b.Count(ViewCreation))
 	}
@@ -61,66 +63,110 @@ func TestRecorderRecordAndSnapshot(t *testing.T) {
 	if !strings.Contains(b.String(), "hypermerge") {
 		t.Fatalf("String() = %q", b.String())
 	}
-	r.Reset()
-	if r.Snapshot() != (Breakdown{}) {
+	s.Reset()
+	if s.Snapshot() != (Tally{}) {
 		t.Fatal("Reset did not clear counters")
 	}
 }
 
-func TestRecorderTimingToggle(t *testing.T) {
-	var r Recorder
-	if r.Timing() {
-		t.Fatal("the zero Recorder should have timing off")
-	}
-	var local Breakdown
-	start := r.Start()
+func TestTallyTiming(t *testing.T) {
+	var s Totals
+	var local Tally
+	start := Start(false)
 	if start != 0 {
 		t.Fatal("Start should return zero when timing is disabled")
 	}
-	local.Tick(ViewTransferal, start)
-	local.Tick(ViewTransferal, r.Start())
-	r.Flush(&local)
-	b := r.Snapshot()
+	local.Overhead.Tick(ViewTransferal, start)
+	local.Overhead.Tick(ViewTransferal, Start(false))
+	s.Flush(&local)
+	b := s.Snapshot().Overhead
 	if b.Count(ViewTransferal) != 2 {
 		t.Fatalf("counts = %d, want 2", b.Count(ViewTransferal))
 	}
 	if b.Duration(ViewTransferal) != 0 {
 		t.Fatalf("durations should not accumulate when timing is off, got %v", b.Duration(ViewTransferal))
 	}
-	r.SetTiming(true)
-	start = r.Start()
+	start = Start(true)
 	time.Sleep(time.Millisecond)
-	local.Tick(ViewTransferal, start)
-	r.Flush(&local)
-	if r.Snapshot().Duration(ViewTransferal) < time.Millisecond {
+	local.Overhead.Tick(ViewTransferal, start)
+	s.Flush(&local)
+	if s.Snapshot().Overhead.Duration(ViewTransferal) < time.Millisecond {
 		t.Fatal("expected the slept millisecond with timing enabled")
 	}
 }
 
-func TestRecorderConcurrentUse(t *testing.T) {
-	var r Recorder
+func TestTallyConcurrentFlush(t *testing.T) {
+	var s Totals
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local Breakdown
+			var local Tally
 			for i := 0; i < 1000; i++ {
-				local.Counts[Hypermerge]++
-				local.Nanos[Hypermerge]++
+				local.Overhead.Counts[Hypermerge]++
+				local.Overhead.Nanos[Hypermerge]++
+				local.Merge.Reduces++
 				if i%10 == 9 {
-					r.Flush(&local)
+					s.Flush(&local)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	b := r.Snapshot()
-	if b.Count(Hypermerge) != 4000 {
+	snap := s.Snapshot()
+	if b := snap.Overhead; b.Count(Hypermerge) != 4000 {
 		t.Fatalf("count = %d, want 4000", b.Count(Hypermerge))
 	}
-	if b.Duration(Hypermerge) != 4000*time.Nanosecond {
+	if b := snap.Overhead; b.Duration(Hypermerge) != 4000*time.Nanosecond {
 		t.Fatalf("duration = %v, want 4µs", b.Duration(Hypermerge))
+	}
+	if snap.Merge.Reduces != 4000 {
+		t.Fatalf("reduces = %d, want 4000", snap.Merge.Reduces)
+	}
+}
+
+// TestTallyFlushCoversEveryField gives every count in a Tally its own value,
+// flushes it, and checks that the snapshot returns each one and that the
+// tally is zeroed: a field added to Tally without flush support fails here.
+// FreeBlocks is the one derived field; Reset spares the arena's counts.
+func TestTallyFlushCoversEveryField(t *testing.T) {
+	var local Tally
+	next := int64(1)
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				set(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				set(v.Index(i))
+			}
+		case reflect.Int64:
+			v.SetInt(next)
+			next++
+		default:
+			t.Fatalf("Tally holds a %v, which Totals cannot count", v.Type())
+		}
+	}
+	set(reflect.ValueOf(&local).Elem())
+	local.Arena.FreeBlocks = 0
+	want := local
+	want.Arena.FreeBlocks = want.Arena.Frees - want.Arena.FreeHits
+
+	var s Totals
+	s.Flush(&local)
+	if local != (Tally{}) {
+		t.Fatalf("Flush left the tally at %+v", local)
+	}
+	if got := s.Snapshot(); got != want {
+		t.Fatalf("Snapshot after one Flush = %+v, want %+v", got, want)
+	}
+	s.Reset()
+	if got := s.Snapshot(); got != (Tally{Arena: want.Arena}) {
+		t.Fatalf("Snapshot after Reset = %+v, want only the arena counts %+v", got, want.Arena)
 	}
 }
 

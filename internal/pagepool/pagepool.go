@@ -189,21 +189,6 @@ func (p *Pool[T]) Put(worker int, page T) {
 	lp.mu.Unlock()
 }
 
-// TryGet is Get with an exhaustion path: it fails (allocating nothing)
-// when the pagepool/get failpoint fires, modelling the backing allocator
-// running dry.  Production callers that can surface an error use it so
-// chaos plans can drive their failure handling; with no plan active it is
-// Get plus one atomic load.
-func (p *Pool[T]) TryGet(worker int) (T, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Error(faultinject.PagepoolGet); err != nil {
-			var zero T
-			return zero, fmt.Errorf("pagepool: page allocation failed: %w", err)
-		}
-	}
-	return p.Get(worker), nil
-}
-
 // GetN returns n pages for the given worker in one pool round-trip: the
 // worker's local pool is drained first, then the global pool, each under a
 // single lock acquisition, and any shortfall is made up with fresh pages.

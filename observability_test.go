@@ -3,12 +3,14 @@ package cilkm_test
 import (
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	cilkm "repro"
 	"repro/internal/core"
+	"repro/internal/hypermap"
 )
 
 // mergeHeavyRun drives a session through a steal- and merge-heavy workload:
@@ -111,13 +113,13 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 }
 
 // TestExporterMatchesStatsHypermap pins the same contract on the baseline
-// engine, which exports the subset of signals it tracks.
+// engine, which counts and exports the merge pipeline exactly as the
+// memory-mapped engine does (its arena and bulk-page series read 0).
 func TestExporterMatchesStatsHypermap(t *testing.T) {
 	exp := cilkm.NewExporter()
 	s := cilkm.New(
 		cilkm.WithMechanism(cilkm.Hypermap),
 		cilkm.WithWorkers(4),
-		cilkm.WithCountLookups(),
 		cilkm.WithMetricsExporter(exp),
 	)
 	defer s.Close()
@@ -126,10 +128,41 @@ func TestExporterMatchesStatsHypermap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := s.Engine()
+	hm := s.Engine().(*hypermap.HM)
+	ms := hm.MergeStats()
 	m := exp.ExpvarMap()
-	if got, want := int64(m["cilkm_lookups_total.hypermap"]), cilkm.LookupCount(eng); got != want || want == 0 {
+	for name, want := range map[string]int64{
+		"cilkm_merges_total.hypermap":            ms.Merges,
+		"cilkm_merge_slots_total.hypermap":       ms.SlotsMerged,
+		"cilkm_merge_reduces_total.hypermap":     ms.Reduces,
+		"cilkm_merge_adopts_total.hypermap":      ms.Adopts,
+		"cilkm_bulk_page_fetches_total.hypermap": ms.BulkPageFetches,
+		"cilkm_bulk_page_returns_total.hypermap": ms.BulkPageReturns,
+		"cilkm_stale_view_drops_total.hypermap":  ms.StaleViewDrops,
+		"cilkm_identity_elisions_total.hypermap": ms.IdentityElisions,
+	} {
+		got, ok := m[name]
+		if !ok {
+			t.Errorf("exporter missing %s", name)
+			continue
+		}
+		if int64(got) != want {
+			t.Errorf("%s = %v, exporter disagrees with MergeStats %d", name, got, want)
+		}
+	}
+	if ms.Merges <= 0 || ms.Reduces <= 0 {
+		t.Errorf("MergeStats = %+v, want merges and reduces after a merge-heavy run", ms)
+	}
+	if got, want := int64(m["cilkm_lookups_total.hypermap"]), cilkm.LookupCount(hm); got != want || want == 0 {
 		t.Errorf("cilkm_lookups_total.hypermap = %d, engine reports %d, want equal and nonzero", got, want)
+	}
+	// An engine built WithCountLookups exports what the engine it wraps does.
+	var delegated []cilkm.MetricSample
+	core.CountLookups(hm).(cilkm.MetricSource).SampleMetrics(func(ms cilkm.MetricSample) { delegated = append(delegated, ms) })
+	var direct []cilkm.MetricSample
+	hm.SampleMetrics(func(ms cilkm.MetricSample) { direct = append(direct, ms) })
+	if !reflect.DeepEqual(delegated, direct) || len(direct) == 0 {
+		t.Errorf("a counting hypermap exports %d samples, the hypermap %d: want the same nonempty set", len(delegated), len(direct))
 	}
 	if m["cilkm_sched_steals_total"] <= 0 {
 		t.Error("cilkm_sched_steals_total = 0, want steals on a fork-heavy run")
