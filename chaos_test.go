@@ -90,9 +90,9 @@ func chaosSeeds(t testing.TB) []uint64 {
 }
 
 // newChaosSession builds a session tuned to reach every failpoint: the
-// modelled address space wires the TLMM failpoints in, and the directory's
-// dense addresses make registrations fill SPA pages (and hence trigger
-// growth) deterministically.
+// modelled address space wires the TLMM growth failpoint in, and the
+// directory's dense addresses make registrations fill SPA pages (and hence
+// trigger growth) deterministically.
 func newChaosSession(mech cilkm.Mechanism) *cilkm.Session {
 	return cilkm.New(
 		cilkm.WithMechanism(mech),

@@ -25,9 +25,9 @@
 // The building blocks live in the internal packages:
 //
 //   - internal/sched    — the work-stealing scheduler (Fork, ParallelFor).
-//   - internal/core     — the memory-mapped reducer mechanism (Cilk-M).
+//   - internal/core     — the memory-mapped reducer mechanism (Cilk-M),
+//     with its optional model of the paper's thread-local page mapping.
 //   - internal/hypermap — the hypermap baseline (Cilk Plus).
-//   - internal/tlmm     — the modelled thread-local memory mapping substrate.
 //   - internal/spa      — the sparse-accumulator view maps.
 //   - internal/reducers — the typed reducer library.
 //   - internal/pbfs     — the PBFS application benchmark.
@@ -161,8 +161,10 @@ func WithCountLookups() Option {
 	return func(o *options) { o.eng.CountLookups = true }
 }
 
-// WithModelAddressSpace backs the memory-mapped engine's SPA pages with the
-// simulated TLMM address space (ignored by the hypermap engine).
+// WithModelAddressSpace models the paper's kernel support in the
+// memory-mapped engine: each worker maps an SPA page the first time it
+// touches it, and growing the reducer region can fail a registration
+// (ignored by the hypermap engine; see core.MMConfig).
 func WithModelAddressSpace() Option {
 	return func(o *options) { o.eng.ModelAddressSpace = true }
 }

@@ -3,16 +3,16 @@
 //
 // The lock-free runtime mixes two atomicity idioms: typed atomics
 // (atomic.Uint64 and friends, which the type system keeps honest) and
-// sync/atomic function calls on plain integer fields (the tlmm page
-// reference counts, for example).  The second idiom has a classic failure
-// mode: one new call site reads or writes the field directly, the race
-// detector only catches it on schedules the tests happen to run, and the
-// result is a torn or stale access that corrupts an epoch or a reference
-// count.  This analyzer makes the convention compiler-checked: once any
-// code in a package touches a field via sync/atomic, every other access to
-// that field must be atomic too (or carry a //cilkvet:allow atomicfield
-// suppression explaining why a plain access is safe, e.g. pre-publication
-// initialisation).
+// sync/atomic function calls on plain integer fields (PBFS's dist array,
+// whose claim is a compare-and-swap on each element).  The second idiom
+// has a classic failure mode: one new call site reads or writes the field
+// directly, the race detector only catches it on schedules the tests
+// happen to run, and the result is a torn or stale access that corrupts a
+// distance or an epoch.  This analyzer makes the convention
+// compiler-checked: once any code in a package touches a field via
+// sync/atomic, every other access to that field must be atomic too (or
+// carry a //cilkvet:allow atomicfield suppression explaining why a plain
+// access is safe, e.g. pre-publication initialisation).
 //
 // When the atomic calls target elements of a slice or array field
 // (atomic.LoadInt32(&x.f[i])), plain *element* accesses are flagged;

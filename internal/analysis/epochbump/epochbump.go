@@ -3,10 +3,10 @@
 //
 // The typed reducer handles cache (reducer, view) resolutions against a
 // per-worker epoch counter.  Any operation that retires or moves a view —
-// unregistering a reducer, growing a TLMM reducer page, reusing an SPA
-// slot, stealing across a trace boundary, merging child views — must bump
-// that epoch (Worker.BumpViewEpoch, directly or through core.Base's
-// every-worker sweep) before the old view word can be recycled.
+// unregistering a reducer, reusing an SPA slot, stealing across a trace
+// boundary, merging child views — must bump that epoch
+// (Worker.BumpViewEpoch, directly or through core.Base's every-worker
+// sweep) before the old view word can be recycled.
 // Forgetting the bump does not crash: the stale cache
 // entry keeps resolving to the retired view and updates are silently lost
 // into freed memory.  That failure mode survives tests unless a schedule
@@ -33,10 +33,10 @@ import (
 )
 
 // DefaultFuncs matches the retirement entry points of the memory-mapped
-// reducer runtime: the core MM and hypermap HM trace and merge hooks, the
-// Unregister both engines share through core.Base, and TLMM reducer-page
-// growth.
-const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge)$|^Base\.Unregister$|^MM\.growReducerPage$`
+// reducer runtime: the core MM and hypermap HM trace and merge hooks and
+// the Unregister both engines share through core.Base.  Growing the SPA
+// address range moves no view, so the directory's growth hook is not one.
+const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge)$|^Base\.Unregister$`
 
 // DefaultBumps are the blessed invalidation publishers.
 const DefaultBumps = "BumpViewEpoch"

@@ -19,10 +19,10 @@
 //   - calls to unsafe.Add, unsafe.Slice, unsafe.SliceData, unsafe.String
 //     and unsafe.StringData
 //
-// Purely integral uintptr conversions (the tlmm model's page addresses)
-// are not pointer conversions and are never flagged.  _test.go files are
-// skipped by default (-includetests restores them): tests assert on slot
-// layouts and forge view words on purpose.
+// Purely integral uintptr conversions are not pointer conversions and are
+// never flagged.  _test.go files are skipped by default (-includetests
+// restores them): tests assert on slot layouts and forge view words on
+// purpose.
 //
 // The allowlist is the -allow flag: comma-separated path.Match patterns
 // over "importpath.Func" or "importpath.Type.Method" names, with this

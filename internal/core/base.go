@@ -57,8 +57,8 @@ type Base struct {
 // paths reach Dir and Timing with no extra load, sized for workers workers
 // (at least one) and exporting under the engine label label.  onGrow is the
 // directory's growth hook, called under its lock once per fresh SPA page
-// (the memory-mapped engine reserves TLMM address space there), and may be
-// nil.
+// (the memory-mapped engine's modelled TLMM growth, which may fail), and
+// may be nil.
 func InitBase(b *Base, self Engine, label string, workers int, timing bool, onGrow func(page int) error) {
 	b.Dir, b.Timing, b.self, b.label = NewDirectory(onGrow), timing, self, label
 	b.nworkers.Store(int64(max(workers, 1)))

@@ -29,7 +29,7 @@ import (
 //     a stale handle, and Valid(r) is one load with no lock.
 //   - When a never-used address is the first on a new SPA page, Register
 //     calls the OnGrow hook under the lock, once per page in ascending order
-//     (the memory-mapped engine reserves TLMM address space there).  An error
+//     (the memory-mapped engine models TLMM region growth there).  An error
 //     fails that registration without consuming the address, so every
 //     address on the free list lies on a page that has been grown.
 

@@ -13,9 +13,12 @@
 // The memory-mapping mechanism (type MM) answers the paper's four design
 // questions as follows:
 //
-//  1. Operating-system support: each worker owns a modelled TLMM region
-//     (package tlmm) in which the same virtual address resolves to that
-//     worker's own SPA pages.
+//  1. Operating-system support: each worker owns a TLMM region in which
+//     the same virtual address resolves to that worker's own SPA pages —
+//     here the worker's private SPA map set.  With ModelAddressSpace the
+//     engine also models the kernel's part as the engine sees it: a
+//     per-worker bitmap of mapped SPA pages, set on first touch, and a
+//     growth step that can fail.
 //  2. Thread-local indirection: the TLMM region holds only pointers to
 //     views; the views themselves live on the ordinary shared heap.
 //  3. View organisation: pointers are arranged in SPA map pages

@@ -10,7 +10,6 @@ import (
 	"repro/internal/pagepool"
 	"repro/internal/sched"
 	"repro/internal/spa"
-	"repro/internal/tlmm"
 )
 
 // MMConfig configures the memory-mapping engine.
@@ -20,13 +19,12 @@ type MMConfig struct {
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
-	// ModelAddressSpace, when true, backs every SPA page with a page of
-	// the simulated TLMM address space: reducer slot addresses are
-	// reserved in the TLMM region layout and each worker maps a physical
-	// page (via the modelled sys_palloc/sys_pmap) the first time it
-	// touches a page index.  This exercises the substrate the paper's
-	// kernel modification provides; disable it for the tightest possible
-	// lookup fast path.
+	// ModelAddressSpace, when true, models the paper's kernel support
+	// (sys_palloc/sys_pmap) at the granularity the engine observes it: each
+	// worker maps an SPA page index the first time it touches it, once, and
+	// counts the mapping (WorkerMappedPages), and growing the reducer region
+	// for a fresh SPA page may fail (the tlmm/grow failpoint), failing that
+	// registration.  Disable it for the tightest possible first lookup.
 	ModelAddressSpace bool
 }
 
@@ -37,14 +35,9 @@ type MM struct {
 	// pool recycles public SPA pages used for view transferal.
 	pool *pagepool.Pool[*spa.Map]
 
-	// Modelled operating-system state (nil unless ModelAddressSpace).
-	aspace *tlmm.AddressSpace
-	layout *tlmm.RegionLayout
-	// pageTable is the RCU-published map from SPA page index to reserved
-	// TLMM base address (nil unless ModelAddressSpace).  It is grown by
-	// the directory's OnGrow hook and read lock-free by every worker
-	// mapping a page, so address-space growth never blocks lookups.
-	pageTable *tlmm.RegionPageTable
+	// model is MMConfig.ModelAddressSpace: first touches of a page index
+	// go through mmWorker.ensureMapped.
+	model bool
 
 	// arenaRootReleased counts arena-carved view blocks released on
 	// non-worker goroutines (the root merge and root-side discards), where
@@ -56,20 +49,19 @@ type MM struct {
 
 // mmWorker is the per-worker state of the memory-mapping engine: the
 // worker's private SPA maps (its TLMM reducer area), the worker's view
-// arena, and, when the address space is modelled, the worker's thread VM
-// and the set of SPA page indices it has backed with physical pages.
+// arena, and, when the address space is modelled, the set of SPA page
+// indices it has mapped.
 type mmWorker struct {
-	eng     *MM
 	private *spa.MapSet
 	// spare caches an emptied map set for reuse by the next BeginTrace.
 	spare *spa.MapSet
 	// arena carves identity views for arena-eligible monoids and recycles
 	// the views the hypermerge folds away.  Owner-goroutine only.
 	arena viewArena
-	vm    *tlmm.ThreadVM
-	// mapped[i] reports whether SPA page index i is backed by a TLMM page
-	// in this worker's address space.
-	mapped []bool
+	// mapped[i] reports whether this worker has mapped SPA page index i, and
+	// nmapped counts the set bits (both stay zero unless ModelAddressSpace).
+	mapped  []bool
+	nmapped int
 	// tally counts everything since the worker's last flush into
 	// Base.Totals.  Owner-goroutine only.
 	tally metrics.Tally
@@ -137,13 +129,10 @@ type MMDeposit struct {
 
 // NewMM creates a memory-mapping engine.
 func NewMM(cfg MMConfig) *MM {
-	e := &MM{}
+	e := &MM{model: cfg.ModelAddressSpace}
 	var onGrow func(page int) error
-	if cfg.ModelAddressSpace {
-		e.aspace = tlmm.NewAddressSpace(nil)
-		e.layout = tlmm.NewRegionLayout()
-		e.pageTable = &tlmm.RegionPageTable{}
-		onGrow = e.growReducerPage
+	if e.model {
+		onGrow = growReducerPage
 	}
 	InitBase(&e.Base, e, "mm", cfg.Workers, cfg.Timing, onGrow)
 	e.pool = pagepool.New[*spa.Map](e.Workers(),
@@ -153,38 +142,24 @@ func NewMM(cfg MMConfig) *MM {
 	return e
 }
 
-// growReducerPage is the directory's OnGrow hook: it reserves TLMM address
-// space for one more SPA page and publishes the reservation in the RCU page
-// table.  The directory calls it under its lock, once per spa.SlotsPerMap
-// fresh addresses, so lookups never wait for it.  Workers observe the growth
-// through the published table (and the view-epoch bump) the next time they
-// need to map the page.
-func (e *MM) growReducerPage(page int) error {
+// growReducerPage is the directory's OnGrow hook under ModelAddressSpace,
+// called under its lock once per fresh SPA page: where the paper reserves
+// TLMM address space for the page.  Page i's base address would be a fixed
+// function of i and DirectoryStats().GrownPages counts the reserved pages,
+// so what remains to model is that the reservation can fail.  Growth moves
+// no view, so it bumps no view epoch.
+func growReducerPage(page int) error {
 	if err := faultinject.Error(faultinject.TLMMGrow); err != nil {
 		// Injected address-space exhaustion: the registration that
-		// triggered the growth fails cleanly (the directory keeps the
-		// address unused) and no reservation is recorded.
+		// triggered the growth fails cleanly and the directory keeps the
+		// address unused.
 		return fmt.Errorf("core: reserving TLMM page %d: %w", page, err)
 	}
-	base, err := e.layout.ReserveReducerPages(1)
-	if err != nil {
-		return fmt.Errorf("core: reserving TLMM page %d: %w", page, err)
-	}
-	e.pageTable.Publish(base)
-	e.invalidateViews()
 	return nil
 }
 
 // Name implements Engine.
 func (e *MM) Name() string { return "Cilk-M (memory-mapped)" }
-
-// AddressSpace returns the modelled TLMM address space, or nil when the
-// model is disabled.
-func (e *MM) AddressSpace() *tlmm.AddressSpace { return e.aspace }
-
-// RegionLayout returns the TLMM region layout, or nil when the model is
-// disabled.
-func (e *MM) RegionLayout() *tlmm.RegionLayout { return e.layout }
 
 // PoolStats exposes the public SPA page pool statistics.
 func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
@@ -272,8 +247,8 @@ func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (u
 //
 //cilkvet:hotpath
 func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
-	// Ensure the worker's TLMM region backs the SPA page holding this slot.
-	if ws.vm != nil {
+	// Ensure the worker's TLMM region maps the SPA page holding this slot.
+	if e.model {
 		ws.ensureMapped(int(r.page))
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before any
@@ -308,14 +283,12 @@ func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 	return word
 }
 
-// ensureMapped backs SPA page index pi with a physical page in this
-// worker's modelled TLMM region (sys_palloc + sys_pmap), once.  The page's
-// virtual base comes from the RCU-published region page table, which the
-// directory's grow hook populates before the page's first address is handed
-// out, so the lock-free read here can never miss.  The mapped bitmap grows
-// to the target length in one step (with doubling, so registration churn
-// that walks page indices upward costs amortised O(1) per page, not one
-// append per missing index).
+// ensureMapped maps SPA page index pi into this worker's modelled TLMM
+// region, once: the first touch sets the page's bit and counts one mapping,
+// in the paper's accounting one sys_palloc plus one sys_pmap.  The bitmap
+// grows to the target length in one step (with doubling, so registration
+// churn that walks page indices upward costs amortised O(1) per page, not
+// one append per missing index).
 func (ws *mmWorker) ensureMapped(pi int) {
 	if len(ws.mapped) <= pi {
 		n := pi + 1
@@ -326,18 +299,10 @@ func (ws *mmWorker) ensureMapped(pi int) {
 		copy(grown, ws.mapped)
 		ws.mapped = grown
 	}
-	if ws.mapped[pi] {
-		return
+	if !ws.mapped[pi] {
+		ws.mapped[pi] = true
+		ws.nmapped++
 	}
-	base, ok := ws.eng.pageTable.Base(pi)
-	if !ok {
-		panic(fmt.Sprintf("core: SPA page %d not published in the region page table", pi))
-	}
-	pd := ws.eng.aspace.Phys.Palloc()
-	if err := ws.vm.Pmap(base, []tlmm.PD{pd}); err != nil {
-		panic(fmt.Sprintf("core: mapping SPA page %d: %v", pi, err))
-	}
-	ws.mapped[pi] = true
 }
 
 // --- sched.ReducerRuntime hooks ---
@@ -346,11 +311,7 @@ func (ws *mmWorker) ensureMapped(pi int) {
 // while the attaching runtime is being constructed, before any of that
 // runtime's tasks execute.
 func (e *MM) WorkerInit(w *sched.Worker) {
-	ws := &mmWorker{eng: e, private: spa.NewMapSet()}
-	if e.aspace != nil {
-		ws.vm = e.aspace.NewThread()
-	}
-	w.SetLocal(ws)
+	w.SetLocal(&mmWorker{private: spa.NewMapSet()})
 	e.Base.WorkerInit(w)
 }
 
@@ -569,7 +530,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				ws.freeSlotView(curSlot)
 				// Fall through to adopt the deposited (live) view.
 			}
-			if ws.vm != nil {
+			if e.model {
 				ws.ensureMapped(pi)
 			}
 			if err := cur.InsertSlot(spa.MakeAddr(pi, si), s); err != nil {
@@ -758,14 +719,15 @@ func (e *MM) WorkerPrivateViews(i int) int {
 	return 0
 }
 
-// WorkerMappedPages reports how many SPA page indexes worker i has backed
-// with TLMM pages (diagnostic; zero unless ModelAddressSpace).  Together
-// with the address space's PmapCalls it pins down the page-accounting
-// invariant: each worker maps each page it touches exactly once, no matter
-// how registration churn interleaves with growth.
+// WorkerMappedPages reports how many SPA page indexes worker i has mapped
+// into its modelled TLMM region (diagnostic; zero unless ModelAddressSpace,
+// and read like WorkerPrivateViews, between runs).  Each worker maps each
+// page it touches exactly once, so it is the number of distinct pages the
+// worker has touched, no matter how registration churn interleaves with
+// growth.
 func (e *MM) WorkerMappedPages(i int) int {
-	if ws := e.worker(i); ws != nil && ws.vm != nil {
-		return ws.vm.MappedPages()
+	if ws := e.worker(i); ws != nil {
+		return ws.nmapped
 	}
 	return 0
 }

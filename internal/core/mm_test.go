@@ -9,7 +9,6 @@ import (
 	"repro/internal/reducers"
 	"repro/internal/sched"
 	"repro/internal/spa"
-	"repro/internal/tlmm"
 )
 
 // sumView is the view of sumMonoid.  Arena eligibility is a property of the
@@ -115,11 +114,8 @@ func TestMMModelAddressSpaceBacksSPAPages(t *testing.T) {
 		}
 		reds[i] = r
 	}
-	if eng.RegionLayout() == nil || eng.AddressSpace() == nil {
-		t.Fatal("modelled address space not initialised")
-	}
-	if got := eng.RegionLayout().ReducerBytesReserved(); got != 2*tlmm.PageSize {
-		t.Fatalf("reserved %d bytes of TLMM reducer space, want %d", got, 2*tlmm.PageSize)
+	if got := eng.DirectoryStats().GrownPages; got != 2 {
+		t.Fatalf("reserved %d TLMM reducer pages, want 2", got)
 	}
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelFor(0, n, func(c *sched.Context, i int) {
@@ -134,11 +130,66 @@ func TestMMModelAddressSpaceBacksSPAPages(t *testing.T) {
 			t.Fatalf("reducer %d = %d, want 1", i, got)
 		}
 	}
-	// The root worker must have mapped both SPA pages through the modelled
-	// sys_palloc / sys_pmap interface.
-	st := eng.AddressSpace().Phys.Stats()
-	if st.PmapCalls == 0 || st.PagesMapped < 2 {
-		t.Fatalf("expected TLMM mappings, stats %+v", st)
+	// The workers between them must have mapped both SPA pages through the
+	// modelled sys_palloc / sys_pmap interface.
+	mapped := 0
+	for i := 0; i < workers; i++ {
+		mapped += eng.WorkerMappedPages(i)
+	}
+	if mapped < 2 {
+		t.Fatalf("workers mapped %d SPA pages, want at least 2", mapped)
+	}
+}
+
+// TestModelMapsAdoptedPages pins the modelled mapping on the hypermerge's
+// adopt path: a worker that adopts a deposited view onto a page it has never
+// touched must map that page.  Two single-worker sessions over one engine
+// give two attached workers with no race between them: the first builds a
+// deposit whose only views are on SPA page 1, and the second merges it with
+// nothing of its own there.
+func TestModelMapsAdoptedPages(t *testing.T) {
+	eng := core.NewMM(core.MMConfig{Workers: 1, ModelAddressSpace: true})
+	first, second := core.NewSession(1, eng), core.NewSession(1, eng)
+	defer first.Close()
+	defer second.Close()
+	rs := make([]*core.Reducer, spa.SlotsPerMap+2)
+	for i := range rs {
+		rs[i], _ = eng.Register(arenaSumMonoid)
+	}
+	onPage1 := rs[spa.SlotsPerMap:]
+	var dep sched.Deposit
+	if err := first.Run(func(c *sched.Context) {
+		w := c.Worker()
+		tr := eng.BeginTrace(w)
+		for i, r := range onPage1 {
+			*core.Lookup(eng, c, r).(*int64) += int64(10 * (i + 1))
+		}
+		dep = eng.EndTrace(w, tr)
+	}); err != nil {
+		t.Fatalf("first Run: %v", err)
+	}
+	if dep == nil {
+		t.Fatal("written views were not deposited")
+	}
+	if got := eng.WorkerMappedPages(1); got != 0 {
+		t.Fatalf("second worker mapped %d pages before the merge, want 0", got)
+	}
+	if err := second.Run(func(c *sched.Context) {
+		w := c.Worker()
+		eng.Merge(w, w.CurrentTrace(), dep)
+	}); err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if got := eng.WorkerMappedPages(1); got != 1 {
+		t.Fatalf("second worker mapped %d pages after adopting page 1, want 1", got)
+	}
+	for i, r := range onPage1 {
+		if got, want := *r.Value().(*int64), int64(10*(i+1)); got != want {
+			t.Fatalf("reducer %d on page 1 = %d, want %d", i, got, want)
+		}
+	}
+	if err := eng.Quiescent(); err != nil {
+		t.Fatalf("not quiescent: %v", err)
 	}
 }
 

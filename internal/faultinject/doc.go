@@ -1,10 +1,10 @@
 // Package faultinject is the runtime's failpoint and deterministic-chaos
 // framework.  Named failpoints are compiled into every layer that can fail
 // mid-job — steal/park decision points in the scheduler, pagepool
-// exhaustion, TLMM address-space growth, directory registration races, and
-// monoid Reduce/Identity panics inside the merge pipeline — and cost one
-// atomic load and a predicted branch while no plan is active, so they stay
-// in production builds.
+// exhaustion, the modelled TLMM region's growth, directory registration
+// races, and monoid Reduce/Identity panics inside the merge pipeline — and
+// cost one atomic load and a predicted branch while no plan is active, so
+// they stay in production builds.
 //
 // A chaos run activates a Plan: a seed plus a set of armed rules, one per
 // failpoint.  Whether a particular hit of a failpoint fires is a pure

@@ -20,8 +20,9 @@ const (
 	// PagepoolGetN injects exhaustion into pagepool.Pool.TryGetN (the bulk
 	// fetch view transferal depends on).
 	PagepoolGetN
-	// TLMMGrow fails TLMM address-space growth for a fresh SPA page
-	// (internal/core.MM.growReducerPage), surfacing as a Register error.
+	// TLMMGrow fails the modelled TLMM region's growth for a fresh SPA page
+	// (internal/core's growReducerPage, under ModelAddressSpace), surfacing
+	// as a Register error.
 	TLMMGrow
 	// DirectoryRegister perturbs a directory registration between taking
 	// the address and publishing the reducer, widening the
@@ -218,7 +219,7 @@ func splitmix64(x uint64) uint64 {
 // active is the process-wide activated plan; nil while chaos is off.  One
 // global (rather than per-engine) keeps the disabled fast path to a single
 // atomic pointer load at every site, including sites in leaf packages
-// (pagepool, tlmm) that have no engine back-pointer.
+// (pagepool) that have no engine back-pointer.
 var active atomic.Pointer[Plan]
 
 // Enabled reports whether a chaos plan is active.  This is the whole cost a

@@ -57,8 +57,9 @@ type EngineOptions struct {
 	// core.LookupCount reports the program's lookups exactly: the engine is
 	// wrapped by core.CountLookups and typed handles on it keep no cache.
 	CountLookups bool
-	// ModelAddressSpace backs the memory-mapped engine's SPA pages with
-	// the simulated TLMM address space (ignored by the hypermap engine).
+	// ModelAddressSpace models the paper's per-worker page mapping in the
+	// memory-mapped engine (ignored by the hypermap engine; see
+	// core.MMConfig).
 	ModelAddressSpace bool
 }
 

@@ -1,13 +1,14 @@
 // Package spa implements the sparse-accumulator (SPA) map that Cilk-M uses
 // to organise a worker's local views (Section 6 of the paper).
 //
-// A SPA map occupies one 4 KB page of the worker's TLMM region and holds
+// A SPA map occupies one 4 KB page of the worker's TLMM region — a Map is
+// exactly 4096 bytes, checked at compile time — and holds
 //
 //   - a view array of 248 elements, each a pair of 8-byte machine words
 //     (local view pointer, owner stamp),
 //   - a log array of 120 one-byte indices naming the valid elements,
 //   - a 4-byte count of valid elements, and
-//   - a 4-byte count of log entries.
+//   - a 4-byte count of log entries, negative once the log has overflowed.
 //
 // Empty elements are represented by a nil pair.  Lookups are constant time
 // (index the view array), and sequencing through the valid views is linear

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"unsafe"
-
-	"repro/internal/tlmm"
 )
 
 // Layout constants from the paper: a 2:1 ratio between the view array and
 // the log array within one 4 KB page.
 const (
+	// pageBytes is the size of one page of the worker's TLMM region, which
+	// one SPA map fills exactly.
+	pageBytes = 4096
 	// SlotsPerMap is the number of view slots in one SPA map page.
 	SlotsPerMap = 248
 	// LogCapacity is the number of one-byte indices in the log array.
@@ -33,10 +34,10 @@ const (
 	FlagMask uintptr = FlagWritten | FlagArena
 )
 
-// Compile-time checks that the modelled layout fits one page
+// Compile-time checks that a map is exactly one page
 // (248*16 + 120 + 4 + 4 = 4096) and that a slot really is two words.
 var (
-	_ = [1]struct{}{}[(SlotsPerMap*SlotBytes+LogCapacity+4+4)-tlmm.PageSize]
+	_ = [1]struct{}{}[unsafe.Sizeof(Map{})-pageBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(Slot{})-SlotBytes]
 )
 
@@ -125,16 +126,19 @@ type Map struct {
 	log   [LogCapacity]uint8
 	// nviews is the number of valid elements in the view array.
 	nviews int32
-	// nlogs is the number of entries in the log array.  Once the log
-	// overflows, nlogs stops tracking insertions and logValid becomes
-	// false, signalling that sequencing must scan the whole view array.
-	nlogs    int32
-	logValid bool
+	// nlogs is the number of entries in the log array, or logOverflowed
+	// once the log has overflowed: it then stops tracking insertions, and
+	// sequencing must scan the whole view array.
+	nlogs int32
 }
+
+// logOverflowed is the nlogs of a map whose log has overflowed since the map
+// was last empty.
+const logOverflowed = -1
 
 // New returns an empty SPA map.
 func New() *Map {
-	return &Map{logValid: true}
+	return &Map{}
 }
 
 // Reset returns the map to the empty state: all slots nil, counts zero, log
@@ -146,18 +150,23 @@ func (m *Map) Reset() {
 	}
 	m.nviews = 0
 	m.nlogs = 0
-	m.logValid = true
 }
 
 // Len reports the number of valid views in the map.
 func (m *Map) Len() int { return int(m.nviews) }
 
-// LogLen reports the number of log entries currently recorded.
-func (m *Map) LogLen() int { return int(m.nlogs) }
+// LogLen reports the number of log entries currently recorded: the whole
+// log array once it has overflowed.
+func (m *Map) LogLen() int {
+	if m.nlogs == logOverflowed {
+		return LogCapacity
+	}
+	return int(m.nlogs)
+}
 
 // LogValid reports whether the log still describes every valid view, i.e.
 // whether it has not overflowed since the map was last empty.
-func (m *Map) LogValid() bool { return m.logValid }
+func (m *Map) LogValid() bool { return m.nlogs != logOverflowed }
 
 // IsEmpty reports whether the map holds no views.
 func (m *Map) IsEmpty() bool { return m.nviews == 0 }
@@ -211,15 +220,15 @@ func (m *Map) insertSlot(i int, s Slot) error {
 	}
 	m.views[i] = s
 	m.nviews++
-	if m.logValid {
-		if int(m.nlogs) < LogCapacity {
+	if m.nlogs != logOverflowed {
+		if m.nlogs < LogCapacity {
 			m.log[m.nlogs] = uint8(i)
 			m.nlogs++
 		} else {
 			// The log array is full: stop keeping track of logs.  The
 			// cost of sequencing through the entire view array is
 			// amortised against the insertions that overflowed it.
-			m.logValid = false
+			m.nlogs = logOverflowed
 		}
 	}
 	return nil
@@ -274,7 +283,6 @@ func (m *Map) Remove(i int) (Slot, error) {
 		// later walk scans the whole view array.  Legal inside Range: both
 		// of its loops then find nothing more to visit.
 		m.nlogs = 0
-		m.logValid = true
 	}
 	// Otherwise the log may now contain a stale index; sequencing skips
 	// empty slots, so it remains usable without compaction.
@@ -294,7 +302,7 @@ func (m *Map) Range(fn func(i int, s Slot) bool) {
 	if m.nviews == 0 {
 		return
 	}
-	if m.logValid {
+	if m.nlogs != logOverflowed {
 		for k := 0; k < int(m.nlogs); k++ {
 			i := int(m.log[k])
 			s := m.views[i]
@@ -344,6 +352,5 @@ func (m *Map) TransferTo(dst *Map) (moved int, err error) {
 	// The source is now empty; restore its pristine state so it can be
 	// recycled (the paper requires that recycled SPA maps be empty).
 	m.nlogs = 0
-	m.logValid = true
 	return moved, nil
 }
