@@ -105,9 +105,10 @@ chaos-service:
 
 # docs-check is the documentation lint: broken relative links in README.md
 # and docs/, and undocumented exported identifiers in the public facade
-# packages (the repo root and internal/reducers).
+# packages (the repo root and internal/reducers) and the runtime packages
+# under internal/ that they build on.
 docs-check:
-	$(GO) run ./cmd/docscheck -md README.md,docs -pkgs .,./internal/reducers
+	$(GO) run ./cmd/docscheck -md README.md,docs -pkgs .,./internal/reducers,./internal/core,./internal/sched,./internal/hypermap,./internal/spa,./internal/pagepool,./internal/metrics,./internal/faultinject,./internal/pbfs,./internal/bag,./internal/graph
 
 # fmt-check fails when any file is not gofmt-clean, printing the offenders.
 fmt-check:

@@ -153,14 +153,6 @@ func WithTiming() Option {
 	return func(o *options) { o.eng.Timing = true }
 }
 
-// WithCountLookups makes every reducer lookup reach the engine, so that
-// LookupCount reports the program's lookups exactly (the PBFS experiment's
-// figure).  Typed handles on such an engine keep no view cache
-// and pay one interface dispatch per access; leave it off otherwise.
-func WithCountLookups() Option {
-	return func(o *options) { o.eng.CountLookups = true }
-}
-
 // WithModelAddressSpace models the paper's kernel support in the
 // memory-mapped engine: each worker maps an SPA page the first time it
 // touches it, and growing the reducer region can fail a registration
@@ -230,8 +222,9 @@ func NewEngineWith(opts ...Option) Engine {
 
 // LookupCount reports how many reducer lookups reached the engine since its
 // counters were last reset.  Typed handles answer repeated lookups from
-// their own caches, so this is the program's lookup count only for a session
-// built WithCountLookups.  Read it after Run has returned.
+// their own caches, so these are engine visits, not the program's lookups
+// (PBFS counts its own: pbfs.Result.Lookups).  Read it after Run has
+// returned.
 func LookupCount(eng Engine) int64 { return core.LookupCount(eng) }
 
 // NewAdd registers a sum reducer.

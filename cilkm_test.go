@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	cilkm "repro"
-	"repro/internal/core"
 )
 
 // TestFacadeQuickstart exercises the whole typed reducer library through
@@ -61,12 +60,11 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 // TestFacadeCustomAndEngineOptions drives the engine options and a one-off
-// custom reducer built from a pair of functions, on a lookup-counting
-// session: every View is one counted lookup.
+// custom reducer built from a pair of functions.
 func TestFacadeCustomAndEngineOptions(t *testing.T) {
 	eng := cilkm.NewEngineWith(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(2),
 		cilkm.WithTiming(), cilkm.WithModelAddressSpace())
-	s := cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2), cilkm.WithCountLookups())
+	s := cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2))
 	defer s.Close()
 	if eng.Name() == s.Engine().Name() {
 		t.Fatal("expected two different mechanisms")
@@ -87,9 +85,6 @@ func TestFacadeCustomAndEngineOptions(t *testing.T) {
 	got := cu.Value()
 	if got.a != 100 || got.b != 99*100/2 {
 		t.Fatalf("custom reducer = %+v", got)
-	}
-	if n := cilkm.LookupCount(s.Engine()); n != 100 {
-		t.Fatalf("LookupCount = %d, want 100: lookup counting should be enabled", n)
 	}
 }
 
@@ -142,23 +137,9 @@ func TestNewDefaultsAndEngineWith(t *testing.T) {
 	if name := s.Engine().Name(); name != cilkm.NewEngineWith().Name() {
 		t.Fatalf("default mechanisms differ: %q", name)
 	}
-	hm := cilkm.NewEngineWith(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2), cilkm.WithCountLookups())
+	hm := cilkm.NewEngineWith(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2))
 	if hm.Name() == s.Engine().Name() {
 		t.Fatal("WithMechanism(Hypermap) ignored")
-	}
-	// A counting engine's handles keep no cache: ten updates, ten lookups.
-	hs := core.NewSession(2, hm)
-	defer hs.Close()
-	sum := cilkm.NewAdd[int](hm)
-	if err := hs.Run(func(c *cilkm.Context) {
-		for i := 0; i < 10; i++ {
-			sum.Add(c, 1)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := cilkm.LookupCount(hm); sum.Value() != 10 || n != 10 {
-		t.Fatalf("WithCountLookups ignored: sum = %d, LookupCount = %d, want 10 and 10", sum.Value(), n)
 	}
 }
 

@@ -56,7 +56,7 @@ func main() {
 		time.Since(start).Round(time.Microsecond), serial.Layers, serial.Reachable)
 
 	for _, mech := range cilkm.Mechanisms() {
-		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(*workers), cilkm.WithCountLookups())
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(*workers))
 		start = time.Now()
 		res, err := pbfs.Parallel(s, g, pbfs.Config{Source: int32(*source)})
 		elapsed := time.Since(start)
@@ -70,7 +70,7 @@ func main() {
 		}
 		fmt.Printf("PBFS (%-13s P=%d): %v  lookups=%d  steals=%d\n",
 			mech.String()+",", *workers, elapsed.Round(time.Microsecond),
-			cilkm.LookupCount(s.Engine()), s.Runtime().Stats().Steals)
+			res.Lookups, s.Runtime().Stats().Steals)
 		s.Close()
 	}
 }

@@ -383,6 +383,46 @@ func TestRootMergeReducePanicRunErr(t *testing.T) {
 	}
 }
 
+// TestRootMergeReducePanicRun is the same failure through Session.Run, which
+// re-raises a failed root as a *PanicError: the root merge is part of the
+// root, so its panic is re-raised wrapped, not as the bare value, and the
+// session is quiescent and exact afterwards.
+func TestRootMergeReducePanicRun(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String(), func(t *testing.T) {
+			s := newChaosSession(mech)
+			var armed atomic.Bool
+			armed.Store(true)
+			h := cilkm.NewCustomOf[int](s.Engine(), armedReduce(&armed))
+			var raised any
+			within(t, containDeadline, "Run", func() {
+				defer func() { raised = recover() }()
+				_ = s.Run(func(c *cilkm.Context) { *h.View(c) += 7 })
+			})
+			if pe, ok := raised.(*cilkm.PanicError); !ok || pe.Value != "reduce boom" {
+				t.Fatalf("Run raised %#v, want a *PanicError carrying \"reduce boom\"", raised)
+			}
+			if qerr := s.Quiescent(); qerr != nil {
+				t.Fatalf("not quiescent after the failed root merge: %v", qerr)
+			}
+			armed.Store(false)
+			before := *h.Peek()
+			within(t, containDeadline, "clean Run", func() {
+				if err := s.Run(func(c *cilkm.Context) { *h.View(c) += 5 }); err != nil {
+					t.Errorf("clean Run: %v", err)
+				}
+			})
+			if got := *h.Peek(); got != before+5 {
+				t.Errorf("value after the clean Run = %d, want %d", got, before+5)
+			}
+			within(t, containDeadline, "Close", func() {
+				h.Close()
+				s.Close()
+			})
+		})
+	}
+}
+
 // TestNilViewMonoidNamedFailures pins the two view checks a typed monoid can
 // still trip.  An Identity that returns nil fails registration before an
 // address is taken; a Reduce that returns nil panics with the reducer's id,

@@ -42,7 +42,7 @@ func main() {
 
 	// PBFS under both reducer mechanisms.
 	for _, mech := range cilkm.Mechanisms() {
-		session := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(*workers), cilkm.WithCountLookups())
+		session := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(*workers))
 		start = time.Now()
 		res, err := pbfs.Parallel(session, g, pbfs.Config{Source: int32(*source)})
 		elapsed := time.Since(start)
@@ -54,7 +54,7 @@ func main() {
 		}
 		fmt.Printf("PBFS (%-13s P=%d): %10v  (%d reducer lookups, %d steals)\n",
 			mech.String()+",", *workers, elapsed.Round(time.Microsecond),
-			cilkm.LookupCount(session.Engine()), session.Runtime().Stats().Steals)
+			res.Lookups, session.Runtime().Stats().Steals)
 		session.Close()
 	}
 	fmt.Println("parallel distances match the serial BFS ✓")

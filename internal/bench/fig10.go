@@ -20,8 +20,9 @@ type Fig10Row struct {
 	// SerialTime and ParallelTime map mechanism → mean execution time.
 	SerialTime   map[reducers.Mechanism]time.Duration
 	ParallelTime map[reducers.Mechanism]time.Duration
-	// Lookups is the number of reducer lookups PBFS performed on this
-	// input (memory-mapped run).
+	// Lookups is the number of reducer lookups one PBFS search performs on
+	// this input (pbfs.Result.Lookups: the same under either mechanism and
+	// at any worker count).
 	Lookups int64
 }
 
@@ -85,22 +86,10 @@ func RunFig10(cfg Config, inputs []string) (*Fig10Result, error) {
 
 		for _, mech := range reducers.Mechanisms() {
 			// Serial (one worker).
-			s1 := reducers.NewSession(mech, 1, reducers.EngineOptions{CountLookups: mech == reducers.MemoryMapped})
+			s1 := reducers.NewSession(mech, 1, reducers.EngineOptions{})
 			sample, err := measure(cfg.Repetitions, func() (time.Duration, error) {
-				s1.Engine().ResetOverheads()
-				start := time.Now()
-				out, runErr := pbfs.Parallel(s1, g, pbfs.Config{Source: 0})
-				if runErr != nil {
-					return 0, runErr
-				}
-				if vErr := pbfs.Validate(g, 0, out); vErr != nil {
-					return 0, vErr
-				}
-				return time.Since(start), nil
+				return timeSearch(s1, g, &row)
 			})
-			if mech == reducers.MemoryMapped {
-				row.Lookups = core.LookupCount(s1.Engine()) / int64(max(cfg.Repetitions, 1))
-			}
 			s1.Close()
 			if err != nil {
 				return nil, fmt.Errorf("bench: PBFS %s serial (%v): %w", spec.Name, mech, err)
@@ -110,15 +99,7 @@ func RunFig10(cfg Config, inputs []string) (*Fig10Result, error) {
 			// Parallel (full worker count).
 			sp := reducers.NewSession(mech, workers, reducers.EngineOptions{})
 			sample, err = measure(cfg.Repetitions, func() (time.Duration, error) {
-				start := time.Now()
-				out, runErr := pbfs.Parallel(sp, g, pbfs.Config{Source: 0})
-				if runErr != nil {
-					return 0, runErr
-				}
-				if vErr := pbfs.Validate(g, 0, out); vErr != nil {
-					return 0, vErr
-				}
-				return time.Since(start), nil
+				return timeSearch(sp, g, &row)
 			})
 			sp.Close()
 			if err != nil {
@@ -129,6 +110,21 @@ func RunFig10(cfg Config, inputs []string) (*Fig10Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// timeSearch times one validated PBFS from vertex 0 on s and records its
+// lookup count in row.
+func timeSearch(s *core.Session, g *graph.Graph, row *Fig10Row) (time.Duration, error) {
+	start := time.Now()
+	out, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
+	if err != nil {
+		return 0, err
+	}
+	if err := pbfs.Validate(g, 0, out); err != nil {
+		return 0, err
+	}
+	row.Lookups = out.Lookups
+	return time.Since(start), nil
 }
 
 // Fig10aTable renders the relative-execution-time comparison (Figure

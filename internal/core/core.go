@@ -13,10 +13,11 @@ import (
 )
 
 // Engine is the interface both reducer mechanisms implement.  It extends
-// the scheduler's ReducerRuntime hooks with the OpenCilk-shaped surface —
-// register, unregister, one lookup — and the instrumentation needed to
-// reproduce the paper's overhead measurements.  Timing and lookup counting
-// are chosen at construction (MMConfig.Timing, CountLookups), not toggled.
+// the scheduler's ReducerRuntime hooks — root merge and quiescence check
+// among them — with the OpenCilk-shaped surface — register, unregister, one
+// lookup — and the instrumentation needed to reproduce the paper's overhead
+// measurements.  Timing is chosen at construction (MMConfig.Timing), not
+// toggled.
 type Engine interface {
 	sched.ReducerRuntime
 
@@ -57,17 +58,6 @@ type Engine interface {
 	// epoch of the caller's invalidated cache entry (zero on first touch);
 	// neither built-in engine reads it.
 	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, newEpoch uint64)
-	// MergeRootDeposit folds the deposit returned by Runtime.Run into the
-	// registered reducers' leftmost views.
-	MergeRootDeposit(d sched.Deposit)
-	// Quiescent verifies that no completed, failed, or cancelled job left
-	// engine resources in flight: no hypermerge still executing, no pool
-	// pages outstanding, no worker holding private views, and the view-
-	// arena accounting balanced.  It must only be called between jobs; it
-	// reads owner-local counters that are unsynchronised by design.  A
-	// nil result is the engine's quiescence guarantee after failure
-	// containment; a non-nil error describes the first leak found.
-	Quiescent() error
 
 	// Workers reports how many per-worker lookup structures the engine
 	// currently maintains (the construction-time worker count, grown if a
@@ -214,7 +204,7 @@ func (r *Reducer) WithLeftmost(f func(view any)) {
 // Session couples a scheduler runtime with a reducer engine so that callers
 // get the complete "run a parallel computation with reducers" workflow in
 // one object: views produced by the root computation are merged into the
-// reducers' leftmost views when Run returns.
+// reducers' leftmost views before Run returns.
 //
 // The goroutine inside Run, RunErr or RunContext is one of the session's
 // workers: it runs its own root as worker 0, so a session of W workers is
@@ -250,49 +240,28 @@ func (s *Session) Workers() int { return s.rt.Workers() }
 
 // Run executes fn with the caller as one of the workers, waits for
 // completion, and merges the root computation's views into the reducers'
-// leftmost views.
-func (s *Session) Run(fn func(*sched.Context)) error {
-	d, err := s.rt.Run(fn)
-	if err != nil {
-		return err
-	}
-	s.eng.MergeRootDeposit(d)
-	return nil
-}
+// leftmost views; see Runtime.Run.
+func (s *Session) Run(fn func(*sched.Context)) error { return s.rt.Run(fn) }
 
 // RunErr is Run with panic containment: a panic inside fn, or in a monoid
 // running in the root merge, does not re-panic on the caller's goroutine
 // but is returned as a *sched.PanicError carrying the original panic value
-// and the captured stack.  Whatever the outcome, the root deposit (if any)
-// is settled — merged on success, discarded on failure — so the engine is
-// quiescent and reusable afterwards.
-func (s *Session) RunErr(fn func(*sched.Context)) error {
-	return s.RunContext(context.Background(), fn)
-}
+// and the captured stack, and the engine is quiescent and reusable
+// afterwards; see Runtime.RunErr.
+func (s *Session) RunErr(fn func(*sched.Context)) error { return s.rt.RunErr(fn) }
 
 // RunContext is RunErr with cancellation: when ctx is cancelled the running
 // job is aborted at its next fork, spawn, steal, or merge checkpoint and
 // RunContext returns ctx.Err().  An aborted or failed job's partial root
 // deposit is discarded, never merged, so the reducers' leftmost views only
-// ever observe complete jobs.
+// ever observe complete jobs; see Runtime.RunContext.
 func (s *Session) RunContext(ctx context.Context, fn func(*sched.Context)) error {
-	d, err := s.rt.RunContext(ctx, fn)
-	if err != nil {
-		s.eng.Discard(nil, d)
-		return err
-	}
-	return sched.Contain(func() { s.eng.MergeRootDeposit(d) })
+	return s.rt.RunContext(ctx, fn)
 }
 
 // Quiescent verifies that neither the scheduler nor the engine has work or
-// resources in flight; see Runtime.Quiescent and Engine.Quiescent.  Call it
-// only between jobs.
-func (s *Session) Quiescent() error {
-	if err := s.rt.Quiescent(); err != nil {
-		return err
-	}
-	return s.eng.Quiescent()
-}
+// resources in flight; see Runtime.Quiescent.  Call it only between jobs.
+func (s *Session) Quiescent() error { return s.rt.Quiescent() }
 
 // Close shuts down the worker pool.
 func (s *Session) Close() { s.rt.Close() }

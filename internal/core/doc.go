@@ -47,4 +47,8 @@
 // Base implements metrics.Source over it, so every count is exportable on a
 // scrape endpoint the same way for both; see docs/OBSERVABILITY.md at the
 // repository root.
+//
+// An Engine is the scheduler's reducer mechanism (sched.ReducerRuntime),
+// root merge and quiescence check included, so the runtime settles every
+// root through it and a Session only forwards to the runtime.
 package core

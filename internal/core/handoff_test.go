@@ -66,9 +66,6 @@ func TestHandoffRepeatedLogIndex(t *testing.T) {
 		{name: "discard on a worker",
 			inJob: func(eng *core.MM, c *sched.Context, d sched.Deposit) { eng.Discard(c.Worker(), d) },
 			want:  &outcome{keep: 100}},
-		{name: "discard off the workers",
-			afterJob: func(eng *core.MM, d sched.Deposit) { eng.Discard(nil, d) },
-			want:     &outcome{keep: 100}},
 		{name: "merge",
 			inJob: func(eng *core.MM, c *sched.Context, d sched.Deposit) {
 				eng.Merge(c.Worker(), c.Worker().CurrentTrace(), d)

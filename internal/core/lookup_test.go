@@ -18,9 +18,9 @@ import (
 )
 
 // TestEngineSurface guards the Engine interface against growing another
-// lookup generation: ten methods of its own (register, unregister, one
-// lookup, root merge, quiescence and the instrumentation) plus the five
-// sched.ReducerRuntime hooks.
+// lookup generation: eight methods of its own (register, unregister, one
+// lookup and the instrumentation) plus the seven sched.ReducerRuntime hooks
+// (root merge and quiescence among them).
 func TestEngineSurface(t *testing.T) {
 	eng := reflect.TypeFor[core.Engine]()
 	hooks := reflect.TypeFor[sched.ReducerRuntime]().NumMethod()
@@ -111,7 +111,7 @@ func TestOptionSurface(t *testing.T) {
 		t.Errorf("bench.Config fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[reducers.EngineOptions]()),
-		[]string{"Timing", "CountLookups", "ModelAddressSpace"}; !slices.Equal(got, want) {
+		[]string{"Timing", "ModelAddressSpace"}; !slices.Equal(got, want) {
 		t.Errorf("reducers.EngineOptions fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[sched.Config]()),
@@ -119,7 +119,7 @@ func TestOptionSurface(t *testing.T) {
 		t.Errorf("sched.Config fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[sched.ServiceConfig]()),
-		[]string{"Queue", "Admit", "Watchdog", "RootMerge", "Quiesce"}; !slices.Equal(got, want) {
+		[]string{"Queue", "Admit", "Watchdog"}; !slices.Equal(got, want) {
 		t.Errorf("sched.ServiceConfig fields = %v, want %v", got, want)
 	}
 	if got, want := fields(reflect.TypeFor[sched.JobSpec]()),
@@ -148,7 +148,7 @@ func TestOptionSurface(t *testing.T) {
 	}
 	slices.Sort(withs)
 	want := []string{
-		"WithAdmitPolicy", "WithCountLookups",
+		"WithAdmitPolicy",
 		"WithMechanism", "WithMetricsExporter", "WithModelAddressSpace", "WithOnDone",
 		"WithQueueBound", "WithTiming", "WithWatchdog", "WithWorkers",
 	}

@@ -212,23 +212,22 @@ func TestMergePipelineCounters(t *testing.T) {
 }
 
 // TestLookupCacheCountsHits checks the lookup outcome counters on both
-// engines, bare and behind the counting wrapper: every boxed lookup is one
-// engine visit, everything after the first lookup of the trace is answered
-// by the precomputed index, and ResetOverheads zeroes the counters.
+// engines: every boxed lookup is one engine visit, everything after the
+// first lookup of the trace is answered by the precomputed index, and
+// ResetOverheads zeroes the counters.
 func TestLookupCacheCountsHits(t *testing.T) {
 	type fastPath interface {
 		FastPathStats() metrics.LookupFastPathStats
 	}
 	for name, eng := range engines(1) {
 		t.Run(name, func(t *testing.T) {
-			counted := core.CountLookups(eng)
-			s := core.NewSession(1, counted)
+			s := core.NewSession(1, eng)
 			defer s.Close()
-			r, _ := counted.Register(sumMonoid)
+			r, _ := eng.Register(sumMonoid)
 			const iters = 1000
 			if err := s.Run(func(c *sched.Context) {
 				for i := 0; i < iters; i++ {
-					core.Lookup(counted, c, r).(*sumView).v++
+					core.Lookup(eng, c, r).(*sumView).v++
 				}
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -236,18 +235,15 @@ func TestLookupCacheCountsHits(t *testing.T) {
 			if got := r.Value().(*sumView).v; got != iters {
 				t.Fatalf("sum = %d, want %d", got, iters)
 			}
-			if got := core.LookupCount(counted); got != iters {
-				t.Fatalf("LookupCount(counted) = %d, want %d", got, iters)
-			}
 			if got := core.LookupCount(eng); got != iters {
-				t.Fatalf("LookupCount(bare) = %d, want %d", got, iters)
+				t.Fatalf("LookupCount = %d, want %d", got, iters)
 			}
 			fp := eng.(fastPath).FastPathStats()
 			if fp.Hits != iters-1 || fp.Misses != 1 || fp.ColdMisses != 1 {
 				t.Fatalf("outcomes = %+v, want %d hits and one cold miss", fp, iters-1)
 			}
-			counted.ResetOverheads()
-			if got := core.LookupCount(counted); got != 0 {
+			eng.ResetOverheads()
+			if got := core.LookupCount(eng); got != 0 {
 				t.Fatalf("LookupCount after ResetOverheads = %d, want 0", got)
 			}
 		})

@@ -596,19 +596,19 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 	}
 }
 
-// MergeRootDeposit implements Engine: the views produced by the root trace
-// are folded into the reducers' leftmost views in serial order.  The owner
-// stamp carried by every deposited slot resolves the reducer directly —
-// no registry copy, no lock — and the reducer's validity flag drops views
-// whose reducer was unregistered while they were in flight, even if the
-// address has since been recycled.  Never-written views are elided exactly
-// as in Merge (leftmost ⊗ e = leftmost).  Whatever happens to a view —
-// absorbed, elided, or dropped stale — its arena block is not recycled:
-// MergeRootDeposit runs on the caller's goroutine, which owns no arena, so
-// the block goes to the garbage collector and arenaRootReleased closes the
-// books on it.  The walk counts into a tally of its own and flushes it once,
-// in the deferred tail, so a panicking Reduce still leaves Quiescent
-// balanced.
+// MergeRootDeposit implements sched.ReducerRuntime: the views produced by
+// the root trace are folded into the reducers' leftmost views in serial
+// order.  The owner stamp carried by every deposited slot resolves the
+// reducer directly — no registry copy, no lock — and the reducer's validity
+// flag drops views whose reducer was unregistered while they were in
+// flight, even if the address has since been recycled.  Never-written views
+// are elided exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever
+// happens to a view — absorbed, elided, or dropped stale — its arena block
+// is not recycled: MergeRootDeposit is handed no worker, so it frees into
+// no arena; the block goes to the garbage collector and arenaRootReleased
+// closes the books on it.  The walk counts into a tally of its own and
+// flushes it once, in the deferred tail, so a panicking Reduce still leaves
+// Quiescent balanced.
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.pages == nil {
@@ -647,32 +647,24 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 
 // Discard implements sched.ReducerRuntime: release the resources held by a
 // deposit that will never be merged — the containment path for a job that
-// panicked or was cancelled between a trace's EndTrace and its join.  When
-// the discarding goroutine is a worker, arena-carved views recycle into
-// that worker's arena; from a non-worker goroutine they are counted out of
-// the arena accounting like root-merged views.  A nil or already-consumed
-// deposit is a no-op, so Discard is safe to call on both sides of a racing
-// settle.
+// panicked or was cancelled between a trace's EndTrace and its join or its
+// root merge.  Arena-carved views recycle into the discarding worker's
+// arena.  A nil or already-consumed deposit is a no-op, so Discard is safe
+// to call on both sides of a racing settle.
 func (e *MM) Discard(w *sched.Worker, d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.pages == nil {
 		return
 	}
-	if w != nil {
-		if ws, ok := w.Local().(*mmWorker); ok {
-			e.releaseDeposit(ws, &ws.tally, w.ID(), dep)
-			return
-		}
-	}
-	var t metrics.Tally
-	e.releaseDeposit(nil, &t, 0, dep)
+	ws := w.Local().(*mmWorker)
+	e.releaseDeposit(ws, &ws.tally, w.ID(), dep)
 }
 
-// Quiescent implements Engine: verify that no job left resources in flight.
-// It must only be called while no job is running (after Runtime.Run and the
-// root-deposit merge have returned); the checks read owner-local counters
-// that are unsynchronised by design.  The invariants checked are exactly
-// the ones failure containment promises to restore: no hypermerge still
+// Quiescent implements sched.ReducerRuntime: verify that no job left
+// resources in flight.  It must only be called while no job is running
+// (Runtime.Quiescent calls it between jobs); the checks read owner-local
+// counters that are unsynchronised by design.  The invariants checked are
+// exactly the ones failure containment promises to restore: no hypermerge still
 // executing, every pagepool page back in the pool, no worker holding
 // private views, and every arena block either on a free list or accounted
 // to a root-side release.

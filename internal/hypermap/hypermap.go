@@ -291,7 +291,7 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	e.Totals.Flush(t)
 }
 
-// MergeRootDeposit implements core.Engine.  Each entry's owner stamp
+// MergeRootDeposit implements sched.ReducerRuntime.  Each entry's owner stamp
 // resolves the reducer directly — no registry copy, no lock — and the
 // reducer's validity flag drops views whose reducer was unregistered while
 // they were in flight.  Never-written entries are elided exactly as in
@@ -336,10 +336,11 @@ func (e *HM) Discard(w *sched.Worker, d sched.Deposit) {
 	dep.views = nil
 }
 
-// Quiescent implements core.Engine: verify that no job left engine state in
-// flight.  The hypermap engine holds no pooled resources, so quiescence is
-// just "no hypermerge executing and every worker's user hypermap empty".
-// It must only be called between jobs; the hypermaps are owner-local.
+// Quiescent implements sched.ReducerRuntime: verify that no job left engine
+// state in flight.  The hypermap engine holds no pooled resources, so
+// quiescence is just "no hypermerge executing and every worker's user
+// hypermap empty".  It must only be called between jobs; the hypermaps are
+// owner-local.
 func (e *HM) Quiescent() error {
 	if n := e.MergeInflight.Load(); n != 0 {
 		return fmt.Errorf("hypermap: %d hypermerges still in flight", n)

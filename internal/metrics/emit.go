@@ -47,11 +47,10 @@ func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineSt
 // the derived hit rate (visits answered by the precomputed index as a
 // fraction of all visits).  They are always maintained.  A visit is a
 // lookup that reached the engine, which a typed handle's cache hit does
-// not; on an engine built with lookup counting the handles do not cache, so
-// there cilkm_lookups_total equals the program's lookups.  Workers flush
-// their counts at trace end, so a mid-run sample lags by at most one trace.
+// not.  Workers flush their counts at trace end, so a mid-run sample lags
+// by at most one trace.
 func EmitLookups(emit func(MetricSample), engine string, s LookupFastPathStats) {
-	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups that reached the engine (every program lookup under lookup counting).", s.Hits+s.Misses)
+	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups that reached the engine (typed-handle cache hits excluded).", s.Hits+s.Misses)
 	counter(emit, engine, "cilkm_fastpath_hits_total", "Engine lookups answered by the precomputed slot index.", s.Hits)
 	counter(emit, engine, "cilkm_fastpath_misses_total", "Engine lookups that took the outlined miss path.", s.Misses)
 	counter(emit, engine, "cilkm_fastpath_cold_misses_total", "Misses that created a view, dropped a stale one or served a retired handle.", s.ColdMisses)

@@ -34,6 +34,10 @@ type Result struct {
 	Layers int
 	// Reachable is the number of vertices reached.
 	Reachable int
+	// Lookups is the number of reducer lookups Parallel made: one
+	// Handle.View per frontier block, so the sum over processed layers of
+	// ⌈frontier size / bag.BlockSize⌉ (zero for Serial).
+	Lookups int64
 }
 
 // bagMonoid is the typed reducer monoid for bags: identity is the empty
@@ -100,8 +104,11 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	current := bag.New[int32]()
 	current.Insert(cfg.Source)
 	layers := 0
+	var lookups int64
 	for depth := int32(1); !current.IsEmpty(); depth++ {
 		r.depth = depth
+		// processBlock looks the next frontier up once per block.
+		lookups += int64((current.Len() + bag.BlockSize - 1) / bag.BlockSize)
 		if err := s.Run(r.processLayer(current)); err != nil {
 			return nil, err
 		}
@@ -114,7 +121,7 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 			layers++
 		}
 	}
-	return &Result{Dist: r.dist, Layers: layers, Reachable: countReachable(r.dist)}, nil
+	return &Result{Dist: r.dist, Layers: layers, Reachable: countReachable(r.dist), Lookups: lookups}, nil
 }
 
 // runner carries the traversal state shared by all workers.

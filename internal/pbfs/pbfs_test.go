@@ -3,6 +3,7 @@ package pbfs_test
 import (
 	"testing"
 
+	"repro/internal/bag"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pbfs"
@@ -12,7 +13,7 @@ import (
 
 func newSession(t *testing.T, m reducers.Mechanism, workers int) *core.Session {
 	t.Helper()
-	s := reducers.NewSession(m, workers, reducers.EngineOptions{CountLookups: true})
+	s := reducers.NewSession(m, workers, reducers.EngineOptions{})
 	t.Cleanup(s.Close)
 	return s
 }
@@ -144,26 +145,32 @@ func TestParallelErrors(t *testing.T) {
 	}
 }
 
+// TestLookupCountingDuringPBFS checks Result.Lookups against the serial
+// BFS: one Handle.View per block of each layer's frontier, so the count is
+// Σ_d ⌈|{v : dist[v] = d}| / BlockSize⌉ at every worker count.
 func TestLookupCountingDuringPBFS(t *testing.T) {
-	s := newSession(t, reducers.MemoryMapped, 2)
-	eng := s.Engine()
-	eng.ResetOverheads()
-	g := graph.Grid3D(10, 10, 10)
-	res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
-	if err != nil {
-		t.Fatalf("Parallel: %v", err)
+	g := graph.Grid3D(48, 48, 48)
+	perLayer := map[int32]int64{}
+	for _, d := range pbfs.Serial(g, 0).Dist {
+		if d >= 0 {
+			perLayer[d]++
+		}
 	}
-	if err := pbfs.Validate(g, 0, res); err != nil {
-		t.Fatal(err)
+	var want int64
+	for _, n := range perLayer {
+		want += (n + bag.BlockSize - 1) / bag.BlockSize
 	}
-	lookups := core.LookupCount(eng)
-	if lookups == 0 {
-		t.Fatal("expected reducer lookups during PBFS")
-	}
-	// Lookups are hoisted to once per serial chunk, so they should be far
-	// fewer than the number of vertices.
-	if lookups > int64(g.NumVertices()) {
-		t.Fatalf("lookups = %d, expected fewer than |V| = %d", lookups, g.NumVertices())
+	for _, workers := range []int{1, 2} {
+		res, err := pbfs.Parallel(newSession(t, reducers.MemoryMapped, workers), g, pbfs.Config{Source: 0})
+		if err != nil {
+			t.Fatalf("W=%d: Parallel: %v", workers, err)
+		}
+		if err := pbfs.Validate(g, 0, res); err != nil {
+			t.Fatalf("W=%d: %v", workers, err)
+		}
+		if res.Lookups != want {
+			t.Errorf("W=%d: Lookups = %d, want %d", workers, res.Lookups, want)
+		}
 	}
 }
 

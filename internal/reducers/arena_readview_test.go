@@ -187,41 +187,3 @@ func TestTypedUpdatesRecycleArenaViews(t *testing.T) {
 		t.Fatal("typed trace cycles never hit the arena free list")
 	}
 }
-
-// TestCountedReadViewStaysReadOnly pins the instrumented-run behaviour: on
-// a lookup-counting engine, ReadView must still resolve through the
-// read-only path (counted, but never stamping the written bit), so
-// identity elision keeps working under instrumentation.
-func TestCountedReadViewStaysReadOnly(t *testing.T) {
-	mm := core.NewMM(core.MMConfig{Workers: 1})
-	eng := core.CountLookups(mm)
-	s := core.NewSession(1, eng)
-	defer s.Close()
-	sum := NewAdd[int](eng)
-	const reads = 10
-	if err := s.Run(func(c *sched.Context) {
-		w := c.Worker()
-		tr := eng.BeginTrace(w)
-		for i := 0; i < reads; i++ {
-			if got := *sum.ReadView(c); got != 0 {
-				t.Errorf("counted ReadView = %d, want 0", got)
-			}
-		}
-		d := eng.EndTrace(w, tr)
-		if d != nil {
-			t.Error("counted read-only trace produced a deposit")
-		}
-		eng.Merge(w, w.CurrentTrace(), d)
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := core.LookupCount(eng); got != reads {
-		t.Fatalf("LookupCount = %d, want %d (counted ReadView must count every access)", got, reads)
-	}
-	if ms := mm.MergeStats(); ms.IdentityElisions != 1 {
-		t.Fatalf("IdentityElisions = %d, want 1", ms.IdentityElisions)
-	}
-	if got := sum.Value(); got != 0 {
-		t.Fatalf("value = %d, want 0", got)
-	}
-}

@@ -87,18 +87,15 @@ type viewSlot[V any] struct {
 // converts the word once, and re-stamps the slot with the epoch the engine
 // sampled before its probe.
 //
-// An engine that answers with epoch zero is never cached.  That is how a
-// lookup-counting engine (core.CountLookups) sees every access: the handle
-// needs no flag for it.
+// An engine answer with epoch zero (a retired handle) is never cached.
 type Handle[V any] struct {
 	eng core.Engine
 	r   *core.Reducer
 	// mm and hm are the devirtualized miss paths, captured by a type switch
 	// at construction: at most one is non-nil, and a cache miss on it calls
 	// the engine's concrete LookupWord directly instead of dispatching
-	// through the Engine interface.  Any other engine — third-party, or the
-	// counting wrapper — leaves both nil and misses resolve through the
-	// interface.
+	// through the Engine interface.  Any other (third-party) engine leaves
+	// both nil and misses resolve through the interface.
 	mm *core.MM
 	hm *hypermap.HM
 	// slots is the typed view cache, indexed by worker ID.  A worker of a
@@ -232,8 +229,8 @@ func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 		word, epoch = h.eng.LookupWord(c, h.r, 0, mutable)
 	}
 	tv := (*V)(word)
-	// Epoch zero is the engine's "do not cache" (a retired handle, a
-	// counting engine); a worker running a context has passed BeginTrace,
+	// Epoch zero is the engine's "do not cache" (a retired handle); a
+	// worker running a context has passed BeginTrace,
 	// so its real epoch is never zero and the sentinel cannot collide with
 	// a valid stamp.
 	if id := c.WorkerID(); epoch != 0 && id < len(h.slots) {

@@ -53,10 +53,6 @@ func Mechanisms() []Mechanism { return []Mechanism{MemoryMapped, Hypermap} }
 type EngineOptions struct {
 	// Timing enables duration measurement of the reduce overheads.
 	Timing bool
-	// CountLookups makes every program lookup reach the engine, so that
-	// core.LookupCount reports the program's lookups exactly: the engine is
-	// wrapped by core.CountLookups and typed handles on it keep no cache.
-	CountLookups bool
 	// ModelAddressSpace models the paper's per-worker page mapping in the
 	// memory-mapped engine (ignored by the hypermap engine; see
 	// core.MMConfig).
@@ -66,21 +62,16 @@ type EngineOptions struct {
 // NewEngine creates a reducer engine of the requested mechanism sized for
 // the given number of workers.
 func NewEngine(m Mechanism, workers int, opts EngineOptions) core.Engine {
-	var eng core.Engine
 	switch m {
 	case Hypermap:
-		eng = hypermap.New(hypermap.Config{Workers: workers, Timing: opts.Timing})
+		return hypermap.New(hypermap.Config{Workers: workers, Timing: opts.Timing})
 	default:
-		eng = core.NewMM(core.MMConfig{
+		return core.NewMM(core.MMConfig{
 			Workers:           workers,
 			Timing:            opts.Timing,
 			ModelAddressSpace: opts.ModelAddressSpace,
 		})
 	}
-	if opts.CountLookups {
-		eng = core.CountLookups(eng)
-	}
-	return eng
 }
 
 // NewSession creates a scheduler session backed by an engine of the

@@ -161,40 +161,6 @@ func TestTypedNilContextSerialPath(t *testing.T) {
 	})
 }
 
-// TestTypedHandleCountedRouting pins the instrumentation contract: a handle
-// created on a lookup-counting engine — directly or through a per-job
-// registration session — sends every access to the engine (its own cache
-// would hide hits from the paper's lookup-count figures).
-func TestTypedHandleCountedRouting(t *testing.T) {
-	forEachMechanism(t, func(t *testing.T, m Mechanism) {
-		s := NewSession(m, 1, EngineOptions{CountLookups: true})
-		t.Cleanup(s.Close)
-		sum := NewAdd[int](s.Engine())
-		js := core.NewJobSession(s.Engine())
-		defer js.Retire()
-		scoped := NewAdd[int](js)
-		const n = 100
-		if err := s.Run(func(c *sched.Context) {
-			for i := 0; i < n; i++ {
-				sum.Add(c, 1)
-				_ = *scoped.ReadView(c)
-				scoped.Add(c, 1)
-			}
-		}); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if got := core.LookupCount(s.Engine()); got != 3*n {
-			t.Fatalf("counted engine saw %d lookups, want %d (typed cache must not swallow counted lookups)", got, 3*n)
-		}
-		if got := sum.Value(); got != n {
-			t.Fatalf("sum = %d, want %d", got, n)
-		}
-		if got := scoped.Value(); got != n {
-			t.Fatalf("job-scoped sum = %d, want %d", got, n)
-		}
-	})
-}
-
 // TestTypedMapCombinerCached checks MapOf's construction-time combiner
 // cache: updates work even if the reducer's monoid is never consulted
 // again, and duplicate keys combine correctly under parallel merges.

@@ -14,7 +14,7 @@ func BenchmarkForkNoSteal(b *testing.B) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	b.ReportAllocs()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Fork(func(*Context) {}, func(*Context) {})
@@ -39,7 +39,7 @@ func BenchmarkForkNoStealDepth8(b *testing.B) {
 		)
 	}
 	b.ReportAllocs()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec(c, 8)
@@ -78,7 +78,7 @@ func BenchmarkParallelForOverhead(b *testing.B) {
 	defer rt.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, b.N, 1, func(*Context, int) {})
 	})
 }
@@ -106,7 +106,7 @@ func BenchmarkParallelForFib(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out int64
-		_ = run(rt, func(c *Context) { fib(c, 20, &out) })
+		_ = rt.Run(func(c *Context) { fib(c, 20, &out) })
 		if out != 6765 {
 			b.Fatalf("fib(20) = %d, want 6765", out)
 		}

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// orderDeposit decodes an orderReducers root deposit.
-func orderDeposit(dep Deposit) []int {
-	b, _ := dep.([]byte)
+// orderDeposit decodes an orderReducers root sequence.
+func orderDeposit(b []byte) []int {
 	out := make([]int, len(b)/2)
 	for i := range out {
 		out[i] = int(b[2*i])<<8 | int(b[2*i+1])
@@ -24,7 +23,8 @@ func orderDeposit(dep Deposit) []int {
 // and the noncommutative deposit is the serial sequence.
 func TestCallerRunsIdentityAndOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		rt := New(Config{Workers: workers, Reducers: orderReducers{}})
+		red := newOrderReducers()
+		rt := New(Config{Workers: workers, Reducers: red})
 		if got := rt.Workers(); got != workers {
 			t.Fatalf("Workers() = %d, want %d", got, workers)
 		}
@@ -32,7 +32,7 @@ func TestCallerRunsIdentityAndOrder(t *testing.T) {
 		rootID := -1
 		var mu sync.Mutex
 		seen := map[int]bool{}
-		dep, err := rt.Run(func(c *Context) {
+		err := rt.Run(func(c *Context) {
 			rootID = c.WorkerID()
 			c.ParallelForGrain(0, n, 1, func(c *Context, i int) {
 				if i%16 == 0 {
@@ -55,7 +55,7 @@ func TestCallerRunsIdentityAndOrder(t *testing.T) {
 				t.Errorf("workers=%d: leaf ran with WorkerID %d", workers, id)
 			}
 		}
-		for i, v := range orderDeposit(dep) {
+		for i, v := range orderDeposit(red.root(0)) {
 			if v != i {
 				t.Fatalf("workers=%d: position %d holds %d: order diverged from serial", workers, i, v)
 			}
@@ -67,7 +67,7 @@ func TestCallerRunsIdentityAndOrder(t *testing.T) {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 		rt.Close()
-		if _, err := rt.Run(func(*Context) {}); err != ErrClosed {
+		if err := rt.Run(func(*Context) {}); err != ErrClosed {
 			t.Errorf("workers=%d: Run after Close = %v, want ErrClosed", workers, err)
 		}
 	}
@@ -79,7 +79,8 @@ func TestCallerRunsIdentityAndOrder(t *testing.T) {
 // as TestCloseRacingRun does with callers that fork less.
 func TestCallerRunsConcurrentCallers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		rt := New(Config{Workers: workers, Reducers: orderReducers{}})
+		red := newOrderReducers()
+		rt := New(Config{Workers: workers, Reducers: red})
 		const callers, rounds, n = 5, 30, 64
 		var wg sync.WaitGroup
 		for g := 0; g < callers; g++ {
@@ -87,7 +88,7 @@ func TestCallerRunsConcurrentCallers(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					dep, err := rt.Run(func(c *Context) {
+					err := rt.Run(func(c *Context) {
 						c.ParallelForGrain(0, n, 1, func(c *Context, i int) {
 							if (i+g+r)%32 == 0 {
 								time.Sleep(time.Microsecond)
@@ -102,7 +103,7 @@ func TestCallerRunsConcurrentCallers(t *testing.T) {
 						t.Errorf("workers=%d caller %d: Run: %v", workers, g, err)
 						return
 					}
-					got := orderDeposit(dep)
+					got := orderDeposit(red.root(g * n))
 					if len(got) != n {
 						t.Errorf("workers=%d caller %d: deposit of %d values, want %d", workers, g, len(got), n)
 						return
@@ -152,18 +153,18 @@ func TestCallerRunsPanicAndCancel(t *testing.T) {
 					t.Errorf("workers=%d: in the caller's recover: %v", workers, err)
 				}
 			}()
-			_, _ = rt.Run(func(c *Context) {
+			_ = rt.Run(func(c *Context) {
 				c.Fork(func(*Context) { panic("boom") }, func(*Context) {})
 			})
 		}()
 		var pe *PanicError
-		if _, err := rt.RunErr(func(*Context) { panic("again") }); !errors.As(err, &pe) || pe.Value != "again" {
+		if err := rt.RunErr(func(*Context) { panic("again") }); !errors.As(err, &pe) || pe.Value != "again" {
 			t.Errorf("workers=%d: RunErr = %v, want a *PanicError for \"again\"", workers, err)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		leaves := 0
-		_, err := rt.RunContext(ctx, func(c *Context) {
+		err := rt.RunContext(ctx, func(c *Context) {
 			c.ParallelForGrain(0, 1<<20, 1, func(c *Context, i int) {
 				if c.WorkerID() == 0 {
 					if leaves++; leaves == 100 {
@@ -178,7 +179,7 @@ func TestCallerRunsPanicAndCancel(t *testing.T) {
 		if err != context.Canceled {
 			t.Errorf("workers=%d: RunContext = %v, want context.Canceled", workers, err)
 		}
-		if _, err := rt.RunContext(ctx, func(*Context) { t.Error("job ran under a dead context") }); err != context.Canceled {
+		if err := rt.RunContext(ctx, func(*Context) { t.Error("job ran under a dead context") }); err != context.Canceled {
 			t.Errorf("workers=%d: RunContext on a dead context = %v", workers, err)
 		}
 
@@ -188,7 +189,7 @@ func TestCallerRunsPanicAndCancel(t *testing.T) {
 		if b, e := hooks.begins.Load(), hooks.ends.Load(); b != e {
 			t.Errorf("workers=%d: %d traces begun, %d ended", workers, b, e)
 		}
-		if err := run(rt, func(c *Context) { c.Fork(func(*Context) {}, func(*Context) {}) }); err != nil {
+		if err := rt.Run(func(c *Context) { c.Fork(func(*Context) {}, func(*Context) {}) }); err != nil {
 			t.Errorf("workers=%d: runtime unusable after the failures: %v", workers, err)
 		}
 		rt.Close()

@@ -22,7 +22,7 @@ func TestCloseRacingRun(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[g] = rt.Run(func(c *Context) {
+				errs[g] = rt.Run(func(c *Context) {
 					c.ParallelForGrain(0, 32, 1, func(c *Context, i int) {
 						time.Sleep(time.Microsecond)
 					})
@@ -47,7 +47,7 @@ func TestCloseRacingRun(t *testing.T) {
 		}
 		// A second Close is a no-op; Run after Close reports ErrClosed.
 		rt.Close()
-		if _, err := rt.Run(func(*Context) {}); err != ErrClosed {
+		if err := rt.Run(func(*Context) {}); err != ErrClosed {
 			t.Fatalf("round %d: Run after Close returned %v, want ErrClosed", round, err)
 		}
 	}

@@ -21,7 +21,7 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 			t.Errorf("ViewEpoch = %d, want %d", got, want)
 		}
 	}
-	if err := run(rt, func(c *Context) {
+	if err := rt.Run(func(c *Context) {
 		check(c)
 		c.Fork(check, check)
 

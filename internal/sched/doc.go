@@ -16,7 +16,12 @@
 // worker pops the next job from the FIFO admission queue.  An idle worker
 // parks, and is woken by the push or Submit that gives it something to do;
 // what a wake-up is measured to cost sets how long it first keeps looking
-// and which roots' pushes wake it at all (idle.go).
+// and which roots' pushes wake it at all (idle.go).  Either way the worker
+// that ran a root settles it: it folds the root's views into the reducers'
+// leftmost ones through the reducer hooks (ReducerRuntime.MergeRootDeposit),
+// or discards them if the job was cancelled meanwhile, before Run returns
+// or the job's handle completes; and Runtime.Quiescent ends with the
+// mechanism's own leak check.
 //
 // The runtime keeps per-worker padded counters (forks, steals, merge
 // tasks, deque depth) that Stats aggregates lock-free; Runtime implements

@@ -19,16 +19,17 @@ func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
 	for _, prob := range []float64{1, 0.5} {
 		plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: prob})
 		deactivate := faultinject.Activate(plan)
-		rt := New(Config{Workers: 1, Reducers: orderReducers{}})
+		red := newOrderReducers()
+		rt := New(Config{Workers: 1, Reducers: red})
 		const n = 300
-		dep, err := rt.Run(func(c *Context) {
+		err := rt.Run(func(c *Context) {
 			c.ParallelForGrain(0, n, 1, func(c *Context, i int) { orderAppend(c, i) })
 		})
 		deactivate()
 		if err != nil {
 			t.Fatalf("prob %v: Run: %v", prob, err)
 		}
-		got := orderDeposit(dep)
+		got := orderDeposit(red.root(0))
 		if len(got) != n {
 			t.Fatalf("prob %v: deposit of %d values, want %d", prob, len(got), n)
 		}
@@ -60,7 +61,7 @@ func TestForcedStealsContainFailures(t *testing.T) {
 	defer rt.Close()
 
 	var pe *PanicError
-	_, err := rt.RunErr(func(c *Context) {
+	err := rt.RunErr(func(c *Context) {
 		c.Fork(func(*Context) {}, func(c *Context) {
 			c.Fork(func(*Context) {}, func(*Context) { panic("deep") })
 		})
@@ -71,7 +72,7 @@ func TestForcedStealsContainFailures(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
-	_, err = rt.RunContext(ctx, func(c *Context) {
+	err = rt.RunContext(ctx, func(c *Context) {
 		c.ParallelForGrain(0, 1000, 1, func(c *Context, i int) {
 			if ran++; ran == 10 {
 				cancel()

@@ -49,7 +49,7 @@ func TestGateShortRootWakesNobody(t *testing.T) {
 	defer rt.Close()
 	unparks := rt.unparks.Load()
 	for i := 0; i < 100; i++ {
-		if err := run(rt, func(c *Context) {
+		if err := rt.Run(func(c *Context) {
 			c.ParallelForGrain(0, 64, 1, func(*Context, int) {})
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -86,7 +86,7 @@ func TestGateReleasesLongRoot(t *testing.T) {
 		rt := gatedRuntime(t, hold)
 		var sentAfterShort, began, shortEnd, firstForeign int64
 		var foreign atomic.Int64
-		err := run(rt, func(c *Context) {
+		err := rt.Run(func(c *Context) {
 			began = nanotime()
 			c.Fork(
 				func(c *Context) {
@@ -137,10 +137,10 @@ func TestGateProbeAndPrediction(t *testing.T) {
 	rt := gatedRuntime(t, 20_000)
 	defer rt.Close()
 	fork := func(c *Context) { c.Fork(func(*Context) {}, func(*Context) {}) }
-	if err := run(rt, func(c *Context) { spinFor(40_000) }); err != nil {
+	if err := rt.Run(func(c *Context) { spinFor(40_000) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(rt, fork); err != nil {
+	if err := rt.Run(fork); err != nil {
 		t.Fatal(err)
 	}
 	waitPoolParked(t, rt)
@@ -151,7 +151,7 @@ func TestGateProbeAndPrediction(t *testing.T) {
 	before, _, _ := gateSample(rt)
 	for i := 0; i < 2*gateProbeEvery; i++ {
 		rt.workers[0].rootRan = 0 // whatever the collector did to the last one
-		if err := run(rt, fork); err != nil {
+		if err := rt.Run(fork); err != nil {
 			t.Fatal(err)
 		}
 		waitPoolParked(t, rt) // a probe woke it: the next one must find it parked again
@@ -171,7 +171,7 @@ func TestForkAllocFreeBehindGate(t *testing.T) {
 	defer rt.Close()
 	rt.wakeCost.Store(1 << 40)
 	var allocs float64
-	if err := run(rt, func(c *Context) {
+	if err := rt.Run(func(c *Context) {
 		if !c.w.wakeGated() {
 			t.Error("the root is not behind the gate")
 		}

@@ -4,8 +4,9 @@ package sched
 // plugs into the scheduler.  The scheduler knows nothing about hypermaps,
 // SPA maps or monoids; it only tells the reducer runtime when execution
 // departs from the serial order (a steal begins a new trace), when a stolen
-// branch finishes (its views must be transferred out), and when a join must
-// fold a finished branch's views back in (a hypermerge).  Both the
+// branch finishes (its views must be transferred out), when a join must
+// fold a finished branch's views back in (a hypermerge), and when a root
+// finishes (its views fold into the reducers' leftmost ones).  Both the
 // memory-mapping mechanism (internal/core) and the hypermap baseline
 // (internal/hypermap) implement this interface, so measured differences
 // between them isolate the reducer mechanism itself.
@@ -47,16 +48,27 @@ type ReducerRuntime interface {
 	Merge(w *Worker, tr Trace, d Deposit)
 
 	// Discard is called when a Deposit produced by EndTrace will never be
-	// merged: its job panicked or was cancelled before the join's Merge
-	// could run.  The mechanism must release every resource the deposit
-	// holds (pagepool pages, arena view blocks) so that an aborted job
-	// leaves the engine quiescent and reusable.  w is the worker
-	// performing the abort; it is nil when the discard happens on a
-	// non-worker goroutine (the Run caller's), in which case the
-	// implementation must not touch owner-only per-worker state.  A nil
-	// or already-consumed deposit must be a no-op, so double discards
+	// merged: its job panicked or was cancelled before the join's Merge, or
+	// the root merge, could run.  The mechanism must release every
+	// resource the deposit holds (pagepool pages, arena view blocks) so
+	// that an aborted job leaves the engine quiescent and reusable.  w is
+	// the worker performing the abort; the scheduler always passes one.  A
+	// nil or already-consumed deposit must be a no-op, so double discards
 	// along overlapping failure paths are safe.
 	Discard(w *Worker, d Deposit)
+
+	// MergeRootDeposit folds the deposit of a successful root trace into
+	// the registered reducers' leftmost views, in serial order.  The
+	// scheduler calls it on the worker that ran the root, before the
+	// root's Run caller or job handle learns the outcome; a panic in it is
+	// contained as the root's failure.  A nil deposit must be a no-op.
+	MergeRootDeposit(d Deposit)
+
+	// Quiescent verifies that no completed, failed or cancelled job left
+	// the mechanism holding resources, and describes the first leak found.
+	// Runtime.Quiescent ends with it, so it is called only between jobs
+	// and may read owner-local state unsynchronised.
+	Quiescent() error
 }
 
 // nopReducerRuntime is used when no reducer mechanism is configured.
@@ -67,3 +79,5 @@ func (nopReducerRuntime) BeginTrace(*Worker) Trace        { return nil }
 func (nopReducerRuntime) EndTrace(*Worker, Trace) Deposit { return nil }
 func (nopReducerRuntime) Merge(*Worker, Trace, Deposit)   {}
 func (nopReducerRuntime) Discard(*Worker, Deposit)        {}
+func (nopReducerRuntime) MergeRootDeposit(Deposit)        {}
+func (nopReducerRuntime) Quiescent() error                { return nil }

@@ -38,7 +38,7 @@ func TestBrokenNestingIsTrapped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rt := New(Config{Workers: 1})
-		_, err := rt.RunErr(tc.job)
+		err := rt.RunErr(tc.job)
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Value != tc.trap {
 			t.Errorf("%s: RunErr = %v, want a *PanicError for %q", tc.name, err, tc.trap)
@@ -50,7 +50,7 @@ func TestBrokenNestingIsTrapped(t *testing.T) {
 			t.Errorf("%s: %d live forks left behind", tc.name, n)
 		}
 		ran := false
-		if _, err := rt.RunErr(func(c *Context) {
+		if err := rt.RunErr(func(c *Context) {
 			c.Fork(func(*Context) {}, func(*Context) { ran = true })
 		}); err != nil || !ran {
 			t.Errorf("%s: next Run: err %v, continuation ran %v", tc.name, err, ran)

@@ -64,20 +64,6 @@ func wrapPanic(p any) any {
 	return &PanicError{Value: p, Stack: debug.Stack()}
 }
 
-// Contain runs f, a step of a job that runs outside the job's own panic
-// boundary — the root merge, on whichever goroutine settles the job — and
-// returns a panic it raises as the *PanicError RunErr, RunContext and
-// JobHandle.Wait report, stack captured here.
-func Contain(f func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = containedError(wrapPanic(p), nil)
-		}
-	}()
-	f()
-	return nil
-}
-
 // job is the per-submission state shared by every task a Run spawns: the
 // cancellation flag checkpoints poll, and a progress counter the service
 // watchdog samples.  A nil *job (legacy Run) never cancels.

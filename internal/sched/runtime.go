@@ -141,9 +141,8 @@ func (rt *Runtime) Reducers() ReducerRuntime {
 }
 
 // Run executes fn and blocks until it — and every branch it forked — has
-// completed.  It returns the Deposit produced by the root trace's view
-// transferal, which the reducer mechanism uses to fold the computation's
-// views into the reducers' leftmost (user-visible) views.
+// completed and the root trace's views have been folded into the reducers'
+// leftmost (user-visible) views (ReducerRuntime.MergeRootDeposit).
 //
 // The calling goroutine is worker 0 until Run returns.  Concurrent callers
 // take turns for that identity, so their jobs run one after another; a
@@ -151,27 +150,28 @@ func (rt *Runtime) Reducers() ReducerRuntime {
 // of the same runtime waits for its own caller and never returns.  On a
 // Service's runtime Run runs nothing and returns an error: submit the job.
 //
-// A panic in the job is re-raised here as the *PanicError wrapped at the
-// recovery point nearest it, typed payload (PanicError.Value) and stack
-// intact.  By then every branch of the job has been settled and its views
-// discarded, so the engine is reusable even if the caller recovers.
-func (rt *Runtime) Run(fn func(*Context)) (Deposit, error) {
-	d, p, err := rt.run(context.Background(), fn, nil)
-	if p != nil {
-		panic(p)
+// A panic in the job, or in its root merge, is re-raised here as the
+// *PanicError wrapped at the recovery point nearest it, typed payload
+// (PanicError.Value) and stack intact.  By then every branch of the job has
+// been settled and its views discarded, so the engine is reusable even if
+// the caller recovers.
+func (rt *Runtime) Run(fn func(*Context)) error {
+	err := rt.run(context.Background(), fn, nil)
+	if pe, ok := err.(*PanicError); ok {
+		panic(pe)
 	}
-	return d, err
+	return err
 }
 
 // RunErr is Run with the panic contained at the job boundary: a panic
-// anywhere in the job — any branch, any worker, the merge pipeline — is
-// returned as a *PanicError carrying the original panic value and the
-// panicking goroutine's stack, instead of re-panicking on the caller's
-// goroutine.  The failed job is fully settled before RunErr returns: every
-// branch it forked has completed or been reclaimed and every undeposited
-// view has been discarded, so the runtime (and the reducer engine behind
-// it) is immediately reusable.
-func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
+// anywhere in the job — any branch, any worker, the merge pipeline, the
+// root merge — is returned as a *PanicError carrying the original panic
+// value and the panicking goroutine's stack, instead of re-panicking on the
+// caller's goroutine.  The failed job is fully settled before RunErr
+// returns: every branch it forked has completed or been reclaimed and every
+// undeposited view has been discarded, so the runtime (and the reducer
+// engine behind it) is immediately reusable.
+func (rt *Runtime) RunErr(fn func(*Context)) error {
 	return rt.RunContext(context.Background(), fn)
 }
 
@@ -185,7 +185,7 @@ func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
 // A job that completes in the same instant its context is cancelled has its
 // result discarded and still reports ctx.Err().  As in Run, callers take
 // turns for worker 0, and a call from inside a job never returns.
-func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, error) {
+func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -196,47 +196,59 @@ func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, 
 		stop := context.AfterFunc(ctx, func() { jb.cancelled.Store(true) })
 		defer stop()
 	}
-	d, p, err := rt.run(ctx, fn, jb)
-	if err != nil {
-		return nil, err
-	}
-	cerr := ctx.Err()
-	if p != nil {
-		return nil, containedError(p, cerr)
-	}
-	if cerr != nil {
-		// The job outran its cancellation.  Honour the context contract —
-		// no result after Done — and hand the root deposit back to the
-		// mechanism so nothing leaks.
-		rt.reducers.Discard(nil, d)
-		return nil, cerr
-	}
-	return d, nil
+	return rt.run(ctx, fn, jb)
 }
 
 // run is the root path behind Run, RunErr and RunContext: the caller takes
-// worker 0, waiting its turn, and runs fn inline.  It returns the deposit,
-// the contained panic p, or an admission error.
-func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) (d Deposit, p any, err error) {
+// worker 0, waiting its turn, runs fn inline and settles it there.  It
+// returns the root's outcome or an admission error.
+func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) error {
 	if rt.service != nil {
-		return nil, nil, errServiceRuntime
+		return errServiceRuntime
 	}
 	rt.caller.Lock()
 	defer rt.caller.Unlock()
 	if rt.closed.Load() {
-		return nil, nil, ErrClosed
+		return ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	rt.roots.Add(1)
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
 	w := rt.workers[0]
 	start := w.shutGate()
-	d, p = w.runTrace(fn, jb)
+	d, p := w.runTrace(fn, jb)
 	w.gateUntil, w.rootRan = 0, nanotime()-start
-	return d, p, nil
+	// A job that outran its cancellation honours the context contract: no
+	// result after Done.
+	return w.settleRoot(d, p, ctx.Err())
+}
+
+// settleRoot settles a root on w, the worker that ran it, and returns the
+// root's outcome: a failed root (p non-nil; its views are already
+// discarded) reports its contained panic, cancellation translated with
+// cause; a root whose job is cancelled (cause non-nil) hands its deposit d
+// back to the mechanism; any other folds d into the leftmost views, a panic
+// in the merge contained as the root's failure.  Both ways a root enters
+// the runtime settle here — Run before it gives worker 0 up, a service job
+// before its handle completes — and after the wake gate has timed the root.
+func (w *Worker) settleRoot(d Deposit, p any, cause error) (err error) {
+	switch {
+	case p != nil:
+		return containedError(p, cause)
+	case cause != nil:
+		w.rt.reducers.Discard(w, d)
+		return cause
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = containedError(wrapPanic(p), nil)
+		}
+	}()
+	w.rt.reducers.MergeRootDeposit(d)
+	return nil
 }
 
 // containedError translates a job's contained panic value into the
@@ -255,10 +267,12 @@ func containedError(p any, cancelErr error) error {
 	return &PanicError{Value: p}
 }
 
-// Quiescent reports whether the scheduler holds no trace of any job: no
-// Run/RunErr/RunContext call is in flight and every worker's deque is
-// empty.  A panicked or cancelled job must leave the runtime quiescent by
-// the time its Run variant returns; chaos tests assert this between jobs.
+// Quiescent reports whether the runtime holds no trace of any job: no
+// Run/RunErr/RunContext call is in flight, every worker's deque is empty,
+// and the reducer mechanism's own check (ReducerRuntime.Quiescent) passes.
+// A panicked or cancelled job must leave the runtime quiescent by the time
+// its Run variant returns; chaos tests assert this between jobs.  Call it
+// only between jobs.
 func (rt *Runtime) Quiescent() error {
 	if n := rt.inflight.Load(); n != 0 {
 		return fmt.Errorf("sched: %d jobs still in flight", n)
@@ -268,7 +282,7 @@ func (rt *Runtime) Quiescent() error {
 			return fmt.Errorf("sched: worker %d deque still holds %d tasks", w.id, n)
 		}
 	}
-	return nil
+	return rt.reducers.Quiescent()
 }
 
 // Close shuts the pool down and waits for it to exit.  A Run that already

@@ -1,24 +1,19 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// run is Run for the tests that have no use for the root deposit (the nop
-// reducer mechanism's is nil).
-func run(rt *Runtime, fn func(*Context)) error {
-	_, err := rt.Run(fn)
-	return err
-}
-
 func TestRunExecutesRoot(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	ran := false
-	if err := run(rt, func(c *Context) { ran = true }); err != nil {
+	if err := rt.Run(func(c *Context) { ran = true }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
@@ -45,7 +40,7 @@ func TestRunAfterCloseFails(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	rt.Close()
 	rt.Close() // idempotent
-	if err := run(rt, func(*Context) {}); err != ErrClosed {
+	if err := rt.Run(func(*Context) {}); err != ErrClosed {
 		t.Fatalf("Run after Close: got %v, want ErrClosed", err)
 	}
 }
@@ -54,7 +49,7 @@ func TestForkSerialOrderOnSingleWorker(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var order []int
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		order = append(order, 0)
 		c.Fork(
 			func(c *Context) {
@@ -93,7 +88,7 @@ func TestForkNSerialOrder(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
 	var order []int
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ForkN(
 			func(*Context) { order = append(order, 0) },
 			func(*Context) { order = append(order, 1) },
@@ -113,7 +108,7 @@ func TestForkNSerialOrder(t *testing.T) {
 		t.Fatalf("ran %d branches, want 4", len(order))
 	}
 	// Degenerate arities.
-	if err := run(rt, func(c *Context) {
+	if err := rt.Run(func(c *Context) {
 		c.ForkN()
 		c.ForkN(func(*Context) { order = append(order, 99) })
 	}); err != nil {
@@ -129,7 +124,7 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	defer rt.Close()
 	const n = 10000
 	counts := make([]int32, n)
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelFor(0, n, func(_ *Context, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
@@ -148,7 +143,7 @@ func TestParallelForGrainAndEmptyRanges(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
 	var count atomic.Int64
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelFor(5, 5, func(*Context, int) { count.Add(1) })
 		c.ParallelFor(7, 3, func(*Context, int) { count.Add(1) })
 		c.ParallelForGrain(0, 100, 0, func(*Context, int) { count.Add(1) })
@@ -167,7 +162,7 @@ func TestWorkIsDistributedAcrossWorkers(t *testing.T) {
 	defer rt.Close()
 	var mu sync.Mutex
 	workersSeen := make(map[int]int)
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 500, 1, func(c *Context, i int) {
 			// Sleeping yields the processor so that, even on a single-CPU
 			// host, parked workers get scheduled and steal.
@@ -201,7 +196,7 @@ func TestRootPanicPropagatesToRunCaller(t *testing.T) {
 			t.Fatal("expected panic to propagate out of Run")
 		}
 	}()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		panic("boom")
 	})
 }
@@ -211,10 +206,10 @@ func TestRuntimeUsableAfterRootPanic(t *testing.T) {
 	defer rt.Close()
 	func() {
 		defer func() { _ = recover() }()
-		_ = run(rt, func(*Context) { panic("first") })
+		_ = rt.Run(func(*Context) { panic("first") })
 	}()
 	ran := false
-	if err := run(rt, func(*Context) { ran = true }); err != nil {
+	if err := rt.Run(func(*Context) { ran = true }); err != nil {
 		t.Fatalf("Run after panic: %v", err)
 	}
 	if !ran {
@@ -226,7 +221,7 @@ func TestNestedParallelism(t *testing.T) {
 	rt := New(Config{Workers: 3})
 	defer rt.Close()
 	var total atomic.Int64
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 32, 1, func(c *Context, i int) {
 			c.ParallelForGrain(0, 32, 1, func(_ *Context, j int) {
 				total.Add(1)
@@ -250,7 +245,7 @@ func TestConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = run(rt, func(c *Context) {
+			_ = rt.Run(func(c *Context) {
 				c.ParallelFor(0, 1000, func(*Context, int) { total.Add(1) })
 			})
 		}()
@@ -264,7 +259,7 @@ func TestConcurrentRuns(t *testing.T) {
 func TestStatsResetAndDequeHighWater(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 256, 1, func(*Context, int) {})
 	})
 	st := rt.Stats()
@@ -280,12 +275,13 @@ func TestStatsResetAndDequeHighWater(t *testing.T) {
 
 // recordingReducers verifies that the scheduler invokes the reducer hooks
 // at the right moments: a trace per root/stolen task, one deposit per trace
-// end, and a merge per stolen continuation.
+// end, a merge per stolen continuation and a root merge per root.
 type recordingReducers struct {
 	inits  atomic.Int64
 	begins atomic.Int64
 	ends   atomic.Int64
 	merges atomic.Int64
+	roots  atomic.Int64
 }
 
 type recordingTrace struct{ id int64 }
@@ -314,6 +310,45 @@ func (r *recordingReducers) Merge(w *Worker, tr Trace, d Deposit) {
 	}
 	r.merges.Add(1)
 }
+func (r *recordingReducers) MergeRootDeposit(d Deposit) {
+	if _, ok := d.(*recordingDeposit); !ok {
+		panic("MergeRootDeposit received a foreign deposit")
+	}
+	r.roots.Add(1)
+}
+func (r *recordingReducers) Quiescent() error { return nil }
+
+// leakyReducers is the nop mechanism with a leak to report.
+type leakyReducers struct{ nopReducerRuntime }
+
+var errLeak = errors.New("leakyReducers: a view block is still live")
+
+func (leakyReducers) Quiescent() error { return errLeak }
+
+// TestQuiescentAsksTheMechanism checks that both quiescence verdicts end
+// with the reducer mechanism's own leak check: Runtime.Quiescent between
+// Runs, and Service.Close after the drain.
+func TestQuiescentAsksTheMechanism(t *testing.T) {
+	rt := New(Config{Workers: 2, Reducers: leakyReducers{}})
+	defer rt.Close()
+	if err := rt.Run(func(c *Context) { c.Fork(func(*Context) {}, func(*Context) {}) }); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := rt.Quiescent(); !errors.Is(err, errLeak) {
+		t.Errorf("Runtime.Quiescent = %v, want %v", err, errLeak)
+	}
+	s := NewService(Config{Workers: 2, Reducers: leakyReducers{}}, ServiceConfig{})
+	h, err := s.Submit(context.Background(), JobSpec{Fn: func(*Context) {}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := h.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if err := s.Close(); !errors.Is(err, errLeak) {
+		t.Errorf("Service.Close = %v, want %v", err, errLeak)
+	}
+}
 
 func TestReducerHooksOnSerialRun(t *testing.T) {
 	rec := &recordingReducers{}
@@ -322,7 +357,7 @@ func TestReducerHooksOnSerialRun(t *testing.T) {
 	if rt.Reducers() == nil {
 		t.Fatal("Reducers() should return the configured mechanism")
 	}
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 64, 1, func(*Context, int) {})
 		if c.Worker().Local() != any(rec) {
 			t.Error("WorkerInit did not install local state")
@@ -348,7 +383,7 @@ func TestReducerHooksOnParallelRun(t *testing.T) {
 	rec := &recordingReducers{}
 	rt := New(Config{Workers: 4, Reducers: rec})
 	defer rt.Close()
-	err := run(rt, func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 2000, 1, func(*Context, int) {
 			s := 0
 			for k := 0; k < 100; k++ {
@@ -369,10 +404,13 @@ func TestReducerHooksOnParallelRun(t *testing.T) {
 	if begins != st.TasksExecuted {
 		t.Fatalf("begins = %d, want TasksExecuted = %d", begins, st.TasksExecuted)
 	}
-	// Every stolen continuation is merged exactly once; the root deposit is
-	// returned to Run rather than merged.
+	// Every stolen continuation is merged exactly once; the root deposit
+	// goes to the root merge instead.
 	if merges != st.TasksExecuted-st.RootTasks {
 		t.Fatalf("merges = %d, want %d", merges, st.TasksExecuted-st.RootTasks)
+	}
+	if roots := rec.roots.Load(); roots != st.RootTasks {
+		t.Fatalf("root merges = %d, want %d", roots, st.RootTasks)
 	}
 }
 
@@ -384,7 +422,7 @@ func TestStolenBranchPanicPropagates(t *testing.T) {
 			t.Fatal("expected panic from stolen branch to propagate")
 		}
 	}()
-	_ = run(rt, func(c *Context) {
+	_ = rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, 512, 1, func(_ *Context, i int) {
 			busy := 0
 			for k := 0; k < 500; k++ {
@@ -447,7 +485,7 @@ func TestForkLeftPanicReclaimsContinuation(t *testing.T) {
 				t.Fatal("expected panic from left branch to propagate")
 			}
 		}()
-		_ = run(rt, func(c *Context) {
+		_ = rt.Run(func(c *Context) {
 			c.Fork(
 				func(*Context) { panic("left failure") },
 				func(*Context) { rightRuns.Add(1) },
@@ -461,7 +499,7 @@ func TestForkLeftPanicReclaimsContinuation(t *testing.T) {
 	if got := rightRuns.Load(); got != snapshot {
 		t.Fatalf("orphaned continuation executed after Run failed (%d -> %d)", snapshot, got)
 	}
-	if err := run(rt, func(*Context) {}); err != nil {
+	if err := rt.Run(func(*Context) {}); err != nil {
 		t.Fatalf("runtime unusable after left panic: %v", err)
 	}
 }

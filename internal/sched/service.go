@@ -89,13 +89,6 @@ type ServiceConfig struct {
 	// a legitimate serial section longer than the window is flagged too —
 	// size the window for request-shaped fork-join jobs.  Zero disables.
 	Watchdog time.Duration
-	// RootMerge, when non-nil, is called by the finishing worker with a
-	// successful job's root deposit (the engine's MergeRootDeposit).  When
-	// nil the deposit is discarded through the runtime's reducer hooks.
-	RootMerge func(Deposit)
-	// Quiesce, when non-nil, is the engine-side leak check Close runs after
-	// the pool has drained and stopped (the engine's Quiescent).
-	Quiesce func() error
 }
 
 // JobSpec describes one submission.
@@ -315,42 +308,23 @@ func (h *JobHandle) cancel(cause error) {
 }
 
 // settleFromWorker is called by the worker that finished executing the job
-// root (normally, by panic, or by cancellation unwind).  It settles the
-// deposit (merge on success, discard otherwise), retires the job from the
-// service's in-flight accounting, and then delivers the outcome if no
-// cancellation got there first.
+// root (normally, by panic, or by cancellation unwind).  The first to claim
+// the handle decides its outcome: a cancellation that claimed it first
+// wants no result after Done (the RunContext "outran its cancellation"
+// contract), so the root's deposit is discarded instead of merged.  The
+// worker settles the root (settleRoot), retires the job from the service's
+// in-flight accounting, and then delivers the outcome it claimed.
 func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
-	rt := w.rt
-	var err error
-	claimed := false
-	if p != nil {
-		// Failed or cancelled: the abort path already discarded the trace's
-		// views; d is nil.  Every strand has unwound (the root's joins
-		// resolved before the worker returned), so settle-time teardown can
-		// run before the outcome is published.
-		err = containedError(p, h.causeErr())
-		h.runOnSettle()
-		claimed = h.claimCompletion()
-	} else if claimed = h.claimCompletion(); claimed {
-		// Success, and no cancellation raced ahead: fold the root deposit
-		// into the leftmost views before the outcome is visible, so a
-		// submitter that observes Done reads fully merged reducer values.
-		// Merge before settle: teardown may unregister the job's reducers.
-		err = Contain(func() {
-			if h.svc.cfg.RootMerge != nil {
-				h.svc.cfg.RootMerge(d)
-			} else {
-				rt.reducers.Discard(w, d)
-			}
-		})
-		h.runOnSettle()
-	} else {
-		// A cancellation outran the finish (the RunContext "outran its
-		// cancellation" contract): no result after Done, so the deposit is
-		// handed back to the mechanism instead of merged.
-		rt.reducers.Discard(w, d)
-		h.runOnSettle()
+	claimed := h.claimCompletion()
+	var cause error
+	if p != nil || !claimed {
+		cause = h.causeErr()
 	}
+	// Merge before the outcome is visible, so a submitter that observes Done
+	// reads fully merged reducer values, and before settle-time teardown,
+	// which may unregister the job's reducers.
+	err := w.settleRoot(d, p, cause)
+	h.runOnSettle()
 	// Settle before deliver: an OnDone hook, or a submitter returning from
 	// Wait, observes the job fully retired in Stats.
 	h.svc.jobSettled(h)
@@ -685,11 +659,11 @@ func allStacks() []byte {
 // Submit from this point deterministically returns ErrClosed, including
 // submitters blocked for queue space), every admitted job runs to
 // completion (or to its own cancellation), the worker pool is stopped once
-// every job has settled, and pool-wide quiescence is verified — the
-// scheduler's own accounting plus the engine check configured in
-// ServiceConfig.Quiesce.  The first leak found (or a non-quiescent pool) is
-// returned as an error.  Close is idempotent; concurrent calls all return
-// the first close's verdict.
+// every job has settled, and pool-wide quiescence is verified
+// (Runtime.Quiescent: the scheduler's own accounting, then the reducer
+// mechanism's).  The first leak found (or a non-quiescent pool) is returned
+// as an error.  Close is idempotent; concurrent calls all return the first
+// close's verdict.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -717,9 +691,6 @@ func (s *Service) Close() error {
 	s.rt.Close()
 
 	err := s.rt.Quiescent()
-	if err == nil && s.cfg.Quiesce != nil {
-		err = s.cfg.Quiesce()
-	}
 	s.mu.Lock()
 	s.closeErr = err
 	s.mu.Unlock()

@@ -44,13 +44,13 @@ func TestRunOnServiceRuntimeRefused(t *testing.T) {
 	rt := s.Runtime()
 	var ran atomic.Bool
 	job := func(*Context) { ran.Store(true) }
-	if _, err := rt.Run(job); !errors.Is(err, errServiceRuntime) {
+	if err := rt.Run(job); !errors.Is(err, errServiceRuntime) {
 		t.Errorf("Run = %v, want %v", err, errServiceRuntime)
 	}
-	if _, err := rt.RunErr(job); !errors.Is(err, errServiceRuntime) {
+	if err := rt.RunErr(job); !errors.Is(err, errServiceRuntime) {
 		t.Errorf("RunErr = %v, want %v", err, errServiceRuntime)
 	}
-	if _, err := rt.RunContext(context.Background(), job); !errors.Is(err, errServiceRuntime) {
+	if err := rt.RunContext(context.Background(), job); !errors.Is(err, errServiceRuntime) {
 		t.Errorf("RunContext = %v, want %v", err, errServiceRuntime)
 	}
 	if ran.Load() || rt.Stats().RootTasks != 0 {

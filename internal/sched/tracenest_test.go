@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -8,11 +9,18 @@ import (
 // orderReducers is a minimal ReducerRuntime over the noncommutative monoid
 // of byte-sequence concatenation.  Each trace accumulates the values
 // appended while it ran; EndTrace deposits the sequence; Merge concatenates
-// a deposit after the current trace's sequence.  Because concatenation is
-// not commutative, the final root deposit equals the serial sequence only
-// if the scheduler begins/ends/merges traces in exactly the right order —
-// including while traces nest arbitrarily deep during waitJoin helping.
-type orderReducers struct{}
+// a deposit after the current trace's sequence; MergeRootDeposit files a
+// root's sequence under its first value for the test to read back (root).
+// Because concatenation is not commutative, a root's sequence equals the
+// serial sequence only if the scheduler begins/ends/merges traces in
+// exactly the right order — including while traces nest arbitrarily deep
+// during waitJoin helping.
+type orderReducers struct {
+	mu    sync.Mutex
+	roots map[int][]byte
+}
+
+func newOrderReducers() *orderReducers { return &orderReducers{roots: map[int][]byte{}} }
 
 type orderLocal struct {
 	// stack holds one byte sequence per nested trace; the top is the
@@ -20,15 +28,15 @@ type orderLocal struct {
 	stack [][]byte
 }
 
-func (orderReducers) WorkerInit(w *Worker) { w.SetLocal(&orderLocal{}) }
+func (*orderReducers) WorkerInit(w *Worker) { w.SetLocal(&orderLocal{}) }
 
-func (orderReducers) BeginTrace(w *Worker) Trace {
+func (*orderReducers) BeginTrace(w *Worker) Trace {
 	l := w.Local().(*orderLocal)
 	l.stack = append(l.stack, nil)
 	return len(l.stack)
 }
 
-func (orderReducers) EndTrace(w *Worker, tr Trace) Deposit {
+func (*orderReducers) EndTrace(w *Worker, tr Trace) Deposit {
 	l := w.Local().(*orderLocal)
 	if want, ok := tr.(int); !ok || want != len(l.stack) {
 		panic("orderReducers: unbalanced trace nesting")
@@ -38,7 +46,7 @@ func (orderReducers) EndTrace(w *Worker, tr Trace) Deposit {
 	return d
 }
 
-func (orderReducers) Merge(w *Worker, tr Trace, dep Deposit) {
+func (*orderReducers) Merge(w *Worker, tr Trace, dep Deposit) {
 	d, _ := dep.([]byte)
 	if len(d) == 0 {
 		return
@@ -48,7 +56,30 @@ func (orderReducers) Merge(w *Worker, tr Trace, dep Deposit) {
 	l.stack[top] = append(l.stack[top], d...)
 }
 
-func (orderReducers) Discard(*Worker, Deposit) {}
+func (*orderReducers) Discard(*Worker, Deposit) {}
+
+func (o *orderReducers) MergeRootDeposit(dep Deposit) {
+	d, _ := dep.([]byte)
+	first := -1
+	if len(d) >= 2 {
+		first = int(d[0])<<8 | int(d[1])
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.roots[first] = d
+}
+
+func (*orderReducers) Quiescent() error { return nil }
+
+// root returns, and forgets, the root sequence merged with first as its
+// first value; nil if there is none.
+func (o *orderReducers) root(first int) []byte {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	d := o.roots[first]
+	delete(o.roots, first)
+	return d
+}
 
 // orderAppend records v in the current trace of the executing worker.
 func orderAppend(c *Context, v int) {
@@ -64,9 +95,10 @@ func orderAppend(c *Context, v int) {
 // noncommutative monoid still equals the serial execution exactly.
 func TestTraceNestingUnderStealStorm(t *testing.T) {
 	const n = 400
-	rt := New(Config{Workers: 4, Reducers: orderReducers{}})
+	red := newOrderReducers()
+	rt := New(Config{Workers: 4, Reducers: red})
 	defer rt.Close()
-	dep, err := rt.Run(func(c *Context) {
+	err := rt.Run(func(c *Context) {
 		c.ParallelForGrain(0, n, 1, func(c *Context, i int) {
 			// Yield the single underlying CPU so parked workers run and
 			// steal, creating stalled joins up the fork tree.
@@ -84,7 +116,7 @@ func TestTraceNestingUnderStealStorm(t *testing.T) {
 	if st.StalledJoins == 0 {
 		t.Fatalf("test did not stall any joins; stats %+v", st)
 	}
-	got, _ := dep.([]byte)
+	got := red.root(0)
 	if len(got) != 2*n {
 		t.Fatalf("deposit has %d bytes, want %d (stats %+v)", len(got), 2*n, st)
 	}
@@ -109,7 +141,8 @@ func TestTraceNestingUnderStealStorm(t *testing.T) {
 // still be serial.
 func TestTraceNestingDeepHelp(t *testing.T) {
 	const depth = 64
-	rt := New(Config{Workers: 4, Reducers: orderReducers{}})
+	red := newOrderReducers()
+	rt := New(Config{Workers: 4, Reducers: red})
 	defer rt.Close()
 	var spine func(c *Context, level int)
 	spine = func(c *Context, level int) {
@@ -127,11 +160,10 @@ func TestTraceNestingDeepHelp(t *testing.T) {
 			},
 		)
 	}
-	dep, err := rt.Run(func(c *Context) { spine(c, 0) })
-	if err != nil {
+	if err := rt.Run(func(c *Context) { spine(c, 0) }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	got, _ := dep.([]byte)
+	got := red.root(0)
 	if len(got) != 2*2*depth {
 		t.Fatalf("deposit has %d bytes, want %d", len(got), 2*2*depth)
 	}

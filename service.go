@@ -110,10 +110,7 @@ func WithWatchdog(window time.Duration) Option {
 func NewService(opts ...Option) *Service {
 	o := buildOptions(opts)
 	eng := reducers.NewEngine(o.mech, o.workers, o.eng)
-	cfg := o.svc
-	cfg.RootMerge = eng.MergeRootDeposit
-	cfg.Quiesce = eng.Quiescent
-	svc := sched.NewService(sched.Config{Workers: o.workers, Reducers: eng}, cfg)
+	svc := sched.NewService(sched.Config{Workers: o.workers, Reducers: eng}, o.svc)
 	if o.exporter != nil {
 		if src, ok := core.Engine(eng).(MetricSource); ok {
 			o.exporter.Register("engine", src)
