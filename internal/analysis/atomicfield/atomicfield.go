@@ -23,6 +23,16 @@
 // and plainly in another is not caught unless both uses are visible in one
 // pass.  Every field this suite cares about is unexported, so in practice
 // the package boundary is also the access boundary.
+//
+// It also reports every use of the result of a sync/atomic And or Or call,
+// the functions (atomic.OrUint32) and the typed atomics' methods
+// ((*atomic.Uint32).Or) alike.  go1.24.0 on amd64 miscompiles such a call
+// whose result is used inside a loop: the compare-and-exchange retry loop
+// it expands to reuses a register that still holds a live loop value, so a
+// visited-bitmap claim written as `atomic.OrUint32(w, bit)&bit == 0`
+// corrupts its caller.  A call whose result is discarded — a statement of
+// its own, a go or defer, or an assignment to the blank identifier — is
+// fine: set the bits, then decide with a Load or a CompareAndSwap.
 package atomicfield
 
 import (
@@ -37,7 +47,7 @@ import (
 // Analyzer is the atomicfield analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "atomicfield",
-	Doc:  "report mixed sync/atomic and plain accesses to the same struct field",
+	Doc:  "report mixed sync/atomic and plain accesses to the same struct field, and any used result of a sync/atomic And or Or call",
 	Run:  run,
 }
 
@@ -46,6 +56,8 @@ var Analyzer = &framework.Analyzer{
 var atomicOpPrefixes = []string{"Load", "Store", "Add", "Swap", "CompareAndSwap", "And", "Or"}
 
 func run(pass *framework.Pass) error {
+	reportUsedAndOr(pass)
+
 	// First pass: find every field whose address feeds a sync/atomic call,
 	// remembering the exact selector nodes used there (those accesses are
 	// sanctioned by construction).
@@ -129,6 +141,82 @@ func run(pass *framework.Pass) error {
 		})
 	}
 	return nil
+}
+
+// reportUsedAndOr reports every sync/atomic And or Or call whose result
+// is used, that is, whose call is neither a statement of its own nor
+// assigned to the blank identifier.
+func reportUsedAndOr(pass *framework.Pass) {
+	for _, f := range pass.Files {
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name, ok := atomicAndOr(pass, call)
+			if !ok {
+				return true
+			}
+			switch p := parentOf(stack).(type) {
+			case *ast.ExprStmt, *ast.GoStmt, *ast.DeferStmt:
+				return true
+			case *ast.AssignStmt:
+				if blank(p.Lhs) {
+					return true
+				}
+			}
+			pass.Reportf(call.Pos(), "result of sync/atomic %s is used: go1.24.0 on amd64 miscompiles a used And/Or result inside a loop; discard it and decide with a Load or CompareAndSwap", name)
+			return true
+		})
+	}
+}
+
+// blank reports whether every one of lhs is the blank identifier.
+func blank(lhs []ast.Expr) bool {
+	for _, e := range lhs {
+		if id, ok := e.(*ast.Ident); !ok || id.Name != "_" {
+			return false
+		}
+	}
+	return true
+}
+
+// atomicAndOr reports whether call is a sync/atomic And or Or: a function
+// of the And*/Or* families or the And/Or method of a typed atomic.  It
+// returns the name to report.
+func atomicAndOr(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	name := sel.Sel.Name
+	if !strings.HasPrefix(name, "And") && !strings.HasPrefix(name, "Or") {
+		return "", false
+	}
+	if s, ok := pass.TypesInfo.Selections[sel]; ok {
+		fn, ok := s.Obj().(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || s.Kind() != types.MethodVal {
+			return "", false
+		}
+		recv := s.Recv()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			return "(*atomic." + named.Obj().Name() + ")." + name, true
+		}
+		return "", false
+	}
+	if !isAtomicCall(pass, call) {
+		return "", false
+	}
+	return "atomic." + name, true
 }
 
 // parentOf returns the node enclosing the one on top of the stack.

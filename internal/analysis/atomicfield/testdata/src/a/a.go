@@ -47,3 +47,34 @@ func (c *counter) okIndexRange() (n int) {
 }
 
 func (c *counter) okName() string { return c.name } // untracked field
+
+func claim(vis []uint32, ws []int32) (n int) {
+	for _, w := range ws {
+		if atomic.OrUint32(&vis[w>>5], 1<<(w&31))&(1<<(w&31)) == 0 { // want `result of sync/atomic atomic\.OrUint32 is used`
+			n++
+		}
+	}
+	return n
+}
+
+func claimTyped(bits []atomic.Uint32, ws []int32) (n int) {
+	for _, w := range ws {
+		old := bits[w>>5].Or(1 << (w & 31)) // want `result of sync/atomic \(\*atomic\.Uint32\)\.Or is used`
+		if old&(1<<(w&31)) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func usedAnd(x *int64) int64 { return atomic.AndInt64(x, 3) } // want `result of sync/atomic atomic\.AndInt64 is used`
+
+func setAll(vis []uint32, bits []atomic.Uint64, ws []int32) {
+	for _, w := range ws {
+		atomic.OrUint32(&vis[w>>5], 1<<(w&31)) // discarded: not flagged
+		bits[0].And(^uint64(1))                // discarded: not flagged
+		_ = atomic.OrUint32(&vis[0], 1)        // discarded: not flagged
+		_ = bits[1].Or(2)                      // discarded: not flagged
+	}
+	defer atomic.AndUint32(&vis[0], 0) // discarded: not flagged
+}

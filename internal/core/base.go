@@ -80,10 +80,17 @@ func (b *Base) Register(m Monoid) (*Reducer, error) {
 // never merged) remains readable until the trace ends; the owner stamp
 // guarantees no OTHER reducer can ever observe it.
 func (b *Base) Unregister(r *Reducer) {
-	if r == nil || r.eng != b.self {
-		return
+	if r != nil && r.eng == b.self {
+		b.unregisterAll(r)
 	}
-	if b.Dir.Unregister(r) {
+}
+
+// unregisterAll is Unregister for reducers this engine registered, under one
+// acquisition of the directory's lock and with one sweep of the view epochs
+// for the lot, if any was live: retiring a job's reducers invalidates the
+// other running jobs' handle caches once, not once per reducer.
+func (b *Base) unregisterAll(rs ...*Reducer) {
+	if b.Dir.Unregister(rs...) > 0 {
 		b.invalidateViews()
 	}
 }

@@ -118,29 +118,34 @@ func (d *Directory) take() (spa.Addr, uint64, error) {
 	return addr, uint64(d.n.Registers), nil
 }
 
-// Unregister removes r from the directory and recycles its address.  The
-// compare-and-swap on r's validity flag is the registry identity check: a
-// second Unregister of the same handle, or one for a reducer of another
-// directory, fails it and touches nothing, so a double-unregister can never
-// push a live address onto the free list.  The order is the design: the
-// flag is cleared before the address is pushed, so by the time a successor
-// can be registered at the address its predecessor already reads invalid,
-// and a merge that finds two owners at one address has at most one valid
-// side.  It returns whether r was live here.
-func (d *Directory) Unregister(r *Reducer) bool {
-	if r == nil {
-		return false
-	}
-	won := r.dir.CompareAndSwap(d, nil)
+// Unregister removes each of rs from the directory and recycles its
+// address, under one acquisition of the lock, and returns how many were
+// live here; nil entries are skipped.  The compare-and-swap on a reducer's
+// validity flag is the registry identity check: a second Unregister of the
+// same handle, or one for a reducer of another directory, fails it, counts
+// a stale unregister and touches nothing else, so a double-unregister can
+// never push a live address onto the free list.  The order is the design:
+// the flag is cleared before the address is pushed, so by the time a
+// successor can be registered at the address its predecessor already reads
+// invalid, and a merge that finds two owners at one address has at most one
+// valid side.
+func (d *Directory) Unregister(rs ...*Reducer) int {
+	live := 0
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !won {
-		d.n.StaleUnregisters++
-		return false
+	for _, r := range rs {
+		if r == nil {
+			continue
+		}
+		if !r.dir.CompareAndSwap(d, nil) {
+			d.n.StaleUnregisters++
+			continue
+		}
+		d.n.Unregisters++
+		d.free = append(d.free, r.addr)
+		live++
 	}
-	d.n.Unregisters++
-	d.free = append(d.free, r.addr)
-	return true
+	return live
 }
 
 // Valid reports whether r is still the live registration for its address

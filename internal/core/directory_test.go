@@ -74,8 +74,9 @@ func TestDirectoryRecyclesLIFO(t *testing.T) {
 					}
 					rs[j] = r
 				}
-				for _, r := range rs {
-					d.Unregister(r)
+				if n := d.Unregister(rs...); n != k {
+					t.Errorf("batch Unregister retired %d of %d live reducers", n, k)
+					return
 				}
 			}
 		}()
@@ -93,8 +94,8 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if !d.Valid(r1) || d.Live() != 1 {
 		t.Fatal("fresh registration not valid")
 	}
-	if !d.Unregister(r1) {
-		t.Fatal("Unregister returned false for a live reducer")
+	if d.Unregister(r1) != 1 {
+		t.Fatal("Unregister did not count a live reducer")
 	}
 	if d.Valid(r1) || d.Live() != 0 {
 		t.Fatal("retired handle still valid")
@@ -118,7 +119,7 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if foreign.Addr() != r2.Addr() {
 		t.Fatalf("foreign reducer at address %d, want %d", foreign.Addr(), r2.Addr())
 	}
-	if d.Valid(foreign) || d.Unregister(foreign) {
+	if d.Valid(foreign) || d.Unregister(foreign) != 0 {
 		t.Fatal("a reducer of another directory passed for one of this directory's")
 	}
 	if !other.Valid(foreign) || !d.Valid(r2) || d.Live() != 1 {
@@ -132,7 +133,7 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 func TestDirectoryDoubleUnregister(t *testing.T) {
 	d := core.NewDirectory(nil)
 	r1, _ := d.Register(nil, sumMonoid)
-	if !d.Unregister(r1) {
+	if d.Unregister(r1) != 1 {
 		t.Fatal("first Unregister failed")
 	}
 	r2, _ := d.Register(nil, sumMonoid)
@@ -140,7 +141,7 @@ func TestDirectoryDoubleUnregister(t *testing.T) {
 		t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 	}
 	// Stale second unregister: must be a no-op.
-	if d.Unregister(r1) {
+	if d.Unregister(r1) != 0 {
 		t.Fatal("double Unregister of a stale handle succeeded")
 	}
 	if d.Live() != 1 || !d.Valid(r2) {
@@ -155,6 +156,14 @@ func TestDirectoryDoubleUnregister(t *testing.T) {
 	st := d.Stats()
 	if st.StaleUnregisters != 1 {
 		t.Fatalf("StaleUnregisters = %d, want 1", st.StaleUnregisters)
+	}
+	// A batch holding the stale handle, a nil and a live reducer twice
+	// retires the live one once and counts the other two as stale.
+	if n := d.Unregister(r1, nil, r2, r2); n != 1 {
+		t.Fatalf("batch Unregister retired %d, want 1", n)
+	}
+	if st := d.Stats(); st.Unregisters != 2 || st.StaleUnregisters != 3 || d.Live() != 1 || d.Valid(r2) || !d.Valid(r3) {
+		t.Fatalf("after the batch: %+v, live=%d; want 2 unregisters, 3 stale, only r3 live", st, d.Live())
 	}
 }
 
@@ -234,7 +243,7 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 				if i%3 == 0 {
 					keep[g] = append(keep[g], r)
 				} else {
-					if !d.Unregister(r) {
+					if d.Unregister(r) != 1 {
 						t.Error("Unregister of own live reducer failed")
 						return
 					}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -22,14 +23,19 @@ type JobSession struct {
 	// Engine is the shared engine every delegated call lands on.
 	Engine
 
-	mu      sync.Mutex
-	live    map[*Reducer]struct{}
+	mu sync.Mutex
+	// live holds the reducers scoped to the session, in registration order.
+	// A job keeps a handful, so Unregister's search is a short scan, from the
+	// end because handles are usually closed last-opened first.
+	live    []*Reducer
 	retired bool
 }
 
-// NewJobSession creates a registration scope over eng.
+// NewJobSession creates a registration scope over eng, which must be built
+// on Base, as every Engine in this module is: Retire hands the job's
+// reducers to Base in one batch.
 func NewJobSession(eng Engine) *JobSession {
-	return &JobSession{Engine: eng, live: make(map[*Reducer]struct{})}
+	return &JobSession{Engine: eng}
 }
 
 // Underlying returns the shared engine behind the session.  Typed reducer
@@ -58,7 +64,7 @@ func (js *JobSession) Register(m Monoid) (*Reducer, error) {
 		js.Engine.Unregister(r)
 		return nil, fmt.Errorf("core: Register on retired job session")
 	}
-	js.live[r] = struct{}{}
+	js.live = append(js.live, r)
 	js.mu.Unlock()
 	return r, nil
 }
@@ -68,7 +74,12 @@ func (js *JobSession) Register(m Monoid) (*Reducer, error) {
 // shared engine makes double-unregister a no-op).
 func (js *JobSession) Unregister(r *Reducer) {
 	js.mu.Lock()
-	delete(js.live, r)
+	for i := len(js.live) - 1; i >= 0; i-- {
+		if js.live[i] == r {
+			js.live = slices.Delete(js.live, i, i+1)
+			break
+		}
+	}
 	js.mu.Unlock()
 	js.Engine.Unregister(r)
 }
@@ -84,8 +95,10 @@ func (js *JobSession) Live() int {
 // it to further registration.  Retired reducers keep their final leftmost
 // values readable (Engine.Unregister semantics), so a submitter holding the
 // job's handles can still read results after the job — and its session —
-// are gone.  Retire is idempotent and safe to call concurrently with late
-// Register calls from a straggler branch.
+// are gone.  The reducers go in one batch: one acquisition of the
+// directory's lock and one view-epoch sweep.  Retire is
+// idempotent and safe to call concurrently with late Register calls from a
+// straggler branch.
 func (js *JobSession) Retire() {
 	js.mu.Lock()
 	if js.retired {
@@ -93,13 +106,8 @@ func (js *JobSession) Retire() {
 		return
 	}
 	js.retired = true
-	rs := make([]*Reducer, 0, len(js.live))
-	for r := range js.live {
-		rs = append(rs, r)
-	}
+	rs := js.live
 	js.live = nil
 	js.mu.Unlock()
-	for _, r := range rs {
-		js.Engine.Unregister(r)
-	}
+	js.Engine.(interface{ unregisterAll(...*Reducer) }).unregisterAll(rs...)
 }

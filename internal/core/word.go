@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"unsafe"
 )
 
@@ -43,8 +44,10 @@ type Monoid struct {
 }
 
 // kernel is the word-level form of one typed monoid: one object per Monoid
-// (a typedKernel, or an arenaKernel around one), so building it costs a
-// registration a single allocation.
+// (a typedKernel, or an arenaKernel around one).  A typed monoid of size
+// zero — every prebuilt reducer's — has one kernel per type, built by the
+// first NewMonoid and shared by every later one, so registering such a
+// reducer allocates no kernel.
 type kernel interface {
 	// identity allocates a fresh identity view on the heap.
 	identity() unsafe.Pointer
@@ -95,7 +98,31 @@ func (k *arenaKernel[V]) seed(p unsafe.Pointer) { *(*V)(p) = k.id }
 // is decided here, from V alone: a fixed-size, pointer-free V that fits a
 // size class has its identity value captured once, and the memory-mapping
 // engine then builds and recycles such views inside its per-worker arenas.
+//
+// A typed monoid of size zero carries no state, so its word-level form
+// depends on its type alone: the first call for that type builds it and
+// every later one returns the same Monoid, as OpenCilk's registration
+// stores a reducer type's static identity and reduce pointers and builds
+// nothing.  A monoid with state (reducers.TypedFuncMonoid's closures) is
+// built anew on every call.
 func NewMonoid[V any](m typed[V]) Monoid {
+	t := reflect.TypeOf(m)
+	if t == nil || t.Size() != 0 {
+		return buildMonoid(m)
+	}
+	if mo, ok := zeroSizeMonoids.Load(t); ok {
+		return mo.(Monoid)
+	}
+	mo, _ := zeroSizeMonoids.LoadOrStore(t, buildMonoid(m))
+	return mo.(Monoid)
+}
+
+// zeroSizeMonoids maps the dynamic type of each zero-size typed monoid
+// NewMonoid has seen to its one Monoid.
+var zeroSizeMonoids sync.Map // reflect.Type → Monoid
+
+// buildMonoid is NewMonoid without the sharing.
+func buildMonoid[V any](m typed[V]) Monoid {
 	if t := reflect.TypeFor[V](); pointerFree(t) {
 		if class := ArenaClassFor(t.Size()); class >= 0 {
 			if id := m.Identity(); id != nil {

@@ -223,3 +223,47 @@ func TestAdaptMonoidRoundTrip(t *testing.T) {
 		t.Fatal("TypedFuncMonoid reduce failed")
 	}
 }
+
+// TestNewCloseAllocations pins what registering and retiring a prebuilt
+// reducer allocates on either engine: the core.Reducer, its leftmost view
+// and the handle's view cache (the handle itself stays on this loop's
+// stack).  The monoid kernel and the identity value it captures are built
+// once per zero-size monoid type, by the first NewMonoid.
+func TestNewCloseAllocations(t *testing.T) {
+	forEachMechanism(t, func(t *testing.T, m Mechanism) {
+		eng := NewEngine(m, 2, EngineOptions{})
+		NewAdd[int64](eng).Close() // the first builds the type's monoid
+		if n := testing.AllocsPerRun(200, func() { NewAdd[int64](eng).Close() }); n != 3 {
+			t.Errorf("NewAdd+Close allocates %.1f objects, want 3", n)
+		}
+	})
+}
+
+// TestTypedFuncMonoidsNotShared: a monoid with state is built per
+// registration, so two TypedFuncMonoid handles of one view type keep their
+// own Identity and Reduce.
+func TestTypedFuncMonoidsNotShared(t *testing.T) {
+	forEachMechanism(t, func(t *testing.T, m Mechanism) {
+		s := testSession(t, m, 2)
+		sum := NewCustomOf[int64](s.Engine(), TypedFuncMonoid[int64]{
+			IdentityFn: func() *int64 { return new(int64) },
+			ReduceFn:   func(a, b *int64) *int64 { *a += *b; return a },
+		})
+		prod := NewCustomOf[int64](s.Engine(), TypedFuncMonoid[int64]{
+			IdentityFn: func() *int64 { one := int64(1); return &one },
+			ReduceFn:   func(a, b *int64) *int64 { *a *= *b; return a },
+		})
+		*sum.Value(), *prod.Value() = 3, 3
+		if err := s.Run(func(c *sched.Context) {
+			*sum.View(c) += 5
+			*prod.View(c) *= 5
+		}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if got, want := [2]int64{*sum.Value(), *prod.Value()}, [2]int64{8, 15}; got != want {
+			t.Errorf("sum, product = %v, want %v", got, want)
+		}
+		sum.Close()
+		prod.Close()
+	})
+}

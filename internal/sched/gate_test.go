@@ -31,15 +31,42 @@ func gateSample(rt *Runtime) (sent, gated, released int64) {
 func gatedRuntime(t *testing.T, hold int64) *Runtime {
 	t.Helper()
 	rt := New(Config{Workers: 2})
-	waitPoolParked(t, rt)
+	waitAsleep(t, rt, rt.Workers()-1)
 	rt.wakeCost.Store(hold / gateFactor)
 	return rt
 }
 
-// waitPoolParked waits until the pool worker of a gatedRuntime is parked.
-func waitPoolParked(t *testing.T, rt *Runtime) {
+// gatedService is gatedRuntime for a two-worker service, whose two workers
+// are both pool workers: each root a worker pops starts behind a gate of
+// hold ns until one it ran outlives that.
+func gatedService(t *testing.T, hold int64) *Service {
 	t.Helper()
-	waitParked(t, rt, rt.Workers()-1)
+	s := NewService(Config{Workers: 2}, ServiceConfig{})
+	waitAsleep(t, s.rt, s.rt.Workers())
+	s.rt.wakeCost.Store(hold / gateFactor)
+	return s
+}
+
+// waitAsleep waits until n workers are parked with no wake token in flight:
+// every token sent so far has woken a worker (unparks), and each woken one
+// has parked again since (parks).  Registration in rt.parked is not enough:
+// a worker still counts there between a token's send and its wake-up, and
+// an awake thief that steals a root's task in the instant between its push
+// and the push's emptiness check takes that push out of every count.
+func waitAsleep(t *testing.T, rt *Runtime, n int) {
+	t.Helper()
+	start := nanotime()
+	for {
+		sent := rt.wakesSent.Load()
+		unparks := rt.unparks.Load()
+		if unparks >= sent && rt.parks.Load()-unparks == int64(n) && rt.parked.Load() == int32(n) {
+			return
+		}
+		if nanotime()-start > int64(10*time.Second) {
+			t.Fatalf("workers never fell asleep: %d of %d parked, %d tokens sent, %d unparks", rt.parked.Load(), n, sent, unparks)
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestGateShortRootWakesNobody: a root that ends inside its gate forks and
@@ -129,6 +156,56 @@ func TestGateReleasesLongRoot(t *testing.T) {
 	}
 }
 
+// TestGateShortServiceJobWakesNobody is TestGateShortRootWakesNobody
+// through Service.Submit: a service job is a root like a Run's, so a short
+// one wakes no parked thief.  Each Submit finds both workers asleep and
+// wakes one with the only token it sends; that worker runs the job behind
+// its gate while the other sleeps through it.
+func TestGateShortServiceJobWakesNobody(t *testing.T) {
+	const jobs = 100
+	s := gatedService(t, 1<<40)
+	defer s.Close()
+	for i := 0; i < jobs; i++ {
+		if err := submitWait(s, func(c *Context) {
+			c.ParallelForGrain(0, 64, 1, func(*Context, int) {})
+		}); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		waitAsleep(t, s.rt, 2)
+	}
+	sent, gated, released := gateSample(s.rt)
+	if sent-jobs != 0 || released != 0 || gated != jobs*6 {
+		t.Errorf("%d tokens sent by the jobs, %d wake-ups gated, %d gates released; want 0, %d, 0", sent-jobs, gated, released, jobs*6)
+	}
+	if st := s.rt.Stats(); st.Steals != 0 || st.Forks != jobs*63 {
+		t.Errorf("stats %+v, want no steals and %d forks", st, jobs*63)
+	}
+}
+
+// TestGateReleasesLongServiceJob is TestGateReleasesLongRoot's count
+// through Service.Submit: a service job that starts gated and turns out
+// long opens its gate once, and the opening wakes the sleeping worker.
+func TestGateReleasesLongServiceJob(t *testing.T) {
+	s := gatedService(t, 200_000)
+	defer s.Close()
+	if err := submitWait(s, func(c *Context) {
+		c.Fork(
+			func(c *Context) {
+				c.ForkN(func(*Context) { spinFor(1_000) }, func(*Context) { spinFor(1_000) }, func(*Context) { spinFor(1_000) })
+			},
+			func(c *Context) {
+				c.ParallelForGrain(0, 50, 1, func(*Context, int) { spinFor(100_000) })
+			})
+	}); err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	// The Submit sent one token, to the worker that ran the job.
+	sent, gated, released := gateSample(s.rt)
+	if released != 1 || gated == 0 || sent-1 == 0 {
+		t.Errorf("%d tokens sent by the job, %d wake-ups gated, %d gates released; want the gate released exactly once, with a token", sent-1, gated, released)
+	}
+}
+
 // TestGateProbeAndPrediction covers the two ways a root starts ungated with
 // a high estimate in place: the previous root on the identity ran longer
 // than the gate, or it is the one root in gateProbeEvery that signals
@@ -143,19 +220,21 @@ func TestGateProbeAndPrediction(t *testing.T) {
 	if err := rt.Run(fork); err != nil {
 		t.Fatal(err)
 	}
-	waitPoolParked(t, rt)
+	waitAsleep(t, rt, 1)
 	if sent, gated, _ := gateSample(rt); sent != 1 || gated != 0 {
 		t.Errorf("after a long root: %d tokens sent, %d gated; want the next root's push to signal", sent, gated)
 	}
-	rt.wakeCost.Store(warmCapNS) // whatever that wake-up measured
+	// Far above any root's length, so no root outlives its gate and sends
+	// a release token for a push already counted as gated, whatever the
+	// collector or the race detector did to it.
+	rt.wakeCost.Store(1 << 40)
 	before, _, _ := gateSample(rt)
 	for i := 0; i < 2*gateProbeEvery; i++ {
-		rt.workers[0].rootRan = 0 // whatever the collector did to the last one
 		if err := rt.Run(fork); err != nil {
 			t.Fatal(err)
 		}
-		waitPoolParked(t, rt) // a probe woke it: the next one must find it parked again
-		rt.wakeCost.Store(warmCapNS)
+		waitAsleep(t, rt, 1) // a probe woke it: the next one must find it asleep again
+		rt.wakeCost.Store(1 << 40)
 	}
 	sent, gated, _ := gateSample(rt)
 	if probes := sent - before; probes != 2 || gated != 2*gateProbeEvery-2 {

@@ -179,15 +179,14 @@ func (p *idlePolicy) stayWarm() bool {
 
 // The wake gate.  A push onto an empty deque wakes a parked thief
 // (pushTask), who is worth the wake-up only if the job is still running
-// when it arrives.  So a root run by its own caller (Runtime.run) predicts
-// its length from the previous one's, and one predicted shorter than
-// gateFactor thief wake-ups starts behind the gate: its pushes signal
+// when it arrives.  So every root — a Run caller's on worker 0, a service
+// job on the pool worker that popped it (runRoot) — predicts its length
+// from the previous root's on the same worker, and one predicted shorter
+// than gateFactor thief wake-ups starts behind the gate: its pushes signal
 // nobody.  Fork checks a gated root's age after its left branches, and once
 // the root has outlived the gate it signals for what its deque holds and
 // pushes as if never gated.  Awake thieves steal from a gated root as from
-// any other, and what a stolen task pushes always signals (runTask).  Service
-// jobs are never gated: their client sleeps, and the thief they wake is the
-// worker that is up when the next one arrives.
+// any other, and what a stolen task pushes always signals (runTask).
 //
 // What a thief's wake-up costs is Runtime.wakeCost: the first wake token a
 // root's pushes send, and a gate release's, carry the time, and the worker
@@ -222,7 +221,8 @@ func (w *Worker) wakeStamp() int64 {
 // wakeGated reports whether the trace in progress is behind the gate.
 func (w *Worker) wakeGated() bool { return w.gateUntil != 0 }
 
-// shutGate decides whether the caller's root starts gated; it returns the time.
+// shutGate decides whether the root w is about to run starts gated; it
+// returns the time.
 func (w *Worker) shutGate() int64 {
 	now := nanotime()
 	w.stamped = false

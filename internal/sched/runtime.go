@@ -218,9 +218,7 @@ func (rt *Runtime) run(ctx context.Context, fn func(*Context), jb *job) error {
 	rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
 	w := rt.workers[0]
-	start := w.shutGate()
-	d, p := w.runTrace(fn, jb)
-	w.gateUntil, w.rootRan = 0, nanotime()-start
+	d, p := w.runRoot(fn, jb)
 	// A job that outran its cancellation honours the context contract: no
 	// result after Done.
 	return w.settleRoot(d, p, ctx.Err())

@@ -86,11 +86,12 @@ type Worker struct {
 	gatedLocal    int64 // wake-ups the gate held back
 	releasedLocal int64 // gated traces that outlived the gate and signalled
 
-	// The wake gate (idle.go), worker 0's only: gateUntil, while nonzero, is
-	// when the root in progress will have outlived it; gateChecks, how often Fork has asked;
-	// stamped, whether the root has sent its timed wake token; rootRan, how
-	// long the previous root ran; gatedRoots, how many the gate has held;
-	// lastWake, this worker's previous wake-up sample.
+	// The wake gate (idle.go), for the roots this worker runs (runRoot):
+	// gateUntil, while nonzero, is when the root in progress will have
+	// outlived it; gateChecks, how often Fork has asked; stamped, whether
+	// the root has sent its timed wake token; rootRan, how long the previous
+	// root ran; gatedRoots, how many the gate has held; lastWake, this
+	// worker's previous wake-up sample.
 	gateUntil  int64
 	gateChecks uint
 	stamped    bool
@@ -399,8 +400,19 @@ func (w *Worker) runServiceJob(h *JobHandle) {
 		h.settleFromWorker(w, nil, errJobCancelled)
 		return
 	}
-	d, p := w.runTrace(h.fn, h.job)
+	d, p := w.runRoot(h.fn, h.job)
 	h.settleFromWorker(w, d, p)
+}
+
+// runRoot runs a root on w — the Run caller's as worker 0, a service job on
+// the pool worker that popped it — behind the wake gate (idle.go): the root
+// is predicted from the length of the previous one w ran, and w times it
+// for the next.
+func (w *Worker) runRoot(fn func(*Context), jb *job) (Deposit, any) {
+	start := w.shutGate()
+	d, p := w.runTrace(fn, jb)
+	w.gateUntil, w.rootRan = 0, nanotime()-start
+	return d, p
 }
 
 // endTraceAbort performs view transferal for a scope that is already
