@@ -74,15 +74,18 @@ bench-check:
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
 # failure-containment regression tests (reduce-panic resource conservation,
 # context-cancellation settlement, a monoid that panics or returns nil in
-# the root merge), and the Close-vs-Run race; then the
-# forced-steal leg: the equivalence, merge-matrix, hand-off and order suites
-# and both sweeps again with forks' continuations run as stolen tasks
-# (faultinject.SchedForceSteal), which is what reaches the hypermerge now
-# that a short job wakes no thief (internal/bench's leg compares timings, so
-# it runs without the race detector).  Widen with CHAOS_SEEDS=n.
+# the root merge, a failed view transferal that must end its trace exactly
+# once and leave the enclosing trace intact), and the Close-vs-Run race; then
+# the forced-steal leg: the equivalence, merge-matrix, hand-off and order
+# suites, both sweeps and the failed-transferal tests again with forks'
+# continuations run as stolen tasks (faultinject.SchedForceSteal), which is
+# what reaches the hypermerge now that a short job wakes no thief
+# (internal/bench's leg compares timings, so it runs without the race
+# detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures' .
+		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace' \
+		. ./internal/sched/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \
 		. ./internal/sched/ ./internal/core/ ./internal/reducers/

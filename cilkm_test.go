@@ -1,6 +1,7 @@
 package cilkm_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -178,5 +179,47 @@ func TestTypedHandleEmbedding(t *testing.T) {
 	}
 	if got := h.Peek(); got.a != 500 || got.b != 1000 {
 		t.Fatalf("embedded handle = %+v", got)
+	}
+}
+
+// TestEmptyJobAllocations pins what an empty job allocates at W = 1.  The
+// scheduler hands every trace its worker's one Context, and an engine's
+// trace token is the state it saves, so a memory-mapped Run allocates
+// nothing and a hypermap Run only the trace's fresh user hypermap (table
+// and buckets).  RunErr passes a context that is never done, so it needs
+// no cancellation record.  Submit + Wait adds the handle and its done
+// channel, the job's JobSession, and the facade's spec: its closure, its
+// settle hook and the spec itself.
+func TestEmptyJobAllocations(t *testing.T) {
+	want := map[cilkm.Mechanism]struct{ run, runErr, submit float64 }{
+		cilkm.MemoryMapped: {0, 0, 6},
+		cilkm.Hypermap:     {2, 2, 8},
+	}
+	for _, mech := range cilkm.Mechanisms() {
+		w := want[mech]
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		if n := testing.AllocsPerRun(200, func() { _ = s.Run(func(*cilkm.Context) {}) }); n != w.run {
+			t.Errorf("%v: an empty Run allocates %.1f objects, want %v", mech, n, w.run)
+		}
+		if n := testing.AllocsPerRun(200, func() { _ = s.RunErr(func(*cilkm.Context) {}) }); n != w.runErr {
+			t.Errorf("%v: an empty RunErr allocates %.1f objects, want %v", mech, n, w.runErr)
+		}
+		s.Close()
+		svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		n := testing.AllocsPerRun(200, func() {
+			h, err := svc.Submit(context.Background(), func(*cilkm.Context, *cilkm.JobSession) {})
+			if err == nil {
+				err = h.Wait()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != w.submit {
+			t.Errorf("%v: an empty Submit + Wait allocates %.1f objects, want %v", mech, n, w.submit)
+		}
+		if err := svc.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 }

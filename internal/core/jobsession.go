@@ -38,10 +38,6 @@ func NewJobSession(eng Engine) *JobSession {
 	return &JobSession{Engine: eng}
 }
 
-// Underlying returns the shared engine behind the session.  Typed reducer
-// handles unwrap it to reach their devirtualized fast paths.
-func (js *JobSession) Underlying() Engine { return js.Engine }
-
 // Register registers a reducer on the shared engine and scopes it to this
 // session: Retire (or the service's job-completion hook) unregisters it.
 // After Retire, Register fails — the job is over.

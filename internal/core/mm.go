@@ -80,19 +80,6 @@ func (ws *mmWorker) freeSlotView(s spa.Slot) {
 	ws.arena.free(int(r.monoid.arenaClass), s.View(), &ws.tally.Arena)
 }
 
-// mmTrace identifies an active trace.  Because a worker that stalls at a
-// join helps by executing other stolen tasks, traces nest: the trace token
-// holds the private SPA maps of the suspended outer trace so EndTrace can
-// restore them once the inner trace completes.
-type mmTrace struct {
-	saved *spa.MapSet
-	// ended makes the token single-shot: a trace that already ended — in
-	// particular one whose EndTrace panicked after restoring the suspended
-	// outer maps — must not swap maps again when the scheduler's abort path
-	// calls EndTrace defensively a second time.
-	ended bool
-}
-
 // dropPrivateViews discards every view in the worker's current private map
 // set without merging it anywhere: arena blocks recycle into this worker's
 // arena, heap views fall to the garbage collector.  It is the abort-path
@@ -110,11 +97,11 @@ func (ws *mmWorker) dropPrivateViews() {
 }
 
 // restoreOuterTrace swaps the (now empty) private map set for the suspended
-// outer trace's maps, exactly as the tail of a successful EndTrace does.
-func (ws *mmWorker) restoreOuterTrace(mt *mmTrace) {
-	if mt != nil && mt.saved != nil {
+// outer trace's maps, saved (the trace token), as every EndTrace ends.
+func (ws *mmWorker) restoreOuterTrace(saved *spa.MapSet) {
+	if saved != nil {
 		ws.spare = ws.private
-		ws.private = mt.saved
+		ws.private = saved
 	}
 }
 
@@ -316,15 +303,16 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 }
 
 // BeginTrace implements sched.ReducerRuntime.  The new trace starts with an
-// empty set of private SPA maps; the previous trace's maps (non-empty when
-// the worker is helping at a stalled join) are saved in the trace token and
-// restored by EndTrace.
+// empty set of private SPA maps.  Because a worker that stalls at a join
+// helps by executing other stolen tasks, traces nest: the previous trace's
+// maps (non-empty when the worker is helping at a stalled join) are the
+// trace token itself, which EndTrace restores.
 func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 	ws, _ := w.Local().(*mmWorker)
 	if ws == nil {
-		return &mmTrace{}
+		return nil
 	}
-	tr := &mmTrace{saved: ws.private}
+	saved := ws.private
 	if ws.spare != nil {
 		ws.private = ws.spare
 		ws.spare = nil
@@ -332,7 +320,7 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 		ws.private = spa.NewMapSet()
 	}
 	w.BumpViewEpoch()
-	return tr
+	return saved
 }
 
 // EndTrace implements sched.ReducerRuntime: it performs view transferal
@@ -354,13 +342,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	if ws == nil {
 		return nil
 	}
-	mt, _ := tr.(*mmTrace)
-	if mt != nil {
-		if mt.ended {
-			return nil
-		}
-		mt.ended = true
-	}
+	saved, _ := tr.(*spa.MapSet)
 	var dep *MMDeposit
 	elided := int64(0)
 	for pi := 0; pi < ws.private.Pages(); pi++ {
@@ -390,11 +372,12 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 			// Page exhaustion (or an injected fault) mid-transferal: the
 			// trace's updates cannot be deposited, so the only sound exit is
 			// to drop them and unwind.  Every private view recycles into this
-			// worker's arena, the suspended outer trace's maps come back, and
-			// the panic is contained at the job boundary by the scheduler.
+			// worker's arena and the suspended outer trace's maps come back
+			// before the panic, which the scheduler contains at the job
+			// boundary without ending this trace again.
 			ws.dropPrivateViews()
 			e.Totals.Flush(&ws.tally)
-			ws.restoreOuterTrace(mt)
+			ws.restoreOuterTrace(saved)
 			w.BumpViewEpoch()
 			panic(fmt.Errorf("core: view transferal: %w", err))
 		}
@@ -405,7 +388,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	}
 	e.Totals.Flush(&ws.tally)
 	// The now-empty map set becomes the spare for the next trace.
-	ws.restoreOuterTrace(mt)
+	ws.restoreOuterTrace(saved)
 	w.BumpViewEpoch()
 	if dep == nil {
 		return nil

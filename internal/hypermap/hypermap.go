@@ -58,18 +58,6 @@ type entry struct {
 	written bool
 }
 
-// hmTrace identifies an active trace.  Traces nest when a worker helps at a
-// stalled join, so the token saves the suspended outer trace's user
-// hypermap for EndTrace to restore.
-type hmTrace struct {
-	saved *hashTable
-	// ended makes the token single-shot: the scheduler's abort path may
-	// call EndTrace defensively on a trace that already ended, and the
-	// second call must not deposit (and then discard) the restored outer
-	// trace's hypermap.
-	ended bool
-}
-
 // Deposit is a deposited hypermap: view transferal in the hypermap scheme
 // simply hands over the map.
 type Deposit struct {
@@ -176,17 +164,18 @@ func (e *HM) WorkerInit(w *sched.Worker) {
 }
 
 // BeginTrace implements sched.ReducerRuntime.  A stolen frame starts with
-// an empty user hypermap; the suspended trace's hypermap (non-empty when
-// the worker is helping at a stalled join) is saved in the trace token.
+// an empty user hypermap.  Traces nest when a worker helps at a stalled
+// join, so the suspended trace's hypermap (non-empty in that case) is the
+// trace token itself, which EndTrace restores.
 func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 	ws, _ := w.Local().(*hmWorker)
 	if ws == nil {
-		return &hmTrace{}
+		return nil
 	}
-	tr := &hmTrace{saved: ws.user}
+	saved := ws.user
 	ws.user = newHashTable()
 	w.BumpViewEpoch()
-	return tr
+	return saved
 }
 
 // EndTrace implements sched.ReducerRuntime.  View transferal in the
@@ -197,13 +186,7 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	if ws == nil {
 		return nil
 	}
-	ht, _ := tr.(*hmTrace)
-	if ht != nil {
-		if ht.ended {
-			return nil
-		}
-		ht.ended = true
-	}
+	saved, _ := tr.(*hashTable)
 	var dep *Deposit
 	if ws.user.len() != 0 {
 		start := metrics.Start(e.Timing)
@@ -212,8 +195,8 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		ws.tally.Overhead.Tick(metrics.ViewTransferal, start)
 	}
 	e.Totals.Flush(&ws.tally)
-	if ht != nil && ht.saved != nil {
-		ws.user = ht.saved
+	if saved != nil {
+		ws.user = saved
 	} else if ws.user == nil {
 		ws.user = newHashTable()
 	}

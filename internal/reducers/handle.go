@@ -127,20 +127,12 @@ func TryNewHandle[V any](eng core.Engine, m TypedMonoid[V]) (Handle[V], error) {
 		r:     r,
 		slots: make([]viewSlot[V], eng.Workers()),
 	}
-	// Peel registration facades (core.JobSession and anything else exposing
-	// Underlying) before the type switch, so a handle registered through a
-	// per-job session still captures the concrete engine's devirtualized
-	// miss path.  Registration itself already went through the facade, which
-	// is where its scoping lives; lookups are facade-free by design.
-	conc := eng
-	for {
-		u, ok := conc.(interface{ Underlying() core.Engine })
-		if !ok {
-			break
-		}
-		conc = u.Underlying()
-	}
-	switch conc := conc.(type) {
+	// r.Engine() is the concrete engine the directory registered r with,
+	// even when eng is a registration facade such as core.JobSession, so a
+	// handle registered through a per-job session still captures the
+	// devirtualized miss path.  Registration itself went through the facade,
+	// which is where its scoping lives; lookups are facade-free by design.
+	switch conc := r.Engine().(type) {
 	case *core.MM:
 		h.mm = conc
 	case *hypermap.HM:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hypermap"
 	"repro/internal/sched"
 )
 
@@ -235,6 +236,25 @@ func TestNewCloseAllocations(t *testing.T) {
 		NewAdd[int64](eng).Close() // the first builds the type's monoid
 		if n := testing.AllocsPerRun(200, func() { NewAdd[int64](eng).Close() }); n != 3 {
 			t.Errorf("NewAdd+Close allocates %.1f objects, want 3", n)
+		}
+	})
+}
+
+// TestJobSessionHandleDevirtualized: a handle registered through a per-job
+// session resolves its misses through the concrete engine, as one
+// registered on the engine itself does, because the reducer records the
+// engine that registered it rather than the facade it was registered
+// through.
+func TestJobSessionHandleDevirtualized(t *testing.T) {
+	forEachMechanism(t, func(t *testing.T, m Mechanism) {
+		eng := NewEngine(m, 2, EngineOptions{})
+		js := core.NewJobSession(eng)
+		defer js.Retire()
+		h := NewAdd[int64](js)
+		mm, _ := eng.(*core.MM)
+		hm, _ := eng.(*hypermap.HM)
+		if h.mm != mm || h.hm != hm {
+			t.Errorf("handle miss paths mm=%p hm=%p, want mm=%p hm=%p", h.mm, h.hm, mm, hm)
 		}
 	})
 }

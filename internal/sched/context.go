@@ -6,6 +6,13 @@ import "repro/internal/faultinject"
 // scheduler: it identifies the worker currently executing the code and
 // provides the fork-join primitives.  A Context is only valid on the
 // goroutine that received it.
+//
+// Each worker has exactly one, built with the worker: every trace the
+// worker runs — a root, a stolen task, a task it helps with at a join —
+// receives the same pointer, so beginning a trace allocates none.  What
+// tells two traces on one worker apart is the worker's view epoch, which
+// the reducer mechanism bumps at every trace boundary; the pointer tells
+// apart the workers of two runtimes that share an engine.
 type Context struct {
 	w *Worker
 	// wid mirrors w.id.  Typed reducer handles index their per-worker view

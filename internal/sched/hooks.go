@@ -13,7 +13,10 @@ package sched
 
 // Trace is an opaque handle for the reducer state of one maximal sequence
 // of instructions that a worker executes in serial order between steals
-// (a "trace" in the Cilk literature).
+// (a "trace" in the Cilk literature).  It is whatever the mechanism must
+// restore when the trace ends — for both engines the suspended outer
+// trace's views, saved by BeginTrace — and the scheduler only hands it
+// back to EndTrace and Merge.
 type Trace any
 
 // Deposit is an opaque handle for the set of views a completed stolen
@@ -33,11 +36,14 @@ type ReducerRuntime interface {
 	// view state must afterwards be empty.
 	BeginTrace(w *Worker) Trace
 
-	// EndTrace is called when the work begun by the matching BeginTrace
-	// completes.  The mechanism performs view transferal: it packages the
-	// worker's current views into a Deposit (published in shared memory)
-	// and resets the worker's view state to empty so the worker can steal
-	// again.
+	// EndTrace is called exactly once per BeginTrace, when the work it
+	// began completes or fails, with the token BeginTrace returned.  The
+	// mechanism performs view transferal: it packages the worker's current
+	// views into a Deposit (published in shared memory) and restores the
+	// view state the token saved.  An EndTrace that panics (a failed
+	// transferal) must already have restored that state and released what
+	// the trace held: the scheduler contains the panic as the trace's
+	// failure and does not call EndTrace again.
 	EndTrace(w *Worker, tr Trace) Deposit
 
 	// Merge is called by the worker that owns a join when a deposited

@@ -66,7 +66,8 @@ func wrapPanic(p any) any {
 
 // job is the per-submission state shared by every task a Run spawns: the
 // cancellation flag checkpoints poll, and a progress counter the service
-// watchdog samples.  A nil *job (legacy Run) never cancels.
+// watchdog samples.  A nil *job never cancels: Run passes one, and so does
+// RunContext with a context that is never done.
 type job struct {
 	cancelled atomic.Bool
 	// progress counts scheduler-visible progress events for this job:

@@ -189,10 +189,11 @@ func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	jb := &job{}
+	var jb *job // nil, as Run passes, unless ctx can be cancelled
 	if ctx.Done() != nil {
 		// The caller runs the job, so it cannot select on ctx.Done()
 		// meanwhile: the context sets the flag itself.
+		jb = &job{}
 		stop := context.AfterFunc(ctx, func() { jb.cancelled.Store(true) })
 		defer stop()
 	}

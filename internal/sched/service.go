@@ -133,11 +133,12 @@ const (
 type JobHandle struct {
 	svc      *Service
 	fn       func(*Context)
-	job      *job
+	job      job
 	queuedAt int64 // nanotime just before the queue push (idle.go)
 
-	// prev and next link the handle into the admission queue while it is
-	// queued; guarded by svc.mu.
+	// prev and next link the handle into the service's admission queue
+	// while it is queued, and into its running ring from dispatch until it
+	// settles; guarded by svc.mu.
 	prev, next *JobHandle
 
 	// state is the queue-lifecycle state (jobState*).  It leaves New and
@@ -168,11 +169,8 @@ type JobHandle struct {
 	// paths can each believe they retired the job.
 	settleOnce atomic.Bool
 
-	// stall holds the watchdog's all-goroutine stack dump when the job was
-	// cancelled for stalling; written before the handle completes.
-	stall []byte
-
-	// lastProgress and lastActive are watchdog-goroutine-only bookkeeping.
+	// lastProgress and lastActive are the watchdog's bookkeeping, written
+	// under svc.mu.
 	lastProgress uint64
 	lastActive   time.Time
 }
@@ -205,18 +203,6 @@ func (h *JobHandle) Err() error {
 // context.Canceled and never runs; a running job is cancelled at its next
 // fork/steal/merge checkpoint.  Cancel after completion is a no-op.
 func (h *JobHandle) Cancel() { h.cancel(context.Canceled) }
-
-// StallDump returns the all-goroutine stack capture taken by the watchdog
-// when it cancelled this job, or nil if the job was not stall-cancelled.
-// Valid once Done is closed.
-func (h *JobHandle) StallDump() []byte {
-	select {
-	case <-h.done:
-		return h.stall
-	default:
-		return nil
-	}
-}
 
 // storeCause records the first cancellation cause; later causes lose.
 func (h *JobHandle) storeCause(err error) {
@@ -284,7 +270,7 @@ func (h *JobHandle) cancel(cause error) {
 	// the eviction and never queues it.  Either way it never runs.
 	queued := h.state.CompareAndSwap(jobStateQueued, jobStateEvicted)
 	if queued {
-		s.unlinkLocked(h)
+		s.dequeueLocked(h)
 	}
 	evicted := queued || h.state.CompareAndSwap(jobStateNew, jobStateEvicted)
 	s.mu.Unlock()
@@ -356,9 +342,11 @@ type Service struct {
 	cond *sync.Cond
 	// queue is the sentinel of the FIFO admission queue, a ring linked
 	// through JobHandle.prev/next: queue.next is the oldest job.  An evicted
-	// job is unlinked when it is evicted, so every entry is live.
+	// job is unlinked when it is evicted, so every entry is live.  running
+	// is the sentinel of the ring of dispatched jobs not yet settled, which
+	// the watchdog walks.  A handle is on one ring, or on neither.
 	queue     JobHandle
-	running   map[*JobHandle]struct{}
+	running   JobHandle
 	unsettled int // admitted jobs not yet settled or evicted
 	closed    bool
 	closeErr  error
@@ -391,12 +379,12 @@ func NewService(rc Config, cfg ServiceConfig) *Service {
 	}
 	s := &Service{
 		cfg:          cfg,
-		running:      make(map[*JobHandle]struct{}),
 		closeDone:    make(chan struct{}),
 		stopWatchdog: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.queue.prev, s.queue.next = &s.queue, &s.queue
+	s.running.prev, s.running.next = &s.running, &s.running
 	s.rt = start(rc, s)
 	if cfg.Watchdog > 0 {
 		go s.watchdog()
@@ -452,7 +440,6 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 	h := &JobHandle{
 		svc:      s,
 		fn:       spec.Fn,
-		job:      &job{},
 		done:     make(chan struct{}),
 		onDone:   spec.OnDone,
 		onSettle: spec.OnSettle,
@@ -519,8 +506,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 	// cancel evicts only under s.mu, so the job is still New here.
 	h.state.Store(jobStateQueued)
 	h.queuedAt = nanotime()
-	h.prev, h.next = s.queue.prev, &s.queue
-	h.prev.next, s.queue.prev = h, h
+	h.linkBefore(&s.queue)
 	s.queuedLive.Add(1)
 	s.unsettled++
 	s.admitted.Add(1)
@@ -544,11 +530,23 @@ func (h *JobHandle) abandonPreQueue(err error) {
 	h.runOnSettle()
 }
 
-// unlinkLocked takes a queued job out of the admission queue, which frees a
-// place for a blocked submitter.  Caller holds s.mu.
-func (s *Service) unlinkLocked(h *JobHandle) {
+// linkBefore appends h to the ring whose sentinel is ring: ring.prev is its
+// newest entry.  Caller holds svc.mu.
+func (h *JobHandle) linkBefore(ring *JobHandle) {
+	h.prev, h.next = ring.prev, ring
+	h.prev.next, ring.prev = h, h
+}
+
+// unlink takes h off the ring it is on.  Caller holds svc.mu.
+func (h *JobHandle) unlink() {
 	h.prev.next, h.next.prev = h.next, h.prev
 	h.prev, h.next = nil, nil
+}
+
+// dequeueLocked takes a queued job out of the admission queue, which frees a
+// place for a blocked submitter.  Caller holds s.mu.
+func (s *Service) dequeueLocked(h *JobHandle) {
+	h.unlink()
 	s.queuedLive.Add(-1)
 	s.cond.Broadcast()
 }
@@ -566,8 +564,8 @@ func (s *Service) pop() *JobHandle {
 		return nil
 	}
 	h.state.Store(jobStateRunning) // every queued job is live: cancel unlinks under s.mu
-	s.unlinkLocked(h)
-	s.running[h] = struct{}{}
+	s.dequeueLocked(h)
+	h.linkBefore(&s.running)
 	s.runningCnt.Add(1)
 	s.mu.Unlock()
 	if faultinject.Enabled() {
@@ -582,7 +580,7 @@ func (s *Service) pop() *JobHandle {
 func (s *Service) jobSettled(h *JobHandle) {
 	s.settled.Add(1)
 	s.mu.Lock()
-	delete(s.running, h)
+	h.unlink()
 	s.runningCnt.Add(-1)
 	s.unsettled--
 	s.cond.Broadcast()
@@ -618,28 +616,25 @@ func (s *Service) watchdog() {
 }
 
 // scanStalls cancels every running job whose progress counter has not moved
-// for a full watchdog window, attaching an all-goroutine stack dump.
+// for a full watchdog window, with an all-goroutine stack dump in its
+// *StallError.
 func (s *Service) scanStalls(now time.Time) {
+	var stalled []*JobHandle
 	s.mu.Lock()
-	snapshot := make([]*JobHandle, 0, len(s.running))
-	for h := range s.running {
-		snapshot = append(snapshot, h)
-	}
-	s.mu.Unlock()
-	for _, h := range snapshot {
+	for h := s.running.next; h != &s.running; h = h.next {
 		p := h.job.progress.Load()
 		if h.lastActive.IsZero() || p != h.lastProgress {
 			h.lastProgress = p
 			h.lastActive = now
 			continue
 		}
-		if now.Sub(h.lastActive) < s.cfg.Watchdog || h.completed.Load() {
-			continue
+		if now.Sub(h.lastActive) >= s.cfg.Watchdog && !h.completed.Load() {
+			stalled = append(stalled, h)
 		}
-		// Stalled: capture the diagnostic before completing the handle so
-		// StallDump is populated by the time Done closes.
-		h.stall = allStacks()
-		h.cancel(&StallError{Window: s.cfg.Watchdog, Stack: h.stall})
+	}
+	s.mu.Unlock()
+	for _, h := range stalled {
+		h.cancel(&StallError{Window: s.cfg.Watchdog, Stack: allStacks()})
 	}
 }
 

@@ -456,8 +456,8 @@ func TestServiceWatchdogStall(t *testing.T) {
 	if se.Window != 50*time.Millisecond {
 		t.Fatalf("StallError.Window = %v, want 50ms", se.Window)
 	}
-	if len(h.StallDump()) == 0 {
-		t.Fatal("StallDump is empty, want goroutine stacks")
+	if len(se.Stack) == 0 {
+		t.Fatal("StallError.Stack is empty, want goroutine stacks")
 	}
 	if got := s.Stats().WatchdogCancels; got != 1 {
 		t.Fatalf("WatchdogCancels = %d, want 1", got)

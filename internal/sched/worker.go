@@ -33,6 +33,9 @@ type Worker struct {
 	// or ends a stolen task (or the root task).
 	curTrace Trace
 
+	// ctx is the worker's one Context, handed to every trace it runs.
+	ctx Context
+
 	// curJob is the submission whose work the worker is currently
 	// executing; fork checkpoints poll its cancellation flag.  Owner-only,
 	// saved and restored around nested traces exactly like curTrace.  Nil
@@ -121,7 +124,9 @@ func newWorker(rt *Runtime, id int, seed uint64) *Worker {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Worker{rt: rt, id: id, rngState: seed}
+	w := &Worker{rt: rt, id: id, rngState: seed}
+	w.ctx = Context{w: w, wid: int32(id)}
+	return w
 }
 
 // ID returns the worker's index, in [0, Workers).
@@ -371,22 +376,29 @@ func (w *Worker) loop() {
 // here, nearest the panic, so it carries the panicking stack; or the
 // cancellation token; a failed view transferal is one too) once everything
 // the scope pushed is settled and its views are discarded on this worker.
+// EndTrace runs exactly once per BeginTrace: one that panics has already
+// restored the enclosing trace (ReducerRuntime.EndTrace), so the abort
+// path ends only a trace whose closure panicked.
 func (w *Worker) runTrace(fn func(*Context), jb *job) (d Deposit, panicked any) {
 	w.nTasks.Add(1)
 	prev, prevJob := w.curTrace, w.curJob
 	w.curTrace = w.rt.reducers.BeginTrace(w)
 	w.curJob = jb
 	mark := len(w.liveForks)
+	ending := false
 	defer func() {
 		if p := recover(); p != nil {
 			d, panicked = nil, wrapPanic(p)
-			w.abortScope(mark)
-			w.endTraceAbort()
+			if !ending {
+				w.abortScope(mark)
+				w.endTraceAbort()
+			}
 		}
 		w.curTrace, w.curJob = prev, prevJob
 		w.flushCounters()
 	}()
-	fn(&Context{w: w, wid: int32(w.id)})
+	fn(&w.ctx)
+	ending = true
 	return w.rt.reducers.EndTrace(w, w.curTrace), nil
 }
 
@@ -400,7 +412,7 @@ func (w *Worker) runServiceJob(h *JobHandle) {
 		h.settleFromWorker(w, nil, errJobCancelled)
 		return
 	}
-	d, p := w.runRoot(h.fn, h.job)
+	d, p := w.runRoot(h.fn, &h.job)
 	h.settleFromWorker(w, d, p)
 }
 
@@ -415,10 +427,10 @@ func (w *Worker) runRoot(fn func(*Context), jb *job) (Deposit, any) {
 	return d, p
 }
 
-// endTraceAbort performs view transferal for a scope that is already
-// panicking: the deposit is discarded (its merge will never run), and a
-// secondary panic from the reducer mechanism itself is contained so the
-// primary failure — already captured by the caller — is the one reported.
+// endTraceAbort ends the trace of a scope whose closure panicked: the
+// deposit is discarded (its merge will never run), and a secondary panic
+// from the reducer mechanism itself is contained so the primary failure —
+// already captured by the caller — is the one reported.
 func (w *Worker) endTraceAbort() {
 	defer func() { _ = recover() }()
 	w.rt.reducers.Discard(w, w.rt.reducers.EndTrace(w, w.curTrace))
