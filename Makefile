@@ -79,7 +79,9 @@ bench-check:
 # the forced-steal leg: the equivalence, merge-matrix, hand-off and order
 # suites, both sweeps and the failed-transferal tests again with forks'
 # continuations run as stolen tasks (faultinject.SchedForceSteal), which is
-# what reaches the hypermerge now that a short job wakes no thief
+# what reaches the hypermerge now that a short job wakes no thief, and PBFS
+# with a steal at every fork, so the root strand's take of each next frontier
+# from its own view follows a hypermerge at every join
 # (internal/bench's leg compares timings, so it runs without the race
 # detector).  Widen with CHAOS_SEEDS=n.
 chaos:
@@ -88,7 +90,7 @@ chaos:
 		. ./internal/sched/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \
-		. ./internal/sched/ ./internal/core/ ./internal/reducers/
+		. ./internal/sched/ ./internal/core/ ./internal/reducers/ ./internal/pbfs/
 	$(GO) test -count=1 -run 'ForcedSteals' ./internal/bench/
 
 # chaos-service runs the multi-tenant sweep under the race detector: N

@@ -34,9 +34,11 @@ type Result struct {
 	Layers int
 	// Reachable is the number of vertices reached.
 	Reachable int
-	// Lookups is the number of reducer lookups Parallel made: one
+	// Lookups is the number of reducer lookups Parallel's layers made: one
 	// Handle.View per frontier block, so the sum over processed layers of
-	// ⌈frontier size / bag.BlockSize⌉ (zero for Serial).
+	// ⌈frontier size / bag.BlockSize⌉, counted by the root strand between
+	// layers (zero for Serial).  The root strand's take of each next
+	// frontier is not one of them.
 	Lookups int64
 }
 
@@ -65,9 +67,10 @@ func Serial(g *graph.Graph, source int32) *Result {
 	return &Result{Dist: dist, Layers: layers, Reachable: countReachable(dist)}
 }
 
-// Parallel runs PBFS on the given session.  The session's reducer mechanism
-// (memory-mapped or hypermap) is whatever the session was built with, which
-// is exactly the knob the paper's Figure 10 turns.
+// Parallel runs PBFS on the given session as one Session.Run whose layers
+// are fork-joins.  The session's reducer mechanism (memory-mapped or
+// hypermap) is whatever the session was built with, which is exactly the
+// knob the paper's Figure 10 turns.
 func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("pbfs: nil graph")
@@ -80,20 +83,22 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pbfs: source %d outside [0,%d)", cfg.Source, n)
 	}
 	r := &runner{g: g, dist: make([]int32, n)}
-	// dist is claimed concurrently with CompareAndSwapInt32 during layer
-	// processing, so every access after the first Session.Run is atomic.
-	// Until then no worker can reach the slice and the Run is the
-	// happens-before edge, so the fill is plain stores: an atomic store is
-	// an XCHG on amd64, one per vertex.
+	// The search is one Session.Run, and it orders every access to dist:
+	// the fill below is plain stores, made before the Run publishes the
+	// slice to any worker (an atomic store is an XCHG on amd64, one per
+	// vertex); inside the Run vertices are claimed concurrently, so every
+	// access there is an atomic load or compare-and-swap; after the Run has
+	// returned no worker touches the slice again, so countReachable and
+	// Validate read it with plain loads.
 	for i := range r.dist {
-		//cilkvet:allow atomicfield -- r.dist is not reachable by any worker until the first Session.Run below, which orders these stores before every atomic access
+		//cilkvet:allow atomicfield -- plain fill before the Session.Run below publishes r.dist, which orders these stores before its atomic accesses
 		r.dist[i] = -1
 	}
-	//cilkvet:allow atomicfield -- same pre-publication fill as the loop above
+	//cilkvet:allow atomicfield -- part of the same fill before the Run
 	r.dist[cfg.Source] = 0
 
 	// The next-layer frontier is a typed bag reducer handle; the current
-	// layer is a plain bag owned by the coordinating goroutine.
+	// layer is a plain bag owned by the root strand.
 	next, err := reducers.TryNewHandle[bag.Bag[int32]](s.Engine(), bagMonoid{})
 	if err != nil {
 		return nil, fmt.Errorf("pbfs: registering frontier reducer: %w", err)
@@ -101,27 +106,35 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	r.next = next
 	defer r.next.Close()
 
+	res := &Result{}
+	if err := s.Run(func(c *sched.Context) { r.search(c, cfg.Source, res) }); err != nil {
+		return nil, err
+	}
+	res.Dist, res.Reachable = r.dist, countReachable(r.dist)
+	return res, nil
+}
+
+// search is the root strand of a traversal: one fork-join per layer, and
+// between layers it takes the next frontier out of its own view.  After a
+// layer's join that view holds every vertex the layer discovered, merged
+// in serial order from whichever workers ran its branches; Union moves them
+// into a fresh bag and leaves the view the empty bag, the monoid's
+// identity, for the next layer to fill.  It counts the layers and the
+// lookups into res.
+func (r *runner) search(c *sched.Context, source int32, res *Result) {
 	current := bag.New[int32]()
-	current.Insert(cfg.Source)
-	layers := 0
-	var lookups int64
+	current.Insert(source)
 	for depth := int32(1); !current.IsEmpty(); depth++ {
 		r.depth = depth
 		// processBlock looks the next frontier up once per block.
-		lookups += int64((current.Len() + bag.BlockSize - 1) / bag.BlockSize)
-		if err := s.Run(r.processLayer(current)); err != nil {
-			return nil, err
-		}
-		// The reducer's leftmost view now holds the next frontier; take it
-		// and reset the reducer to an empty bag for the following layer.
-		produced := r.next.Peek()
-		r.next.SetView(bag.New[int32]())
-		current = produced
+		res.Lookups += int64((current.Len() + bag.BlockSize - 1) / bag.BlockSize)
+		r.processLayer(c, current)
+		current = bag.New[int32]()
+		current.Union(r.next.View(c))
 		if !current.IsEmpty() {
-			layers++
+			res.Layers++
 		}
 	}
-	return &Result{Dist: r.dist, Layers: layers, Reachable: countReachable(r.dist), Lookups: lookups}, nil
 }
 
 // runner carries the traversal state shared by all workers.
@@ -132,22 +145,20 @@ type runner struct {
 	depth int32
 }
 
-// processLayer returns the root task that explores every vertex in the
-// current frontier in parallel: one branch per pennant, largest last so a
-// thief takes the most work, and one for the hopper.
-func (r *runner) processLayer(current *bag.Bag[int32]) func(*sched.Context) {
+// processLayer explores every vertex in the current frontier in parallel:
+// one branch per pennant, largest last so a thief takes the most work, and
+// one for the hopper.
+func (r *runner) processLayer(c *sched.Context, current *bag.Bag[int32]) {
 	pennants := current.Pennants()
 	hopper := current.Hopper()
-	return func(c *sched.Context) {
-		branches := make([]func(*sched.Context), 0, len(pennants)+1)
-		if len(hopper) > 0 {
-			branches = append(branches, func(c *sched.Context) { r.processBlock(c, hopper) })
-		}
-		for _, p := range pennants {
-			branches = append(branches, func(c *sched.Context) { r.processSubtree(c, p.Subtree()) })
-		}
-		c.ForkN(branches...)
+	branches := make([]func(*sched.Context), 0, len(pennants)+1)
+	if len(hopper) > 0 {
+		branches = append(branches, func(c *sched.Context) { r.processBlock(c, hopper) })
 	}
+	for _, p := range pennants {
+		branches = append(branches, func(c *sched.Context) { r.processSubtree(c, p.Subtree()) })
+	}
+	c.ForkN(branches...)
 }
 
 // processSubtree explores a pennant subtree: a leaf is one block, an inner

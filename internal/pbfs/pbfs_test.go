@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bag"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/pbfs"
 	"repro/internal/reducers"
@@ -145,13 +146,12 @@ func TestParallelErrors(t *testing.T) {
 	}
 }
 
-// TestLookupCountingDuringPBFS checks Result.Lookups against the serial
-// BFS: one Handle.View per block of each layer's frontier, so the count is
-// Σ_d ⌈|{v : dist[v] = d}| / BlockSize⌉ at every worker count.
-func TestLookupCountingDuringPBFS(t *testing.T) {
-	g := graph.Grid3D(48, 48, 48)
+// wantLookups is Result.Lookups computed from the serial BFS: one
+// Handle.View per block of each layer's frontier, Σ_d ⌈|{v : dist[v] = d}| /
+// BlockSize⌉.
+func wantLookups(g *graph.Graph, source int32) int64 {
 	perLayer := map[int32]int64{}
-	for _, d := range pbfs.Serial(g, 0).Dist {
+	for _, d := range pbfs.Serial(g, source).Dist {
 		if d >= 0 {
 			perLayer[d]++
 		}
@@ -160,6 +160,14 @@ func TestLookupCountingDuringPBFS(t *testing.T) {
 	for _, n := range perLayer {
 		want += (n + bag.BlockSize - 1) / bag.BlockSize
 	}
+	return want
+}
+
+// TestLookupCountingDuringPBFS checks Result.Lookups against the serial
+// BFS (wantLookups) at every worker count.
+func TestLookupCountingDuringPBFS(t *testing.T) {
+	g := graph.Grid3D(48, 48, 48)
+	want := wantLookups(g, 0)
 	for _, workers := range []int{1, 2} {
 		res, err := pbfs.Parallel(newSession(t, reducers.MemoryMapped, workers), g, pbfs.Config{Source: 0})
 		if err != nil {
@@ -171,6 +179,72 @@ func TestLookupCountingDuringPBFS(t *testing.T) {
 		if res.Lookups != want {
 			t.Errorf("W=%d: Lookups = %d, want %d", workers, res.Lookups, want)
 		}
+	}
+}
+
+// TestParallelIsOneRun: a search is one root, whatever its layer count —
+// its layers are fork-joins inside that root — on both engines.
+func TestParallelIsOneRun(t *testing.T) {
+	g := graph.Grid3D(24, 24, 24)
+	want := wantLookups(g, 0)
+	for _, m := range reducers.Mechanisms() {
+		for _, workers := range []int{1, 2} {
+			s := newSession(t, m, workers)
+			for search := 0; search < 2; search++ {
+				before := s.Runtime().Stats().RootTasks
+				res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
+				if err != nil {
+					t.Fatalf("%v W=%d: Parallel: %v", m, workers, err)
+				}
+				if err := pbfs.Validate(g, 0, res); err != nil {
+					t.Fatalf("%v W=%d: %v", m, workers, err)
+				}
+				if runs := s.Runtime().Stats().RootTasks - before; runs != 1 {
+					t.Errorf("%v W=%d: search %d of %d layers took %d Runs, want 1", m, workers, search, res.Layers, runs)
+				}
+				if res.Lookups != want {
+					t.Errorf("%v W=%d: Lookups = %d, want %d", m, workers, res.Lookups, want)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelUnderForcedSteals runs searches with every fork's
+// continuation forced to run as a stolen task (faultinject.SchedForceSteal),
+// so each layer's next frontier reaches the root strand's view through
+// hypermerges at every join before the root strand takes it.
+func TestParallelUnderForcedSteals(t *testing.T) {
+	plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1})
+	defer faultinject.Activate(plan)()
+	graphs := []*graph.Graph{
+		graph.Grid3D(24, 24, 24),
+		graph.RMAT(12, 8, 0.57, 0.19, 0.19, 7),
+	}
+	for _, m := range reducers.Mechanisms() {
+		s := newSession(t, m, 2)
+		for _, g := range graphs {
+			before := s.Engine().Registered()
+			res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
+			if err != nil {
+				t.Fatalf("%v %s: Parallel: %v", m, g.Name(), err)
+			}
+			if err := pbfs.Validate(g, 0, res); err != nil {
+				t.Fatalf("%v %s: %v", m, g.Name(), err)
+			}
+			if want := wantLookups(g, 0); res.Lookups != want {
+				t.Errorf("%v %s: Lookups = %d, want %d", m, g.Name(), res.Lookups, want)
+			}
+			if err := s.Quiescent(); err != nil {
+				t.Errorf("%v %s: %v", m, g.Name(), err)
+			}
+			if n := s.Engine().Registered(); n != before {
+				t.Errorf("%v %s: %d reducers registered after the search, want %d", m, g.Name(), n, before)
+			}
+		}
+	}
+	if plan.Fires(faultinject.SchedForceSteal) == 0 {
+		t.Error("no fork was forced")
 	}
 }
 

@@ -26,11 +26,19 @@ import (
 // steals it, the estimate reads what that took, and the worker stays warm
 // across gaps of that order.
 //
-// Only a worker whose last pickup was a service job stays warm.  Keeping
-// thieves (and waitJoin) warm the same way was measured and lost:
-// a stolen half of a 25 µs Run costs more in view creation and hypermerge
-// than it saves (docs/ARCHITECTURE.md, "no dispatcher goroutine").  The
-// wake gate at the end of this file is the selective form of that lesson.
+// A thief stays warm by another rule, the one that tells a steal that pays
+// from one that does not: the length of the root it steals from.  Keeping
+// every thief (and waitJoin) warm was measured and lost: a stolen half of a
+// 25 µs Run costs more in view creation and hypermerge than it saves
+// (docs/ARCHITECTURE.md, "no dispatcher goroutine").  A root predicted at
+// least warmCapNS long, by the predictor the wake gate uses, is another
+// matter: it is likely to push again before a wake-up would land, and its
+// halves are worth a steal.  While one runs (Runtime.longRoots), a worker
+// that has run one of its tasks, or has just been woken to, sweeps on for
+// up to warmCapNS, in loop and in waitJoin alike (thiefWarm), an idle one
+// yielding its CPU between sweeps.  No trace_cycle Run or
+// service job is predicted that long.  The wake gate at the end of this
+// file is the same lesson from the waking side.
 
 const (
 	// parkSweeps is how many empty sweeps a worker makes before it
@@ -105,7 +113,7 @@ type idlePolicy struct {
 	unparked bool
 	// warm is set while the worker's last productive pickup was a service
 	// job and the warm phase it earned has not expired.  A steal
-	// clears it: thieves are not kept warm.
+	// clears it: a thief's phase is thiefWarm's.
 	warm bool
 	// warmUntil is the deadline of the warm phase in progress, 0 when the
 	// phase has not begun.
@@ -117,6 +125,9 @@ type idlePolicy struct {
 	// neither one of those nor two in a row may open warm phases, while
 	// twenty samples of a slow wake-up are enough to learn it.
 	lastSample int64
+	// thiefUntil is the deadline of the thief's warm phase (thiefWarm),
+	// 0 until the first idle sweep after ranTask begins one.
+	thiefUntil int64
 	// unsampled counts the warm pickups since the last sample.  A worker
 	// that is always caught warm never parks, so nothing measures what a
 	// wake-up costs its callers now; after resampleEvery of them it parks
@@ -147,9 +158,44 @@ func (p *idlePolicy) tookRoot(queuedAt int64) {
 }
 
 // tookSteal records that the worker stole a task, which ends any claim to
-// a warm phase.
+// a service job's warm phase and opens the thief's (ranTask).
 func (p *idlePolicy) tookSteal() {
 	p.unparked, p.warm, p.warmUntil = false, false, 0
+	p.ranTask()
+}
+
+// ranTask records that the worker ran a task of some root's — a stolen
+// one, one it helped with at a join, the branch before a join it stalls at —
+// or was woken to steal one.  A woken thief that finds the task already
+// popped back would otherwise park at once and be woken, late again, by the
+// root's next push.
+func (p *idlePolicy) ranTask() { p.thiefUntil = 0 }
+
+// thiefWarm is stayWarm for a thief: while a root predicted long runs
+// (rt.longRoots), a worker that has run one of its tasks keeps sweeping for
+// warmCapNS after the last, since that root is likely to push again before
+// a wake-up could deliver it.  No phase outlives the long roots, and an
+// expired one stays expired until the next ranTask.
+//
+// Between sweeps an idle thief (loop) yields its CPU as well as its P
+// (osYield).  A thread woken by the root's push starts on the root's CPU,
+// and a 2-vCPU guest kept the two there for hundreds of ms.  A thief that
+// yielded only its P then spun away the root's CPU for a whole phase before
+// it parked: 100³-grid searches at W = 2 with both workers pinned to one
+// CPU took a median 93 ms, against 87 ms with thieves that park at once,
+// and 74 ms yielding the CPU as well.  On a CPU of its own the yield returns
+// at once, but it is a system call, 0.5–5 µs on that guest, so a worker
+// stalled at a join (waitJoin), whose next step is the join's completion,
+// yields only its P; pinned to one CPU that read the same.
+func (p *idlePolicy) thiefWarm(rt *Runtime) bool {
+	if rt.longRoots.Load() == 0 {
+		return false
+	}
+	now := nanotime()
+	if p.thiefUntil == 0 {
+		p.thiefUntil = now + warmCapNS
+	}
+	return now < p.thiefUntil
 }
 
 // stayWarm reports whether the worker, having found nothing, should yield

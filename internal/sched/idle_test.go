@@ -367,3 +367,164 @@ func spinFor(ns int64) {
 	for end := nanotime() + ns; nanotime() < end; {
 	}
 }
+
+// longRootRuntime returns a two-worker runtime whose pool worker is parked
+// and whose next root is predicted at least warmCapNS long: the previous
+// root on worker 0 spun for twice that.
+func longRootRuntime(t *testing.T) *Runtime {
+	t.Helper()
+	rt := New(Config{Workers: 2})
+	if err := rt.Run(func(*Context) { spinFor(2 * warmCapNS) }); err != nil {
+		t.Fatalf("priming Run: %v", err)
+	}
+	waitAsleep(t, rt, 1)
+	return rt
+}
+
+// engageThief is a fork-join whose continuation the pool worker must steal:
+// the left half waits for the steal, so the thief's wake-up, whatever it
+// costs, is over before the rounds that follow begin.  With two processors
+// both halves then spin until the OS has run them side by side (spread),
+// since a woken thread starts on its waker's CPU and a small guest can take
+// hundreds of ms to move it; a warm thief then never sleeps again, so it is
+// never put back.  It reports false if the two threads were still sharing a
+// CPU after a minute.
+func engageThief(c *Context) bool {
+	var sp spread
+	parallel := min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2
+	steals := c.Runtime().Stats().Steals
+	c.Fork(func(c *Context) {
+		for c.Runtime().Stats().Steals == steals {
+		}
+		if parallel {
+			sp.spin(0)
+		}
+	}, func(*Context) {
+		if parallel {
+			sp.spin(1)
+		}
+	})
+	return !parallel || sp.apart.Load()
+}
+
+// spread is engageThief's spin: for each half, since when it has run
+// without losing its CPU for 50 µs and when it last read the clock.
+type spread struct {
+	since, beat [2]atomic.Int64
+	done, apart atomic.Bool
+}
+
+// spin runs half i until both halves have run without losing their CPUs
+// for the last 2 ms, or for a minute.
+func (sp *spread) spin(i int) {
+	start := nanotime()
+	sp.since[i].Store(start)
+	for last := start; !sp.done.Load(); {
+		now := nanotime()
+		if now-last > 50_000 {
+			sp.since[i].Store(now)
+		}
+		last = now
+		sp.beat[i].Store(now)
+		if now-sp.since[i].Load() >= 2_000_000 && now-sp.beat[1-i].Load() < 50_000 && now-sp.since[1-i].Load() >= 2_000_000 {
+			sp.apart.Store(true)
+			sp.done.Store(true)
+		}
+		if now-start > int64(time.Minute) {
+			sp.done.Store(true)
+		}
+	}
+}
+
+// forkRound is one fork-join of two 2 µs halves: the continuation is the
+// thief's to take, and a thief that runs it stores when it finished in
+// thiefDone.
+func forkRound(c *Context, thiefDone *atomic.Int64) {
+	c.Fork(func(*Context) { spinFor(2_000) }, func(c *Context) {
+		spinFor(2_000)
+		if c.WorkerID() != 0 {
+			thiefDone.Store(nanotime())
+		}
+	})
+}
+
+// TestIdleThiefWarmAcrossLongRootGaps: while a root predicted long runs,
+// its thief rides out the serial gaps between the root's fork-joins warm
+// instead of parking after each (a park, then a wake-up that arrives after
+// the round's continuation has been popped back, a round).  A gap of 3 µs
+// is many parkSweeps sweeps and well inside warmCapNS.
+//
+// A worker that loses its CPU for warmCapNS — the root in a round, the thief
+// in its half or between rounds — may legitimately park once it has it
+// back, and on a box shared with other tests that happens.  So each park is
+// charged to the round in which the root sees it, and excused when that
+// round lasted warmCapNS or the thief's last task ended warmCapNS before the
+// round did; no policy that keeps a thief warm for warmCapNS after its last
+// task parks otherwise.
+func TestIdleThiefWarmAcrossLongRootGaps(t *testing.T) {
+	// With more Ps than CPUs the Go scheduler may move the thief, at any
+	// Gosched, to a thread that shares the root's CPU.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(min(runtime.GOMAXPROCS(0), runtime.NumCPU())))
+	rt := longRootRuntime(t)
+	defer rt.Close()
+	const rounds = 100
+	var parks, excused int64
+	if err := rt.Run(func(c *Context) {
+		if !engageThief(c) {
+			t.Error("the thief never ran beside the root")
+			return
+		}
+		var thiefDone atomic.Int64
+		thiefDone.Store(nanotime())
+		seen := rt.parks.Load()
+		before := seen
+		for i := 0; i < rounds; i++ {
+			start := nanotime()
+			forkRound(c, &thiefDone)
+			spinFor(3_000)
+			if n := rt.parks.Load(); n != seen {
+				if end := nanotime(); end-start >= warmCapNS || end-thiefDone.Load() >= warmCapNS {
+					excused += n - seen
+				}
+				seen = n
+			}
+		}
+		parks = seen - before
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	t.Logf("%d parks (%d after a worker lost its CPU for warmCapNS), %d steals over %d rounds", parks, excused, rt.Stats().Steals, rounds)
+	if parks-excused > 2 {
+		t.Errorf("%d parks while the long root ran, %d of them excused; want at most 2 others", parks, excused)
+	}
+	if rt.longRoots.Load() != 0 {
+		t.Errorf("%d long roots counted after the root returned", rt.longRoots.Load())
+	}
+}
+
+// TestIdleThiefParksInsideLongRoot: a root predicted long that stops
+// forking does not hold its thief awake to its end: the thief parks within
+// warmCapNS of its last task (plus slack for the OS), while the root still
+// runs.
+func TestIdleThiefParksInsideLongRoot(t *testing.T) {
+	const slack = 100 * time.Millisecond
+	rt := longRootRuntime(t)
+	defer rt.Close()
+	var idle time.Duration
+	if err := rt.Run(func(c *Context) {
+		_ = engageThief(c)
+		var thiefDone atomic.Int64
+		for i := 0; i < 10; i++ {
+			forkRound(c, &thiefDone)
+		}
+		start := nanotime()
+		waitAsleep(t, rt, 1)
+		idle = time.Duration(nanotime() - start)
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	t.Logf("thief asleep %v after the last fork-join (%d steals)", idle, rt.Stats().Steals)
+	if idle > warmCapNS+slack {
+		t.Errorf("thief asleep %v after the root's last fork-join, want under %v", idle, warmCapNS+slack)
+	}
+}

@@ -73,6 +73,11 @@ type Runtime struct {
 	wakeCost  atomic.Int64
 	wakesSent atomic.Int64
 
+	// longRoots counts the roots running now that were predicted at least
+	// warmCapNS long (runRoot); while it is nonzero a thief that runs out
+	// of work stays warm (idle.go).
+	longRoots atomic.Int32
+
 	roots atomic.Int64 // Run invocations (Stats.RootTasks)
 }
 

@@ -305,12 +305,13 @@ func (w *Worker) flushCounters() {
 // loop is the pool worker's scheduling loop: sweep the other deques and the
 // service's admission queue; after parkSweeps empty sweeps either
 // stay warm (idle.go: yield the P and sweep again, for a time set by what a
-// wake-up is measured to cost) or park.  Parking follows a Dekker-style protocol
-// with signalWork: the worker registers itself in rt.parked and then
-// re-checks every deque, while a forking worker publishes its push and then
-// reads rt.parked.  Go atomics are sequentially consistent, so one of the
-// two always sees the other and no wakeup is lost — there is no timed poll
-// anywhere, and a warm worker is not registered, so it needs no signal.
+// wake-up is measured to cost, or while a long root runs) or park.  Parking
+// follows a Dekker-style protocol with signalWork: the worker registers
+// itself in rt.parked and then re-checks every deque, while a forking worker
+// publishes its push and then reads rt.parked.  Go atomics are sequentially
+// consistent, so one of the two always sees the other and no wakeup is lost
+// — there is no timed poll anywhere, and a warm worker is not registered, so
+// it needs no signal.
 func (w *Worker) loop() {
 	rt := w.rt
 	rt.started.Done()
@@ -343,6 +344,12 @@ func (w *Worker) loop() {
 			runtime.Gosched()
 			continue
 		}
+		if w.idle.thiefWarm(rt) {
+			// The CPU too: the root may be waiting for it (thiefWarm).
+			runtime.Gosched()
+			osYield()
+			continue
+		}
 		// Register as parked and re-check for work that raced with the
 		// registration before actually sleeping.
 		sweeps = 0
@@ -364,6 +371,7 @@ func (w *Worker) loop() {
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
 			w.idle.unparked = true
+			w.idle.ranTask()
 			w.woke(sent, parkedAt)
 		}
 	}
@@ -419,11 +427,20 @@ func (w *Worker) runServiceJob(h *JobHandle) {
 // runRoot runs a root on w — the Run caller's as worker 0, a service job on
 // the pool worker that popped it — behind the wake gate (idle.go): the root
 // is predicted from the length of the previous one w ran, and w times it
-// for the next.
+// for the next.  A root predicted at least warmCapNS long counts in
+// rt.longRoots while it runs, which keeps its thieves warm between steals
+// (idle.go); runTrace contains every panic, so the count always comes down.
 func (w *Worker) runRoot(fn func(*Context), jb *job) (Deposit, any) {
+	long := w.rootRan >= warmCapNS
+	if long {
+		w.rt.longRoots.Add(1)
+	}
 	start := w.shutGate()
 	d, p := w.runTrace(fn, jb)
 	w.gateUntil, w.rootRan = 0, nanotime()-start
+	if long {
+		w.rt.longRoots.Add(-1)
+	}
 	return d, p
 }
 
@@ -506,14 +523,18 @@ func (w *Worker) trySteal() *task {
 // idle.  When there is nothing to help with, the worker parks on the join's
 // waiter channel and on the runtime's wake channel (registering in
 // rt.parked first, like loop), so it is woken immediately by either the
-// completing thief or by new work — no timed polling.
+// completing thief or by new work — no timed polling.  While a long root
+// runs it first stays warm like an idle thief (idle.go, thiefWarm).
 func (w *Worker) waitJoin(j *join) {
 	w.nStalledJoins.Add(1)
 	rt := w.rt
 	attempts := 0
+	// The branch this worker ran before the join is its last task.
+	w.idle.ranTask()
 	for !j.finished() {
 		if t := w.trySteal(); t != nil {
 			w.nHelped.Add(1)
+			w.idle.ranTask()
 			w.runTask(t)
 			attempts = 0
 			continue
@@ -527,6 +548,12 @@ func (w *Worker) waitJoin(j *join) {
 		}
 		attempts++
 		if attempts < parkSweeps {
+			continue
+		}
+		if w.idle.thiefWarm(rt) {
+			// Only the P: the join's completion is this worker's next
+			// step, and a CPU yield costs microseconds (thiefWarm).
+			runtime.Gosched()
 			continue
 		}
 		attempts = 0
@@ -555,6 +582,7 @@ func (w *Worker) waitJoin(j *join) {
 			if rt.workAvailable() || rt.serviceReady() {
 				rt.signalWork(0)
 			}
+			w.idle.ranTask()
 		}
 		rt.unparks.Add(1)
 		rt.parked.Add(-1)
