@@ -56,17 +56,20 @@ func gatedService(t *testing.T, hold int64) *Service {
 func waitAsleep(t *testing.T, rt *Runtime, n int) {
 	t.Helper()
 	start := nanotime()
-	for {
-		sent := rt.wakesSent.Load()
-		unparks := rt.unparks.Load()
-		if unparks >= sent && rt.parks.Load()-unparks == int64(n) && rt.parked.Load() == int32(n) {
-			return
-		}
+	for !asleep(rt, n) {
 		if nanotime()-start > int64(10*time.Second) {
-			t.Fatalf("workers never fell asleep: %d of %d parked, %d tokens sent, %d unparks", rt.parked.Load(), n, sent, unparks)
+			t.Fatalf("workers never fell asleep: %d of %d parked, %d tokens sent, %d unparks", rt.parked.Load(), n, rt.wakesSent.Load(), rt.unparks.Load())
 		}
 		runtime.Gosched()
 	}
+}
+
+// asleep reports whether exactly n pool workers are parked with no wake
+// token in flight (waitAsleep).
+func asleep(rt *Runtime, n int) bool {
+	sent := rt.wakesSent.Load()
+	unparks := rt.unparks.Load()
+	return unparks >= sent && rt.parks.Load()-unparks == int64(n) && rt.parked.Load() == int32(n)
 }
 
 // TestGateShortRootWakesNobody: a root that ends inside its gate forks and

@@ -35,10 +35,9 @@ import (
 // matter: it is likely to push again before a wake-up would land, and its
 // halves are worth a steal.  While one runs (Runtime.longRoots), a worker
 // that has run one of its tasks, or has just been woken to, sweeps on for
-// up to warmCapNS, in loop and in waitJoin alike (thiefWarm), an idle one
-// yielding its CPU between sweeps.  No trace_cycle Run or
-// service job is predicted that long.  The wake gate at the end of this
-// file is the same lesson from the waking side.
+// up to warmCapNS, in loop and in waitJoin alike (thiefWarm).  No
+// trace_cycle Run or service job is predicted that long.  The wake gate at
+// the end of this file is the same lesson from the waking side.
 
 const (
 	// parkSweeps is how many empty sweeps a worker makes before it
@@ -176,17 +175,6 @@ func (p *idlePolicy) ranTask() { p.thiefUntil = 0 }
 // warmCapNS after the last, since that root is likely to push again before
 // a wake-up could deliver it.  No phase outlives the long roots, and an
 // expired one stays expired until the next ranTask.
-//
-// Between sweeps an idle thief (loop) yields its CPU as well as its P
-// (osYield).  A thread woken by the root's push starts on the root's CPU,
-// and a 2-vCPU guest kept the two there for hundreds of ms.  A thief that
-// yielded only its P then spun away the root's CPU for a whole phase before
-// it parked: 100³-grid searches at W = 2 with both workers pinned to one
-// CPU took a median 93 ms, against 87 ms with thieves that park at once,
-// and 74 ms yielding the CPU as well.  On a CPU of its own the yield returns
-// at once, but it is a system call, 0.5–5 µs on that guest, so a worker
-// stalled at a join (waitJoin), whose next step is the join's completion,
-// yields only its P; pinned to one CPU that read the same.
 func (p *idlePolicy) thiefWarm(rt *Runtime) bool {
 	if rt.longRoots.Load() == 0 {
 		return false

@@ -345,9 +345,7 @@ func (w *Worker) loop() {
 			continue
 		}
 		if w.idle.thiefWarm(rt) {
-			// The CPU too: the root may be waiting for it (thiefWarm).
 			runtime.Gosched()
-			osYield()
 			continue
 		}
 		// Register as parked and re-check for work that raced with the
@@ -551,8 +549,6 @@ func (w *Worker) waitJoin(j *join) {
 			continue
 		}
 		if w.idle.thiefWarm(rt) {
-			// Only the P: the join's completion is this worker's next
-			// step, and a CPU yield costs microseconds (thiefWarm).
 			runtime.Gosched()
 			continue
 		}
