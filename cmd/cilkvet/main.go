@@ -7,7 +7,7 @@
 // Standalone, over whole package patterns (the `make lint` entry point):
 //
 //	cilkvet ./...
-//	cilkvet -epochbump.funcs='^MM\.Unregister$' ./internal/core
+//	cilkvet -epochbump.funcs='^MM\.lookupMiss$' ./internal/core
 //
 // As a go vet tool, one compiled package at a time:
 //

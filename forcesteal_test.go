@@ -27,6 +27,7 @@ func TestUnderForcedSteals(t *testing.T) {
 		t.Run("MechanismsAgreeOnAggregates", TestMechanismsAgreeOnAggregates)
 		t.Run("ReadOnlyAccessesPreserveEquivalence", TestReadOnlyAccessesPreserveEquivalence)
 		t.Run("FastPathInvalidationOnMidRunUnregister", TestFastPathInvalidationOnMidRunUnregister)
+		t.Run("RetiredHandleNeverReachesSuccessor", TestRetiredHandleNeverReachesSuccessor)
 		t.Run("FastPathInvalidationOnHypermerge", TestFastPathInvalidationOnHypermerge)
 		t.Run("RunContextCancelSettles", TestRunContextCancelSettles)
 		t.Run("ConcurrentRunCallersMatchSerial", TestConcurrentRunCallersMatchSerial)

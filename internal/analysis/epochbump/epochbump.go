@@ -3,10 +3,12 @@
 //
 // The typed reducer handles cache (reducer, view) resolutions against a
 // per-worker epoch counter.  Any operation that retires or moves a view —
-// unregistering a reducer, reusing an SPA slot, stealing across a trace
-// boundary, merging child views — must bump that epoch
-// (Worker.BumpViewEpoch, directly or through core.Base's every-worker
-// sweep) before the old view word can be recycled.
+// crossing a trace boundary, merging child views, dropping a retired
+// reducer's view from a recycled SPA slot — must bump that epoch
+// (Worker.BumpViewEpoch) before the old view word can be recycled.  A view
+// dies only on the worker that holds it, so each of these paths bumps its
+// own worker's epoch; unregistering a reducer kills no view and need not
+// bump.
 // Forgetting the bump does not crash: the stale cache
 // entry keeps resolving to the retired view and updates are silently lost
 // into freed memory.  That failure mode survives tests unless a schedule
@@ -34,9 +36,10 @@ import (
 
 // DefaultFuncs matches the retirement entry points of the memory-mapped
 // reducer runtime: the core MM and hypermap HM trace and merge hooks and
-// the Unregister both engines share through core.Base.  Growing the SPA
-// address range moves no view, so the directory's growth hook is not one.
-const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge)$|^Base\.Unregister$`
+// their lookup misses, which drop stale occupants of recycled addresses.
+// Unregistering and growing the SPA address range move no view, so neither
+// Base.Unregister nor the directory's growth hook is one.
+const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge|lookupMiss)$`
 
 // DefaultBumps are the blessed invalidation publishers.
 const DefaultBumps = "BumpViewEpoch"

@@ -4,13 +4,13 @@ type MM struct{ epoch uint64 }
 
 func (m *MM) BumpViewEpoch() { m.epoch++ }
 
-func (m *MM) invalidateViews() { m.BumpViewEpoch() }
+func (m *MM) dropView() { m.BumpViewEpoch() }
 
-func (m *MM) BeginTrace() { // transitive bump through retire and the sweep: ok
+func (m *MM) BeginTrace() { // transitive bump through retire and dropView: ok
 	m.retire()
 }
 
-func (m *MM) retire() { m.invalidateViews() }
+func (m *MM) retire() { m.dropView() }
 
 func (m *MM) EndTrace() {} // want `MM\.EndTrace retires or moves views but never reaches`
 
@@ -36,11 +36,17 @@ func (h *HM) EndTrace() { // want `HM\.EndTrace retires or moves views but never
 // reachability walk, and neither side bumps.
 func recycle(h *HM) { h.EndTrace() }
 
-// Base stands for the frame both engines embed, where Unregister lives.
+// lookupMiss drops a stale occupant of a recycled address without a bump.
+func (h *HM) lookupMiss(stale bool) { // want `HM\.lookupMiss retires or moves views but never reaches`
+	if stale {
+		h.mm = MM{}
+	}
+}
+
+// Base stands for the frame both engines embed.  Unregister kills no view,
+// so it is not matched by -funcs.
 type Base struct{ mm *MM }
 
-func (b *Base) Unregister() { // want `Base\.Unregister retires or moves views but never reaches`
-	b.mm = nil
-}
+func (b *Base) Unregister() { b.mm = nil }
 
 func (h *HM) helperOnly() {} // not matched by -funcs: ok

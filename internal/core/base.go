@@ -9,13 +9,12 @@ import (
 )
 
 // Base is the frame both reducer engines embed: everything about an engine
-// that is not its mechanism.  It registers reducers in the directory, keeps
-// the list of attached workers, sweeps their view epochs when a reducer is
-// retired, and holds the one counter block every count of the engine goes
-// through — so measured differences between the memory-mapped engine and
-// the hypermap isolate the lookup structures and merges themselves.  The
-// engine keeps its lookup structure, its trace and merge hooks, its
-// per-worker state and its Quiescent walk.
+// that is not its mechanism.  It registers and retires reducers in the
+// directory, keeps the list of attached workers, and holds the one counter
+// block every count of the engine goes through — so measured differences
+// between the memory-mapped engine and the hypermap isolate the lookup
+// structures and merges themselves.  The engine keeps its lookup structure,
+// its trace and merge hooks, its per-worker state and its Quiescent walk.
 //
 // The exported fields are the engine's to use and nobody else's.
 type Base struct {
@@ -27,8 +26,8 @@ type Base struct {
 	// (pair metrics.Start with Breakdown.Tick).
 	Timing bool
 	// Attached is the RCU-published list of attached workers, whose Local
-	// is the engine's per-worker state, so the invalidation sweep and the
-	// Quiescent walk iterate it without a lock.
+	// is the engine's per-worker state, so the Quiescent walk iterates it
+	// without a lock.
 	Attached atomic.Pointer[[]*sched.Worker]
 
 	self  Engine
@@ -72,39 +71,24 @@ func (b *Base) Register(m Monoid) (*Reducer, error) {
 // Unregister implements Engine.  The directory's compare-and-swap performs
 // the registry identity check: a double-unregister — even one racing a slot
 // reuse — can never delete another live reducer's entry or free an address
-// twice.  A successful unregister bumps every attached worker's view epoch
-// so every context re-resolves its cached view on the next lookup.
-// Re-resolution of the retired handle itself yields the frozen leftmost
-// value — unless the calling worker still holds the reducer's private view
-// for the current trace, in which case that view (doomed to be dropped,
-// never merged) remains readable until the trace ends; the owner stamp
-// guarantees no OTHER reducer can ever observe it.
+// twice.  It touches no worker: a retired reducer's private views die
+// where they are held, at their worker's next trace boundary or merge, or
+// where that worker's lookup finds the address recycled and drops the view
+// (bumping its own view epoch, so no handle cache keeps serving it).  A
+// re-resolution of the retired handle yields the frozen leftmost value —
+// unless the calling worker still holds the reducer's private view for the
+// current trace, in which case that view (doomed to be dropped, never
+// merged) remains readable until then; the owner stamp guarantees no OTHER
+// reducer can ever observe it.
 func (b *Base) Unregister(r *Reducer) {
 	if r != nil && r.eng == b.self {
-		b.unregisterAll(r)
+		b.Dir.Unregister(r)
 	}
 }
 
 // unregisterAll is Unregister for reducers this engine registered, under one
-// acquisition of the directory's lock and with one sweep of the view epochs
-// for the lot, if any was live: retiring a job's reducers invalidates the
-// other running jobs' handle caches once, not once per reducer.
-func (b *Base) unregisterAll(rs ...*Reducer) {
-	if b.Dir.Unregister(rs...) > 0 {
-		b.invalidateViews()
-	}
-}
-
-// invalidateViews bumps every attached worker's view epoch, forcing every
-// handle's cached view to re-resolve on its next access: the publication
-// step for events that change view metadata beneath running contexts.
-func (b *Base) invalidateViews() {
-	if list := b.Attached.Load(); list != nil {
-		for _, w := range *list {
-			w.BumpViewEpoch()
-		}
-	}
-}
+// acquisition of the directory's lock: a job's batch retire.
+func (b *Base) unregisterAll(rs ...*Reducer) { b.Dir.Unregister(rs...) }
 
 // Registered returns the number of live reducers.
 func (b *Base) Registered() int { return b.Dir.Live() }
@@ -122,7 +106,8 @@ func (b *Base) WorkerInit(w *sched.Worker) {
 	if n := int64(w.Runtime().Workers()); n > b.nworkers.Load() {
 		b.nworkers.Store(n)
 	}
-	// Copy on write: the sweeps iterate the published list lock-free.
+	// Copy on write: the Quiescent walks iterate the published list
+	// lock-free.
 	var grown []*sched.Worker
 	if cur := b.Attached.Load(); cur != nil {
 		grown = append(grown, *cur...)

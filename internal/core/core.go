@@ -26,15 +26,16 @@ type Engine interface {
 	// Register is safe to call concurrently, including from inside
 	// parallel regions.
 	Register(m Monoid) (*Reducer, error)
-	// Unregister retires a reducer, recycling its slot address.  The
-	// reducer's leftmost view (its value as of the unregister) remains
-	// readable; local views still in flight inside a running parallel
-	// region are dropped rather than merged (a worker that already holds
-	// such a view may keep reading it until its trace ends, but no other
-	// reducer — in particular none registered at the recycled address —
-	// can ever observe it).  Unregister is safe to call concurrently; a
-	// second Unregister of the same handle is a no-op even after the slot
-	// has been recycled to a new reducer.
+	// Unregister retires a reducer, recycling its slot address.  The reducer's
+	// leftmost view (its value as of the unregister) remains readable; local
+	// views still in flight inside a running parallel region are dropped
+	// rather than merged, each by the worker that holds it (that worker may
+	// keep reading it until its trace ends or its own lookup drops it from the
+	// recycled address, but no other reducer — in particular none registered
+	// at the recycled address — can ever observe it).  Unregister itself
+	// touches no worker.  Unregister is safe to call concurrently; a second
+	// Unregister of the same handle is a no-op even after the slot has been
+	// recycled to a new reducer.
 	Unregister(r *Reducer)
 	// Registered reports the number of live reducers.  Both engines answer
 	// from the directory's counters, under its lock.
@@ -48,16 +49,16 @@ type Engine interface {
 	// slot's written bit, which exempts the view from the merge pipeline's
 	// identity-view elision.
 	//
-	// newEpoch is the worker view epoch the resolution is valid for,
-	// sampled before the probe on hit and miss alike, so a concurrent
-	// invalidation can only make a caching caller conservatively
-	// re-resolve.  Zero tells the caller not to cache the word — engines
-	// return it for nil contexts (serial code outside the scheduler, which
-	// sees the leftmost view) and for retired handles, whose frozen
-	// leftmost value must be re-read on every access.  prevEpoch is the
-	// epoch of the caller's invalidated cache entry (zero on first touch);
-	// neither built-in engine reads it.
-	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, newEpoch uint64)
+	// cache reports whether the caller may cache the word until c's view
+	// epoch (c.ViewEpoch(), read after the call) moves.  Only c's own
+	// worker bumps that epoch — wherever a view it resolved can die,
+	// including inside this call — so the epoch read after the call is
+	// the one the word is valid for.  cache is false for nil contexts
+	// (serial code outside the scheduler, which sees the leftmost view)
+	// and for retired handles, whose frozen leftmost value must be re-read
+	// on every access.  prevEpoch is the epoch of the caller's invalidated
+	// cache entry (zero on first touch); neither built-in engine reads it.
+	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, cache bool)
 
 	// Workers reports how many per-worker lookup structures the engine
 	// currently maintains (the construction-time worker count, grown if a

@@ -119,18 +119,16 @@ func (d *Directory) take() (spa.Addr, uint64, error) {
 }
 
 // Unregister removes each of rs from the directory and recycles its
-// address, under one acquisition of the lock, and returns how many were
-// live here; nil entries are skipped.  The compare-and-swap on a reducer's
-// validity flag is the registry identity check: a second Unregister of the
-// same handle, or one for a reducer of another directory, fails it, counts
-// a stale unregister and touches nothing else, so a double-unregister can
-// never push a live address onto the free list.  The order is the design:
-// the flag is cleared before the address is pushed, so by the time a
-// successor can be registered at the address its predecessor already reads
-// invalid, and a merge that finds two owners at one address has at most one
-// valid side.
-func (d *Directory) Unregister(rs ...*Reducer) int {
-	live := 0
+// address, under one acquisition of the lock; nil entries are skipped.  The
+// compare-and-swap on a reducer's validity flag is the registry identity
+// check: a second Unregister of the same handle, or one for a reducer of
+// another directory, fails it, counts a stale unregister and touches
+// nothing else, so a double-unregister can never push a live address onto
+// the free list.  The order is the design: the flag is cleared before the
+// address is pushed, so by the time a successor can be registered at the
+// address its predecessor already reads invalid, and a merge that finds two
+// owners at one address has at most one valid side.
+func (d *Directory) Unregister(rs ...*Reducer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, r := range rs {
@@ -143,9 +141,7 @@ func (d *Directory) Unregister(rs ...*Reducer) int {
 		}
 		d.n.Unregisters++
 		d.free = append(d.free, r.addr)
-		live++
 	}
-	return live
 }
 
 // Valid reports whether r is still the live registration for its address

@@ -74,17 +74,21 @@ func TestDirectoryRecyclesLIFO(t *testing.T) {
 					}
 					rs[j] = r
 				}
-				if n := d.Unregister(rs...); n != k {
-					t.Errorf("batch Unregister retired %d of %d live reducers", n, k)
-					return
+				d.Unregister(rs...)
+				for _, r := range rs {
+					if d.Valid(r) {
+						t.Errorf("batch Unregister left reducer %d valid", r.ID())
+						return
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if st := d.Stats(); st.FreshSlots > workers*k || st.Live != 0 || st.FreeSlots != st.FreshSlots {
-		t.Fatalf("after churn: FreshSlots=%d Live=%d FreeSlots=%d, want FreshSlots ≤ %d, no live, every address free",
-			st.FreshSlots, st.Live, st.FreeSlots, workers*k)
+	if st := d.Stats(); st.FreshSlots > workers*k || st.Live != 0 || st.FreeSlots != st.FreshSlots ||
+		st.Unregisters != workers*rounds*k || st.StaleUnregisters != 0 {
+		t.Fatalf("after churn: %+v, want FreshSlots ≤ %d, no live, every address free, %d unregisters and none stale",
+			st, workers*k, workers*rounds*k)
 	}
 }
 
@@ -94,8 +98,9 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if !d.Valid(r1) || d.Live() != 1 {
 		t.Fatal("fresh registration not valid")
 	}
-	if d.Unregister(r1) != 1 {
-		t.Fatal("Unregister did not count a live reducer")
+	d.Unregister(r1)
+	if st := d.Stats(); st.Unregisters != 1 {
+		t.Fatalf("Unregister did not count a live reducer: %+v", st)
 	}
 	if d.Valid(r1) || d.Live() != 0 {
 		t.Fatal("retired handle still valid")
@@ -119,8 +124,9 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 	if foreign.Addr() != r2.Addr() {
 		t.Fatalf("foreign reducer at address %d, want %d", foreign.Addr(), r2.Addr())
 	}
-	if d.Valid(foreign) || d.Unregister(foreign) != 0 {
-		t.Fatal("a reducer of another directory passed for one of this directory's")
+	d.Unregister(foreign)
+	if st := d.Stats(); d.Valid(foreign) || st.Unregisters != 1 || st.StaleUnregisters != 1 {
+		t.Fatalf("a reducer of another directory passed for one of this directory's: %+v", st)
 	}
 	if !other.Valid(foreign) || !d.Valid(r2) || d.Live() != 1 {
 		t.Fatal("the foreign unregister attempt disturbed a live registration")
@@ -133,16 +139,18 @@ func TestDirectoryRecycleAndEpochValidity(t *testing.T) {
 func TestDirectoryDoubleUnregister(t *testing.T) {
 	d := core.NewDirectory(nil)
 	r1, _ := d.Register(nil, sumMonoid)
-	if d.Unregister(r1) != 1 {
-		t.Fatal("first Unregister failed")
+	d.Unregister(r1)
+	if st := d.Stats(); st.Unregisters != 1 {
+		t.Fatalf("first Unregister failed: %+v", st)
 	}
 	r2, _ := d.Register(nil, sumMonoid)
 	if r2.Addr() != r1.Addr() {
 		t.Fatalf("slot not recycled: got %d, want %d", r2.Addr(), r1.Addr())
 	}
 	// Stale second unregister: must be a no-op.
-	if d.Unregister(r1) != 0 {
-		t.Fatal("double Unregister of a stale handle succeeded")
+	d.Unregister(r1)
+	if st := d.Stats(); st.Unregisters != 1 {
+		t.Fatalf("double Unregister of a stale handle succeeded: %+v", st)
 	}
 	if d.Live() != 1 || !d.Valid(r2) {
 		t.Fatalf("double unregister disturbed the live occupant: live=%d valid=%v", d.Live(), d.Valid(r2))
@@ -159,9 +167,7 @@ func TestDirectoryDoubleUnregister(t *testing.T) {
 	}
 	// A batch holding the stale handle, a nil and a live reducer twice
 	// retires the live one once and counts the other two as stale.
-	if n := d.Unregister(r1, nil, r2, r2); n != 1 {
-		t.Fatalf("batch Unregister retired %d, want 1", n)
-	}
+	d.Unregister(r1, nil, r2, r2)
 	if st := d.Stats(); st.Unregisters != 2 || st.StaleUnregisters != 3 || d.Live() != 1 || d.Valid(r2) || !d.Valid(r3) {
 		t.Fatalf("after the batch: %+v, live=%d; want 2 unregisters, 3 stale, only r3 live", st, d.Live())
 	}
@@ -243,7 +249,8 @@ func TestDirectoryConcurrentChurn(t *testing.T) {
 				if i%3 == 0 {
 					keep[g] = append(keep[g], r)
 				} else {
-					if d.Unregister(r) != 1 {
+					d.Unregister(r)
+					if d.Valid(r) {
 						t.Error("Unregister of own live reducer failed")
 						return
 					}

@@ -9,7 +9,7 @@ import (
 // JobSession is a per-job registration scope over a shared Engine: the
 // multi-tenant resident service hands each submitted job one, so reducers a
 // tenant registers live exactly as long as the job and are retired in one
-// sweep when it completes — a tenant cannot leak slots into the shared
+// batch when it completes — a tenant cannot leak slots into the shared
 // directory, and the reducer's validity flag — cleared before its address
 // is released for recycling — guarantees that a stale handle from a finished job never resolves a view belonging
 // to whichever job the slot was recycled to.
@@ -91,10 +91,9 @@ func (js *JobSession) Live() int {
 // it to further registration.  Retired reducers keep their final leftmost
 // values readable (Engine.Unregister semantics), so a submitter holding the
 // job's handles can still read results after the job — and its session —
-// are gone.  The reducers go in one batch: one acquisition of the
-// directory's lock and one view-epoch sweep.  Retire is
-// idempotent and safe to call concurrently with late Register calls from a
-// straggler branch.
+// are gone.  The reducers go in one batch, under one acquisition of the
+// directory's lock.  Retire is idempotent and safe to call concurrently
+// with late Register calls from a straggler branch.
 func (js *JobSession) Retire() {
 	js.mu.Lock()
 	if js.retired {

@@ -158,7 +158,6 @@ func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 //
 //	worker   := c.Worker()                    // one field load
 //	private  := worker.Local().(*mmWorker)    // one load + type check
-//	epoch    := worker.ViewEpoch()            // atomic load
 //	slot     := private.Probe(r.page, r.slot) // bounds check + 2 indexed loads
 //	hit      := slot.FastHit(r, mutable)      // 2 masked compares
 //
@@ -174,19 +173,18 @@ func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 // *MM (no interface dispatch); everyone else reaches it through Engine.
 //
 //cilkvet:hotpath
-func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
+func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
 	if c != nil {
 		w := c.Worker()
 		if ws, ok := w.Local().(*mmWorker); ok {
-			epoch := w.ViewEpoch()
 			if s := ws.private.Probe(int(r.page), int(r.slot)); s.FastHit(ownerWord(r), mutable) {
 				ws.tally.Lookups.Hits++
-				return s.View(), epoch
+				return s.View(), true
 			}
-			return e.lookupMiss(ws, r, epoch, mutable)
+			return e.lookupMiss(w, ws, r, mutable)
 		}
 	}
-	return r.LeftmostView(), 0
+	return r.LeftmostView(), false
 }
 
 // lookupMiss is the outlined slow half of LookupWord.  An owned slot gets
@@ -194,33 +192,35 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 // stamped rather than re-created; it keeps serving its private view until
 // the trace ends even if the reducer has been retired meanwhile (the check
 // is the owner stamp, not directory validity).  A retired handle without a
-// private view is served the frozen leftmost value and epoch zero, so the
-// caller never caches it.  Anything else installs an identity view.
+// private view is served the frozen leftmost value, uncacheable.  Anything
+// else installs an identity view.
 //
 //cilkvet:hotpath
-func (e *MM) lookupMiss(ws *mmWorker, r *Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) (unsafe.Pointer, bool) {
 	ws.tally.Lookups.Misses++
 	s := ws.private.Probe(int(r.page), int(r.slot))
 	if s.View() != nil && s.Owner() == ownerWord(r) {
 		ws.private.MarkWritten(r.addr)
-		return s.View(), epoch
+		return s.View(), true
 	}
 	ws.tally.Lookups.ColdMisses++
 	if !e.Dir.Valid(r) {
-		return r.LeftmostView(), 0
+		return r.LeftmostView(), false
 	}
 	if s.View() != nil {
 		// Occupied by another owner: the occupant registered an earlier
 		// incarnation of this recycled address.  The directory holds at
 		// most one live registration per address — r — so the occupant is
 		// retired and its in-flight view is dropped (and its arena block
-		// recycled).
+		// recycled, likely into r's view below).  The bump retires every
+		// handle cache that still points at the dropped view.
 		if old, err := ws.private.Remove(r.addr); err == nil {
 			ws.freeSlotView(old)
 			ws.tally.Merge.StaleViewDrops++
+			w.BumpViewEpoch()
 		}
 	}
-	return e.lookupSlow(ws, r, mutable), epoch
+	return e.lookupSlow(ws, r, mutable), true
 }
 
 // lookupSlow creates and installs an identity view in r's (empty) private

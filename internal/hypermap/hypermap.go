@@ -97,47 +97,48 @@ func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 // memory-mapped engine's SPA slot stamp.
 //
 //cilkvet:hotpath
-func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, uint64) {
+func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
 	if c != nil {
 		w := c.Worker()
 		if ws, ok := w.Local().(*hmWorker); ok {
-			epoch := w.ViewEpoch()
 			if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
 				ws.tally.Lookups.Hits++
-				return ent.view, epoch
+				return ent.view, true
 			}
-			return e.lookupMiss(ws, r, epoch, mutable)
+			return e.lookupMiss(w, ws, r, mutable)
 		}
 	}
-	return r.LeftmostView(), 0
+	return r.LeftmostView(), false
 }
 
 // lookupMiss is the outlined slow half of LookupWord.  The full chain walk
 // re-probes — the head probe rejects below-head entries and owned entries
 // whose written bit needs stamping on a mutable access.  A retired handle
-// without an entry of its own is served the frozen leftmost value and epoch
-// zero, so the caller never caches it, matching a serial lookup after
-// unregistration.  Anything else installs an identity view.
+// without an entry of its own is served the frozen leftmost value,
+// uncacheable, matching a serial lookup after unregistration.  Anything
+// else installs an identity view.
 //
 //cilkvet:hotpath
-func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) (unsafe.Pointer, bool) {
 	ws.tally.Lookups.Misses++
 	ent := ws.user.lookup(r.Addr())
 	if ent != nil && ent.owner == r {
 		if mutable {
 			ent.written = true
 		}
-		return ent.view, epoch
+		return ent.view, true
 	}
 	ws.tally.Lookups.ColdMisses++
 	if !e.Dir.Valid(r) {
-		return r.LeftmostView(), 0
+		return r.LeftmostView(), false
 	}
 	if ent != nil {
 		// A stale entry from a retired occupant of this recycled address;
-		// drop its in-flight view before installing r's identity view.
+		// drop its in-flight view before installing r's identity view, and
+		// retire every handle cache that still points at it.
 		ws.user.remove(r.Addr())
 		ws.tally.Merge.StaleViewDrops++
+		w.BumpViewEpoch()
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before the
 	// entry is inserted, so a contained identity panic leaves the worker's
@@ -150,7 +151,7 @@ func (e *HM) lookupMiss(ws *hmWorker, r *core.Reducer, epoch uint64, mutable boo
 	start = metrics.Start(e.Timing)
 	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
 	ws.tally.Overhead.Tick(metrics.ViewInsertion, start)
-	return word, epoch
+	return word, true
 }
 
 // --- sched.ReducerRuntime hooks ---

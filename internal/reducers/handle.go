@@ -58,9 +58,8 @@ func (f TypedFuncMonoid[V]) Reduce(left, right *V) *V { return f.ReduceFn(left, 
 // rather than a bool keeps the View hit check to one epoch load and two
 // compares — no separate written-flag load on the hottest path.  The entry
 // is padded to a cache line so adjacent workers' slots never share one.
-// Each slot is read and written only by its worker's goroutine;
-// cross-goroutine invalidation happens purely through the worker's atomic
-// view epoch.
+// Each slot is read and written only by its worker's goroutine, and so is
+// the worker's view epoch that invalidates it.
 //
 //cilkvet:nocopy
 type viewSlot[V any] struct {
@@ -76,18 +75,20 @@ type viewSlot[V any] struct {
 //
 // View resolves the calling context's local view of the reducer as a *V.
 // Steady state — the same context touching the same reducer again with no
-// intervening steal, merge, unregister or region growth — costs one padded
-// atomic epoch load and two compares, then returns the typed pointer
+// intervening trace boundary, merge or stale-view drop on its worker —
+// costs one epoch load and two compares, then returns the typed pointer
 // directly: no interface dispatch, no runtime type assertion, and no
-// allocation.  The cache is invalidated by the worker view epoch that
-// already serialises the engines' view machinery: trace boundaries and
-// hypermerges bump it owner-side, unregisters and view-region growth bump
-// it cross-worker, so a cached *V can never outlive the untyped view it
-// shadows.  On a miss the handle resolves through the engine's LookupWord,
-// converts the word once, and re-stamps the slot with the epoch the engine
-// sampled before its probe.
+// allocation.  The cache is invalidated by the worker view epoch, which
+// the worker alone bumps wherever one of its views can die: at trace
+// boundaries, after hypermerges, and where its lookup drops a retired
+// reducer's view from a recycled address.  An unregister kills no view
+// itself, so a cached *V can never outlive the untyped view it shadows.  On
+// a miss the handle resolves through the engine's LookupWord, converts the
+// word once, and re-stamps the slot with the worker's epoch as it stands
+// after the lookup.
 //
-// An engine answer with epoch zero (a retired handle) is never cached.
+// A lookup the engine marks uncacheable (a retired handle's) is never
+// cached.
 type Handle[V any] struct {
 	eng core.Engine
 	r   *core.Reducer
@@ -211,25 +212,26 @@ func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 		return h.r.Value().(*V)
 	}
 	var word unsafe.Pointer
-	var epoch uint64
+	var cache bool
 	switch {
 	case h.mm != nil:
-		word, epoch = h.mm.LookupWord(c, h.r, 0, mutable)
+		word, cache = h.mm.LookupWord(c, h.r, 0, mutable)
 	case h.hm != nil:
-		word, epoch = h.hm.LookupWord(c, h.r, 0, mutable)
+		word, cache = h.hm.LookupWord(c, h.r, 0, mutable)
 	default:
-		word, epoch = h.eng.LookupWord(c, h.r, 0, mutable)
+		word, cache = h.eng.LookupWord(c, h.r, 0, mutable)
 	}
 	tv := (*V)(word)
-	// Epoch zero is the engine's "do not cache" (a retired handle); a
-	// worker running a context has passed BeginTrace,
-	// so its real epoch is never zero and the sentinel cannot collide with
-	// a valid stamp.
-	if id := c.WorkerID(); epoch != 0 && id < len(h.slots) {
-		// A mutable resolution is readable too, so it takes both stamps.  A
-		// read-only one did not stamp the written bit and must not satisfy
-		// a later View hit: it clears the write stamp (a still-valid wepoch
-		// would have hit in ReadView, so nothing valid is discarded).
+	if id := c.WorkerID(); cache && id < len(h.slots) {
+		// The epoch is read after the lookup, which may have bumped it
+		// (a stale-view drop).  A worker running a context has passed
+		// BeginTrace, so it is never zero, and zero stays free to mean
+		// "not writable" below.  A mutable resolution is readable too, so
+		// it takes both stamps.  A read-only one did not stamp the written
+		// bit and must not satisfy a later View hit: it clears the write
+		// stamp (a still-valid wepoch would have hit in ReadView, so
+		// nothing valid is discarded).
+		epoch := c.ViewEpoch()
 		wepoch := uint64(0)
 		if mutable {
 			wepoch = epoch

@@ -11,8 +11,9 @@ import "repro/internal/faultinject"
 // worker runs — a root, a stolen task, a task it helps with at a join —
 // receives the same pointer, so beginning a trace allocates none.  What
 // tells two traces on one worker apart is the worker's view epoch, which
-// the reducer mechanism bumps at every trace boundary; the pointer tells
-// apart the workers of two runtimes that share an engine.
+// the reducer mechanism bumps wherever a view of the worker's can die (at
+// every trace boundary among them); the pointer tells apart the workers of
+// two runtimes that share an engine.
 type Context struct {
 	w *Worker
 	// wid mirrors w.id.  Typed reducer handles index their per-worker view
@@ -29,11 +30,12 @@ func (c *Context) Worker() *Worker { return c.w }
 // struct; see the wid field comment.
 func (c *Context) WorkerID() int { return int(c.wid) }
 
-// ViewEpoch returns the executing worker's current view epoch — the
-// context-level twin of Worker().ViewEpoch(), for callers that hold only
-// the context.  Typed reducer handles compare their cached epochs against
-// it on every hit, so it must stay a single inlinable atomic load.
-func (c *Context) ViewEpoch() uint64 { return c.w.viewEpoch.Load() }
+// ViewEpoch returns the executing worker's current view epoch.  Only that
+// worker writes it, and a Context is only valid on its worker's goroutine,
+// so it is a plain load.  Typed reducer handles stamp their cached views
+// with it after a lookup and compare against it on every hit, so it must
+// stay inlinable.
+func (c *Context) ViewEpoch() uint64 { return c.w.viewEpoch }
 
 // Runtime returns the owning runtime.
 func (c *Context) Runtime() *Runtime { return c.w.rt }

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -46,18 +45,15 @@ type Worker struct {
 	local any
 
 	// viewEpoch is bumped (BumpViewEpoch) by the reducer mechanism whenever
-	// the worker's view state may have changed under an existing context:
-	// owner-side at a trace boundary or after a hypermerge, and from any
-	// goroutine when a reducer is unregistered or the directory's view
-	// regions grow.  Typed reducer handles serve a cached view only while
-	// the epoch they stamped it with still matches, so any of those events
-	// silently invalidates every cache entry built before it.  The counter
-	// is padded onto its own cache line so a cross-worker bump does not
-	// invalidate the lines holding the owner's other hot fields; the
-	// owner's fast-path read is a single read-mostly atomic load.
-	_         [64]byte
-	viewEpoch atomic.Uint64
-	_         [56]byte
+	// a view this worker resolved may have died under the worker's one
+	// context: at a trace boundary, after a hypermerge, and where a lookup
+	// drops a retired reducer's view from a recycled address.  A view only
+	// dies on the worker whose private map holds it, so the owner is the
+	// one writer and the field is a plain counter.  Typed reducer handles
+	// serve a cached view only while the epoch they stamped it with still
+	// matches, so any of those events silently invalidates every cache
+	// entry built before it.
+	viewEpoch uint64
 
 	// freeTasks and freeJoins are owner-only free lists backing the
 	// allocation-free fork fast path.  Both are recycled only by the worker
@@ -147,17 +143,10 @@ func (w *Worker) CurrentTrace() Trace { return w.curTrace }
 
 // BumpViewEpoch advances the worker's view epoch, invalidating every view
 // a typed reducer handle cached against the previous one.  Reducer
-// mechanisms call it whenever the views a context resolved can change
-// beneath it: on the worker's own goroutine at trace boundaries and after
-// hypermerges, and from any goroutine when a reducer is unregistered (its
-// slot may be recycled) or the directory's view regions grow.
-func (w *Worker) BumpViewEpoch() { w.viewEpoch.Add(1) }
-
-// ViewEpoch returns the worker's current view epoch.  Typed reducer
-// handles stamp their per-worker cached views with it: a cached view is
-// served only while the stamp still equals the worker's epoch.  Safe from
-// any goroutine.
-func (w *Worker) ViewEpoch() uint64 { return w.viewEpoch.Load() }
+// mechanisms call it on the worker's own goroutine whenever a view the
+// worker resolved can die: at trace boundaries, after hypermerges, and
+// where a lookup drops a retired occupant of a recycled address.
+func (w *Worker) BumpViewEpoch() { w.viewEpoch++ }
 
 // Steals returns the number of successful steals this worker has performed.
 func (w *Worker) Steals() int64 { return w.nSteals.Load() }

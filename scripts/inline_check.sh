@@ -54,7 +54,6 @@ require 'internal/hypermap/hashtable.go' 'can inline (*hashTable).probeHead'
 # Layer 1 (scheduler): the epoch and worker-id accessors are inlinable.
 require 'internal/sched/context.go' 'can inline (*Context).ViewEpoch'
 require 'internal/sched/context.go' 'can inline (*Context).WorkerID'
-require 'internal/sched/worker.go' 'can inline (*Worker).ViewEpoch'
 
 # Layer 1 (scheduler): the wake gate's test is a field compare inside the
 # fork path's two functions, not a call — Fork makes it after every left
@@ -70,22 +69,21 @@ require 'internal/sched/worker.go' 'can inline (*Worker).popLiveFork'
 require 'internal/sched/context.go' 'inlining call to (*Worker).popLiveFork'
 
 # Layer 2: the memory-mapped engine's LookupWord hit shape is fully
-# flattened — probe, owner-stamp check, view word and epoch all inline.
+# flattened — probe, owner-stamp check and view word all inline.
 require 'internal/core/mm.go' 'inlining call to spa.(*MapSet).Probe'
 require 'internal/core/mm.go' 'inlining call to spa.Slot.FastHit'
 require 'internal/core/mm.go' 'inlining call to spa.Slot.View'
-require 'internal/core/mm.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
 # Layer 2 (baseline engine): the hypermap LookupWord hit shape —
-# bucket-head probe (hash included) and epoch inline.
+# bucket-head probe, hash included, inlines.
 require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).probeHead'
 require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).hash'
-require 'internal/hypermap/hypermap.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
-# Layer 2 (first lookup): the per-view miss path ticks its overhead tally
-# and checks reducer validity without a call on either engine — the tick
-# is a plain owner-only increment (its timed half is outlined on purpose)
-# and validity is one load of a flag on the reducer.  The cilkvet hotpath
+# Layer 2 (first lookup): the per-view miss path ticks its overhead tally,
+# checks reducer validity and bumps the view epoch on a stale-view drop
+# without a call on either engine — the tick and the bump are plain
+# owner-only increments (the tick's timed half is outlined on purpose) and
+# validity is one load of a flag on the reducer.  The cilkvet hotpath
 # analyzer keeps locked instructions out of these functions; this keeps the
 # calls out.
 require 'internal/metrics/metrics.go' 'can inline (*Breakdown).Tick'
@@ -94,6 +92,8 @@ require 'internal/core/mm.go' 'inlining call to metrics.(*Breakdown).Tick'
 require 'internal/core/mm.go' 'inlining call to (*Directory).Valid'
 require 'internal/hypermap/hypermap.go' 'inlining call to metrics.(*Breakdown).Tick'
 require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Directory).Valid'
+require 'internal/core/mm.go' 'inlining call to sched.(*Worker).BumpViewEpoch'
+require 'internal/hypermap/hypermap.go' 'inlining call to sched.(*Worker).BumpViewEpoch'
 
 # Layer 2 (merge): reducing a pair is the monoid's kernel call and a nil
 # compare at the call site on both engines, not a call to a wrapper first.
