@@ -17,7 +17,7 @@
 //	fmt.Println(sum.Value())
 //
 // Every typed reducer embeds Handle, whose View(c) returns a typed *V
-// resolved through a per-context cache keyed on the worker view epoch: the
+// resolved through a per-worker cache keyed on the worker view epoch: the
 // steady-state update path performs no interface dispatch, no runtime type
 // assertion and no allocation.  Custom typed reducers are built from a
 // TypedMonoid with NewCustomOf (or by embedding Handle directly).
@@ -70,7 +70,7 @@ type TypedMonoid[V any] = reducers.TypedMonoid[V]
 type TypedFuncMonoid[V any] = reducers.TypedFuncMonoid[V]
 
 // Handle is the generic typed-reducer core: View(c) resolves the calling
-// context's local view as a typed pointer through a per-context cache
+// context's local view as a typed pointer through a per-worker cache
 // invalidated by the worker view epoch.  Embed it to build new typed
 // reducer kinds.
 type Handle[V any] = reducers.Handle[V]
@@ -213,8 +213,9 @@ func New(opts ...Option) *Session {
 }
 
 // NewEngineWith creates a stand-alone reducer engine from the same
-// functional options as New (useful with core.NewSessionWithConfig for
-// custom scheduler settings).
+// functional options as New.  It serves no runtime: it registers reducers
+// and keeps counts but runs nothing.  To run reducers, create a Session
+// with New, which builds the one engine its runtime is served by.
 func NewEngineWith(opts ...Option) Engine {
 	o := buildOptions(opts)
 	return reducers.NewEngine(o.mech, o.workers, o.eng)

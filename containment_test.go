@@ -483,3 +483,39 @@ func TestNilViewMonoidNamedFailures(t *testing.T) {
 		})
 	}
 }
+
+// TestForeignRuntimeLookupTraps pins the trap for a reducer used from a
+// runtime its engine does not serve, on every home/away mechanism pair: a
+// handle never used at home resolves nothing on the other session's
+// workers, so the job fails with core.ErrForeignRuntime, neither session
+// is left holding anything, and the handle still sums correctly at home.
+func TestForeignRuntimeLookupTraps(t *testing.T) {
+	for _, home := range cilkm.Mechanisms() {
+		for _, away := range cilkm.Mechanisms() {
+			t.Run(home.String()+"/"+away.String(), func(t *testing.T) {
+				hs := cilkm.New(cilkm.WithMechanism(home), cilkm.WithWorkers(2))
+				defer hs.Close()
+				as := cilkm.New(cilkm.WithMechanism(away), cilkm.WithWorkers(2))
+				defer as.Close()
+				sum := cilkm.NewAdd[int](hs.Engine())
+				err := as.RunErr(func(c *cilkm.Context) { sum.Add(c, 1) })
+				if !errors.Is(err, core.ErrForeignRuntime) {
+					t.Fatalf("away RunErr = %v, want %v", err, core.ErrForeignRuntime)
+				}
+				for _, s := range []*cilkm.Session{hs, as} {
+					if err := s.Quiescent(); err != nil {
+						t.Fatalf("not quiescent after the trap: %v", err)
+					}
+				}
+				if err := hs.Run(func(c *cilkm.Context) {
+					c.ParallelFor(0, 1000, func(c *cilkm.Context, i int) { sum.Add(c, 1) })
+				}); err != nil {
+					t.Fatalf("home Run: %v", err)
+				}
+				if got := sum.Value(); got != 1000 {
+					t.Fatalf("sum = %d, want 1000", got)
+				}
+			})
+		}
+	}
+}

@@ -1,20 +1,29 @@
 package core
 
 import (
-	"sync"
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
+// ErrForeignRuntime is the panic value of a lookup that reaches an engine
+// from a context of a runtime the engine does not serve: an engine serves
+// exactly one runtime, and a reducer's views live only on that runtime's
+// workers.  A job that makes such a lookup fails, and errors.Is matches its
+// error against this value.
+var ErrForeignRuntime = errors.New("core: lookup from a runtime the engine does not serve")
+
 // Base is the frame both reducer engines embed: everything about an engine
 // that is not its mechanism.  It registers and retires reducers in the
-// directory, keeps the list of attached workers, and holds the one counter
-// block every count of the engine goes through — so measured differences
-// between the memory-mapped engine and the hypermap isolate the lookup
-// structures and merges themselves.  The engine keeps its lookup structure,
-// its trace and merge hooks, its per-worker state and its Quiescent walk.
+// directory, binds the engine to the one runtime it serves, and holds the
+// one counter block every count of the engine goes through — so measured
+// differences between the memory-mapped engine and the hypermap isolate the
+// lookup structures and merges themselves.  The engine keeps its lookup
+// structure, its trace and merge hooks, its per-worker state and its
+// Quiescent walk.
 //
 // The exported fields are the engine's to use and nobody else's.
 type Base struct {
@@ -25,19 +34,13 @@ type Base struct {
 	// Timing, fixed at construction, adds durations to the overhead counts
 	// (pair metrics.Start with Breakdown.Tick).
 	Timing bool
-	// Attached is the RCU-published list of attached workers, whose Local
-	// is the engine's per-worker state, so the Quiescent walk iterates it
-	// without a lock.
-	Attached atomic.Pointer[[]*sched.Worker]
 
-	self  Engine
-	label string
-	// initMu guards attach-time bookkeeping only (WorkerInit); no
-	// steady-state path takes it.
-	initMu sync.Mutex
-	// nworkers is the number of per-worker structures maintained: the
-	// construction size, grown under initMu when a larger runtime attaches.
-	nworkers atomic.Int64
+	self    Engine
+	label   string
+	workers int
+	// rt is the runtime the engine serves: the first whose WorkerInit
+	// reached it, nil until then.
+	rt atomic.Pointer[sched.Runtime]
 
 	// The fields above are read-mostly (Dir and Timing on every first
 	// lookup); the ones below are written by every merge and every flush,
@@ -60,7 +63,7 @@ type Base struct {
 // may be nil.
 func InitBase(b *Base, self Engine, label string, workers int, timing bool, onGrow func(page int) error) {
 	b.Dir, b.Timing, b.self, b.label = NewDirectory(onGrow), timing, self, label
-	b.nworkers.Store(int64(max(workers, 1)))
+	b.workers = max(workers, 1)
 }
 
 // Register implements Engine: one address taken under the directory's lock.
@@ -93,27 +96,26 @@ func (b *Base) unregisterAll(rs ...*Reducer) { b.Dir.Unregister(rs...) }
 // Registered returns the number of live reducers.
 func (b *Base) Registered() int { return b.Dir.Live() }
 
-// Workers implements Engine: the number of per-worker structures currently
-// maintained (construction size, grown when a larger runtime attaches).
-func (b *Base) Workers() int { return int(b.nworkers.Load()) }
+// Workers implements Engine: the construction size, the most workers the
+// runtime the engine serves may have.
+func (b *Base) Workers() int { return b.workers }
 
-// WorkerInit is the attach step each engine's WorkerInit ends with, once
-// the worker's own state is its Local: it lists w in Attached and grows
-// Workers to the attaching runtime's size.
+// Runtime returns the runtime the engine serves, nil until one attaches.
+func (b *Base) Runtime() *sched.Runtime { return b.rt.Load() }
+
+// WorkerInit is the attach step each engine's WorkerInit starts with,
+// before the worker's own state becomes its Local: the first runtime to
+// reach it binds the engine.  A runtime with more workers than the engine
+// was built for, or a second runtime, panics here, while it is being
+// constructed.
 func (b *Base) WorkerInit(w *sched.Worker) {
-	b.initMu.Lock()
-	defer b.initMu.Unlock()
-	if n := int64(w.Runtime().Workers()); n > b.nworkers.Load() {
-		b.nworkers.Store(n)
+	rt := w.Runtime()
+	if n := rt.Workers(); n > b.workers {
+		panic(fmt.Sprintf("core: %s engine built for %d workers cannot serve a runtime of %d", b.label, b.workers, n))
 	}
-	// Copy on write: the Quiescent walks iterate the published list
-	// lock-free.
-	var grown []*sched.Worker
-	if cur := b.Attached.Load(); cur != nil {
-		grown = append(grown, *cur...)
+	if !b.rt.CompareAndSwap(nil, rt) && b.rt.Load() != rt {
+		panic(fmt.Sprintf("core: %s engine already serves another runtime", b.label))
 	}
-	grown = append(grown, w)
-	b.Attached.Store(&grown)
 }
 
 // DirectoryStats returns a snapshot of the directory's counters.

@@ -60,10 +60,10 @@ type Engine interface {
 	// cache entry (zero on first touch); neither built-in engine reads it.
 	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, cache bool)
 
-	// Workers reports how many per-worker lookup structures the engine
-	// currently maintains (the construction-time worker count, grown if a
-	// larger runtime attaches).  Typed reducer handles size their
-	// per-worker view caches from it.
+	// Workers reports the construction-time worker count: the runtime the
+	// engine serves, the first one built over it, may have at most this
+	// many workers, and a second runtime over it panics at construction.
+	// Typed reducer handles size their per-worker view caches from it.
 	Workers() int
 
 	// Overheads returns the accumulated reduce-overhead breakdown.

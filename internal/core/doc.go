@@ -40,8 +40,8 @@
 // per-worker size-classed view arenas that recycle identity views through
 // the merge, and a hypermerge that is one walk over the deposit's occupied
 // slots, reducing each matched pair in place on the worker that owns the
-// join.  What is not mechanism — registration, the attached workers and
-// the counts — is Base, which both MM and the
+// join.  What is not mechanism — registration, the one runtime the engine
+// serves and the counts — is Base, which both MM and the
 // hypermap baseline embed: every event either engine counts goes into a
 // worker's metrics.Tally, flushed into the Base's one metrics.Totals, and
 // Base implements metrics.Source over it, so every count is exportable on a

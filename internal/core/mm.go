@@ -14,8 +14,8 @@ import (
 
 // MMConfig configures the memory-mapping engine.
 type MMConfig struct {
-	// Workers sizes the per-worker structures; it must match the number of
-	// workers in the runtime the engine is attached to.
+	// Workers sizes the per-worker structures: the runtime the engine
+	// serves may have at most this many workers.
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
@@ -29,7 +29,7 @@ type MMConfig struct {
 }
 
 // MM is the memory-mapping reducer engine (the paper's Cilk-M mechanism).
-// Registration, the worker list and the counts are its Base's.
+// Registration, the runtime it serves and the counts are its Base's.
 type MM struct {
 	Base
 	// pool recycles public SPA pages used for view transferal.
@@ -176,27 +176,34 @@ func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
 	if c != nil {
 		w := c.Worker()
-		if ws, ok := w.Local().(*mmWorker); ok {
-			if s := ws.private.Probe(int(r.page), int(r.slot)); s.FastHit(ownerWord(r), mutable) {
-				ws.tally.Lookups.Hits++
-				return s.View(), true
-			}
-			return e.lookupMiss(w, ws, r, mutable)
+		ws, ok := w.Local().(*mmWorker)
+		if !ok {
+			panic(ErrForeignRuntime)
 		}
+		if s := ws.private.Probe(int(r.page), int(r.slot)); s.FastHit(ownerWord(r), mutable) {
+			ws.tally.Lookups.Hits++
+			return s.View(), true
+		}
+		return e.lookupMiss(w, ws, r, mutable)
 	}
 	return r.LeftmostView(), false
 }
 
-// lookupMiss is the outlined slow half of LookupWord.  An owned slot gets
-// here only when a mutable access found its written bit clear, and is
-// stamped rather than re-created; it keeps serving its private view until
-// the trace ends even if the reducer has been retired meanwhile (the check
-// is the owner stamp, not directory validity).  A retired handle without a
+// lookupMiss is the outlined slow half of LookupWord.  A worker of a runtime
+// the engine does not serve is trapped first (ErrForeignRuntime): its maps
+// are another engine's.  An owned slot gets here only when a mutable access
+// found its written bit clear, and is stamped rather than re-created; it
+// keeps serving its private view until the trace ends even if the reducer
+// has been retired meanwhile (the check is the owner stamp, not directory
+// validity).  A retired handle without a
 // private view is served the frozen leftmost value, uncacheable.  Anything
 // else installs an identity view.
 //
 //cilkvet:hotpath
 func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) (unsafe.Pointer, bool) {
+	if w.Runtime() != e.Runtime() {
+		panic(ErrForeignRuntime)
+	}
 	ws.tally.Lookups.Misses++
 	s := ws.private.Probe(int(r.page), int(r.slot))
 	if s.View() != nil && s.Owner() == ownerWord(r) {
@@ -295,11 +302,11 @@ func (ws *mmWorker) ensureMapped(pi int) {
 // --- sched.ReducerRuntime hooks ---
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
-// while the attaching runtime is being constructed, before any of that
-// runtime's tasks execute.
+// while the runtime the engine serves is being constructed, before any of
+// that runtime's tasks execute.
 func (e *MM) WorkerInit(w *sched.Worker) {
-	w.SetLocal(&mmWorker{private: spa.NewMapSet()})
 	e.Base.WorkerInit(w)
+	w.SetLocal(&mmWorker{private: spa.NewMapSet()})
 }
 
 // BeginTrace implements sched.ReducerRuntime.  The new trace starts with an
@@ -308,10 +315,7 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 // maps (non-empty when the worker is helping at a stalled join) are the
 // trace token itself, which EndTrace restores.
 func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return nil
-	}
+	ws := w.Local().(*mmWorker)
 	saved := ws.private
 	if ws.spare != nil {
 		ws.private = ws.spare
@@ -338,10 +342,7 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 // deposit's release and Outstanding stays exact.  Finally the suspended
 // outer trace's maps are restored.
 func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return nil
-	}
+	ws := w.Local().(*mmWorker)
 	saved, _ := tr.(*spa.MapSet)
 	var dep *MMDeposit
 	elided := int64(0)
@@ -463,10 +464,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	if dep == nil || dep.pages == nil {
 		return
 	}
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return
-	}
+	ws := w.Local().(*mmWorker)
 	e.MergeInflight.Add(1)
 	defer e.MergeInflight.Add(-1)
 	defer func() {
@@ -658,11 +656,9 @@ func (e *MM) Quiescent() error {
 	if out := e.pool.Stats().Outstanding(); out != 0 {
 		return fmt.Errorf("core: %d pagepool pages outstanding", out)
 	}
-	if list := e.Attached.Load(); list != nil {
-		for i := range *list {
-			if n := e.WorkerPrivateViews(i); n != 0 {
-				return fmt.Errorf("core: worker %d holds %d private views", i, n)
-			}
+	for i := range e.Workers() {
+		if n := e.WorkerPrivateViews(i); n != 0 {
+			return fmt.Errorf("core: worker %d holds %d private views", i, n)
 		}
 	}
 	ar := e.ArenaStats()
@@ -675,14 +671,14 @@ func (e *MM) Quiescent() error {
 
 // --- instrumentation ---
 
-// worker returns the state of the i-th attached worker, or nil.
+// worker returns the state of worker i of the runtime the engine serves,
+// or nil.
 func (e *MM) worker(i int) *mmWorker {
-	list := e.Attached.Load()
-	if list == nil || i < 0 || i >= len(*list) {
+	rt := e.Runtime()
+	if rt == nil || i < 0 || i >= rt.Workers() {
 		return nil
 	}
-	ws, _ := (*list)[i].Local().(*mmWorker)
-	return ws
+	return rt.Worker(i).Local().(*mmWorker)
 }
 
 // WorkerPrivateViews reports the number of views currently held in worker

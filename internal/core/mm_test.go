@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,45 +145,44 @@ func TestMMModelAddressSpaceBacksSPAPages(t *testing.T) {
 
 // TestModelMapsAdoptedPages pins the modelled mapping on the hypermerge's
 // adopt path: a worker that adopts a deposited view onto a page it has never
-// touched must map that page.  Two single-worker sessions over one engine
-// give two attached workers with no race between them: the first builds a
-// deposit whose only views are on SPA page 1, and the second merges it with
-// nothing of its own there.
+// touched must map that page.  Worker 0 holds its left branch until worker 1
+// has stolen the continuation, which writes the reducers on SPA page 1; worker
+// 0 touches no reducer itself, so it maps page 1 only when it adopts those
+// views at the join.
 func TestModelMapsAdoptedPages(t *testing.T) {
-	eng := core.NewMM(core.MMConfig{Workers: 1, ModelAddressSpace: true})
-	first, second := core.NewSession(1, eng), core.NewSession(1, eng)
-	defer first.Close()
-	defer second.Close()
+	eng := core.NewMM(core.MMConfig{Workers: 2, ModelAddressSpace: true})
+	s := core.NewSession(2, eng)
+	defer s.Close()
 	rs := make([]*core.Reducer, spa.SlotsPerMap+2)
 	for i := range rs {
 		rs[i], _ = eng.Register(arenaSumMonoid)
 	}
 	onPage1 := rs[spa.SlotsPerMap:]
-	var dep sched.Deposit
-	if err := first.Run(func(c *sched.Context) {
-		w := c.Worker()
-		tr := eng.BeginTrace(w)
-		for i, r := range onPage1 {
-			*core.Lookup(eng, c, r).(*int64) += int64(10 * (i + 1))
-		}
-		dep = eng.EndTrace(w, tr)
+	var stolen atomic.Bool
+	before := -1
+	if err := s.Run(func(c *sched.Context) {
+		c.Fork(func(c *sched.Context) {
+			for deadline := time.Now().Add(10 * time.Second); !stolen.Load(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Error("continuation was never stolen")
+					return
+				}
+			}
+			before = eng.WorkerMappedPages(0)
+		}, func(c *sched.Context) {
+			stolen.Store(true)
+			for i, r := range onPage1 {
+				*core.Lookup(eng, c, r).(*int64) += int64(10 * (i + 1))
+			}
+		})
 	}); err != nil {
-		t.Fatalf("first Run: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if dep == nil {
-		t.Fatal("written views were not deposited")
+	if before != 0 {
+		t.Fatalf("worker 0 mapped %d pages before the join, want 0", before)
 	}
-	if got := eng.WorkerMappedPages(1); got != 0 {
-		t.Fatalf("second worker mapped %d pages before the merge, want 0", got)
-	}
-	if err := second.Run(func(c *sched.Context) {
-		w := c.Worker()
-		eng.Merge(w, w.CurrentTrace(), dep)
-	}); err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	if got := eng.WorkerMappedPages(1); got != 1 {
-		t.Fatalf("second worker mapped %d pages after adopting page 1, want 1", got)
+	if got := eng.WorkerMappedPages(0); got != 1 {
+		t.Fatalf("worker 0 mapped %d pages after adopting page 1, want 1", got)
 	}
 	for i, r := range onPage1 {
 		if got, want := *r.Value().(*int64), int64(10*(i+1)); got != want {

@@ -65,7 +65,7 @@ func TestUnregisterReRegisterInsideRunningTrace(t *testing.T) {
 			r1, _ := eng.Register(sumMonoid)
 			var r2 *core.Reducer
 			if err := s.Run(func(c *sched.Context) {
-				// Install and warm r1's view (and the per-context cache).
+				// Install and warm r1's view (and the per-worker handle cache).
 				for i := 0; i < 50; i++ {
 					core.Lookup(eng, c, r1).(*sumView).v++
 				}

@@ -12,7 +12,7 @@
 // spending most of its reduce overhead.
 //
 // The engine embeds core.Base, as the memory-mapped mechanism does: the
-// same reducer directory, worker list and counts, counted at the same
+// same reducer directory, runtime binding and counts, counted at the same
 // points and exported through the same metrics.Source (its arena and
 // bulk-page series read 0), so figure comparisons and scrape endpoints
 // treat both mechanisms uniformly.

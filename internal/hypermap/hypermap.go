@@ -13,7 +13,8 @@ import (
 
 // Config configures the hypermap engine.
 type Config struct {
-	// Workers sizes the per-worker structures.
+	// Workers sizes the per-worker structures: the runtime the engine
+	// serves may have at most this many workers.
 	Workers int
 	// Timing enables duration measurement in the overhead instrumentation.
 	Timing bool
@@ -24,9 +25,9 @@ type Config struct {
 // at construction and call its LookupWord directly, mirroring the
 // memory-mapped engine's *core.MM, so neither mechanism pays an interface
 // dispatch on a handle-cache miss.  Registration (through the same
-// directory), the worker list and the counts are the core.Base it shares
-// with the memory-mapped engine, so the figure comparisons measure the
-// lookup structures rather than two frames.
+// directory), the runtime it serves and the counts are the core.Base it
+// shares with the memory-mapped engine, so the figure comparisons measure
+// the lookup structures rather than two frames.
 type HM struct {
 	core.Base
 }
@@ -100,26 +101,33 @@ func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
 	if c != nil {
 		w := c.Worker()
-		if ws, ok := w.Local().(*hmWorker); ok {
-			if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
-				ws.tally.Lookups.Hits++
-				return ent.view, true
-			}
-			return e.lookupMiss(w, ws, r, mutable)
+		ws, ok := w.Local().(*hmWorker)
+		if !ok {
+			panic(core.ErrForeignRuntime)
 		}
+		if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
+			ws.tally.Lookups.Hits++
+			return ent.view, true
+		}
+		return e.lookupMiss(w, ws, r, mutable)
 	}
 	return r.LeftmostView(), false
 }
 
-// lookupMiss is the outlined slow half of LookupWord.  The full chain walk
-// re-probes — the head probe rejects below-head entries and owned entries
-// whose written bit needs stamping on a mutable access.  A retired handle
+// lookupMiss is the outlined slow half of LookupWord.  A worker of a runtime
+// the engine does not serve is trapped first (core.ErrForeignRuntime): its
+// hypermap is another engine's.  The full chain walk re-probes — the head
+// probe rejects below-head entries and owned entries whose written bit needs
+// stamping on a mutable access.  A retired handle
 // without an entry of its own is served the frozen leftmost value,
 // uncacheable, matching a serial lookup after unregistration.  Anything
 // else installs an identity view.
 //
 //cilkvet:hotpath
 func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) (unsafe.Pointer, bool) {
+	if w.Runtime() != e.Runtime() {
+		panic(core.ErrForeignRuntime)
+	}
 	ws.tally.Lookups.Misses++
 	ent := ws.user.lookup(r.Addr())
 	if ent != nil && ent.owner == r {
@@ -157,11 +165,11 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable 
 // --- sched.ReducerRuntime hooks ---
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
-// while the attaching runtime is being constructed, before any of that
-// runtime's tasks execute.
+// while the runtime the engine serves is being constructed, before any of
+// that runtime's tasks execute.
 func (e *HM) WorkerInit(w *sched.Worker) {
-	w.SetLocal(&hmWorker{user: newHashTable()})
 	e.Base.WorkerInit(w)
+	w.SetLocal(&hmWorker{user: newHashTable()})
 }
 
 // BeginTrace implements sched.ReducerRuntime.  A stolen frame starts with
@@ -169,10 +177,7 @@ func (e *HM) WorkerInit(w *sched.Worker) {
 // join, so the suspended trace's hypermap (non-empty in that case) is the
 // trace token itself, which EndTrace restores.
 func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return nil
-	}
+	ws := w.Local().(*hmWorker)
 	saved := ws.user
 	ws.user = newHashTable()
 	w.BumpViewEpoch()
@@ -183,10 +188,7 @@ func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 // hypermap scheme deposits the user hypermap itself, then restores the
 // suspended outer trace's hypermap.
 func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return nil
-	}
+	ws := w.Local().(*hmWorker)
 	saved, _ := tr.(*hashTable)
 	var dep *Deposit
 	if ws.user.len() != 0 {
@@ -219,10 +221,7 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	if dep == nil {
 		return
 	}
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return
-	}
+	ws := w.Local().(*hmWorker)
 	e.MergeInflight.Add(1)
 	defer e.MergeInflight.Add(-1)
 	start := metrics.Start(e.Timing)
@@ -329,11 +328,9 @@ func (e *HM) Quiescent() error {
 	if n := e.MergeInflight.Load(); n != 0 {
 		return fmt.Errorf("hypermap: %d hypermerges still in flight", n)
 	}
-	if list := e.Attached.Load(); list != nil {
-		for i := range *list {
-			if n := e.WorkerViewCount(i); n != 0 {
-				return fmt.Errorf("hypermap: worker %d holds %d views", i, n)
-			}
+	for i := range e.Workers() {
+		if n := e.WorkerViewCount(i); n != 0 {
+			return fmt.Errorf("hypermap: worker %d holds %d views", i, n)
 		}
 	}
 	return nil
@@ -342,14 +339,11 @@ func (e *HM) Quiescent() error {
 // WorkerViewCount reports the number of views in worker i's user hypermap
 // (diagnostic; it should be zero between runs).
 func (e *HM) WorkerViewCount(i int) int {
-	list := e.Attached.Load()
-	if list == nil || i < 0 || i >= len(*list) {
+	rt := e.Runtime()
+	if rt == nil || i < 0 || i >= rt.Workers() {
 		return 0
 	}
-	if ws, _ := (*list)[i].Local().(*hmWorker); ws != nil {
-		return ws.user.len()
-	}
-	return 0
+	return rt.Worker(i).Local().(*hmWorker).user.len()
 }
 
 var _ core.Engine = (*HM)(nil)

@@ -57,7 +57,8 @@ type Pool[T any] struct {
 	// invariant on release.
 	isEmpty func(T) bool
 	// localMax bounds the size of one local pool; excess pages spill to
-	// the global pool (the Hoard-style rebalancing trigger).
+	// the global pool (the Hoard-style rebalancing trigger).  New sets it
+	// to 8.
 	localMax int
 
 	global struct {
@@ -91,16 +92,6 @@ type Option[T any] func(*Pool[T])
 // be accepted back into the pool.
 func WithEmptyCheck[T any](isEmpty func(T) bool) Option[T] {
 	return func(p *Pool[T]) { p.isEmpty = isEmpty }
-}
-
-// WithLocalMax sets the maximum number of pages a local pool may hold
-// before spilling half of them to the global pool.  The default is 8.
-func WithLocalMax[T any](n int) Option[T] {
-	return func(p *Pool[T]) {
-		if n > 0 {
-			p.localMax = n
-		}
-	}
 }
 
 // New creates a pool for nWorkers workers.  newPage is called to create

@@ -19,8 +19,8 @@ func newPool(workers, localMax int) (*Pool[*page], *atomic.Int64) {
 	p := New[*page](workers,
 		func() *page { return &page{id: int(created.Add(1))} },
 		WithEmptyCheck[*page](func(pg *page) bool { return !pg.dirty }),
-		WithLocalMax[*page](localMax),
 	)
+	p.localMax = localMax
 	return p, created
 }
 

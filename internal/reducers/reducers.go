@@ -7,7 +7,7 @@
 //
 // Every reducer kind embeds Handle[V]: a typed monoid (TypedMonoid) is
 // built once into the word-level core.Monoid at registration, and every
-// update resolves its view through the handle's per-context typed cache,
+// update resolves its view through the handle's per-worker typed cache,
 // so the steady-state update path performs no interface dispatch, no
 // runtime type assertion and no allocation — the paper's
 // lookup-as-cheap-as-a-local-variable claim carried all the way to the

@@ -21,7 +21,7 @@ func benchEachMechanism(b *testing.B, fn func(b *testing.B, s *core.Session)) {
 }
 
 // BenchmarkTypedAdd is the typed steady-state update path: Add.Add through
-// Handle's per-context typed view cache.  Expect 0 allocs/op on both
+// Handle's per-worker typed view cache.  Expect 0 allocs/op on both
 // engines.
 func BenchmarkTypedAdd(b *testing.B) {
 	benchEachMechanism(b, func(b *testing.B, s *core.Session) {

@@ -26,7 +26,7 @@ func (seqMonoid) Reduce(left, right *[]int) *[]int {
 // TestTypedHandleNoncommutativeEquivalence runs noncommutative reducers
 // (an int-sequence CustomOf and a String) through the typed handles under
 // forced steals and checks the result equals the serial order, on both
-// engines.  If the typed per-context cache ever served a view across a
+// engines.  If the typed per-worker cache ever served a view across a
 // steal, merge or trace boundary, concatenation order would break.
 func TestTypedHandleNoncommutativeEquivalence(t *testing.T) {
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {

@@ -12,8 +12,9 @@ import "repro/internal/faultinject"
 // receives the same pointer, so beginning a trace allocates none.  What
 // tells two traces on one worker apart is the worker's view epoch, which
 // the reducer mechanism bumps wherever a view of the worker's can die (at
-// every trace boundary among them); the pointer tells apart the workers of
-// two runtimes that share an engine.
+// every trace boundary among them).  A reducer engine serves one runtime,
+// so the worker's id and that epoch name a view cache entry; the pointer
+// itself is not compared.
 type Context struct {
 	w *Worker
 	// wid mirrors w.id.  Typed reducer handles index their per-worker view

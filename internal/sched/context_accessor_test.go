@@ -10,7 +10,8 @@ import (
 // typed lookup fast path leans on: WorkerID must equal the executing
 // worker's ID on every context the runtime hands out (root and both fork
 // branches, stolen or not), and ViewEpoch must track the worker's epoch
-// through bumps.
+// through bumps.  The epoch starts at 1, so a handle cache slot never
+// stamped (epoch 0) never matches, even where no mechanism bumps it.
 func TestContextAccessorsMirrorWorker(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	defer rt.Close()
@@ -24,6 +25,9 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 		c.Fork(check, check)
 
 		before := c.ViewEpoch()
+		if before != 1 {
+			t.Errorf("ViewEpoch with no reducer mechanism = %d, want 1", before)
+		}
 		c.Worker().BumpViewEpoch()
 		if got := c.ViewEpoch(); got != before+1 {
 			t.Errorf("ViewEpoch after a bump = %d, want %d", got, before+1)

@@ -52,7 +52,8 @@ type Worker struct {
 	// one writer and the field is a plain counter.  Typed reducer handles
 	// serve a cached view only while the epoch they stamped it with still
 	// matches, so any of those events silently invalidates every cache
-	// entry built before it.
+	// entry built before it.  It starts at 1, so a never-stamped cache
+	// entry (epoch 0) never matches.
 	viewEpoch uint64
 
 	// freeTasks and freeJoins are owner-only free lists backing the
@@ -120,7 +121,7 @@ func newWorker(rt *Runtime, id int, seed uint64) *Worker {
 	if seed == 0 {
 		seed = 1
 	}
-	w := &Worker{rt: rt, id: id, rngState: seed}
+	w := &Worker{rt: rt, id: id, rngState: seed, viewEpoch: 1}
 	w.ctx = Context{w: w, wid: int32(id)}
 	return w
 }

@@ -17,8 +17,9 @@
 #
 # Deliberately NOT asserted: `can inline (*Handle[go.shape.*]).View` — the
 # generic View body cannot inline (the outlined miss call alone costs 57 of
-# the 80-node budget), so the steady state is one direct monomorphized call
-# whose interior is fully flattened.  The dictionary wrappers for concrete
+# the 80-node budget; -gcflags=-m=2 prices View and ReadView at 110 each),
+# so the steady state is one direct monomorphized call whose interior is
+# fully flattened.  The dictionary wrappers for concrete
 # instantiations do inline, and that is asserted.
 set -u
 
