@@ -188,12 +188,12 @@ func TestTypedHandleEmbedding(t *testing.T) {
 // nothing and a hypermap Run only the trace's fresh user hypermap (table
 // and buckets).  RunErr passes a context that is never done, so it needs
 // no cancellation record.  Submit + Wait adds the handle and its done
-// channel, the job's JobSession, and the facade's spec: its closure, its
-// settle hook and the spec itself.
+// channel, the job's JobSession, and the spec's closure and settle hook;
+// the spec itself stays on Submit's stack when no JobOption is passed.
 func TestEmptyJobAllocations(t *testing.T) {
 	want := map[cilkm.Mechanism]struct{ run, runErr, submit float64 }{
-		cilkm.MemoryMapped: {0, 0, 6},
-		cilkm.Hypermap:     {2, 2, 8},
+		cilkm.MemoryMapped: {0, 0, 5},
+		cilkm.Hypermap:     {2, 2, 7},
 	}
 	for _, mech := range cilkm.Mechanisms() {
 		w := want[mech]
@@ -217,6 +217,57 @@ func TestEmptyJobAllocations(t *testing.T) {
 		})
 		if n != w.submit {
 			t.Errorf("%v: an empty Submit + Wait allocates %.1f objects, want %v", mech, n, w.submit)
+		}
+		if err := svc.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestParallelForSplitsAllocateNothing: a split's continuation is the
+// worker's pooled task carrying the right half's range, so a loop that is
+// not stolen allocates nothing beyond what an empty Run does (15 splits
+// once cost 15 closures).
+func TestParallelForSplitsAllocateNothing(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		empty := testing.AllocsPerRun(200, func() { _ = s.Run(func(*cilkm.Context) {}) })
+		loop := testing.AllocsPerRun(200, func() {
+			_ = s.Run(func(c *cilkm.Context) {
+				c.ParallelForGrain(0, 64, 4, func(*cilkm.Context, int) {})
+			})
+		})
+		s.Close()
+		if loop != empty {
+			t.Errorf("%v: a Run of a 15-split loop allocates %.1f objects, an empty Run %.1f", mech, loop, empty)
+		}
+	}
+}
+
+// TestJobRegistrationAllocations pins what a service job that registers 8
+// sum reducers allocates at W = 1: the empty job's objects
+// (TestEmptyJobAllocations) and 3 per registration on either engine.  The
+// job session keeps its first 8 reducers inline, so its scope list never
+// grows; it used to grow 4 times.
+func TestJobRegistrationAllocations(t *testing.T) {
+	want := map[cilkm.Mechanism]float64{cilkm.MemoryMapped: 29, cilkm.Hypermap: 31}
+	for _, mech := range cilkm.Mechanisms() {
+		svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		n := testing.AllocsPerRun(200, func() {
+			h, err := svc.Submit(context.Background(), func(_ *cilkm.Context, js *cilkm.JobSession) {
+				for i := 0; i < 8; i++ {
+					cilkm.NewAdd[int64](js)
+				}
+			})
+			if err == nil {
+				err = h.Wait()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != want[mech] {
+			t.Errorf("%v: a job registering 8 reducers allocates %.1f objects, want %v", mech, n, want[mech])
 		}
 		if err := svc.Close(); err != nil {
 			t.Error(err)

@@ -25,9 +25,12 @@ type JobSession struct {
 
 	mu sync.Mutex
 	// live holds the reducers scoped to the session, in registration order.
-	// A job keeps a handful, so Unregister's search is a short scan, from the
-	// end because handles are usually closed last-opened first.
+	// It starts out over inline, so a job's first eight registrations grow
+	// no slice.  A job keeps a handful, so Unregister's search is a short
+	// scan, from the end because handles are usually closed last-opened
+	// first.
 	live    []*Reducer
+	inline  [8]*Reducer
 	retired bool
 }
 
@@ -42,26 +45,21 @@ func NewJobSession(eng Engine) *JobSession {
 // session: Retire (or the service's job-completion hook) unregisters it.
 // After Retire, Register fails — the job is over.
 func (js *JobSession) Register(m Monoid) (*Reducer, error) {
+	// The engine registers under js.mu, so a Retire that races this call
+	// either comes first and refuses it or waits and retires the newcomer.
 	js.mu.Lock()
+	defer js.mu.Unlock()
 	if js.retired {
-		js.mu.Unlock()
 		return nil, fmt.Errorf("core: Register on retired job session")
 	}
-	js.mu.Unlock()
 	r, err := js.Engine.Register(m)
 	if err != nil {
 		return nil, err
 	}
-	js.mu.Lock()
-	if js.retired {
-		// Retire raced the registration: honour the scope by retiring the
-		// newcomer immediately.
-		js.mu.Unlock()
-		js.Engine.Unregister(r)
-		return nil, fmt.Errorf("core: Register on retired job session")
+	if js.live == nil {
+		js.live = js.inline[:0]
 	}
 	js.live = append(js.live, r)
-	js.mu.Unlock()
 	return r, nil
 }
 

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -235,6 +237,39 @@ func TestRetireIsOneBatch(t *testing.T) {
 			eng.Unregister(rs[5])
 			if st := dir.DirectoryStats(); eng.Registered() != 0 || st.Unregisters != 8 || st.StaleUnregisters != 2 {
 				t.Errorf("after the no-ops: %d registered, %+v; want 8 unregisters and 2 stale", eng.Registered(), st)
+			}
+		})
+	}
+}
+
+// TestRegisterRacingRetire: four goroutines register 8 reducers each, past
+// the session's inline capacity, while the session is retired.  A
+// registration either fails because the session is retired or is retired
+// with the batch: every reducer the directory registered is unregistered
+// exactly once, and none stays scoped to the session.
+func TestRegisterRacingRetire(t *testing.T) {
+	for name, eng := range engines(1) {
+		t.Run(name, func(t *testing.T) {
+			dir := eng.(interface{ DirectoryStats() metrics.DirectoryStats })
+			js := core.NewJobSession(eng)
+			var wg sync.WaitGroup
+			var registered atomic.Int64
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 8; i++ {
+						if _, err := js.Register(sumMonoid); err == nil {
+							registered.Add(1)
+						}
+					}
+				}()
+			}
+			js.Retire()
+			wg.Wait()
+			st := dir.DirectoryStats()
+			if n := registered.Load(); st.Registers != n || st.Unregisters != n || st.StaleUnregisters != 0 || eng.Registered() != 0 || js.Live() != 0 {
+				t.Errorf("%d registrations succeeded; directory %+v, %d registered, %d live in the session", n, st, eng.Registered(), js.Live())
 			}
 		})
 	}

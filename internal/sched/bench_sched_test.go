@@ -72,7 +72,9 @@ func BenchmarkStealThroughput(b *testing.B) {
 
 // BenchmarkParallelForOverhead runs a grain-1 parallel loop with a trivial
 // body, measuring the end-to-end per-iteration cost of ParallelFor's
-// recursive fork tree.
+// recursive fork tree.  A split's continuation is the pooled task carrying
+// its range, so it must report 0 allocs/op (a steal's objects, rare here,
+// round away over b.N iterations).
 func BenchmarkParallelForOverhead(b *testing.B) {
 	rt := New(Config{Workers: runtime.GOMAXPROCS(0)})
 	defer rt.Close()

@@ -50,36 +50,58 @@ func (c *Context) Runtime() *Runtime { return c.w.rt }
 // the thief executes it with a fresh set of views and the calling worker
 // merges those views back in serial order at the join.
 //
+// Fork is one call into the fork body it shares with ParallelFor's splits;
+// scripts/inline_check.sh pins that it inlines.
+//
 //cilkvet:hotpath
 func (c *Context) Fork(left, right func(*Context)) {
+	c.fork(left, right, nil, 0, 0, 0)
+}
+
+// fork is the one fork body.  A Fork passes its two branches and a nil body;
+// a ParallelFor split passes nil branches and the range [lo, hi) of body,
+// whose left half runs here and whose right half is the continuation,
+// carried in the pooled task itself, so that the split allocates nothing.
+//
+//cilkvet:hotpath
+func (c *Context) fork(left, right func(*Context), body func(*Context, int), lo, hi, grain int) {
 	w := c.w
 	w.checkCancelled()
 	w.forksLocal++
+	t := w.newTask(right)
+	if body != nil {
+		t.body, t.lo, t.hi, t.grain = body, lo+(hi-lo)/2, hi, grain
+	}
 	if faultinject.Enabled() && faultinject.Fire(faultinject.SchedForceSteal) {
-		w.forkForced(c, left, right)
+		w.forkForced(c, left, lo, t)
 		return
 	}
 	j := w.newJoin()
-	t := w.newTask(right, j)
+	t.join = j
 	w.pushTask(t)
 
 	// If left (or anything it calls) panics, there is no cleanup here: the
 	// panic unwinds to the trace scope (runTrace), whose abortScope settles
 	// this task along with everything else the failed scope pushed.
 
-	left(c)
+	if body == nil {
+		left(c)
+	} else {
+		c.pfor(lo, t.lo, grain, body)
+	}
 
 	if w.wakeGated() {
 		w.checkGate()
 	}
 	if w.popOwn(t) {
 		// Serial fast path: the continuation was not stolen.  Both
-		// objects go straight back to the free lists — the pop proves no
-		// other worker ever saw the join.
+		// objects go back to the free lists — the pop proves no other
+		// worker ever saw them — the join at once, the task once its
+		// branch has run here.
 		w.popLiveFork()
-		w.freeTask(t)
 		w.freeJoin(j)
-		right(c)
+		t.run(c)
+		w.freeTask(t)
 		return
 	}
 	// The continuation was stolen and promoted; wait for it, helping with
@@ -90,15 +112,22 @@ func (c *Context) Fork(left, right func(*Context)) {
 	w.joinStolen(j)
 }
 
-// forkForced is Fork under the forced-steal failpoint, Cilk's force_reduce:
-// the continuation runs here as a thief would run it (fresh trace, view
-// transferal, hypermerge at the join) and counts as a steal.
-func (w *Worker) forkForced(c *Context, left, right func(*Context)) {
-	left(c)
+// forkForced runs a continuation under the forced-steal failpoint, Cilk's
+// force_reduce: after the left branch, t runs here as a thief would run it
+// (fresh trace, view transferal, hypermerge at the join) and counts as a
+// steal.  t never reached the deque, so it is recycled like a popped one.
+func (w *Worker) forkForced(c *Context, left func(*Context), lo int, t *task) {
+	if t.body == nil {
+		left(c)
+	} else {
+		c.pfor(lo, t.lo, t.grain, t.body)
+	}
 	j := &join{}
+	t.join = j
 	w.nSteals.Add(1)
 	w.nStalledJoins.Add(1)
-	w.runTask(&task{fn: right, join: j, job: w.curJob})
+	w.runTask(t)
+	w.freeTask(t)
 	w.joinStolen(j)
 }
 
@@ -170,10 +199,6 @@ func (c *Context) pfor(lo, hi, grain int, body func(*Context, int)) {
 		}
 		return
 	}
-	mid := lo + (hi-lo)/2
 	c.w.splitsLocal++
-	c.Fork(
-		func(c2 *Context) { c2.pfor(lo, mid, grain, body) },
-		func(c2 *Context) { c2.pfor(mid, hi, grain, body) },
-	)
+	c.fork(nil, nil, body, lo, hi, grain)
 }

@@ -2,10 +2,13 @@ package sched
 
 import "sync/atomic"
 
-// task is one stealable unit of work: the continuation of a Fork.  In Cilk
+// task is one stealable unit of work: the continuation of a fork.  In Cilk
 // terms it is the suspended parent frame sitting in the worker's deque,
 // waiting either to be popped back by its owner (the serial fast path) or
-// to be stolen and promoted into a full frame.
+// to be stolen and promoted into a full frame.  The continuation is a
+// Fork's right branch, fn, or a ParallelFor split's right half: the range
+// [lo, hi) of body at the loop's grain, stored in the task so that a split
+// allocates no closure.
 //
 // Tasks are pooled in per-worker free lists (see Worker.newTask): the
 // owner recycles a task when it pops it back, on the fork fast path or in a
@@ -14,6 +17,10 @@ import "sync/atomic"
 // while a suspended fork still compares against them.
 type task struct {
 	fn   func(*Context)
+	body func(*Context, int)
+
+	lo, hi, grain int
+
 	join *join
 	// job is the submission this task belongs to, captured from the
 	// pushing worker at creation so a thief inherits the forker's
@@ -21,6 +28,17 @@ type task struct {
 	job *job
 	// next links tasks in a worker's free list while recycled.
 	next *task
+}
+
+// run executes the task's continuation on c: the one place a branch that
+// was pushed runs, whether its owner popped it back, a thief stole it or
+// the forced-steal failpoint runs it as stolen.
+func (t *task) run(c *Context) {
+	if t.body != nil {
+		c.pfor(t.lo, t.hi, t.grain, t.body)
+		return
+	}
+	t.fn(c)
 }
 
 // dequeInitialSize is the starting capacity of a deque's circular buffer.

@@ -11,44 +11,98 @@ import (
 
 // TestForcedStealsRunEveryContinuationAsStolen arms the forced-steal
 // failpoint on a one-worker runtime, where nothing can really be stolen:
-// every fork must still begin a trace for its continuation, deposit it and
+// every fork must still begin a trace for its continuation — a ParallelFor
+// split's is the right half's range, carried in the task — deposit it and
 // merge it at the join, and the noncommutative deposit must come out in
-// serial order.  With the failpoint firing on about half the forks the
-// forced and the serial joins interleave in one tree.
+// serial order, each index exactly once.  The range has odd length, so
+// halves are uneven at every grain.  With the failpoint firing on about
+// half the forks the forced and the serial joins interleave in one tree.
 func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
+	const n = 1001
 	for _, prob := range []float64{1, 0.5} {
-		plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: prob})
-		deactivate := faultinject.Activate(plan)
-		red := newOrderReducers()
-		rt := New(Config{Workers: 1, Reducers: red})
-		const n = 300
-		err := rt.Run(func(c *Context) {
-			c.ParallelForGrain(0, n, 1, func(c *Context, i int) { orderAppend(c, i) })
-		})
-		deactivate()
-		if err != nil {
-			t.Fatalf("prob %v: Run: %v", prob, err)
-		}
-		got := orderDeposit(red.root(0))
-		if len(got) != n {
-			t.Fatalf("prob %v: deposit of %d values, want %d", prob, len(got), n)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("prob %v: position %d holds %d: order diverged from serial", prob, i, v)
+		for _, grain := range []int{1, 3, 8} {
+			plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: prob})
+			deactivate := faultinject.Activate(plan)
+			red := newOrderReducers()
+			rt := New(Config{Workers: 1, Reducers: red})
+			err := rt.Run(func(c *Context) {
+				c.ParallelForGrain(0, n, grain, func(c *Context, i int) { orderAppend(c, i) })
+			})
+			deactivate()
+			if err != nil {
+				t.Fatalf("prob %v, grain %d: Run: %v", prob, grain, err)
 			}
+			got := orderDeposit(red.root(0))
+			if len(got) != n {
+				t.Fatalf("prob %v, grain %d: deposit of %d values, want %d", prob, grain, len(got), n)
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("prob %v, grain %d: position %d holds %d: order diverged from serial", prob, grain, i, v)
+				}
+			}
+			st, forced := rt.Stats(), int64(plan.Fires(faultinject.SchedForceSteal))
+			if st.Steals != forced || st.StalledJoins != forced || st.TasksExecuted != forced+1 {
+				t.Errorf("prob %v, grain %d: stats %+v, want %d steals, stalled joins and stolen tasks", prob, grain, st, forced)
+			}
+			if want := splits(n, grain); st.Forks != want || st.ParallelForSpl != want {
+				t.Errorf("prob %v, grain %d: %d forks, %d splits, want %d of each", prob, grain, st.Forks, st.ParallelForSpl, want)
+			}
+			if forced == 0 || (prob == 1) != (forced == st.Forks) {
+				t.Errorf("prob %v, grain %d: %d of %d forks forced", prob, grain, forced, st.Forks)
+			}
+			if err := rt.Quiescent(); err != nil {
+				t.Errorf("prob %v, grain %d: %v", prob, grain, err)
+			}
+			rt.Close()
 		}
-		st, forced := rt.Stats(), int64(plan.Fires(faultinject.SchedForceSteal))
-		if st.Steals != forced || st.StalledJoins != forced || st.TasksExecuted != forced+1 {
-			t.Errorf("prob %v: stats %+v, want %d steals, stalled joins and stolen tasks", prob, st, forced)
-		}
-		if forced == 0 || (prob == 1) != (forced == st.Forks) {
-			t.Errorf("prob %v: %d of %d forks forced", prob, forced, st.Forks)
-		}
-		if err := rt.Quiescent(); err != nil {
-			t.Errorf("prob %v: %v", prob, err)
-		}
-		rt.Close()
+	}
+}
+
+// splits is how many times ParallelForGrain halves a range of n iterations.
+func splits(n, grain int) int64 {
+	if n <= grain {
+		return 0
+	}
+	return 1 + splits(n/2, grain) + splits(n-n/2, grain)
+}
+
+// TestForcedStealsCancelledRangeHalf: a ParallelFor split's continuation
+// carries its job like a Fork's, so a cancellation during the left half
+// reaches the stolen right half before it begins a trace — its leaves never
+// run — and crosses the join as the cancellation token.
+func TestForcedStealsCancelledRangeHalf(t *testing.T) {
+	defer faultinject.Activate(faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: 1}))()
+	rec := &recordingReducers{}
+	rt := New(Config{Workers: 1, Reducers: rec})
+	defer rt.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran []int
+	err := rt.RunContext(ctx, func(c *Context) {
+		c.ParallelForGrain(0, 2, 1, func(c *Context, i int) {
+			ran = append(ran, i)
+			if i == 0 {
+				cancel()
+				for !c.Cancelled() {
+					runtime.Gosched() // the context's goroutine sets the flag
+				}
+			}
+		})
+	})
+	if err != context.Canceled || len(ran) != 1 {
+		t.Errorf("RunContext = %v after leaves %v, want context.Canceled after leaf 0 alone", err, ran)
+	}
+	// The root's trace is the only one: the stolen half was refused at its
+	// start, which counts it as an executed task.
+	if b, e := rec.begins.Load(), rec.ends.Load(); b != 1 || e != 1 {
+		t.Errorf("%d traces begun, %d ended, want 1 of each", b, e)
+	}
+	if st := rt.Stats(); st.Steals != 1 || st.TasksExecuted != 2 {
+		t.Errorf("stats %+v, want 1 steal and 2 tasks executed", st)
+	}
+	if err := rt.Quiescent(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 // pushStray pushes a task the way only Fork may: by hand, with no fork to
 // pop it back or wait for it.
 func pushStray(w *Worker) *task {
-	t := w.newTask(func(*Context) {}, w.newJoin())
+	t := w.newTask(func(*Context) {})
+	t.join = w.newJoin()
 	w.pushTask(t)
 	return t
 }

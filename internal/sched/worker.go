@@ -68,12 +68,12 @@ type Worker struct {
 	// its own join pointer, captured at push time: the entry's task
 	// pointer is used only for identity comparison with what popBottom
 	// returns, never dereferenced, because once stolen the task belongs to
-	// its executor.  Fork is the only spawn and thieves take the oldest task
-	// first, so this stack and the deque nest strictly: the deque holds the
-	// tasks of the newest entries, in the same order, and a fork's own entry
-	// is the top one when its join resolves.  abortScope unwinds the stack
-	// when a trace scope panics, so nothing a failed Run pushed can outlive
-	// the Run.
+	// its executor.  The fork body is the only spawn and thieves take the
+	// oldest task first, so this stack and the deque nest strictly: the
+	// deque holds the tasks of the newest entries, in the same order, and a
+	// fork's own entry is the top one when its join resolves.  abortScope
+	// unwinds the stack when a trace scope panics, so nothing a failed Run
+	// pushed can outlive the Run.
 	liveForks []liveFork
 
 	// Owner-only plain counters for the fork fast path; flushCounters
@@ -152,21 +152,22 @@ func (w *Worker) BumpViewEpoch() { w.viewEpoch++ }
 // Steals returns the number of successful steals this worker has performed.
 func (w *Worker) Steals() int64 { return w.nSteals.Load() }
 
-// newTask takes a task from the worker's free list, or allocates one.
+// newTask takes a task from the worker's free list, or allocates one, with
+// fn as its continuation; a ParallelFor split sets its range instead.
 // Owner-goroutine only.
-func (w *Worker) newTask(fn func(*Context), j *join) *task {
+func (w *Worker) newTask(fn func(*Context)) *task {
 	if t := w.freeTasks; t != nil {
 		w.freeTasks = t.next
-		t.fn, t.join, t.job, t.next = fn, j, w.curJob, nil
+		t.fn, t.job, t.next = fn, w.curJob, nil
 		return t
 	}
-	return &task{fn: fn, join: j, job: w.curJob}
+	return &task{fn: fn, job: w.curJob}
 }
 
 // freeTask recycles a task its owner has popped back, which closes its
 // identity-check window: no thief ever held the pointer.
 func (w *Worker) freeTask(t *task) {
-	t.fn, t.join, t.job = nil, nil, nil
+	t.fn, t.body, t.join, t.job = nil, nil, nil, nil
 	t.next = w.freeTasks
 	w.freeTasks = t
 }
@@ -192,9 +193,9 @@ func (w *Worker) freeJoin(j *join) {
 // protocol: only the empty→non-empty transition can turn a parked worker's
 // situation from "nothing to steal" into "something to steal", so it is
 // the only push that signals — unless the trace is behind the wake gate
-// (idle.go); trySteal re-signals while a deep deque drains.  Fork is the
-// only caller: a push from anywhere else breaks the nesting popOwn and
-// waitJoin trap.
+// (idle.go); trySteal re-signals while a deep deque drains.  The fork body
+// (Context.fork) is the only caller: a push from anywhere else breaks the
+// nesting popOwn and waitJoin trap.
 //
 //cilkvet:hotpath
 func (w *Worker) pushTask(t *task) {
@@ -466,7 +467,7 @@ func (w *Worker) runTask(t *task) {
 	// A stolen task's pushes signal, whatever gate its root began behind.
 	prevGate := w.gateUntil
 	w.gateUntil = 0
-	d, panicked := w.runTrace(t.fn, jb)
+	d, panicked := w.runTrace(t.run, jb)
 	w.gateUntil = prevGate
 	t.join.complete(d, panicked)
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # inline-check: pin the compiler's inlining decisions for the typed-lookup
-# fast path, the first-lookup miss path and the fork path's wake-gate test
-# and live-fork pop.
+# fast path, the first-lookup miss path and the fork path: Fork's one call
+# into the fork body, the wake-gate test and the live-fork pop.
 #
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
@@ -57,14 +57,18 @@ require 'internal/sched/context.go' 'can inline (*Context).ViewEpoch'
 require 'internal/sched/context.go' 'can inline (*Context).WorkerID'
 
 # Layer 1 (scheduler): the wake gate's test is a field compare inside the
-# fork path's two functions, not a call — Fork makes it after every left
-# branch, pushTask at every empty→non-empty push.
+# fork path's two functions, not a call — the fork body makes it after
+# every left branch, pushTask at every empty→non-empty push.
 require 'internal/sched/idle.go' 'can inline (*Worker).wakeGated'
 require 'internal/sched/worker.go' 'inlining call to (*Worker).wakeGated'
 require 'internal/sched/context.go' 'inlining call to (*Worker).wakeGated'
 
+# Layer 1 (scheduler): Fork is a single call into the fork body it shares
+# with ParallelFor's splits, so a caller pays no second call frame for it.
+require 'internal/sched/context.go' 'can inline (*Context).Fork'
+
 # Layer 1 (scheduler): a fork's live entry is the top of its worker's stack
-# (forks nest), so removing it is a store and a reslice inside Fork.  The
+# (forks nest), so removing it is a store and a reslice inside the fork body.  The
 # deque's popBottom does not fit the budget (cost 131) and stays a call.
 require 'internal/sched/worker.go' 'can inline (*Worker).popLiveFork'
 require 'internal/sched/context.go' 'inlining call to (*Worker).popLiveFork'
@@ -113,7 +117,7 @@ require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 if [ "$fail" -ne 0 ]; then
 	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
-	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|popLiveFork|ReduceViews' >&2 || true
+	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|popLiveFork|ReduceViews|Fork' >&2 || true
 	exit 1
 fi
 echo "inline-check: all fast-path inlining decisions hold"

@@ -150,8 +150,8 @@ func (s *Service) Submit(ctx context.Context, fn func(*Context, *JobSession), op
 	spec := sched.JobSpec{
 		Fn: func(c *Context) { fn(c, js) },
 	}
-	for _, o := range opts {
-		o(&spec)
+	if len(opts) > 0 {
+		spec = withJobOptions(spec, opts)
 	}
 	// Retire the tenant's reducers at settlement, not completion: a
 	// cancelled job's handle completes while branches already on workers
@@ -169,6 +169,17 @@ func (s *Service) Submit(ctx context.Context, fn func(*Context, *JobSession), op
 		js.Retire()
 	}
 	return h, err
+}
+
+// withJobOptions applies opts to a copy of spec, and Submit calls it only
+// when there are options.  An option is a call to an unknown function, so
+// the spec whose address it receives moves to the heap; passing the spec by
+// value keeps Submit's own copy on its stack.
+func withJobOptions(spec sched.JobSpec, opts []JobOption) sched.JobSpec {
+	for _, o := range opts {
+		o(&spec)
+	}
+	return spec
 }
 
 // Stats snapshots the service counters (queue depth, rejections, deadline
