@@ -75,18 +75,21 @@ bench-check:
 # failure-containment regression tests (reduce-panic resource conservation,
 # context-cancellation settlement, a monoid that panics or returns nil in
 # the root merge, a failed view transferal that must end its trace exactly
-# once and leave the enclosing trace intact), and the Close-vs-Run race; then
+# once and leave the enclosing trace intact, a write through a read-only
+# view's zero block that fails only the job, and only the trace, that made
+# it), and the Close-vs-Run race; then
 # the forced-steal leg: the equivalence, merge-matrix, hand-off and order
 # suites, both sweeps and the failed-transferal tests again with forks'
 # continuations run as stolen tasks (faultinject.SchedForceSteal), which is
 # what reaches the hypermerge now that a short job wakes no thief, and PBFS
 # with a steal at every fork, so the root strand's take of each next frontier
-# from its own view follows a hypermerge at every join
+# from its own view follows a hypermerge at every join, and read-your-writes
+# across the zero block in stolen strands (TestForcedStealsReadYourWrites)
 # (internal/bench's leg compares timings, so it runs without the race
 # detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace' \
+		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace|TestReadViewWriteTraps|TestNestedTraceReadViewWriteTraps' \
 		. ./internal/sched/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	cilkm "repro"
+	"repro/internal/metrics"
+	"repro/internal/reducers"
 )
 
 // TestFacadeQuickstart exercises the whole typed reducer library through
@@ -272,5 +274,64 @@ func TestJobRegistrationAllocations(t *testing.T) {
 		if err := svc.Close(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestReadOnlyRunCreatesNothing: a W = 1 Run that ReadViews 64 Add
+// handles and writes none is served its trace's zero block for each of
+// them, on both engines.  It creates, carves, elides and deposits nothing,
+// and allocates what an empty Run does.
+func TestReadOnlyRunCreatesNothing(t *testing.T) {
+	type stats interface {
+		ArenaStats() metrics.ArenaStats
+		MergeStats() metrics.MergePipelineStats
+	}
+	for _, mech := range cilkm.Mechanisms() {
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		eng := s.Engine()
+		hs := make([]*reducers.Add[int64], 64)
+		for i := range hs {
+			hs[i] = cilkm.NewAdd[int64](eng)
+		}
+		var sink int64
+		read := func(c *cilkm.Context) {
+			for _, h := range hs {
+				sink += *h.ReadView(c)
+			}
+		}
+		arena, merge := eng.(stats).ArenaStats(), eng.(stats).MergeStats()
+		created := eng.Overheads().Count(metrics.ViewCreation)
+		if err := s.Run(func(c *cilkm.Context) {
+			w := c.Worker()
+			tr := eng.BeginTrace(w)
+			read(c)
+			if d := eng.EndTrace(w, tr); d != nil {
+				t.Errorf("%v: a read-only trace deposited %v", mech, d)
+			}
+			read(c)
+		}); err != nil {
+			t.Fatalf("%v: Run: %v", mech, err)
+		}
+		empty := testing.AllocsPerRun(200, func() { _ = s.Run(func(*cilkm.Context) {}) })
+		reads := testing.AllocsPerRun(200, func() { _ = s.Run(read) })
+		if reads != empty {
+			t.Errorf("%v: a Run of 64 ReadViews allocates %.1f objects, an empty Run %.1f", mech, reads, empty)
+		}
+		if got := eng.(stats).ArenaStats().Allocs; got != arena.Allocs {
+			t.Errorf("%v: arena allocs %d → %d over read-only Runs", mech, arena.Allocs, got)
+		}
+		if got := eng.(stats).MergeStats().IdentityElisions; got != merge.IdentityElisions {
+			t.Errorf("%v: identity elisions %d → %d over read-only Runs", mech, merge.IdentityElisions, got)
+		}
+		if got := eng.Overheads().Count(metrics.ViewCreation); got != created {
+			t.Errorf("%v: views created %d → %d over read-only Runs", mech, created, got)
+		}
+		if sink != 0 {
+			t.Errorf("%v: ReadViews summed to %d, want 0", mech, sink)
+		}
+		if err := s.Quiescent(); err != nil {
+			t.Errorf("%v: %v", mech, err)
+		}
+		s.Close()
 	}
 }

@@ -519,3 +519,103 @@ func TestForeignRuntimeLookupTraps(t *testing.T) {
 		}
 	}
 }
+
+// TestReadViewWriteTraps pins the trap for a write through a read-only
+// view on both engines: a first-touch ReadView of an Add is served its
+// trace's zero block, and a write through that pointer fails the job that
+// made it with core.ErrReadViewWritten — on the root's trace, and under
+// forced steals on a stolen continuation's — instead of being lost.  The
+// failed job's other writes are dropped, the session is quiescent, the
+// next Run's ReadView reads the identity, and the next jobs' writes land.
+// On a service, a well-behaved job submitted beside the failing one
+// succeeds.
+func TestReadViewWriteTraps(t *testing.T) {
+	for _, mech := range cilkm.Mechanisms() {
+		for _, forced := range []bool{false, true} {
+			name := mech.String()
+			if forced {
+				name += "/forced-steals"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
+				defer s.Close()
+				sum := cilkm.NewAdd[int64](s.Engine())
+				other := cilkm.NewAdd[int64](s.Engine())
+				var err error
+				func() {
+					if forced {
+						plan := everyForkForced()
+						defer faultinject.Activate(plan)()
+						defer func() {
+							if plan.Fires(faultinject.SchedForceSteal) == 0 {
+								t.Error("no fork was forced")
+							}
+						}()
+					}
+					err = s.RunErr(func(c *cilkm.Context) {
+						c.Fork(func(c *cilkm.Context) { other.Add(c, 1) }, func(c *cilkm.Context) {
+							*sum.ReadView(c) += 5
+						})
+					})
+				}()
+				if !errors.Is(err, core.ErrReadViewWritten) {
+					t.Fatalf("RunErr = %v, want %v", err, core.ErrReadViewWritten)
+				}
+				if err := s.Quiescent(); err != nil {
+					t.Fatalf("not quiescent after the trap: %v", err)
+				}
+				if sum.Value() != 0 || other.Value() != 0 {
+					t.Fatalf("failed job left sum %d, other %d, want nothing merged", sum.Value(), other.Value())
+				}
+				if err := s.Run(func(c *cilkm.Context) {
+					if got := *sum.ReadView(c); got != 0 {
+						t.Errorf("next Run's ReadView = %d, want 0", got)
+					}
+					c.ParallelFor(0, 100, func(c *cilkm.Context, i int) { sum.Add(c, 1) })
+				}); err != nil {
+					t.Fatalf("next Run: %v", err)
+				}
+				if got := sum.Value(); got != 100 {
+					t.Fatalf("sum = %d after the next Run, want 100", got)
+				}
+			})
+		}
+		t.Run(mech.String()+"/service", func(t *testing.T) {
+			svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
+			bad, err := svc.Submit(context.Background(), func(c *cilkm.Context, js *cilkm.JobSession) {
+				*cilkm.NewAdd[int64](js).ReadView(c) = 3
+			})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			var sum *reducers.Add[int64]
+			good, err := svc.Submit(context.Background(), func(c *cilkm.Context, js *cilkm.JobSession) {
+				sum = cilkm.NewAdd[int64](js)
+				_ = *sum.ReadView(c)
+				c.ParallelFor(0, 100, func(c *cilkm.Context, i int) { sum.Add(c, 1) })
+			})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			within(t, containDeadline, "Wait", func() {
+				if err := bad.Wait(); !errors.Is(err, core.ErrReadViewWritten) {
+					t.Errorf("failing job: Wait = %v, want %v", err, core.ErrReadViewWritten)
+				}
+				if err := good.Wait(); err != nil {
+					t.Errorf("job beside it: Wait = %v", err)
+				}
+			})
+			if sum != nil && sum.Value() != 100 {
+				t.Errorf("job beside it: sum = %d, want 100", sum.Value())
+			}
+			within(t, containDeadline, "Close", func() {
+				if err := svc.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			if err := svc.Runtime().Quiescent(); err != nil {
+				t.Errorf("not quiescent after Close: %v", err)
+			}
+		})
+	}
+}

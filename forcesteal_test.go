@@ -1,8 +1,10 @@
 package cilkm_test
 
 import (
+	"slices"
 	"testing"
 
+	cilkm "repro"
 	"repro/internal/faultinject"
 )
 
@@ -42,4 +44,75 @@ func TestUnderForcedSteals(t *testing.T) {
 		t.Run("ChaosServiceSweep", TestChaosServiceSweep)
 		t.Run("ReducePanicConservesResources", TestReducePanicConservesResources)
 	})
+}
+
+// TestForcedStealsReadYourWrites pins read-your-writes across the zero
+// block with every fork's continuation run as stolen, on both engines.  In
+// the left strand of each fork a View is followed by a ReadView, which must
+// return that view.  The right strand is a fresh trace: its first ReadView
+// of the Add comes before any write there and reads the identity (the
+// trace's zero block), and a ReadView after its write reads the write.  A
+// ParallelFor around the forks stacks traces that have and have not
+// written, and the final values equal the serial oracle's.
+func TestForcedStealsReadYourWrites(t *testing.T) {
+	const n = 200
+	plan := everyForkForced()
+	defer faultinject.Activate(plan)()
+	for _, mech := range cilkm.Mechanisms() {
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
+		sum := cilkm.NewAdd[int64](s.Engine())
+		seen := cilkm.NewOr(s.Engine())
+		order := cilkm.NewList[int](s.Engine())
+		if err := s.Run(func(c *cilkm.Context) {
+			c.ParallelForGrain(0, n, 1, func(c *cilkm.Context, i int) {
+				c.Fork(func(c *cilkm.Context) {
+					v := sum.View(c)
+					*v += int64(i)
+					if r := sum.ReadView(c); r != v {
+						t.Errorf("%v: ReadView after View = %p, want the view %p", mech, r, v)
+					}
+					order.PushBack(c, 2*i)
+				}, func(c *cilkm.Context) {
+					if got := *sum.ReadView(c); got != 0 {
+						t.Errorf("%v: a stolen strand's first ReadView = %d, want 0", mech, got)
+					}
+					if *seen.ReadView(c) {
+						t.Errorf("%v: a stolen strand's first Or ReadView = true, want false", mech)
+					}
+					sum.Add(c, 1)
+					if got := *sum.ReadView(c); got != 1 {
+						t.Errorf("%v: ReadView after the strand's write = %d, want 1", mech, got)
+					}
+					if i%7 == 0 {
+						seen.Update(c, true)
+					}
+					order.PushBack(c, 2*i+1)
+				})
+			})
+		}); err != nil {
+			t.Fatalf("%v: Run: %v", mech, err)
+		}
+		var wantSum int64
+		var wantOrder []int
+		for i := 0; i < n; i++ {
+			wantSum += int64(i) + 1
+			wantOrder = append(wantOrder, 2*i, 2*i+1)
+		}
+		if got := sum.Value(); got != wantSum {
+			t.Errorf("%v: sum = %d, want %d", mech, got, wantSum)
+		}
+		if !seen.Value() {
+			t.Errorf("%v: Or = false, want true", mech)
+		}
+		if got := order.Value(); !slices.Equal(got, wantOrder) {
+			t.Errorf("%v: list order differs from the serial order (len %d, want %d)", mech, len(got), len(wantOrder))
+		}
+		if err := s.Quiescent(); err != nil {
+			t.Errorf("%v: %v", mech, err)
+		}
+		s.Close()
+	}
+	if plan.Fires(faultinject.SchedForceSteal) == 0 {
+		t.Error("no fork was forced")
+	}
 }

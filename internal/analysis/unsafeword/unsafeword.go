@@ -6,8 +6,8 @@
 // internal/core/word.go) holds only while every conversion between typed
 // pointers, unsafe.Pointer and uintptr goes through a small set of audited
 // helpers: the one kernel type that closes a typed monoid over view words,
-// the owner-stamp pair, the spa tag/untag helpers, the arena allocator, and
-// the typed handles' word-to-*V resolution.  A conversion anywhere else is
+// the owner-stamp pair, the spa tag/untag helpers, the arena allocator, a
+// trace's zero block, and the typed handles' word-to-*V resolution.  A conversion anywhere else is
 // either a new unaudited entry point into the unsafe representation or an
 // accidental pointer/integer round-trip the collector cannot see.
 //
@@ -57,6 +57,10 @@ var DefaultAllow = strings.Join([]string{
 	"repro/internal/spa.tagOwner",
 	"repro/internal/spa.untagOwner",
 	"repro/internal/spa.Slot.*",
+	// A trace's zero block is lent to read-only first lookups as a view
+	// word: the address of a pointer-free array inside a live map set or
+	// hypermap, which the lent word keeps alive.
+	"repro/internal/spa.ZeroBlock.Lend",
 	// Typed handles resolve a view word back to *V.
 	"repro/internal/reducers.Handle.viewMiss",
 }, ",")

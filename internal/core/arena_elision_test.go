@@ -19,6 +19,18 @@ var arenaSumMonoid = core.NewMonoid(reducers.TypedFuncMonoid[int64]{
 		return l
 	}})
 
+// arenaAndMonoid is a logical-and monoid over a bare bool: arena-placed
+// like arenaSumMonoid, but its identity (true) is not the zero value, so a
+// read-only first lookup still creates a view, which the trace end elides.
+// The elision tests read through it; arenaSumMonoid's read-only lookups
+// are served the trace's zero block and create nothing to elide.
+var arenaAndMonoid = core.NewMonoid(reducers.TypedFuncMonoid[bool]{
+	IdentityFn: func() *bool { v := true; return &v },
+	ReduceFn: func(l, r *bool) *bool {
+		*l = *l && *r
+		return l
+	}})
+
 // TestArenaClassFor pins the size-class mapping.
 func TestArenaClassFor(t *testing.T) {
 	cases := []struct {
@@ -139,7 +151,7 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = eng.Register(arenaSumMonoid)
+		rs[i], _ = eng.Register(arenaAndMonoid)
 	}
 	baseTrips := eng.PoolStats().RoundTrips()
 	if err := s.Run(func(c *sched.Context) {
@@ -147,8 +159,8 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 		tr := eng.BeginTrace(w)
 		for _, r := range rs {
 			word, _ := eng.LookupWord(c, r, 0, false)
-			if got := *(*int64)(word); got != 0 {
-				t.Errorf("read-only first lookup = %d, want identity 0", got)
+			if got := *(*bool)(word); !got {
+				t.Errorf("read-only first lookup = %v, want identity true", got)
 			}
 		}
 		d := eng.EndTrace(w, tr)
@@ -174,8 +186,8 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 		t.Fatalf("arena Frees = %d, want %d (elided views recycled)", st.Frees, nred)
 	}
 	for i, r := range rs {
-		if got := *r.Value().(*int64); got != 0 {
-			t.Fatalf("reducer %d = %d, want 0 after read-only run", i, got)
+		if got := *r.Value().(*bool); !got {
+			t.Fatalf("reducer %d = %v, want true after read-only run", i, got)
 		}
 	}
 }
@@ -191,7 +203,11 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 	defer s.Close()
 	rs := make([]*core.Reducer, nred)
 	for i := range rs {
-		rs[i], _ = eng.Register(arenaSumMonoid)
+		if i%2 == 0 {
+			rs[i], _ = eng.Register(arenaSumMonoid)
+		} else {
+			rs[i], _ = eng.Register(arenaAndMonoid)
+		}
 	}
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
@@ -202,7 +218,7 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 					*core.Lookup(eng, c, r).(*int64)++ // written
 				} else {
 					word, _ := eng.LookupWord(c, r, 0, false) // read-only
-					_ = *(*int64)(word)
+					_ = *(*bool)(word)
 				}
 			}
 			d := eng.EndTrace(w, tr)
@@ -215,12 +231,14 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 		t.Fatalf("flush run: %v", err)
 	}
 	for i, r := range rs {
-		want := int64(0)
-		if i%2 == 0 {
-			want = reps
+		if i%2 == 1 {
+			if got := *r.Value().(*bool); !got {
+				t.Fatalf("reducer %d = %v, want true", i, got)
+			}
+			continue
 		}
-		if got := *r.Value().(*int64); got != want {
-			t.Fatalf("reducer %d = %d, want %d", i, got, want)
+		if got := *r.Value().(*int64); got != reps {
+			t.Fatalf("reducer %d = %d, want %d", i, got, reps)
 		}
 	}
 	ms := eng.MergeStats()
@@ -273,19 +291,19 @@ func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 	s := core.NewSession(1, eng)
 	defer s.Close()
 	written, _ := eng.Register(arenaSumMonoid)
-	readOnly, _ := eng.Register(arenaSumMonoid)
+	readOnly, _ := eng.Register(arenaAndMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		*core.Lookup(eng, c, written).(*int64) += 3
 		word, _ := eng.LookupWord(c, readOnly, 0, false)
-		_ = *(*int64)(word)
+		_ = *(*bool)(word)
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := *written.Value().(*int64); got != 3 {
 		t.Fatalf("written reducer = %d, want 3", got)
 	}
-	if got := *readOnly.Value().(*int64); got != 0 {
-		t.Fatalf("read-only reducer = %d, want 0", got)
+	if got := *readOnly.Value().(*bool); !got {
+		t.Fatalf("read-only reducer = %v, want true", got)
 	}
 	if ms := eng.MergeStats(); ms.IdentityElisions == 0 {
 		t.Fatal("root deposit did not elide the unwritten view")
@@ -414,22 +432,24 @@ func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 // deposit in, and the common in-place reduce keeps the parent's view
 // pointer.  The surviving slot now carries the child's contribution, so
 // the merge must stamp its written bit — otherwise the parent's EndTrace
-// elision would recycle the merged value and the update would be lost.
+// elision would recycle the merged value and the update would be lost.  The
+// reducer is on the heap path: a read-only lookup of an arena-eligible sum
+// is served the zero block and leaves no slot to merge into.
 func TestMergeIntoReadOnlySlotSurvivesElision(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	r, _ := eng.Register(arenaSumMonoid)
+	r, _ := eng.Register(sumMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		outer := eng.BeginTrace(w)
 		word, _ := eng.LookupWord(c, r, 0, false) // read-only parent view
-		if got := *(*int64)(word); got != 0 {
+		if got := (*sumView)(word).v; got != 0 {
 			t.Errorf("parent read-only view = %d, want 0", got)
 		}
 		// A stolen-child-shaped nested trace that writes the reducer.
 		inner := eng.BeginTrace(w)
-		*core.Lookup(eng, c, r).(*int64) += 5
+		core.Lookup(eng, c, r).(*sumView).v += 5
 		d := eng.EndTrace(w, inner)
 		eng.Merge(w, w.CurrentTrace(), d) // folds into the outer trace's slot
 		d2 := eng.EndTrace(w, outer)
@@ -443,7 +463,7 @@ func TestMergeIntoReadOnlySlotSurvivesElision(t *testing.T) {
 	if err := s.Run(func(c *sched.Context) {}); err != nil {
 		t.Fatalf("flush run: %v", err)
 	}
-	if got := *r.Value().(*int64); got != 5 {
+	if got := r.Value().(*sumView).v; got != 5 {
 		t.Fatalf("value = %d, want 5 (child contribution lost to elision)", got)
 	}
 }

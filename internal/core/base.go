@@ -16,6 +16,14 @@ import (
 // error against this value.
 var ErrForeignRuntime = errors.New("core: lookup from a runtime the engine does not serve")
 
+// ErrReadViewWritten is the panic value of an EndTrace that finds the
+// trace's zero block written: a read-only lookup (Handle.ReadView) of a
+// reducer the trace had not written was served the shared zero block, and
+// the program wrote through it.  The trace's views are dropped, the block
+// is zeroed again, and the job fails; errors.Is matches its error against
+// this value.
+var ErrReadViewWritten = errors.New("core: write through a read-only view")
+
 // Base is the frame both reducer engines embed: everything about an engine
 // that is not its mechanism.  It registers and retires reducers in the
 // directory, binds the engine to the one runtime it serves, and holds the

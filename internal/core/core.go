@@ -47,7 +47,14 @@ type Engine interface {
 	// mutable distinguishes accesses that may mutate the view (Handle.View)
 	// from read-only peeks (Handle.ReadView): a mutable resolution sets the
 	// slot's written bit, which exempts the view from the merge pipeline's
-	// identity-view elision.
+	// identity-view elision, and creates the view if c's trace has none.  A
+	// read-only resolution of a reducer the trace has no view of creates
+	// none when the reducer's identity is the zero value of an
+	// arena-eligible view type (Reducer.ZeroIdentity): it returns the
+	// trace's zero block (spa.ZeroBlock), shared with every such reducer
+	// the trace reads, and the trace fails with ErrReadViewWritten at
+	// EndTrace if anything writes through it.  Other read-only first
+	// resolutions create an identity view with the written bit clear.
 	//
 	// cache reports whether the caller may cache the word until c's view
 	// epoch (c.ViewEpoch(), read after the call) moves.  Only c's own
@@ -116,6 +123,12 @@ func (r *Reducer) Addr() spa.Addr { return r.addr }
 // the per-worker view arenas (fixed-size, pointer-free view type) rather
 // than heap-allocated.
 func (r *Reducer) ArenaEligible() bool { return r.monoid.arenaClass >= 0 }
+
+// ZeroIdentity reports whether the reducer is arena-eligible and its
+// monoid's identity is the zero value of its view type: a read-only first
+// lookup of it is then served the trace's zero block (spa.ZeroBlock)
+// instead of a view of its own.
+func (r *Reducer) ZeroIdentity() bool { return r.monoid.zeroIdentity }
 
 // Engine returns the engine the reducer is registered with.
 func (r *Reducer) Engine() Engine { return r.eng }

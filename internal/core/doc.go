@@ -5,7 +5,9 @@
 // A reducer is defined by an algebraic monoid (T, ⊗, e).  During parallel
 // execution each worker operates on its own local view of the reducer; the
 // runtime creates identity views lazily when a stolen computation first
-// touches a reducer, transfers views out when a stolen branch completes,
+// touches a reducer — for a read-only touch of a reducer whose identity is
+// the zero value, not even then: it reads the trace's shared zero block
+// until its first write — transfers views out when a stolen branch completes,
 // and reduces ("hypermerges") view sets back together in serial order at
 // joins, so that the final value equals the value a serial execution would
 // produce.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/hypermap"
 	"repro/internal/sched"
 	"repro/internal/spa"
 )
@@ -106,8 +107,70 @@ func endTraceFailure(t *testing.T, forced bool) {
 	}
 }
 
+// TestNestedTraceReadViewWriteTraps pins where a write through a read-only
+// view is charged, on both engines: a read-only lookup of an Add in the
+// outer trace is served that trace's zero block, and the program writes
+// through it.  A nested trace is lent a block of its own, which reads 0,
+// and begins and ends cleanly.  The outer EndTrace then fails with
+// core.ErrReadViewWritten, drops the outer trace's views (the nested
+// trace's write merged into them included), and restores the enclosing
+// trace; the next trace is lent a clean block, and the engine is
+// quiescent.
+func TestNestedTraceReadViewWriteTraps(t *testing.T) {
+	for name, eng := range map[string]core.Engine{
+		"mm":       core.NewMM(core.MMConfig{Workers: 1}),
+		"hypermap": hypermap.New(hypermap.Config{Workers: 1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := core.NewSession(1, eng)
+			defer s.Close()
+			r, _ := eng.Register(arenaSumMonoid)
+			kept, _ := eng.Register(arenaSumMonoid)
+			if err := s.RunErr(func(c *sched.Context) {
+				w := c.Worker()
+				*core.Lookup(eng, c, kept).(*int64) += 2
+				outer := eng.BeginTrace(w)
+				word, _ := eng.LookupWord(c, r, 0, false)
+				*(*int64)(word) = 7
+				inner := eng.BeginTrace(w)
+				innerWord, _ := eng.LookupWord(c, r, 0, false)
+				if innerWord == word {
+					t.Error("the nested trace was lent the outer trace's zero block")
+				}
+				if got := *(*int64)(innerWord); got != 0 {
+					t.Errorf("nested read-only lookup = %d, want 0", got)
+				}
+				*core.Lookup(eng, c, kept).(*int64) += 10
+				eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, inner))
+				if err := endTracePanic(eng, w, outer); !errors.Is(err, core.ErrReadViewWritten) {
+					t.Errorf("outer EndTrace failed with %v, want %v", err, core.ErrReadViewWritten)
+				}
+				if got := *core.Lookup(eng, c, kept).(*int64); got != 2 {
+					t.Errorf("enclosing trace's view = %d after the failed EndTrace, want 2", got)
+				}
+				next := eng.BeginTrace(w)
+				if word, _ := eng.LookupWord(c, r, 0, false); *(*int64)(word) != 0 {
+					t.Errorf("next trace's read-only lookup = %d, want 0", *(*int64)(word))
+				}
+				eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, next))
+			}); err != nil {
+				t.Fatalf("RunErr: %v", err)
+			}
+			if got := *kept.Value().(*int64); got != 2 {
+				t.Errorf("kept = %d, want 2", got)
+			}
+			if got := *r.Value().(*int64); got != 0 {
+				t.Errorf("written-through reducer = %d, want 0", got)
+			}
+			if err := s.Quiescent(); err != nil {
+				t.Errorf("not quiescent: %v", err)
+			}
+		})
+	}
+}
+
 // endTracePanic ends tr and returns the error its EndTrace panicked with.
-func endTracePanic(eng *core.MM, w *sched.Worker, tr sched.Trace) (err error) {
+func endTracePanic(eng core.Engine, w *sched.Worker, tr sched.Trace) (err error) {
 	defer func() { err, _ = recover().(error) }()
 	eng.EndTrace(w, tr)
 	return nil

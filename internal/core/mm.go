@@ -196,8 +196,11 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 // keeps serving its private view until the trace ends even if the reducer
 // has been retired meanwhile (the check is the owner stamp, not directory
 // validity).  A retired handle without a
-// private view is served the frozen leftmost value, uncacheable.  Anything
-// else installs an identity view.
+// private view is served the frozen leftmost value, uncacheable.  A
+// read-only lookup of a reducer whose identity is the zero value is served
+// the trace's zero block (spa.ZeroBlock): the view it would create still
+// equals the identity, so none is created, and the first mutable access
+// creates it.  Anything else installs an identity view.
 //
 //cilkvet:hotpath
 func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) (unsafe.Pointer, bool) {
@@ -227,6 +230,17 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 			w.BumpViewEpoch()
 		}
 	}
+	if r.monoid.zeroIdentity {
+		if !mutable {
+			return ws.private.Zero.Lend(), true
+		}
+		if ws.private.Zero.Lent() {
+			// A handle cache of this worker may still map r to the zero
+			// block; the bump sends its next lookup to the view created
+			// below.
+			w.BumpViewEpoch()
+		}
+	}
 	return e.lookupSlow(ws, r, mutable), true
 }
 
@@ -236,8 +250,9 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 // worker's view arena — a free-list pop or a bump allocation, no heap
 // allocator — and the slot's arena flag records that the block is
 // recyclable when the view dies.  mutable stamps the written bit; a
-// read-only first lookup leaves it clear so the identity view can be elided
-// if it is never subsequently written.
+// read-only first lookup (of a view type the zero block does not serve)
+// leaves it clear so the identity view can be elided if it is never
+// subsequently written.
 //
 //cilkvet:hotpath
 func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
@@ -328,22 +343,29 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 }
 
 // EndTrace implements sched.ReducerRuntime: it performs view transferal
-// with identity-view elision.  Slots whose written bit never got set still
-// hold the monoid identity — the trace looked them up but never mutated
-// them — so folding them at the join would be a no-op; they are removed
-// here instead, their arena blocks recycled, before the deposit is even
-// sized.  A trace whose views were all elided deposits nothing and performs
-// no pagepool round-trip at all.  Transferal itself is the paper's
-// remapping strategy: the trace's pages, surviving views in place, are
-// swapped for as many empty pages fetched from the pool in one bulk
-// round-trip and become the deposit — one pointer swap per page, nothing
-// per view.  The pool counts pages out and in, not where a page was born,
-// so pages that started life on the heap in a private set enter it on the
-// deposit's release and Outstanding stays exact.  Finally the suspended
+// with identity-view elision.  It first reclaims the trace's zero block: one
+// found written (a write through a read-only view) fails the trace with
+// ErrReadViewWritten, its views dropped as on a failed transferal.  Slots
+// whose written bit never got set still hold the monoid identity — the
+// trace looked them up read-only (a view type the zero block does not
+// serve) but never mutated them — so folding them at the join would be a
+// no-op; they are removed here instead, their arena blocks recycled, before
+// the deposit is even sized.  A trace whose views were all elided deposits
+// nothing and performs no pagepool round-trip at all.  Transferal itself is
+// the paper's remapping strategy: the trace's pages, surviving views in
+// place, are swapped for as many empty pages fetched from the pool in one
+// bulk round-trip and become the deposit — one pointer swap per page,
+// nothing per view.  The pool counts pages out and in, not where a page was
+// born, so pages that started life on the heap in a private set enter it on
+// the deposit's release and Outstanding stays exact.  Finally the suspended
 // outer trace's maps are restored.
 func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	ws := w.Local().(*mmWorker)
 	saved, _ := tr.(*spa.MapSet)
+	if ws.private.Zero.Reclaim() {
+		e.abortTrace(w, ws, saved)
+		panic(ErrReadViewWritten)
+	}
 	var dep *MMDeposit
 	elided := int64(0)
 	for pi := 0; pi < ws.private.Pages(); pi++ {
@@ -372,14 +394,8 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		if err != nil {
 			// Page exhaustion (or an injected fault) mid-transferal: the
 			// trace's updates cannot be deposited, so the only sound exit is
-			// to drop them and unwind.  Every private view recycles into this
-			// worker's arena and the suspended outer trace's maps come back
-			// before the panic, which the scheduler contains at the job
-			// boundary without ending this trace again.
-			ws.dropPrivateViews()
-			e.Totals.Flush(&ws.tally)
-			ws.restoreOuterTrace(saved)
-			w.BumpViewEpoch()
+			// to drop them and unwind.
+			e.abortTrace(w, ws, saved)
 			panic(fmt.Errorf("core: view transferal: %w", err))
 		}
 		ws.private.SwapPages(pages)
@@ -395,6 +411,18 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		return nil
 	}
 	return dep
+}
+
+// abortTrace is the end of a trace whose views cannot be deposited: every
+// private view recycles into this worker's arena, the tally is flushed and
+// the suspended outer trace's maps come back, so the caller may panic with
+// the trace's failure, which the scheduler contains at the job boundary
+// without ending this trace again.
+func (e *MM) abortTrace(w *sched.Worker, ws *mmWorker, saved *spa.MapSet) {
+	ws.dropPrivateViews()
+	e.Totals.Flush(&ws.tally)
+	ws.restoreOuterTrace(saved)
+	w.BumpViewEpoch()
 }
 
 // releaseDeposit is the one end of every deposit: whatever is still in

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/metrics"
+	"repro/internal/spa"
 )
 
 // This file implements the per-worker view arena: a size-classed bump
@@ -46,6 +47,10 @@ const (
 	// arenaChunkBytes is the size of one bump chunk (per class).
 	arenaChunkBytes = 8192
 )
+
+// The zero block a read-only first lookup is lent (spa.ZeroBlock) must
+// cover every arena-eligible view.
+var _ [spa.ZeroBlockBytes - arenaMaxClassBytes]struct{}
 
 // ArenaClassFor returns the size class for a view of the given size, or -1
 // when the size is outside the arena's range.  Classes are powers of two

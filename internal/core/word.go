@@ -41,6 +41,10 @@ type Monoid struct {
 	// arenaClass is the arena size class of the view type, or -1 when its
 	// views stay on the heap path.
 	arenaClass int8
+	// zeroIdentity reports that the view type is arena-eligible and its
+	// identity is the zero value, so a read-only first lookup may be served
+	// the trace's zero block (spa.ZeroBlock) instead of a view.
+	zeroIdentity bool
 }
 
 // kernel is the word-level form of one typed monoid: one object per Monoid
@@ -98,6 +102,9 @@ func (k *arenaKernel[V]) seed(p unsafe.Pointer) { *(*V)(p) = k.id }
 // is decided here, from V alone: a fixed-size, pointer-free V that fits a
 // size class has its identity value captured once, and the memory-mapping
 // engine then builds and recycles such views inside its per-worker arenas.
+// Whether that captured identity is V's zero value (Add's 0, Or's false,
+// but not And's true) is decided here too, once: both engines then serve a
+// read-only first lookup the trace's zero block.
 //
 // A typed monoid of size zero carries no state, so its word-level form
 // depends on its type alone: the first call for that type builds it and
@@ -126,11 +133,12 @@ func buildMonoid[V any](m typed[V]) Monoid {
 	if t := reflect.TypeFor[V](); pointerFree(t) {
 		if class := ArenaClassFor(t.Size()); class >= 0 {
 			if id := m.Identity(); id != nil {
-				return Monoid{&arenaKernel[V]{typedKernel[V]{m}, *id}, int8(class)}
+				zero := reflect.ValueOf(id).Elem().IsZero()
+				return Monoid{&arenaKernel[V]{typedKernel[V]{m}, *id}, int8(class), zero}
 			}
 		}
 	}
-	return Monoid{&typedKernel[V]{m}, -1}
+	return Monoid{&typedKernel[V]{m}, -1, false}
 }
 
 // pointerFree reports whether a value of type t contains no pointers, so

@@ -5,7 +5,9 @@
 //
 // Every reducer access performs a hash-table lookup keyed by the reducer's
 // identity.  When a stolen computation first touches a reducer, an identity
-// view is created lazily and inserted into the hypermap.  View transferal
+// view is created lazily and inserted into the hypermap (a read-only touch
+// of a reducer whose identity is the zero value reads the trace's zero
+// block instead, as on the memory-mapped engine).  View transferal
 // is cheap — the hypermap pointer itself is deposited — but lookups carry
 // the full hash-table cost and hypermerges walk one table performing a
 // lookup in the other per element, which is where the paper finds Cilk Plus

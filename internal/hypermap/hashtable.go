@@ -25,6 +25,10 @@ type hashTable struct {
 	nbuckets uint64
 	n        int
 	sizeIdx  int
+	// zero is lent to the read-only first lookups of the trace this table
+	// belongs to, so each trace, nested ones included, has a block of its
+	// own.
+	zero spa.ZeroBlock
 }
 
 // hashEntry is one chained element.

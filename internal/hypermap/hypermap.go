@@ -120,8 +120,10 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 // probe rejects below-head entries and owned entries whose written bit needs
 // stamping on a mutable access.  A retired handle
 // without an entry of its own is served the frozen leftmost value,
-// uncacheable, matching a serial lookup after unregistration.  Anything
-// else installs an identity view.
+// uncacheable, matching a serial lookup after unregistration.  A read-only
+// lookup of a reducer whose identity is the zero value is served the
+// trace's zero block (spa.ZeroBlock) and inserts nothing; the first mutable
+// access installs the view.  Anything else installs an identity view.
 //
 //cilkvet:hotpath
 func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) (unsafe.Pointer, bool) {
@@ -147,6 +149,16 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable 
 		ws.user.remove(r.Addr())
 		ws.tally.Merge.StaleViewDrops++
 		w.BumpViewEpoch()
+	}
+	if r.ZeroIdentity() {
+		if !mutable {
+			return ws.user.zero.Lend(), true
+		}
+		if ws.user.zero.Lent() {
+			// A handle cache of this worker may still map r to the zero
+			// block; the bump sends its next lookup to the entry below.
+			w.BumpViewEpoch()
+		}
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before the
 	// entry is inserted, so a contained identity panic leaves the worker's
@@ -186,10 +198,18 @@ func (e *HM) BeginTrace(w *sched.Worker) sched.Trace {
 
 // EndTrace implements sched.ReducerRuntime.  View transferal in the
 // hypermap scheme deposits the user hypermap itself, then restores the
-// suspended outer trace's hypermap.
+// suspended outer trace's hypermap.  A trace whose zero block was written
+// through (a write through a read-only view) deposits nothing: its hypermap
+// is dropped, the outer one restored, and the trace fails with
+// core.ErrReadViewWritten.
 func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 	ws := w.Local().(*hmWorker)
 	saved, _ := tr.(*hashTable)
+	if ws.user.zero.Reclaim() {
+		ws.user = nil
+		e.finishTrace(w, ws, saved)
+		panic(core.ErrReadViewWritten)
+	}
 	var dep *Deposit
 	if ws.user.len() != 0 {
 		start := metrics.Start(e.Timing)
@@ -197,6 +217,17 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		ws.user = nil
 		ws.tally.Overhead.Tick(metrics.ViewTransferal, start)
 	}
+	e.finishTrace(w, ws, saved)
+	if dep == nil {
+		return nil
+	}
+	return dep
+}
+
+// finishTrace ends every EndTrace: the tally is flushed and the
+// suspended outer trace's hypermap comes back (a root trace's worker keeps
+// its emptied one, or gets a fresh one after a deposit or a drop).
+func (e *HM) finishTrace(w *sched.Worker, ws *hmWorker, saved *hashTable) {
 	e.Totals.Flush(&ws.tally)
 	if saved != nil {
 		ws.user = saved
@@ -204,10 +235,6 @@ func (e *HM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		ws.user = newHashTable()
 	}
 	w.BumpViewEpoch()
-	if dep == nil {
-		return nil
-	}
-	return dep
 }
 
 // Merge implements sched.ReducerRuntime: the hypermerge.  The worker walks

@@ -52,7 +52,9 @@ func TestAdaptMonoidArenaEligibility(t *testing.T) {
 // lookup reproduces the monoid identity — including non-zero identities
 // like And's true — over a block holding a dead prior view: the first trace
 // leaves a view that is not the identity, the merge recycles its block, and
-// the second trace's first ReadView is served that block.
+// the second trace's first lookup is served that block.  Min's is a View:
+// its identity is the zero value, so a first ReadView would be served the
+// trace's zero block and create no view at all.
 func TestArenaAdapterInitViewWritesIdentity(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
@@ -74,7 +76,7 @@ func TestArenaAdapterInitViewWritesIdentity(t *testing.T) {
 		if !*and.ReadView(c) {
 			t.Error("first ReadView over a recycled block did not read the And identity (true)")
 		}
-		if ext := *min.ReadView(c); ext.Set || ext.Val != 0 {
+		if ext := *min.View(c); ext.Set || ext.Val != 0 {
 			t.Errorf("first ReadView over a recycled block read a dirty Extreme view: %+v", ext)
 		}
 		eng.Merge(w, w.CurrentTrace(), eng.EndTrace(w, tr))
@@ -95,24 +97,26 @@ func TestArenaAdapterInitViewWritesIdentity(t *testing.T) {
 // TestReadViewKeepsViewsElidable drives the typed read-only access path on
 // the memory-mapped engine: a trace that only ReadViews a reducer deposits
 // nothing, the merge pipeline counts an elision, and the value is
-// untouched; a later trace that Views (mutable) merges normally.
+// untouched; a later trace that Views (mutable) merges normally.  The
+// reducer is an And, whose identity (true) is not the zero value, so its
+// first ReadView creates a view for the trace end to elide.
 func TestReadViewKeepsViewsElidable(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
-	sum := NewAdd[int](eng)
-	if !sum.Reducer().ArenaEligible() {
-		t.Fatal("Add[int] should be arena-eligible")
+	and := NewAnd(eng)
+	if !and.Reducer().ArenaEligible() {
+		t.Fatal("And should be arena-eligible")
 	}
 	if err := s.Run(func(c *sched.Context) {
 		w := c.Worker()
 		// Trace 1: read-only.
 		tr := eng.BeginTrace(w)
-		if got := *sum.ReadView(c); got != 0 {
-			t.Errorf("ReadView = %d, want identity 0", got)
+		if got := *and.ReadView(c); !got {
+			t.Errorf("ReadView = %v, want identity true", got)
 		}
-		if got := *sum.ReadView(c); got != 0 { // cached re-read
-			t.Errorf("cached ReadView = %d, want 0", got)
+		if got := *and.ReadView(c); !got { // cached re-read
+			t.Errorf("cached ReadView = %v, want true", got)
 		}
 		d := eng.EndTrace(w, tr)
 		if d != nil {
@@ -121,10 +125,10 @@ func TestReadViewKeepsViewsElidable(t *testing.T) {
 		eng.Merge(w, w.CurrentTrace(), d)
 		// Trace 2: read-only first, then mutable — the write must survive.
 		tr = eng.BeginTrace(w)
-		_ = *sum.ReadView(c)
-		*sum.View(c) += 9
-		if got := *sum.ReadView(c); got != 9 {
-			t.Errorf("ReadView after write = %d, want 9", got)
+		_ = *and.ReadView(c)
+		and.Update(c, false)
+		if got := *and.ReadView(c); got {
+			t.Errorf("ReadView after write = %v, want false", got)
 		}
 		d = eng.EndTrace(w, tr)
 		if d == nil {
@@ -137,8 +141,8 @@ func TestReadViewKeepsViewsElidable(t *testing.T) {
 	if err := s.Run(func(c *sched.Context) {}); err != nil {
 		t.Fatalf("flush run: %v", err)
 	}
-	if got := sum.Value(); got != 9 {
-		t.Fatalf("final value = %d, want 9", got)
+	if got := and.Value(); got {
+		t.Fatalf("final value = %v, want false", got)
 	}
 	ms := eng.MergeStats()
 	if ms.IdentityElisions != 1 {

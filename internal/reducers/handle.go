@@ -163,7 +163,10 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 // the interior of that call is flat: WorkerID and ViewEpoch inline into it.
 //
 // Being a mutable access, a miss stamps the slot's written bit, which
-// exempts the view from the merge pipeline's identity-view elision.
+// exempts the view from the merge pipeline's identity-view elision.  If the
+// trace has no view of the reducer yet — none, or only ReadView's zero
+// block — the miss creates it, and every later View or ReadView of the
+// reducer in the trace returns it.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) View(c *sched.Context) *V {
@@ -179,12 +182,24 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 	return h.viewMiss(c, true)
 }
 
-// ReadView returns the local view for reading only.  It resolves exactly
-// like View but never stamps the written bit: a view that is only ever
-// read through ReadView still equals the monoid identity, so the merge
-// pipeline elides it — no reduce call, no transferal, and (on the
-// memory-mapped engine) its arena block is recycled at trace end.  Do not
-// write through the returned pointer; use View for that.
+// ReadView returns the local view for reading only.  Once the trace has a
+// view of the reducer, ReadView returns that view, the pointer View
+// returns, but never stamps the written bit.  Before that, what it returns
+// reads as the monoid identity:
+//
+//   - for a view type that is arena-eligible (fixed-size and pointer-free)
+//     with an all-zero identity — Add, Or, Min and Max over numbers — it
+//     is the trace's zero block, the runtime's shared zero page, and no
+//     view is created.  Distinct reducers may get the same block;
+//   - for any other view type (And's true identity, lists, maps) it is a
+//     new identity view, which the merge pipeline elides at trace end if
+//     it is never written: no reduce call, no transferal, and (on the
+//     memory-mapped engine) its arena block is recycled.
+//
+// Do not write through the returned pointer; use View for that.  A write
+// into the zero block is trapped when the trace ends: the job fails with
+// core.ErrReadViewWritten, and the trace's updates are dropped.  A write
+// into a new identity view is elided with it at trace end, so it is lost.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) ReadView(c *sched.Context) *V {

@@ -55,22 +55,26 @@ func (c *Context) Runtime() *Runtime { return c.w.rt }
 //
 //cilkvet:hotpath
 func (c *Context) Fork(left, right func(*Context)) {
-	c.fork(left, right, nil, 0, 0, 0)
+	c.fork(left, right, nil, nil, 0, 0, 0)
 }
 
 // fork is the one fork body.  A Fork passes its two branches and a nil body;
-// a ParallelFor split passes nil branches and the range [lo, hi) of body,
-// whose left half runs here and whose right half is the continuation,
-// carried in the pooled task itself, so that the split allocates nothing.
+// a ForkN passes its first branch as left and the others as rest; a
+// ParallelFor split passes nil branches and the range [lo, hi) of body,
+// whose left half runs here.  The continuation — right, rest or the right
+// half of the range — is carried in the pooled task itself, so that
+// forking allocates nothing.
 //
 //cilkvet:hotpath
-func (c *Context) fork(left, right func(*Context), body func(*Context, int), lo, hi, grain int) {
+func (c *Context) fork(left, right func(*Context), rest []func(*Context), body func(*Context, int), lo, hi, grain int) {
 	w := c.w
 	w.checkCancelled()
 	w.forksLocal++
 	t := w.newTask(right)
 	if body != nil {
 		t.body, t.lo, t.hi, t.grain = body, lo+(hi-lo)/2, hi, grain
+	} else if rest != nil {
+		t.rest = rest
 	}
 	if faultinject.Enabled() && faultinject.Fire(faultinject.SchedForceSteal) {
 		w.forkForced(c, left, lo, t)
@@ -147,7 +151,10 @@ func (w *Worker) joinStolen(j *join) {
 
 // ForkN executes the given branches as logically parallel work, preserving
 // their serial (left-to-right) order on the no-steal path.  It is the
-// n-ary generalisation of Fork, built by right-nesting binary forks.
+// n-ary generalisation of Fork, built by right-nesting binary forks: the
+// first branch runs here, and the continuation, which a thief may take
+// whole, is a ForkN of the others.  That continuation is the pooled task
+// carrying branches[1:], so a ForkN that is not stolen allocates nothing.
 func (c *Context) ForkN(branches ...func(*Context)) {
 	switch len(branches) {
 	case 0:
@@ -159,8 +166,7 @@ func (c *Context) ForkN(branches ...func(*Context)) {
 		c.Fork(branches[0], branches[1])
 		return
 	}
-	rest := branches[1:]
-	c.Fork(branches[0], func(c2 *Context) { c2.ForkN(rest...) })
+	c.fork(branches[0], nil, branches[1:], nil, 0, 0, 0)
 }
 
 // ParallelFor executes body(i) for every i in [lo, hi) with automatic grain
@@ -200,5 +206,5 @@ func (c *Context) pfor(lo, hi, grain int, body func(*Context, int)) {
 		return
 	}
 	c.w.splitsLocal++
-	c.fork(nil, nil, body, lo, hi, grain)
+	c.fork(nil, nil, nil, body, lo, hi, grain)
 }

@@ -6,9 +6,10 @@ import "sync/atomic"
 // terms it is the suspended parent frame sitting in the worker's deque,
 // waiting either to be popped back by its owner (the serial fast path) or
 // to be stolen and promoted into a full frame.  The continuation is a
-// Fork's right branch, fn, or a ParallelFor split's right half: the range
-// [lo, hi) of body at the loop's grain, stored in the task so that a split
-// allocates no closure.
+// Fork's right branch, fn; a ParallelFor split's right half: the range
+// [lo, hi) of body at the loop's grain; or a ForkN's branches after its
+// first, rest.  Each is stored in the task itself, so that neither a split
+// nor a level of ForkN allocates a closure.
 //
 // Tasks are pooled in per-worker free lists (see Worker.newTask): the
 // owner recycles a task when it pops it back, on the fork fast path or in a
@@ -20,6 +21,8 @@ type task struct {
 	body func(*Context, int)
 
 	lo, hi, grain int
+
+	rest []func(*Context)
 
 	join *join
 	// job is the submission this task belongs to, captured from the
@@ -36,6 +39,10 @@ type task struct {
 func (t *task) run(c *Context) {
 	if t.body != nil {
 		c.pfor(t.lo, t.hi, t.grain, t.body)
+		return
+	}
+	if t.rest != nil {
+		c.ForkN(t.rest...)
 		return
 	}
 	t.fn(c)

@@ -17,6 +17,8 @@ import (
 // serial order, each index exactly once.  The range has odd length, so
 // halves are uneven at every grain.  With the failpoint firing on about
 // half the forks the forced and the serial joins interleave in one tree.
+// A ForkN of 1 to 9 branches, whose continuation at each level is the task
+// carrying the remaining branches, must do the same with its n−1 forks.
 func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
 	const n = 1001
 	for _, prob := range []float64{1, 0.5} {
@@ -53,6 +55,44 @@ func TestForcedStealsRunEveryContinuationAsStolen(t *testing.T) {
 			}
 			if err := rt.Quiescent(); err != nil {
 				t.Errorf("prob %v, grain %d: %v", prob, grain, err)
+			}
+			rt.Close()
+		}
+		for n := 1; n <= 9; n++ {
+			branches := make([]func(*Context), n)
+			for k := range branches {
+				branches[k] = func(c *Context) { orderAppend(c, k) }
+			}
+			plan := faultinject.NewPlan(21).Arm(faultinject.SchedForceSteal, faultinject.Rule{Prob: prob})
+			deactivate := faultinject.Activate(plan)
+			red := newOrderReducers()
+			rt := New(Config{Workers: 1, Reducers: red})
+			err := rt.Run(func(c *Context) { c.ForkN(branches...) })
+			deactivate()
+			if err != nil {
+				t.Fatalf("prob %v, ForkN of %d: Run: %v", prob, n, err)
+			}
+			got := orderDeposit(red.root(0))
+			if len(got) != n {
+				t.Fatalf("prob %v, ForkN of %d: deposit of %d values, want %d", prob, n, len(got), n)
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("prob %v, ForkN of %d: position %d holds %d: order diverged from serial", prob, n, i, v)
+				}
+			}
+			st, forced := rt.Stats(), int64(plan.Fires(faultinject.SchedForceSteal))
+			if st.Steals != forced || st.StalledJoins != forced || st.TasksExecuted != forced+1 {
+				t.Errorf("prob %v, ForkN of %d: stats %+v, want %d steals, stalled joins and stolen tasks", prob, n, st, forced)
+			}
+			if want := int64(n - 1); st.Forks != want {
+				t.Errorf("prob %v, ForkN of %d: %d forks, want %d", prob, n, st.Forks, want)
+			}
+			if prob == 1 && forced != st.Forks {
+				t.Errorf("prob %v, ForkN of %d: %d of %d forks forced", prob, n, forced, st.Forks)
+			}
+			if err := rt.Quiescent(); err != nil {
+				t.Errorf("prob %v, ForkN of %d: %v", prob, n, err)
 			}
 			rt.Close()
 		}

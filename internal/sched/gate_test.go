@@ -268,3 +268,24 @@ func TestForkAllocFreeBehindGate(t *testing.T) {
 		t.Errorf("Fork on the no-steal path allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestForkNAllocFree: each level of a ForkN pushes the pooled task carrying
+// the remaining branches, so a Run whose ForkN of 8 branches is not stolen
+// allocates what an empty Run does.
+func TestForkNAllocFree(t *testing.T) {
+	rt := New(Config{Workers: 1})
+	defer rt.Close()
+	branches := make([]func(*Context), 8)
+	ran := 0
+	for i := range branches {
+		branches[i] = func(*Context) { ran++ }
+	}
+	empty := testing.AllocsPerRun(200, func() { _ = rt.Run(func(*Context) {}) })
+	forkN := testing.AllocsPerRun(200, func() { _ = rt.Run(func(c *Context) { c.ForkN(branches...) }) })
+	if forkN != empty {
+		t.Errorf("a Run of a ForkN of 8 branches allocates %.1f objects, an empty Run %.1f", forkN, empty)
+	}
+	if ran != 8*201 {
+		t.Errorf("%d branches ran, want %d", ran, 8*201)
+	}
+}

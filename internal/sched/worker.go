@@ -167,7 +167,7 @@ func (w *Worker) newTask(fn func(*Context)) *task {
 // freeTask recycles a task its owner has popped back, which closes its
 // identity-check window: no thief ever held the pointer.
 func (w *Worker) freeTask(t *task) {
-	t.fn, t.body, t.join, t.job = nil, nil, nil, nil
+	t.fn, t.body, t.rest, t.join, t.job = nil, nil, nil, nil, nil
 	t.next = w.freeTasks
 	w.freeTasks = t
 }

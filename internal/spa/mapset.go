@@ -24,6 +24,10 @@ func MakeAddr(page, slot int) Addr { return Addr(page*SlotsPerMap + slot) }
 // produced by view transferal are another.
 type MapSet struct {
 	pages []*Map
+	// Zero is lent to the read-only first lookups of the trace whose
+	// private maps these are, so each trace, nested ones included, has a
+	// block of its own.
+	Zero ZeroBlock
 }
 
 // NewMapSet returns an empty map set.

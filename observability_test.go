@@ -22,8 +22,10 @@ func mergeHeavyRun(t *testing.T, s *cilkm.Session) {
 	sum := cilkm.NewAdd[int64](s.Engine())
 	defer sum.Close()
 	// watched is only ever read: its identity views carry no writes, so the
-	// hypermerge elides every one of them — the elision-rate signal.
-	watched := cilkm.NewAdd[int64](s.Engine())
+	// hypermerge elides every one of them — the elision-rate signal.  It is
+	// an And: its identity (true) is not the zero value, so a read-only
+	// first lookup creates a view (an Add's is served the zero block).
+	watched := cilkm.NewAnd(s.Engine())
 	defer watched.Close()
 	for round := 0; round < 40; round++ {
 		tree := genTree(rng, 80)
