@@ -44,7 +44,8 @@ check-binaries:
 # fast path (slot probe, owner-stamp check, bucket-head probe, epoch and
 # worker-id accessors).  A helper growing past the inlining budget would
 # silently turn the single-deref steady-state hit into a call chain; this
-# greps -gcflags=-m and fails when any pinned decision is gone.
+# greps -gcflags=-m and fails when any pinned decision is gone, or when a
+# closure in internal/pbfs/pbfs.go escapes to the heap.
 inline-check:
 	@GO="$(GO)" sh scripts/inline_check.sh
 

@@ -13,8 +13,6 @@
 // pennants plus a merge of the two hoppers.
 package bag
 
-import "math/bits"
-
 // BlockSize is the number of elements in a pennant node, the PBFS paper's
 // grain: one block is the unit of allocation on insert and the unit of
 // serial work on traversal.
@@ -28,47 +26,12 @@ type node[T any] struct {
 	elems       [BlockSize]T
 }
 
-// Pennant is a tree of exactly 2^rank blocks.
-type Pennant[T any] struct {
-	root *node[T]
-	rank int
-}
-
-// Rank returns the pennant's rank; the pennant holds 2^rank blocks.
-func (p Pennant[T]) Rank() int { return p.rank }
-
-// Len returns the number of elements in the pennant.
-func (p Pennant[T]) Len() int { return BlockSize << p.rank }
-
-// Subtree returns the pennant as a tree fragment for traversal: the root's
-// block, a complete binary tree on the left and nothing on the right.
-func (p Pennant[T]) Subtree() Subtree[T] { return Subtree[T]{n: p.root} }
-
 // union combines two pennants of equal rank into one of the next rank in
 // O(1): y becomes the root of x's child tree.
 func union[T any](x, y *node[T]) *node[T] {
 	y.right = x.left
 	x.left = y
 	return x
-}
-
-// Subtree is a fragment of a pennant, passed by value, that callers (PBFS)
-// descend in parallel.
-type Subtree[T any] struct {
-	n *node[T]
-}
-
-// Empty reports whether the subtree holds no blocks.
-func (s Subtree[T]) Empty() bool { return s.n == nil }
-
-// Block returns the block at the subtree's root; the subtree must not be
-// empty and the caller must not modify the block.
-func (s Subtree[T]) Block() []T { return s.n.elems[:] }
-
-// Children returns the left and right subtrees.  Below a pennant's root
-// the tree is complete, so there the left one is empty exactly at a leaf.
-func (s Subtree[T]) Children() (left, right Subtree[T]) {
-	return Subtree[T]{n: s.n.left}, Subtree[T]{n: s.n.right}
 }
 
 // MaxRank bounds the number of pennant slots in a bag; 2^64 blocks can
@@ -187,46 +150,32 @@ func fullAdd[T any](x, y, carry *node[T]) (sum, carryOut *node[T]) {
 	}
 }
 
-// Pennants returns the non-empty pennants currently in the bag, smallest
-// rank first.  Together with Hopper they hold every element; PBFS walks
-// them in parallel.
-func (b *Bag[T]) Pennants() []Pennant[T] {
-	out := make([]Pennant[T], 0, bits.OnesCount(uint(b.blocks)))
-	for k := 0; b.blocks>>k != 0; k++ {
-		if p := b.pennants[k]; p != nil {
-			out = append(out, Pennant[T]{root: p, rank: k})
-		}
+// Blocks appends every block in the bag to dst and returns the extended
+// slice: the nodes of each pennant, largest rank first, then the hopper's
+// filled prefix.  Every block but the hopper's holds BlockSize elements,
+// and a caller that walks many bags reuses one dst.  A bag built by Insert
+// alone lists its elements in insertion order; Union keeps each operand's
+// pennants whole, so a union's blocks come in long runs of its operands'
+// orders.  The caller must not modify the blocks.
+func (b *Bag[T]) Blocks(dst [][]T) [][]T {
+	for k := MaxRank - 1; k >= 0; k-- {
+		dst = appendTree(dst, b.pennants[k])
 	}
-	return out
+	if b.fill > 0 {
+		dst = append(dst, b.hopper.elems[:b.fill])
+	}
+	return dst
 }
 
-// Hopper returns the elements not yet in a pennant, fewer than BlockSize of
-// them; the caller must not modify the slice.
-func (b *Bag[T]) Hopper() []T {
-	if b.fill == 0 {
-		return nil
+// appendTree appends the blocks of the tree rooted at n: right subtree,
+// node, left subtree.  union(x, y) makes x the root and hangs y on its
+// left, above x's child tree, and Insert passes the older pennant as x, so
+// this is the order the blocks were filled; a pennant's root, which has no
+// right child, comes first.
+func appendTree[T any](dst [][]T, n *node[T]) [][]T {
+	for ; n != nil; n = n.left {
+		dst = appendTree(dst, n.right)
+		dst = append(dst, n.elems[:])
 	}
-	return b.hopper.elems[:b.fill]
-}
-
-// Walk calls fn for every element in the bag, in an unspecified order.
-func (b *Bag[T]) Walk(fn func(T)) {
-	for k := 0; b.blocks>>k != 0; k++ {
-		walkTree(b.pennants[k], fn)
-	}
-	for _, v := range b.Hopper() {
-		fn(v)
-	}
-}
-
-// walkTree walks every block of the tree rooted at n.
-func walkTree[T any](n *node[T], fn func(T)) {
-	if n == nil {
-		return
-	}
-	for _, v := range n.elems {
-		fn(v)
-	}
-	walkTree(n.left, fn)
-	walkTree(n.right, fn)
+	return dst
 }

@@ -11,7 +11,9 @@ import (
 
 func collect[T cmp.Ordered](b *Bag[T]) []T {
 	var out []T
-	b.Walk(func(v T) { out = append(out, v) })
+	for _, block := range b.Blocks(nil) {
+		out = append(out, block...)
+	}
 	slices.Sort(out)
 	return out
 }
@@ -45,7 +47,8 @@ func countBlocks[T any](n *node[T]) int {
 
 // checkShape verifies the representation invariants: a pennant at rank k
 // exactly where bit k of the block count is set, 2^k blocks in it, nothing
-// hanging off a root's right, and a hopper exactly when it has elements.
+// hanging off a root's right, a hopper exactly when it has elements, and
+// Blocks listing the full blocks and then the hopper's fill.
 func checkShape[T any](t *testing.T, b *Bag[T]) {
 	t.Helper()
 	for k, p := range b.pennants {
@@ -65,8 +68,12 @@ func checkShape[T any](t *testing.T, b *Bag[T]) {
 	if (b.hopper == nil) != (b.fill == 0) || b.fill < 0 || b.fill >= BlockSize {
 		t.Fatalf("hopper nil = %v with fill %d", b.hopper == nil, b.fill)
 	}
-	if len(b.Hopper()) != b.fill || b.Len() != b.blocks*BlockSize+b.fill {
-		t.Fatalf("Len %d, Hopper %d: want %d blocks + %d", b.Len(), len(b.Hopper()), b.blocks, b.fill)
+	if b.Len() != b.blocks*BlockSize+b.fill {
+		t.Fatalf("Len %d: want %d blocks + %d", b.Len(), b.blocks, b.fill)
+	}
+	blocks := b.Blocks(nil)
+	if len(blocks) != b.blocks+min(b.fill, 1) || b.fill > 0 && len(blocks[len(blocks)-1]) != b.fill {
+		t.Fatalf("Blocks lists %d blocks for %d full and a hopper of %d", len(blocks), b.blocks, b.fill)
 	}
 }
 
@@ -78,8 +85,8 @@ func TestEmptyBag(t *testing.T) {
 	if got := collect(b); len(got) != 0 {
 		t.Fatalf("empty bag walked %d elements", len(got))
 	}
-	if len(b.Pennants()) != 0 || len(b.Hopper()) != 0 {
-		t.Fatal("empty bag should have no pennants and no hopper")
+	if b.pennants != [MaxRank]*node[int]{} || b.hopper != nil || b.fill != 0 || len(b.Blocks(nil)) != 0 {
+		t.Fatal("empty bag should have no pennants, no hopper and no blocks")
 	}
 	b.Union(nil)
 	b.Union(New[int]())
@@ -104,63 +111,71 @@ func TestPennantStructure(t *testing.T) {
 	// 13 = 0b1101 blocks: pennants of rank 0, 2, 3, and 5 in the hopper.
 	const n = 13*BlockSize + 5
 	b := fill(0, n)
-	ps := b.Pennants()
-	if len(ps) != 3 {
-		t.Fatalf("expected 3 pennants for 13 blocks, got %d", len(ps))
-	}
-	wantRanks := []int{0, 2, 3}
-	total := len(b.Hopper())
-	for i, p := range ps {
-		if p.Rank() != wantRanks[i] {
-			t.Fatalf("pennant %d has rank %d, want %d", i, p.Rank(), wantRanks[i])
+	var ranks []int
+	for k, p := range b.pennants {
+		if p != nil {
+			ranks = append(ranks, k)
 		}
-		total += p.Len()
 	}
-	if total != n {
-		t.Fatalf("pennants and hopper hold %d elements, want %d", total, n)
+	if wantRanks := []int{0, 2, 3}; !slices.Equal(ranks, wantRanks) {
+		t.Fatalf("pennant ranks %v, want %v", ranks, wantRanks)
+	}
+	total := b.fill
+	for _, k := range ranks {
+		total += countBlocks(b.pennants[k]) * BlockSize
+	}
+	if b.fill != 5 || total != n {
+		t.Fatalf("pennants and a hopper of %d hold %d elements, want %d and 5 in the hopper", b.fill, total, n)
 	}
 	checkShape(t, b)
 }
 
-// TestPennantSubtrees descends a pennant the way PBFS does — own block,
-// then both children — and checks that reaches every element once.
-func TestPennantSubtrees(t *testing.T) {
-	b := fill(0, 8*BlockSize)
-	ps := b.Pennants()
-	if len(ps) != 1 || ps[0].Rank() != 3 || len(b.Hopper()) != 0 {
-		t.Fatalf("expected one rank-3 pennant and no hopper, got %v", ps)
-	}
-	seen := make(map[int]int)
-	var descend func(st Subtree[int]) int
-	descend = func(st Subtree[int]) int {
-		if st.Empty() {
-			return 0
+// TestBlocksCoverEveryElementOnce lists the blocks of bags around the
+// block boundary and checks that they hold every element once, in
+// insertion order, that all but the hopper's are full, and that Blocks
+// appends to the slice it is given.
+func TestBlocksCoverEveryElementOnce(t *testing.T) {
+	const B = BlockSize
+	sizes := []int{0, 1, B - 1, B, B + 1, 2 * B, 3*B + 7, 8 * B, 13*B + 5, 64*B - 1}
+	for _, n := range sizes {
+		b := fill(0, n)
+		blocks := b.Blocks(nil)
+		wantBlocks := n / B
+		if n%B > 0 {
+			wantBlocks++
 		}
-		for _, v := range st.Block() {
-			seen[v]++
+		if len(blocks) != wantBlocks || wantBlocks != b.blocks+min(b.fill, 1) {
+			t.Fatalf("n=%d: %d blocks listed, want %d (%d full + hopper of %d)", n, len(blocks), wantBlocks, b.blocks, b.fill)
 		}
-		l, r := st.Children()
-		return 1 + descend(l) + descend(r)
-	}
-	root := ps[0].Subtree()
-	if _, r := root.Children(); !r.Empty() {
-		t.Fatal("a pennant's root has no right subtree")
-	}
-	if blocks := descend(root); blocks != 8 {
-		t.Fatalf("descended %d blocks, want 8", blocks)
-	}
-	if len(seen) != 8*BlockSize {
-		t.Fatalf("subtree traversal saw %d distinct elements, want %d", len(seen), 8*BlockSize)
-	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Fatalf("element %d visited %d times", v, c)
+		next := 0 // fill inserted 0, 1, …, n−1
+		for i, block := range blocks {
+			if i < b.blocks && len(block) != B {
+				t.Fatalf("n=%d: block %d holds %d elements, want %d", n, i, len(block), B)
+			}
+			if i == b.blocks && len(block) != b.fill {
+				t.Fatalf("n=%d: the hopper's block holds %d elements, want %d", n, len(block), b.fill)
+			}
+			for _, v := range block {
+				if v != next {
+					t.Fatalf("n=%d: block %d lists %d where insertion order has %d", n, i, v, next)
+				}
+				next++
+			}
 		}
-	}
-	// A single block is a rank-0 pennant: a root with no children.
-	l, r := fill(0, BlockSize).Pennants()[0].Subtree().Children()
-	if !l.Empty() || !r.Empty() {
-		t.Fatal("rank-0 pennant should have no subtrees")
+		if next != n {
+			t.Fatalf("n=%d: blocks hold %d elements", n, next)
+		}
+		// A reused dst is appended to: its first blocks stay as they were.
+		prefix := fill(n, B+3).Blocks(nil)
+		both := b.Blocks(prefix)
+		if len(both) != len(prefix)+len(blocks) {
+			t.Fatalf("n=%d: Blocks onto %d blocks returned %d, want %d", n, len(prefix), len(both), len(prefix)+len(blocks))
+		}
+		for i := range prefix {
+			if &both[i][0] != &prefix[i][0] || len(both[i]) != len(prefix[i]) {
+				t.Fatalf("n=%d: block %d of the reused slice was overwritten", n, i)
+			}
+		}
 	}
 }
 
@@ -225,7 +240,11 @@ func TestPropertyUnionAndInsertPreserveMultiset(t *testing.T) {
 			return false
 		}
 		got := make(map[uint16]int)
-		a.Walk(func(v uint16) { got[v]++ })
+		for _, block := range a.Blocks(nil) {
+			for _, v := range block {
+				got[v]++
+			}
+		}
 		if len(got) != len(want) {
 			return false
 		}
@@ -398,16 +417,24 @@ func BenchmarkUnion4096(b *testing.B) {
 
 var walkSink int32
 
+// BenchmarkWalk lists a bag's blocks into a reused slice and sums them, the
+// way a PBFS layer walks its frontier.
 func BenchmarkWalk(b *testing.B) {
 	const n = 1<<16 + 77
 	bg := New[int32]()
 	for v := int32(0); v < n; v++ {
 		bg.Insert(v)
 	}
+	var blocks [][]int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum int32
-		bg.Walk(func(v int32) { sum += v })
+		blocks = bg.Blocks(blocks[:0])
+		for _, block := range blocks {
+			for _, v := range block {
+				sum += v
+			}
+		}
 		walkSink = sum
 	}
 	b.SetBytes(4 * n)

@@ -35,10 +35,10 @@ type Result struct {
 	// Reachable is the number of vertices reached.
 	Reachable int
 	// Lookups is the number of reducer lookups Parallel's layers made: one
-	// Handle.View per frontier block, so the sum over processed layers of
-	// ⌈frontier size / bag.BlockSize⌉, counted by the root strand between
-	// layers (zero for Serial).  The root strand's take of each next
-	// frontier is not one of them.
+	// Handle.View per block the frontier's Bag.Blocks lists, so the sum
+	// over processed layers of ⌈frontier size / bag.BlockSize⌉, counted by
+	// the root strand between layers (zero for Serial).  The root strand's
+	// take of each next frontier is not one of them.
 	Lookups int64
 }
 
@@ -68,9 +68,9 @@ func Serial(g *graph.Graph, source int32) *Result {
 }
 
 // Parallel runs PBFS on the given session as one Session.Run whose layers
-// are fork-joins.  The session's reducer mechanism (memory-mapped or
-// hypermap) is whatever the session was built with, which is exactly the
-// knob the paper's Figure 10 turns.
+// are range loops over the frontier's blocks.  The session's reducer
+// mechanism (memory-mapped or hypermap) is whatever the session was built
+// with, which is exactly the knob the paper's Figure 10 turns.
 func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("pbfs: nil graph")
@@ -114,22 +114,32 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// search is the root strand of a traversal: one fork-join per layer, and
-// between layers it takes the next frontier out of its own view.  After a
-// layer's join that view holds every vertex the layer discovered, merged
-// in serial order from whichever workers ran its branches; Union moves them
-// into a fresh bag and leaves the view the empty bag, the monoid's
-// identity, for the next layer to fill.  It counts the layers and the
-// lookups into res.
+// search is the root strand of a traversal: one range loop per layer over
+// the frontier's blocks, and between layers it takes the next frontier out
+// of its own view.  After a layer's join that view holds every vertex the
+// layer discovered, merged in serial order from whichever workers ran its
+// blocks; Union moves them into current, emptied in place, and leaves the
+// view the empty bag, the monoid's identity, for the next layer to fill.
+// The block list and the current bag are reused across layers.  It counts
+// the layers and the lookups into res.
+//
+// Blocks lists the frontier in the order its vertices were found.  A range
+// split gives each worker a contiguous part of that list, and the next
+// frontier lists the left part's discoveries before the right part's, so a
+// worker tends to keep its region of the graph, and of dist, from layer to
+// layer instead of pulling the other worker's cache lines.
 func (r *runner) search(c *sched.Context, source int32, res *Result) {
 	current := bag.New[int32]()
 	current.Insert(source)
+	leaf := r.processBlock
 	for depth := int32(1); !current.IsEmpty(); depth++ {
 		r.depth = depth
-		// processBlock looks the next frontier up once per block.
-		res.Lookups += int64((current.Len() + bag.BlockSize - 1) / bag.BlockSize)
-		r.processLayer(c, current)
-		current = bag.New[int32]()
+		r.blocks = current.Blocks(r.blocks[:0])
+		// processBlock looks the next frontier up once per block; a
+		// one-block layer runs inline, without a fork.
+		res.Lookups += int64(len(r.blocks))
+		c.ParallelForGrain(0, len(r.blocks), 1, leaf)
+		*current = bag.Bag[int32]{}
 		current.Union(r.next.View(c))
 		if !current.IsEmpty() {
 			res.Layers++
@@ -139,60 +149,24 @@ func (r *runner) search(c *sched.Context, source int32, res *Result) {
 
 // runner carries the traversal state shared by all workers.
 type runner struct {
-	g     *graph.Graph
-	next  reducers.Handle[bag.Bag[int32]]
-	dist  []int32
-	depth int32
+	g      *graph.Graph
+	next   reducers.Handle[bag.Bag[int32]]
+	dist   []int32
+	depth  int32
+	blocks [][]int32 // the current layer's blocks, set by the root strand
 }
 
-// processLayer explores every vertex in the current frontier in parallel:
-// one branch per pennant, largest last so a thief takes the most work, and
-// one for the hopper.
-func (r *runner) processLayer(c *sched.Context, current *bag.Bag[int32]) {
-	pennants := current.Pennants()
-	hopper := current.Hopper()
-	branches := make([]func(*sched.Context), 0, len(pennants)+1)
-	if len(hopper) > 0 {
-		branches = append(branches, func(c *sched.Context) { r.processBlock(c, hopper) })
-	}
-	for _, p := range pennants {
-		branches = append(branches, func(c *sched.Context) { r.processSubtree(c, p.Subtree()) })
-	}
-	c.ForkN(branches...)
-}
-
-// processSubtree explores a pennant subtree: a leaf is one block, an inner
-// node forks its left child against its right child and its own block.  A
-// pennant's root has no right child, so there the second branch is just the
-// root's block.
-func (r *runner) processSubtree(c *sched.Context, st bag.Subtree[int32]) {
-	if st.Empty() {
-		return
-	}
-	left, right := st.Children()
-	if left.Empty() {
-		r.processBlock(c, st.Block())
-		return
-	}
-	c.Fork(
-		func(c *sched.Context) { r.processSubtree(c, left) },
-		func(c *sched.Context) {
-			r.processSubtree(c, right)
-			r.processBlock(c, st.Block())
-		},
-	)
-}
-
-// processBlock is the leaf task: it relaxes every edge of every vertex in
-// one block, claiming undiscovered neighbours with an atomic
-// compare-and-swap and inserting them into the calling context's local view
-// of the next-frontier bag.  The view is looked up through the typed handle
-// once per block, mirroring how the PBFS code in the paper hoists its bag
-// reducer access out of the serial chunk.
-func (r *runner) processBlock(c *sched.Context, block []int32) {
+// processBlock is the leaf task, one iteration of a layer's range loop: it
+// relaxes every edge of every vertex in block i of the frontier, claiming
+// undiscovered neighbours with an atomic compare-and-swap and inserting
+// them into the calling context's local view of the next-frontier bag.  The
+// view is looked up through the typed handle once per block, mirroring how
+// the PBFS code in the paper hoists its bag reducer access out of the
+// serial chunk.
+func (r *runner) processBlock(c *sched.Context, i int) {
 	view := r.next.View(c)
 	depth, dist := r.depth, r.dist
-	for _, v := range block {
+	for _, v := range r.blocks[i] {
 		for _, w := range r.g.Neighbors(v) {
 			if atomic.LoadInt32(&dist[w]) >= 0 {
 				continue

@@ -68,8 +68,9 @@ func TestParallelMatchesSerialAllMechanisms(t *testing.T) {
 
 // TestParallelForksOverBlocks runs graphs whose frontiers span many bag
 // blocks — Grid3D(48,48,48)'s widest layer holds over 1 700 vertices, so
-// pennants of rank 3 and a hopper — which the small graphs above never do:
-// their layers fit one block and are explored without a single fork.
+// its range loop splits over 14 blocks — which the small graphs above
+// never do: their layers fit one block and are explored without a single
+// fork.
 func TestParallelForksOverBlocks(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Grid3D(48, 48, 48),
@@ -206,6 +207,36 @@ func TestParallelIsOneRun(t *testing.T) {
 					t.Errorf("%v W=%d: Lookups = %d, want %d", m, workers, res.Lookups, want)
 				}
 			}
+		}
+	}
+}
+
+// TestParallelAllocations pins what a search allocates at W = 1 on both
+// engines: about one bag node per lookup (the next frontier's blocks) plus
+// a constant for the search's own state.  A layer is one range loop over
+// the frontier's blocks, whose splits push pooled tasks, so no fork
+// allocates a closure; and the root strand reuses its current bag and
+// block list, so a layer allocates nothing of its own.
+func TestParallelAllocations(t *testing.T) {
+	g := graph.Grid3D(24, 24, 24)
+	for _, m := range reducers.Mechanisms() {
+		s := newSession(t, m, 1)
+		res, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0})
+		if err != nil {
+			t.Fatalf("%v: Parallel: %v", m, err)
+		}
+		var runErr error
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := pbfs.Parallel(s, g, pbfs.Config{Source: 0}); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatalf("%v: Parallel: %v", m, runErr)
+		}
+		t.Logf("%v: %.0f allocations per search (%d lookups, %d layers)", m, allocs, res.Lookups, res.Layers)
+		if bound := float64(res.Lookups + 32); allocs > bound {
+			t.Errorf("%v: %.0f allocations per search, want at most %.0f (%d lookups + 32)", m, allocs, bound, res.Lookups)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # inline-check: pin the compiler's inlining decisions for the typed-lookup
 # fast path, the first-lookup miss path and the fork path: Fork's one call
-# into the fork body, the wake-gate test and the live-fork pop.
+# into the fork body, the wake-gate test and the live-fork pop; and forbid
+# the escape of a closure per fork in PBFS.
 #
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
@@ -27,7 +28,7 @@ GO=${GO:-go}
 
 out=$("$GO" build -gcflags=-m \
 	./internal/spa ./internal/sched ./internal/metrics ./internal/core \
-	./internal/hypermap ./internal/reducers 2>&1) || {
+	./internal/hypermap ./internal/reducers ./internal/pbfs 2>&1) || {
 	printf '%s\n' "$out"
 	echo "inline-check: build failed" >&2
 	exit 1
@@ -40,6 +41,15 @@ fail=0
 require() {
 	if ! printf '%s\n' "$out" | grep "$1" | grep -qF "$2"; then
 		echo "inline-check: missing in $1: $2" >&2
+		fail=1
+	fi
+}
+
+# forbid FILE-FRAGMENT DIAGNOSTIC: assert no -m line from a file matching
+# FILE-FRAGMENT contains DIAGNOSTIC.
+forbid() {
+	if printf '%s\n' "$out" | grep "$1" | grep -F "$2" >&2; then
+		echo "inline-check: forbidden in $1: $2" >&2
 		fail=1
 	fi
 }
@@ -114,10 +124,16 @@ require 'internal/reducers/handle.go' 'inlining call to sched.(*Context).ViewEpo
 require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).View'
 require 'internal/reducers/handle.go' 'can inline (*Handle[bool]).ReadView'
 
+# Application (PBFS): a layer is one range loop over the frontier's blocks,
+# whose splits push pooled tasks; a closure per fork would escape to the
+# heap through the task it is pushed as.  The leaf is a method value built
+# once per search, which -m reports as a method value, not a func literal.
+forbid 'internal/pbfs/pbfs.go' 'func literal escapes to heap'
+
 if [ "$fail" -ne 0 ]; then
-	echo "inline-check: the lookup fast path is no longer fully inlined;" >&2
+	echo "inline-check: a pinned inlining or escape decision no longer holds;" >&2
 	echo "inline-check: relevant compiler output follows" >&2
 	printf '%s\n' "$out" | grep -E 'LookupWord|Probe|FastHit|probeHead|ViewEpoch|WorkerID|Handle|Tick|Valid|wakeGated|popLiveFork|ReduceViews|Fork' >&2 || true
 	exit 1
 fi
-echo "inline-check: all fast-path inlining decisions hold"
+echo "inline-check: all pinned inlining and escape decisions hold"
