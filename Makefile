@@ -75,7 +75,8 @@ bench-check:
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
 # failure-containment regression tests (reduce-panic resource conservation,
 # context-cancellation settlement, a monoid that panics or returns nil in
-# the root merge, a failed view transferal that must end its trace exactly
+# the root merge, a Reduce that reads another reducer of its engine while
+# the root merge holds the engine's leftmost lock, a failed view transferal that must end its trace exactly
 # once and leave the enclosing trace intact, a write through a read-only
 # view's zero block that fails only the job, and only the trace, that made
 # it), and the Close-vs-Run race; then
@@ -90,7 +91,7 @@ bench-check:
 # detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace|TestReadViewWriteTraps|TestNestedTraceReadViewWriteTraps' \
+		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestReduceReadsLeftmostDuringRootMerge|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace|TestReadViewWriteTraps|TestNestedTraceReadViewWriteTraps' \
 		. ./internal/sched/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \

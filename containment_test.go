@@ -294,10 +294,10 @@ func directoryStats(eng cilkm.Engine) metrics.DirectoryStats {
 }
 
 // TestRootMergeReducePanicServiceJob submits a job whose monoid panics in
-// the root merge.  The reducer's lock must be released on the way out, or
-// whatever takes it next — at the parent, the job's own retirement —
-// never returns: Wait returns the *PanicError, the service runs the next
-// job, and Close drains.
+// the root merge.  The engine's leftmost lock must be released on the way
+// out, or whatever takes it next — the next job's root merge, a SetValue or
+// a Snapshot of any reducer of the engine — never returns: Wait returns the
+// *PanicError, the service runs the next job, and Close drains.
 func TestRootMergeReducePanicServiceJob(t *testing.T) {
 	for _, mech := range cilkm.Mechanisms() {
 		t.Run(mech.String(), func(t *testing.T) {
@@ -418,6 +418,117 @@ func TestRootMergeReducePanicRun(t *testing.T) {
 			within(t, containDeadline, "Close", func() {
 				h.Close()
 				s.Close()
+			})
+		})
+	}
+}
+
+// TestReduceReadsLeftmostDuringRootMerge pins that a read of a leftmost
+// view takes no lock.  A root merge holds its engine's leftmost lock for the
+// whole deposit, and every reducer of the engine shares it, so a Reduce
+// that reads another reducer's Value during the root merge would wedge the
+// job if that read locked.  On both engines, through a Session and through
+// a Service running two jobs at once, the Reduce of a custom sum reads a
+// second reducer of the same engine; every step returns within the
+// deadline, the root merge ran that Reduce, and the sums are the serial
+// ones.
+func TestReduceReadsLeftmostDuringRootMerge(t *testing.T) {
+	const n, want, otherValue = 64, 64 * 63 / 2, 3
+	// readingSum is the custom sum: its Reduce reads other, and counts the
+	// folds into *h's leftmost view, which only the root merge makes.
+	readingSum := func(other *reducers.Add[int], h **reducers.CustomOf[int], rootFolds *atomic.Int64) cilkm.TypedMonoid[int] {
+		return cilkm.TypedFuncMonoid[int]{
+			IdentityFn: func() *int { return new(int) },
+			ReduceFn: func(l, r *int) *int {
+				if got := other.Value(); got != otherValue {
+					t.Errorf("other reducer read %d inside Reduce, want %d", got, otherValue)
+				}
+				if l == (*h).Peek() {
+					rootFolds.Add(1)
+				}
+				*l += *r
+				return l
+			},
+		}
+	}
+	body := func(h *reducers.CustomOf[int]) func(*cilkm.Context) {
+		return func(c *cilkm.Context) {
+			c.ParallelForGrain(0, n, 1, func(c *cilkm.Context, i int) { *h.View(c) += i })
+		}
+	}
+	for _, mech := range cilkm.Mechanisms() {
+		t.Run(mech.String()+"/session", func(t *testing.T) {
+			s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
+			other := cilkm.NewAdd[int](s.Engine())
+			other.SetValue(otherValue)
+			var h *reducers.CustomOf[int]
+			var rootFolds atomic.Int64
+			h = cilkm.NewCustomOf[int](s.Engine(), readingSum(other, &h, &rootFolds))
+			const runs = 20
+			within(t, containDeadline, "Runs", func() {
+				for range runs {
+					if err := s.Run(body(h)); err != nil {
+						t.Errorf("Run: %v", err)
+					}
+				}
+			})
+			if got := *h.Peek(); got != runs*want {
+				t.Errorf("sum = %d after %d Runs, want %d", got, runs, runs*want)
+			}
+			if rootFolds.Load() == 0 {
+				t.Error("no root merge ran the reading Reduce")
+			}
+			within(t, containDeadline, "Close", func() {
+				h.Close()
+				other.Close()
+				s.Close()
+			})
+		})
+		t.Run(mech.String()+"/service", func(t *testing.T) {
+			svc := cilkm.NewService(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
+			other := cilkm.NewAdd[int](svc.Engine())
+			other.SetValue(otherValue)
+			var rootFolds atomic.Int64
+			submit := func() (*cilkm.JobHandle, **reducers.CustomOf[int]) {
+				h := new(*reducers.CustomOf[int])
+				jh, err := svc.Submit(context.Background(), func(c *cilkm.Context, js *cilkm.JobSession) {
+					*h = cilkm.NewCustomOf[int](js, readingSum(other, h, &rootFolds))
+					body(*h)(c)
+				})
+				if err != nil {
+					// within runs this on another goroutine: no Fatalf here.
+					t.Errorf("Submit: %v", err)
+					return nil, nil
+				}
+				return jh, h
+			}
+			within(t, containDeadline, "job pairs", func() {
+				for range 20 {
+					j1, h1 := submit()
+					j2, h2 := submit()
+					for _, j := range []struct {
+						jh *cilkm.JobHandle
+						h  **reducers.CustomOf[int]
+					}{{j1, h1}, {j2, h2}} {
+						if j.jh == nil {
+							continue
+						}
+						if err := j.jh.Wait(); err != nil {
+							t.Errorf("Wait: %v", err)
+						} else if got := *(*j.h).Peek(); got != want {
+							t.Errorf("job sum = %d, want %d", got, want)
+						}
+					}
+				}
+			})
+			if rootFolds.Load() == 0 {
+				t.Error("no root merge ran the reading Reduce")
+			}
+			within(t, containDeadline, "Close", func() {
+				other.Close()
+				if err := svc.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
 			})
 		})
 	}

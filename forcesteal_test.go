@@ -116,3 +116,40 @@ func TestForcedStealsReadYourWrites(t *testing.T) {
 		t.Error("no fork was forced")
 	}
 }
+
+// TestNestedTraceReusesMapSets pins that a nested trace builds no map set
+// of its own on the memory-mapped engine.  At W = 1 with every fork forced,
+// a ParallelFor's stolen continuations run as traces nested up to four deep
+// on the one worker.  Each trace's emptied map set goes on the worker's
+// spares stack and the next trace at that depth reuses it, with its pages;
+// with a single spare, every deeper set and its first 4 KiB page would
+// fall to the collector (72 objects a Run).  The hypermap builds a fresh
+// hash table per trace, so its figure is only pinned not to grow.
+func TestNestedTraceReusesMapSets(t *testing.T) {
+	limit := map[cilkm.Mechanism]float64{cilkm.MemoryMapped: 48, cilkm.Hypermap: 96}
+	plan := everyForkForced()
+	defer faultinject.Activate(plan)()
+	for _, mech := range cilkm.Mechanisms() {
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(1))
+		sum := cilkm.NewAdd[int64](s.Engine())
+		run := func() {
+			if err := s.Run(func(c *cilkm.Context) {
+				c.ParallelForGrain(0, 16, 1, func(c *cilkm.Context, i int) { sum.Add(c, int64(i)) })
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := testing.AllocsPerRun(100, run)
+		if got, want := sum.Value(), int64(101*120); got != want {
+			t.Errorf("%v: sum = %d after 101 Runs, want %d", mech, got, want)
+		}
+		if n > limit[mech] {
+			t.Errorf("%v: a Run of 16 forced steals allocates %.1f objects, want at most %v", mech, n, limit[mech])
+		}
+		sum.Close()
+		s.Close()
+	}
+	if plan.Fires(faultinject.SchedForceSteal) == 0 {
+		t.Error("no fork was forced")
+	}
+}

@@ -21,8 +21,8 @@
 // a tagged function are part of it.
 //
 // The check is deliberately direct-call only: a tagged function may call an
-// untagged one that locks (a cold miss reading a reducer's leftmost view
-// under its mutex, say).  The tag marks the functions whose own bodies are
+// untagged one that locks (a rare slow path behind a predictable branch,
+// say).  The tag marks the functions whose own bodies are
 // the hot shape; tag a callee to extend the rule to it.
 package hotpath
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -77,6 +78,23 @@ func InitBase(b *Base, self Engine, label string, workers int, timing bool, onGr
 // Register implements Engine: one address taken under the directory's lock.
 func (b *Base) Register(m Monoid) (*Reducer, error) {
 	return b.Dir.Register(b.self, m)
+}
+
+// Absorb is the root merge's fold, for both engines: it is exported
+// because the hypermap lives outside this package.  It runs walk holding
+// the engine's leftmost lock, taken once for the whole deposit, and hands
+// it fold, which folds one view into its reducer's leftmost view in serial
+// order (leftmost ⊗ view).  What to fold is the walk's to decide: a view
+// whose reducer was retired, or one never written, it drops or counts
+// itself.  The walk runs under the lock, so neither it nor a Reduce may
+// take the lock again.  The lock is released on every exit: Reduce is the
+// caller's code and may panic, and a lock left held would wedge every
+// reducer of the engine.  fold is a method expression, not a closure, so
+// nothing here allocates.
+func (b *Base) Absorb(walk func(fold func(r *Reducer, view unsafe.Pointer))) {
+	b.Dir.leftmostMu.Lock()
+	defer b.Dir.leftmostMu.Unlock()
+	walk((*Reducer).fold)
 }
 
 // Unregister implements Engine.  The directory's compare-and-swap performs

@@ -106,8 +106,13 @@ type Reducer struct {
 	monoid Monoid
 	eng    Engine
 
-	mu sync.Mutex
+	// leftmostMu is the engine's leftmost lock (Directory.leftmostMu), set
+	// at registration, so a retired reducer still finds it.  It guards every
+	// write of leftmost: SetValue, WithLeftmost and the root merges.
+	leftmostMu *sync.Mutex
 	// leftmost is the leftmost view's word; Value boxes it on the way out.
+	// Every access is atomic: writers store it under leftmostMu, and a
+	// reader loads it without the lock.
 	leftmost unsafe.Pointer
 }
 
@@ -138,24 +143,23 @@ func (r *Reducer) Engine() Engine { return r.eng }
 func (r *Reducer) Value() any { return r.monoid.box(r.LeftmostView()) }
 
 // LeftmostView returns the leftmost view's word: what a lookup outside the
-// scheduler, or through a retired handle, resolves to.
-func (r *Reducer) LeftmostView() unsafe.Pointer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leftmost
-}
+// scheduler, or through a retired handle, resolves to.  It is one atomic
+// load and takes no lock, so no read waits behind another job's root
+// merge.  The word is the view a root merge's Reduce may be updating in
+// place: a consistent copy is WithLeftmost's.
+func (r *Reducer) LeftmostView() unsafe.Pointer { return atomic.LoadPointer(&r.leftmost) }
 
-// SetValue replaces the leftmost view.  It is intended for initialising a
-// reducer before a parallel region.  v must hold a non-nil pointer to the
-// monoid's view type.
+// SetValue replaces the leftmost view under the engine's leftmost lock.  It
+// is intended for initialising a reducer before a parallel region.  v must
+// hold a non-nil pointer to the monoid's view type.
 func (r *Reducer) SetValue(v any) {
 	word := r.monoid.unbox(v)
 	if word == nil {
 		panic(fmt.Sprintf("core: reducer %d: SetValue of a nil view", r.id))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.leftmost = word
+	r.leftmostMu.Lock()
+	defer r.leftmostMu.Unlock()
+	atomic.StorePointer(&r.leftmost, word)
 }
 
 // IdentityView allocates a fresh identity view on the heap.  A monoid whose
@@ -193,26 +197,30 @@ func (e nilReduceError) Error() string {
 // flag is clear.
 func (r *Reducer) Retired() bool { return r.dir.Load() == nil }
 
-// Absorb folds a deposited view into the leftmost view in serial order
-// (leftmost ⊗ view): the root merge's step, for either engine.  The lock is
-// released on every exit: Reduce is the caller's code and may panic, and a
-// reducer left locked would wedge its own retirement and every later read.
-func (r *Reducer) Absorb(view unsafe.Pointer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.leftmost = r.ReduceViews(r.leftmost, view)
+// fold folds a deposited view into the leftmost view in serial order
+// (leftmost ⊗ view): the root merge's step, for either engine.  The caller
+// holds the engine's leftmost lock.  The word is stored only when Reduce
+// returned another one; a monoid that reduces in place, as Add does,
+// stores nothing.
+func (r *Reducer) fold(view unsafe.Pointer) {
+	left := atomic.LoadPointer(&r.leftmost)
+	if word := r.ReduceViews(left, view); word != left {
+		atomic.StorePointer(&r.leftmost, word)
+	}
 }
 
 // WithLeftmost runs f with the reducer's leftmost view while holding the
-// reducer's lock.  It is the defined read path for non-worker goroutines
-// into a live session: merges mutate the leftmost view in place under the
-// same lock, so a value Value() returns could change under the caller,
-// while a copy taken inside f is a consistent snapshot.  f must return
-// without blocking and must not call back into the reducer or the engine.
+// engine's leftmost lock.  It is the defined read path for non-worker
+// goroutines into a live session: root merges mutate the leftmost view in
+// place under the same lock, so a value Value() returns could change under
+// the caller, while a copy taken inside f is a consistent snapshot.  f must
+// return without blocking and must not call back into the reducer or the
+// engine: the lock is the whole engine's, so it also holds off every other
+// reducer's root merge, SetValue and WithLeftmost until f returns.
 func (r *Reducer) WithLeftmost(f func(view any)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f(r.monoid.box(r.leftmost))
+	r.leftmostMu.Lock()
+	defer r.leftmostMu.Unlock()
+	f(r.monoid.box(atomic.LoadPointer(&r.leftmost)))
 }
 
 // Session couples a scheduler runtime with a reducer engine so that callers

@@ -32,6 +32,10 @@ import (
 //     (the memory-mapped engine models TLMM region growth there).  An error
 //     fails that registration without consuming the address, so every
 //     address on the free list lies on a page that has been grown.
+//
+// The directory also holds the engine's leftmost lock, which registration
+// never takes: an engine has exactly one directory, and every reducer is
+// made here, so here is where each reducer gets its pointer to the lock.
 
 // Directory is the reducer registry shared by both engines.
 type Directory struct {
@@ -49,6 +53,14 @@ type Directory struct {
 	// n holds the registration counters in the shape Stats reports them;
 	// Stats fills in the derived fields.
 	n metrics.DirectoryStats
+
+	// leftmostMu is the engine's leftmost lock, one per engine because an
+	// engine has one directory.  It guards every write of every leftmost
+	// view of the directory's reducers: Reducer.SetValue, WithLeftmost and
+	// the root merges, each of which takes it once per deposit.  Reads of a
+	// leftmost word take no lock.  Register gives each reducer a pointer to
+	// it, so a retired reducer still finds it.
+	leftmostMu sync.Mutex
 }
 
 // NewDirectory creates a directory.  onGrow may be nil.
@@ -72,7 +84,7 @@ func (d *Directory) Register(eng Engine, m Monoid) (*Reducer, error) {
 	if leftmost == nil {
 		return nil, errors.New("core: monoid Identity returned a nil view")
 	}
-	r := &Reducer{monoid: m, eng: eng, leftmost: leftmost}
+	r := &Reducer{monoid: m, eng: eng, leftmostMu: &d.leftmostMu, leftmost: leftmost}
 	addr, id, err := d.take()
 	if err != nil {
 		return nil, err

@@ -132,11 +132,12 @@ func TestHandoffRepeatedLogIndex(t *testing.T) {
 
 // TestHandoffNestedTracesConservePool nests three traces on one worker, as
 // a worker helping three steals deep at a stalled join does, each spanning
-// two SPA pages.  Every EndTrace swaps pool pages into a private set and
-// the innermost sets are dropped as spares are displaced, holding pool-born
-// pages: the pool counts gets and puts, not provenance, so Outstanding must
-// still come back to zero.  The modelled address space maps pages by index,
-// not by page object, and must not notice the swaps.
+// two SPA pages.  Every EndTrace swaps pool pages into a private set, and
+// the emptied sets, holding pool-born pages, go on the worker's spares
+// stack for the next run's traces: the pool counts gets and puts, not
+// provenance, so Outstanding must still come back to zero.  The modelled
+// address space maps pages by index, not by page object, and must not
+// notice the swaps.
 func TestHandoffNestedTracesConservePool(t *testing.T) {
 	for name, model := range map[string]bool{"plain": false, "modelled address space": true} {
 		t.Run(name, func(t *testing.T) {

@@ -53,8 +53,11 @@ type MM struct {
 // indices it has mapped.
 type mmWorker struct {
 	private *spa.MapSet
-	// spare caches an emptied map set for reuse by the next BeginTrace.
-	spare *spa.MapSet
+	// spares holds emptied map sets for reuse by the next BeginTrace, last
+	// in first out.  EndTrace pushes the set it empties, so a worker that
+	// has nested traces n deep at stalled joins keeps n sets, up to
+	// maxSpareSets, and its next nested traces build none.
+	spares []*spa.MapSet
 	// arena carves identity views for arena-eligible monoids and recycles
 	// the views the hypermerge folds away.  Owner-goroutine only.
 	arena viewArena
@@ -96,11 +99,22 @@ func (ws *mmWorker) dropPrivateViews() {
 	}
 }
 
+// maxSpareSets caps a worker's spares stack.  An emptied set keeps every
+// page its traces touched, and the worker holds its spares for life, so
+// without a cap one deep nesting (a recursion that stalls at a join on
+// every level) would pin a set per level for good.  Eight covers the
+// nesting a W = 1 ParallelFor of 128 iterations reaches with every fork
+// forced; a set emptied past the cap goes to the collector.
+const maxSpareSets = 8
+
 // restoreOuterTrace swaps the (now empty) private map set for the suspended
-// outer trace's maps, saved (the trace token), as every EndTrace ends.
+// outer trace's maps, saved (the trace token), as every EndTrace ends; the
+// emptied set goes on the spares stack unless the stack is full.
 func (ws *mmWorker) restoreOuterTrace(saved *spa.MapSet) {
 	if saved != nil {
-		ws.spare = ws.private
+		if len(ws.spares) < maxSpareSets {
+			ws.spares = append(ws.spares, ws.private)
+		}
 		ws.private = saved
 	}
 }
@@ -325,16 +339,16 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 }
 
 // BeginTrace implements sched.ReducerRuntime.  The new trace starts with an
-// empty set of private SPA maps.  Because a worker that stalls at a join
-// helps by executing other stolen tasks, traces nest: the previous trace's
-// maps (non-empty when the worker is helping at a stalled join) are the
-// trace token itself, which EndTrace restores.
+// empty set of private SPA maps, the last one an EndTrace emptied if there
+// is one.  Because a worker that stalls at a join helps by executing other
+// stolen tasks, traces nest: the previous trace's maps (non-empty when the
+// worker is helping at a stalled join) are the trace token itself, which
+// EndTrace restores.
 func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 	ws := w.Local().(*mmWorker)
 	saved := ws.private
-	if ws.spare != nil {
-		ws.private = ws.spare
-		ws.spare = nil
+	if n := len(ws.spares); n > 0 {
+		ws.private, ws.spares = ws.spares[n-1], ws.spares[:n-1]
 	} else {
 		ws.private = spa.NewMapSet()
 	}
@@ -404,7 +418,7 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		dep = &MMDeposit{pages: pages}
 	}
 	e.Totals.Flush(&ws.tally)
-	// The now-empty map set becomes the spare for the next trace.
+	// The now-empty map set goes on the spares stack for the next trace.
 	ws.restoreOuterTrace(saved)
 	w.BumpViewEpoch()
 	if dep == nil {
@@ -607,17 +621,19 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 
 // MergeRootDeposit implements sched.ReducerRuntime: the views produced by
 // the root trace are folded into the reducers' leftmost views in serial
-// order.  The owner stamp carried by every deposited slot resolves the
-// reducer directly — no registry copy, no lock — and the reducer's validity
-// flag drops views whose reducer was unregistered while they were in
-// flight, even if the address has since been recycled.  Never-written views
-// are elided exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever
-// happens to a view — absorbed, elided, or dropped stale — its arena block
-// is not recycled: MergeRootDeposit is handed no worker, so it frees into
-// no arena; the block goes to the garbage collector and arenaRootReleased
+// order.  The walk runs under the engine's leftmost lock, taken once for
+// the whole deposit (Base.Absorb), and folds each view with a bare Reduce.
+// The owner stamp carried by every deposited slot resolves the reducer
+// directly — no registry copy — and the reducer's validity flag drops
+// views whose reducer was unregistered while they were in flight, even if
+// the address has since been recycled.  Never-written views are elided
+// exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever happens to a
+// view — absorbed, elided, or dropped stale — its arena block is not
+// recycled: MergeRootDeposit is handed no worker, so it frees into no
+// arena; the block goes to the garbage collector and arenaRootReleased
 // closes the books on it.  The walk counts into a tally of its own and
-// flushes it once, in the deferred tail, so a panicking Reduce still leaves
-// Quiescent balanced.
+// flushes it once, in the deferred tail, so a panicking Reduce still
+// leaves Quiescent balanced (Absorb has released the lock by then).
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*MMDeposit)
 	if dep == nil || dep.pages == nil {
@@ -631,27 +647,29 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 		e.releaseDeposit(nil, &t, 0, dep)
 		e.MergeInflight.Add(-1)
 	}()
-	for _, dp := range dep.pages {
-		dp.Range(func(si int, s spa.Slot) bool {
-			dp.Remove(si)
-			if s.Arena() {
-				released++
-			}
-			owner := reducerOf(s.Owner())
-			switch {
-			case !e.Dir.Valid(owner):
-				// The reducer was unregistered while views for it were still
-				// in flight; fold into nothing (drop), mirroring a view whose
-				// reducer went out of scope.
-				t.Merge.StaleViewDrops++
-			case !s.Written():
-				t.Merge.IdentityElisions++
-			default:
-				owner.Absorb(s.View())
-			}
-			return true
-		})
-	}
+	e.Absorb(func(fold func(*Reducer, unsafe.Pointer)) {
+		for _, dp := range dep.pages {
+			dp.Range(func(si int, s spa.Slot) bool {
+				dp.Remove(si)
+				if s.Arena() {
+					released++
+				}
+				owner := reducerOf(s.Owner())
+				switch {
+				case !e.Dir.Valid(owner):
+					// The reducer was unregistered while views for it were
+					// still in flight; fold into nothing (drop), mirroring a
+					// view whose reducer went out of scope.
+					t.Merge.StaleViewDrops++
+				case !s.Written():
+					t.Merge.IdentityElisions++
+				default:
+					fold(owner, s.View())
+				}
+				return true
+			})
+		}
+	})
 }
 
 // Discard implements sched.ReducerRuntime: release the resources held by a

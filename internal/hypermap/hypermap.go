@@ -301,12 +301,15 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	e.Totals.Flush(t)
 }
 
-// MergeRootDeposit implements sched.ReducerRuntime.  Each entry's owner stamp
-// resolves the reducer directly — no registry copy, no lock — and the
+// MergeRootDeposit implements sched.ReducerRuntime.  The walk runs under
+// the engine's leftmost lock, taken once for the whole deposit
+// (core.Base.Absorb), and folds each view with a bare Reduce.  Each entry's
+// owner stamp resolves the reducer directly — no registry copy — and the
 // reducer's validity flag drops views whose reducer was unregistered while
 // they were in flight.  Never-written entries are elided exactly as in
 // Merge.  The walk counts into a tally of its own and flushes it once, in
-// the deferred tail, so a panicking Reduce still publishes what it counted.
+// the deferred tail, so a panicking Reduce still publishes what it counted
+// (Absorb has released the lock by then).
 func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*Deposit)
 	if dep == nil || dep.views == nil {
@@ -318,16 +321,18 @@ func (e *HM) MergeRootDeposit(d sched.Deposit) {
 		e.Totals.Flush(&t)
 		e.MergeInflight.Add(-1)
 	}()
-	dep.views.forEach(func(addr spa.Addr, ent *entry) {
-		if !e.Dir.Valid(ent.owner) {
-			t.Merge.StaleViewDrops++
-			return
-		}
-		if !ent.written {
-			t.Merge.IdentityElisions++
-			return
-		}
-		ent.owner.Absorb(ent.view)
+	e.Absorb(func(fold func(*core.Reducer, unsafe.Pointer)) {
+		dep.views.forEach(func(addr spa.Addr, ent *entry) {
+			if !e.Dir.Valid(ent.owner) {
+				t.Merge.StaleViewDrops++
+				return
+			}
+			if !ent.written {
+				t.Merge.IdentityElisions++
+				return
+			}
+			fold(ent.owner, ent.view)
+		})
 	})
 	dep.views = nil
 }

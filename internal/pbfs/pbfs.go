@@ -88,8 +88,8 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	// slice to any worker (an atomic store is an XCHG on amd64, one per
 	// vertex); inside the Run vertices are claimed concurrently, so every
 	// access there is an atomic load or compare-and-swap; after the Run has
-	// returned no worker touches the slice again, so countReachable and
-	// Validate read it with plain loads.
+	// returned no worker touches the slice again, so Validate reads it with
+	// plain loads.
 	for i := range r.dist {
 		//cilkvet:allow atomicfield -- plain fill before the Session.Run below publishes r.dist, which orders these stores before its atomic accesses
 		r.dist[i] = -1
@@ -110,7 +110,7 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 	if err := s.Run(func(c *sched.Context) { r.search(c, cfg.Source, res) }); err != nil {
 		return nil, err
 	}
-	res.Dist, res.Reachable = r.dist, countReachable(r.dist)
+	res.Dist = r.dist
 	return res, nil
 }
 
@@ -121,7 +121,9 @@ func Parallel(s *core.Session, g *graph.Graph, cfg Config) (*Result, error) {
 // blocks; Union moves them into current, emptied in place, and leaves the
 // view the empty bag, the monoid's identity, for the next layer to fill.
 // The block list and the current bag are reused across layers.  It counts
-// the layers and the lookups into res.
+// the layers, the lookups and the reachable vertices into res: every
+// vertex reached is in exactly one frontier, so Reachable is the sum of
+// the frontiers' sizes, with no scan of dist after the search.
 //
 // Blocks lists the frontier in the order its vertices were found.  A range
 // split gives each worker a contiguous part of that list, and the next
@@ -133,6 +135,7 @@ func (r *runner) search(c *sched.Context, source int32, res *Result) {
 	current.Insert(source)
 	leaf := r.processBlock
 	for depth := int32(1); !current.IsEmpty(); depth++ {
+		res.Reachable += current.Len()
 		r.depth = depth
 		r.blocks = current.Blocks(r.blocks[:0])
 		// processBlock looks the next frontier up once per block; a

@@ -20,6 +20,13 @@ type TypedMonoid[V any] interface {
 	Identity() *V
 	// Reduce combines two views, left serially preceding right, and
 	// returns the combined view (commonly left, updated in place).
+	//
+	// In a root merge, Reduce runs under its engine's leftmost lock, which
+	// every reducer of the engine shares: root merges of one engine run
+	// one at a time, also across concurrent service jobs.  So Reduce must
+	// not call Snapshot, SetView or SetValue on a reducer of its own
+	// engine, nor Reducer.WithLeftmost: that deadlocks.  Reading another
+	// reducer's Value or Peek takes no lock and is allowed.
 	Reduce(left, right *V) *V
 }
 
@@ -260,10 +267,12 @@ func (h *Handle[V]) Peek() *V { return h.r.Value().(*V) }
 // Snapshot copies the reducer's current leftmost view and returns the copy.
 // It is the defined fast read path into a live session for non-worker
 // goroutines (an HTTP handler sampling a counter mid-job): the copy is taken
-// under the reducer's lock, the same lock every merge into the leftmost view
-// holds, so the returned value is a consistent snapshot of some prefix of
-// the merges — never a half-merged torn read, which a Peek dereferenced
-// outside the lock could observe while a hypermerge runs Reduce in place.
+// under the engine's leftmost lock, which every root merge into a leftmost
+// view of the engine holds, so the returned value is a consistent snapshot
+// of some prefix of the merges — never a half-merged torn read, which a
+// Peek (no lock) could observe while a root merge runs Reduce in place.
+// Because the lock is the engine's, a Snapshot waits for a root merge of
+// any reducer of the engine, and a Reduce must not call it (TypedMonoid).
 // Deposits a running job has not yet merged are not included.  The copy is
 // shallow: for view types holding pointers or slices (List reducers), the
 // referenced cells are shared with the live view and may still be appended

@@ -211,8 +211,9 @@ func TestServiceSnapshotReadPath(t *testing.T) {
 						return
 					default:
 					}
-					// Snapshot copies under the merge lock: consistent, and
-					// non-decreasing for a monotone reducer.
+					// Snapshot copies under the engine's leftmost lock, which
+					// every root merge holds: consistent, and non-decreasing
+					// for a monotone reducer.
 					v := sum.Snapshot()
 					if v < prev {
 						t.Errorf("snapshot went backwards: %d after %d", v, prev)
