@@ -79,7 +79,8 @@ bench-check:
 # the root merge holds the engine's leftmost lock, a failed view transferal that must end its trace exactly
 # once and leave the enclosing trace intact, a write through a read-only
 # view's zero block that fails only the job, and only the trace, that made
-# it), and the Close-vs-Run race; then
+# it, and a write through a read-only view of the trace's own that is
+# merged like any other), and the Close-vs-Run race; then
 # the forced-steal leg: the equivalence, merge-matrix, hand-off and order
 # suites, both sweeps and the failed-transferal tests again with forks'
 # continuations run as stolen tasks (faultinject.SchedForceSteal), which is
@@ -91,7 +92,7 @@ bench-check:
 # detector).  Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestReduceReadsLeftmostDuringRootMerge|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace|TestReadViewWriteTraps|TestNestedTraceReadViewWriteTraps' \
+		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles|TestRootMergeReducePanic|TestReduceReadsLeftmostDuringRootMerge|TestNilViewMonoidNamedFailures|TestEndTracePanicEndsTraceOnce|TestEndTraceFailureRestoresOuterTrace|TestReadViewWriteTraps|TestReadViewWriteIsMerged|TestNestedTraceReadViewWriteTraps' \
 		. ./internal/sched/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run 'ForcedSteals' \

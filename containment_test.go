@@ -730,3 +730,80 @@ func TestReadViewWriteTraps(t *testing.T) {
 		})
 	}
 }
+
+// TestReadViewWriteIsMerged pins that a write through a ReadView result is
+// merged like a write through View when the view is the trace's own: an
+// And, a List and a MapOf are not served the zero block, so their first
+// ReadView creates a view.  One branch only reads each reducer and the
+// other writes through ReadView; the values must equal the serial run's
+// (nil context, which writes the leftmost views), on both engines, on one
+// worker and on two with every fork's continuation run as a stolen task.
+func TestReadViewWriteIsMerged(t *testing.T) {
+	// result prints the list and the map (fmt sorts map keys), so two
+	// results compare with ==.
+	type result struct {
+		and     bool
+		list, m string
+	}
+	// run builds the reducers on s's engine, hands the two branches to
+	// exec and reads the values.
+	run := func(s *cilkm.Session, exec func(left, right func(*cilkm.Context))) result {
+		and := cilkm.NewAnd(s.Engine())
+		list := cilkm.NewList[int](s.Engine())
+		m := cilkm.NewMapOf[string, int](s.Engine(), func(a, b int) int { return a + b })
+		defer and.Close()
+		defer list.Close()
+		defer m.Close()
+		exec(func(c *cilkm.Context) {
+			_ = *and.ReadView(c)
+			_ = len(*list.ReadView(c))
+			_ = len(*m.ReadView(c))
+		}, func(c *cilkm.Context) {
+			*and.ReadView(c) = false
+			l := list.ReadView(c)
+			*l = append(*l, 7)
+			(*m.ReadView(c))["k"] = 7
+		})
+		return result{and.Value(), fmt.Sprint(list.Value()), fmt.Sprint(m.Value())}
+	}
+	serial := func() result {
+		s := cilkm.New(cilkm.WithWorkers(1))
+		defer s.Close()
+		return run(s, func(left, right func(*cilkm.Context)) { left(nil); right(nil) })
+	}()
+	if want := (result{false, "[7]", "map[k:7]"}); serial != want {
+		t.Fatalf("serial run = %+v, want And false, List [7], map[k:7]", serial)
+	}
+	for _, mech := range cilkm.Mechanisms() {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%v/W=%d", mech, workers)
+			if workers == 2 {
+				name += "/forced-steals"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(workers))
+				defer s.Close()
+				if workers == 2 {
+					plan := everyForkForced()
+					defer faultinject.Activate(plan)()
+					defer func() {
+						if plan.Fires(faultinject.SchedForceSteal) == 0 {
+							t.Error("no fork was forced")
+						}
+					}()
+				}
+				got := run(s, func(left, right func(*cilkm.Context)) {
+					if err := s.Run(func(c *cilkm.Context) { c.Fork(left, right) }); err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+				})
+				if got != serial {
+					t.Errorf("result = %+v, want the serial %+v", got, serial)
+				}
+				if err := s.Quiescent(); err != nil {
+					t.Errorf("not quiescent: %v", err)
+				}
+			})
+		}
+	}
+}

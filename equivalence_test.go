@@ -161,10 +161,10 @@ func TestMechanismsAgreeOnAggregates(t *testing.T) {
 
 // TestReadOnlyAccessesPreserveEquivalence mixes mutable updates with
 // read-only ReadView accesses under steal-heavy execution on both
-// mechanisms.  Read-only accesses leave the written bit clear, so the
-// runtime elides those views from every hypermerge; the test pins that the
-// elision is semantically invisible — written reducers still reduce to the
-// serial result and read-only reducers stay at the identity.
+// mechanisms.  A read-only first access of an Add is lent its trace's zero
+// block and creates no view; the test pins that this is semantically
+// invisible — written reducers still reduce to the serial result and
+// read-only reducers stay at the identity.
 func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 	const n = 4000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
@@ -179,8 +179,8 @@ func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 				}
 				written.Add(c, 1)
 				// Read-only peek at a reducer this trace never writes: the
-				// local view is an identity view and must be elided, never
-				// merged, and reading it must always see the identity.
+				// trace's zero block, which no merge sees, and reading it
+				// must always see the identity.
 				if v := *watched.ReadView(c); v != 0 {
 					t.Errorf("%v: ReadView observed %d, want identity 0", mech, v)
 				}

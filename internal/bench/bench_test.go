@@ -142,8 +142,9 @@ func TestFig1(t *testing.T) {
 
 // traceCycleNanos times the paper's reduce overhead in isolation on one
 // worker of mech's engine: per cycle a fresh trace pays a first lookup for
-// each of n reducers (every other one read-only, so half the views are
-// elidable), ends — view transferal — and has its deposit folded into the
+// each of n reducers (every other one read-only, which is lent the
+// trace's zero block and creates no view), ends — view transferal — and
+// has its deposit folded into the
 // leftmost views by a root hypermerge.  It returns the nanoseconds per
 // cycle after a warm-up.
 func traceCycleNanos(t *testing.T, mech reducers.Mechanism, n, cycles int) float64 {

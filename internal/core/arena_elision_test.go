@@ -21,9 +21,10 @@ var arenaSumMonoid = core.NewMonoid(reducers.TypedFuncMonoid[int64]{
 
 // arenaAndMonoid is a logical-and monoid over a bare bool: arena-placed
 // like arenaSumMonoid, but its identity (true) is not the zero value, so a
-// read-only first lookup still creates a view, which the trace end elides.
-// The elision tests read through it; arenaSumMonoid's read-only lookups
-// are served the trace's zero block and create nothing to elide.
+// read-only first lookup still creates a view, which is deposited and
+// merged like a written one.  The read-only tests read through it;
+// arenaSumMonoid's read-only lookups are served the trace's zero block and
+// create nothing.
 var arenaAndMonoid = core.NewMonoid(reducers.TypedFuncMonoid[bool]{
 	IdentityFn: func() *bool { v := true; return &v },
 	ReduceFn: func(l, r *bool) *bool {
@@ -140,10 +141,12 @@ func TestHeapMonoidBypassesArena(t *testing.T) {
 	}
 }
 
-// TestIdentityElisionAtEndTrace checks the transferal-time elision: a trace
-// that only ever resolves views read-only (LookupWord with mutable=false)
-// deposits nothing — no public pages are fetched, no pagepool round-trip
-// happens, and the arena blocks are recycled immediately.
+// TestIdentityElisionAtEndTrace checks that transferal elides nothing: a
+// trace that only ever resolves views read-only (LookupWord with
+// mutable=false, of a view type the zero block does not serve) deposits
+// every view it created in one pagepool round-trip, the hypermerge adopts
+// them all, the values stay the identity, and every page and arena block
+// is accounted for afterwards.
 func TestIdentityElisionAtEndTrace(t *testing.T) {
 	const nred = 32
 	eng := core.NewMM(core.MMConfig{Workers: 1})
@@ -164,26 +167,30 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 			}
 		}
 		d := eng.EndTrace(w, tr)
-		if d != nil {
-			t.Error("all-read-only trace produced a deposit")
+		if d == nil {
+			t.Error("all-read-only trace deposited nothing")
 		}
 		eng.Merge(w, w.CurrentTrace(), d)
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	ms := eng.MergeStats()
-	if ms.IdentityElisions != nred {
-		t.Fatalf("IdentityElisions = %d, want %d", ms.IdentityElisions, nred)
+	if ms.IdentityElisions != 0 {
+		t.Fatalf("IdentityElisions = %d, want 0", ms.IdentityElisions)
 	}
-	if ms.Reduces != 0 || ms.Adopts != 0 {
-		t.Fatalf("elided views still merged: reduces=%d adopts=%d", ms.Reduces, ms.Adopts)
+	if ms.Reduces != 0 || ms.Adopts != nred {
+		t.Fatalf("read-only views not merged: reduces=%d adopts=%d, want 0 and %d", ms.Reduces, ms.Adopts, nred)
 	}
-	if got := eng.PoolStats().RoundTrips(); got != baseTrips {
-		t.Fatalf("pagepool round-trips = %d, want %d (elision must avoid page traffic)", got, baseTrips)
+	// Two deposits, the nested trace's and then the root trace's holding
+	// the adopted views: one bulk fetch and one bulk return each.
+	if got := eng.PoolStats().RoundTrips(); got != baseTrips+4 {
+		t.Fatalf("pagepool round-trips = %d, want %d", got, baseTrips+4)
 	}
-	st := eng.ArenaStats()
-	if st.Frees != nred {
-		t.Fatalf("arena Frees = %d, want %d (elided views recycled)", st.Frees, nred)
+	if st := eng.ArenaStats(); st.Allocs != nred {
+		t.Fatalf("arena Allocs = %d, want %d (one view per read-only reducer)", st.Allocs, nred)
+	}
+	if err := eng.Quiescent(); err != nil {
+		t.Fatalf("not quiescent: %v", err)
 	}
 	for i, r := range rs {
 		if got := *r.Value().(*bool); !got {
@@ -193,8 +200,8 @@ func TestIdentityElisionAtEndTrace(t *testing.T) {
 }
 
 // TestIdentityElisionMixedWrittenViews interleaves written and read-only
-// views in one trace: only the written half is transferred and reduced,
-// and the final values equal the writes.
+// views in one trace: both halves are transferred and merged alike, and the
+// final values equal the writes (the read-only half stays the identity).
 func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 	const nred = 40
 	const reps = 5
@@ -242,11 +249,16 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 		}
 	}
 	ms := eng.MergeStats()
-	if want := int64(nred / 2 * reps); ms.IdentityElisions != want {
-		t.Fatalf("IdentityElisions = %d, want %d", ms.IdentityElisions, want)
+	if ms.IdentityElisions != 0 {
+		t.Fatalf("IdentityElisions = %d, want 0", ms.IdentityElisions)
 	}
-	if want := int64(nred / 2 * reps); ms.SlotsMerged != want {
-		t.Fatalf("SlotsMerged = %d, want %d (only written views merge)", ms.SlotsMerged, want)
+	if want := int64(nred * reps); ms.SlotsMerged != want {
+		t.Fatalf("SlotsMerged = %d, want %d (read-only views merge too)", ms.SlotsMerged, want)
+	}
+	// The first cycle adopts every view into the root trace; each later one
+	// reduces into it.
+	if want := int64(nred * (reps - 1)); ms.Reduces != want {
+		t.Fatalf("Reduces = %d, want %d", ms.Reduces, want)
 	}
 }
 
@@ -283,19 +295,23 @@ func TestWriteAfterReadOnlyLookupIsMerged(t *testing.T) {
 	}
 }
 
-// TestRootDepositElidesUnwrittenViews checks MergeRootDeposit's elision: a
-// root trace that only reads a reducer folds nothing into the leftmost
-// view.
+// TestRootDepositElidesUnwrittenViews checks that MergeRootDeposit elides
+// nothing: a view the root trace only reads is folded into the leftmost
+// view like a written one, which leaves its value unchanged, and a write
+// through a read-only view of the trace's own is folded too.
 func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
 	defer s.Close()
 	written, _ := eng.Register(arenaSumMonoid)
 	readOnly, _ := eng.Register(arenaAndMonoid)
+	readWritten, _ := eng.Register(arenaAndMonoid)
 	if err := s.Run(func(c *sched.Context) {
 		*core.Lookup(eng, c, written).(*int64) += 3
 		word, _ := eng.LookupWord(c, readOnly, 0, false)
 		_ = *(*bool)(word)
+		word, _ = eng.LookupWord(c, readWritten, 0, false)
+		*(*bool)(word) = false
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -305,8 +321,14 @@ func TestRootDepositElidesUnwrittenViews(t *testing.T) {
 	if got := *readOnly.Value().(*bool); !got {
 		t.Fatalf("read-only reducer = %v, want true", got)
 	}
-	if ms := eng.MergeStats(); ms.IdentityElisions == 0 {
-		t.Fatal("root deposit did not elide the unwritten view")
+	if got := *readWritten.Value().(*bool); got {
+		t.Fatalf("reducer written through a read-only view = %v, want false", got)
+	}
+	if ms := eng.MergeStats(); ms.IdentityElisions != 0 {
+		t.Fatalf("IdentityElisions = %d, want 0", ms.IdentityElisions)
+	}
+	if err := eng.Quiescent(); err != nil {
+		t.Fatalf("not quiescent: %v", err)
 	}
 }
 

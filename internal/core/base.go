@@ -19,7 +19,7 @@ var ErrForeignRuntime = errors.New("core: lookup from a runtime the engine does 
 
 // ErrReadViewWritten is the panic value of an EndTrace that finds the
 // trace's zero block written: a read-only lookup (Handle.ReadView) of a
-// reducer the trace had not written was served the shared zero block, and
+// reducer the trace had no view of was served the shared zero block, and
 // the program wrote through it.  The trace's views are dropped, the block
 // is zeroed again, and the job fails; errors.Is matches its error against
 // this value.
@@ -85,12 +85,11 @@ func (b *Base) Register(m Monoid) (*Reducer, error) {
 // the engine's leftmost lock, taken once for the whole deposit, and hands
 // it fold, which folds one view into its reducer's leftmost view in serial
 // order (leftmost ⊗ view).  What to fold is the walk's to decide: a view
-// whose reducer was retired, or one never written, it drops or counts
-// itself.  The walk runs under the lock, so neither it nor a Reduce may
-// take the lock again.  The lock is released on every exit: Reduce is the
-// caller's code and may panic, and a lock left held would wedge every
-// reducer of the engine.  fold is a method expression, not a closure, so
-// nothing here allocates.
+// whose reducer was retired it drops and counts itself.  The walk runs
+// under the lock, so neither it nor a Reduce may take the lock again.  The
+// lock is released on every exit: Reduce is the caller's code and may
+// panic, and a lock left held would wedge every reducer of the engine.
+// fold is a method expression, not a closure, so nothing here allocates.
 func (b *Base) Absorb(walk func(fold func(r *Reducer, view unsafe.Pointer))) {
 	b.Dir.leftmostMu.Lock()
 	defer b.Dir.leftmostMu.Unlock()
@@ -166,8 +165,9 @@ func (b *Base) MergeStats() metrics.MergePipelineStats { return b.Totals.Snapsho
 // stay zero on an engine without arenas.
 func (b *Base) ArenaStats() metrics.ArenaStats { return b.Totals.Snapshot().Arena }
 
-// IdentityElisions reports the number of never-written views elided since
-// the last reset: MergeStats().IdentityElisions.
+// IdentityElisions is always 0, because no engine elides a view:
+// MergeStats().IdentityElisions.  It is kept only until
+// benchmark/workload.go stops reading it.
 func (b *Base) IdentityElisions() int64 { return b.MergeStats().IdentityElisions }
 
 // SampleMetrics implements metrics.Source: the merge pipeline, lookup,

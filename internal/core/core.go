@@ -45,16 +45,16 @@ type Engine interface {
 	// representation (the slot word; convert it to the typed view pointer,
 	// or take the interface value from Lookup).
 	// mutable distinguishes accesses that may mutate the view (Handle.View)
-	// from read-only peeks (Handle.ReadView): a mutable resolution sets the
-	// slot's written bit, which exempts the view from the merge pipeline's
-	// identity-view elision, and creates the view if c's trace has none.  A
+	// from read-only peeks (Handle.ReadView), and decides one thing only:
+	// whether a read-only first resolution is lent the zero block.  A
 	// read-only resolution of a reducer the trace has no view of creates
 	// none when the reducer's identity is the zero value of an
 	// arena-eligible view type (Reducer.ZeroIdentity): it returns the
 	// trace's zero block (spa.ZeroBlock), shared with every such reducer
 	// the trace reads, and the trace fails with ErrReadViewWritten at
-	// EndTrace if anything writes through it.  Other read-only first
-	// resolutions create an identity view with the written bit clear.
+	// EndTrace if anything writes through it.  Every other first
+	// resolution, mutable or not, creates an identity view, and every view
+	// a trace creates is deposited and reduced alike.
 	//
 	// cache reports whether the caller may cache the word until c's view
 	// epoch (c.ViewEpoch(), read after the call) moves.  Only c's own

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/reducers"
 	"repro/internal/sched"
+	"repro/internal/spa"
 )
 
 // View transferal hands the trace's own SPA pages over as the deposit, so a
@@ -189,5 +190,75 @@ func TestHandoffNestedTracesConservePool(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReleasedDepositPagesAreClean checks the pages a deposit hands back to
+// the pool in each way a deposit can end: every one is empty with its log
+// rewound, the state spa.Map.Reset would leave, because the end's walk
+// removes every slot and removing the last view rewinds the log.  One
+// deposit logs an index twice, the other has overflowed its page's log.
+func TestReleasedDepositPagesAreClean(t *testing.T) {
+	deposits := map[string]func(t *testing.T, eng *core.MM, c *sched.Context, keep *core.Reducer, wide []*core.Reducer) sched.Deposit{
+		"repeated index": func(t *testing.T, eng *core.MM, c *sched.Context, keep *core.Reducer, _ []*core.Reducer) sched.Deposit {
+			d, _ := repeatedIndexDeposit(t, eng, c, keep)
+			return d
+		},
+		"overflowed log": func(t *testing.T, eng *core.MM, c *sched.Context, _ *core.Reducer, wide []*core.Reducer) sched.Deposit {
+			w := c.Worker()
+			tr := eng.BeginTrace(w)
+			for _, r := range wide {
+				*core.Lookup(eng, c, r).(*int64)++
+			}
+			return eng.EndTrace(w, tr)
+		},
+	}
+	endings := map[string]func(eng *core.MM, c *sched.Context, d sched.Deposit){
+		"discard": func(eng *core.MM, c *sched.Context, d sched.Deposit) { eng.Discard(c.Worker(), d) },
+		"merge": func(eng *core.MM, c *sched.Context, d sched.Deposit) {
+			eng.Merge(c.Worker(), c.Worker().CurrentTrace(), d)
+		},
+		"root merge": func(eng *core.MM, _ *sched.Context, d sched.Deposit) { eng.MergeRootDeposit(d) },
+	}
+	for dname, deposit := range deposits {
+		for ename, end := range endings {
+			t.Run(dname+"/"+ename, func(t *testing.T) {
+				eng := core.NewMM(core.MMConfig{Workers: 1})
+				s := core.NewSession(1, eng)
+				defer s.Close()
+				armed := false
+				keep, _ := eng.Register(boomMonoid(&armed))
+				wide := make([]*core.Reducer, spa.LogCapacity+10)
+				for i := range wide {
+					wide[i], _ = eng.Register(arenaSumMonoid)
+				}
+				if err := s.Run(func(c *sched.Context) {
+					d := deposit(t, eng, c, keep, wide)
+					dep, _ := d.(*core.MMDeposit)
+					if dep == nil {
+						t.Fatal("the trace deposited nothing")
+					}
+					pages := core.DepositPages(dep)
+					if dname == "overflowed log" && pages[0].LogValid() {
+						t.Fatal("the deposit's first page has a valid log, want an overflowed one")
+					}
+					end(eng, c, d)
+					for i, p := range pages {
+						if !p.IsEmpty() || !p.LogValid() || p.LogLen() != 0 {
+							t.Errorf("released page %d: %d views, log valid %v, log length %d, want an empty page with a rewound log",
+								i, p.Len(), p.LogValid(), p.LogLen())
+						}
+					}
+				}); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if err := eng.Quiescent(); err != nil {
+					t.Fatalf("not quiescent: %v", err)
+				}
+				if ps := eng.PoolStats(); ps.RejectedDirty != 0 {
+					t.Fatalf("non-empty pages were returned to the pool: %+v", ps)
+				}
+			})
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Lookup returns the local view of r for the execution context c as an
 // interface value: the boxed form of eng.LookupWord, for callers without a
 // typed handle.  It hands out a view the caller may mutate through, so it
-// is a mutable access and stamps the written bit.  With a nil context
+// is a mutable access and is never lent the zero block.  With a nil context
 // (serial code outside the scheduler) it returns the leftmost view.
 func Lookup(eng Engine, c *sched.Context, r *Reducer) any {
 	word, _ := eng.LookupWord(c, r, 0, true)

@@ -166,8 +166,11 @@ func TestMergeMatrixBothEngines(t *testing.T) {
 								t.Errorf("%s: value %+v, want %+v", row, got, want)
 							}
 							if isMM {
+								// A read-only view is merged like a written
+								// one: the sequence identity is not zero, so
+								// each side has a view of its own.
 								wantReduces := int64(0)
-								if cur != absent && dep == written {
+								if cur != absent {
 									wantReduces = 1
 								}
 								if got := mm.MergeStats().Reduces - reducesBefore; got != wantReduces {

@@ -173,7 +173,7 @@ func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 //	worker   := c.Worker()                    // one field load
 //	private  := worker.Local().(*mmWorker)    // one load + type check
 //	slot     := private.Probe(r.page, r.slot) // bounds check + 2 indexed loads
-//	hit      := slot.FastHit(r, mutable)      // 2 masked compares
+//	hit      := slot.FastHit(r, mutable)      // 1 masked compare
 //
 // The reducer's (page, slot) pair is precomputed at registration
 // (SlotsPerMap is not a power of two, so Addr.Page/Addr.Slot each cost an
@@ -181,10 +181,10 @@ func (e *MM) PoolStats() pagepool.Stats { return e.pool.Stats() }
 // compiler to inline — `make inline-check` pins that.  The owner stamp in
 // the slot's second word guarantees a recycled address never serves a stale
 // view, so the hit is independent of the number of live reducers.
-// Everything else — written-bit stamping, first touches, recycled slots,
-// retired handles — is outlined into lookupMiss so the hot shape stays
-// branch-predictable.  The typed handles call this method on the concrete
-// *MM (no interface dispatch); everyone else reaches it through Engine.
+// Everything else — first touches, recycled slots, retired handles — is
+// outlined into lookupMiss so the hot shape stays branch-predictable.  The
+// typed handles call this method on the concrete *MM (no interface
+// dispatch); everyone else reaches it through Engine.
 //
 //cilkvet:hotpath
 func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
@@ -205,11 +205,8 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 
 // lookupMiss is the outlined slow half of LookupWord.  A worker of a runtime
 // the engine does not serve is trapped first (ErrForeignRuntime): its maps
-// are another engine's.  An owned slot gets here only when a mutable access
-// found its written bit clear, and is stamped rather than re-created; it
-// keeps serving its private view until the trace ends even if the reducer
-// has been retired meanwhile (the check is the owner stamp, not directory
-// validity).  A retired handle without a
+// are another engine's.  An owned slot always hits in LookupWord, so the
+// slot here is empty or a retired occupant's.  A retired handle without a
 // private view is served the frozen leftmost value, uncacheable.  A
 // read-only lookup of a reducer whose identity is the zero value is served
 // the trace's zero block (spa.ZeroBlock): the view it would create still
@@ -222,16 +219,11 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 		panic(ErrForeignRuntime)
 	}
 	ws.tally.Lookups.Misses++
-	s := ws.private.Probe(int(r.page), int(r.slot))
-	if s.View() != nil && s.Owner() == ownerWord(r) {
-		ws.private.MarkWritten(r.addr)
-		return s.View(), true
-	}
 	ws.tally.Lookups.ColdMisses++
 	if !e.Dir.Valid(r) {
 		return r.LeftmostView(), false
 	}
-	if s.View() != nil {
+	if ws.private.Probe(int(r.page), int(r.slot)).View() != nil {
 		// Occupied by another owner: the occupant registered an earlier
 		// incarnation of this recycled address.  The directory holds at
 		// most one live registration per address — r — so the occupant is
@@ -255,7 +247,7 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 			w.BumpViewEpoch()
 		}
 	}
-	return e.lookupSlow(ws, r, mutable), true
+	return e.lookupSlow(ws, r), true
 }
 
 // lookupSlow creates and installs an identity view in r's (empty) private
@@ -263,13 +255,12 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 // recycle.  Arena-eligible monoids get their view carved out of the
 // worker's view arena — a free-list pop or a bump allocation, no heap
 // allocator — and the slot's arena flag records that the block is
-// recyclable when the view dies.  mutable stamps the written bit; a
-// read-only first lookup (of a view type the zero block does not serve)
-// leaves it clear so the identity view can be elided if it is never
-// subsequently written.
+// recyclable when the view dies.  A read-only first lookup of a view type
+// the zero block does not serve creates its view here too, and the view is
+// deposited and reduced like any other.
 //
 //cilkvet:hotpath
-func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
+func (e *MM) lookupSlow(ws *mmWorker, r *Reducer) unsafe.Pointer {
 	// Ensure the worker's TLMM region maps the SPA page holding this slot.
 	if e.model {
 		ws.ensureMapped(int(r.page))
@@ -290,9 +281,6 @@ func (e *MM) lookupSlow(ws *mmWorker, r *Reducer, mutable bool) unsafe.Pointer {
 		ws.tally.Arena.HeapViews++
 	}
 	ws.tally.Overhead.Tick(metrics.ViewCreation, start)
-	if mutable {
-		flags |= spa.FlagWritten
-	}
 
 	start = metrics.Start(e.Timing)
 	// The slot's second word is the owner stamp (the reducer handle, which
@@ -356,17 +344,13 @@ func (e *MM) BeginTrace(w *sched.Worker) sched.Trace {
 	return saved
 }
 
-// EndTrace implements sched.ReducerRuntime: it performs view transferal
-// with identity-view elision.  It first reclaims the trace's zero block: one
-// found written (a write through a read-only view) fails the trace with
-// ErrReadViewWritten, its views dropped as on a failed transferal.  Slots
-// whose written bit never got set still hold the monoid identity — the
-// trace looked them up read-only (a view type the zero block does not
-// serve) but never mutated them — so folding them at the join would be a
-// no-op; they are removed here instead, their arena blocks recycled, before
-// the deposit is even sized.  A trace whose views were all elided deposits
-// nothing and performs no pagepool round-trip at all.  Transferal itself is
-// the paper's remapping strategy: the trace's pages, surviving views in
+// EndTrace implements sched.ReducerRuntime: view transferal.  It first
+// reclaims the trace's zero block: one found written (a write through a
+// read-only view) fails the trace with ErrReadViewWritten, its views dropped
+// as on a failed transferal.  Every view the trace created is deposited,
+// whether it was reached mutably or read-only; a trace that created none
+// deposits nothing and performs no pagepool round-trip at all.  Transferal
+// itself is the paper's remapping strategy: the trace's pages, views in
 // place, are swapped for as many empty pages fetched from the pool in one
 // bulk round-trip and become the deposit — one pointer swap per page,
 // nothing per view.  The pool counts pages out and in, not where a page was
@@ -381,19 +365,6 @@ func (e *MM) EndTrace(w *sched.Worker, tr sched.Trace) sched.Deposit {
 		panic(ErrReadViewWritten)
 	}
 	var dep *MMDeposit
-	elided := int64(0)
-	for pi := 0; pi < ws.private.Pages(); pi++ {
-		p := ws.private.Page(pi)
-		p.Range(func(si int, s spa.Slot) bool {
-			if !s.Written() {
-				p.Remove(si)
-				ws.freeSlotView(s)
-				elided++
-			}
-			return true
-		})
-	}
-	ws.tally.Merge.IdentityElisions += elided
 	if span := ws.private.OccupiedPageSpan(); span > 0 {
 		start := metrics.Start(e.Timing)
 		pages, err := e.pool.TryGetN(w.ID(), span)
@@ -465,8 +436,6 @@ func (e *MM) releaseDeposit(ws *mmWorker, t *metrics.Tally, wid int, dep *MMDepo
 			}
 			return true
 		})
-		// The page is empty; Reset rewinds the log it carried over.
-		p.Reset()
 	}
 	if released > 0 {
 		e.arenaRootReleased.Add(released)
@@ -481,10 +450,6 @@ func (e *MM) releaseDeposit(ws *mmWorker, t *metrics.Tally, wid int, dep *MMDepo
 // over the deposit's occupied slots, page by page against the current
 // trace's page of the same index, that settles each slot where it stands:
 //
-//   - a never-written view still equals the monoid identity, and
-//     current ⊗ e = current: it is recycled with no reduce call (MM deposits
-//     are normally already elided at EndTrace; deposits that bypass it stay
-//     correct);
 //   - a view with no current counterpart is adopted: the slot moves into the
 //     current trace's maps, flags preserved;
 //   - where the two owner stamps differ the address was recycled while one
@@ -515,7 +480,7 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	}()
 	start := metrics.Start(e.Timing)
 	cur := ws.private
-	var reduces, adopts, staleDrops, elisions int64
+	var reduces, adopts, staleDrops int64
 	for pi, dp := range dep.pages {
 		// curPage is resolved once per page.  An adopt below may create the
 		// page in cur after this lookup returned nil; the cached nil stays
@@ -524,12 +489,6 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 		// visited exactly once.
 		curPage := cur.Page(pi)
 		dp.Range(func(si int, s spa.Slot) bool {
-			if !s.Written() {
-				dp.Remove(si)
-				ws.freeSlotView(s)
-				elisions++
-				return true
-			}
 			var curSlot spa.Slot
 			if curPage != nil {
 				curSlot = curPage.SlotAt(si)
@@ -575,7 +534,6 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	t.Merge.Reduces += reduces
 	t.Merge.Adopts += adopts
 	t.Merge.StaleViewDrops += staleDrops
-	t.Merge.IdentityElisions += elisions
 }
 
 // reduceSlot folds one deposited view into the current trace's slot of the
@@ -590,19 +548,13 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 	switch combined {
 	case cur.View():
 		// The usual in-place reduction: the current view survives and the
-		// deposited view dies.  The surviving slot now carries the deposit's
-		// (written) contribution even if the current trace only ever read
-		// it, so its written bit must be set — otherwise the trace-end
-		// elision would drop the merged value.
-		if !cur.Written() {
-			curPage.MarkWritten(si)
-		}
+		// deposited view dies.
 		depPage.Remove(si)
 		ws.freeSlotView(dep)
 	case dep.View():
 		// The monoid returned its right argument: the deposited view (flags
 		// included) replaces the current one, which dies.
-		if err := curPage.Update(si, combined, dep.Flags()|spa.FlagWritten); err != nil {
+		if err := curPage.Update(si, combined, dep.Flags()); err != nil {
 			panic(fmt.Sprintf("core: hypermerge update: %v", err))
 		}
 		depPage.Remove(si)
@@ -610,7 +562,7 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 	default:
 		// A fresh combined view of unknown provenance: no arena flag, and
 		// both inputs die.
-		if err := curPage.Update(si, combined, spa.FlagWritten); err != nil {
+		if err := curPage.Update(si, combined, 0); err != nil {
 			panic(fmt.Sprintf("core: hypermerge update: %v", err))
 		}
 		depPage.Remove(si)
@@ -626,12 +578,11 @@ func (e *MM) reduceSlot(ws *mmWorker, owner *Reducer, curPage, depPage *spa.Map,
 // The owner stamp carried by every deposited slot resolves the reducer
 // directly — no registry copy — and the reducer's validity flag drops
 // views whose reducer was unregistered while they were in flight, even if
-// the address has since been recycled.  Never-written views are elided
-// exactly as in Merge (leftmost ⊗ e = leftmost).  Whatever happens to a
-// view — absorbed, elided, or dropped stale — its arena block is not
-// recycled: MergeRootDeposit is handed no worker, so it frees into no
-// arena; the block goes to the garbage collector and arenaRootReleased
-// closes the books on it.  The walk counts into a tally of its own and
+// the address has since been recycled.  Whatever happens to a view —
+// absorbed or dropped stale — its arena block is not recycled:
+// MergeRootDeposit is handed no worker, so it frees into no arena; the
+// block goes to the garbage collector and arenaRootReleased closes the
+// books on it.  The walk counts into a tally of its own and
 // flushes it once, in the deferred tail, so a panicking Reduce still
 // leaves Quiescent balanced (Absorb has released the lock by then).
 func (e *MM) MergeRootDeposit(d sched.Deposit) {
@@ -655,17 +606,14 @@ func (e *MM) MergeRootDeposit(d sched.Deposit) {
 					released++
 				}
 				owner := reducerOf(s.Owner())
-				switch {
-				case !e.Dir.Valid(owner):
+				if !e.Dir.Valid(owner) {
 					// The reducer was unregistered while views for it were
 					// still in flight; fold into nothing (drop), mirroring a
 					// view whose reducer went out of scope.
 					t.Merge.StaleViewDrops++
-				case !s.Written():
-					t.Merge.IdentityElisions++
-				default:
-					fold(owner, s.View())
+					return true
 				}
+				fold(owner, s.View())
 				return true
 			})
 		}

@@ -9,7 +9,7 @@ import (
 
 // This file benchmarks the word-packed SPA storage layer: the post-steal
 // first lookup (view creation) on the arena vs the heap path, and the
-// hypermerge at varying written-view fractions (identity-view elision).
+// hypermerge at varying written-view fractions.
 
 // benchFirstLookup measures the post-steal first lookup: every op resolves
 // a reducer that has no view in the current trace, so it runs the full
@@ -69,8 +69,10 @@ func BenchmarkMMFirstLookupHeap(b *testing.B) {
 
 // benchMergeWritten measures one full trace cycle (begin, touch K
 // reducers, transfer, hypermerge) with a controlled fraction of written
-// views: the rest are resolved read-only and must be elided — no reduce
-// call, and for the all-read-only case no pagepool traffic at all.
+// views: the rest are resolved read-only, and an int64 sum's read-only
+// first lookup is lent the trace's zero block, so they create no view —
+// no reduce call, and for the all-read-only case no pagepool traffic at
+// all.
 func benchMergeWritten(b *testing.B, writtenPct int) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
@@ -104,7 +106,6 @@ func benchMergeWritten(b *testing.B, writtenPct int) {
 	pool := eng.PoolStats()
 	n := float64(b.N)
 	b.ReportMetric(float64(ms.Reduces+ms.Adopts)/n, "slots-merged/cycle")
-	b.ReportMetric(float64(ms.IdentityElisions)/n, "elided/cycle")
 	b.ReportMetric(float64(pool.RoundTrips())/n, "poolops/cycle")
 }
 

@@ -17,16 +17,15 @@ import (
 // post-steal lookup cost in this model is one heap allocation per identity
 // view.  The arena removes it: lookupSlow carves the view out of the
 // worker's arena, and views that the hypermerge folds away — the
-// non-surviving side of each reduce pair, dropped stale views, and
-// never-written identity views elided at trace end — are pushed back onto a
-// free list, so the steady-state steal→lookup→merge cycle allocates
-// nothing.
+// non-surviving side of each reduce pair and dropped stale views — are
+// pushed back onto a free list, so the steady-state steal→lookup→merge
+// cycle allocates nothing.
 //
 // Ownership: an arena belongs to one worker and is touched only from that
-// worker's goroutine (lookupSlow, EndTrace elision and the hypermerge's
-// frees all run there).  Blocks are not returned to the chunk they
-// were carved from: a block freed by the merging worker goes on the merging
-// worker's free list, which is safe because every block of one class is
+// worker's goroutine (lookupSlow, the abort path's drops and the
+// hypermerge's frees all run there).  Blocks are not returned to the chunk
+// they were carved from: a block freed by the merging worker goes on the
+// merging worker's free list, which is safe because every block of one class is
 // interchangeable and the unsafe.Pointer references on free lists and in
 // SPA slots keep the backing chunks alive (interior pointers pin Go heap
 // objects).

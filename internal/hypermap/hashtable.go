@@ -18,8 +18,8 @@ import "repro/internal/spa"
 //
 // Entries are stored by value inside the chain nodes: one allocation per
 // node, none per entry.  The entry stores the same single-word view
-// representation the memory-mapped engine's SPA slots use (plus the owner
-// stamp and an explicit written byte — see entry's doc comment).
+// representation the memory-mapped engine's SPA slots use, plus the owner
+// stamp (see entry's doc comment).
 type hashTable struct {
 	buckets  []*hashEntry
 	nbuckets uint64
@@ -62,8 +62,7 @@ func (t *hashTable) len() int { return t.n }
 
 // lookup returns a pointer to the entry for key, or nil.  The pointer
 // aliases the chain node, so callers may update the entry in place (the
-// hypermerge's reduce-into-current and the lookup path's written-bit
-// stamping both do).
+// hypermerge's reduce-into-current does).
 func (t *hashTable) lookup(key spa.Addr) *entry {
 	for e := t.buckets[t.hash(key)]; e != nil; e = e.next {
 		if e.key == key {

@@ -42,22 +42,19 @@ type hmWorker struct {
 	tally metrics.Tally
 }
 
-// entry pairs a local view with the reducer that owns it.  The view is the
-// same single word the SPA slot stores (internal/core/word.go) and the
-// monoid's kernel takes, so both mechanisms reduce the same way; unlike the
-// 16-byte SPA slot, though, the written flag lives in an explicit byte (24
-// bytes per entry) rather than in the stamp's low bits — the baseline keeps
-// plain loads and stores on its mutable-in-place entries.  The owner stamp
-// plays the role the monoid pointer plays in Cilk Plus (it carries the
-// monoid) and additionally lets a lookup detect that an entry at a recycled
-// address belongs to a retired reducer.  written mirrors the SPA slots'
-// written flag: entries never handed out for mutation still hold the monoid
-// identity and are elided by the hypermerge.
+// entry pairs a local view with the reducer that owns it: 16 bytes, like
+// the SPA slot.  The view is the same single word the SPA slot stores
+// (internal/core/word.go) and the monoid's kernel takes, so both mechanisms
+// reduce the same way.  The owner stamp plays the role the monoid pointer
+// plays in Cilk Plus (it carries the monoid) and additionally lets a lookup
+// detect that an entry at a recycled address belongs to a retired reducer.
 type entry struct {
-	view    unsafe.Pointer
-	owner   *core.Reducer
-	written bool
+	view  unsafe.Pointer
+	owner *core.Reducer
 }
+
+// A compile-time check that an entry is two words, like spa.Slot.
+var _ = [1]struct{}{}[unsafe.Sizeof(entry{})-spa.SlotBytes]
 
 // Deposit is a deposited hypermap: view transferal in the hypermap scheme
 // simply hands over the map.
@@ -92,10 +89,10 @@ func (e *HM) Name() string { return "Cilk Plus (hypermap)" }
 // (the common case at steady state) and inlines here, so the comparison
 // between mechanisms measures the lookup structures (SPA indexing vs
 // chained hash) and nothing else.  Every other situation — a below-head
-// entry, written-bit stamping, first touches, recycled addresses, retired
-// handles — takes the outlined lookupMiss.  The owner stamp guarantees an
-// entry at a recycled address never serves a stale view, mirroring the
-// memory-mapped engine's SPA slot stamp.
+// entry, first touches, recycled addresses, retired handles — takes the
+// outlined lookupMiss.  The owner stamp guarantees an entry at a recycled
+// address never serves a stale view, mirroring the memory-mapped engine's
+// SPA slot stamp.
 //
 //cilkvet:hotpath
 func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable bool) (unsafe.Pointer, bool) {
@@ -105,7 +102,7 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 		if !ok {
 			panic(core.ErrForeignRuntime)
 		}
-		if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r && (!mutable || ent.written) {
+		if ent := ws.user.probeHead(r.Addr()); ent != nil && ent.owner == r {
 			ws.tally.Lookups.Hits++
 			return ent.view, true
 		}
@@ -116,11 +113,10 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 
 // lookupMiss is the outlined slow half of LookupWord.  A worker of a runtime
 // the engine does not serve is trapped first (core.ErrForeignRuntime): its
-// hypermap is another engine's.  The full chain walk re-probes — the head
-// probe rejects below-head entries and owned entries whose written bit needs
-// stamping on a mutable access.  A retired handle
-// without an entry of its own is served the frozen leftmost value,
-// uncacheable, matching a serial lookup after unregistration.  A read-only
+// hypermap is another engine's.  The full chain walk re-probes, because the
+// head probe rejects below-head entries.  A retired handle without an entry
+// of its own is served the frozen leftmost value, uncacheable, matching a
+// serial lookup after unregistration.  A read-only
 // lookup of a reducer whose identity is the zero value is served the
 // trace's zero block (spa.ZeroBlock) and inserts nothing; the first mutable
 // access installs the view.  Anything else installs an identity view.
@@ -133,9 +129,6 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable 
 	ws.tally.Lookups.Misses++
 	ent := ws.user.lookup(r.Addr())
 	if ent != nil && ent.owner == r {
-		if mutable {
-			ent.written = true
-		}
 		return ent.view, true
 	}
 	ws.tally.Lookups.ColdMisses++
@@ -169,7 +162,7 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable 
 	ws.tally.Overhead.Tick(metrics.ViewCreation, start)
 
 	start = metrics.Start(e.Timing)
-	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
+	ws.user.insert(r.Addr(), entry{view: word, owner: r})
 	ws.tally.Overhead.Tick(metrics.ViewInsertion, start)
 	return word, true
 }
@@ -238,11 +231,9 @@ func (e *HM) finishTrace(w *sched.Worker, ws *hmWorker, saved *hashTable) {
 }
 
 // Merge implements sched.ReducerRuntime: the hypermerge.  The worker walks
-// the deposited hypermap; never-written entries are elided outright (the
-// view still equals the monoid identity, so current ⊗ e = current — no
-// reduce call, no insertion); for every other element it looks up the
-// corresponding view in its own user hypermap and either reduces the pair
-// (current ⊗ deposited) or inserts the deposited entry wholesale.
+// the deposited hypermap; for every element it looks up the corresponding
+// view in its own user hypermap and either reduces the pair (current ⊗
+// deposited) or inserts the deposited entry wholesale.
 func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	dep, _ := d.(*Deposit)
 	if dep == nil {
@@ -252,12 +243,8 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	e.MergeInflight.Add(1)
 	defer e.MergeInflight.Add(-1)
 	start := metrics.Start(e.Timing)
-	var reduces, adopts, staleDrops, elisions int64
+	var reduces, adopts, staleDrops int64
 	dep.views.forEach(func(addr spa.Addr, depEnt *entry) {
-		if !depEnt.written {
-			elisions++
-			return
-		}
 		if curEnt := ws.user.lookup(addr); curEnt != nil {
 			if curEnt.owner == depEnt.owner {
 				r := depEnt.owner
@@ -267,7 +254,6 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 				// the garbage collector.
 				faultinject.Check(faultinject.MonoidReduce)
 				curEnt.view = r.ReduceViews(curEnt.view, depEnt.view)
-				curEnt.written = true
 				reduces++
 				return
 			}
@@ -297,7 +283,6 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	t.Merge.Reduces += reduces
 	t.Merge.Adopts += adopts
 	t.Merge.StaleViewDrops += staleDrops
-	t.Merge.IdentityElisions += elisions
 	e.Totals.Flush(t)
 }
 
@@ -306,10 +291,9 @@ func (e *HM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 // (core.Base.Absorb), and folds each view with a bare Reduce.  Each entry's
 // owner stamp resolves the reducer directly — no registry copy — and the
 // reducer's validity flag drops views whose reducer was unregistered while
-// they were in flight.  Never-written entries are elided exactly as in
-// Merge.  The walk counts into a tally of its own and flushes it once, in
-// the deferred tail, so a panicking Reduce still publishes what it counted
-// (Absorb has released the lock by then).
+// they were in flight.  The walk counts into a tally of its own and flushes
+// it once, in the deferred tail, so a panicking Reduce still publishes what
+// it counted (Absorb has released the lock by then).
 func (e *HM) MergeRootDeposit(d sched.Deposit) {
 	dep, _ := d.(*Deposit)
 	if dep == nil || dep.views == nil {
@@ -325,10 +309,6 @@ func (e *HM) MergeRootDeposit(d sched.Deposit) {
 		dep.views.forEach(func(addr spa.Addr, ent *entry) {
 			if !e.Dir.Valid(ent.owner) {
 				t.Merge.StaleViewDrops++
-				return
-			}
-			if !ent.written {
-				t.Merge.IdentityElisions++
 				return
 			}
 			fold(ent.owner, ent.view)

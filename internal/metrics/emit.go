@@ -28,8 +28,7 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// EmitMergePipeline emits the hypermerge counters and the identity-elision
-// rate.
+// EmitMergePipeline emits the hypermerge counters.
 func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineStats) {
 	counter(emit, engine, "cilkm_merges_total", "Completed hypermerges.", s.Merges)
 	counter(emit, engine, "cilkm_merge_slots_total", "SPA slots walked by hypermerges.", s.SlotsMerged)
@@ -38,8 +37,6 @@ func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineSt
 	counter(emit, engine, "cilkm_bulk_page_fetches_total", "Bulk page-pool fetches issued by view transferal.", s.BulkPageFetches)
 	counter(emit, engine, "cilkm_bulk_page_returns_total", "Bulk page-pool returns issued by the merge pipeline.", s.BulkPageReturns)
 	counter(emit, engine, "cilkm_stale_view_drops_total", "Invalidated views dropped instead of merged.", s.StaleViewDrops)
-	counter(emit, engine, "cilkm_identity_elisions_total", "Never-written identity views elided instead of merged.", s.IdentityElisions)
-	gauge(emit, engine, "cilkm_identity_elision_rate", "Elided views as a fraction of views reaching the merge.", ratio(s.IdentityElisions, s.IdentityElisions+s.SlotsMerged))
 }
 
 // EmitLookups emits the engines' lookup outcome counters: the total

@@ -145,7 +145,7 @@ func (c *PaddedCounter) Max(v int64) {
 
 // MergePipelineStats counts the hypermerge pipeline: how many deposits were
 // merged, how many occupied slots they carried and how each was settled
-// (reduced, adopted, elided, dropped stale).  The bulk-page-movement claim —
+// (reduced, adopted, dropped stale).  The bulk-page-movement claim —
 // fewer pagepool round-trips than slots merged — is checked against these
 // counts together with pagepool.Stats.RoundTrips.
 type MergePipelineStats struct {
@@ -156,10 +156,8 @@ type MergePipelineStats struct {
 	BulkPageFetches int64 // bulk pagepool fetches by view transferal
 	BulkPageReturns int64 // bulk pagepool returns after merging
 	StaleViewDrops  int64 // in-flight views dropped after their reducer was unregistered
-	// IdentityElisions counts views that were looked up but never handed
-	// out for mutation (their written bit stayed clear), so the pipeline
-	// recycled them without a reduce call or a page round-trip: reducing
-	// with the monoid identity is a no-op.
+	// IdentityElisions is always 0: no engine elides a view.  It is kept
+	// only until benchmark/workload.go stops reading it.
 	IdentityElisions int64
 }
 

@@ -96,10 +96,10 @@ func TestArenaAdapterInitViewWritesIdentity(t *testing.T) {
 
 // TestReadViewKeepsViewsElidable drives the typed read-only access path on
 // the memory-mapped engine: a trace that only ReadViews a reducer deposits
-// nothing, the merge pipeline counts an elision, and the value is
-// untouched; a later trace that Views (mutable) merges normally.  The
-// reducer is an And, whose identity (true) is not the zero value, so its
-// first ReadView creates a view for the trace end to elide.
+// the view it created and the hypermerge adopts it, leaving the value
+// untouched; a later trace that reads and then Views (mutable) merges its
+// write by a reduce.  The reducer is an And, whose identity (true) is not
+// the zero value, so its first ReadView creates a view of the trace's own.
 func TestReadViewKeepsViewsElidable(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
@@ -119,8 +119,8 @@ func TestReadViewKeepsViewsElidable(t *testing.T) {
 			t.Errorf("cached ReadView = %v, want true", got)
 		}
 		d := eng.EndTrace(w, tr)
-		if d != nil {
-			t.Error("read-only trace produced a deposit")
+		if d == nil {
+			t.Error("read-only trace deposited nothing")
 		}
 		eng.Merge(w, w.CurrentTrace(), d)
 		// Trace 2: read-only first, then mutable — the write must survive.
@@ -145,8 +145,9 @@ func TestReadViewKeepsViewsElidable(t *testing.T) {
 		t.Fatalf("final value = %v, want false", got)
 	}
 	ms := eng.MergeStats()
-	if ms.IdentityElisions != 1 {
-		t.Fatalf("IdentityElisions = %d, want 1", ms.IdentityElisions)
+	if ms.IdentityElisions != 0 || ms.Adopts != 1 || ms.Reduces != 1 {
+		t.Fatalf("elisions=%d adopts=%d reduces=%d, want 0, 1 and 1: the read-only view is adopted, the written one reduced into it",
+			ms.IdentityElisions, ms.Adopts, ms.Reduces)
 	}
 }
 

@@ -57,13 +57,14 @@ func (f TypedFuncMonoid[V]) Reduce(left, right *V) *V { return f.ReduceFn(left, 
 
 // viewSlot is one worker's entry in a handle's typed view cache: the typed
 // view pointer and two worker-view-epoch stamps — wepoch marks the epoch
-// the resolution is valid for writing (the engine-side written bit is
-// stamped), repoch the epoch it is valid for reading.  A mutable resolution
-// sets both; a read-only one sets repoch alone, so a View after a ReadView
-// still revisits the engine once to stamp the written bit.  Encoding writability as its own epoch
-// rather than a bool keeps the View hit check to one epoch load and one
-// compare — no separate written-flag load on the hottest path.  The entry
-// is padded to a cache line so adjacent workers' slots never share one.
+// the resolution is valid for writing (it is the trace's own view), repoch
+// the epoch it is valid for reading.  A mutable resolution sets both; a
+// read-only one sets repoch alone, because it may be the trace's zero block,
+// so a View after a ReadView revisits the engine once, which creates the
+// trace's own view if the zero block was all it had.  Encoding writability
+// as its own epoch rather than a bool keeps the View hit check to one epoch
+// load and one compare — no separate flag load on the hottest path.  The
+// entry is padded to a cache line so adjacent workers' slots never share one.
 // Each slot is read and written only by its worker's goroutine, and so is
 // the worker's view epoch that invalidates it.  The engine serves one
 // runtime, so the slot's index names the worker and no context is stored.
@@ -162,18 +163,18 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 //
 // The steady-state hit is an epoch load, one compare and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
-// cache misses, written-bit stamping) lives in the outlined viewMiss.
+// cache misses, the first View after a ReadView) lives in the outlined
+// viewMiss.
 // View itself does not inline into its caller — the outlined miss call
 // alone takes 57 of the compiler's 80-node budget, and -gcflags=-m=2 prices
 // the body at 110 — so an update loop makes one direct call to the
 // monomorphized View per access, and what `make inline-check` pins is that
 // the interior of that call is flat: WorkerID and ViewEpoch inline into it.
 //
-// Being a mutable access, a miss stamps the slot's written bit, which
-// exempts the view from the merge pipeline's identity-view elision.  If the
-// trace has no view of the reducer yet — none, or only ReadView's zero
-// block — the miss creates it, and every later View or ReadView of the
-// reducer in the trace returns it.
+// If the trace has no view of the reducer yet — none, or only ReadView's
+// zero block — the miss creates it, and every later View or ReadView of the
+// reducer in the trace returns it.  Every view a trace creates is merged at
+// the trace's join.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) View(c *sched.Context) *V {
@@ -191,22 +192,20 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 
 // ReadView returns the local view for reading only.  Once the trace has a
 // view of the reducer, ReadView returns that view, the pointer View
-// returns, but never stamps the written bit.  Before that, what it returns
-// reads as the monoid identity:
+// returns.  Before that, what it returns reads as the monoid identity:
 //
 //   - for a view type that is arena-eligible (fixed-size and pointer-free)
 //     with an all-zero identity — Add, Or, Min and Max over numbers — it
 //     is the trace's zero block, the runtime's shared zero page, and no
 //     view is created.  Distinct reducers may get the same block;
 //   - for any other view type (And's true identity, lists, maps) it is a
-//     new identity view, which the merge pipeline elides at trace end if
-//     it is never written: no reduce call, no transferal, and (on the
-//     memory-mapped engine) its arena block is recycled.
+//     new identity view of the trace's own, created and later merged
+//     exactly as View's would be.
 //
-// Do not write through the returned pointer; use View for that.  A write
-// into the zero block is trapped when the trace ends: the job fails with
-// core.ErrReadViewWritten, and the trace's updates are dropped.  A write
-// into a new identity view is elided with it at trace end, so it is lost.
+// Use View to write.  A write through a ReadView result that is the
+// trace's own view is merged like a write through View.  A write into the
+// zero block is trapped when the trace ends: the job fails with
+// core.ErrReadViewWritten, and the trace's updates are dropped.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) ReadView(c *sched.Context) *V {
@@ -224,7 +223,7 @@ func (h *Handle[V]) ReadView(c *sched.Context) *V {
 
 // viewMiss is the outlined slow half of View (mutable) and ReadView: a
 // cache miss, or a View of an entry that was resolved read-only and must
-// revisit the engine once so the slot's written bit gets stamped.
+// revisit the engine once, since the read-only word may be the zero block.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
@@ -245,9 +244,9 @@ func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 		// lookup, which may have bumped it (a stale-view drop).  Worker
 		// epochs start at 1, so it is never zero, and zero stays free to
 		// mean "not writable" below.  A mutable resolution is readable
-		// too, so it takes both stamps.  A read-only one did not stamp the
-		// written bit and must not satisfy a later View hit: it clears the
-		// write stamp (a still-valid wepoch would have hit in ReadView, so
+		// too, so it takes both stamps.  A read-only one may be the zero
+		// block and must not satisfy a later View hit: it clears the write
+		// stamp (a still-valid wepoch would have hit in ReadView, so
 		// nothing valid is discarded).
 		epoch := c.ViewEpoch()
 		wepoch := uint64(0)

@@ -149,9 +149,6 @@ func (w *Worker) CurrentTrace() Trace { return w.curTrace }
 // where a lookup drops a retired occupant of a recycled address.
 func (w *Worker) BumpViewEpoch() { w.viewEpoch++ }
 
-// Steals returns the number of successful steals this worker has performed.
-func (w *Worker) Steals() int64 { return w.nSteals.Load() }
-
 // newTask takes a task from the worker's free list, or allocates one, with
 // fn as its continuation; a ParallelFor split sets its range instead.
 // Owner-goroutine only.

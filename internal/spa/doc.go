@@ -23,12 +23,9 @@
 // the reducer's monoid allocated, held as an unsafe.Pointer (see
 // internal/core/word.go for the safety argument).  The second
 // word is the owner stamp: a pointer to the owning reducer, whose low three
-// bits — always zero in a real pointer — carry per-slot flags:
+// bits — always zero in a real pointer — carry per-slot flags (FlagWritten
+// is defined but no engine sets or reads it):
 //
-//   - FlagWritten marks that the view has been handed out for mutation
-//     since it was inserted.  A slot whose flag is clear provably still
-//     holds the monoid identity, so hypermerges elide it (reduce with the
-//     identity is a no-op).
 //   - FlagArena marks that the view's memory was carved from a runtime
 //     view arena (or recycled through one) and may be returned to an arena
 //     free list when the view dies.

@@ -127,16 +127,6 @@ func (ms *MapSet) Update(addr Addr, view unsafe.Pointer, flags uintptr) error {
 	return ms.pages[pi].Update(addr.Slot(), view, flags)
 }
 
-// MarkWritten sets the written flag on the slot at addr (no-op when the
-// page or slot does not exist).
-func (ms *MapSet) MarkWritten(addr Addr) {
-	pi := addr.Page()
-	if pi < 0 || pi >= len(ms.pages) {
-		return
-	}
-	ms.pages[pi].MarkWritten(addr.Slot())
-}
-
 // Remove clears the slot at addr and returns its previous contents.
 func (ms *MapSet) Remove(addr Addr) (Slot, error) {
 	pi := addr.Page()
@@ -144,25 +134,6 @@ func (ms *MapSet) Remove(addr Addr) (Slot, error) {
 		return Slot{}, fmt.Errorf("%w: %d", ErrSlotEmpty, addr)
 	}
 	return ms.pages[pi].Remove(addr.Slot())
-}
-
-// Range calls fn for every valid (addr, slot) pair across all pages.
-// Iteration stops early if fn returns false.  fn may Remove the slot it is
-// visiting (the engines' identity-view elision does exactly that).
-func (ms *MapSet) Range(fn func(addr Addr, s Slot) bool) {
-	for pi, p := range ms.pages {
-		stop := false
-		p.Range(func(i int, s Slot) bool {
-			if !fn(MakeAddr(pi, i), s) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
 }
 
 // TransferTo moves every view from ms into dst, page by page, leaving ms

@@ -22,9 +22,9 @@ func TestProbeMatchesSlotAt(t *testing.T) {
 	if s != ms.SlotAt(addr) {
 		t.Fatalf("Probe(2, 17) = %+v, differs from SlotAt(%d)", s, addr)
 	}
-	if s.View() != view || s.Owner() != owner || !s.Written() {
-		t.Fatalf("Probe returned wrong slot: view %p owner %p written %v",
-			s.View(), s.Owner(), s.Written())
+	if s.View() != view || s.Owner() != owner || s.Flags() != FlagWritten {
+		t.Fatalf("Probe returned wrong slot: view %p owner %p flags %#x",
+			s.View(), s.Owner(), s.Flags())
 	}
 
 	// EnsurePage materialised pages 0..2, so a probe of an unoccupied index
@@ -41,10 +41,10 @@ func TestProbeMatchesSlotAt(t *testing.T) {
 	}
 }
 
-// TestFastHit pins the two-masked-compare hit predicate the devirtualized
-// lookup paths inline: stamped owner must match, a mutable access
-// additionally needs the written bit, and flag bits never corrupt the
-// owner comparison.
+// TestFastHit pins the one-masked-compare hit predicate the devirtualized
+// lookup paths inline: the stamped owner must match, a read-only and a
+// mutable access hit alike whatever flag bits the slot carries, and flag
+// bits never corrupt the owner comparison.
 func TestFastHit(t *testing.T) {
 	view := unsafe.Pointer(new(int64))
 	owner := unsafe.Pointer(new(int64))
@@ -65,12 +65,13 @@ func TestFastHit(t *testing.T) {
 		mutable, want bool
 	}{
 		{"empty slot never hits", Slot{}, owner, false, false},
-		{"owned unwritten read hits", slot(0), owner, false, true},
-		{"owned unwritten mutable misses (bit must be stamped)", slot(0), owner, true, false},
-		{"owned written mutable hits", slot(FlagWritten), owner, true, true},
-		{"owned written read hits", slot(FlagWritten), owner, false, true},
-		{"arena flag does not disturb the owner compare", slot(FlagWritten | FlagArena), owner, true, true},
-		{"foreign owner misses", slot(FlagWritten), other, false, false},
+		{"empty slot never hits mutably", Slot{}, owner, true, false},
+		{"owned read hits", slot(0), owner, false, true},
+		{"owned mutable hits", slot(0), owner, true, true},
+		{"arena flag does not disturb the owner compare", slot(FlagArena), owner, true, true},
+		{"every flag bit set does not disturb the owner compare", slot(FlagMask), owner, false, true},
+		{"foreign owner misses", slot(0), other, false, false},
+		{"foreign owner misses mutably", slot(FlagArena), other, true, false},
 	}
 	for _, tc := range cases {
 		if got := tc.s.FastHit(tc.owner, tc.mutable); got != tc.want {

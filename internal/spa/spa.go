@@ -22,8 +22,9 @@ const (
 
 // Per-slot flags, carried in the low bits of the owner stamp.
 const (
-	// FlagWritten marks a view that has been handed out for mutation; a
-	// clear flag proves the view still equals the monoid identity.
+	// FlagWritten is a flag bit no engine sets or reads.  It stays a member
+	// of FlagMask, and so a legal flag to pack, because benchmark/probes.go
+	// passes it.
 	FlagWritten uintptr = 1 << 0
 	// FlagArena marks a view whose memory may be recycled through a view
 	// arena when the view dies.
@@ -98,19 +99,15 @@ func (s Slot) Owner() unsafe.Pointer {
 // Flags returns the slot's flag bits.
 func (s Slot) Flags() uintptr { return uintptr(s.owner) & FlagMask }
 
-// Written reports whether the slot's view has been handed out for mutation.
-func (s Slot) Written() bool { return uintptr(s.owner)&FlagWritten != 0 }
-
 // FastHit reports whether the slot serves a lookup by owner with no
-// slow-path work at all: the slot is occupied and stamped by owner, and a
-// mutable access additionally finds the written bit already set (a clear
-// bit must take the slow path once to stamp it).  The whole test is two
-// masked compares on the packed stamp word — an empty slot has a nil stamp
-// and can never equal a real owner pointer — so it inlines into the
-// engines' devirtualized lookup fast paths.
-func (s Slot) FastHit(owner unsafe.Pointer, mutable bool) bool {
-	tag := uintptr(s.owner)
-	return tag&^FlagMask == uintptr(owner) && (!mutable || tag&FlagWritten != 0)
+// slow-path work at all: the slot is occupied and stamped by owner.  The
+// whole test is one masked compare on the packed stamp word — an empty slot
+// has a nil stamp and can never equal a real owner pointer — so it inlines
+// into the engines' devirtualized lookup fast paths.  A read-only and a
+// mutable access hit alike; the unused second argument stays because
+// benchmark/probes.go passes it.
+func (s Slot) FastHit(owner unsafe.Pointer, _ bool) bool {
+	return uintptr(s.owner)&^FlagMask == uintptr(owner)
 }
 
 // Arena reports whether the slot's view memory is arena-recyclable.
@@ -143,7 +140,9 @@ func New() *Map {
 
 // Reset returns the map to the empty state: all slots nil, counts zero, log
 // tracking re-enabled.  The paper's invariant is that only empty SPA maps
-// are recycled, so Reset is what a pool must call before reuse.
+// are recycled.  The engine empties a page slot by slot instead, and
+// Remove rewinds the log when the last view leaves, so a page it returns
+// to the pool is already in this state.
 func (m *Map) Reset() {
 	for i := range m.views {
 		m.views[i] = Slot{}
@@ -252,18 +251,6 @@ func (m *Map) Update(i int, view unsafe.Pointer, flags uintptr) error {
 	return nil
 }
 
-// MarkWritten sets the written flag on slot i.  It is a no-op on empty or
-// out-of-range slots, so the lookup fast path can call it unconditionally
-// after its owner-stamp check.
-func (m *Map) MarkWritten(i int) {
-	if i < 0 || i >= SlotsPerMap {
-		return
-	}
-	if s := m.views[i]; !s.IsEmpty() {
-		m.views[i].owner = tagOwner(s.Owner(), s.Flags()|FlagWritten)
-	}
-}
-
 // Remove clears slot i (used when a reducer goes out of scope and its slot
 // is recycled) and returns the slot's previous contents.
 func (m *Map) Remove(i int) (Slot, error) {
@@ -277,11 +264,11 @@ func (m *Map) Remove(i int) (Slot, error) {
 	m.views[i] = Slot{}
 	m.nviews--
 	if m.nviews == 0 {
-		// The last view left: rewind the log, overflowed or not.  A private
-		// page whose views are all elided every trace is never handed off
-		// and never Reset, so without this its log fills once and every
-		// later walk scans the whole view array.  Legal inside Range: both
-		// of its loops then find nothing more to visit.
+		// The last view left: rewind the log, overflowed or not.  Pages
+		// are never Reset on their way back to the pool or into a spare
+		// map set, so without this a page's log fills once and every later
+		// walk scans the whole view array.  Legal inside Range: both of its
+		// loops then find nothing more to visit.
 		m.nlogs = 0
 	}
 	// Otherwise the log may now contain a stale index; sequencing skips

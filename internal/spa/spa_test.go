@@ -37,8 +37,8 @@ func TestSlotFlagPacking(t *testing.T) {
 		if s.Flags() != flags {
 			t.Fatalf("Flags = %#x, want %#x", s.Flags(), flags)
 		}
-		if s.Written() != (flags&FlagWritten != 0) || s.Arena() != (flags&FlagArena != 0) {
-			t.Fatalf("flags %#x: Written/Arena accessors wrong", flags)
+		if s.Arena() != (flags&FlagArena != 0) {
+			t.Fatalf("flags %#x: Arena accessor wrong", flags)
 		}
 		if s.IsEmpty() {
 			t.Fatalf("flags %#x: packed slot reads empty", flags)
@@ -93,37 +93,6 @@ func TestInsertLookupRemove(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Fatalf("Len after remove = %d, want 0", m.Len())
-	}
-}
-
-func TestMarkWritten(t *testing.T) {
-	m := New()
-	own := &fakeOwner{"add"}
-	v := newView()
-	if err := m.Insert(11, v, own.ptr(), FlagArena); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	if m.SlotAt(11).Written() {
-		t.Fatal("fresh slot already marked written")
-	}
-	m.MarkWritten(11)
-	s := m.SlotAt(11)
-	if !s.Written() {
-		t.Fatal("MarkWritten did not set the flag")
-	}
-	if !s.Arena() {
-		t.Fatal("MarkWritten clobbered the arena flag")
-	}
-	if s.View() != v || s.Owner() != own.ptr() {
-		t.Fatal("MarkWritten disturbed the slot words")
-	}
-	// Idempotent, and harmless on empty or out-of-range slots.
-	m.MarkWritten(11)
-	m.MarkWritten(12)
-	m.MarkWritten(-1)
-	m.MarkWritten(SlotsPerMap)
-	if m.Len() != 1 || !m.SlotAt(11).Written() {
-		t.Fatal("MarkWritten no-op cases disturbed the map")
 	}
 }
 
@@ -240,16 +209,17 @@ func TestRangeSkipsRemovedEntriesLoggedEarlier(t *testing.T) {
 }
 
 func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
-	// The engines' identity-view elision removes unwritten slots while
-	// ranging over the map; exercise that on both the logged and the
-	// overflowed (full-scan) sequencing paths.
+	// A walk may remove some slots as it visits them and leave the rest
+	// (the hypermerge drops a stale view and adopts or reduces another);
+	// exercise that on both the logged and the overflowed (full-scan)
+	// sequencing paths.
 	for _, n := range []int{40, LogCapacity + 30} {
 		m := New()
 		own := &fakeOwner{"add"}
 		for i := 0; i < n; i++ {
 			flags := uintptr(0)
 			if i%2 == 0 {
-				flags = FlagWritten
+				flags = FlagArena
 			}
 			if err := m.Insert(i, newView(), own.ptr(), flags); err != nil {
 				t.Fatalf("Insert(%d): %v", i, err)
@@ -257,7 +227,7 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 		}
 		removed := 0
 		m.Range(func(i int, s Slot) bool {
-			if !s.Written() {
+			if !s.Arena() {
 				if _, err := m.Remove(i); err != nil {
 					t.Fatalf("Remove(%d) during Range: %v", i, err)
 				}
@@ -266,14 +236,14 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 			return true
 		})
 		if removed != n/2 {
-			t.Fatalf("n=%d: removed %d unwritten slots, want %d", n, removed, n/2)
+			t.Fatalf("n=%d: removed %d heap slots, want %d", n, removed, n/2)
 		}
 		if m.Len() != n-removed {
-			t.Fatalf("n=%d: Len = %d after elision, want %d", n, m.Len(), n-removed)
+			t.Fatalf("n=%d: Len = %d after the partial walk, want %d", n, m.Len(), n-removed)
 		}
 		m.Range(func(i int, s Slot) bool {
-			if !s.Written() {
-				t.Fatalf("n=%d: unwritten slot %d survived elision", n, i)
+			if !s.Arena() {
+				t.Fatalf("n=%d: removed slot %d survived the walk", n, i)
 			}
 			return true
 		})
@@ -303,9 +273,9 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 	}
 }
 
-// TestRemoveOfLastViewRewindsLog pins the rule that keeps a worker's
-// private page cheap to walk when every view on it is elided at every
-// EndTrace: such a page is never handed off and never Reset, so its log
+// TestRemoveOfLastViewRewindsLog pins the rule that keeps a reused page
+// cheap to walk: the engines empty a page slot by slot and never Reset it,
+// on its way back to the page pool or into a spare map set, so its log
 // must rewind when its last view leaves, or the 121st insertion overflows
 // it and every later walk scans all SlotsPerMap slots.
 func TestRemoveOfLastViewRewindsLog(t *testing.T) {
@@ -515,13 +485,11 @@ func TestMapSetAddressing(t *testing.T) {
 	if err := ms.Insert(Addr(-1), v, own.ptr(), 0); err == nil {
 		t.Fatal("Insert at negative addr should fail")
 	}
-	if err := ms.Update(addr, newView(), FlagWritten); err != nil {
+	if err := ms.Update(addr, newView(), FlagArena); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	ms.MarkWritten(addr)
-	ms.MarkWritten(MakeAddr(9, 0)) // no-op beyond last page
-	if !ms.SlotAt(addr).Written() {
-		t.Fatal("MarkWritten at MapSet level did not stick")
+	if !ms.SlotAt(addr).Arena() {
+		t.Fatal("Update at MapSet level did not set the flags")
 	}
 	if err := ms.Update(MakeAddr(9, 0), newView(), 0); err == nil {
 		t.Fatal("Update beyond last page should fail")
@@ -578,25 +546,19 @@ func TestMapSetRangeAndTransfer(t *testing.T) {
 		}
 		want[addr] = v
 	}
+	// The engines walk a set page by page, as here.
 	count := 0
-	src.Range(func(addr Addr, s Slot) bool {
-		if want[addr] != s.View() {
-			t.Fatalf("Range returned wrong view at %d", addr)
-		}
-		count++
-		return true
-	})
+	for pi := 0; pi < src.Pages(); pi++ {
+		src.Page(pi).Range(func(si int, s Slot) bool {
+			if addr := MakeAddr(pi, si); want[addr] != s.View() {
+				t.Fatalf("Range returned wrong view at %d", addr)
+			}
+			count++
+			return true
+		})
+	}
 	if count != len(want) {
 		t.Fatalf("Range visited %d, want %d", count, len(want))
-	}
-	// Early stop across pages.
-	count = 0
-	src.Range(func(addr Addr, s Slot) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("Range early stop visited %d, want 5", count)
 	}
 	moved, err := src.TransferTo(dst)
 	if err != nil {

@@ -11,7 +11,7 @@ const ZeroBlockBytes = 128
 // counterpart of an operating system's zero page.  A read-only first lookup
 // of a reducer whose identity is all zero bytes is served the block's
 // address instead of a view of its own: nothing is created, inserted or
-// elided later, and the first mutable access then creates the real view.
+// merged later, and the first mutable access then creates the real view.
 // Every such reducer the trace reads shares the one block.
 //
 // A write through the lent address is a program error.  Reclaim, called

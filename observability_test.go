@@ -21,10 +21,10 @@ func mergeHeavyRun(t *testing.T, s *cilkm.Session) {
 	rng := rand.New(rand.NewSource(7))
 	sum := cilkm.NewAdd[int64](s.Engine())
 	defer sum.Close()
-	// watched is only ever read: its identity views carry no writes, so the
-	// hypermerge elides every one of them — the elision-rate signal.  It is
-	// an And: its identity (true) is not the zero value, so a read-only
-	// first lookup creates a view (an Add's is served the zero block).
+	// watched is only ever read: its identity views carry no writes and are
+	// merged like the sum's.  It is an And: its identity (true) is not the
+	// zero value, so a read-only first lookup creates a view (an Add's is
+	// served the zero block).
 	watched := cilkm.NewAnd(s.Engine())
 	defer watched.Close()
 	for round := 0; round < 40; round++ {
@@ -50,7 +50,8 @@ func mergeHeavyRun(t *testing.T, s *cilkm.Session) {
 // TestExporterMatchesMergeStatsMM pins the tentpole contract on the
 // memory-mapped engine: every pipeline counter visible through the
 // exporter equals the engine's own MergeStats snapshot after a merge-heavy
-// run, and the headline signals (steals, elisions, arena hit rate) are nonzero.
+// run, the headline signals (steals, merges, arena hit rate) are nonzero,
+// and no identity-elision series is exported.
 func TestExporterMatchesMergeStatsMM(t *testing.T) {
 	exp := cilkm.NewExporter()
 	s := cilkm.New(
@@ -69,13 +70,12 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 	m := exp.ExpvarMap()
 
 	for name, want := range map[string]int64{
-		"cilkm_merges_total.mm":            ms.Merges,
-		"cilkm_merge_slots_total.mm":       ms.SlotsMerged,
-		"cilkm_merge_reduces_total.mm":     ms.Reduces,
-		"cilkm_merge_adopts_total.mm":      ms.Adopts,
-		"cilkm_stale_view_drops_total.mm":  ms.StaleViewDrops,
-		"cilkm_identity_elisions_total.mm": ms.IdentityElisions,
-		"cilkm_lookups_total.mm":           cilkm.LookupCount(mm),
+		"cilkm_merges_total.mm":           ms.Merges,
+		"cilkm_merge_slots_total.mm":      ms.SlotsMerged,
+		"cilkm_merge_reduces_total.mm":    ms.Reduces,
+		"cilkm_merge_adopts_total.mm":     ms.Adopts,
+		"cilkm_stale_view_drops_total.mm": ms.StaleViewDrops,
+		"cilkm_lookups_total.mm":          cilkm.LookupCount(mm),
 	} {
 		got, ok := m[name]
 		if !ok {
@@ -89,7 +89,6 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 
 	for _, name := range []string{
 		"cilkm_sched_steals_total",
-		"cilkm_identity_elisions_total.mm",
 		"cilkm_arena_hit_rate.mm",
 		"cilkm_merges_total.mm",
 		"cilkm_pagepool_round_trips_total.mm",
@@ -97,6 +96,11 @@ func TestExporterMatchesMergeStatsMM(t *testing.T) {
 	} {
 		if m[name] <= 0 {
 			t.Errorf("%s = %v, want nonzero after a merge-heavy run", name, m[name])
+		}
+	}
+	for _, name := range []string{"cilkm_identity_elisions_total.mm", "cilkm_identity_elision_rate.mm"} {
+		if v, ok := m[name]; ok {
+			t.Errorf("exporter still has %s = %v", name, v)
 		}
 	}
 
@@ -140,7 +144,6 @@ func TestExporterMatchesStatsHypermap(t *testing.T) {
 		"cilkm_bulk_page_fetches_total.hypermap": ms.BulkPageFetches,
 		"cilkm_bulk_page_returns_total.hypermap": ms.BulkPageReturns,
 		"cilkm_stale_view_drops_total.hypermap":  ms.StaleViewDrops,
-		"cilkm_identity_elisions_total.hypermap": ms.IdentityElisions,
 	} {
 		got, ok := m[name]
 		if !ok {
