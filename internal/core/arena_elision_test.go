@@ -262,9 +262,10 @@ func TestIdentityElisionMixedWrittenViews(t *testing.T) {
 	}
 }
 
-// TestWriteAfterReadOnlyLookupIsMerged guards the subtle ordering case: a
-// view first resolved read-only and LATER written in the same trace must
-// lose its elidability — the written bit is stamped on the mutable access.
+// TestWriteAfterReadOnlyLookupIsMerged checks a read-only first touch
+// followed by a write in the same trace: the read is lent the zero block,
+// the mutable lookup after it creates the trace's own view, and that view
+// is deposited and merged with the write in it.
 func TestWriteAfterReadOnlyLookupIsMerged(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)
@@ -448,15 +449,14 @@ func TestEnsureMappedGrowthUnderRegistrationChurn(t *testing.T) {
 	}
 }
 
-// TestMergeIntoReadOnlySlotSurvivesElision is the regression test for the
-// subtlest elision interaction: the parent trace resolves a reducer
-// read-only (its slot is unwritten), a nested written trace merges its
-// deposit in, and the common in-place reduce keeps the parent's view
-// pointer.  The surviving slot now carries the child's contribution, so
-// the merge must stamp its written bit — otherwise the parent's EndTrace
-// elision would recycle the merged value and the update would be lost.  The
-// reducer is on the heap path: a read-only lookup of an arena-eligible sum
-// is served the zero block and leaves no slot to merge into.
+// TestMergeIntoReadOnlySlotSurvivesElision checks a merge into a view a
+// trace only read: the parent trace resolves a reducer read-only, which
+// creates the parent's own view, a nested trace writes the reducer and
+// merges its deposit in, and the in-place reduce keeps the parent's view
+// pointer.  The parent's deposit then carries the child's contribution
+// and merges it like a written view.  The reducer is on the heap path: a
+// read-only lookup of an arena-eligible sum is lent the zero block and
+// leaves no view to merge into.
 func TestMergeIntoReadOnlySlotSurvivesElision(t *testing.T) {
 	eng := core.NewMM(core.MMConfig{Workers: 1})
 	s := core.NewSession(1, eng)

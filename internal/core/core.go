@@ -57,14 +57,17 @@ type Engine interface {
 	// a trace creates is deposited and reduced alike.
 	//
 	// cache reports whether the caller may cache the word until c's view
-	// epoch (c.ViewEpoch(), read after the call) moves.  Only c's own
+	// epoch (c.ViewEpoch(), read after the call) moves, and it is true
+	// exactly when the word is a view c's trace owns.  Only c's own
 	// worker bumps that epoch — wherever a view it resolved can die,
 	// including inside this call — so the epoch read after the call is
 	// the one the word is valid for.  cache is false for nil contexts
-	// (serial code outside the scheduler, which sees the leftmost view)
-	// and for retired handles, whose frozen leftmost value must be re-read
-	// on every access.  prevEpoch is the epoch of the caller's invalidated
-	// cache entry (zero on first touch); neither built-in engine reads it.
+	// (serial code outside the scheduler, which sees the leftmost view),
+	// for retired handles, whose frozen leftmost value must be re-read
+	// on every access, and for the zero block, which a later mutable
+	// resolution of the same reducer must not be served.  prevEpoch is
+	// the epoch of the caller's invalidated cache entry (zero on first
+	// touch); neither built-in engine reads it.
 	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, cache bool)
 
 	// Workers reports the construction-time worker count: the runtime the

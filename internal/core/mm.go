@@ -209,9 +209,10 @@ func (e *MM) LookupWord(c *sched.Context, r *Reducer, _ uint64, mutable bool) (u
 // slot here is empty or a retired occupant's.  A retired handle without a
 // private view is served the frozen leftmost value, uncacheable.  A
 // read-only lookup of a reducer whose identity is the zero value is served
-// the trace's zero block (spa.ZeroBlock): the view it would create still
-// equals the identity, so none is created, and the first mutable access
-// creates it.  Anything else installs an identity view.
+// the trace's zero block (spa.ZeroBlock), uncacheable too: the view it
+// would create still equals the identity, so none is created, and the
+// first mutable access creates it.  Anything else installs an identity
+// view, cacheable.
 //
 //cilkvet:hotpath
 func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) (unsafe.Pointer, bool) {
@@ -236,16 +237,10 @@ func (e *MM) lookupMiss(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool)
 			w.BumpViewEpoch()
 		}
 	}
-	if r.monoid.zeroIdentity {
-		if !mutable {
-			return ws.private.Zero.Lend(), true
-		}
-		if ws.private.Zero.Lent() {
-			// A handle cache of this worker may still map r to the zero
-			// block; the bump sends its next lookup to the view created
-			// below.
-			w.BumpViewEpoch()
-		}
+	if !mutable && r.monoid.zeroIdentity {
+		// The trace does not own the block, so no cache may hold it, and
+		// creating r's view after the lend invalidates nothing.
+		return ws.private.Zero.Lend(), false
 	}
 	return e.lookupSlow(ws, r), true
 }

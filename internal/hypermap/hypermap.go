@@ -116,10 +116,11 @@ func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, _ uint64, mutable boo
 // hypermap is another engine's.  The full chain walk re-probes, because the
 // head probe rejects below-head entries.  A retired handle without an entry
 // of its own is served the frozen leftmost value, uncacheable, matching a
-// serial lookup after unregistration.  A read-only
-// lookup of a reducer whose identity is the zero value is served the
-// trace's zero block (spa.ZeroBlock) and inserts nothing; the first mutable
-// access installs the view.  Anything else installs an identity view.
+// serial lookup after unregistration.  A read-only lookup of a reducer
+// whose identity is the zero value is served the trace's zero block
+// (spa.ZeroBlock), uncacheable too, and inserts nothing; the first mutable
+// access installs the view.  Anything else installs an identity view,
+// cacheable.
 //
 //cilkvet:hotpath
 func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) (unsafe.Pointer, bool) {
@@ -143,15 +144,10 @@ func (e *HM) lookupMiss(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable 
 		ws.tally.Merge.StaleViewDrops++
 		w.BumpViewEpoch()
 	}
-	if r.ZeroIdentity() {
-		if !mutable {
-			return ws.user.zero.Lend(), true
-		}
-		if ws.user.zero.Lent() {
-			// A handle cache of this worker may still map r to the zero
-			// block; the bump sends its next lookup to the entry below.
-			w.BumpViewEpoch()
-		}
+	if !mutable && r.ZeroIdentity() {
+		// The trace does not own the block, so no cache may hold it, and
+		// inserting r's entry after the lend invalidates nothing.
+		return ws.user.zero.Lend(), false
 	}
 	// Chaos point for a monoid whose Identity blows up: fired before the
 	// entry is inserted, so a contained identity panic leaves the worker's

@@ -244,9 +244,10 @@ func TestHypermapIdentityElision(t *testing.T) {
 	}
 }
 
-// TestHypermapWriteAfterReadOnlyLookup pins the written-bit stamping order:
-// a read-only first touch followed by a mutable lookup in the same trace
-// must produce a view that merges normally.
+// TestHypermapWriteAfterReadOnlyLookup checks a read-only first touch
+// followed by a mutable lookup in the same trace: the read is lent the zero
+// block, the mutable lookup after it creates the trace's own entry, and
+// that view is deposited and merged with the write in it.
 func TestHypermapWriteAfterReadOnlyLookup(t *testing.T) {
 	e := hypermap.New(hypermap.Config{Workers: 1})
 	s := core.NewSession(1, e)

@@ -49,8 +49,8 @@ func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineSt
 func EmitLookups(emit func(MetricSample), engine string, s LookupFastPathStats) {
 	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups that reached the engine (typed-handle cache hits excluded).", s.Hits+s.Misses)
 	counter(emit, engine, "cilkm_fastpath_hits_total", "Engine lookups answered by the precomputed slot index.", s.Hits)
-	counter(emit, engine, "cilkm_fastpath_misses_total", "Engine lookups that took the outlined miss path.", s.Misses)
-	counter(emit, engine, "cilkm_fastpath_cold_misses_total", "Misses that created a view, dropped a stale one or served a retired handle.", s.ColdMisses)
+	counter(emit, engine, "cilkm_fastpath_misses_total", "Engine lookups that took the outlined miss path (first touches, zero-block lends, recycled slots, retired handles, hypermap below-head entries).", s.Misses)
+	counter(emit, engine, "cilkm_fastpath_cold_misses_total", "Misses that found no view of their own: view creation, zero-block lend, stale drop or retired handle; equals misses on the memory-mapped engine.", s.ColdMisses)
 	gauge(emit, engine, "cilkm_fastpath_hit_rate", "Engine lookups answered in place, as a fraction of all engine lookups.", ratio(s.Hits, s.Hits+s.Misses))
 }
 

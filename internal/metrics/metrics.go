@@ -172,12 +172,13 @@ type LookupFastPathStats struct {
 	// slow-path work.
 	Hits int64
 	// Misses counts lookups that fell through to the outlined miss path
-	// (written-bit stamping, first touches, recycled slots, retired
-	// handles and, on the hypermap engine, below-head chain entries).
+	// (first touches, zero-block lends, recycled slots, retired handles
+	// and, on the hypermap engine, below-head chain entries).
 	Misses int64
 	// ColdMisses counts the subset of Misses that found no view of their
-	// own — view creation, stale-slot recovery, or a retired handle's
-	// frozen leftmost read.
+	// own — view creation, a zero-block lend, stale-slot recovery, or a
+	// retired handle's frozen leftmost read.  On the memory-mapped engine
+	// an owned slot always hits, so ColdMisses equals Misses there.
 	ColdMisses int64
 }
 

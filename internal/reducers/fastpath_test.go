@@ -28,11 +28,14 @@ func fastPathStats(t *testing.T, eng core.Engine) metrics.LookupFastPathStats {
 // after Run returns (workers flush them at trace end): a first touch is a
 // cold miss, a steady-state handle-cache hit never reaches the engine, and
 // an epoch bump turns exactly one re-resolution into an engine hit (the
-// view still exists; only the handle's stamp went stale).  A first-touch
-// ReadView of an Add is a cold miss served the trace's zero block, which
-// creates nothing; the first mutable access after it is a cold miss too,
-// and creates the view, which a ReadView then returns.  Hits plus misses is
-// the number of engine visits, which LookupCount reports.
+// view still exists; only the handle's stamp went stale).  A ReadView of an
+// Add the trace has not written is a cold miss served the trace's zero
+// block, which creates nothing and is not cached, so the next one visits
+// the engine again; the first mutable access after it is a cold miss too,
+// and creates the view, which a ReadView then returns from the cache.  A
+// ReadView of an And creates the trace's own view, which the cache then
+// serves to View and ReadView alike.  Hits plus misses is the number of
+// engine visits, which LookupCount reports.
 func TestFastPathCounters(t *testing.T) {
 	for _, m := range Mechanisms() {
 		t.Run(m.String(), func(t *testing.T) {
@@ -46,25 +49,25 @@ func TestFastPathCounters(t *testing.T) {
 				c.Worker().BumpViewEpoch()
 				sum.Add(c, 1)           // visit 2: engine hit
 				_ = *peeked.ReadView(c) // visit 3: cold miss, the zero block
-				_ = *peeked.ReadView(c) // handle-cache hit
-				peeked.Add(c, 1)        // visit 4: cold miss, creates the view
+				_ = *peeked.ReadView(c) // visit 4: the zero block is not cached
+				peeked.Add(c, 1)        // visit 5: cold miss, creates the view
 				peeked.Add(c, 1)        // handle-cache hit
 				if r, v := peeked.ReadView(c), peeked.View(c); r != v {
 					t.Errorf("ReadView after View = %p, want the view %p", r, v)
 				}
-				_ = *unwritten.ReadView(c) // visit 5: cold miss, the zero block
+				_ = *unwritten.ReadView(c) // visit 6: cold miss, the zero block
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if sum.Value() != 3 || peeked.Value() != 2 || unwritten.Value() != 0 {
 				t.Fatalf("sums = %d, %d, %d, want 3, 2, 0", sum.Value(), peeked.Value(), unwritten.Value())
 			}
-			want := metrics.LookupFastPathStats{Hits: 1, Misses: 4, ColdMisses: 4}
+			want := metrics.LookupFastPathStats{Hits: 1, Misses: 5, ColdMisses: 5}
 			if got := fastPathStats(t, eng); got != want {
 				t.Fatalf("outcomes = %+v, want %+v", got, want)
 			}
-			if got := core.LookupCount(eng); got != 5 {
-				t.Fatalf("LookupCount = %d, want 5 engine visits", got)
+			if got := core.LookupCount(eng); got != 6 {
+				t.Fatalf("LookupCount = %d, want 6 engine visits", got)
 			}
 			if got := eng.Overheads().Count(metrics.ViewCreation); got != 2 {
 				t.Fatalf("views created = %d, want 2: a first-touch ReadView created one", got)
@@ -74,6 +77,50 @@ func TestFastPathCounters(t *testing.T) {
 			if got := fastPathStats(t, eng); got != (metrics.LookupFastPathStats{}) {
 				t.Fatalf("ResetOverheads left lookup counters: %+v", got)
 			}
+
+			and := NewAnd(eng)
+			if err := s.Run(func(c *sched.Context) {
+				r := and.ReadView(c) // visit 1: creates the trace's own view
+				if !*r || and.ReadView(c) != r {
+					t.Errorf("And ReadView = %v, or the second one another view", *r)
+				}
+				if v := and.View(c); v != r {
+					t.Errorf("View after ReadView = %p, want the cached view %p", v, r)
+				}
+				*and.View(c) = false
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if and.Value() {
+				t.Fatal("And = true, want false: the write through View was lost")
+			}
+			if got := core.LookupCount(eng); got != 1 {
+				t.Fatalf("ReadView, ReadView, View, View of one And: LookupCount = %d, want 1 engine visit", got)
+			}
+			if got := eng.Overheads().Count(metrics.ViewCreation); got != 1 {
+				t.Fatalf("views created = %d, want 1: the And's", got)
+			}
+
+			eng.ResetOverheads()
+			unread := NewAdd[int64](eng)
+			if err := s.Run(func(c *sched.Context) {
+				for i := 0; i < 2; i++ { // visits 1 and 2: the zero block, uncached
+					if got := *unread.ReadView(c); got != 0 {
+						t.Errorf("ReadView %d = %d, want 0", i, got)
+					}
+				}
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := unread.Value(); got != 0 {
+				t.Fatalf("unread sum = %d, want 0", got)
+			}
+			if got := core.LookupCount(eng); got != 2 {
+				t.Fatalf("two ReadViews of an unwritten Add: LookupCount = %d, want 2 engine visits", got)
+			}
+			if got := eng.Overheads().Count(metrics.ViewCreation); got != 0 {
+				t.Fatalf("views created = %d, want 0: the zero block served both reads", got)
+			}
 		})
 	}
 }
@@ -81,8 +128,8 @@ func TestFastPathCounters(t *testing.T) {
 // TestBoxedLookupMatchesHandle checks the boxed helper against the typed
 // handle inside one trace.  A first-touch ReadView is served the trace's
 // zero block; the helper is a mutable access, so it creates the view, and
-// from then on View and ReadView both resolve to the helper's view word —
-// ReadView's cached zero block included, which the creation invalidates.
+// from then on View and ReadView both resolve to the helper's view word:
+// the zero block was never cached, so nothing has to be invalidated.
 // A write through the helper after a read-only first touch survives the
 // merge.
 func TestBoxedLookupMatchesHandle(t *testing.T) {

@@ -56,47 +56,42 @@ func (f TypedFuncMonoid[V]) Identity() *V { return f.IdentityFn() }
 func (f TypedFuncMonoid[V]) Reduce(left, right *V) *V { return f.ReduceFn(left, right) }
 
 // viewSlot is one worker's entry in a handle's typed view cache: the typed
-// view pointer and two worker-view-epoch stamps — wepoch marks the epoch
-// the resolution is valid for writing (it is the trace's own view), repoch
-// the epoch it is valid for reading.  A mutable resolution sets both; a
-// read-only one sets repoch alone, because it may be the trace's zero block,
-// so a View after a ReadView revisits the engine once, which creates the
-// trace's own view if the zero block was all it had.  Encoding writability
-// as its own epoch rather than a bool keeps the View hit check to one epoch
-// load and one compare — no separate flag load on the hottest path.  The
-// entry is padded to a cache line so adjacent workers' slots never share one.
-// Each slot is read and written only by its worker's goroutine, and so is
-// the worker's view epoch that invalidates it.  The engine serves one
-// runtime, so the slot's index names the worker and no context is stored.
+// view pointer and the worker view epoch it was resolved under.  The engine
+// marks a word cacheable only when it is a view the calling trace owns, so
+// one stamp serves View and ReadView alike.  The entry is padded to a cache
+// line so adjacent workers' slots never share one.  Each slot is read and
+// written only by its worker's goroutine, and so is the worker's view epoch
+// that invalidates it.  The engine serves one runtime, so the slot's index
+// names the worker and no context is stored.
 //
 //cilkvet:nocopy
 type viewSlot[V any] struct {
-	wepoch uint64
-	repoch uint64
-	view   *V
-	_      [40]byte
+	epoch uint64
+	view  *V
+	_     [48]byte
 }
 
 // Handle is the generic core every typed reducer embeds: a registered
 // reducer plus a per-worker typed view cache keyed on the worker's view
 // epoch.
 //
-// View resolves the calling context's local view of the reducer as a *V.
-// Steady state — the same worker touching the same reducer again with no
-// intervening trace boundary, merge or stale-view drop on its worker —
-// costs one epoch load and one compare, then returns the typed pointer
-// directly: no interface dispatch, no runtime type assertion, and no
-// allocation.  The cache is invalidated by the worker view epoch, which
-// the worker alone bumps wherever one of its views can die: at trace
-// boundaries, after hypermerges, and where its lookup drops a retired
-// reducer's view from a recycled address.  An unregister kills no view
-// itself, so a cached *V can never outlive the untyped view it shadows.  On
-// a miss the handle resolves through the engine's LookupWord, converts the
-// word once, and re-stamps the slot with the worker's epoch as it stands
-// after the lookup.
+// View and ReadView resolve the calling context's local view of the
+// reducer as a *V.  Steady state — the same worker touching the same
+// reducer again with no intervening trace boundary, merge or stale-view
+// drop on its worker — costs one epoch load and one compare, then returns
+// the typed pointer directly: no interface dispatch, no runtime type
+// assertion, and no allocation.  The cache is invalidated by the worker
+// view epoch, which the worker alone bumps wherever one of its views can
+// die: at trace boundaries, after hypermerges, and where its lookup drops
+// a retired reducer's view from a recycled address.  An unregister kills
+// no view itself, so a cached *V can never outlive the untyped view it
+// shadows.  On a miss the handle resolves through the engine's LookupWord,
+// converts the word once, and re-stamps the slot with the worker's epoch
+// as it stands after the lookup.
 //
-// A lookup the engine marks uncacheable (a retired handle's) is never
-// cached.
+// A lookup the engine marks uncacheable is never cached: a retired
+// handle's frozen leftmost value, and the trace's zero block, which a
+// ReadView may be lent but the trace does not own.
 type Handle[V any] struct {
 	eng core.Engine
 	r   *core.Reducer
@@ -163,18 +158,17 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 //
 // The steady-state hit is an epoch load, one compare and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
-// cache misses, the first View after a ReadView) lives in the outlined
-// viewMiss.
+// cache misses) lives in the outlined viewMiss.
 // View itself does not inline into its caller — the outlined miss call
 // alone takes 57 of the compiler's 80-node budget, and -gcflags=-m=2 prices
 // the body at 110 — so an update loop makes one direct call to the
 // monomorphized View per access, and what `make inline-check` pins is that
 // the interior of that call is flat: WorkerID and ViewEpoch inline into it.
 //
-// If the trace has no view of the reducer yet — none, or only ReadView's
-// zero block — the miss creates it, and every later View or ReadView of the
-// reducer in the trace returns it.  Every view a trace creates is merged at
-// the trace's join.
+// If the trace has no view of the reducer yet, the miss creates it, and
+// every later View or ReadView of the reducer in the trace returns it,
+// from the cache.  Every view a trace creates is merged at the trace's
+// join.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) View(c *sched.Context) *V {
@@ -182,7 +176,7 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 		// The id comes off the context, not the worker, so the slot fetch
 		// does not wait on the c.w load the epoch compare needs.
 		if id := c.WorkerID(); uint(id) < uint(len(h.slots)) {
-			if s := &h.slots[id]; s.wepoch == c.ViewEpoch() {
+			if s := &h.slots[id]; s.epoch == c.ViewEpoch() {
 				return s.view
 			}
 		}
@@ -197,7 +191,9 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 //   - for a view type that is arena-eligible (fixed-size and pointer-free)
 //     with an all-zero identity — Add, Or, Min and Max over numbers — it
 //     is the trace's zero block, the runtime's shared zero page, and no
-//     view is created.  Distinct reducers may get the same block;
+//     view is created.  Distinct reducers may get the same block.  The
+//     block is not cached, so every such ReadView visits the engine until
+//     the trace writes the reducer;
 //   - for any other view type (And's true identity, lists, maps) it is a
 //     new identity view of the trace's own, created and later merged
 //     exactly as View's would be.
@@ -211,9 +207,7 @@ func (h *Handle[V]) View(c *sched.Context) *V {
 func (h *Handle[V]) ReadView(c *sched.Context) *V {
 	if c != nil {
 		if id := c.WorkerID(); uint(id) < uint(len(h.slots)) {
-			// A cached view serves reads regardless of how it was resolved:
-			// repoch is stamped by both resolution modes.
-			if s := &h.slots[id]; s.repoch == c.ViewEpoch() {
+			if s := &h.slots[id]; s.epoch == c.ViewEpoch() {
 				return s.view
 			}
 		}
@@ -221,9 +215,8 @@ func (h *Handle[V]) ReadView(c *sched.Context) *V {
 	return h.viewMiss(c, false)
 }
 
-// viewMiss is the outlined slow half of View (mutable) and ReadView: a
-// cache miss, or a View of an entry that was resolved read-only and must
-// revisit the engine once, since the read-only word may be the zero block.
+// viewMiss is the outlined slow half of View (mutable) and ReadView: a nil
+// context or a cache miss.
 //
 //cilkvet:hotpath
 func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
@@ -239,22 +232,13 @@ func (h *Handle[V]) viewMiss(c *sched.Context, mutable bool) *V {
 	}
 	tv := (*V)(word)
 	if cache {
-		// A cacheable word came from a worker of the runtime the engine
-		// serves, so its id has a slot.  The epoch is read after the
-		// lookup, which may have bumped it (a stale-view drop).  Worker
-		// epochs start at 1, so it is never zero, and zero stays free to
-		// mean "not writable" below.  A mutable resolution is readable
-		// too, so it takes both stamps.  A read-only one may be the zero
-		// block and must not satisfy a later View hit: it clears the write
-		// stamp (a still-valid wepoch would have hit in ReadView, so
-		// nothing valid is discarded).
-		epoch := c.ViewEpoch()
-		wepoch := uint64(0)
-		if mutable {
-			wepoch = epoch
-		}
+		// A cacheable word is a view the trace owns, from a worker of the
+		// runtime the engine serves, so its id has a slot.  The epoch is
+		// read after the lookup, which may have bumped it (a stale-view
+		// drop).  Worker epochs start at 1, so a never-stamped slot never
+		// hits.
 		s := &h.slots[c.WorkerID()]
-		s.wepoch, s.repoch, s.view = wepoch, epoch, tv
+		s.epoch, s.view = c.ViewEpoch(), tv
 	}
 	return tv
 }

@@ -88,6 +88,33 @@ func BenchmarkTypedLookupSteadyState(b *testing.B) {
 	})
 }
 
+// BenchmarkReadViewUnwritten measures ReadView of an Add the trace never
+// writes: every read is lent the trace's zero block, which no handle cache
+// may hold, so each one runs viewMiss and the engine's lookupMiss.  It is
+// the price of keeping the cache to views the trace owns, paid only by a
+// program that re-reads a zero-identity reducer it does not write (such a
+// read always yields the identity).  Compare BenchmarkTypedLookupSteadyState.
+func BenchmarkReadViewUnwritten(b *testing.B) {
+	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
+		sum := NewAdd[int64](s.Engine())
+		b.ReportAllocs()
+		_ = s.Run(func(c *sched.Context) {
+			b.ResetTimer()
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				sink += *sum.ReadView(c)
+			}
+			b.StopTimer()
+			if sink != 0 {
+				b.Fatalf("lookup sink = %d, want 0: the zero block was written", sink)
+			}
+		})
+		if got := core.LookupCount(s.Engine()); got < int64(b.N) {
+			b.Fatalf("LookupCount = %d, want at least %d: a lend was cached", got, b.N)
+		}
+	})
+}
+
 // rawViewArray is the shape of the comparison floor: the simplest possible
 // per-worker view store, a plain []V indexed by the executing worker's id.
 // Any flat-array stand-in for a reducer has to resolve that id from the

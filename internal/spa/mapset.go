@@ -179,10 +179,3 @@ func (ms *MapSet) SwapPages(pages []*Map) {
 		pages[i], ms.pages[i] = ms.pages[i], p
 	}
 }
-
-// Reset empties every page in place, keeping the pages for reuse.
-func (ms *MapSet) Reset() {
-	for _, p := range ms.pages {
-		p.Reset()
-	}
-}

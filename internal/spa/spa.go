@@ -138,19 +138,6 @@ func New() *Map {
 	return &Map{}
 }
 
-// Reset returns the map to the empty state: all slots nil, counts zero, log
-// tracking re-enabled.  The paper's invariant is that only empty SPA maps
-// are recycled.  The engine empties a page slot by slot instead, and
-// Remove rewinds the log when the last view leaves, so a page it returns
-// to the pool is already in this state.
-func (m *Map) Reset() {
-	for i := range m.views {
-		m.views[i] = Slot{}
-	}
-	m.nviews = 0
-	m.nlogs = 0
-}
-
 // Len reports the number of valid views in the map.
 func (m *Map) Len() int { return int(m.nviews) }
 
@@ -264,10 +251,11 @@ func (m *Map) Remove(i int) (Slot, error) {
 	m.views[i] = Slot{}
 	m.nviews--
 	if m.nviews == 0 {
-		// The last view left: rewind the log, overflowed or not.  Pages
-		// are never Reset on their way back to the pool or into a spare
-		// map set, so without this a page's log fills once and every later
-		// walk scans the whole view array.  Legal inside Range: both of its
+		// The last view left: rewind the log, overflowed or not.  The
+		// engines empty a page slot by slot, and this is what returns it
+		// to the empty state on its way back to the pool or into a spare
+		// map set: without it a page's log fills once and every later walk
+		// scans the whole view array.  Legal inside Range: both of its
 		// loops then find nothing more to visit.
 		m.nlogs = 0
 	}

@@ -249,7 +249,7 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 		})
 		// Removing the rest inside Range takes the last view out mid-walk,
 		// which rewinds the log under the loop: every slot is still visited
-		// exactly once and the page comes out as good as Reset.
+		// exactly once and the page comes out empty with a rewound log.
 		seen := make(map[int]int)
 		m.Range(func(i int, s Slot) bool {
 			seen[i]++
@@ -274,10 +274,10 @@ func TestRangeAllowsRemovalDuringIteration(t *testing.T) {
 }
 
 // TestRemoveOfLastViewRewindsLog pins the rule that keeps a reused page
-// cheap to walk: the engines empty a page slot by slot and never Reset it,
-// on its way back to the page pool or into a spare map set, so its log
-// must rewind when its last view leaves, or the 121st insertion overflows
-// it and every later walk scans all SlotsPerMap slots.
+// cheap to walk: the engines empty a page slot by slot on its way back to
+// the page pool or into a spare map set, and nothing else clears it, so its
+// log must rewind when its last view leaves, or the 121st insertion
+// overflows it and every later walk scans all SlotsPerMap slots.
 func TestRemoveOfLastViewRewindsLog(t *testing.T) {
 	m := New()
 	own := &fakeOwner{"add"}
@@ -324,22 +324,6 @@ func TestLogOverflowFallsBackToScan(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("Range visited %d slots after overflow, want %d", len(seen), n)
 	}
-}
-
-func TestResetRestoresEmptyState(t *testing.T) {
-	m := New()
-	own := &fakeOwner{"add"}
-	for i := 0; i < LogCapacity+10; i++ {
-		_ = m.Insert(i, newView(), own.ptr(), 0)
-	}
-	m.Reset()
-	if !m.IsEmpty() || m.LogLen() != 0 || !m.LogValid() {
-		t.Fatal("Reset did not restore the empty state")
-	}
-	m.Range(func(i int, s Slot) bool {
-		t.Fatalf("Range after Reset visited slot %d", i)
-		return false
-	})
 }
 
 func TestTransferToMovesAndEmptiesSource(t *testing.T) {
@@ -571,19 +555,6 @@ func TestMapSetRangeAndTransfer(t *testing.T) {
 		if dst.Get(addr) != v {
 			t.Fatalf("destination missing view at %d", addr)
 		}
-	}
-}
-
-func TestMapSetResetKeepsPages(t *testing.T) {
-	ms := NewMapSet()
-	own := &fakeOwner{"add"}
-	_ = ms.Insert(MakeAddr(1, 5), newView(), own.ptr(), 0)
-	if ms.Pages() != 2 {
-		t.Fatalf("Pages = %d, want 2", ms.Pages())
-	}
-	ms.Reset()
-	if ms.Pages() != 2 || !ms.IsEmpty() {
-		t.Fatal("Reset should keep pages but empty them")
 	}
 }
 

@@ -12,14 +12,17 @@ const ZeroBlockBytes = 128
 // of a reducer whose identity is all zero bytes is served the block's
 // address instead of a view of its own: nothing is created, inserted or
 // merged later, and the first mutable access then creates the real view.
-// Every such reducer the trace reads shares the one block.
+// Every such reducer the trace reads shares the one block.  The trace does
+// not own the block, so the engines lend it uncacheable: no handle cache
+// ever holds it, and creating a view after a lend invalidates nothing.
 //
 // A write through the lent address is a program error.  Reclaim, called
 // when the owning trace ends, detects it and restores the block.  The block
 // is owner-goroutine only, like the map set or hypermap that holds it.
 type ZeroBlock struct {
 	words [ZeroBlockBytes / 8]uint64
-	// lent records that the block was handed out since the last Reclaim.
+	// lent records that the block was handed out since the last Reclaim,
+	// which inspects the words only then.
 	lent bool
 }
 
@@ -29,9 +32,6 @@ func (b *ZeroBlock) Lend() unsafe.Pointer {
 	b.lent = true
 	return unsafe.Pointer(&b.words)
 }
-
-// Lent reports whether the block was handed out since the last Reclaim.
-func (b *ZeroBlock) Lent() bool { return b.lent }
 
 // Reclaim ends the block's loan for the trace that owns it and reports
 // whether anything wrote through a lent address meanwhile.  A written block

@@ -11,17 +11,17 @@ import (
 // way, and a block never lent is not inspected.
 func TestZeroBlockReclaim(t *testing.T) {
 	var b ZeroBlock
-	if b.Lent() || b.Reclaim() {
+	if b.lent || b.Reclaim() {
 		t.Fatal("a fresh block reads lent or written")
 	}
 	p := b.Lend()
 	if uintptr(p)%8 != 0 {
 		t.Fatalf("lent word %p is not 8-byte aligned", p)
 	}
-	if !b.Lent() {
+	if !b.lent {
 		t.Fatal("Lend did not mark the block lent")
 	}
-	if b.Reclaim() || b.Lent() {
+	if b.Reclaim() || b.lent {
 		t.Fatal("a clean loan reclaimed as written, or stayed lent")
 	}
 	for _, off := range []uintptr{0, ZeroBlockBytes - 1} {
@@ -30,7 +30,7 @@ func TestZeroBlockReclaim(t *testing.T) {
 		if !b.Reclaim() {
 			t.Fatalf("a write at byte %d went unreported", off)
 		}
-		if b.Lent() || b.words != ([ZeroBlockBytes / 8]uint64{}) {
+		if b.lent || b.words != ([ZeroBlockBytes / 8]uint64{}) {
 			t.Fatalf("after reclaiming a write at byte %d the block is lent or dirty", off)
 		}
 	}
