@@ -117,16 +117,18 @@ func TestForcedStealsReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestNestedTraceReusesMapSets pins that a nested trace builds no map set
-// of its own on the memory-mapped engine.  At W = 1 with every fork forced,
-// a ParallelFor's stolen continuations run as traces nested up to four deep
-// on the one worker.  Each trace's emptied map set goes on the worker's
-// spares stack and the next trace at that depth reuses it, with its pages;
-// with a single spare, every deeper set and its first 4 KiB page would
-// fall to the collector (72 objects a Run).  The hypermap builds a fresh
-// hash table per trace, so its figure is only pinned not to grow.
+// TestNestedTraceReusesMapSets pins that a nested trace builds no store of
+// its own, on either engine.  At W = 1 with every fork forced, a
+// ParallelFor's stolen continuations run as traces nested up to four deep
+// on the one worker.  Each trace's emptied store — the memory-mapped
+// engine's map set, the hypermap's table — goes on the worker's spares
+// stack and the next trace at that depth reuses it, with its pages or
+// buckets; with a single spare, every deeper set and its first 4 KiB page
+// would fall to the collector (72 objects a Run on the memory-mapped
+// engine).  Both engines run the one skeleton around their store, so they
+// allocate alike.
 func TestNestedTraceReusesMapSets(t *testing.T) {
-	limit := map[cilkm.Mechanism]float64{cilkm.MemoryMapped: 48, cilkm.Hypermap: 96}
+	limit := map[cilkm.Mechanism]float64{cilkm.MemoryMapped: 48, cilkm.Hypermap: 48}
 	plan := everyForkForced()
 	defer faultinject.Activate(plan)()
 	for _, mech := range cilkm.Mechanisms() {

@@ -34,12 +34,16 @@ import (
 	"repro/internal/analysis/framework"
 )
 
-// DefaultFuncs matches the retirement entry points of the memory-mapped
-// reducer runtime: the core MM and hypermap HM trace and merge hooks and
-// their lookup misses, which drop stale occupants of recycled addresses.
-// Unregistering and growing the SPA address range move no view, so neither
-// Base.Unregister nor the directory's growth hook is one.
-const DefaultFuncs = `^(MM|HM)\.(BeginTrace|EndTrace|Merge|lookupMiss)$`
+// DefaultFuncs matches the retirement entry points of the reducer runtime:
+// the trace and merge hooks of core.Skeleton, which both engines embed, its
+// abort path and its lookup miss, which drops stale occupants of recycled
+// addresses.  They are every function in which a view dies or leaves the
+// current trace's store; the stores' own walks (which free the views) run
+// only under them.  Unregistering and growing the SPA address range move no
+// view, so neither Base.Unregister nor the directory's growth hook is one.
+// The walk stays within one package, so an engine-side wrapper that calls a
+// hook in core would need an entry of its own; neither engine has one.
+const DefaultFuncs = `^Skeleton\.(BeginTrace|EndTrace|abortTrace|Merge|LookupMiss)$`
 
 // DefaultBumps are the blessed invalidation publishers.
 const DefaultBumps = "BumpViewEpoch"

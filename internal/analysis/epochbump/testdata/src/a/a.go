@@ -1,52 +1,57 @@
 package a
 
-type MM struct{ epoch uint64 }
+type Worker struct{ epoch uint64 }
 
-func (m *MM) BumpViewEpoch() { m.epoch++ }
+func (w *Worker) BumpViewEpoch() { w.epoch++ }
 
-func (m *MM) dropView() { m.BumpViewEpoch() }
-
-func (m *MM) BeginTrace() { // transitive bump through retire and dropView: ok
-	m.retire()
+// Skeleton stands for the engine frame both engines embed.  Its type
+// parameter is the view store, so its hooks have generic receivers.
+type Skeleton[S any] struct {
+	w     *Worker
+	store S
 }
 
-func (m *MM) retire() { m.dropView() }
+func (e *Skeleton[S]) dropView() { e.w.BumpViewEpoch() }
 
-func (m *MM) EndTrace() {} // want `MM\.EndTrace retires or moves views but never reaches`
-
-func (m *MM) Merge(other *MM) { // want `MM\.Merge retires or moves views but never reaches`
-	m.epoch = other.epoch
+func (e *Skeleton[S]) BeginTrace() { // transitive bump through retire and dropView: ok
+	e.retire()
 }
 
-// growReducerPage moves no view, so it need not bump: not matched by
-// -funcs.
-func (m *MM) growReducerPage() {}
+func (e *Skeleton[S]) retire() { e.dropView() }
 
-type HM struct{ mm MM }
+func (e *Skeleton[S]) EndTrace() {} // want `Skeleton\.EndTrace retires or moves views but never reaches`
 
-func (h *HM) Merge() { // bump through a field's method: ok
-	h.mm.BumpViewEpoch()
+func (e *Skeleton[S]) Merge(other S) { // want `Skeleton\.Merge retires or moves views but never reaches`
+	e.store = other
 }
 
-func (h *HM) EndTrace() { // want `HM\.EndTrace retires or moves views but never reaches`
-	recycle(h)
+func (e *Skeleton[S]) abortTrace() { // bump through a field's method: ok
+	e.w.BumpViewEpoch()
 }
 
-// recycle loops back into EndTrace; the cycle must not hang the
-// reachability walk, and neither side bumps.
-func recycle(h *HM) { h.EndTrace() }
-
-// lookupMiss drops a stale occupant of a recycled address without a bump.
-func (h *HM) lookupMiss(stale bool) { // want `HM\.lookupMiss retires or moves views but never reaches`
+// LookupMiss drops a stale occupant of a recycled address without a bump.
+func (e *Skeleton[S]) LookupMiss(stale bool) { // want `Skeleton\.LookupMiss retires or moves views but never reaches`
 	if stale {
-		h.mm = MM{}
+		recycle(e)
 	}
 }
 
-// Base stands for the frame both engines embed.  Unregister kills no view,
-// so it is not matched by -funcs.
-type Base struct{ mm *MM }
+// recycle loops back into LookupMiss; the cycle must not hang the
+// reachability walk, and neither side bumps.
+func recycle[S any](e *Skeleton[S]) { e.LookupMiss(false) }
 
-func (b *Base) Unregister() { b.mm = nil }
+// growReducerPage moves no view, so it need not bump: not matched by
+// -funcs.
+func (e *Skeleton[S]) growReducerPage() {}
+
+// Base stands for the registration frame the skeleton embeds.  Unregister
+// kills no view, so it is not matched by -funcs.
+type Base struct{ w *Worker }
+
+func (b *Base) Unregister() { b.w = nil }
+
+// HM stands for an engine: it embeds the skeleton and wraps none of its
+// hooks.
+type HM struct{ Skeleton[int] }
 
 func (h *HM) helperOnly() {} // not matched by -funcs: ok

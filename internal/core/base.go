@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -25,14 +24,13 @@ var ErrForeignRuntime = errors.New("core: lookup from a runtime the engine does 
 // this value.
 var ErrReadViewWritten = errors.New("core: write through a read-only view")
 
-// Base is the frame both reducer engines embed: everything about an engine
-// that is not its mechanism.  It registers and retires reducers in the
-// directory, binds the engine to the one runtime it serves, and holds the
-// one counter block every count of the engine goes through — so measured
-// differences between the memory-mapped engine and the hypermap isolate the
-// lookup structures and merges themselves.  The engine keeps its lookup
-// structure, its trace and merge hooks, its per-worker state and its
-// Quiescent walk.
+// Base is what every reducer engine holds apart from its views: it
+// registers and retires reducers in the directory, binds the engine to the
+// one runtime it serves, and holds the one counter block every count of the
+// engine goes through.  Skeleton embeds it and adds everything else both
+// engines share — the trace hooks, the merges and the Quiescent walk — so
+// what differs between the memory-mapped engine and the hypermap is the
+// view store alone.
 //
 // The exported fields are the engine's to use and nobody else's.
 type Base struct {
@@ -64,36 +62,20 @@ type Base struct {
 	Totals metrics.Totals
 }
 
-// InitBase sets up b, embedded by value in engine self so the per-view
-// paths reach Dir and Timing with no extra load, sized for workers workers
-// (at least one) and exporting under the engine label label.  onGrow is the
-// directory's growth hook, called under its lock once per fresh SPA page
-// (the memory-mapped engine's modelled TLMM growth, which may fail), and
-// may be nil.
-func InitBase(b *Base, self Engine, label string, workers int, timing bool, onGrow func(page int) error) {
-	b.Dir, b.Timing, b.self, b.label = NewDirectory(onGrow), timing, self, label
-	b.workers = max(workers, 1)
-}
-
 // Register implements Engine: one address taken under the directory's lock.
 func (b *Base) Register(m Monoid) (*Reducer, error) {
 	return b.Dir.Register(b.self, m)
 }
 
-// Absorb is the root merge's fold, for both engines: it is exported
-// because the hypermap lives outside this package.  It runs walk holding
-// the engine's leftmost lock, taken once for the whole deposit, and hands
-// it fold, which folds one view into its reducer's leftmost view in serial
-// order (leftmost ⊗ view).  What to fold is the walk's to decide: a view
-// whose reducer was retired it drops and counts itself.  The walk runs
-// under the lock, so neither it nor a Reduce may take the lock again.  The
-// lock is released on every exit: Reduce is the caller's code and may
-// panic, and a lock left held would wedge every reducer of the engine.
-// fold is a method expression, not a closure, so nothing here allocates.
-func (b *Base) Absorb(walk func(fold func(r *Reducer, view unsafe.Pointer))) {
+// Absorb runs walk, the root merge's fold, holding the engine's leftmost
+// lock, taken once for the whole deposit.  The walk runs under the lock, so
+// neither it nor a Reduce may take the lock again.  The lock is released on
+// every exit: Reduce is the caller's code and may panic, and a lock left
+// held would wedge every reducer of the engine.
+func (b *Base) Absorb(walk func()) {
 	b.Dir.leftmostMu.Lock()
 	defer b.Dir.leftmostMu.Unlock()
-	walk((*Reducer).fold)
+	walk()
 }
 
 // Unregister implements Engine.  The directory's compare-and-swap performs

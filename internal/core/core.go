@@ -189,7 +189,8 @@ func (r *Reducer) ReduceViews(left, right unsafe.Pointer) unsafe.Pointer {
 
 // nilReduceError is the named failure of a Reduce that returned nil; its
 // value is the reducer's id.  A one-word panic value keeps ReduceViews under
-// the inlining budget (scripts/inline_check.sh pins its three call sites).
+// the inlining budget (scripts/inline_check.sh pins it and its call in the
+// merge's per-pair decision).
 type nilReduceError uint64
 
 func (e nilReduceError) Error() string {

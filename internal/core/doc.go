@@ -42,13 +42,15 @@
 // per-worker size-classed view arenas that recycle identity views through
 // the merge, and a hypermerge that is one walk over the deposit's occupied
 // slots, reducing each matched pair in place on the worker that owns the
-// join.  What is not mechanism — registration, the one runtime the engine
-// serves and the counts — is Base, which both MM and the
-// hypermap baseline embed: every event either engine counts goes into a
-// worker's metrics.Tally, flushed into the Base's one metrics.Totals, and
-// Base implements metrics.Source over it, so every count is exportable on a
-// scrape endpoint the same way for both; see docs/OBSERVABILITY.md at the
-// repository root.
+// join.  What is not mechanism is written once, for MM and the hypermap
+// baseline alike: Base (registration, the one runtime the engine serves
+// and the counts) and Skeleton (the lookup miss, view creation, the trace
+// lifecycle, deposits through a page pool, the merge decisions, the root
+// merge and Quiescent), around a view store each engine brings (Store).
+// Every event either engine counts goes into a worker's metrics.Tally,
+// flushed into the Base's one metrics.Totals, and the Skeleton implements
+// metrics.Source over it, so every count is exportable on a scrape endpoint
+// the same way for both; see docs/OBSERVABILITY.md at the repository root.
 //
 // An Engine is the scheduler's reducer mechanism (sched.ReducerRuntime),
 // root merge and quiescence check included, so the runtime settles every

@@ -15,19 +15,19 @@ import (
 //
 // The paper amortises view bookkeeping against steals; what remains of the
 // post-steal lookup cost in this model is one heap allocation per identity
-// view.  The arena removes it: lookupSlow carves the view out of the
-// worker's arena, and views that the hypermerge folds away — the
+// view.  The arena removes it: view creation (Views.newView) carves the
+// view out of the worker's arena, on either engine, and views that the hypermerge folds away — the
 // non-surviving side of each reduce pair and dropped stale views — are
 // pushed back onto a free list, so the steady-state steal→lookup→merge
 // cycle allocates nothing.
 //
 // Ownership: an arena belongs to one worker and is touched only from that
-// worker's goroutine (lookupSlow, the abort path's drops and the
+// worker's goroutine (view creation, the abort path's drops and the
 // hypermerge's frees all run there).  Blocks are not returned to the chunk
 // they were carved from: a block freed by the merging worker goes on the
 // merging worker's free list, which is safe because every block of one class is
 // interchangeable and the unsafe.Pointer references on free lists and in
-// SPA slots keep the backing chunks alive (interior pointers pin Go heap
+// SPA slots or hash entries keep the backing chunks alive (interior pointers pin Go heap
 // objects).
 //
 // GC safety: arenas are only used for pointer-free view types, so the

@@ -177,6 +177,10 @@ func ownerWord(r *Reducer) unsafe.Pointer {
 	return unsafe.Pointer(r)
 }
 
+// Stamp returns r's owner stamp (ownerWord): what a view store outside
+// this package compares an entry's stamp against on its lookup hit.
+func (r *Reducer) Stamp() unsafe.Pointer { return ownerWord(r) }
+
 // reducerOf decodes an owner-stamp word produced by ownerWord.  The spa
 // accessors strip the flag bits before the word gets here, so the result
 // is the exact pointer ownerWord stored (or nil for an empty slot).

@@ -3,19 +3,22 @@
 // memory-mapping mechanism: each execution context owns a hash table (a
 // "hypermap") mapping reducers to their local views.
 //
-// Every reducer access performs a hash-table lookup keyed by the reducer's
-// identity.  When a stolen computation first touches a reducer, an identity
-// view is created lazily and inserted into the hypermap (a read-only touch
-// of a reducer whose identity is the zero value reads the trace's zero
-// block instead, as on the memory-mapped engine).  View transferal
-// is cheap — the hypermap pointer itself is deposited — but lookups carry
-// the full hash-table cost and hypermerges walk one table performing a
-// lookup in the other per element, which is where the paper finds Cilk Plus
-// spending most of its reduce overhead.
+// What this package reproduces of the Cilk Plus baseline is the lookup
+// structure: a chained hash table sized through a progression of prime-like
+// bucket counts, hashing the reducer's address modulo the bucket count and
+// rehashing into the next size when full.  Every reducer access performs a
+// lookup in it, and a hypermerge walks one table performing a lookup in the
+// other per element, which is where the paper finds Cilk Plus spending most
+// of its reduce overhead.  View transferal hands the trace's table over
+// whole.
 //
-// The engine embeds core.Base, as the memory-mapped mechanism does: the
-// same reducer directory, runtime binding and counts, counted at the same
-// points and exported through the same metrics.Source (its arena and
-// bulk-page series read 0), so figure comparisons and scrape endpoints
-// treat both mechanisms uniformly.
+// Everything else is the core.Skeleton the memory-mapped engine embeds too:
+// the directory, the lookup miss (a read-only touch of a reducer whose
+// identity is the zero value reads the trace's zero block), identity views
+// carved from the same per-worker arenas, the trace lifecycle with its
+// spares stack, deposits through a page pool whose pages here are whole
+// tables (reused, chain nodes and all, rather than built per trace), the
+// merge decisions, the root merge, the counts and the metrics.Source, so
+// figure comparisons and scrape endpoints measure the two lookup
+// structures and nothing else.
 package hypermap

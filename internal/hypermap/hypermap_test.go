@@ -98,7 +98,7 @@ func TestHypermapSerialAndParallelSum(t *testing.T) {
 			t.Fatal("expected steals on the parallel run")
 		}
 		for i := 0; i < workers; i++ {
-			if got := eng.WorkerViewCount(i); got != 0 {
+			if got := eng.WorkerPrivateViews(i); got != 0 {
 				t.Fatalf("worker %d retains %d views after the run", i, got)
 			}
 		}

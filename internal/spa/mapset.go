@@ -64,20 +64,9 @@ func (ms *MapSet) EnsurePage(i int) *Map {
 	return ms.pages[i]
 }
 
-// Get returns the view word at addr, or nil if the page does not exist or
-// the slot is empty.  This is the lookup fast path at MapSet granularity.
-func (ms *MapSet) Get(addr Addr) unsafe.Pointer {
-	pi := addr.Page()
-	if pi < 0 || pi >= len(ms.pages) {
-		return nil
-	}
-	return ms.pages[pi].Get(addr.Slot())
-}
-
 // SlotAt returns the full slot at addr, or the zero Slot if the page does
-// not exist.  Reducer engines use it where Get's view word alone is not
-// enough: the slot's second word carries the owner stamp that guards
-// against a recycled address serving a stale view, plus the per-slot flags.
+// not exist: the view word, and the owner stamp that guards against a
+// recycled address serving a stale view, with the per-slot flags.
 func (ms *MapSet) SlotAt(addr Addr) Slot {
 	pi := addr.Page()
 	if pi < 0 || pi >= len(ms.pages) {
@@ -109,22 +98,17 @@ func (ms *MapSet) Insert(addr Addr, view, owner unsafe.Pointer, flags uintptr) e
 	return ms.EnsurePage(addr.Page()).Insert(addr.Slot(), view, owner, flags)
 }
 
-// InsertSlot installs a pre-packed slot at addr, growing the set as needed.
-// Merges use it to move deposited slots wholesale, flags included.
-func (ms *MapSet) InsertSlot(addr Addr, s Slot) error {
-	if addr < 0 || s.IsEmpty() {
-		return fmt.Errorf("%w: %d", ErrSlotOutOfRange, addr)
+// Put stores s, which must not be empty, at page index pi, slot index si,
+// growing the set as needed and replacing whatever the slot held: a first
+// lookup installs its view through it, and a merge the entry a deposited
+// view leaves behind.  si must be in [0, SlotsPerMap), as for Probe.
+func (ms *MapSet) Put(pi, si int, s Slot) {
+	p := ms.EnsurePage(pi)
+	if !p.views[si].IsEmpty() {
+		p.views[si] = s
+		return
 	}
-	return ms.EnsurePage(addr.Page()).insertSlot(addr.Slot(), s)
-}
-
-// Update replaces the view word and flags at an occupied addr.
-func (ms *MapSet) Update(addr Addr, view unsafe.Pointer, flags uintptr) error {
-	pi := addr.Page()
-	if pi < 0 || pi >= len(ms.pages) {
-		return fmt.Errorf("%w: %d", ErrSlotEmpty, addr)
-	}
-	return ms.pages[pi].Update(addr.Slot(), view, flags)
+	_ = p.insertSlot(si, s) // the slot is empty, so this cannot fail
 }
 
 // Remove clears the slot at addr and returns its previous contents.

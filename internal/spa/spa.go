@@ -157,28 +157,9 @@ func (m *Map) LogValid() bool { return m.nlogs != logOverflowed }
 // IsEmpty reports whether the map holds no views.
 func (m *Map) IsEmpty() bool { return m.nviews == 0 }
 
-// Lookup returns the slot at index i.  It is the constant-time lookup of
-// the paper: one bounds check and one array index.
-func (m *Map) Lookup(i int) (Slot, error) {
-	if i < 0 || i >= SlotsPerMap {
-		return Slot{}, fmt.Errorf("%w: %d", ErrSlotOutOfRange, i)
-	}
-	return m.views[i], nil
-}
-
-// Get returns the view word stored at slot i, or nil if the slot is empty
-// or out of range.  It is the unchecked fast path used by the reducer
-// mechanism.
-func (m *Map) Get(i int) unsafe.Pointer {
-	if i < 0 || i >= SlotsPerMap {
-		return nil
-	}
-	return m.views[i].view
-}
-
 // SlotAt returns the full slot at index i, or the zero Slot if i is out of
-// range.  The reducer mechanism uses it on the lookup fast path to read the
-// view and the slot's second word (the owner stamp) in one access.
+// range: the view and the slot's second word (the owner stamp) in one
+// access.  A slot's view is SlotAt(i).View().
 func (m *Map) SlotAt(i int) Slot {
 	if i < 0 || i >= SlotsPerMap {
 		return Slot{}
@@ -217,24 +198,6 @@ func (m *Map) insertSlot(i int, s Slot) error {
 			m.nlogs = logOverflowed
 		}
 	}
-	return nil
-}
-
-// Update replaces the view word and flags stored at an occupied slot,
-// leaving the owner stamp unchanged.  It is used by hypermerges, which fold
-// one view into another in place.
-func (m *Map) Update(i int, view unsafe.Pointer, flags uintptr) error {
-	if i < 0 || i >= SlotsPerMap {
-		return fmt.Errorf("%w: %d", ErrSlotOutOfRange, i)
-	}
-	s := m.views[i]
-	if s.IsEmpty() {
-		return fmt.Errorf("%w: %d", ErrSlotEmpty, i)
-	}
-	if view == nil {
-		return errors.New("spa: nil view")
-	}
-	m.views[i] = MakeSlot(view, s.Owner(), flags)
 	return nil
 }
 

@@ -52,11 +52,7 @@ func TestNewMapIsEmpty(t *testing.T) {
 		t.Fatalf("fresh map not in empty state: %+v", m)
 	}
 	for i := 0; i < SlotsPerMap; i++ {
-		s, err := m.Lookup(i)
-		if err != nil {
-			t.Fatalf("Lookup(%d): %v", i, err)
-		}
-		if !s.IsEmpty() {
+		if !m.SlotAt(i).IsEmpty() {
 			t.Fatalf("slot %d not empty in fresh map", i)
 		}
 	}
@@ -72,11 +68,11 @@ func TestInsertLookupRemove(t *testing.T) {
 	if m.Len() != 1 || m.LogLen() != 1 {
 		t.Fatalf("Len/LogLen = %d/%d, want 1/1", m.Len(), m.LogLen())
 	}
-	if got := m.Get(7); got != v {
-		t.Fatalf("Get(7) = %v, want inserted view", got)
+	if got := m.SlotAt(7).View(); got != v {
+		t.Fatalf("SlotAt(7).View() = %v, want inserted view", got)
 	}
-	if got := m.Get(8); got != nil {
-		t.Fatalf("Get(8) = %v, want nil", got)
+	if got := m.SlotAt(8).View(); got != nil {
+		t.Fatalf("SlotAt(8).View() = %v, want nil", got)
 	}
 	if err := m.Insert(7, newView(), own.ptr(), 0); !errors.Is(err, ErrSlotOccupied) {
 		t.Fatalf("double insert: got %v, want ErrSlotOccupied", err)
@@ -111,45 +107,29 @@ func TestInsertValidation(t *testing.T) {
 	if err := m.Insert(0, newView(), nil, 0); err == nil {
 		t.Fatal("Insert of nil owner should fail")
 	}
-	if _, err := m.Lookup(SlotsPerMap); !errors.Is(err, ErrSlotOutOfRange) {
-		t.Fatalf("Lookup out of range: got %v, want ErrSlotOutOfRange", err)
-	}
-	if err := m.Update(5, newView(), 0); !errors.Is(err, ErrSlotEmpty) {
-		t.Fatalf("Update of empty slot: got %v, want ErrSlotEmpty", err)
-	}
-	if err := m.Update(-3, newView(), 0); !errors.Is(err, ErrSlotOutOfRange) {
-		t.Fatalf("Update out of range: got %v, want ErrSlotOutOfRange", err)
+	if s := m.SlotAt(SlotsPerMap); s != (Slot{}) {
+		t.Fatalf("SlotAt out of range = %+v, want the zero Slot", s)
 	}
 	if _, err := m.Remove(SlotsPerMap + 1); !errors.Is(err, ErrSlotOutOfRange) {
 		t.Fatalf("Remove out of range: got %v, want ErrSlotOutOfRange", err)
 	}
 }
 
-func TestUpdateReplacesViewAndFlags(t *testing.T) {
-	m := New()
-	own := &fakeOwner{"add"}
+// TestPutReplacesSlot pins MapSet.Put on an occupied slot: the whole slot
+// is replaced, owner stamp and flags included, and the count and log are
+// those of the one insertion.
+func TestPutReplacesSlot(t *testing.T) {
+	ms := NewMapSet()
+	a, b := &fakeOwner{"a"}, &fakeOwner{"b"}
 	v1, v2 := newView(), newView()
-	if err := m.Insert(3, v1, own.ptr(), FlagArena); err != nil {
-		t.Fatalf("Insert: %v", err)
+	ms.Put(0, 3, MakeSlot(v1, a.ptr(), FlagArena))
+	ms.Put(0, 3, MakeSlot(v2, b.ptr(), FlagWritten))
+	s := ms.Probe(0, 3)
+	if s.View() != v2 || s.Owner() != b.ptr() || s.Flags() != FlagWritten {
+		t.Fatalf("Put did not replace the slot: %+v", s)
 	}
-	if err := m.Update(3, v2, FlagWritten); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	s := m.SlotAt(3)
-	if s.View() != v2 {
-		t.Fatal("Update did not replace view")
-	}
-	if s.Owner() != own.ptr() {
-		t.Fatal("Update disturbed the owner stamp")
-	}
-	if s.Flags() != FlagWritten {
-		t.Fatalf("Update flags = %#x, want FlagWritten", s.Flags())
-	}
-	if err := m.Update(3, nil, 0); err == nil {
-		t.Fatal("Update with nil view should fail")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len after update = %d, want 1", m.Len())
+	if p := ms.Page(0); p.Len() != 1 || p.LogLen() != 1 {
+		t.Fatalf("Len/LogLen after a replacing Put = %d/%d, want 1/1", p.Len(), p.LogLen())
 	}
 }
 
@@ -391,7 +371,7 @@ func TestPropertyInsertedViewsAreFound(t *testing.T) {
 			return false
 		}
 		for i, v := range want {
-			if m.Get(i) != v {
+			if m.SlotAt(i).View() != v {
 				return false
 			}
 		}
@@ -432,7 +412,7 @@ func TestPropertyTransferPreservesViews(t *testing.T) {
 			return false
 		}
 		for i, v := range want {
-			if dst.Get(i) != v {
+			if dst.SlotAt(i).View() != v {
 				return false
 			}
 		}
@@ -451,8 +431,8 @@ func TestMapSetAddressing(t *testing.T) {
 	own := &fakeOwner{"add"}
 	addr := MakeAddr(3, 100)
 	v := newView()
-	if got := ms.Get(addr); got != nil {
-		t.Fatalf("Get on empty set = %v, want nil", got)
+	if got := ms.SlotAt(addr).View(); got != nil {
+		t.Fatalf("SlotAt on an empty set = %v, want nil", got)
 	}
 	if err := ms.Insert(addr, v, own.ptr(), 0); err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -460,8 +440,8 @@ func TestMapSetAddressing(t *testing.T) {
 	if ms.Pages() != 4 {
 		t.Fatalf("Pages = %d, want 4 (grown to cover page 3)", ms.Pages())
 	}
-	if got := ms.Get(addr); got != v {
-		t.Fatal("Get did not return inserted view")
+	if got := ms.SlotAt(addr).View(); got != v {
+		t.Fatal("SlotAt did not return the inserted view")
 	}
 	if ms.Len() != 1 || ms.IsEmpty() {
 		t.Fatalf("Len = %d, IsEmpty = %v", ms.Len(), ms.IsEmpty())
@@ -469,14 +449,9 @@ func TestMapSetAddressing(t *testing.T) {
 	if err := ms.Insert(Addr(-1), v, own.ptr(), 0); err == nil {
 		t.Fatal("Insert at negative addr should fail")
 	}
-	if err := ms.Update(addr, newView(), FlagArena); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
+	ms.Put(addr.Page(), addr.Slot(), MakeSlot(newView(), own.ptr(), FlagArena))
 	if !ms.SlotAt(addr).Arena() {
-		t.Fatal("Update at MapSet level did not set the flags")
-	}
-	if err := ms.Update(MakeAddr(9, 0), newView(), 0); err == nil {
-		t.Fatal("Update beyond last page should fail")
+		t.Fatal("Put at MapSet level did not set the flags")
 	}
 	if _, err := ms.Remove(MakeAddr(9, 0)); err == nil {
 		t.Fatal("Remove beyond last page should fail")
@@ -493,23 +468,18 @@ func TestMapSetAddressing(t *testing.T) {
 	}
 }
 
-func TestMapSetInsertSlotPreservesFlags(t *testing.T) {
+func TestMapSetPutPreservesFlags(t *testing.T) {
 	ms := NewMapSet()
 	own := &fakeOwner{"add"}
 	v := newView()
 	addr := MakeAddr(1, 9)
-	if err := ms.InsertSlot(addr, MakeSlot(v, own.ptr(), FlagWritten|FlagArena)); err != nil {
-		t.Fatalf("InsertSlot: %v", err)
+	ms.Put(addr.Page(), addr.Slot(), MakeSlot(v, own.ptr(), FlagWritten|FlagArena))
+	if ms.Pages() != 2 {
+		t.Fatalf("Pages = %d, want 2 (grown to cover page 1)", ms.Pages())
 	}
 	s := ms.SlotAt(addr)
 	if s.View() != v || s.Owner() != own.ptr() || s.Flags() != FlagWritten|FlagArena {
-		t.Fatalf("InsertSlot mangled the slot: %+v", s)
-	}
-	if err := ms.InsertSlot(addr, MakeSlot(v, own.ptr(), 0)); !errors.Is(err, ErrSlotOccupied) {
-		t.Fatalf("InsertSlot into occupied slot: got %v, want ErrSlotOccupied", err)
-	}
-	if err := ms.InsertSlot(MakeAddr(0, 0), Slot{}); err == nil {
-		t.Fatal("InsertSlot of empty slot should fail")
+		t.Fatalf("Put mangled the slot: %+v", s)
 	}
 }
 
@@ -552,7 +522,7 @@ func TestMapSetRangeAndTransfer(t *testing.T) {
 		t.Fatalf("transfer moved %d, src empty %v, dst len %d", moved, src.IsEmpty(), dst.Len())
 	}
 	for addr, v := range want {
-		if dst.Get(addr) != v {
+		if dst.SlotAt(addr).View() != v {
 			t.Fatalf("destination missing view at %d", addr)
 		}
 	}
@@ -600,11 +570,11 @@ func TestMapSetSwapPages(t *testing.T) {
 	pages := append([]*Map(nil), fresh...)
 	old := []*Map{private.Page(0), private.Page(1)}
 	private.SwapPages(pages)
-	if private.Pages() != 3 || private.Len() != 1 || private.Get(MakeAddr(2, 2)) != views[2] {
+	if private.Pages() != 3 || private.Len() != 1 || private.SlotAt(MakeAddr(2, 2)).View() != views[2] {
 		t.Fatalf("private set after swap: %d pages, %d views", private.Pages(), private.Len())
 	}
 	for i := range pages {
-		if pages[i] != old[i] || pages[i].Get(i) != views[i] {
+		if pages[i] != old[i] || pages[i].SlotAt(i).View() != views[i] {
 			t.Fatalf("handed-off page %d is not the private page with its view in place", i)
 		}
 		if private.Page(i) != fresh[i] || !private.Page(i).IsEmpty() {

@@ -94,27 +94,26 @@ require 'internal/core/mm.go' 'inlining call to spa.Slot.View'
 require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).probeHead'
 require 'internal/hypermap/hypermap.go' 'inlining call to (*hashTable).hash'
 
-# Layer 2 (first lookup): the per-view miss path ticks its overhead tally,
-# checks reducer validity and bumps the view epoch on a stale-view drop
-# without a call on either engine — the tick and the bump are plain
-# owner-only increments (the tick's timed half is outlined on purpose) and
-# validity is one load of a flag on the reducer.  The cilkvet hotpath
-# analyzer keeps locked instructions out of these functions; this keeps the
-# calls out.
+# Layer 2 (first lookup): the per-view miss path both engines share
+# (Skeleton.LookupMiss and Views.newView in internal/core/skeleton.go)
+# ticks its overhead tally, checks reducer validity and bumps the view
+# epoch on a stale-view drop without a call — the tick and the bump are
+# plain owner-only increments (the tick's timed half is outlined on
+# purpose) and validity is one load of a flag on the reducer.  The cilkvet
+# hotpath analyzer keeps locked instructions out of these functions; this
+# keeps the calls out.  Each pin names the file that holds the code, so the
+# two engines' former pins on one call are one pin now.
 require 'internal/metrics/metrics.go' 'can inline (*Breakdown).Tick'
 require 'internal/core/directory.go' 'can inline (*Directory).Valid'
-require 'internal/core/mm.go' 'inlining call to metrics.(*Breakdown).Tick'
-require 'internal/core/mm.go' 'inlining call to (*Directory).Valid'
-require 'internal/hypermap/hypermap.go' 'inlining call to metrics.(*Breakdown).Tick'
-require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Directory).Valid'
-require 'internal/core/mm.go' 'inlining call to sched.(*Worker).BumpViewEpoch'
-require 'internal/hypermap/hypermap.go' 'inlining call to sched.(*Worker).BumpViewEpoch'
+require 'internal/core/skeleton.go' 'inlining call to metrics.(*Breakdown).Tick'
+require 'internal/core/skeleton.go' 'inlining call to (*Directory).Valid'
+require 'internal/core/skeleton.go' 'inlining call to sched.(*Worker).BumpViewEpoch'
 
 # Layer 2 (merge): reducing a pair is the monoid's kernel call and a nil
-# compare at the call site on both engines, not a call to a wrapper first.
+# compare at the call site in the one per-pair decision (Views.reduce), not
+# a call to a wrapper first.
 require 'internal/core/core.go' 'can inline (*Reducer).ReduceViews'
-require 'internal/core/mm.go' 'inlining call to (*Reducer).ReduceViews'
-require 'internal/hypermap/hypermap.go' 'inlining call to core.(*Reducer).ReduceViews'
+require 'internal/core/skeleton.go' 'inlining call to (*Reducer).ReduceViews'
 
 # Layer 3: the handle's View/ReadView hit checks use the inlined context
 # accessors (no call, no worker-struct detour on the id), and the concrete
