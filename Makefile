@@ -20,8 +20,7 @@ vet-unsafe:
 
 # cilkvet builds the repo's own analysis suite (cmd/cilkvet): five
 # analyzers over the lock-free runtime's invariants, documented in
-# docs/STATIC_ANALYSIS.md.  The binary also speaks the go vet tool
-# protocol, so CI caches it and `go vet -vettool=bin/cilkvet` works.
+# docs/STATIC_ANALYSIS.md, run by `make lint`.
 cilkvet:
 	$(GO) build -o $(CILKVET) ./cmd/cilkvet
 

@@ -12,9 +12,10 @@
 // with one quoted regexp per expected diagnostic on that line (double or
 // back quotes).  Every diagnostic must be matched by a want on its line
 // and every want must match a diagnostic; either direction failing fails
-// the test.  Suppression comments are honoured exactly as in the real
-// driver, so fixtures can assert both that //cilkvet:allow silences a
-// finding and that a malformed suppression is itself reported.
+// the test.  The findings come from load.Analyze, the loop cilkvet itself
+// runs, so suppressions are honoured by the driver's own code: fixtures
+// can assert both that //cilkvet:allow silences a finding and that a
+// malformed suppression is itself reported.
 package analysistest
 
 import (
@@ -41,8 +42,8 @@ type want struct {
 	matched bool
 }
 
-// Run loads the fixture packages under srcdir and applies a, comparing
-// diagnostics to // want comments.
+// Run loads the fixture packages under srcdir, applies a through
+// load.Analyze and compares the findings to // want comments.
 func Run(t *testing.T, srcdir string, a *framework.Analyzer, pkgs ...string) {
 	t.Helper()
 	res, err := load.LoadFixture(srcdir, pkgs)
@@ -57,40 +58,14 @@ func Run(t *testing.T, srcdir string, a *framework.Analyzer, pkgs ...string) {
 		}
 	}
 
-	type diag struct {
-		pos     token.Position
-		message string
+	findings, err := load.Analyze(res, []*framework.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var diags []diag
-	for _, pkg := range res.Roots {
-		sup := framework.CollectSuppressions(pkg.Fset, pkg.Files)
-		for _, d := range sup.Malformed {
-			diags = append(diags, diag{pkg.Fset.Position(d.Pos), d.Message})
-		}
-		pass := &framework.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Module:    res.Index,
-			Report: func(d framework.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				if sup.Allows(a.Name, pos) {
-					return
-				}
-				diags = append(diags, diag{pos, d.Message})
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("analyzer %s on %s: %v", a.Name, pkg.ImportPath, err)
-		}
-	}
-
-	for _, d := range diags {
-		key := lineKey{d.pos.Filename, d.pos.Line}
-		if !matchWant(wants[key], d.message) {
-			t.Errorf("%s: unexpected diagnostic: %s", d.pos, d.message)
+	for _, f := range findings {
+		key := lineKey{f.Pos.Filename, f.Pos.Line}
+		if !matchWant(wants[key], f.Message) {
+			t.Errorf("%s: unexpected diagnostic: %s", f.Pos, f.Message)
 		}
 	}
 	for key, ws := range wants {

@@ -7,9 +7,9 @@
 // the framework is reproduced here from the standard library alone: the
 // Analyzer/Pass/Diagnostic shapes mirror go/analysis closely enough that
 // the analyzers can be ported onto the real framework by changing one
-// import, while the drivers (package load for whole-module runs, the
-// unitchecker shim in cmd/cilkvet for `go vet -vettool`) replace
-// go/packages and x/tools' unitchecker.
+// import, while package load replaces go/packages and the x/tools
+// drivers: it loads the module and runs the one analysis loop
+// (load.Analyze) that both cmd/cilkvet and the analysistest harness use.
 //
 // Two deliberate deviations from go/analysis:
 //
@@ -45,8 +45,8 @@ type Analyzer struct {
 	// invariant it enforces and why.
 	Doc string
 
-	// Flags holds analyzer-specific configuration.  The drivers register
-	// each flag as -<name>.<flag> on their own flag sets.
+	// Flags holds analyzer-specific configuration.  cilkvet registers
+	// each flag as -<name>.<flag> on its own flag set.
 	Flags flag.FlagSet
 
 	// Run applies the analyzer to one package.
@@ -72,12 +72,10 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Module indexes doc-comment information (//cilkvet:nocopy
-	// directives) across every package the driver loaded.  Never nil, but
-	// possibly restricted to the current package under drivers that cannot
-	// see the whole module.
+	// directives) across every package the driver loaded.  Never nil.
 	Module *ModuleIndex
 
-	// Report delivers one diagnostic.  Drivers install it; analyzers
+	// Report delivers one diagnostic.  The driver installs it; analyzers
 	// normally call Reportf instead.
 	Report func(Diagnostic)
 }

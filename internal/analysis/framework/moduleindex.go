@@ -16,7 +16,7 @@ type ObjKey struct {
 
 // ModuleIndex aggregates the doc-comment information analyzers need across
 // package boundaries: `//cilkvet:nocopy` type directives (for nocopy).  The
-// drivers build one index over every package they load and share it
+// loader builds one index over every package it loads and shares it
 // between passes.  Directives that bind only within their own declaration
 // (hotpath) need no index; analyzers read them with HasDirective.
 type ModuleIndex struct {

@@ -21,9 +21,10 @@ import (
 // standard library (resolved through `go list`, type-checked from source
 // like the main driver).  Every named fixture package becomes a Root.
 //
-// This is the loader behind the analysistest harness; it exists so
-// analyzer tests exercise the same type-checking pipeline the real driver
-// uses instead of a parallel one that could drift.
+// This is the loader behind the analysistest harness, which hands its
+// Result to Analyze: analyzer tests exercise the same type-checking
+// pipeline and analysis loop the real driver uses instead of a parallel
+// one that could drift.
 func LoadFixture(srcdir string, pkgpaths []string) (*Result, error) {
 	fx := &fixtureLoader{
 		res: &Result{

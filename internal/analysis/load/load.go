@@ -1,6 +1,6 @@
 // Package load is cilkvet's whole-module driver: it resolves Go packages
 // with `go list`, type-checks them from source using only the standard
-// library, and runs framework analyzers over the result.
+// library (Load), and runs framework analyzers over the result (Analyze).
 //
 // The usual foundation for this layer is golang.org/x/tools/go/packages,
 // which loads export data produced by the build cache.  This repository
@@ -268,15 +268,21 @@ type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// Run loads patterns in dir and applies every analyzer to every root
-// package, returning the surviving findings sorted by position.
-// Suppression comments are honoured and malformed suppressions are
-// reported under the pseudo-analyzer name "suppression".
+// Run loads patterns in dir and analyzes the result: Load, then Analyze.
 func Run(dir string, patterns []string, analyzers []*framework.Analyzer) ([]framework.Finding, error) {
 	res, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
+	return Analyze(res, analyzers)
+}
+
+// Analyze applies every analyzer to every root package of res and returns
+// the surviving findings sorted by position, each reported once.
+// Suppression comments are honoured and malformed suppressions are
+// reported under the pseudo-analyzer name "suppression".  It is the one
+// analysis loop: cilkvet and the analysistest fixture harness both run it.
+func Analyze(res *Result, analyzers []*framework.Analyzer) ([]framework.Finding, error) {
 	var findings []framework.Finding
 	seen := make(map[framework.Finding]bool)
 	report := func(f framework.Finding) {

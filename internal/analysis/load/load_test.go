@@ -1,11 +1,15 @@
 package load
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis/framework"
+	"repro/internal/analysis/suite"
 )
 
 // moduleRoot walks up from the working directory to the directory holding
@@ -60,5 +64,62 @@ func TestLoadModule(t *testing.T) {
 	}
 	if !res.Index.NoCopy[framework.ObjKey{Pkg: "repro/internal/spa", Name: "Map"}] {
 		t.Error("module index missed spa.Map's //cilkvet:nocopy directive")
+	}
+}
+
+// TestRunFindingsAndSuppressions runs the whole suite over a throwaway
+// module and checks the exact findings: one plain read of an atomically
+// updated field is reported once (its package is analyzed through the
+// in-package test variant), a justified //cilkvet:allow silences a second,
+// and an allow without a justification is reported and silences nothing.
+// A driver that drops findings or ignores suppressions fails it, which
+// the zero-findings module test cannot notice.
+func TestRunFindingsAndSuppressions(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module p\n\ngo 1.24\n",
+		"p.go": `package p
+
+import "sync/atomic"
+
+type counter struct{ n int64 }
+
+func (c *counter) inc() { atomic.AddInt64(&c.n, 1) }
+
+func (c *counter) plain() int64 { return c.n }
+
+func (c *counter) allowed() int64 {
+	return c.n //cilkvet:allow atomicfield -- read before the counter is shared
+}
+
+func (c *counter) unjustified() int64 {
+	return c.n //cilkvet:allow atomicfield
+}
+`,
+		"p_test.go": `package p
+
+func use(c *counter) int64 { c.inc(); return c.plain() + c.allowed() + c.unjustified() }
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := Run(dir, []string{"./..."}, suite.Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Analyzer))
+	}
+	want := []string{
+		"p.go:9: atomicfield",
+		"p.go:16: atomicfield",
+		"p.go:16: suppression",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

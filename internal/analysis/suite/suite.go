@@ -1,8 +1,8 @@
 // Package suite registers the cilkvet analyzers.
 //
-// The list is the single source of truth shared by the standalone driver,
-// the go vet -vettool mode and the module smoke test, so a new analyzer
-// added here is automatically wired into all three.
+// The list is the single source of truth shared by the cilkvet driver and
+// the module smoke test, so a new analyzer added here is automatically
+// wired into both.
 package suite
 
 import (

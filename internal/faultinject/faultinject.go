@@ -28,7 +28,7 @@ const (
 	// the address and publishing the reducer, widening the
 	// registration/unregistration race window.
 	DirectoryRegister
-	// MonoidIdentity panics identity-view creation (engine lookupSlow).
+	// MonoidIdentity panics identity-view creation (core.Views.newView).
 	MonoidIdentity
 	// MonoidReduce panics a monoid Reduce call inside the hypermerge
 	// (both engines' merge paths).

@@ -90,7 +90,7 @@ func BenchmarkTypedLookupSteadyState(b *testing.B) {
 
 // BenchmarkReadViewUnwritten measures ReadView of an Add the trace never
 // writes: every read is lent the trace's zero block, which no handle cache
-// may hold, so each one runs viewMiss and the engine's lookupMiss.  It is
+// may hold, so each one runs viewMiss and Skeleton.LookupMiss.  It is
 // the price of keeping the cache to views the trace owns, paid only by a
 // program that re-reads a zero-identity reducer it does not write (such a
 // read always yields the identity).  Compare BenchmarkTypedLookupSteadyState.
